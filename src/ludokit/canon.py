@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from hashlib import blake2b
 from typing import Callable, Optional
 
-from .tree import CHANCE, GameTree, STATE, TERMINAL, decoded_label
+from .tree import CHANCE, GameTree, STATE, TERMINAL, choice_rank, decoded_label
 
 Pin = frozenset
 PIN_NONE: Pin = frozenset()
@@ -285,7 +285,7 @@ def canonical_matrix(
             cellmap = {idx[a]: epos for idx, epos in cells}
             perm = sorted(
                 range(len(choice_lists[a])),
-                key=lambda i: (epos_rank[cellmap[i]], _choice_rank(choice_lists[a][i])),
+                key=lambda i: (epos_rank[cellmap[i]], choice_rank(choice_lists[a][i])),
             )
             axis_orders = [
                 [choice_lists[b][i] for i in (perm if b == a else range(len(choice_lists[b])))]
@@ -295,14 +295,6 @@ def canonical_matrix(
             axis_orders = [list(c) for c in choice_lists]
         return enc, axis_orders, [edge_ids[epos] for epos in order]
     return _matrix_fingerprint_general(cells, choice_lists, edge_ids, cols)
-
-
-def _choice_rank(choice):
-    if choice is None:
-        return (0, "")
-    if isinstance(choice, str):
-        return (1, choice)
-    return (2, repr(choice))
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +318,12 @@ def tree_outcomes(tree: GameTree) -> set[str]:
     }
 
 
-def _postorder(tree: GameTree, node: int) -> list[int]:
+def _postorder(tree: GameTree, node: int, done=()) -> list[int]:
+    """Children-first order of the subtree at `node`, last child first.
+
+    Nodes in `done` (a memo) are left out and not descended into.  On a
+    DAG a shared node not in `done` appears once per path to it.
+    """
     order: list[int] = []
     stack: list[tuple[int, bool]] = [(node, False)]
     while stack:
@@ -336,7 +333,9 @@ def _postorder(tree: GameTree, node: int) -> list[int]:
             continue
         stack.append((n, True))
         for e in tree.node_children[n]:
-            stack.append((tree.edge_dst[e], False))
+            child = tree.edge_dst[e]
+            if child not in done:
+                stack.append((child, False))
     return order
 
 
@@ -382,7 +381,7 @@ def make_key_fn(
             return cached
         _fill_keys(
             tree,
-            (n for n in _postorder(tree, node) if n not in memo),
+            (n for n in _postorder(tree, node, memo) if n not in memo),
             memo,
             axis_order,
             axis_header,

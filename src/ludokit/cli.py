@@ -291,6 +291,16 @@ def cmd_sim(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _non_negative(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ludokit",
@@ -315,11 +325,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tree", help="build the game tree and export it")
     p.add_argument("file")
     p.add_argument("--root", help="state literal track=value,track=value,...")
-    p.add_argument("--depth", type=int, help="decision rounds to expand")
+    p.add_argument("--depth", type=_non_negative, help="decision rounds to expand")
     p.add_argument("--format", choices=["dot", "json"], default="json")
     p.add_argument("--out", help="output path (default stdout)")
     p.add_argument("--stats", action="store_true", help="print node/leaf counts")
-    p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET)
+    p.add_argument("--budget", type=_non_negative, default=DEFAULT_NODE_BUDGET)
     p.set_defaults(fn=cmd_tree)
 
     p = sub.add_parser("reduce", help="normalize a tree (or a game's forest)")
@@ -327,7 +337,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", nargs="?", const="-", default=None,
                    help="emit the reduction trace JSON (to PATH, or stdout)")
     p.add_argument("--out", help="output path for the normal form (default stdout)")
-    p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET)
+    p.add_argument("--budget", type=_non_negative, default=DEFAULT_NODE_BUDGET)
     p.set_defaults(fn=cmd_reduce)
 
     p = sub.add_parser("equiv", help="decide equivalence of two games or trees")
@@ -336,7 +346,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["structural", "relabel", "agency"], default="relabel")
     p.add_argument("--pin", default="", help="comma list from players,outcomes,states")
     p.add_argument("--witness", action="store_true", help="print the witness JSON")
-    p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET)
+    p.add_argument("--budget", type=_non_negative, default=DEFAULT_NODE_BUDGET)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_equiv)
 
@@ -344,8 +354,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("a")
     p.add_argument("b")
     p.add_argument("--map", help="state map JSON file (default: identity)")
-    p.add_argument("--samples", type=int, default=500)
-    p.add_argument("--depth", type=int, default=2)
+    p.add_argument("--samples", type=_non_negative, default=500)
+    p.add_argument("--depth", type=_non_negative, default=2)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--scope", choices=["all", "reachable"], default="all")
     p.add_argument("--json", action="store_true")

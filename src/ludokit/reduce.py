@@ -17,8 +17,11 @@ meaningfully decide:
 (matrix-redundancy, bookkeeping, single-player, symmetry; repeat) via a
 bottom-up pass: once a node's local loop stabilizes its whole subtree is
 normal, so sibling-subtree comparisons can use cached canonical keys.  The
-public `reduce_*` operations apply one maximal site at a time and verify
-the measure (node count, then total choice count) strictly decreases.
+pass hash-conses its input first and normalizes each distinct subtree once;
+later copies share the finished subtree, and the normal form is unfolded
+back into a tree on output.  The public `reduce_*` operations apply one
+maximal site at a time and verify the measure (node count, then total
+choice count) strictly decreases.
 
 Sites that touch truncated frontier nodes are skipped, so depth-limited
 partial trees normalize deterministically without inventing semantics for
@@ -43,6 +46,7 @@ from .tree import (
     STATE,
     TERMINAL,
     TRUNCATED,
+    choice_rank,
     decoded_label,
 )
 
@@ -200,7 +204,7 @@ def _matrix_redundancy_at(tree: GameTree, node: int) -> bool:
             doomed = set()
             for members in groups.values():
                 if len(members) > 1:
-                    members.sort(key=canon._choice_rank)
+                    members.sort(key=choice_rank)
                     doomed.update(members[1:])
             if doomed:
                 entries = [t for t in entries if t[2][i] not in doomed]
@@ -548,8 +552,61 @@ def reduce_symmetry(tree: GameTree, site: ReductionSite) -> GameTree:
 # ---------------------------------------------------------------------------
 
 
+def _intern(tree: GameTree) -> tuple[list[int], list[tuple[int, int]]]:
+    """Hash-cons the tree: one id per distinct subtree.
+
+    Returns every node's id (indexed by node) and, per id, the subtree's
+    (node count, total choice count).  The key is exact and ordered: kind,
+    state, outcome and each out-edge's kind, label, probability and child
+    id.  So it is sound on imported, reduced and depth-limited trees alike,
+    where equal states need not root equal subtrees.
+    """
+    ids = [0] * len(tree.node_kind)
+    table: dict[tuple, int] = {}
+    costs: list[tuple[int, int]] = []
+    node_children = tree.node_children
+    edge_dst = tree.edge_dst
+    edge_kind = tree.edge_kind
+    edge_label = tree.edge_label
+    edge_prob = tree.edge_prob
+    for n in canon._postorder(tree, tree.root):
+        children = node_children[n]
+        key = (
+            tree.node_kind[n],
+            tree.node_state[n],
+            tree.node_outcome[n],
+            tuple(
+                (edge_kind[e], edge_label[e], edge_prob[e], ids[edge_dst[e]])
+                for e in children
+            ),
+        )
+        i = table.get(key)
+        if i is None:
+            i = table[key] = len(costs)
+            nodes, choices = 1, node_choice_total(tree, n)
+            for e in children:
+                child_nodes, child_choices = costs[ids[edge_dst[e]]]
+                nodes += child_nodes
+                choices += child_choices
+            costs.append((nodes, choices))
+        ids[n] = i
+    return ids, costs
+
+
 def _normalize_fast(tree: GameTree, trace: ReductionTrace) -> GameTree:
-    """Bottom-up normalization with incremental canonical keys."""
+    """Bottom-up normalization with incremental canonical keys.
+
+    Each distinct subtree of the input is normalized once.  A later copy of
+    an already finished subtree is not processed again: its parent edge is
+    pointed at the first copy's finished node, and the first copy's trace
+    steps are replayed, so the trace and its running measure are exactly
+    those of processing the copy.  This is sound because finishing a
+    subtree writes only inside it and into its own parent edge, and later
+    rewrites by its ancestors touch their own edges and their children's
+    parent pointers, never a finished node's children or labels.  The tree
+    is a DAG from then on (parent pointers of shared nodes name one of
+    their parents); `GameTree.compact` unfolds it.
+    """
     key_fn = canon.make_key_fn(tree, canon.PIN_SYMMETRY)
     trunc_memo: dict[int, bool] = {}
 
@@ -557,14 +614,15 @@ def _normalize_fast(tree: GameTree, trace: ReductionTrace) -> GameTree:
         cached = trunc_memo.get(node)
         if cached is not None:
             return cached
-        for n in canon._postorder(tree, node):
+        for n in canon._postorder(tree, node, trunc_memo):
             if n not in trunc_memo:
                 trunc_memo[n] = tree.node_kind[n] == TRUNCATED or any(
                     trunc_memo[tree.edge_dst[e]] for e in tree.node_children[n]
                 )
         return trunc_memo[node]
 
-    nodes_live, choices_live = tree_measure(tree)
+    ids, costs = _intern(tree)
+    nodes_live, choices_live = costs[ids[tree.root]]
 
     def record(kind: str, at: int, dn: int, dc: int) -> None:
         nonlocal nodes_live, choices_live
@@ -661,15 +719,34 @@ def _normalize_fast(tree: GameTree, trace: ReductionTrace) -> GameTree:
             if not changed:
                 return
 
-    order = canon._postorder(tree, tree.root)
-    processed: set[int] = set()
-    for v in order:
-        if v in processed:
+    # canon._postorder's order, not descending into a repeated subtree.
+    # finished: subtree id -> (finished node, slice of trace.steps).
+    finished: dict[int, tuple[int, int, int]] = {}
+    stack: list[tuple[int, int]] = [(tree.root, -1)]
+    while stack:
+        v, first_step = stack.pop()
+        if first_step < 0:
+            done = finished.get(ids[v])
+            if done is None:
+                stack.append((v, len(trace.steps)))
+                for e in tree.node_children[v]:
+                    stack.append((tree.edge_dst[e], -1))
+                continue
+            node, lo, hi = done
+            # v is not the root: the root's subtree is the largest, so unique
+            tree.edge_dst[tree.node_parent_edge[v]] = node
+            for s in trace.steps[lo:hi]:
+                record(
+                    s.kind, s.root,
+                    s.nodes_after - s.nodes_before, s.choices_after - s.choices_before,
+                )
             continue
-        processed.add(v)
-        if tree.node_kind[v] in (TERMINAL, TRUNCATED):
-            continue
-        process(v)
+        e = tree.node_parent_edge[v]
+        if tree.node_kind[v] not in (TERMINAL, TRUNCATED):
+            process(v)
+        finished[ids[v]] = (
+            tree.edge_dst[e] if e >= 0 else tree.root, first_step, len(trace.steps)
+        )
 
     # Root-level bookkeeping (Case 1 with the root as the subtree root).
     while _is_forced(tree, tree.root):
@@ -715,10 +792,11 @@ def normalize(
 ) -> tuple[GameTree, ReductionTrace]:
     """Reduce a tree to its normal form; the input tree is never modified.
 
-    The default engine applies the canonical order bottom-up; passing
-    `shuffle_seed` switches to a reference engine that repeatedly picks a
-    random site, used to check order robustness.  `consume=True` skips the
-    defensive copy when the caller owns the tree.
+    The default engine applies the canonical order bottom-up, normalizing
+    each distinct subtree once and unfolding the shared result on output;
+    passing `shuffle_seed` switches to a reference engine that repeatedly
+    picks a random site, used to check order robustness.  `consume=True`
+    skips the defensive copy when the caller owns the tree.
     """
     work = tree if consume else tree.copy()
     trace = ReductionTrace()

@@ -116,11 +116,19 @@ class StateMap:
         doc = json.loads(text)
         if not isinstance(doc, dict) or "tracks" not in doc or "values" not in doc:
             raise StateMapError("state map JSON needs 'tracks' and 'values' objects")
+
+        def names(value, where: str) -> dict[str, str]:
+            if not isinstance(value, dict) or not all(isinstance(v, str) for v in value.values()):
+                raise StateMapError(f"state map {where} must be an object of names")
+            return dict(value)
+
+        if not isinstance(doc["values"], dict):
+            raise StateMapError("state map 'values' must be an object")
         return StateMap(
-            tracks=dict(doc["tracks"]),
-            values={k: dict(v) for k, v in doc["values"].items()},
-            players=dict(doc["players"]) if doc.get("players") else None,
-            outcomes=dict(doc["outcomes"]) if doc.get("outcomes") else None,
+            tracks=names(doc["tracks"], "'tracks'"),
+            values={k: names(v, f"'values' entry {k!r}") for k, v in doc["values"].items()},
+            players=names(doc["players"], "'players'") if doc.get("players") else None,
+            outcomes=names(doc["outcomes"], "'outcomes'") if doc.get("outcomes") else None,
         )
 
     def to_json(self) -> str:

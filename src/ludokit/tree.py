@@ -2,7 +2,8 @@
 
 Trees are stored as flat arenas (parallel arrays indexed by node/edge id)
 because realistic games produce trees with millions of nodes.  Deleted
-nodes become unreachable tombstones; `compact` renumbers densely.
+nodes become unreachable tombstones; `compact` renumbers densely and
+unfolds nodes that normalization left shared.
 
 Node kinds: state, chance, terminal, truncated.  Decision edges leave state
 nodes and carry a nonempty set of decision-tuple sequences (a freshly built
@@ -191,19 +192,27 @@ class GameTree:
         return dup
 
     def compact(self) -> "GameTree":
-        """A fresh tree holding only live nodes, renumbered in preorder."""
+        """A fresh tree holding only live nodes, renumbered in preorder.
+
+        Every visit of a node gets its own copy, so a node reached along
+        several edges (normalization shares each distinct finished subtree)
+        is unfolded into a tree.  On a tree this is a plain renumbering.
+        """
         dup = GameTree(self.players, self.system)
-        remap: dict[int, int] = {}
-        order = list(self.iter_nodes())
-        for n in order:
-            remap[n] = dup.add_node(self.node_kind[n], self.node_state[n], self.node_outcome[n])
-        for n in order:
-            for e in self.node_children[n]:
-                dup.add_edge(
-                    remap[n], remap[self.edge_dst[e]], self.edge_kind[e],
-                    self.edge_prob[e], self.edge_label[e],
-                )
-        dup.root = remap[self.root]
+        out_edges: list[list[tuple[int, int]]] = []  # per new node: (old edge, new child)
+        stack = [(self.root, -1, -1)]  # (old node, new parent, old edge into it)
+        while stack:
+            n, parent, e = stack.pop()
+            new = dup.add_node(self.node_kind[n], self.node_state[n], self.node_outcome[n])
+            out_edges.append([])
+            if parent >= 0:
+                out_edges[parent].append((e, new))
+            for child_edge in reversed(self.node_children[n]):
+                stack.append((self.edge_dst[child_edge], new, child_edge))
+        for src, edges in enumerate(out_edges):
+            for e, dst in edges:
+                dup.add_edge(src, dst, self.edge_kind[e], self.edge_prob[e], self.edge_label[e])
+        dup.root = 0
         return dup
 
     def structurally_equal(self, other: "GameTree") -> bool:
@@ -339,7 +348,8 @@ def build_forest(
 # ---------------------------------------------------------------------------
 
 
-def _choice_sort_key(choice: Choice):
+def choice_rank(choice: Choice):
+    """Sort key for matrix choices: null, then decision ids, then sequences."""
     if choice is None:
         return (0, "")
     if isinstance(choice, str):
@@ -461,7 +471,7 @@ def decision_matrix(tree: GameTree, node: int) -> DecisionMatrix:
             for i, c in enumerate(joint):
                 per_player[i].add(c)
     choice_sets = tuple(
-        tuple(sorted(s, key=_choice_sort_key)) if s else (None,) for s in per_player
+        tuple(sorted(s, key=choice_rank)) if s else (None,) for s in per_player
     )
     expected = 1
     for cs in choice_sets:
@@ -643,6 +653,13 @@ def export_json(tree: GameTree) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
+def _node_ref(value, where: str) -> int:
+    """A node id from a tree document: an integer (booleans excluded)."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TreeInvariantError(f"{where} must be an integer node id, not {value!r}")
+    return value
+
+
 def import_json(text: str) -> GameTree:
     """Parse and fully validate a tree document."""
     try:
@@ -663,6 +680,7 @@ def import_json(text: str) -> GameTree:
     for entry in nodes:
         if not isinstance(entry, dict) or "id" not in entry or "kind" not in entry:
             raise TreeInvariantError(f"malformed node entry {entry!r}")
+        node_id = _node_ref(entry["id"], "node 'id'")
         kind_name = entry["kind"]
         if kind_name not in _KIND_CODES or kind_name == "truncated":
             if kind_name != "truncated":
@@ -680,10 +698,10 @@ def import_json(text: str) -> GameTree:
         outcome = entry.get("outcome")
         if outcome is not None and not isinstance(outcome, str):
             raise TreeInvariantError(f"malformed outcome on node {entry['id']}")
-        if entry["id"] in id_map:
-            raise TreeInvariantError(f"duplicate node id {entry['id']}")
-        id_map[entry["id"]] = tree.add_node(kind, state, outcome)
-    if "root" not in doc or doc["root"] not in id_map:
+        if node_id in id_map:
+            raise TreeInvariantError(f"duplicate node id {node_id}")
+        id_map[node_id] = tree.add_node(kind, state, outcome)
+    if "root" not in doc or _node_ref(doc["root"], "'root'") not in id_map:
         raise TreeInvariantError("missing or unknown root id")
     tree.root = id_map[doc["root"]]
     incoming: set = set()
@@ -691,8 +709,8 @@ def import_json(text: str) -> GameTree:
         if not isinstance(entry, dict):
             raise TreeInvariantError(f"malformed edge entry {entry!r}")
         try:
-            src = id_map[entry["from"]]
-            dst = id_map[entry["to"]]
+            src = id_map[_node_ref(entry["from"], "edge 'from'")]
+            dst = id_map[_node_ref(entry["to"], "edge 'to'")]
         except KeyError as exc:
             raise TreeInvariantError(f"edge references unknown node {exc}") from exc
         if dst in incoming:

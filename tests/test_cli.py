@@ -147,6 +147,16 @@ class TestReduce:
         assert first.read_text() == second.read_text()
 
 
+    def test_non_integer_node_id_exit_2(self, capsys, tmp_path):
+        doc = json.loads(fixture_text("swap_pair_right.json"))
+        doc["nodes"][0]["id"] = [doc["nodes"][0]["id"]]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "reduce", str(path))
+        assert code == 2
+        assert "integer node id" in err
+
+
 class TestEquiv:
     def test_swap_pair_agency_exit_0(self, capsys):
         code, out, _ = run(
@@ -233,9 +243,36 @@ class TestSim:
         assert out1 == out2
 
 
+    def test_map_tracks_not_object_exit_2(self, capsys, tmp_path):
+        doc = json.loads(fixture_text("mixed_psi.json"))
+        doc["tracks"] = [1, 2]
+        path = tmp_path / "psi.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run(
+            capsys, "sim", fixture_path("mixed_a.game"), fixture_path("mixed_b.game"),
+            "--map", str(path), "--samples", "5",
+        )
+        assert code == 2
+        assert "'tracks' must be an object" in err
+
+
 class TestUsage:
     def test_unknown_command(self, capsys):
         assert cli.main(["frobnicate"]) == 2
 
     def test_no_args(self, capsys):
         assert cli.main([]) == 2
+
+    def test_negative_counts_exit_2(self, capsys):
+        game = fixture_path("mixed_a.game")
+        for argv in (
+            ["tree", fixture_path("tictactoe.game"), "--depth", "-1", "--stats"],
+            ["tree", game, "--budget", "-1"],
+            ["reduce", game, "--budget", "-1"],
+            ["equiv", game, game, "--budget", "-1"],
+            ["sim", game, game, "--depth", "-5"],
+            ["sim", game, game, "--samples", "-1"],
+        ):
+            code, out, err = run(capsys, *argv)
+            assert code == 2, argv
+            assert out == "" and "non-negative" in err

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 import generators
-from ludokit import core, equiv, tree
+from ludokit import canon, core, equiv, reduce, tree
 from ludokit.errors import StaleSiteError
 from ludokit.reduce import (
     find_bookkeeping_sites,
@@ -327,3 +327,105 @@ class TestNormalize:
             fast, _ = normalize(t)
             slow, _ = normalize(t, shuffle_seed=seed * 7 + 1)
             assert equiv.equivalent_up_to_relabeling(fast, slow) is not None
+
+
+def twin_chance_tree() -> GameTree:
+    """Two identical chance nodes, each over two identical matrix subtrees.
+
+    Merging a chance node's twin children reaches probability 1 and splices
+    the chance node out, so the first occurrence's finished node is its
+    surviving child rather than the chance node itself.
+    """
+    t = GameTree(("P", "Q"))
+    root = t.add_node(STATE, state=("r",))
+    t.root = root
+
+    def matrix() -> int:
+        s = t.add_node(STATE, state=("s",))
+        for i, joint in enumerate([("a", "x"), ("a", "y"), ("b", "x"), ("b", "y")]):
+            leaf = t.add_node(TERMINAL, outcome="w" if i in (0, 3) else "l")
+            t.add_edge(s, leaf, DECISION_EDGE, label=frozenset({(joint,)}))
+        return s
+
+    for move in ("m1", "m2"):
+        c = t.add_node(CHANCE)
+        t.add_edge(root, c, DECISION_EDGE, label=frozenset({((move, None),)}))
+        for _ in range(2):
+            t.add_edge(c, matrix(), CHANCE_EDGE, prob=Fraction(1, 2))
+    leaf = t.add_node(TERMINAL, outcome="x")
+    t.add_edge(root, leaf, DECISION_EDGE, label=frozenset({(("m3", None),)}))
+    return t
+
+
+def midgame_tree(system, marks: int) -> GameTree:
+    """The full tree below a board with `marks` cells already filled."""
+    s = dict(zip((track.name for track in system.tracks), core.initial_states(system)[0]))
+    for i, cell in enumerate(["c1", "c2", "c3", "c4", "c5"][:marks]):
+        s[cell] = "X" if i % 2 == 0 else "O"
+    s["turn"] = "X" if marks % 2 == 0 else "O"
+    return tree.build_tree(system, system.state_from_dict(s))
+
+
+def _step_counts(trace) -> list[tuple]:
+    """A trace without its node ids: kind and the four measure counts."""
+    return [
+        (s.kind, s.nodes_before, s.nodes_after, s.choices_before, s.choices_after)
+        for s in trace.steps
+    ]
+
+
+class TestSharing:
+    """Normalizing each distinct subtree once and replaying its trace."""
+
+    @pytest.fixture(scope="class")
+    def corpus(self, systems):
+        trees = [twin_chance_tree(), midgame_tree(systems["tictactoe"], 4)]
+        for name in ("tictactoe", "forbidden"):
+            trees += tree.build_forest(systems[name], depth_limit=3)
+        return trees
+
+    def test_corpus_shares_subtrees(self, corpus):
+        for t in corpus:
+            ids, _ = reduce._intern(t)
+            assert len(set(ids[n] for n in t.iter_nodes())) < t.node_count()
+
+    def test_form_is_a_valid_tree_and_input_untouched(self, corpus):
+        for t in corpus:
+            before = t.copy()
+            form, _ = normalize(t)
+            validate_tree(form)  # rejects a node reached twice
+            assert t.structurally_equal(before)
+
+    def test_matches_randomized_oracle(self, corpus):
+        for t in corpus:
+            form, _ = normalize(t)
+            oracle, _ = normalize(t, shuffle_seed=5)
+            assert canon.canonical_form(form) == canon.canonical_form(oracle)
+
+    def test_trace_matches_unshared_reference(self, corpus, systems, monkeypatch):
+        trees = corpus + [midgame_tree(systems["tictactoe"], 3)]
+        shared = [normalize(t) for t in trees]
+        intern = reduce._intern
+
+        def unshared(t):
+            """Every node its own subtree id: the normalizer shares nothing."""
+            ids, costs = intern(t)
+            return list(range(len(t.node_kind))), [costs[i] for i in ids]
+
+        monkeypatch.setattr(reduce, "_intern", unshared)
+        for t, (form, trace) in zip(trees, shared):
+            ref_form, ref_trace = normalize(t)
+            assert tree.export_json(form) == tree.export_json(ref_form)
+            assert _step_counts(trace) == _step_counts(ref_trace)
+
+    def test_first_occurrence_spliced_out(self):
+        t = twin_chance_tree()
+        form, trace = normalize(t)
+        validate_tree(form)
+        assert form.node_count() == 5
+        # merging the twin matrices removes 3 nodes and splices the chance
+        # node out; the second chance node replays the first one's step
+        splices = [s for s in trace.steps if s.nodes_before - s.nodes_after == 4]
+        assert len(splices) == 2
+        assert splices[0].root == splices[1].root
+        assert t.node_kind[splices[0].root] == CHANCE

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 import random
 
 import pytest
@@ -57,6 +58,22 @@ class TestStateMap:
         psi.validate(sys, systems["mixed_b"])
         for s in core.enumerate_states(sys):
             assert apply_state_map(psi, s, sys, systems["mixed_b"]) == s
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("tracks", [1, 2]),
+            ("tracks", {"t": 1, "u": "u"}),
+            ("values", "v"),
+            ("values", {"t": ["e"]}),
+            ("players", [1]),
+        ],
+    )
+    def test_from_json_rejects_non_objects(self, field, value):
+        doc = json.loads(fixture_text("mixed_psi.json"))
+        doc[field] = value
+        with pytest.raises(StateMapError, match="must be an object"):
+            StateMap.from_json(json.dumps(doc))
 
     def test_magic_square_mapping(self, systems, magic_psi):
         ttt, t315 = systems["tictactoe"], systems["3to15"]

@@ -201,6 +201,20 @@ class TestJsonRoundTrip:
         with pytest.raises(TreeInvariantError, match="two incoming"):
             import_json(json.dumps(doc))
 
+    @pytest.mark.parametrize("bad", [[0], "0", 0.5, True, None])
+    def test_non_integer_node_refs_rejected(self, swap_pair_left, bad):
+        text = export_json(swap_pair_left)
+        for patch in (
+            lambda d: d["nodes"][-1].update(id=bad),
+            lambda d: d.update(root=bad),
+            lambda d: d["edges"][0].update({"from": bad}),
+            lambda d: d["edges"][0].update(to=bad),
+        ):
+            doc = json.loads(text)
+            patch(doc)
+            with pytest.raises(TreeInvariantError, match="integer node id"):
+                import_json(json.dumps(doc))
+
     def test_all_null_tuple_rejected(self):
         doc = {
             "players": ["P"],
