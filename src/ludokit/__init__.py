@@ -59,6 +59,7 @@ from .errors import (
     BudgetExceededError,
     IllegalDecisionError,
     InvalidSystemError,
+    LabelingLimitError,
     LudokitError,
     NoRuleMatchesError,
     NonTerminalStateError,

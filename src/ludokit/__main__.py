@@ -1,0 +1,5 @@
+"""``python -m ludokit``: the command-line interface."""
+
+from .cli import main
+
+raise SystemExit(main())

@@ -21,11 +21,13 @@ against a definition-faithful search.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
 from dataclasses import dataclass
 from hashlib import blake2b
 from typing import Callable, Optional
 
+from .errors import LabelingLimitError
 from .tree import CHANCE, GameTree, STATE, TERMINAL, choice_rank, decoded_label
 
 Pin = frozenset
@@ -516,12 +518,24 @@ class Assignment:
         return dict(self.outcome_code)
 
 
-def _grouped_numberings(signatures: dict[str, bytes]) -> list[dict[str, bytes]]:
-    """All canonical numberings: items sorted by signature, permuting ties."""
+def _signature_groups(signatures: dict[str, bytes]) -> list[list[str]]:
+    """Items grouped by equal signature, groups in signature order."""
     groups: dict[bytes, list[str]] = {}
     for item, sig in sorted(signatures.items()):
         groups.setdefault(sig, []).append(item)
-    ordered_groups = [groups[sig] for sig in sorted(groups)]
+    return [groups[sig] for sig in sorted(groups)]
+
+
+def _numbering_count(signatures: dict[str, bytes]) -> int:
+    count = 1
+    for group in _signature_groups(signatures):
+        count *= math.factorial(len(group))
+    return count
+
+
+def _grouped_numberings(signatures: dict[str, bytes]) -> list[dict[str, bytes]]:
+    """All canonical numberings: items sorted by signature, permuting ties."""
+    ordered_groups = _signature_groups(signatures)
     per_group_perms = [list(itertools.permutations(g)) for g in ordered_groups]
     numberings = []
     for combo in itertools.product(*per_group_perms):
@@ -553,11 +567,22 @@ def _forest_signatures(forest: list[GameTree]):
     return p_sigs, o_sigs
 
 
-def forest_profile(forest: list[GameTree], pin: Pin) -> tuple:
+def _cached_signatures(forest: list[GameTree], cache: Optional[dict]):
+    if cache is None:
+        return _forest_signatures(forest)
+    if "signatures" not in cache:
+        cache["signatures"] = _forest_signatures(forest)
+    return cache["signatures"]
+
+
+def forest_profile(forest: list[GameTree], pin: Pin, cache: Optional[dict] = None) -> tuple:
     """A cheap renaming-invariant fingerprint used to reject comparisons early.
 
     Equivalent forests (under the pin regime) always have equal profiles;
     unequal profiles prove inequivalence without any canonicalization.
+    `cache`, a dict the caller keeps for this one forest, carries the
+    per-label signatures over to `assignments_for`, so one comparison walks
+    the forest for them once.
     """
     kind_counts = Counter()
     prob_counts: Counter = Counter()
@@ -567,7 +592,7 @@ def forest_profile(forest: list[GameTree], pin: Pin) -> tuple:
             if tree.node_kind[n] == CHANCE:
                 for e in tree.node_children[n]:
                     prob_counts[tree.edge_prob[e]] += 1
-    p_sigs, o_sigs = _forest_signatures(forest)
+    p_sigs, o_sigs = _cached_signatures(forest, cache)
     if "players" in pin:
         player_part = tuple(sorted(p_sigs.items()))
     else:
@@ -588,10 +613,23 @@ def forest_profile(forest: list[GameTree], pin: Pin) -> tuple:
 MAX_ASSIGNMENTS = 20000
 
 
-def assignments_for(forest: list[GameTree], pin: Pin) -> list[Assignment]:
-    """Candidate (player, outcome) numberings compatible with the signatures."""
+def assignments_for(
+    forest: list[GameTree], pin: Pin, cache: Optional[dict] = None
+) -> list[Assignment]:
+    """Candidate (player, outcome) numberings compatible with the signatures.
+
+    Raises `LabelingLimitError` when there are more than MAX_ASSIGNMENTS of
+    them; `cache` is as in `forest_profile`.
+    """
     players = forest[0].players
-    p_sigs, o_sigs = _forest_signatures(forest)
+    p_sigs, o_sigs = _cached_signatures(forest, cache)
+    p_count = 1 if "players" in pin else _numbering_count(p_sigs)
+    o_count = 1 if "outcomes" in pin else _numbering_count(o_sigs)
+    if p_count * o_count > MAX_ASSIGNMENTS:
+        raise LabelingLimitError(
+            "too many symmetric labelings to canonicalize "
+            f"({p_count} x {o_count}, limit {MAX_ASSIGNMENTS})"
+        )
     if "players" in pin:
         player_codes = [literal_player_codes(players)]
     else:
@@ -600,11 +638,6 @@ def assignments_for(forest: list[GameTree], pin: Pin) -> list[Assignment]:
         outcome_codes = [literal_outcome_codes(o_sigs)]
     else:
         outcome_codes = _grouped_numberings(o_sigs)
-    if len(player_codes) * len(outcome_codes) > MAX_ASSIGNMENTS:
-        raise RuntimeError(
-            "too many symmetric labelings to canonicalize "
-            f"({len(player_codes)} x {len(outcome_codes)})"
-        )
     return [
         Assignment(tuple(sorted(pc.items())), tuple(sorted(oc.items())))
         for pc in player_codes
@@ -619,12 +652,15 @@ def best_assignment(forest: list[GameTree], pin: Pin) -> tuple[bytes, Assignment
 
 
 def best_assignment_with_keys(
-    forest: list[GameTree], pin: Pin, keep_keys: bool = True
+    forest: list[GameTree], pin: Pin, keep_keys: bool = True, cache: Optional[dict] = None
 ) -> tuple[bytes, Assignment, Optional[list[dict[int, bytes]]]]:
-    """Like `best_assignment`, optionally keeping the argmin per-node keys."""
+    """Like `best_assignment`, optionally keeping the argmin per-node keys.
+
+    `cache` is as in `forest_profile`.
+    """
     orders = [_postorder(tree, tree.root) for tree in forest]
     best: Optional[tuple[bytes, Assignment, Optional[list]]] = None
-    for assignment in assignments_for(forest, pin):
+    for assignment in assignments_for(forest, pin, cache):
         pcodes = assignment.players()
         ocodes = assignment.outcomes()
         key_dicts = []

@@ -244,30 +244,33 @@ def validate_system(sys: GameSystem) -> list[str]:
         problems.append("duplicate outcome names")
 
     def check_expr(expr: Expr, where: str, stack: tuple[str, ...] = ()) -> None:
-        if isinstance(expr, Lit):
-            track = tracks.get(expr.track)
-            if track is None:
-                problems.append(f"{where}: unknown track {expr.track!r}")
-            elif expr.value not in track.values:
-                problems.append(
-                    f"{where}: track {expr.track!r} has no value {expr.value!r}"
-                )
-        elif isinstance(expr, Not):
-            check_expr(expr.operand, where, stack)
-        elif isinstance(expr, (And, Or)):
-            for part in expr.parts:
-                check_expr(part, where, stack)
-        elif isinstance(expr, Ref):
-            if expr.name not in sys.named_sets:
-                problems.append(f"{where}: unknown named set {expr.name!r}")
-            elif expr.name in stack:
-                problems.append(
-                    f"{where}: cyclic named-set reference through {expr.name!r}"
-                )
-            else:
-                check_expr(
-                    sys.named_sets[expr.name], f"set {expr.name}", stack + (expr.name,)
-                )
+        # depth first with an explicit stack: named-set chains nest arbitrarily
+        todo: list[tuple[Expr, str, tuple[str, ...]]] = [(expr, where, stack)]
+        while todo:
+            expr, where, stack = todo.pop()
+            if isinstance(expr, Lit):
+                track = tracks.get(expr.track)
+                if track is None:
+                    problems.append(f"{where}: unknown track {expr.track!r}")
+                elif expr.value not in track.values:
+                    problems.append(
+                        f"{where}: track {expr.track!r} has no value {expr.value!r}"
+                    )
+            elif isinstance(expr, Not):
+                todo.append((expr.operand, where, stack))
+            elif isinstance(expr, (And, Or)):
+                todo.extend((part, where, stack) for part in reversed(expr.parts))
+            elif isinstance(expr, Ref):
+                if expr.name not in sys.named_sets:
+                    problems.append(f"{where}: unknown named set {expr.name!r}")
+                elif expr.name in stack:
+                    problems.append(
+                        f"{where}: cyclic named-set reference through {expr.name!r}"
+                    )
+                else:
+                    todo.append(
+                        (sys.named_sets[expr.name], f"set {expr.name}", stack + (expr.name,))
+                    )
 
     for name, expr in sys.named_sets.items():
         check_expr(expr, f"set {name}", (name,))
@@ -339,15 +342,123 @@ def require_valid(sys: GameSystem) -> GameSystem:
 
 _EvalFn = Callable[[GameState, list], bool]
 
+# Nesting levels one generated function may hold before a subexpression moves
+# into a helper function; Python's parser rejects more than 200 nested
+# parentheses, and the generator's own recursion stays this shallow.
+_SPLIT_DEPTH = 40
+
+
+class _CodeGen:
+    """Generates straight-line Python for state-set expressions.
+
+    Every generated function takes the state tuple ``s`` and the per-state
+    named-set memo list ``m``.  The source holds only integer indices and
+    generated identifiers; every value from the system (track values,
+    decision and outcome names) is bound as a constant in the namespace the
+    source is executed in, so no name from a ``.game`` file is ever parsed as
+    Python.
+    """
+
+    def __init__(
+        self, track_index: dict[str, int], ref_index: dict[str, int], namespace: dict
+    ):
+        self.track_index = track_index
+        self.ref_index = ref_index
+        self.namespace = namespace
+        self.sources: list[str] = []
+        self.pending: list[tuple[str, Expr]] = []
+        self.count = 0
+
+    def fresh(self, prefix: str) -> str:
+        self.count += 1
+        return f"_{prefix}{self.count}"
+
+    def const(self, value) -> str:
+        name = self.fresh("k")
+        self.namespace[name] = value
+        return name
+
+    def expr(self, expr: Expr, depth: int = 0) -> str:
+        """A Python expression for `expr`; deep subexpressions become helpers."""
+        if depth >= _SPLIT_DEPTH:
+            return f"{self.function(expr)}(s, m)"
+        if isinstance(expr, Lit):
+            return f"s[{self.track_index[expr.track]}] == {self.const(expr.value)}"
+        if isinstance(expr, Not):
+            return f"not {self.expr(expr.operand, depth + 1)}"
+        if isinstance(expr, (And, Or)):
+            if not expr.parts:
+                return "True" if isinstance(expr, And) else "False"
+            op = " and " if isinstance(expr, And) else " or "
+            return "(" + op.join(self.expr(p, depth + 1) for p in expr.parts) + ")"
+        if isinstance(expr, Ref):
+            k = self.ref_index[expr.name]
+            return f"(_r{k}(s, m) if m[{k}] is None else m[{k}])"
+        raise TypeError(f"not a state-set expression: {expr!r}")
+
+    def function(self, expr: Expr) -> str:
+        """Name of a generated function returning `expr`; emitted by `flush`."""
+        name = self.fresh("f")
+        self.pending.append((name, expr))
+        return name
+
+    def define(self, body: list[str], name: Optional[str] = None) -> str:
+        name = name or self.fresh("f")
+        self.sources.append(f"def {name}(s, m):\n" + "".join(f"    {line}\n" for line in body))
+        return name
+
+    def named_set(self, k: int, expr: Expr) -> None:
+        """``_r<k>``: evaluates named set `k` and stores the result in its memo slot."""
+        self.define([f"v = m[{k}] = {self.expr(expr)}", "return v"], f"_r{k}")
+
+    def collect(self, rules: list[tuple[Expr, object]]) -> str:
+        """A function returning the frozenset of the values whose region holds."""
+        body = ["r = []"]
+        for region, value in rules:
+            body += [f"if {self.expr(region)}:", f"    r.append({self.const(value)})"]
+        return self.define(body + ["return frozenset(r)"])
+
+    def first_match(self, cases: list[tuple[Optional[Expr], str]], default: str) -> str:
+        """A function returning the result source of the first case whose guard
+        holds (a None guard always holds), else `default`."""
+        body = []
+        for guard, result in cases:
+            if guard is None:
+                body.append(f"return {result}")
+                break
+            body += [f"if {self.expr(guard)}:", f"    return {result}"]
+        else:
+            body.append(f"return {default}")
+        return self.define(body)
+
+    def flush(self) -> dict[str, object]:
+        """Emit the pending functions and execute all source; returns the namespace."""
+        while self.pending:
+            name, expr = self.pending.pop()
+            self.define([f"return {self.expr(expr)}"], name)
+        exec(compile("".join(self.sources), "<ludokit rules>", "exec"), self.namespace)
+        self.sources = []
+        return self.namespace
+
 
 class _Engine:
-    """Per-system compiled tables and caches.
+    """Per-system compiled rules and caches.
 
-    Expressions compile to closures over track indices; named sets get one
-    memo slot per state evaluation so shared sets (like a win condition used
-    in every legality rule) are computed once per state.  Legal-set,
-    consequence, action, and outcome lookups are cached by state, which makes
-    tree construction fast on transposition-heavy games.
+    Every state-set expression of the system is compiled once into generated
+    straight-line Python (see `_CodeGen`): short-circuit ``and``/``or``/``not``
+    over ``s[i] == constant`` tests.  A named set gets one generated function
+    ``_r<k>`` and one slot in a per-state memo list, so a shared set (like a
+    win condition used in every legality rule) is computed once per state.
+    Each player's legality rules form one function returning that player's
+    legal set; the outcome rules form one function returning the first
+    matching outcome, and each action one function returning the successor
+    state.  Consequence rules are indexed by decision tuple (a pattern match
+    depends only on the tuple), so a lookup tests only the guards of the
+    rules whose patterns match, in rule order.  `init_fn` is init's function;
+    `initial_states` first restricts the tracks that init's top-level
+    literals force.  Legal-set, consequence, action, and outcome lookups are
+    cached by state, which makes tree construction fast on
+    transposition-heavy games.
     """
 
     def __init__(self, sys: GameSystem):
@@ -355,34 +466,40 @@ class _Engine:
         self.track_index = {t.name: i for i, t in enumerate(sys.tracks)}
         self.value_lists = tuple(t.values for t in sys.tracks)
         self.ref_index = {name: i for i, name in enumerate(sys.named_sets)}
-        self._ref_fns: list[Optional[_EvalFn]] = [None] * len(sys.named_sets)
+        gen = _CodeGen(self.track_index, self.ref_index, {})
         for name, expr in sys.named_sets.items():
-            self._ref_fns[self.ref_index[name]] = self.compile(expr)
-        self.init_fn = self.compile(sys.init)
-        self._rules_by_player: dict[str, list[tuple[str, _EvalFn]]] = {
-            p: [] for p in sys.players
-        }
-        for rule in sys.legality_rules:
-            self._rules_by_player[rule.player].append(
-                (rule.decision, self.compile(rule.region))
-            )
-        self._cons_compiled = [
-            (rule.pattern, None if rule.guard is None else self.compile(rule.guard), rule.results)
-            for rule in sys.consequence_rules
+            gen.named_set(self.ref_index[name], expr)
+        init = gen.function(sys.init)
+        legal = [
+            gen.collect([(r.region, r.decision) for r in sys.legality_rules if r.player == p])
+            for p in sys.players
         ]
-        self._outcome_compiled = [
-            (self.compile(rule.region), rule.outcome) for rule in sys.outcome_rules
-        ]
-        self._action_compiled: dict[str, list[tuple[Optional[_EvalFn], tuple[tuple[int, str], ...]]]] = {}
+        outcome = gen.first_match(
+            [(r.region, gen.const(r.outcome)) for r in sys.outcome_rules],
+            gen.const(sys.default_outcome),
+        )
+        guards = [None if r.guard is None else gen.function(r.guard) for r in sys.consequence_rules]
+        actions = {}
         for name, action in sys.actions.items():
-            clauses = []
+            cases = []
             for clause in action.clauses:
-                guard_fn = None if clause.guard is None else self.compile(clause.guard)
-                assigns = tuple(
-                    (self.track_index[t], v) for t, v in clause.assignments
-                )
-                clauses.append((guard_fn, assigns))
-            self._action_compiled[name] = clauses
+                assigned = {self.track_index[t]: gen.const(v) for t, v in clause.assignments}
+                state = "".join(assigned.get(i, f"s[{i}]") + ", " for i in range(len(sys.tracks)))
+                cases.append((clause.guard, f"({state})"))
+            actions[name] = gen.first_match(cases, "s")
+        ns = self._namespace = gen.flush()
+
+        self.init_fn: _EvalFn = ns[init]
+        self._legal_fns = tuple(ns[name] for name in legal)
+        self._outcome_fn = ns[outcome]
+        self._action_fns = {name: ns[fn] for name, fn in actions.items()}
+        self._cons_rules = [
+            (rule.pattern, None if fn is None else ns[fn], rule.results)
+            for rule, fn in zip(sys.consequence_rules, guards)
+        ]
+        # decision tuple -> ((guard_fn, results), ...) of the rules whose
+        # patterns match it, in rule order
+        self._cons_index: dict[DecisionTuple, tuple] = {}
 
         self._legal_cache: dict[GameState, tuple[frozenset[str], ...]] = {}
         self._cons_cache: dict[tuple[DecisionTuple, GameState], tuple] = {}
@@ -392,34 +509,17 @@ class _Engine:
     # -- expression compilation -------------------------------------------
 
     def compile(self, expr: Expr) -> _EvalFn:
-        if isinstance(expr, Lit):
-            idx = self.track_index[expr.track]
-            val = expr.value
-            return lambda s, m: s[idx] == val
-        if isinstance(expr, Not):
-            inner = self.compile(expr.operand)
-            return lambda s, m: not inner(s, m)
-        if isinstance(expr, And):
-            parts = tuple(self.compile(p) for p in expr.parts)
-            return lambda s, m: all(f(s, m) for f in parts)
-        if isinstance(expr, Or):
-            parts = tuple(self.compile(p) for p in expr.parts)
-            return lambda s, m: any(f(s, m) for f in parts)
-        if isinstance(expr, Ref):
-            ridx = self.ref_index[expr.name]
-            fns = self._ref_fns
+        """A generated function for an expression outside the system's rules.
 
-            def ref_fn(s, m, _ridx=ridx, _fns=fns):
-                v = m[_ridx]
-                if v is None:
-                    v = m[_ridx] = _fns[_ridx](s, m)
-                return v
-
-            return ref_fn
-        raise TypeError(f"not a state-set expression: {expr!r}")
+        It runs in a copy of the rules' namespace, so it can call the named
+        sets' functions while concurrent calls share no generator state.
+        """
+        gen = _CodeGen(self.track_index, self.ref_index, dict(self._namespace))
+        name = gen.function(expr)
+        return gen.flush()[name]
 
     def fresh_memo(self) -> list:
-        return [None] * len(self._ref_fns)
+        return [None] * len(self.ref_index)
 
     def eval(self, fn: _EvalFn, state: GameState) -> bool:
         return fn(state, self.fresh_memo())
@@ -430,25 +530,24 @@ class _Engine:
         cached = self._legal_cache.get(state)
         if cached is None:
             memo = self.fresh_memo()
-            cached = tuple(
-                frozenset(
-                    d for d, fn in self._rules_by_player[p] if fn(state, memo)
-                )
-                for p in self.sys.players
-            )
-            self._legal_cache[state] = cached
+            cached = self._legal_cache[state] = tuple([fn(state, memo) for fn in self._legal_fns])
         return cached
 
     def consequences(self, dtuple: DecisionTuple, state: GameState, strict: bool = False):
         key = (dtuple, state)
         cached = self._cons_cache.get(key)
         if cached is None or strict:
+            candidates = self._cons_index.get(dtuple)
+            if candidates is None:
+                candidates = self._cons_index[dtuple] = tuple(
+                    (guard_fn, results)
+                    for pattern, guard_fn, results in self._cons_rules
+                    if _pattern_matches(pattern, dtuple)
+                )
             memo = self.fresh_memo()
             matches = []
-            for pattern, guard_fn, results in self._cons_compiled:
-                if _pattern_matches(pattern, dtuple) and (
-                    guard_fn is None or guard_fn(state, memo)
-                ):
+            for guard_fn, results in candidates:
+                if guard_fn is None or guard_fn(state, memo):
                     matches.append(results)
                     if not strict:
                         break
@@ -469,33 +568,19 @@ class _Engine:
         key = (names, state)
         cached = self._apply_cache.get(key)
         if cached is None:
-            current = state
+            cached = state
             for name in names:
-                clauses = self._action_compiled.get(name)
-                if clauses is None:
+                fn = self._action_fns.get(name)
+                if fn is None:
                     raise KeyError(f"unknown action {name!r}")
-                memo = self.fresh_memo()
-                for guard_fn, assigns in clauses:
-                    if guard_fn is None or guard_fn(current, memo):
-                        values = list(current)
-                        for idx, v in assigns:
-                            values[idx] = v
-                        current = tuple(values)
-                        break
-            cached = current
+                cached = fn(cached, self.fresh_memo())
             self._apply_cache[key] = cached
         return cached
 
     def outcome(self, state: GameState) -> str:
         cached = self._outcome_cache.get(state)
         if cached is None:
-            memo = self.fresh_memo()
-            cached = self.sys.default_outcome
-            for fn, outcome_id in self._outcome_compiled:
-                if fn(state, memo):
-                    cached = outcome_id
-                    break
-            self._outcome_cache[state] = cached
+            cached = self._outcome_cache[state] = self._outcome_fn(state, self.fresh_memo())
         return cached
 
 
@@ -587,8 +672,30 @@ def enumerate_states(
 
 
 def initial_states(sys: GameSystem) -> list[GameState]:
-    """All initial states, in lexicographic enumeration order."""
-    return list(enumerate_states(sys, within=sys.init))
+    """All initial states, in lexicographic enumeration order.
+
+    The literals of init's top-level conjunction (looking through `And` and
+    `Ref`) restrict their tracks before the product is filtered, so a fully
+    specified init tests one candidate state instead of the whole space.
+    """
+    engine = sys.engine()
+    forced: dict[int, list[str]] = {}
+    stack, seen = [sys.init], set()
+    while stack:
+        expr = stack.pop()
+        if isinstance(expr, Lit):
+            forced.setdefault(engine.track_index[expr.track], []).append(expr.value)
+        elif isinstance(expr, And):
+            stack.extend(expr.parts)
+        elif isinstance(expr, Ref) and expr.name not in seen:
+            seen.add(expr.name)
+            stack.append(sys.named_sets[expr.name])
+    candidates = [
+        [v for v in values if all(v == f for f in forced.get(i, ()))]
+        for i, values in enumerate(engine.value_lists)
+    ]
+    fn = engine.init_fn
+    return [s for s in itertools.product(*candidates) if fn(s, engine.fresh_memo())]
 
 
 def reachable_states(sys: GameSystem) -> set[GameState]:

@@ -26,6 +26,9 @@ identifier ``c$i`` becomes ``c1``, ``c2``, ...  GUARD is an integer
 comparison (``=``, ``!=``, ``<``, ``<=``, ``>``, ``>=``) over ``+ - *``
 arithmetic on binders that hold integer-valued names.
 
+Parentheses, ``not`` and ``forall`` blocks nest at most `MAX_NESTING`
+(500) levels deep; deeper input is a diagnostic, not a recursion error.
+
 Pattern entries in ``consequence`` are a decision id, ``0`` (null decision
 only), or ``*`` (any decision, including null).  Probabilities are exact
 rationals ``num/den`` (or ``1``), and each rule's probabilities must sum
@@ -197,7 +200,8 @@ class Binder:
     col: int
 
 
-# GUARD arithmetic: ("int", k) | ("var", name) | (op, left, right)
+# GUARD arithmetic: ("int", k) | ("var", name, line, col) |
+# ("sum", ((sign, (factor, ...)), ...)), a signed sum of products
 Arith = tuple
 
 
@@ -319,11 +323,20 @@ Decl = Union[
 # ---------------------------------------------------------------------------
 
 
+# Deepest nesting the parser accepts: each open parenthesis, ``not`` and
+# ``forall`` block is one level.  The parser and the later passes over the
+# syntax tree recurse about once per level, so this keeps every accepted file
+# well inside Python's recursion limit and turns deeper input into a
+# diagnostic.
+MAX_NESTING = 500
+
+
 class _Parser:
     def __init__(self, tokens: list[Token], path: str):
         self.tokens = tokens
         self.path = path
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -337,6 +350,14 @@ class _Parser:
         return GameParseError(
             [Diagnostic(self.path, tok.line, tok.col, "error", message)]
         )
+
+    def enter(self, tok: Token) -> None:
+        """Open one nesting level at `tok`; leave it with ``self.depth -= 1``."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise self.fail(
+                tok, f"nesting deeper than {MAX_NESTING} levels of parentheses, not and forall"
+            )
 
     def expect_punct(self, value: str) -> Token:
         tok = self.next()
@@ -441,7 +462,7 @@ class _Parser:
             self.expect_keyword("when")
             return DOutcome(name, self.expression())
         if word == "forall":
-            self.next()
+            self.enter(self.next())
             binder = self.binder()
             guard = self.guard() if self.at_keyword("if") else None
             self.expect_punct("{")
@@ -451,6 +472,7 @@ class _Parser:
                     raise self.fail(self.peek(), "unterminated forall block")
                 body.append(self.declaration())
             self.expect_punct("}")
+            self.depth -= 1
             return DForall(binder, guard, tuple(body))
         raise self.fail(tok, f"unknown declaration {word!r}")
 
@@ -519,51 +541,58 @@ class _Parser:
     # -- expressions --------------------------------------------------------
 
     def expression(self) -> RExpr:
-        parts = [self.and_expr()]
-        while self.at_keyword("or"):
-            self.next()
-            parts.append(self.and_expr())
-        return parts[0] if len(parts) == 1 else ROr(_flatten(ROr, parts))
+        """``or`` of ``and`` of ``not``-prefixed atoms.
 
-    def and_expr(self) -> RExpr:
-        parts = [self.unary_expr()]
-        while self.at_keyword("and"):
-            self.next()
-            parts.append(self.unary_expr())
-        return parts[0] if len(parts) == 1 else RAnd(_flatten(RAnd, parts))
-
-    def unary_expr(self) -> RExpr:
-        if self.at_keyword("not"):
-            self.next()
-            return RNot(self.unary_expr())
-        return self.atom()
-
-    def atom(self) -> RExpr:
-        tok = self.peek()
-        if self.eat_punct("("):
-            if self.at_keyword("any") or self.at_keyword("all"):
-                expr = self.comprehension()
-            else:
+        One Python frame per parenthesis level: ``not`` chains and the
+        operand lists are loops, and a parenthesized group or comprehension
+        body recurses here directly.
+        """
+        ors: list[RExpr] = []
+        ands: list[RExpr] = []
+        while True:
+            nots = 0
+            while self.at_keyword("not"):
+                self.enter(self.next())
+                nots += 1
+            tok = self.peek()
+            if self.eat_punct("("):
+                self.enter(tok)
+                head = None
+                if self.at_keyword("any") or self.at_keyword("all"):
+                    head = self.comprehension_head()
                 expr = self.expression()
-            self.expect_punct(")")
-            return expr
-        if tok.kind == "ident" and tok.value not in KEYWORDS:
-            name = self.expect_name()
-            if self.eat_punct("="):
-                value = self.expect_name("value")
-                return RLit(name, value)
-            return RRef(name)
-        raise self.fail(tok, f"expected an expression, found {tok.value or 'end of file'!r}")
+                if head is not None:
+                    kind, binders, guard, comp_tok = head
+                    expr = RComprehension(kind, binders, guard, expr, comp_tok.line, comp_tok.col)
+                self.expect_punct(")")
+                self.depth -= 1
+            elif tok.kind == "ident" and tok.value not in KEYWORDS:
+                name = self.expect_name()
+                expr = RLit(name, self.expect_name("value")) if self.eat_punct("=") else RRef(name)
+            else:
+                raise self.fail(tok, f"expected an expression, found {tok.value or 'end of file'!r}")
+            for _ in range(nots):
+                expr = RNot(expr)
+            self.depth -= nots
+            ands.append(expr)
+            if self.at_keyword("and"):
+                self.next()
+                continue
+            ors.append(ands[0] if len(ands) == 1 else RAnd(_flatten(RAnd, ands)))
+            ands = []
+            if not self.at_keyword("or"):
+                return ors[0] if len(ors) == 1 else ROr(_flatten(ROr, ors))
+            self.next()
 
-    def comprehension(self) -> RComprehension:
-        tok = self.next()  # any | all
+    def comprehension_head(self) -> tuple[str, tuple[Binder, ...], Optional[Guard], Token]:
+        """``any``/``all``, the binders and the guard, up to the ``:`` before the body."""
+        tok = self.next()
         binders = [self.binder()]
         while self.eat_punct(","):
             binders.append(self.binder())
         guard = self.guard() if self.at_keyword("if") else None
         self.expect_punct(":")
-        body = self.expression()
-        return RComprehension(tok.value, tuple(binders), guard, body, tok.line, tok.col)
+        return tok.value, tuple(binders), guard, tok
 
     def binder(self) -> Binder:
         var = self.expect_name("binder variable")
@@ -603,30 +632,30 @@ class _Parser:
         return Comparison(op_tok.value, left, self.arith())
 
     def arith(self) -> Arith:
-        node = self.arith_term()
-        while self.at_punct("+") or self.at_punct("-"):
-            op = self.next().value
-            node = (op, node, self.arith_term())
-        return node
-
-    def arith_term(self) -> Arith:
-        node = self.arith_factor()
-        while self.at_punct("*"):
-            self.next()
-            node = ("*", node, self.arith_factor())
-        return node
-
-    def arith_factor(self) -> Arith:
-        if self.eat_punct("("):
-            node = self.arith()
-            self.expect_punct(")")
-            return node
-        tok = self.next()
-        if tok.kind != "ident":
-            raise self.fail(tok, "expected an integer or binder variable")
-        if tok.value.isdigit():
-            return ("int", int(tok.value))
-        return ("var", tok.value, tok.line, tok.col)
+        """A signed sum of products; one Python frame per parenthesis level."""
+        terms: list[tuple[str, tuple[Arith, ...]]] = []
+        sign = "+"
+        while True:
+            factors: list[Arith] = []
+            while True:
+                tok = self.next()
+                if tok.kind == "punct" and tok.value == "(":
+                    self.enter(tok)
+                    factors.append(self.arith())
+                    self.expect_punct(")")
+                    self.depth -= 1
+                elif tok.kind != "ident":
+                    raise self.fail(tok, "expected an integer or binder variable")
+                elif tok.value.isdigit():
+                    factors.append(("int", int(tok.value)))
+                else:
+                    factors.append(("var", tok.value, tok.line, tok.col))
+                if not self.eat_punct("*"):
+                    break
+            terms.append((sign, tuple(factors)))
+            if not (self.at_punct("+") or self.at_punct("-")):
+                return ("sum", tuple(terms))
+            sign = self.next().value
 
 
 def _flatten(cls, parts: list[RExpr]) -> tuple[RExpr, ...]:
@@ -691,11 +720,18 @@ class _Expander:
             except ValueError:
                 self.error(line, col, f"binder {var}={value!r} is not integer-valued")
                 return None
-        op, left, right = node
-        lv, rv = self.eval_arith(left, env), self.eval_arith(right, env)
-        if lv is None or rv is None:
-            return None
-        return {"+": lv + rv, "-": lv - rv, "*": lv * rv}[op]
+        total: Optional[int] = 0
+        for sign, factors in node[1]:
+            # evaluate every factor, so each unbound variable gets a diagnostic
+            product: Optional[int] = 1
+            for factor in factors:
+                value = self.eval_arith(factor, env)
+                product = None if value is None or product is None else product * value
+            if total is None or product is None:
+                total = None
+            else:
+                total += product if sign == "+" else -product
+        return total
 
     def eval_guard(self, guard: Guard, env: dict[str, str]) -> bool:
         for comparison in guard.comparisons:
@@ -771,12 +807,13 @@ class _Expander:
             return RRef(self.subst(expr.name, env))
         if isinstance(expr, RNot):
             return RNot(self.expand_expr(expr.operand, env))
-        if isinstance(expr, RAnd):
+        if isinstance(expr, (RAnd, ROr)):
             # comprehensions may expand to same-class conjunctions; flatten
             # so the printed form re-parses to an identical node
-            return RAnd(_flatten(RAnd, [self.expand_expr(p, env) for p in expr.parts]))
-        if isinstance(expr, ROr):
-            return ROr(_flatten(ROr, [self.expand_expr(p, env) for p in expr.parts]))
+            parts = []
+            for p in expr.parts:  # a loop, not a comprehension: one frame per level
+                parts.append(self.expand_expr(p, env))
+            return type(expr)(_flatten(type(expr), parts))
         if isinstance(expr, RComprehension):
             parts: list[RExpr] = []
             for combo in itertools.product(*(b.values for b in expr.binders)):
@@ -895,10 +932,11 @@ class _Builder:
                 return Ref(expr.name.text)
             if isinstance(expr, RNot):
                 return Not(resolve_expr(expr.operand))
-            if isinstance(expr, RAnd):
-                return And(tuple(resolve_expr(p) for p in expr.parts))
-            if isinstance(expr, ROr):
-                return Or(tuple(resolve_expr(p) for p in expr.parts))
+            if isinstance(expr, (RAnd, ROr)):
+                parts = []
+                for p in expr.parts:  # one frame per level, as in expand_expr
+                    parts.append(resolve_expr(p))
+                return (And if isinstance(expr, RAnd) else Or)(tuple(parts))
             raise TypeError(f"unexpanded node {expr!r}")
 
         # Second pass: bodies (namespaces now known).
@@ -1075,12 +1113,14 @@ def _format_expr(expr: Expr, parent: str = "or") -> str:
         return expr.name
     if isinstance(expr, Not):
         return f"not {_format_expr(expr.operand, 'not')}"
-    if isinstance(expr, And):
-        body = " and ".join(_format_expr(p, "and") for p in expr.parts)
-        return f"({body})" if parent == "not" else body
-    if isinstance(expr, Or):
-        body = " or ".join(_format_expr(p, "or") for p in expr.parts)
-        return body if parent == "or" else f"({body})"
+    if isinstance(expr, (And, Or)):
+        word = "and" if isinstance(expr, And) else "or"
+        texts = []
+        for p in expr.parts:  # one frame per level, as in expand_expr
+            texts.append(_format_expr(p, word))
+        body = f" {word} ".join(texts)
+        bare = parent != "not" if word == "and" else parent == "or"
+        return body if bare else f"({body})"
     raise TypeError(expr)
 
 

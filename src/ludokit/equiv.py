@@ -609,10 +609,16 @@ def equivalent_up_to_relabeling(
         return None
     # Cheap invariant fingerprints reject most inequivalent pairs before any
     # canonicalization (probability multisets, outcome/player statistics).
-    if canon.forest_profile(left_forest, pin) != canon.forest_profile(right_forest, pin):
+    # Each side's cache carries its label signatures from the profile to the
+    # assignments, so each forest is walked for them once.
+    l_cache: dict = {}
+    r_cache: dict = {}
+    if canon.forest_profile(left_forest, pin, l_cache) != canon.forest_profile(
+        right_forest, pin, r_cache
+    ):
         return None
-    lkey, l_assign, l_key_dicts = canon.best_assignment_with_keys(left_forest, pin)
-    rkey, r_assign, r_key_dicts = canon.best_assignment_with_keys(right_forest, pin)
+    lkey, l_assign, l_key_dicts = canon.best_assignment_with_keys(left_forest, pin, cache=l_cache)
+    rkey, r_assign, r_key_dicts = canon.best_assignment_with_keys(right_forest, pin, cache=r_cache)
     if lkey != rkey:
         return None
 

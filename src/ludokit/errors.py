@@ -50,6 +50,10 @@ class BudgetExceededError(LudokitError):
     """A node-count budget was exhausted during tree construction or rewriting."""
 
 
+class LabelingLimitError(LudokitError):
+    """Canonicalization would have to try more symmetric labelings than its limit."""
+
+
 class StaleSiteError(LudokitError):
     """A reduction site no longer matches the tree it was detected on."""
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 
+from ludokit.core import WILDCARD, And, Lit, Not, Or, Ref
 from ludokit.tree import (
     CHANCE,
     GameTree,
@@ -75,6 +76,76 @@ def enumerate_tictactoe_playthroughs(limit: int | None = None):
 
     recurse("X", "O", ())
     return out
+
+
+# ---------------------------------------------------------------------------
+# Rule semantics read straight off the definitions (no compilation, no caches)
+# ---------------------------------------------------------------------------
+
+
+def eval_expr(sys, expr, state) -> bool:
+    """True iff `state` lies in the state set `expr`."""
+    if isinstance(expr, Lit):
+        return state[[t.name for t in sys.tracks].index(expr.track)] == expr.value
+    if isinstance(expr, Not):
+        return not eval_expr(sys, expr.operand, state)
+    if isinstance(expr, And):
+        return all(eval_expr(sys, part, state) for part in expr.parts)
+    if isinstance(expr, Or):
+        return any(eval_expr(sys, part, state) for part in expr.parts)
+    if isinstance(expr, Ref):
+        return eval_expr(sys, sys.named_sets[expr.name], state)
+    raise TypeError(expr)
+
+
+def initial_states(sys) -> list:
+    """Every state of the track product that satisfies init, in product order."""
+    return [
+        state
+        for state in itertools.product(*(t.values for t in sys.tracks))
+        if eval_expr(sys, sys.init, state)
+    ]
+
+
+def legal_sets(sys, state) -> tuple:
+    """Per player, the decisions of the legality rules whose region holds."""
+    return tuple(
+        frozenset(
+            rule.decision
+            for rule in sys.legality_rules
+            if rule.player == player and eval_expr(sys, rule.region, state)
+        )
+        for player in sys.players
+    )
+
+
+def consequences(sys, dtuple, state):
+    """Results of the first rule whose pattern and guard match, else None."""
+    for rule in sys.consequence_rules:
+        if all(want in (WILDCARD, got) for want, got in zip(rule.pattern, dtuple)) and (
+            rule.guard is None or eval_expr(sys, rule.guard, state)
+        ):
+            return rule.results
+    return None
+
+
+def apply_action(sys, name, state) -> tuple:
+    """The first clause whose guard holds sets its tracks; no clause, no change."""
+    names = [t.name for t in sys.tracks]
+    for clause in sys.actions[name].clauses:
+        if clause.guard is None or eval_expr(sys, clause.guard, state):
+            values = list(state)
+            for track, value in clause.assignments:
+                values[names.index(track)] = value
+            return tuple(values)
+    return state
+
+
+def outcome(sys, state) -> str:
+    for rule in sys.outcome_rules:
+        if eval_expr(sys, rule.region, state):
+            return rule.outcome
+    return sys.default_outcome
 
 
 # ---------------------------------------------------------------------------

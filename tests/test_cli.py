@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 
 from conftest import fixture_path, fixture_text
 from ludokit import cli
@@ -205,6 +208,15 @@ class TestEquiv:
         assert json.loads(out)["equivalent"] is True
 
 
+    def test_labeling_limit_exits_2(self, capsys):
+        # one player choosing among 9 distinct outcomes: 9! symmetric labelings
+        nine = fixture_path("nine_outcomes.json")
+        code, out, err = run(capsys, "equiv", nine, nine)
+        assert code == 2
+        assert out == ""
+        assert "too many symmetric labelings" in err
+
+
 class TestSim:
     def test_self_similarity(self, capsys):
         code, out, _ = run(
@@ -276,3 +288,28 @@ class TestUsage:
             code, out, err = run(capsys, *argv)
             assert code == 2, argv
             assert out == "" and "non-negative" in err
+
+
+class TestRobustness:
+    def test_deep_nesting_exits_2_without_traceback(self, capsys, tmp_path):
+        text = fixture_text("mixed_a.game").replace(
+            "init u=p", "init " + "(" * 5000 + "u=p" + ")" * 5000
+        )
+        path = tmp_path / "deep.game"
+        path.write_text(text)
+        code, out, err = run(capsys, "tree", str(path), "--depth", "1")
+        assert code == 2
+        assert out == ""
+        assert f"{path}:16:" in err and "nesting deeper than" in err
+        assert "Traceback" not in err
+
+    def test_python_dash_m(self):
+        env = dict(os.environ)
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        done = subprocess.run(
+            [sys.executable, "-m", "ludokit", "validate", fixture_path("tictactoe.game")],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert "complete" in done.stdout

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 from fractions import Fraction
 
 import pytest
@@ -14,12 +15,14 @@ from ludokit.core import (
     GameSystem,
     Lit,
     Not,
+    Or,
     Ref,
     TrackSpec,
     first_policy,
 )
 from ludokit.errors import (
     IllegalDecisionError,
+    NoRuleMatchesError,
     NonTerminalStateError,
     TerminalStateError,
 )
@@ -328,3 +331,203 @@ def test_apply_action_total_property(seed):
         assert len(result) == len(sys.tracks)
         for value, track in zip(result, sys.tracks):
             assert value in track.values
+
+
+# ---------------------------------------------------------------------------
+# The generated rule engine against first-principles semantics
+# ---------------------------------------------------------------------------
+
+_TRACKS = (
+    TrackSpec("a", ("0", "1", "2")),
+    TrackSpec("b", ("x", "y")),
+    TrackSpec("c", ("p", "q")),
+)
+
+
+@functools.lru_cache(maxsize=None)
+def _expressions(refs: tuple[str, ...]):
+    lits = st.sampled_from([Lit(t.name, v) for t in _TRACKS for v in t.values])
+    leaves = lits | st.sampled_from([Ref(n) for n in refs]) if refs else lits
+
+    def compound(kids):
+        parts = st.lists(kids, max_size=4).map(tuple)
+        return st.builds(Not, kids) | st.builds(And, parts) | st.builds(Or, parts)
+
+    return st.recursive(leaves, compound, max_leaves=25)
+
+
+def _expr_system(named_sets: dict, init=Lit("a", "0")) -> GameSystem:
+    return GameSystem(
+        players=("P",),
+        tracks=_TRACKS,
+        init=init,
+        decisions=(),
+        actions={},
+        consequence_rules=(),
+        legality_rules=(),
+        outcomes=("o",),
+        outcome_rules=(),
+        default_outcome="o",
+        named_sets=named_sets,
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_generated_expressions_match_first_principles(data):
+    """Every expression evaluates as its definition says, on every state."""
+    import oracles
+
+    named_sets: dict = {}
+    for i in range(data.draw(st.integers(0, 3))):
+        named_sets[f"S{i}"] = data.draw(_expressions(tuple(named_sets)))
+    expr = data.draw(_expressions(tuple(named_sets)))
+    sys = _expr_system(named_sets, init=expr)
+    engine = sys.engine()
+    fn = engine.compile(expr)
+    for state in core.enumerate_states(sys):
+        assert engine.eval(fn, state) is oracles.eval_expr(sys, expr, state)
+    assert core.initial_states(sys) == oracles.initial_states(sys)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10**9))
+def test_engine_matches_first_principles_on_random_systems(seed):
+    """Legal sets, consequences, actions and outcomes on every state."""
+    import itertools
+    import random as _random
+
+    import generators
+    import oracles
+
+    sys = generators.random_system(_random.Random(seed))
+    engine = sys.engine()
+    choices = [(None,) + sys.decisions] * len(sys.players)
+    for state in core.enumerate_states(sys):
+        assert engine.legal_sets(state) == oracles.legal_sets(sys, state)
+        assert engine.outcome(state) == oracles.outcome(sys, state)
+        for name in sys.actions:
+            assert core.apply_action(sys, name, state) == oracles.apply_action(sys, name, state)
+        for dtuple in itertools.product(*choices):
+            expected = oracles.consequences(sys, dtuple, state)
+            if expected is None:
+                with pytest.raises(NoRuleMatchesError):
+                    engine.consequences(dtuple, state)
+            else:
+                assert engine.consequences(dtuple, state) == expected
+    assert core.initial_states(sys) == oracles.initial_states(sys)
+
+
+class TestGeneratedEngine:
+    def test_deep_expressions_split_into_helpers(self):
+        """Nesting far past one generated function's depth still evaluates."""
+        import oracles
+
+        deep = Lit("b", "x")
+        for i in range(300):
+            deep = Not(deep) if i % 3 else And((Lit("c", "p"), Or((deep, Lit("a", "2")))))
+        sys = _expr_system({"D": deep}, init=Not(Ref("D")))
+        for state in core.enumerate_states(sys):
+            assert core.eval_state_set(deep, state, sys) is oracles.eval_expr(sys, deep, state)
+        assert core.initial_states(sys) == oracles.initial_states(sys)
+
+    def test_names_with_quotes_and_parentheses(self):
+        """Names and values from a system never reach the generated source."""
+        import oracles
+
+        t = TrackSpec("t') or True or ('", ('a"); raise SystemExit("', "b')", "\\"))
+        u = TrackSpec('u"]', (")", "(("))
+        named = {"x) or (1": Or((Lit(t.name, "b')"), Lit(u.name, ")")))}
+        act = core.ActionDef(
+            "go'", (core.ActionClause(Ref("x) or (1"), ((t.name, "\\"), (u.name, "(("))),)
+        )
+        sys = GameSystem(
+            players=("P')",),
+            tracks=(t, u),
+            init=And((Lit(t.name, 'a"); raise SystemExit("'), Lit(u.name, ")"))),
+            decisions=('m"',),
+            actions={act.name: act},
+            consequence_rules=(
+                core.ConsequenceRule(('m"',), Ref("x) or (1"), ((Fraction(1), (act.name,)),)),
+            ),
+            legality_rules=(core.LegalityRule("P')", 'm"', Not(Lit(t.name, "\\"))),),
+            outcomes=("o')",),
+            outcome_rules=(core.OutcomeRule(Lit(u.name, "(("), "o')"),),
+            default_outcome="o')",
+            named_sets=named,
+        )
+        assert core.validate_system(sys) == []
+        engine = sys.engine()
+        assert core.initial_states(sys) == [('a"); raise SystemExit("', ")")]
+        for state in core.enumerate_states(sys):
+            assert engine.legal_sets(state) == oracles.legal_sets(sys, state)
+            assert engine.outcome(state) == oracles.outcome(sys, state)
+            assert core.apply_action(sys, act.name, state) == oracles.apply_action(
+                sys, act.name, state
+            )
+            if oracles.consequences(sys, ('m"',), state) is not None:
+                assert engine.consequences(('m"',), state) == oracles.consequences(
+                    sys, ('m"',), state
+                )
+
+    def test_consequence_index_keeps_first_match_order(self):
+        wild = core.ConsequenceRule(("*",), Lit("t", "b"), ((Fraction(1), ("stay",)),))
+        exact = core.ConsequenceRule(("m",), None, ((Fraction(1), ("go",)),))
+        base = _tiny_system()
+        sys = dataclasses.replace(
+            base,
+            actions={**base.actions, "stay": core.ActionDef("stay", ())},
+            consequence_rules=(wild, exact),
+        )
+        assert core.consequences(sys, ("m",), ("a",)) == exact.results
+        assert core.consequences(sys, ("m",), ("b",)) == wild.results
+        with pytest.warns(core.AmbiguityWarning):
+            assert core.consequences(sys, ("m",), ("b",), strict=True) == wild.results
+        with pytest.raises(NoRuleMatchesError):
+            core.consequences(sys, (None,), ("a",))
+
+
+class TestInitialStates:
+    def test_every_fixture_matches_the_brute_force_filter(self, systems):
+        import oracles
+
+        for name, sys in systems.items():
+            assert core.initial_states(sys) == oracles.initial_states(sys), name
+
+    def test_conjunctive_init_tests_one_candidate(self, ttt, monkeypatch):
+        engine = ttt.engine()
+        tested = []
+        init_fn = engine.init_fn
+        monkeypatch.setattr(engine, "init_fn", lambda s, m: tested.append(s) or init_fn(s, m))
+        assert core.initial_states(ttt) == [("start",) + ("e",) * 9]
+        assert len(tested) == 1
+
+    @pytest.mark.parametrize(
+        "init, expected",
+        [
+            ("(t=a or t=c) and u=p", [("a", "p"), ("c", "p")]),
+            ("not t=a and u=q", [("b", "q"), ("c", "q"), ("d", "q")]),
+            ("start and t=b", [("b", "q")]),
+            ("t=d or u=q", [("a", "q"), ("b", "q"), ("c", "q"), ("d", "p"), ("d", "q")]),
+        ],
+    )
+    def test_inits_beyond_a_conjunction_of_literals(self, init, expected):
+        import oracles
+        from conftest import fixture_text
+        from ludokit import dsl
+
+        text = fixture_text("mixed_a.game").replace(
+            "init u=p", f"set start = u=q and not t=c\ninit {init}"
+        )
+        sys = dsl.parse_game(text)
+        assert core.initial_states(sys) == expected == oracles.initial_states(sys)
+
+    def test_contradictory_literals(self):
+        from conftest import fixture_text
+        from ludokit import dsl
+
+        sys = dataclasses.replace(_tiny_system(), init=And((Lit("t", "a"), Lit("t", "b"))))
+        assert core.initial_states(sys) == []
+        text = fixture_text("mixed_a.game").replace("init u=p", "init u=p and t=a and u=q")
+        with pytest.raises(dsl.GameParseError, match="no state satisfies"):
+            dsl.parse_game(text)

@@ -144,6 +144,75 @@ class TestDiagnostics:
         assert any("expands to no terms" in m for m in diagnostics_of(
             MINIMAL.replace("init t=a", "init (any i in 1..3 if i > 9: t=a)")))
 
+    def test_deep_nesting_is_a_diagnostic(self):
+        deep = MINIMAL.replace("init t=a", "init " + "(" * 5000 + "t=a" + ")" * 5000)
+        messages = diagnostics_of(deep)
+        assert len(messages) == 1
+        assert messages[0].startswith("test.game:6:")
+        assert "nesting deeper than" in messages[0]
+
+    def test_deep_guard_and_forall_nesting_are_diagnostics(self):
+        guard = MINIMAL.replace(
+            "legal P m when t=a",
+            "forall i in 1..2 if " + "(" * 5000 + "i" + ")" * 5000 + " = 1 { legal P m when t=a }",
+        )
+        assert any("nesting deeper than" in m for m in diagnostics_of(guard))
+        blocks = MINIMAL.replace(
+            "legal P m when t=a", "forall i in 1..1 { " * 5000 + "legal P m when t=a" + " }" * 5000
+        )
+        assert any("nesting deeper than" in m for m in diagnostics_of(blocks))
+
+
+class TestDeepNesting:
+    @pytest.mark.parametrize("opener", [
+        "(t=a and ", "(t=a or ", "not (", "(all i in 1..1: ", "(t=b or not t=a and ",
+    ])
+    def test_500_levels_parse_evaluate_and_serialize(self, opener):
+        import oracles
+
+        levels = opener.count("(") + opener.count("not")
+        n = 500 // levels
+        text = MINIMAL.replace(
+            "init t=a", "init " + opener * n + "t=a" + ")" * (n * opener.count("("))
+        )
+        sys = parse_game(text)
+        assert core.initial_states(sys) == oracles.initial_states(sys)
+        printed = serialize_game(sys)
+        assert serialize_game(parse_game(printed)) == printed
+
+    def test_400_nots_parse_and_evaluate_as_defined(self):
+        import oracles
+
+        for count, expected in ((400, [("a",)]), (401, [("b",)])):
+            sys = parse_game(MINIMAL.replace("init t=a", "init " + "not " * count + "t=a"))
+            init = sys.init
+            for _ in range(count):
+                assert isinstance(init, core.Not)
+                init = init.operand
+            assert init == core.Lit("t", "a")
+            assert core.initial_states(sys) == expected == oracles.initial_states(sys)
+            for state in core.enumerate_states(sys):
+                assert core.eval_state_set(sys.init, state, sys) is oracles.eval_expr(
+                    sys, sys.init, state
+                )
+
+    def test_chained_named_sets_of_400_nots(self):
+        # 1200 negations in all, too deep for the recursive oracle
+        sets = "set A = " + "not " * 400 + "B\nset B = " + "not " * 400 + "C\nset C = " + (
+            "not " * 400 + "t=a\n"
+        )
+        sys = parse_game(MINIMAL.replace("init t=a", sets + "init A"))
+        assert core.initial_states(sys) == [("a",)]
+        assert core.eval_state_set(core.Ref("A"), ("b",), sys) is False
+
+    def test_long_guard_arithmetic(self):
+        sys = parse_game(MINIMAL.replace(
+            "legal P m when t=a",
+            "forall i in 1..3 if " + " + ".join(["i"] * 3000) + " - 2 * (i + i) * 1 = 5992 "
+            "{ legal P m when t=a }",
+        ))
+        assert len(sys.legality_rules) == 1
+
 
 class TestSerialization:
     @pytest.mark.parametrize("name", [

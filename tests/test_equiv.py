@@ -235,6 +235,30 @@ def rename_system(sys, decision_map=None, value_map=None, outcome_map=None):
 
 
 class TestEquivalentUpToRelabeling:
+    def test_signatures_computed_once_per_forest(self, systems, monkeypatch):
+        from ludokit import canon
+
+        a = tree.build_forest(systems["tictactoe"], depth_limit=2)
+        b = tree.build_forest(systems["3to15"], depth_limit=2)
+        walked = []
+        signatures = canon._forest_signatures
+        monkeypatch.setattr(
+            canon, "_forest_signatures", lambda forest: walked.append(forest) or signatures(forest)
+        )
+        assert equivalent_up_to_relabeling(a, b) is not None
+        assert walked == [a, b]
+
+    def test_labeling_limit_is_a_ludokit_error(self):
+        from ludokit import LabelingLimitError, LudokitError
+
+        nine = star_tree([f"o{i}" for i in range(9)])
+        with pytest.raises(LabelingLimitError) as excinfo:
+            equivalent_up_to_relabeling(nine, nine)
+        assert isinstance(excinfo.value, LudokitError)
+        assert "1 x 362880" in str(excinfo.value)
+        # pinned outcomes leave no symmetric labelings to try
+        assert equivalent_up_to_relabeling(nine, nine, pin={"outcomes"}) is not None
+
     def test_reflexive_with_full_pin(self, swap_pair_left):
         w = equivalent_up_to_relabeling(
             swap_pair_left, swap_pair_left, pin={"players", "outcomes", "states"}
