@@ -10,6 +10,7 @@ is honored trivially) and byte-stable for fixed arguments and seeds.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys as _sys
 from typing import Optional
@@ -79,12 +80,42 @@ def _parse_state(sys_: GameSystem, literal: str):
         raise _Failure(str(exc)) from exc
 
 
-def _write_out(text: str, out: Optional[str]) -> None:
-    if out is None or out == "-":
-        _sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+@contextlib.contextmanager
+def _output(path: Optional[str]):
+    """Yield the write of PATH opened for writing (stdout for None or "-").
+
+    An OSError while opening, writing or closing becomes exit 2, so an
+    unwritable output never reads as a negative verdict.
+    """
+    to_stdout = path is None or path == "-"
+    try:
+        handle = _sys.stdout if to_stdout else open(path, "w", encoding="utf-8")
+        try:
+            yield handle.write
+        finally:
+            if not to_stdout:
+                handle.close()
+    except OSError as exc:
+        raise _Failure(f"cannot write {'stdout' if to_stdout else path}: {exc.strerror}") from exc
+
+
+def _write_trees(forest: list[GameTree], fmt: str, write) -> None:
+    """DOT of each tree, one tree's JSON document, or ``{"forest": [...]}``
+    holding the documents of a nonempty forest of several trees."""
+    if fmt == "dot":
+        for t in forest:
+            tree_mod.write_dot(t, write)
+        return
+    if len(forest) == 1:
+        tree_mod.write_json(forest[0], write)
+        write("\n")
+        return
+    write('{\n  "forest": [\n')
+    for k, t in enumerate(forest):
+        if k:
+            write(",\n")
+        tree_mod.write_json(t, write, level=2)
+    write("\n  ]\n}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -165,57 +196,42 @@ def cmd_tree(args) -> int:
         roots = [_parse_state(sys_, args.root)]
     else:
         roots = initial_states(sys_)
-    try:
-        forest = [
-            build_tree(sys_, s0, depth_limit=args.depth, node_budget=args.budget)
-            for s0 in roots
-        ]
-    except LudokitError as exc:
-        raise _Failure(str(exc)) from exc
-    if args.stats:
-        for i, t in enumerate(forest):
-            stats = tree_mod.tree_stats(t)
-            print(
-                f"tree {i}: nodes={stats.nodes} state={stats.state_nodes} "
-                f"chance={stats.chance_nodes} leaves={stats.terminal_leaves} "
-                f"truncated={stats.truncated_leaves} edges={stats.edges} depth={stats.depth}"
-            )
-    if args.out is not None or not args.stats:
-        if args.format == "dot":
-            text = "".join(tree_mod.export_dot(t) for t in forest)
-        elif len(forest) == 1:
-            text = tree_mod.export_json(forest[0])
-        else:
-            text = (
-                json.dumps(
-                    {"forest": [json.loads(tree_mod.export_json(t)) for t in forest]},
-                    indent=2,
+    export = args.out is not None or not args.stats
+    with _output(args.out) if export else contextlib.nullcontext() as write:
+        try:
+            forest = [
+                build_tree(sys_, s0, depth_limit=args.depth, node_budget=args.budget)
+                for s0 in roots
+            ]
+        except LudokitError as exc:
+            raise _Failure(str(exc)) from exc
+        if args.stats:
+            for i, t in enumerate(forest):
+                stats = tree_mod.tree_stats(t)
+                print(
+                    f"tree {i}: nodes={stats.nodes} state={stats.state_nodes} "
+                    f"chance={stats.chance_nodes} leaves={stats.terminal_leaves} "
+                    f"truncated={stats.truncated_leaves} edges={stats.edges} depth={stats.depth}"
                 )
-                + "\n"
-            )
-        _write_out(text, args.out)
+        if export:
+            _write_trees(forest, args.format, write)
     return OK
 
 
 def cmd_reduce(args) -> int:
-    forest = _load_forest(args.file, args.budget)
-    results = [reduce_mod.normalize(t, consume=True) for t in forest]
-    forms = [form for form, _ in results]
-    if args.trace is not None:
-        trace_doc = [json.loads(trace.to_json()) for _, trace in results]
-        text = json.dumps(trace_doc if len(trace_doc) > 1 else trace_doc[0], indent=2) + "\n"
-        _write_out(text, args.trace)
-    if len(forms) == 1:
-        text = tree_mod.export_json(forms[0])
-    else:
-        text = (
-            json.dumps(
-                {"forest": [json.loads(tree_mod.export_json(t)) for t in forms]},
-                indent=2,
+    if args.trace not in (None, "-") and args.trace == args.out:
+        raise _Failure(f"--trace and --out both name {args.out}")
+    with _output(args.out) as write, (
+        _output(args.trace) if args.trace is not None else contextlib.nullcontext()
+    ) as write_trace:
+        forest = _load_forest(args.file, args.budget)
+        results = [reduce_mod.normalize(t, consume=True) for t in forest]
+        if args.trace is not None:
+            trace_doc = [json.loads(trace.to_json()) for _, trace in results]
+            write_trace(
+                json.dumps(trace_doc if len(trace_doc) > 1 else trace_doc[0], indent=2) + "\n"
             )
-            + "\n"
-        )
-    _write_out(text, args.out)
+        _write_trees([form for form, _ in results], "json", write)
     return OK
 
 

@@ -28,6 +28,8 @@ arithmetic on binders that hold integer-valued names.
 
 Parentheses, ``not`` and ``forall`` blocks nest at most `MAX_NESTING`
 (500) levels deep; deeper input is a diagnostic, not a recursion error.
+So do chains of named sets that reference each other: each set on a chain
+is one level, plus one per 40 levels of nesting inside it.
 
 Pattern entries in ``consequence`` are a decision id, ``0`` (null decision
 only), or ``*`` (any decision, including null).  Probabilities are exact
@@ -520,12 +522,12 @@ class _Parser:
     def result(self) -> tuple[Fraction, tuple[Name, ...]]:
         self.expect_keyword("prob")
         tok = self.next()
-        if tok.kind != "ident" or not tok.value.isdigit():
+        if tok.kind != "ident" or not tok.value.isdecimal():
             raise self.fail(tok, "expected a probability numerator")
         num = int(tok.value)
         if self.eat_punct("/"):
             den_tok = self.next()
-            if den_tok.kind != "ident" or not den_tok.value.isdigit():
+            if den_tok.kind != "ident" or not den_tok.value.isdecimal():
                 raise self.fail(den_tok, "expected a probability denominator")
             den = int(den_tok.value)
         else:
@@ -605,11 +607,11 @@ class _Parser:
             self.expect_punct("}")
             return Binder(var.text, tuple(values), var.line, var.col)
         lo_tok = self.next()
-        if lo_tok.kind != "ident" or not lo_tok.value.isdigit():
+        if lo_tok.kind != "ident" or not lo_tok.value.isdecimal():
             raise self.fail(tok, "expected a value list {..} or integer range lo..hi")
         self.expect_punct("..")
         hi_tok = self.next()
-        if hi_tok.kind != "ident" or not hi_tok.value.isdigit():
+        if hi_tok.kind != "ident" or not hi_tok.value.isdecimal():
             raise self.fail(hi_tok, "expected an integer range bound")
         lo, hi = int(lo_tok.value), int(hi_tok.value)
         if hi < lo:
@@ -646,7 +648,7 @@ class _Parser:
                     self.depth -= 1
                 elif tok.kind != "ident":
                     raise self.fail(tok, "expected an integer or binder variable")
-                elif tok.value.isdigit():
+                elif tok.value.isdecimal():
                     factors.append(("int", int(tok.value)))
                 else:
                     factors.append(("var", tok.value, tok.line, tok.col))
@@ -1019,32 +1021,65 @@ class _Builder:
         if default_outcome is not None and default_outcome not in outcomes:
             outcomes.append(default_outcome)
 
-        # Named-set cycle detection.
-        visiting: set[str] = set()
-        done: set[str] = set()
-
-        def visit(name: str) -> None:
-            if name in done or name not in named_sets:
-                return
-            if name in visiting:
-                self.error(set_spans[name], message=f"cyclic named-set reference through {name!r}")
-                done.add(name)
-                return
-            visiting.add(name)
-            stack = [named_sets[name]]
+        # Named-set references: report cycles, and chains too deep to evaluate.
+        # The compiled rules call one function per set on a chain, plus one
+        # helper per core._SPLIT_DEPTH levels of nesting inside each set; a
+        # chain may open at most MAX_NESTING such calls.  Depth first with an
+        # explicit stack, visiting each set's references in the order a
+        # recursive walk would.
+        def refs_of(expr: Expr) -> tuple[list[str], int]:
+            """The sets `expr` references, and the calls evaluating it opens."""
+            found: list[str] = []
+            deepest = 0
+            stack = [(expr, 0)]
             while stack:
-                node = stack.pop()
+                node, level = stack.pop()
+                deepest = max(deepest, level)
                 if isinstance(node, Ref):
-                    visit(node.name)
+                    if node.name in named_sets:
+                        found.append(node.name)
                 elif isinstance(node, Not):
-                    stack.append(node.operand)
+                    stack.append((node.operand, level + 1))
                 elif isinstance(node, (And, Or)):
-                    stack.extend(node.parts)
-            visiting.discard(name)
-            done.add(name)
+                    stack.extend((part, level + 1) for part in node.parts)
+            return found, 1 + deepest // core._SPLIT_DEPTH
 
-        for name in named_sets:
-            visit(name)
+        chain: dict[str, int] = {}  # finished set -> calls on its deepest chain
+        visiting: set[str] = set()
+        for root in named_sets:
+            if root in chain:
+                continue
+            visiting.add(root)
+            path = [(root, *refs_of(named_sets[root]))]
+            cursor = [0]
+            while path:
+                name, refs, calls = path[-1]
+                if cursor[-1] < len(refs):
+                    ref = refs[cursor[-1]]
+                    cursor[-1] += 1
+                    if ref in chain:
+                        continue
+                    if ref in visiting:
+                        self.error(
+                            set_spans[ref], message=f"cyclic named-set reference through {ref!r}"
+                        )
+                        chain[ref] = 0
+                        continue
+                    visiting.add(ref)
+                    path.append((ref, *refs_of(named_sets[ref])))
+                    cursor.append(0)
+                    continue
+                path.pop()
+                cursor.pop()
+                visiting.discard(name)
+                below = max((chain.get(r, 0) for r in refs), default=0)
+                depth = chain[name] = calls + below
+                if depth > MAX_NESTING >= below:
+                    self.error(
+                        set_spans[name],
+                        message=f"named set {name!r} starts a chain of set references "
+                        f"{depth} levels deep, more than {MAX_NESTING}",
+                    )
 
         if init_expr is None:
             self.error(1, 1, "missing init declaration")

@@ -160,6 +160,48 @@ def _product_of_maps(streams: list[Iterator[dict]]) -> Iterator[dict]:
 # ---------------------------------------------------------------------------
 
 
+def _choice_profiles(mapping: dict, axis: int, choices, image) -> dict:
+    """Per choice on `axis`: the sorted images of the edges its cells reach."""
+    rows: dict = {c: [] for c in choices}
+    for joint, edge in mapping.items():
+        row = rows.get(joint[axis])
+        if row is not None:
+            row.append(image(edge))
+    return {c: tuple(sorted(row)) for c, row in rows.items()}
+
+
+def _candidates(
+    left: DecisionMatrix,
+    right: DecisionMatrix,
+    order: list[tuple[int, int]],
+    edge_map: Optional[dict[int, int]],
+) -> Optional[list[dict]]:
+    """Per axis pair (i, j) of `order`: each left choice's possible images,
+    in right choice order; None when some left choice has none.
+
+    With `edge_map`, a right choice is possible only if the sorted edges its
+    cells reach equal the mapped edges of the left choice's cells.
+    """
+    candidates: list[dict] = []
+    for i, j in order:
+        if edge_map is None:
+            candidates.append({c: list(right.choice_sets[j]) for c in left.choice_sets[i]})
+            continue
+        by_profile: dict = {}
+        for c2, rp in _choice_profiles(right.mapping, j, right.choice_sets[j], repr).items():
+            by_profile.setdefault(rp, []).append(c2)
+        cand: dict = {}
+        for c, lp in _choice_profiles(
+            left.mapping, i, left.choice_sets[i], lambda edge: repr(edge_map.get(edge))
+        ).items():
+            matches = by_profile.get(lp)
+            if matches is None:
+                return None
+            cand[c] = matches
+        candidates.append(cand)
+    return candidates
+
+
 def match_matrices(
     left: DecisionMatrix,
     right: DecisionMatrix,
@@ -185,37 +227,9 @@ def match_matrices(
 
     lcells = list(left.mapping.items())
 
-    def profile(cells, axis: int, choice, use_edges: bool):
-        rows = []
-        for joint, edge in cells:
-            if joint[axis] == choice:
-                rows.append(edge if use_edges else 0)
-        return tuple(sorted(map(repr, rows)))
-
-    # Candidate images per left choice, pruned by result-multiset profiles.
-    rcells = list(right.mapping.items())
-    candidates: list[dict] = []
-    for i, j in order:
-        cand: dict = {}
-        for c in lsets[i]:
-            lp = profile(lcells, i, c, edge_map is not None)
-            if edge_map is not None:
-                lp = tuple(
-                    sorted(
-                        repr(edge_map.get(edge))
-                        for joint, edge in lcells
-                        if joint[i] == c
-                    )
-                )
-            matches = []
-            for c2 in rsets[j]:
-                rp = profile(rcells, j, c2, edge_map is not None)
-                if edge_map is None or lp == rp:
-                    matches.append(c2)
-            if not matches:
-                return None
-            cand[c] = matches
-        candidates.append(cand)
+    candidates = _candidates(left, right, order, edge_map)
+    if candidates is None:
+        return None
 
     def backtrack(pos: int, assigned: list[dict]) -> Optional[list[dict]]:
         if pos == len(order):

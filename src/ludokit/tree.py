@@ -24,7 +24,8 @@ import json
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Union
+from json.encoder import encode_basestring_ascii as _quote
+from typing import Callable, Iterator, Optional, Union
 
 from .core import (
     DecisionTuple,
@@ -564,34 +565,49 @@ def _label_sort_key(label: EdgeLabel):
     )
 
 
-def _export_order(tree: GameTree) -> dict[int, list[int]]:
-    """Canonically ordered children per live node."""
+def _preorder(tree: GameTree) -> tuple[list[int], dict[int, int], list[list[int]]]:
+    """The canonical numbering shared by the exports.
+
+    Returns the live nodes in preorder (a node's id is its position there),
+    the id of each node, and per position the node's out-edges in canonical
+    order: decision edges by sorted tuple sequences, chance edges by
+    descending probability, then by the child's fully pinned subtree key.
+    """
     from . import canon  # local import: canon orders chance edges by subtree key
 
     keys = canon.subtree_keys(
         tree, pin_players=True, pin_outcomes=True, pin_states=True
     )
-    order: dict[int, list[int]] = {}
-    for n in tree.iter_nodes():
+    label_keys: dict = {}
+
+    def label_key(e: int):
+        label = tree.edge_label[e]
+        key = label_keys.get(label)
+        if key is None:
+            key = label_keys[label] = _label_sort_key(label)
+        return key
+
+    def chance_key(e: int):
+        return (-tree.edge_prob[e], keys[tree.edge_dst[e]])
+
+    sequence: list[int] = []
+    order: list[list[int]] = []
+    stack = [tree.root]
+    while stack:
+        n = stack.pop()
+        sequence.append(n)
         edges = tree.node_children[n]
-        if not edges:
-            order[n] = []
-        elif tree.node_kind[n] == CHANCE:
-            order[n] = sorted(
-                edges, key=lambda e: (-tree.edge_prob[e], keys[tree.edge_dst[e]])
-            )
-        else:
-            order[n] = sorted(edges, key=lambda e: _label_sort_key(tree.edge_label[e]))
-    return order
+        if edges:
+            edges = sorted(edges, key=chance_key if tree.node_kind[n] == CHANCE else label_key)
+            for e in reversed(edges):
+                stack.append(tree.edge_dst[e])
+        order.append(edges)
+    return sequence, {n: i for i, n in enumerate(sequence)}, order
 
 
 # ---------------------------------------------------------------------------
 # JSON round trip
 # ---------------------------------------------------------------------------
-
-
-def _seq_to_json(seq: TupleSeq) -> list:
-    return [[d for d in dtuple] for dtuple in seq]
 
 
 def _seq_from_json(data, n_players: int, where: str) -> TupleSeq:
@@ -613,44 +629,101 @@ def _seq_from_json(data, n_players: int, where: str) -> TupleSeq:
     return tuple(seq)
 
 
-def export_json(tree: GameTree) -> str:
-    """Lossless JSON rendering; node ids renumbered in canonical preorder."""
-    order = _export_order(tree)
-    ids: dict[int, int] = {}
-    sequence: list[int] = []
-    stack = [tree.root]
-    while stack:
-        n = stack.pop()
-        ids[n] = len(sequence)
-        sequence.append(n)
-        for e in reversed(order[n]):
-            stack.append(tree.edge_dst[e])
-    nodes = []
-    edges = []
-    for n in sequence:
-        entry: dict = {"id": ids[n], "kind": _KIND_NAMES[min(tree.node_kind[n], TERMINAL)]}
-        if tree.node_kind[n] == TRUNCATED:
-            entry["kind"] = "state"
-            entry["truncated"] = True
-        if tree.node_state[n] is not None:
-            entry["state"] = list(tree.node_state[n])
-        if tree.node_outcome[n] is not None:
-            entry["outcome"] = tree.node_outcome[n]
-        nodes.append(entry)
-        for e in order[n]:
-            edge: dict = {"from": ids[n], "to": ids[tree.edge_dst[e]]}
+def _json_list(value, indent: str) -> str:
+    """``json.dumps(value, indent=2)`` of nested sequences of strings and
+    nulls, every line after the first prefixed with `indent`."""
+    if not value:
+        return "[]"
+    inner = indent + "  "
+    items = [
+        "null" if v is None else _quote(v) if isinstance(v, str) else _json_list(v, inner)
+        for v in value
+    ]
+    return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
+
+
+def write_json(tree: GameTree, write: Callable[[str], object], level: int = 0) -> None:
+    """Stream `export_json`'s document, without its final newline, to `write`.
+
+    The text is ``json.dumps(doc, indent=2)`` of the document, nested `level`
+    indent steps deep (the CLI writes a forest as a list of such documents).
+    It is written a node or an edge per chunk.  The fragments that repeat are
+    rendered once per call: each distinct state's ``"state"`` block, outcome,
+    edge label's sorted ``"tuples"`` block and probability; strings are quoted
+    by the C encoder's ``encode_basestring_ascii``, as ``json.dumps`` does.
+    """
+    sequence, ids, order = _preorder(tree)
+    pad = "  " * level
+    i1, i2, i3 = pad + "  ", pad + "    ", pad + "      "
+    write(
+        f'{pad}{{\n{i1}"players": {_json_list(tree.players, i1)},\n'
+        f'{i1}"root": {ids[tree.root]},\n{i1}"nodes": ['
+    )
+    kinds = {
+        STATE: f',\n{i3}"kind": "state"',
+        CHANCE: f',\n{i3}"kind": "chance"',
+        TERMINAL: f',\n{i3}"kind": "terminal"',
+        TRUNCATED: f',\n{i3}"kind": "state",\n{i3}"truncated": true',
+    }
+    states: dict = {None: ""}
+    outcomes: dict = {None: ""}
+    close = f"\n{i2}}}"
+    sep = "\n"
+    for i, n in enumerate(sequence):
+        state = tree.node_state[n]
+        state_text = states.get(state)
+        if state_text is None:
+            state_text = states[state] = f',\n{i3}"state": {_json_list(state, i3)}'
+        outcome = tree.node_outcome[n]
+        outcome_text = outcomes.get(outcome)
+        if outcome_text is None:
+            outcome_text = outcomes[outcome] = f',\n{i3}"outcome": {_quote(outcome)}'
+        write(
+            f'{sep}{i2}{{\n{i3}"id": {i}{kinds[tree.node_kind[n]]}'
+            f"{state_text}{outcome_text}{close}"
+        )
+        sep = ",\n"
+    write(f'\n{i1}],\n{i1}"edges": [')
+    tails: dict = {}
+    probs: dict = {}
+    sep = "\n"
+    for i, edges in enumerate(order):
+        for e in edges:
             if tree.edge_kind[e] == DECISION_EDGE:
-                edge["kind"] = "decision"
-                edge["tuples"] = sorted(
-                    (_seq_to_json(seq) for seq in tree.edge_label[e]),
-                    key=lambda s: json.dumps(s),
-                )
+                label = tree.edge_label[e]
+                tail = tails.get(label)
+                if tail is None:
+                    tuples = _json_list(sorted(label, key=json.dumps), i3)
+                    tail = tails[label] = (
+                        f',\n{i3}"kind": "decision",\n{i3}"tuples": {tuples}{close}'
+                    )
             else:
-                edge["kind"] = "chance"
-                edge["prob"] = str(tree.edge_prob[e])
-            edges.append(edge)
-    doc = {"players": list(tree.players), "root": ids[tree.root], "nodes": nodes, "edges": edges}
-    return json.dumps(doc, indent=2) + "\n"
+                prob = tree.edge_prob[e]
+                tail = probs.get(prob)
+                if tail is None:
+                    tail = probs[prob] = (
+                        f',\n{i3}"kind": "chance",\n{i3}"prob": {_quote(str(prob))}{close}'
+                    )
+            write(
+                f'{sep}{i2}{{\n{i3}"from": {i},\n{i3}"to": {ids[tree.edge_dst[e]]}{tail}'
+            )
+            sep = ",\n"
+    write(f"]\n{pad}}}" if sep == "\n" else f"\n{i1}]\n{pad}}}")
+
+
+def export_json(tree: GameTree) -> str:
+    """Lossless JSON rendering; node ids renumbered in canonical preorder.
+
+    The text is ``json.dumps(doc, indent=2)`` plus a newline, where `doc`
+    lists the players, the root id, the nodes in canonical preorder and each
+    node's out-edges in canonical order.  No `doc` is built: `write_json`
+    streams the text, rendering each distinct state, outcome, edge label and
+    probability once, and this returns its chunks joined.
+    """
+    chunks: list[str] = []
+    write_json(tree, chunks.append)
+    chunks.append("\n")
+    return "".join(chunks)
 
 
 def _node_ref(value, where: str) -> int:
@@ -775,39 +848,55 @@ def format_label(label: EdgeLabel) -> str:
     return "{" + ", ".join(parts) + "}"
 
 
-def export_dot(tree: GameTree) -> str:
-    """Graphviz rendering: node kinds by shape, labels on edges."""
-    order = _export_order(tree)
-    ids: dict[int, int] = {}
-    lines = ["digraph gametree {"]
-    stack = [tree.root]
-    sequence = []
-    while stack:
-        n = stack.pop()
-        ids[n] = len(sequence)
-        sequence.append(n)
-        for e in reversed(order[n]):
-            stack.append(tree.edge_dst[e])
-    for n in sequence:
+def write_dot(tree: GameTree, write: Callable[[str], object]) -> None:
+    """Stream `export_dot`'s text to `write`, a line per chunk.
+
+    Nodes are numbered in the canonical preorder `write_json` uses.  Each
+    distinct edge label and probability, and each outcome's node attributes,
+    are rendered once per call.
+    """
+    sequence, ids, order = _preorder(tree)
+    write("digraph gametree {\n")
+    kinds = {
+        STATE: 'shape=circle style=filled fillcolor=black label="" width=0.15',
+        CHANCE: 'shape=circle label="" width=0.25',
+        TRUNCATED: 'shape=square style=dashed label="..."',
+    }
+    terminals: dict = {}
+    for i, n in enumerate(sequence):
         kind = tree.node_kind[n]
-        if kind == STATE:
-            attrs = 'shape=circle style=filled fillcolor=black label="" width=0.15'
-        elif kind == CHANCE:
-            attrs = 'shape=circle label="" width=0.25'
-        elif kind == TERMINAL:
-            attrs = f'shape=doublecircle label="{_dot_escape(tree.node_outcome[n])}"'
+        if kind == TERMINAL:
+            outcome = tree.node_outcome[n]
+            attrs = terminals.get(outcome)
+            if attrs is None:
+                attrs = terminals[outcome] = f'shape=doublecircle label="{_dot_escape(outcome)}"'
         else:
-            attrs = 'shape=square style=dashed label="..."'
-        lines.append(f"  n{ids[n]} [{attrs}];")
-    for n in sequence:
-        for e in order[n]:
-            if tree.edge_kind[e] == DECISION_EDGE:
-                label = _dot_escape(format_label(tree.edge_label[e]))
-            else:
-                label = str(tree.edge_prob[e])
-            lines.append(f'  n{ids[n]} -> n{ids[tree.edge_dst[e]]} [label="{label}"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+            attrs = kinds[kind]
+        write(f"  n{i} [{attrs}];\n")
+    labels: dict = {}
+    for i, edges in enumerate(order):
+        for e in edges:
+            key = tree.edge_label[e] if tree.edge_kind[e] == DECISION_EDGE else tree.edge_prob[e]
+            label = labels.get(key)
+            if label is None:
+                label = labels[key] = (
+                    _dot_escape(format_label(key)) if isinstance(key, frozenset) else str(key)
+                )
+            write(f'  n{i} -> n{ids[tree.edge_dst[e]]} [label="{label}"];\n')
+    write("}\n")
+
+
+def export_dot(tree: GameTree) -> str:
+    """Graphviz rendering: node kinds by shape, labels on edges.
+
+    Nodes are ``n<id>`` with the ids of `export_json`.  `write_dot` streams
+    the text a line at a time, rendering each distinct edge label,
+    probability and terminal outcome once, and this returns its chunks
+    joined.
+    """
+    chunks: list[str] = []
+    write_dot(tree, chunks.append)
+    return "".join(chunks)
 
 
 # ---------------------------------------------------------------------------

@@ -8,10 +8,13 @@ be checked against definition-faithful brute force.
 from __future__ import annotations
 
 import itertools
+import json
 
-from ludokit.core import WILDCARD, And, Lit, Not, Or, Ref
+from ludokit import canon
+from ludokit.core import WILDCARD, And, Lit, Not, Or, Ref, format_decision_tuple
 from ludokit.tree import (
     CHANCE,
+    DECISION_EDGE,
     GameTree,
     STATE,
     TERMINAL,
@@ -265,3 +268,157 @@ def brute_equivalent(lt: GameTree, rt: GameTree, pin=frozenset()) -> bool:
         if try_match(lt.root, rt.root) is not None:
             return True
     return False
+
+
+# ---------------------------------------------------------------------------
+# Reference renderers: the exports as a document built whole, then dumped.
+# Unlike the rest of this module they use `canon`: the export order breaks
+# ties between equally likely chance edges by fully pinned subtree keys, so
+# these check the text around that order, not the keys.
+# ---------------------------------------------------------------------------
+
+
+def _export_order(tree: GameTree) -> dict:
+    """Canonically ordered out-edges per live node."""
+    keys = canon.subtree_keys(tree, pin_players=True, pin_outcomes=True, pin_states=True)
+
+    def label_key(label):
+        return sorted(
+            tuple(tuple("\x00" if d is None else d for d in t) for t in seq) for seq in label
+        )
+
+    order = {}
+    for n in tree.iter_nodes():
+        edges = tree.node_children[n]
+        if not edges:
+            order[n] = []
+        elif tree.node_kind[n] == CHANCE:
+            order[n] = sorted(edges, key=lambda e: (-tree.edge_prob[e], keys[tree.edge_dst[e]]))
+        else:
+            order[n] = sorted(edges, key=lambda e: label_key(tree.edge_label[e]))
+    return order
+
+
+def _export_ids(tree: GameTree, order: dict) -> tuple[dict, list]:
+    ids, sequence = {}, []
+    stack = [tree.root]
+    while stack:
+        n = stack.pop()
+        ids[n] = len(sequence)
+        sequence.append(n)
+        for e in reversed(order[n]):
+            stack.append(tree.edge_dst[e])
+    return ids, sequence
+
+
+def export_json(tree: GameTree) -> str:
+    """The tree document as a dict, rendered by ``json.dumps(indent=2)``."""
+    order = _export_order(tree)
+    ids, sequence = _export_ids(tree, order)
+    kind_names = {STATE: "state", CHANCE: "chance", TERMINAL: "terminal"}
+    nodes, edges = [], []
+    for n in sequence:
+        entry: dict = {"id": ids[n], "kind": kind_names[min(tree.node_kind[n], TERMINAL)]}
+        if tree.node_kind[n] == TRUNCATED:
+            entry["kind"] = "state"
+            entry["truncated"] = True
+        if tree.node_state[n] is not None:
+            entry["state"] = list(tree.node_state[n])
+        if tree.node_outcome[n] is not None:
+            entry["outcome"] = tree.node_outcome[n]
+        nodes.append(entry)
+        for e in order[n]:
+            edge: dict = {"from": ids[n], "to": ids[tree.edge_dst[e]]}
+            if tree.edge_kind[e] == DECISION_EDGE:
+                edge["kind"] = "decision"
+                edge["tuples"] = sorted(
+                    ([list(t) for t in seq] for seq in tree.edge_label[e]),
+                    key=lambda s: json.dumps(s),
+                )
+            else:
+                edge["kind"] = "chance"
+                edge["prob"] = str(tree.edge_prob[e])
+            edges.append(edge)
+    doc = {"players": list(tree.players), "root": ids[tree.root], "nodes": nodes, "edges": edges}
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def _dot_escape(text: str) -> str:
+    return text.replace("\\", "\\\\").replace('"', '\\"')
+
+
+def _dot_label(label) -> str:
+    seqs = sorted(
+        label, key=lambda seq: tuple(tuple("\x00" if d is None else d for d in t) for t in seq)
+    )
+    return "{" + ", ".join(".".join(format_decision_tuple(t) for t in seq) for seq in seqs) + "}"
+
+
+def export_dot(tree: GameTree) -> str:
+    """Graphviz text assembled as a list of lines."""
+    order = _export_order(tree)
+    ids, sequence = _export_ids(tree, order)
+    lines = ["digraph gametree {"]
+    for n in sequence:
+        kind = tree.node_kind[n]
+        if kind == STATE:
+            attrs = 'shape=circle style=filled fillcolor=black label="" width=0.15'
+        elif kind == CHANCE:
+            attrs = 'shape=circle label="" width=0.25'
+        elif kind == TERMINAL:
+            attrs = f'shape=doublecircle label="{_dot_escape(tree.node_outcome[n])}"'
+        else:
+            attrs = 'shape=square style=dashed label="..."'
+        lines.append(f"  n{ids[n]} [{attrs}];")
+    for n in sequence:
+        for e in order[n]:
+            if tree.edge_kind[e] == DECISION_EDGE:
+                label = _dot_escape(_dot_label(tree.edge_label[e]))
+            else:
+                label = str(tree.edge_prob[e])
+            lines.append(f'  n{ids[n]} -> n{ids[tree.edge_dst[e]]} [label="{label}"];')
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def cli_trees(forest: list, fmt: str = "json") -> str:
+    """What ``ludokit tree``/``reduce`` print for `forest`: each tree's DOT,
+    one tree's document, or ``{"forest": [...]}`` re-dumped from the parsed
+    documents."""
+    if fmt == "dot":
+        return "".join(export_dot(t) for t in forest)
+    if len(forest) == 1:
+        return export_json(forest[0])
+    doc = {"forest": [json.loads(export_json(t)) for t in forest]}
+    return json.dumps(doc, indent=2) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# Candidate images of matrix choices, by recomputing every profile
+# ---------------------------------------------------------------------------
+
+
+def match_candidates(left, right, order, edge_map):
+    """Per axis pair (i, j): each left choice's images, in right choice order."""
+
+    def profile(cells, axis, choice, image):
+        return tuple(sorted(repr(image(edge)) for joint, edge in cells if joint[axis] == choice))
+
+    lcells = list(left.mapping.items())
+    rcells = list(right.mapping.items())
+    candidates = []
+    for i, j in order:
+        cand = {}
+        for c in left.choice_sets[i]:
+            if edge_map is None:
+                matches = list(right.choice_sets[j])
+            else:
+                lp = profile(lcells, i, c, edge_map.get)
+                matches = [
+                    c2 for c2 in right.choice_sets[j] if profile(rcells, j, c2, int) == lp
+                ]
+            if not matches:
+                return None
+            cand[c] = matches
+        candidates.append(cand)
+    return candidates

@@ -303,6 +303,29 @@ class TestRobustness:
         assert f"{path}:16:" in err and "nesting deeper than" in err
         assert "Traceback" not in err
 
+    def test_non_ascii_digit_exits_2(self, capsys, tmp_path):
+        text = fixture_text("mixed_a.game").replace(
+            "init u=p", "init u=p\nforall i in ²..3 { legal P m when u=q }"
+        )
+        path = tmp_path / "digit.game"
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, "validate", str(path))
+        assert code == 2
+        assert out == ""
+        assert f"{path}:17:" in err and "integer range" in err
+        assert "Traceback" not in err
+
+    def test_long_named_set_chain_exits_2(self, capsys, tmp_path):
+        sets = "".join(f"set S{k} = S{k + 1}\n" for k in range(1500)) + "set S1500 = u=p\n"
+        text = fixture_text("mixed_a.game").replace("init u=p", sets + "init S0")
+        path = tmp_path / "chain.game"
+        path.write_text(text)
+        code, out, err = run(capsys, "validate", str(path))
+        assert code == 2
+        assert out == ""
+        assert "named set 'S1000' starts a chain of set references" in err
+        assert "Traceback" not in err
+
     def test_python_dash_m(self):
         env = dict(os.environ)
         src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")

@@ -214,6 +214,69 @@ class TestDeepNesting:
         assert len(sys.legality_rules) == 1
 
 
+def chain_of_sets(count: int, body: str = "{ref}") -> str:
+    """MINIMAL with init S0 and sets S0 .. S<count-1>, each referencing the
+    next through `body`; the last one is t=a."""
+    sets = "".join(
+        f"set S{k} = " + body.format(ref=f"S{k + 1}") + "\n" for k in range(count - 1)
+    )
+    return MINIMAL.replace("init t=a", sets + f"set S{count - 1} = t=a\ninit S0")
+
+
+class TestNamedSetChains:
+    def test_400_sets_parse_and_evaluate_as_defined(self):
+        import oracles
+
+        sys = parse_game(chain_of_sets(400))
+        assert len(sys.named_sets) == 400
+        assert core.initial_states(sys) == [("a",)] == oracles.initial_states(sys)
+        for name in ("S0", "S200", "S399"):
+            for state in core.enumerate_states(sys):
+                assert core.eval_state_set(core.Ref(name), state, sys) is oracles.eval_expr(
+                    sys, core.Ref(name), state
+                )
+
+    def test_1501_sets_is_a_diagnostic(self):
+        messages = diagnostics_of(chain_of_sets(1501))
+        assert len(messages) == 1
+        assert "'S1000' starts a chain of set references 501 levels deep" in messages[0]
+
+    def test_500_sets_is_the_limit(self):
+        assert len(parse_game(chain_of_sets(500)).named_sets) == 500
+        messages = diagnostics_of(chain_of_sets(501))
+        assert len(messages) == 1 and "'S0' starts a chain" in messages[0]
+
+    def test_deep_sets_count_their_helper_calls(self):
+        # 120 alternating levels inside each set: 1 + 120 // 40 = 4 calls per set
+        body = "(t=a and (t=b or " * 60 + "{ref}" + "))" * 60
+        assert core.initial_states(parse_game(chain_of_sets(125, body))) == [("a",)]
+        messages = diagnostics_of(chain_of_sets(126, body))
+        assert len(messages) == 1 and "'S0' starts a chain" in messages[0]
+
+    def test_cycle_in_a_long_chain(self):
+        text = chain_of_sets(1000).replace("set S999 = t=a", "set S999 = S0")
+        messages = diagnostics_of(text)
+        assert any("cyclic named-set reference through 'S0'" in m for m in messages)
+
+
+@pytest.mark.parametrize("where", [
+    ("forall i in 1..3 if", "forall i in ²..3 if"),
+    ("forall i in 1..3 if", "forall i in 1..³ if"),
+    ("prob 1/2:", "prob ¹/2:"),
+    ("prob 1/2:", "prob 1/²:"),
+    ("if i > 1 {", "if i > ² {"),
+])
+def test_non_ascii_digits_are_diagnostics(where):
+    text = MINIMAL.replace(
+        "consequence (m) -> prob 1: go",
+        "consequence (m) -> prob 1/2: go ; prob 1/2: go\n"
+        "forall i in 1..3 if i > 1 { legal P m when t=b }",
+    )
+    old, new = where
+    assert old in text
+    assert diagnostics_of(text.replace(old, new))
+
+
 class TestSerialization:
     @pytest.mark.parametrize("name", [
         "tictactoe", "3to15", "misere", "perturbed", "endofturn",

@@ -11,7 +11,7 @@ import pytest
 
 import generators
 import oracles
-from ludokit import core, reduce, tree
+from ludokit import core, equiv, reduce, tree
 from ludokit.equiv import (
     agency_equivalent,
     canonical_form,
@@ -442,3 +442,50 @@ class TestCanonicalForm:
                 assert got == expected, f"trial {trial} pin {sorted(pin)}"
                 checked_equal += got
         assert checked_equal > 20  # both verdicts exercised
+
+
+class TestMatchCandidates:
+    """`equiv._candidates` groups right choices by profile; the candidate lists
+    must equal those of recomputing every profile per left choice."""
+
+    def state_pairs(self, witness):
+        for pair in witness.pairs:
+            lt = witness.left_forest[pair.left_index]
+            rt = witness.right_forest[pair.right_index]
+            for u, v in sorted(pair.node_map.items()):
+                if lt.node_kind[u] == STATE and lt.node_children[u]:
+                    yield lt, rt, u, v, pair.node_map
+
+    def assert_candidates_agree(self, witness, rng) -> int:
+        checked = 0
+        for lt, rt, u, v, node_map in self.state_pairs(witness):
+            lm, rm = decision_matrix(lt, u), decision_matrix(rt, v)
+            rindex = {p: i for i, p in enumerate(rm.players)}
+            order = [(i, rindex[witness.player_map[p]]) for i, p in enumerate(lm.players)]
+            edge_map = equiv._induced_edge_map(lt, rt, node_map, u, v)
+            right_edges = list(edge_map.values())
+            rng.shuffle(right_edges)
+            scrambled = dict(zip(edge_map, right_edges))
+            for em in (None, edge_map, scrambled):
+                assert equiv._candidates(lm, rm, order, em) == oracles.match_candidates(
+                    lm, rm, order, em
+                )
+            checked += 1
+        return checked
+
+    def test_random_trees_and_normal_forms(self):
+        rng = random.Random(11)
+        checked = 0
+        for _ in range(80):
+            a = generators.random_tree(rng, max_nodes=30, n_players=rng.choice((2, 3)))
+            b, _ = reduce.normalize(a)
+            for left, right in ((a, a.copy()), (b, b.copy())):
+                w = equivalent_up_to_relabeling(left, right)
+                checked += self.assert_candidates_agree(w, rng)
+        assert checked > 500
+
+    def test_tictactoe_against_3to15(self, systems):
+        forests = [tree.build_forest(systems[g], depth_limit=3) for g in ("tictactoe", "3to15")]
+        w = equivalent_up_to_relabeling(*forests)
+        assert self.assert_candidates_agree(w, random.Random(3)) > 50
+        assert verify_witness(w) == []
