@@ -25,7 +25,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from hashlib import blake2b
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .errors import LabelingLimitError
 from .tree import CHANCE, GameTree, STATE, TERMINAL, choice_rank, decoded_label
@@ -51,67 +51,45 @@ class CanonicalKey:
 
 
 # ---------------------------------------------------------------------------
-# Edge-label decoding (cached on the tree; labels repeat heavily)
+# Per-node matrix facts (cached on the tree under the node's edge labels)
 # ---------------------------------------------------------------------------
 
 
-def _label_projections(tree: GameTree, label) -> tuple[frozenset, ...]:
-    """Per-player choice sets contributed by one edge label, cached."""
-    cache = tree.label_cache
-    key = ("proj", label)
-    proj = cache.get(key)
-    if proj is None:
-        joints = decoded_label(tree, label)
-        proj = tuple(
-            frozenset(j[i] for j in joints) for i in range(len(tree.players))
+class NodeMeta(NamedTuple):
+    """What a state node's out-edge labels spell, per player and per edge."""
+
+    choices: tuple[frozenset, ...]  # per player: the node's choice set
+    sizes: tuple[int, ...]  # per player: len(choices[i])
+    counts: tuple[int, ...]  # per edge: joint choices mapped onto it
+    active: int  # players with more than one choice
+    decoded: tuple[tuple, ...]  # per edge: its (sequence, joint) pairs
+
+
+def _node_meta(tree: GameTree, node: int) -> NodeMeta:
+    """The node's matrix facts, cached under its tuple of edge labels.
+
+    Labels are immutable values, so no rewrite can make an entry stale;
+    nodes with equal labels (equal matrices) share one entry.
+    """
+    labels = tuple([tree.edge_label[e] for e in tree.node_children[node]])
+    meta = tree.label_cache.get(labels)
+    if meta is None:
+        decoded = tuple([decoded_label(tree, label) for label in labels])
+        choices = tuple(
+            frozenset([joint[i] for pairs in decoded for _, joint in pairs])
+            for i in range(len(tree.players))
         )
-        cache[key] = proj
-    return proj
-
-
-def node_player_sizes(tree: GameTree, node: int) -> list[int]:
-    """Per-player choice-set sizes at a state node (by player index)."""
-    cached = tree.node_cache.get(node)
-    if cached is not None:
-        return cached[0]
-    return _node_meta(tree, node)[0]
-
-
-def _node_meta(tree: GameTree, node: int):
-    """(per-player sizes, per-edge joint counts, active-player count); cached
-    until the tree is next mutated."""
-    cached = tree.node_cache.get(node)
-    if cached is not None:
-        return cached
-    edges = tree.node_children[node]
-    projections = [_label_projections(tree, tree.edge_label[e]) for e in edges]
-    n = len(tree.players)
-    sizes = []
-    for i in range(n):
-        first = projections[0][i]
-        for proj in projections[1:]:
-            if proj[i] is not first and proj[i] != first:
-                union = set(first)
-                for p2 in projections:
-                    union.update(p2[i])
-                sizes.append(len(union))
-                break
-        else:
-            sizes.append(len(first))
-    counts = [len(decoded_label(tree, tree.edge_label[e])) for e in edges]
-    active = sum(1 for s in sizes if s > 1)
-    meta = (sizes, counts, active)
-    tree.node_cache[node] = meta
+        sizes = tuple([len(c) for c in choices])
+        meta = tree.label_cache[labels] = NodeMeta(
+            choices, sizes, tuple([len(pairs) for pairs in decoded]),
+            sum(1 for s in sizes if s > 1), decoded,
+        )
     return meta
 
 
-def _node_joint_choices(tree: GameTree, node: int) -> list[tuple]:
-    """All joint choice tuples at a state node, with their edge ids."""
-    out = []
-    for e in tree.node_children[node]:
-        for joint in decoded_label(tree, tree.edge_label[e]):
-            out.append((joint, e))
-    return out
+def node_player_sizes(tree: GameTree, node: int) -> tuple[int, ...]:
+    """Per-player choice-set sizes at a state node (by player index)."""
+    return _node_meta(tree, node).sizes
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +219,12 @@ def _matrix_fingerprint_general(
 
 def matrix_structure(tree: GameTree, node: int, axis_order: list[int]):
     """Cells and per-axis choice lists of the node's matrix, in axis order."""
-    joints = _node_joint_choices(tree, node)
+    edges = tree.node_children[node]
+    joints = [
+        (joint, e)
+        for e, pairs in zip(edges, _node_meta(tree, node).decoded)
+        for _, joint in pairs
+    ]
     per_axis: list[dict] = [{} for _ in axis_order]
     for joint, _ in joints:
         for pos, player_idx in enumerate(axis_order):
@@ -310,14 +293,6 @@ def literal_player_codes(players) -> dict[str, bytes]:
 
 def literal_outcome_codes(outcomes) -> dict[str, bytes]:
     return {o: b"O:" + o.encode() for o in outcomes}
-
-
-def tree_outcomes(tree: GameTree) -> set[str]:
-    return {
-        tree.node_outcome[n]
-        for n in tree.iter_nodes()
-        if tree.node_kind[n] == TERMINAL
-    }
 
 
 def _postorder(tree: GameTree, node: int, done=()) -> list[int]:
@@ -418,7 +393,7 @@ def _fill_keys(
         kind = node_kind[n]
         if kind == STATE:
             edges = node_children[n]
-            sizes, counts, active = meta_of(tree, n)
+            _, sizes, counts, active, _ = meta_of(tree, n)
             if active <= 1:
                 # Single-active-player matrix: fully described by sizes plus
                 # the multiset of (child key, choices onto the child's edge).
@@ -467,7 +442,7 @@ def ordered_edges(
     current labeling assignment.
     """
     edges = tree.node_children[node]
-    sizes, counts, active = _node_meta(tree, node)
+    _, sizes, counts, active, _ = _node_meta(tree, node)
     if active <= 1:
         pairs = sorted(
             (keys[tree.edge_dst[e]] + b"#%d;" % c, e) for e, c in zip(edges, counts)

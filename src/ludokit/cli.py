@@ -238,7 +238,6 @@ def cmd_reduce(args) -> int:
 def cmd_equiv(args) -> int:
     left = _load_forest(args.a, args.budget)
     right = _load_forest(args.b, args.budget)
-    pin = frozenset(p.strip() for p in args.pin.split(",") if p.strip())
     try:
         if args.mode == "structural":
             lskel = sorted(equiv.strip(t).digest for t in left)
@@ -246,7 +245,7 @@ def cmd_equiv(args) -> int:
             verdict = lskel == rskel
             witness = None
         elif args.mode == "relabel":
-            witness = equiv.equivalent_up_to_relabeling(left, right, pin=pin)
+            witness = equiv.equivalent_up_to_relabeling(left, right, pin=args.pin)
             verdict = witness is not None
         else:
             witness = equiv.agency_equivalent(left, right)
@@ -274,7 +273,7 @@ def cmd_sim(args) -> int:
                 psi = StateMap.from_json(handle.read())
         except OSError as exc:
             raise _Failure(f"cannot read {args.map}: {exc.strerror}") from exc
-        except (LudokitError, json.JSONDecodeError) as exc:
+        except LudokitError as exc:
             raise _Failure(f"{args.map}: {exc}") from exc
     else:
         psi = StateMap.identity(left, right)
@@ -305,6 +304,13 @@ def cmd_sim(args) -> int:
 # ---------------------------------------------------------------------------
 # Argument parsing
 # ---------------------------------------------------------------------------
+
+
+def _pin_flags(text: str) -> frozenset:
+    try:
+        return equiv._as_pin(p.strip() for p in text.split(",") if p.strip())
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _non_negative(text: str) -> int:
@@ -360,7 +366,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("a")
     p.add_argument("b")
     p.add_argument("--mode", choices=["structural", "relabel", "agency"], default="relabel")
-    p.add_argument("--pin", default="", help="comma list from players,outcomes,states")
+    p.add_argument("--pin", type=_pin_flags, default="",
+                   help="comma list from players,outcomes,states")
     p.add_argument("--witness", action="store_true", help="print the witness JSON")
     p.add_argument("--budget", type=_non_negative, default=DEFAULT_NODE_BUDGET)
     p.add_argument("--json", action="store_true")

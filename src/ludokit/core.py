@@ -43,18 +43,6 @@ DecisionTuple = tuple[Optional[str], ...]
 WILDCARD = "*"
 
 
-def parse_probability(text: str) -> Fraction:
-    """Parse a probability literal like ``1/2`` or ``1``."""
-    frac = Fraction(text.strip())
-    if not 0 < frac <= 1:
-        raise ValueError(f"probability {text!r} not in (0, 1]")
-    return frac
-
-
-def format_probability(p: Fraction) -> str:
-    return str(p)
-
-
 # ---------------------------------------------------------------------------
 # State-set expressions
 # ---------------------------------------------------------------------------

@@ -675,12 +675,12 @@ def equivalent_up_to_relabeling(
 # ---------------------------------------------------------------------------
 
 
-def _normal_forms(value, consume: bool) -> list[GameTree]:
-    if isinstance(value, GameSystem):
-        forest = build_forest(value)
-        return [reduce_mod.normalize(t, consume=True)[0] for t in forest]
-    forest = _as_forest(value)
-    return [reduce_mod.normalize(t, consume=consume)[0] for t in forest]
+def _normal_forms(value) -> list[GameTree]:
+    """Normal forms of a system's full forest (built here, so consumed) or of
+    a caller's trees (copied first)."""
+    built = isinstance(value, GameSystem)
+    forest = build_forest(value) if built else _as_forest(value)
+    return [reduce_mod.normalize(t, consume=built)[0] for t in forest]
 
 
 def agency_equivalent(
@@ -692,9 +692,7 @@ def agency_equivalent(
     forests.  The returned witness refers to the normal forms, which it
     carries as its forests.
     """
-    left_forms = _normal_forms(left, consume=False)
-    right_forms = _normal_forms(right, consume=False)
-    return equivalent_up_to_relabeling(left_forms, right_forms)
+    return equivalent_up_to_relabeling(_normal_forms(left), _normal_forms(right))
 
 
 # ---------------------------------------------------------------------------

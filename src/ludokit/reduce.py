@@ -21,7 +21,10 @@ pass hash-conses its input first and normalizes each distinct subtree once;
 later copies share the finished subtree, and the normal form is unfolded
 back into a tree on output.  The public `reduce_*` operations apply one
 maximal site at a time and verify the measure (node count, then total
-choice count) strictly decreases.
+choice count) strictly decreases; a site whose node has been cut off from
+the root, or whose structure no longer holds, raises `StaleSiteError`.
+Per-node matrix facts come from `canon._node_meta`, which caches them under
+the node's edge labels, so rewrites need no cache invalidation.
 
 Sites that touch truncated frontier nodes are skipped, so depth-limited
 partial trees normalize deterministically without inventing semantics for
@@ -47,20 +50,23 @@ from .tree import (
     TERMINAL,
     TRUNCATED,
     choice_rank,
-    decoded_label,
 )
 
 MAX_LABEL_SEQUENCES = 1_000_000
+_NULL_ONLY = frozenset({None})
 
 
 @dataclass(frozen=True)
 class ReductionSite:
-    """A detected rewrite opportunity, bound to the tree version it was found on."""
+    """A detected rewrite opportunity at node `root`.
+
+    Applying it re-checks that `root` is still reachable from the tree's
+    root and that the site's structure still holds.
+    """
 
     kind: str  # "matrix-redundancy" | "bookkeeping" | "single-player" | "symmetry"
     root: int
     payload: tuple = ()
-    version: int = 0
 
 
 @dataclass(frozen=True)
@@ -106,26 +112,6 @@ class ReductionTrace:
 # ---------------------------------------------------------------------------
 
 
-def _seq_joint(tree: GameTree, seq) -> tuple:
-    """The joint choice tuple encoded by one tuple sequence (cached)."""
-    key = ("seq", seq)
-    joint = tree.label_cache.get(key)
-    if joint is None:
-        joint = decoded_label(tree, frozenset({seq}))[0]
-        tree.label_cache[key] = joint
-    return joint
-
-
-def _projections(tree: GameTree, node: int) -> list[set]:
-    n = len(tree.players)
-    unions: list[set] = [set() for _ in range(n)]
-    for e in tree.node_children[node]:
-        for joint in decoded_label(tree, tree.edge_label[e]):
-            for i, c in enumerate(joint):
-                unions[i].add(c)
-    return unions
-
-
 def node_choice_total(tree: GameTree, node: int) -> int:
     """Total choice-set cardinality of the node's decision matrix (0 off state nodes)."""
     if tree.node_kind[node] != STATE or not tree.node_children[node]:
@@ -156,10 +142,26 @@ def _owner_of(tree: GameTree, node: int) -> Optional[int]:
     """The unique player with a non-null choice at the node, if any."""
     if tree.node_kind[node] != STATE:
         return None
-    candidates = [
-        i for i, u in enumerate(_projections(tree, node)) if u != {None}
-    ]
+    choices = canon._node_meta(tree, node).choices
+    candidates = [i for i, c in enumerate(choices) if c != _NULL_ONLY]
     return candidates[0] if len(candidates) == 1 else None
+
+
+def _is_live(tree: GameTree, node: int) -> bool:
+    """Is `node` still reachable from the root along current edges?"""
+    while node != tree.root:
+        e = tree.node_parent_edge[node]
+        if e < 0 or tree.edge_dst[e] != node:
+            return False
+        node = tree.edge_src[e]
+        if e not in tree.node_children[node]:
+            return False
+    return True
+
+
+def _check_live(tree: GameTree, node: int) -> None:
+    if not _is_live(tree, node):
+        raise StaleSiteError(f"node {node} is no longer in the tree")
 
 
 def _has_truncated(tree: GameTree, node: int) -> bool:
@@ -182,22 +184,25 @@ def _splice_into(tree: GameTree, old: int, new: int) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _matrix_redundancy_at(tree: GameTree, node: int) -> bool:
-    """Delete redundant choices at the node; returns True if anything changed."""
-    n = len(tree.players)
-    entries: list[tuple[int, tuple, tuple]] = []  # (edge, seq, joint)
-    for e in tree.node_children[node]:
-        for seq in tree.edge_label[e]:
-            entries.append((e, seq, _seq_joint(tree, seq)))
+def _pruned_labels(meta: canon.NodeMeta) -> Optional[list[frozenset]]:
+    """Per-edge labels once every redundant choice is deleted, or None.
+
+    A choice of one player is redundant when another of that player's
+    choices leads to the same edge against every joint choice of the
+    others; of such a group the first by `choice_rank` survives.  Deleting
+    repeats until no choice is redundant.  A pure function of the labels.
+    """
+    entries = [
+        (pos, seq, joint) for pos, pairs in enumerate(meta.decoded) for seq, joint in pairs
+    ]
+    n = len(meta.choices)
     changed = False
     while True:
         deleted = False
         for i in range(n):
             sig: dict = {}
-            for e, _, joint in entries:
-                sig.setdefault(joint[i], []).append(
-                    (joint[:i] + joint[i + 1 :], e)
-                )
+            for pos, _, joint in entries:
+                sig.setdefault(joint[i], []).append((joint[:i] + joint[i + 1 :], pos))
             groups: dict = {}
             for choice, results in sig.items():
                 groups.setdefault(tuple(sorted(results, key=repr)), []).append(choice)
@@ -208,56 +213,43 @@ def _matrix_redundancy_at(tree: GameTree, node: int) -> bool:
                     doomed.update(members[1:])
             if doomed:
                 entries = [t for t in entries if t[2][i] not in doomed]
-                deleted = True
-                changed = True
+                deleted = changed = True
         if not deleted:
             break
-    if changed:
-        per_edge: dict[int, set] = {e: set() for e in tree.node_children[node]}
-        for e, seq, _ in entries:
-            per_edge[e].add(seq)
-        for e, seqs in per_edge.items():
-            if not seqs:
-                raise AssertionError("matrix redundancy orphaned an edge")
-            tree.edge_label[e] = frozenset(seqs)
-        tree.touch()
-    return changed
+    if not changed:
+        return None
+    per_edge: list[set] = [set() for _ in meta.decoded]
+    for pos, seq, _ in entries:
+        per_edge[pos].add(seq)
+    if not all(per_edge):
+        raise AssertionError("matrix redundancy orphaned an edge")
+    return [frozenset(seqs) for seqs in per_edge]
+
+
+def _matrix_redundancy_at(tree: GameTree, node: int) -> bool:
+    """Delete redundant choices at the node; returns True if anything changed."""
+    pruned = _pruned_labels(canon._node_meta(tree, node))
+    if pruned is None:
+        return False
+    for e, label in zip(tree.node_children[node], pruned):
+        tree.edge_label[e] = label
+    return True
 
 
 def find_matrix_redundancy_sites(tree: GameTree) -> list[ReductionSite]:
-    sites = []
-    for node in tree.iter_nodes():
-        if tree.node_kind[node] != STATE or not tree.node_children[node]:
-            continue
-        if _node_has_redundancy(tree, node):
-            sites.append(ReductionSite("matrix-redundancy", node, (), tree.version))
-    return sites
-
-
-def _node_has_redundancy(tree: GameTree, node: int) -> bool:
-    n = len(tree.players)
-    joints = []
-    for e in tree.node_children[node]:
-        for joint in decoded_label(tree, tree.edge_label[e]):
-            joints.append((joint, e))
-    for i in range(n):
-        sig: dict = {}
-        for joint, e in joints:
-            sig.setdefault(joint[i], []).append((joint[:i] + joint[i + 1 :], e))
-        canonical = {}
-        for choice, results in sig.items():
-            key = tuple(sorted(results, key=repr))
-            if key in canonical:
-                return True
-            canonical[key] = choice
-    return False
+    return [
+        ReductionSite("matrix-redundancy", node)
+        for node in tree.iter_nodes()
+        if tree.node_kind[node] == STATE
+        and tree.node_children[node]
+        and _pruned_labels(canon._node_meta(tree, node)) is not None
+    ]
 
 
 def reduce_matrix_redundancy(tree: GameTree, site) -> GameTree:
     """Apply the duplicate-choice reduction at one node (no-op if none)."""
     node = site.root if isinstance(site, ReductionSite) else site
-    if isinstance(site, ReductionSite) and site.version != tree.version:
-        raise StaleSiteError(f"site detected on version {site.version}, tree at {tree.version}")
+    _check_live(tree, node)
     if tree.node_kind[node] != STATE:
         raise TreeInvariantError(f"node {node} is not a state node")
     _matrix_redundancy_at(tree, node)
@@ -320,19 +312,18 @@ def find_bookkeeping_sites(tree: GameTree) -> list[ReductionSite]:
         if touches:
             continue
         if not has_chance:
-            sites.append(ReductionSite("bookkeeping", node, ("case1",), tree.version))
+            sites.append(ReductionSite("bookkeeping", node, ("case1",)))
             continue
         if parent < 0 and len(interiors) == 2 and tree.node_kind[interiors[1]] == CHANCE:
             continue  # root -> chance -> leaves is already the reduced shape
-        sites.append(ReductionSite("bookkeeping", node, ("case2",), tree.version))
+        sites.append(ReductionSite("bookkeeping", node, ("case2",)))
     return sites
 
 
 def reduce_bookkeeping(tree: GameTree, site: ReductionSite) -> GameTree:
     """Collapse one maximal bookkeeping subtree (cases per the definition)."""
-    if site.version != tree.version:
-        raise StaleSiteError(f"site detected on version {site.version}, tree at {tree.version}")
     root = site.root
+    _check_live(tree, root)
     if not _is_forced(tree, root):
         raise StaleSiteError(f"node {root} no longer roots a bookkeeping subtree")
     interiors, leaves, has_chance, touches = _bookkeeping_walk(tree, root)
@@ -342,7 +333,6 @@ def reduce_bookkeeping(tree: GameTree, site: ReductionSite) -> GameTree:
         assert len(leaves) == 1
         leaf = leaves[0][0]
         _splice_into(tree, root, leaf)
-        tree.touch()
         return tree
     total = sum((p for _, p in leaves), Fraction(0))
     if total != 1:
@@ -369,7 +359,6 @@ def reduce_bookkeeping(tree: GameTree, site: ReductionSite) -> GameTree:
         _splice_into(tree, root, c)
         for leaf, p in leaves:
             tree.add_edge(c, leaf, CHANCE_EDGE, prob=p)
-    tree.touch()
     return tree
 
 
@@ -426,8 +415,6 @@ def _absorb_children_once(tree: GameTree, v: int, owner: int) -> list[int]:
         for leaf, label in new_labels:
             tree.add_edge(v, leaf, DECISION_EDGE, label=label)
         absorbed.append(w)
-    if absorbed:
-        tree.touch()
     return absorbed
 
 
@@ -461,15 +448,14 @@ def find_single_player_sites(tree: GameTree) -> list[ReductionSite]:
             and _absorbable(tree, parent, _owner_of(tree, parent), node)
         ):
             continue  # parent's site strictly contains this one
-        sites.append(ReductionSite("single-player", node, (), tree.version))
+        sites.append(ReductionSite("single-player", node))
     return sites
 
 
 def reduce_single_player(tree: GameTree, site: ReductionSite) -> GameTree:
     """Collapse one maximal single-player subtree into composite choices."""
-    if site.version != tree.version:
-        raise StaleSiteError(f"site detected on version {site.version}, tree at {tree.version}")
     root = site.root
+    _check_live(tree, root)
     if not _single_player_site_at(tree, root):
         raise StaleSiteError(f"node {root} no longer roots a single-player site")
     owner = _owner_of(tree, root)
@@ -504,20 +490,16 @@ def find_symmetry_sites(tree: GameTree) -> list[ReductionSite]:
             if len(edges) > 1:
                 survivor = edges[0]
                 for victim in edges[1:]:
-                    sites.append(
-                        ReductionSite("symmetry", node, (victim, survivor), tree.version)
-                    )
+                    sites.append(ReductionSite("symmetry", node, (victim, survivor)))
     return sites
 
 
 def _merge_pair(tree: GameTree, parent: int, victim_edge: int, survivor_edge: int) -> bool:
     """Merge victim subtree onto survivor; returns True if the parent chance
     node was spliced out (merged probability reached 1)."""
-    victim = tree.edge_dst[victim_edge]
     if tree.edge_kind[victim_edge] == DECISION_EDGE:
         tree.edge_label[survivor_edge] = tree.edge_label[survivor_edge] | tree.edge_label[victim_edge]
         tree.node_children[parent].remove(victim_edge)
-        tree.touch()
         return False
     prob = tree.edge_prob[survivor_edge] + tree.edge_prob[victim_edge]
     tree.edge_prob[survivor_edge] = prob
@@ -526,18 +508,15 @@ def _merge_pair(tree: GameTree, parent: int, victim_edge: int, survivor_edge: in
         assert len(tree.node_children[parent]) == 1
         survivor = tree.edge_dst[survivor_edge]
         _splice_into(tree, parent, survivor)
-        tree.touch()
         return True
-    tree.touch()
     return False
 
 
 def reduce_symmetry(tree: GameTree, site: ReductionSite) -> GameTree:
     """Merge one symmetry-redundant subtree into its sibling."""
-    if site.version != tree.version:
-        raise StaleSiteError(f"site detected on version {site.version}, tree at {tree.version}")
     victim_edge, survivor_edge = site.payload
     parent = site.root
+    _check_live(tree, parent)
     if victim_edge not in tree.node_children[parent] or survivor_edge not in tree.node_children[parent]:
         raise StaleSiteError("merge edges are no longer siblings")
     keys = canon.subtree_keys(tree, pin_players=True, pin_outcomes=True)
@@ -643,7 +622,6 @@ def _normalize_fast(tree: GameTree, trace: ReductionTrace) -> GameTree:
         if x_kind in (STATE, TERMINAL):
             tree.edge_dst[e_vw] = x
             tree.node_parent_edge[x] = e_vw
-            tree.touch()
             record("bookkeeping", w, -1, -w_choices)
             return True
         if x_kind == CHANCE:
@@ -657,12 +635,10 @@ def _normalize_fast(tree: GameTree, trace: ReductionTrace) -> GameTree:
                 tree.node_children[v].remove(e_vw)
                 for e in tree.node_children[x]:
                     tree.add_edge(v, tree.edge_dst[e], CHANCE_EDGE, prob=p_r * tree.edge_prob[e])
-                tree.touch()
                 record("bookkeeping", w, -2, -w_choices)
             else:
                 tree.edge_dst[e_vw] = x
                 tree.node_parent_edge[x] = e_vw
-                tree.touch()
                 record("bookkeeping", w, -1, -w_choices)
             return True
         return False  # truncated target: skip
@@ -758,7 +734,6 @@ def _normalize_fast(tree: GameTree, trace: ReductionTrace) -> GameTree:
         cost = node_choice_total(tree, old_root)
         tree.root = x
         tree.node_parent_edge[x] = -1
-        tree.touch()
         record("bookkeeping", old_root, -1, -cost)
     return tree
 

@@ -113,7 +113,10 @@ class StateMap:
 
     @staticmethod
     def from_json(text: str) -> "StateMap":
-        doc = json.loads(text)
+        try:
+            doc = json.loads(text)
+        except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
+            raise StateMapError(f"malformed state map JSON: {exc}") from exc
         if not isinstance(doc, dict) or "tracks" not in doc or "values" not in doc:
             raise StateMapError("state map JSON needs 'tracks' and 'values' objects")
 

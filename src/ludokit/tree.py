@@ -3,7 +3,9 @@
 Trees are stored as flat arenas (parallel arrays indexed by node/edge id)
 because realistic games produce trees with millions of nodes.  Deleted
 nodes become unreachable tombstones; `compact` renumbers densely and
-unfolds nodes that normalization left shared.
+unfolds nodes that normalization left shared.  Facts derived from edge
+labels are cached under the (immutable) labels themselves, so rewriting a
+tree never makes a cache entry stale.
 
 Node kinds: state, chance, terminal, truncated.  Decision edges leave state
 nodes and carry a nonempty set of decision-tuple sequences (a freshly built
@@ -64,16 +66,15 @@ class GameTree:
     __slots__ = (
         "players", "node_kind", "node_state", "node_outcome", "node_children",
         "node_parent_edge", "edge_kind", "edge_src", "edge_dst", "edge_prob",
-        "edge_label", "root", "system", "version", "label_cache", "node_cache",
+        "edge_label", "root", "system", "label_cache",
     )
 
     def __init__(self, players: tuple[str, ...], system: Optional[GameSystem] = None):
         self.players = players
         self.system = system
-        # label_cache: keyed by immutable label values, survives mutation;
-        # node_cache: keyed by node ids, dropped on every mutation.
+        # Keyed by immutable label values (an edge label, or a node's tuple
+        # of out-edge labels), so it survives every rewrite.
         self.label_cache: dict = {}
-        self.node_cache: dict = {}
         self.node_kind = array("b")
         self.node_state: list[Optional[GameState]] = []
         self.node_outcome: list[Optional[str]] = []
@@ -85,7 +86,6 @@ class GameTree:
         self.edge_prob: list[Optional[Fraction]] = []
         self.edge_label: list[Optional[EdgeLabel]] = []
         self.root = -1
-        self.version = 0
 
     # -- construction -------------------------------------------------------
 
@@ -120,11 +120,6 @@ class GameTree:
         self.node_parent_edge[dst] = eid
         return eid
 
-    def touch(self) -> None:
-        self.version += 1
-        if self.node_cache:
-            self.node_cache = {}
-
     # -- queries ------------------------------------------------------------
 
     def kind_name(self, node: int) -> str:
@@ -138,9 +133,6 @@ class GameTree:
         e = self.node_parent_edge[node]
         return -1 if e < 0 else self.edge_src[e]
 
-    def is_leaf(self, node: int) -> bool:
-        return not self.node_children[node]
-
     def iter_nodes(self) -> Iterator[int]:
         """Live nodes, preorder from the root."""
         stack = [self.root]
@@ -150,10 +142,6 @@ class GameTree:
             children = self.node_children[n]
             for e in reversed(children):
                 stack.append(self.edge_dst[e])
-
-    def iter_edges(self) -> Iterator[int]:
-        for n in self.iter_nodes():
-            yield from self.node_children[n]
 
     def node_count(self) -> int:
         return sum(1 for _ in self.iter_nodes())
@@ -189,7 +177,6 @@ class GameTree:
         dup.edge_prob = list(self.edge_prob)
         dup.edge_label = list(self.edge_label)
         dup.root = self.root
-        dup.version = self.version
         return dup
 
     def compact(self) -> "GameTree":
@@ -390,52 +377,42 @@ class DecisionMatrix:
         return list(self.mapping)
 
 
-def _joint_choices_of_label(
-    label: EdgeLabel, n_players: int, where: str
-) -> list[tuple[Choice, ...]]:
-    """Decode an edge label into joint choice tuples.
+def _decode_seq(seq: TupleSeq, n_players: int, where: str) -> tuple[Choice, ...]:
+    """The joint choice tuple one tuple sequence of an edge label encodes.
 
-    A length-1 sequence contributes the tuple itself; a longer sequence is a
+    A length-1 sequence is the tuple itself; a longer sequence is a
     composite choice belonging to the single player who acts in it.
     """
-    joints: list[tuple[Choice, ...]] = []
-    for seq in label:
-        if len(seq) == 1:
-            entries = seq[0]
-            if len(entries) != n_players:
-                raise TreeInvariantError(f"{where}: tuple arity {len(entries)} != {n_players}")
-            joints.append(tuple(entries))
-        else:
-            owners = {
-                i
-                for dtuple in seq
-                for i, d in enumerate(dtuple)
-                if d is not None
-            }
-            if len(owners) != 1:
-                raise TreeInvariantError(
-                    f"{where}: composite sequence must belong to exactly one player"
-                )
-            owner = owners.pop()
-            joint: list[Choice] = [None] * n_players
-            joint[owner] = seq
-            joints.append(tuple(joint))
-    return joints
+    if len(seq) == 1:
+        entries = seq[0]
+        if len(entries) != n_players:
+            raise TreeInvariantError(f"{where}: tuple arity {len(entries)} != {n_players}")
+        return tuple(entries)
+    owners = {i for dtuple in seq for i, d in enumerate(dtuple) if d is not None}
+    if len(owners) != 1:
+        raise TreeInvariantError(
+            f"{where}: composite sequence must belong to exactly one player"
+        )
+    joint: list[Choice] = [None] * n_players
+    joint[owners.pop()] = seq
+    return tuple(joint)
 
 
 def decoded_label(tree: GameTree, label: EdgeLabel) -> tuple:
-    """Joint choice tuples of an edge label, cached per tree.
+    """(tuple sequence, joint choice tuple) pairs of an edge label, cached.
 
     Labels repeat heavily across a tree (every claim-cell-3 edge carries the
-    same tuple set), so hot paths share one decode per distinct label.
+    same tuple set), so hot paths share one decode per distinct label.  Each
+    sequence stays paired with its joint: an equal label need not iterate
+    its sequences in the same order.
     """
-    joints = tree.label_cache.get(label)
-    if joints is None:
-        joints = tuple(
-            _joint_choices_of_label(label, len(tree.players), "label")
+    pairs = tree.label_cache.get(label)
+    if pairs is None:
+        n = len(tree.players)
+        pairs = tree.label_cache[label] = tuple(
+            (seq, _decode_seq(seq, n, "label")) for seq in label
         )
-        tree.label_cache[label] = joints
-    return joints
+    return pairs
 
 
 def decision_matrix(tree: GameTree, node: int) -> DecisionMatrix:
@@ -461,7 +438,8 @@ def decision_matrix(tree: GameTree, node: int) -> DecisionMatrix:
         label = tree.edge_label[e]
         if not label:
             raise TreeInvariantError(f"edge {e} has an empty tuple set")
-        for joint in _joint_choices_of_label(label, n, f"edge {e}"):
+        for seq in label:
+            joint = _decode_seq(seq, n, f"edge {e}")
             if all(c is None for c in joint):
                 raise TreeInvariantError(f"edge {e} carries an all-null decision tuple")
             if joint in mapping:
@@ -611,6 +589,8 @@ def _preorder(tree: GameTree) -> tuple[list[int], dict[int, int], list[list[int]
 
 
 def _seq_from_json(data, n_players: int, where: str) -> TupleSeq:
+    if not isinstance(data, list):
+        raise TreeInvariantError(f"{where}: malformed tuple sequence {data!r}")
     seq = []
     for dtuple in data:
         if not isinstance(dtuple, list) or len(dtuple) != n_players:
@@ -737,13 +717,15 @@ def import_json(text: str) -> GameTree:
     """Parse and fully validate a tree document."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
         raise TreeInvariantError(f"malformed JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise TreeInvariantError("tree document must be a JSON object")
     players = doc.get("players")
     if not isinstance(players, list) or not players or not all(isinstance(p, str) for p in players):
         raise TreeInvariantError("tree document needs a nonempty 'players' list")
+    if len(set(players)) != len(players):
+        raise TreeInvariantError(f"tree document repeats a player name: {players!r}")
     tree = GameTree(tuple(players))
     nodes = doc.get("nodes")
     edges = doc.get("edges")
@@ -755,10 +737,9 @@ def import_json(text: str) -> GameTree:
             raise TreeInvariantError(f"malformed node entry {entry!r}")
         node_id = _node_ref(entry["id"], "node 'id'")
         kind_name = entry["kind"]
-        if kind_name not in _KIND_CODES or kind_name == "truncated":
-            if kind_name != "truncated":
-                raise TreeInvariantError(f"unknown node kind {kind_name!r}")
-        kind = _KIND_CODES[kind_name] if kind_name != "truncated" else TRUNCATED
+        if not isinstance(kind_name, str) or kind_name not in _KIND_CODES:
+            raise TreeInvariantError(f"unknown node kind {kind_name!r}")
+        kind = _KIND_CODES[kind_name]
         if entry.get("truncated"):
             if kind_name != "state":
                 raise TreeInvariantError("only state nodes can be truncated")

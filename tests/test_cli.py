@@ -326,6 +326,46 @@ class TestRobustness:
         assert "named set 'S1000' starts a chain of set references" in err
         assert "Traceback" not in err
 
+    def test_unknown_pin_flag_exits_2(self, capsys):
+        parity = fixture_path("parity.game")
+        code, out, err = run(capsys, "equiv", parity, parity, "--pin", "players,bogus")
+        assert code == 2
+        assert out == ""
+        assert "unknown pin flags: ['bogus']" in err
+        assert "Traceback" not in err
+
+    def test_non_list_tuple_sequence_exits_2(self, capsys, tmp_path):
+        doc = json.loads(fixture_text("swap_pair_left.json"))
+        next(e for e in doc["edges"] if e["kind"] == "decision")["tuples"] = [5]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        for verb in (["equiv", str(path), str(path)], ["reduce", str(path)]):
+            code, out, err = run(capsys, *verb)
+            assert code == 2
+            assert out == ""
+            assert "malformed tuple sequence 5" in err
+
+    def test_duplicate_players_exit_2(self, capsys, tmp_path):
+        doc = json.loads(fixture_text("swap_pair_left.json"))
+        doc["players"] = [doc["players"][0]] * len(doc["players"])
+        path = tmp_path / "dup.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "equiv", str(path), str(path))
+        assert code == 2
+        assert out == ""
+        assert "repeats a player name" in err
+
+    def test_malformed_map_json_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "psi.json"
+        path.write_text('{"tracks": ')
+        code, out, err = run(
+            capsys, "sim", fixture_path("mixed_a.game"), fixture_path("mixed_b.game"),
+            "--map", str(path), "--samples", "5",
+        )
+        assert code == 2
+        assert out == ""
+        assert f"{path}: malformed state map JSON" in err
+
     def test_python_dash_m(self):
         env = dict(os.environ)
         src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")

@@ -282,7 +282,6 @@ class TestEquivalentUpToRelabeling:
                 t.edge_prob[e] = Fraction(333, 1000)
             elif t.edge_prob[e] == Fraction(2, 3):
                 t.edge_prob[e] = Fraction(667, 1000)
-        t.touch()
         assert equivalent_up_to_relabeling(swap_pair_left, t) is None
 
     def test_systematic_renaming_insensitivity(self, systems):

@@ -195,7 +195,6 @@ class TestSymmetry:
             t.add_edge(root, leaf, DECISION_EDGE, label=frozenset({((d,),)}))
         sites = find_symmetry_sites(t)
         t.node_outcome[t.children(root)[0]] = "win"
-        t.touch()
         with pytest.raises(StaleSiteError):
             reduce_symmetry(t, sites[0])
 

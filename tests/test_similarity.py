@@ -7,6 +7,7 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import fixture_text
 from ludokit import core
@@ -74,6 +75,31 @@ class TestStateMap:
         doc[field] = value
         with pytest.raises(StateMapError, match="must be an object"):
             StateMap.from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("text", ['{"tracks": ', "[" * 100_000 + "]" * 100_000])
+    def test_from_json_rejects_malformed_json(self, text):
+        with pytest.raises(StateMapError, match="malformed state map JSON"):
+            StateMap.from_json(text)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.recursive(
+            st.none() | st.booleans() | st.integers(-1, 2) | st.text(max_size=3),
+            lambda inner: st.lists(inner, max_size=3)
+            | st.dictionaries(
+                st.sampled_from(["tracks", "values", "players", "outcomes", "t", "e"])
+                | st.text(max_size=2),
+                inner,
+                max_size=4,
+            ),
+            max_leaves=10,
+        )
+    )
+    def test_from_json_raises_only_ludokit_errors(self, doc):
+        try:
+            StateMap.from_json(json.dumps(doc))
+        except LudokitError:
+            pass
 
     def test_magic_square_mapping(self, systems, magic_psi):
         ttt, t315 = systems["tictactoe"], systems["3to15"]

@@ -6,10 +6,11 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import generators
 from ludokit import core, tree
-from ludokit.errors import BudgetExceededError, TreeInvariantError
+from ludokit.errors import BudgetExceededError, LudokitError, TreeInvariantError
 from ludokit.tree import (
     CHANCE,
     STATE,
@@ -285,6 +286,36 @@ class TestJsonRoundTrip:
         with pytest.raises(TreeInvariantError, match="chance"):
             import_json(json.dumps(doc))
 
+    def test_deeply_nested_json_rejected(self):
+        with pytest.raises(TreeInvariantError, match="malformed JSON"):
+            import_json("[" * 100_000 + "]" * 100_000)
+
+    @pytest.mark.parametrize("bad", [5, None, {"a": 1}])
+    def test_non_list_tuple_sequence_rejected(self, bad):
+        doc = {
+            "players": ["P"],
+            "root": 0,
+            "nodes": [
+                {"id": 0, "kind": "state"},
+                {"id": 1, "kind": "terminal", "outcome": "w"},
+            ],
+            "edges": [{"from": 0, "to": 1, "kind": "decision", "tuples": [bad]}],
+        }
+        with pytest.raises(TreeInvariantError, match="malformed tuple sequence"):
+            import_json(json.dumps(doc))
+
+    def test_duplicate_players_rejected(self, swap_pair_left):
+        doc = json.loads(export_json(swap_pair_left))
+        doc["players"] = [doc["players"][0]] * len(doc["players"])
+        with pytest.raises(TreeInvariantError, match="repeats a player"):
+            import_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("kind", [[], {}, 1, None])
+    def test_non_string_node_kind_rejected(self, kind):
+        doc = {"players": ["P"], "root": 0, "nodes": [{"id": 0, "kind": kind}], "edges": []}
+        with pytest.raises(TreeInvariantError, match="unknown node kind"):
+            import_json(json.dumps(doc))
+
     def test_random_trees_round_trip(self):
         for seed in range(40):
             t = generators.random_tree(random.Random(seed), max_nodes=40,
@@ -292,6 +323,50 @@ class TestJsonRoundTrip:
             validate_tree(t)
             text = export_json(t)
             assert export_json(import_json(text)) == text
+
+
+# Documents shaped like tree documents, whose every part may also be an
+# arbitrary JSON value, so that most of them reach the deeper checks.
+_words = st.sampled_from(
+    ["state", "chance", "terminal", "truncated", "decision", "P", "Q", "a", "1/2", "1"]
+)
+_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-1, 3) | _words | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_words, inner, max_size=3),
+    max_leaves=8,
+)
+_ids = st.integers(0, 3) | _values
+_tuples = st.lists(
+    st.lists(st.lists(st.sampled_from([None, "a", "b"]) | _values, max_size=3) | _values,
+             max_size=2) | _values,
+    max_size=3,
+) | _values
+_nodes = st.fixed_dictionaries(
+    {"id": _ids, "kind": _words | _values},
+    optional={"state": st.lists(_words, max_size=2) | _values, "outcome": _words | _values,
+              "truncated": _values},
+) | _values
+_edges = st.fixed_dictionaries(
+    {"from": _ids, "to": _ids, "kind": _words | _values},
+    optional={"tuples": _tuples, "prob": _words | _values},
+) | _values
+_tree_docs = st.fixed_dictionaries(
+    {
+        "players": st.lists(_words, max_size=3) | _values,
+        "root": _ids,
+        "nodes": st.lists(_nodes, max_size=4),
+        "edges": st.lists(_edges, max_size=4),
+    }
+) | _values
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tree_docs)
+def test_import_json_raises_only_ludokit_errors(doc):
+    try:
+        import_json(json.dumps(doc))
+    except LudokitError:
+        pass
 
 
 class TestDot:
