@@ -100,6 +100,7 @@ from .tree import (
     export_json,
     import_json,
     tree_stats,
+    unfold,
     validate_tree,
 )
 

@@ -1,7 +1,9 @@
 """Canonical subtree keys: hash-based canonical forms for game trees.
 
 Two subtrees get equal keys exactly when they are equivalent up to
-relabeling under the chosen pin regime.  Keys are computed bottom-up:
+relabeling under the chosen pin regime.  Keys are computed bottom-up, once
+per arena node: a node that a built tree shares among several parents is
+keyed once, and its key is that of each of its copies in the unfolded tree.
 
 - terminal nodes encode their outcome (literal when outcomes are pinned,
   otherwise a canonical outcome number),
@@ -12,8 +14,9 @@ relabeling under the chosen pin regime.  Keys are computed bottom-up:
 Label classes that may be freely renamed (players, outcomes when unpinned)
 are handled by enumerating candidate numberings and taking the minimum root
 key over the orbit.  Candidates are pruned by cheap renaming-invariant
-signatures (per-label multisets of depth/size statistics), so the orbit is
-tiny in practice.  Keys are 128-bit blake2b digests; collisions are
+signatures (per-label multisets of depth/size statistics of the unfolded
+tree, counted with each arena node's root paths), so the orbit is tiny in
+practice.  Keys are 128-bit blake2b digests; collisions are
 cryptographically negligible and key/witness agreement is property-tested
 against a definition-faithful search.
 """
@@ -28,11 +31,12 @@ from hashlib import blake2b
 from typing import Callable, NamedTuple, Optional
 
 from .errors import LabelingLimitError
-from .tree import CHANCE, GameTree, STATE, TERMINAL, choice_rank, decoded_label
+from .tree import CHANCE, GameTree, STATE, TERMINAL, choice_rank, decoded_label, postorder
 
 Pin = frozenset
 PIN_NONE: Pin = frozenset()
 PIN_SYMMETRY: Pin = frozenset({"players", "outcomes"})
+PIN_ALL: Pin = frozenset({"players", "outcomes", "states"})
 
 
 def _digest(data: bytes) -> bytes:
@@ -295,27 +299,6 @@ def literal_outcome_codes(outcomes) -> dict[str, bytes]:
     return {o: b"O:" + o.encode() for o in outcomes}
 
 
-def _postorder(tree: GameTree, node: int, done=()) -> list[int]:
-    """Children-first order of the subtree at `node`, last child first.
-
-    Nodes in `done` (a memo) are left out and not descended into.  On a
-    DAG a shared node not in `done` appears once per path to it.
-    """
-    order: list[int] = []
-    stack: list[tuple[int, bool]] = [(node, False)]
-    while stack:
-        n, processed = stack.pop()
-        if processed:
-            order.append(n)
-            continue
-        stack.append((n, True))
-        for e in tree.node_children[n]:
-            child = tree.edge_dst[e]
-            if child not in done:
-                stack.append((child, False))
-    return order
-
-
 def make_key_fn(
     tree: GameTree,
     pin: Pin = PIN_SYMMETRY,
@@ -358,7 +341,7 @@ def make_key_fn(
             return cached
         _fill_keys(
             tree,
-            (n for n in _postorder(tree, node, memo) if n not in memo),
+            postorder(tree, node, memo),
             memo,
             axis_order,
             axis_header,
@@ -464,7 +447,8 @@ def subtree_keys(
     player_code: Optional[dict[str, bytes]] = None,
     outcome_code: Optional[dict[str, bytes]] = None,
 ) -> dict[int, bytes]:
-    """Keys for every live node under one labeling assignment."""
+    """Keys for every live node under one labeling assignment, each node
+    keyed once however many paths reach it."""
     pin = set()
     if pin_players:
         pin.add("players")
@@ -473,7 +457,7 @@ def subtree_keys(
     if pin_states:
         pin.add("states")
     fn = make_key_fn(tree, frozenset(pin), player_code, outcome_code)
-    return {n: fn(n) for n in tree.iter_nodes()}
+    return {n: fn(n) for n in postorder(tree)}
 
 
 # ---------------------------------------------------------------------------
@@ -520,26 +504,48 @@ def _grouped_numberings(signatures: dict[str, bytes]) -> list[dict[str, bytes]]:
 
 
 def _forest_signatures(forest: list[GameTree]):
-    """Renaming-invariant per-player and per-outcome statistics."""
+    """Renaming-invariant statistics of the unfolded forest.
+
+    Per player, the (depth, choice-set size) multiset of its state nodes;
+    per outcome, the depth multiset of its terminals; and the multisets of
+    node kinds and chance probabilities.  Each arena node is visited once,
+    parents first, carrying how many root paths reach it at each depth.
+    """
     players = forest[0].players
     player_sig: dict[str, Counter] = {p: Counter() for p in players}
     outcome_sig: dict[str, Counter] = {}
+    kind_counts: Counter = Counter()
+    prob_counts: Counter = Counter()
     for tree in forest:
-        depth = {tree.root: 0}
-        for n in tree.iter_nodes():
-            d = depth[n]
-            for e in tree.node_children[n]:
-                depth[tree.edge_dst[e]] = d + 1
-            kind = tree.node_kind[n]
+        node_kind = tree.node_kind
+        node_children = tree.node_children
+        edge_dst = tree.edge_dst
+        depths: dict[int, dict[int, int]] = {tree.root: {0: 1}}  # node -> {depth: paths}
+        for n in reversed(postorder(tree)):
+            at = depths.pop(n)
+            paths = sum(at.values())
+            kind = node_kind[n]
+            kind_counts[kind] += paths
+            for e in node_children[n]:
+                below = depths.setdefault(edge_dst[e], {})
+                for d, k in at.items():
+                    below[d + 1] = below.get(d + 1, 0) + k
             if kind == TERMINAL:
-                outcome_sig.setdefault(tree.node_outcome[n], Counter())[d] += 1
+                sig = outcome_sig.setdefault(tree.node_outcome[n], Counter())
+                for d, k in at.items():
+                    sig[d] += k
             elif kind == STATE:
                 sizes = node_player_sizes(tree, n)
                 for i, p in enumerate(players):
-                    player_sig[p][(d, sizes[i])] += 1
+                    sig = player_sig[p]
+                    for d, k in at.items():
+                        sig[(d, sizes[i])] += k
+            elif kind == CHANCE:
+                for e in node_children[n]:
+                    prob_counts[tree.edge_prob[e]] += paths
     p_sigs = {p: repr(sorted(c.items())).encode() for p, c in player_sig.items()}
     o_sigs = {o: repr(sorted(c.items())).encode() for o, c in outcome_sig.items()}
-    return p_sigs, o_sigs
+    return p_sigs, o_sigs, kind_counts, prob_counts
 
 
 def _cached_signatures(forest: list[GameTree], cache: Optional[dict]):
@@ -559,15 +565,7 @@ def forest_profile(forest: list[GameTree], pin: Pin, cache: Optional[dict] = Non
     per-label signatures over to `assignments_for`, so one comparison walks
     the forest for them once.
     """
-    kind_counts = Counter()
-    prob_counts: Counter = Counter()
-    for tree in forest:
-        for n in tree.iter_nodes():
-            kind_counts[tree.node_kind[n]] += 1
-            if tree.node_kind[n] == CHANCE:
-                for e in tree.node_children[n]:
-                    prob_counts[tree.edge_prob[e]] += 1
-    p_sigs, o_sigs = _cached_signatures(forest, cache)
+    p_sigs, o_sigs, kind_counts, prob_counts = _cached_signatures(forest, cache)
     if "players" in pin:
         player_part = tuple(sorted(p_sigs.items()))
     else:
@@ -597,7 +595,7 @@ def assignments_for(
     them; `cache` is as in `forest_profile`.
     """
     players = forest[0].players
-    p_sigs, o_sigs = _cached_signatures(forest, cache)
+    p_sigs, o_sigs, _, _ = _cached_signatures(forest, cache)
     p_count = 1 if "players" in pin else _numbering_count(p_sigs)
     o_count = 1 if "outcomes" in pin else _numbering_count(o_sigs)
     if p_count * o_count > MAX_ASSIGNMENTS:
@@ -633,7 +631,7 @@ def best_assignment_with_keys(
 
     `cache` is as in `forest_profile`.
     """
-    orders = [_postorder(tree, tree.root) for tree in forest]
+    orders = [postorder(tree) for tree in forest]
     best: Optional[tuple[bytes, Assignment, Optional[list]]] = None
     for assignment in assignments_for(forest, pin, cache):
         pcodes = assignment.players()

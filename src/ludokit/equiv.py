@@ -13,8 +13,14 @@ Three nested predicates:
 
 Decisions are made through canonical keys (see `canon`); a successful
 comparison yields an `EquivalenceWitness` carrying the node correspondence
-and the global player/outcome maps.  `verify_witness` replays the defining
-conditions directly on the trees, independently of the key machinery, and
+and the global player/outcome maps.  Built trees share nodes, so the
+correspondence of a tree pair is a relation on pairs of arena nodes, each
+related pair with a child pairing that matches its out-edges one to one;
+the walk that finds it visits each distinct pair once.  Unfolded from the
+root pair it is a bijection between the unfolded trees, which
+`TreePairWitness.node_map` and `EquivalenceWitness.to_json` build on
+demand.  `verify_witness` replays the defining conditions directly on the
+trees, once per related pair and independently of the key machinery, and
 is used by the test suite to re-check every witness the search returns.
 
 Pinning: `pin` is a set drawn from {"players", "outcomes", "states"}.  A
@@ -28,7 +34,9 @@ from __future__ import annotations
 
 import itertools
 import json
+from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from hashlib import blake2b
 from typing import Iterator, Optional, Union
 
@@ -41,13 +49,18 @@ from .tree import (
     GameTree,
     STATE,
     TERMINAL,
-    TRUNCATED,
+    _unfold,
     build_forest,
     decision_matrix,
+    is_shared,
+    postorder,
+    require_unshared,
 )
 
 Pin = frozenset
 ForestLike = Union[GameTree, list]
+# A child pairing: (left edge, right edge) pairs.
+Pairing = tuple[tuple[int, int], ...]
 
 
 def _as_forest(value: ForestLike) -> list[GameTree]:
@@ -79,7 +92,7 @@ class Skeleton:
 
 def _shape_keys(tree: GameTree) -> dict[int, bytes]:
     keys: dict[int, bytes] = {}
-    for n in canon._postorder(tree, tree.root):
+    for n in postorder(tree):
         child_keys = sorted(keys[tree.edge_dst[e]] for e in tree.node_children[n])
         keys[n] = blake2b(b"(" + b"".join(child_keys) + b")", digest_size=16).digest()
     return keys
@@ -102,8 +115,15 @@ def structural_correspondences(
 
     Symmetric trees yield several; an empty stream means the trees are not
     structurally equivalent.  Exponentially many maps can exist; consume
-    lazily.
+    lazily.  The maps relate arena nodes, so both arenas must be unshared
+    (TreeInvariantError otherwise, at the call): `unfold` a built tree first.
     """
+    require_unshared(left, "structural_correspondences")
+    require_unshared(right, "structural_correspondences")
+    return _correspondences(left, right)
+
+
+def _correspondences(left: GameTree, right: GameTree) -> Iterator[dict[int, int]]:
     lkeys = _shape_keys(left)
     rkeys = _shape_keys(right)
     if lkeys[left.root] != rkeys[right.root]:
@@ -294,6 +314,20 @@ def match_matrices(
     return {left.players[i]: result[pos] for pos, (i, _) in enumerate(order)}
 
 
+def _one_chooser_match(lcells: Counter, rcells: Counter, pairing: Pairing) -> bool:
+    """`match_matrices(left, right, player_map, dict(pairing)) is not None`
+    where at most one player has more than one choice, without a search.
+
+    `lcells` and `rcells` count each matrix's cells per edge, and the
+    choice-set sizes must agree under the player map.  Every other player
+    then has one choice, so its bijection is forced, and a cell is one
+    choice of the chooser.  A bijection of the chooser's choices carries
+    each left cell to a right cell on the paired edge iff every paired edge
+    pair has equally many cells: match each edge pair's cells in any order.
+    """
+    return all(lcells[le] == rcells[re] for le, re in pairing)
+
+
 # ---------------------------------------------------------------------------
 # Witnesses
 # ---------------------------------------------------------------------------
@@ -301,19 +335,46 @@ def match_matrices(
 
 @dataclass
 class TreePairWitness:
+    """The correspondence between one left and one right tree.
+
+    `links` is a relation on pairs of arena nodes: it maps each related
+    pair (u, v) to its child pairing, which matches u's out-edges one to
+    one with v's.  The pairs that count are those reachable from the root
+    pair through child pairings.  On shared arenas a node may be related to
+    several nodes, one per context it is reached in.  The trees are those
+    of the witness the pair belongs to, at `left_index` and `right_index`.
+    """
+
     left_index: int
     right_index: int
-    node_map: dict[int, int]
+    links: dict[tuple[int, int], Pairing]
+    # The (left, right) forests of the witness holding the pair, set by it.
+    # Not the witness itself: that cycle would keep every witness and its
+    # forests alive until the cycle collector runs.
+    forests: Optional[tuple[list[GameTree], list[GameTree]]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    @cached_property
+    def node_map(self) -> dict[int, int]:
+        """Left node -> right node of the unfolded trees.
+
+        Built on first access, in time linear in the unfolded trees, and
+        kept; see `_unfold_relation`.
+        """
+        left, right = self.forests
+        return _unfold_relation(self, left[self.left_index], right[self.right_index])[0]
 
 
 @dataclass
 class EquivalenceWitness:
     """Correspondence bundle certifying equivalence up to relabeling.
 
-    Carries the global player and outcome bijections, one node map per
-    paired tree, and references to the forests it relates (for agency
-    verdicts these are the normal forms).  Per-node choice maps are derived
-    on demand from the node map, which fixes the edge correspondence.
+    Carries the global player and outcome bijections, one node relation per
+    paired tree, and the forests it relates (for agency verdicts these are
+    the normal forms); every tree a pair's relation names is read from
+    them.  Per-node choice maps are derived on demand from the child
+    pairings, which fix the edge correspondence.
     """
 
     player_map: dict[str, str]
@@ -322,23 +383,27 @@ class EquivalenceWitness:
     left_forest: list[GameTree] = field(repr=False)
     right_forest: list[GameTree] = field(repr=False)
 
-    def choice_maps(self, pair: TreePairWitness, left_node: int) -> Optional[dict]:
-        lt = self.left_forest[pair.left_index]
-        rt = self.right_forest[pair.right_index]
-        if lt.node_kind[left_node] != STATE:
-            return None
-        right_node = pair.node_map[left_node]
-        edge_map = _induced_edge_map(lt, rt, pair.node_map, left_node, right_node)
-        if edge_map is None:
+    def __post_init__(self) -> None:
+        for pair in self.pairs:
+            pair.forests = (self.left_forest, self.right_forest)
+
+    def trees(self, pair: TreePairWitness) -> tuple[GameTree, GameTree]:
+        return self.left_forest[pair.left_index], self.right_forest[pair.right_index]
+
+    def choice_maps(self, pair: TreePairWitness, u: int, v: int) -> Optional[dict]:
+        """Per-player choice bijections at the related state pair (u, v)."""
+        left, right = self.trees(pair)
+        if left.node_kind[u] != STATE:
             return None
         return match_matrices(
-            decision_matrix(lt, left_node),
-            decision_matrix(rt, right_node),
+            decision_matrix(left, u),
+            decision_matrix(right, v),
             self.player_map,
-            edge_map,
+            dict(pair.links[(u, v)]),
         )
 
     def to_json(self) -> str:
+        """The witness as unfolded node maps and per-node choice maps."""
         def choice_repr(c):
             if c is None:
                 return 0
@@ -352,41 +417,61 @@ class EquivalenceWitness:
             "trees": [],
         }
         for pair in self.pairs:
-            lt = self.left_forest[pair.left_index]
+            left, right = self.trees(pair)
+            node_map, arena_pair = _unfold_relation(pair, left, right)
             entry = {
                 "left": pair.left_index,
                 "right": pair.right_index,
-                "nodes": {str(u): v for u, v in sorted(pair.node_map.items())},
+                "nodes": {str(x): y for x, y in sorted(node_map.items())},
                 "choices": {},
             }
-            for u in sorted(pair.node_map):
-                if lt.node_kind[u] != STATE:
+            rendered: dict = {}
+            for x in sorted(node_map):
+                u, v = arena_pair[x]
+                if left.node_kind[u] != STATE:
                     continue
-                lam = self.choice_maps(pair, u)
-                if lam is None:
-                    continue
-                entry["choices"][str(u)] = {
-                    p: {json.dumps(choice_repr(a)): choice_repr(b) for a, b in m.items()}
-                    for p, m in lam.items()
-                }
+                if (u, v) not in rendered:
+                    lam = self.choice_maps(pair, u, v)
+                    rendered[(u, v)] = None if lam is None else {
+                        p: {json.dumps(choice_repr(a)): choice_repr(b) for a, b in m.items()}
+                        for p, m in lam.items()
+                    }
+                if rendered[(u, v)] is not None:
+                    entry["choices"][str(x)] = rendered[(u, v)]
             doc["trees"].append(entry)
         return json.dumps(doc, indent=2) + "\n"
 
 
-def _induced_edge_map(
-    lt: GameTree, rt: GameTree, node_map: dict[int, int], u: int, v: int
-) -> Optional[dict[int, int]]:
-    edge_map: dict[int, int] = {}
-    for e in lt.node_children[u]:
-        dst = lt.edge_dst[e]
-        rdst = node_map.get(dst)
-        if rdst is None:
-            return None
-        re = rt.node_parent_edge[rdst]
-        if re < 0 or rt.edge_src[re] != v:
-            return None
-        edge_map[e] = re
-    return edge_map
+def _unfold_relation(
+    pair: TreePairWitness, left: GameTree, right: GameTree
+) -> tuple[dict[int, int], dict[int, tuple[int, int]]]:
+    """The pair's relation unfolded into a node bijection, plus each left
+    node's arena pair.  Node ids are the arena's own on an unshared arena
+    and those of `unfold` on a shared one."""
+
+    def numbered(t: GameTree):
+        return _unfold(t) if is_shared(t) else (t, None)
+
+    (lt, lorigin), (rt, rorigin) = numbered(left), numbered(right)
+    positions: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    node_map: dict[int, int] = {}
+    arena_pair: dict[int, tuple[int, int]] = {}
+    stack = [(lt.root, rt.root)]
+    while stack:
+        x, y = stack.pop()
+        u = x if lorigin is None else lorigin[x]
+        v = y if rorigin is None else rorigin[y]
+        node_map[x] = y
+        arena_pair[x] = (u, v)
+        pos = positions.get((u, v))
+        if pos is None:
+            lpos = {e: i for i, e in enumerate(left.node_children[u])}
+            rpos = {e: j for j, e in enumerate(right.node_children[v])}
+            pos = positions[(u, v)] = [(lpos[le], rpos[re]) for le, re in pair.links[(u, v)]]
+        ledges, redges = lt.node_children[x], rt.node_children[y]
+        for i, j in pos:
+            stack.append((lt.edge_dst[ledges[i]], rt.edge_dst[redges[j]]))
+    return node_map, arena_pair
 
 
 def invert_witness(witness: EquivalenceWitness) -> EquivalenceWitness:
@@ -395,13 +480,37 @@ def invert_witness(witness: EquivalenceWitness) -> EquivalenceWitness:
         outcome_map={v: k for k, v in witness.outcome_map.items()},
         pairs=[
             TreePairWitness(
-                p.right_index, p.left_index, {v: k for k, v in p.node_map.items()}
+                p.right_index,
+                p.left_index,
+                {
+                    (v, u): tuple([(re, le) for le, re in pairing])
+                    for (u, v), pairing in p.links.items()
+                },
             )
             for p in witness.pairs
         ],
         left_forest=witness.right_forest,
         right_forest=witness.left_forest,
     )
+
+
+def _compose_links(
+    p: TreePairWitness, q: TreePairWitness, left: GameTree, middle: GameTree, right: GameTree
+) -> dict:
+    """The relation of p (left to middle) then q (middle to right): a pair
+    (u, w) through the first middle node the walk from the roots relates it
+    by."""
+    links: dict[tuple[int, int], Pairing] = {}
+    stack = [(left.root, middle.root, right.root)]
+    while stack:
+        u, m, w = stack.pop()
+        if (u, w) in links:
+            continue
+        onward = dict(q.links[(m, w)])
+        links[(u, w)] = pairing = tuple([(le, onward[me]) for le, me in p.links[(u, m)]])
+        for (le, me), (_, re) in zip(p.links[(u, m)], pairing):
+            stack.append((left.edge_dst[le], middle.edge_dst[me], right.edge_dst[re]))
+    return links
 
 
 def compose_witnesses(
@@ -412,11 +521,11 @@ def compose_witnesses(
     pairs = []
     for p in first.pairs:
         q = by_left[p.right_index]
+        left, middle = first.trees(p)
+        right = second.right_forest[q.right_index]
         pairs.append(
             TreePairWitness(
-                p.left_index,
-                q.right_index,
-                {u: q.node_map[v] for u, v in p.node_map.items()},
+                p.left_index, q.right_index, _compose_links(p, q, left, middle, right)
             )
         )
     return EquivalenceWitness(
@@ -436,7 +545,20 @@ def compose_witnesses(
 def verify_witness(
     witness: EquivalenceWitness, pin=(), max_problems: int = 20
 ) -> list[str]:
-    """Replay the defining conditions on the trees; empty list means valid."""
+    """Replay the defining conditions on the trees; empty list means valid.
+
+    Each related pair reachable from the root pair is checked once, however
+    many paths reach it: its nodes have the same kind (and state, when
+    pinned), its child pairing matches their out-edges one to one onto
+    related pairs, and it agrees on probabilities, outcomes or decision
+    matrices.  That suffices.  Unfold the relation from the root pair: each
+    root path of the left tree follows child pairings to exactly one root
+    path of the right tree, and, pairings being bijections, every right
+    path is reached once.  So the unfolding is a bijection between the
+    unfolded trees that maps root to root and children to children, and
+    each of its node pairs copies a checked arena pair, so it passes the
+    same checks.
+    """
     pin = _as_pin(pin)
     problems: list[str] = []
 
@@ -470,21 +592,34 @@ def verify_witness(
     for pair in witness.pairs:
         lt = left_forest[pair.left_index]
         rt = right_forest[pair.right_index]
-        f = pair.node_map
-        lnodes = list(lt.iter_nodes())
-        if sorted(f) != sorted(lnodes):
-            if report(f"tree {pair.left_index}: node map domain is not the node set"):
+        links = pair.links
+        if (lt.root, rt.root) not in links:
+            if report(f"tree {pair.left_index}: root is not related to root"):
                 return problems
             continue
-        if len(set(f.values())) != len(f) or set(f.values()) != set(rt.iter_nodes()):
-            if report(f"tree {pair.left_index}: node map is not a bijection"):
-                return problems
-            continue
-        if f[lt.root] != rt.root:
-            if report(f"tree {pair.left_index}: root does not map to root"):
-                return problems
-        for u in lnodes:
-            v = f[u]
+        rindex = {p: j for j, p in enumerate(rt.players)}
+        axes = [(i, rindex[pm[p]]) for i, p in enumerate(lt.players)]
+        matrices: dict = {}
+
+        def matrix(t: GameTree, n: int) -> tuple:
+            """The node's decision matrix, its choice-set sizes, whether at
+            most one player has a choice, and its cell count per edge."""
+            got = matrices.get((t is lt, n))
+            if got is None:
+                m = decision_matrix(t, n)
+                sizes = [len(cs) for cs in m.choice_sets]
+                got = matrices[(t is lt, n)] = (
+                    m, sizes, sum(1 for k in sizes if k > 1) <= 1, Counter(m.mapping.values())
+                )
+            return got
+
+        checked: set[tuple[int, int]] = set()
+        stack = [(lt.root, rt.root)]
+        while stack:
+            u, v = stack.pop()
+            if (u, v) in checked:
+                continue
+            checked.add((u, v))
             lkind, rkind = lt.node_kind[u], rt.node_kind[v]
             if lkind != rkind:
                 if report(f"node {u}: kind {lt.kind_name(u)} maps to {rt.kind_name(v)}"):
@@ -493,15 +628,27 @@ def verify_witness(
             if "states" in pin and lt.node_state[u] != rt.node_state[v]:
                 if report(f"node {u}: states pinned but labels differ"):
                     return problems
-            edge_map = _induced_edge_map(lt, rt, f, u, v)
-            if edge_map is None or len(set(edge_map.values())) != len(
-                rt.node_children[v]
+            pairing = links[(u, v)]
+            ledges, redges = lt.node_children[u], rt.node_children[v]
+            if len(pairing) != len(ledges) or len(pairing) != len(redges) or pairing and (
+                {le for le, _ in pairing} != set(ledges) or {re for _, re in pairing} != set(redges)
             ):
                 if report(f"node {u}: children do not correspond under the map"):
                     return problems
                 continue
+            unrelated = False
+            for le, re in pairing:
+                child = (lt.edge_dst[le], rt.edge_dst[re])
+                if child in links:
+                    stack.append(child)
+                else:
+                    unrelated = True
+            if unrelated:
+                if report(f"node {u}: a child pair is not related"):
+                    return problems
+                continue
             if lkind == CHANCE:
-                for e, re in edge_map.items():
+                for e, re in pairing:
                     if lt.edge_prob[e] != rt.edge_prob[re]:
                         if report(
                             f"edge {e}: probability {lt.edge_prob[e]} != {rt.edge_prob[re]}"
@@ -514,13 +661,15 @@ def verify_witness(
                         return problems
                 seen_out.add(lo)
             elif lkind == STATE:
-                lam = match_matrices(
-                    decision_matrix(lt, u),
-                    decision_matrix(rt, v),
-                    pm,
-                    edge_map,
-                )
-                if lam is None:
+                lm, lsizes, single, lcells = matrix(lt, u)
+                rm, rsizes, _, rcells = matrix(rt, v)
+                if any(lsizes[i] != rsizes[j] for i, j in axes):
+                    matched = False
+                elif single:
+                    matched = _one_chooser_match(lcells, rcells, pairing)
+                else:
+                    matched = match_matrices(lm, rm, pm, dict(pairing)) is not None
+                if not matched:
                     if report(f"node {u}: decision matrices do not match"):
                         return problems
     missing = seen_out - set(om)
@@ -554,6 +703,34 @@ def _pair_trees_by_key(
     return sorted(pairs)
 
 
+def _arrangements(tree: GameTree, keys: dict[int, bytes], axis: list[int]):
+    """Per node, memoized: an encoding of its children's keys and structure,
+    and its out-edges in an order that pairs them with those of any node of
+    equal encoding.  Chance edges group by (probability, child key)."""
+    memo: dict[int, tuple] = {}
+
+    def arrangement(n: int) -> tuple:
+        got = memo.get(n)
+        if got is None:
+            if tree.node_kind[n] == CHANCE:
+                groups: dict = {}
+                for e in tree.node_children[n]:
+                    groups.setdefault(
+                        (str(tree.edge_prob[e]), keys[tree.edge_dst[e]]), []
+                    ).append(e)
+                order = sorted(groups)
+                got = (
+                    [(k, len(groups[k])) for k in order],
+                    [e for k in order for e in groups[k]],
+                )
+            else:
+                got = canon.ordered_edges(tree, n, axis, keys)
+            memo[n] = got
+        return got
+
+    return arrangement
+
+
 def _walk_pair(
     lt: GameTree,
     rt: GameTree,
@@ -561,44 +738,37 @@ def _walk_pair(
     rkeys: dict[int, bytes],
     l_axis: list[int],
     r_axis: list[int],
-) -> Optional[dict[int, int]]:
-    node_map: dict[int, int] = {}
+) -> Optional[dict[tuple[int, int], Pairing]]:
+    """The witness relation of two trees, walking each distinct pair once;
+    None when some pair's keys or matrices disagree."""
+    if lkeys[lt.root] != rkeys[rt.root]:
+        return None
+    left = _arrangements(lt, lkeys, l_axis)
+    right = _arrangements(rt, rkeys, r_axis)
+    links: dict[tuple[int, int], Pairing] = {}
     stack = [(lt.root, rt.root)]
     while stack:
-        u, v = stack.pop()
-        node_map[u] = v
-        if lkeys[u] != rkeys[v] or lt.node_kind[u] != rt.node_kind[v]:
-            return None
-        kind = lt.node_kind[u]
-        if kind in (TERMINAL, TRUNCATED):
+        pair = stack.pop()
+        if pair in links:
             continue
-        if kind == CHANCE:
-            lgroups: dict = {}
-            for e in lt.node_children[u]:
-                lgroups.setdefault(
-                    (str(lt.edge_prob[e]), lkeys[lt.edge_dst[e]]), []
-                ).append(lt.edge_dst[e])
-            rgroups: dict = {}
-            for e in rt.node_children[v]:
-                rgroups.setdefault(
-                    (str(rt.edge_prob[e]), rkeys[rt.edge_dst[e]]), []
-                ).append(rt.edge_dst[e])
-            if sorted(lgroups) != sorted(rgroups):
-                return None
-            for key, lmembers in lgroups.items():
-                rmembers = rgroups[key]
-                if len(lmembers) != len(rmembers):
-                    return None
-                stack.extend(zip(lmembers, rmembers))
-        else:
-            lenc, ledges = canon.ordered_edges(lt, u, l_axis, lkeys)
-            renc, redges = canon.ordered_edges(rt, v, r_axis, rkeys)
-            if lenc != renc:
-                return None
-            stack.extend(
-                (lt.edge_dst[le], rt.edge_dst[re]) for le, re in zip(ledges, redges)
-            )
-    return node_map
+        u, v = pair
+        if not lt.node_children[u]:
+            links[pair] = ()
+            continue
+        lenc, ledges = left(u)
+        renc, redges = right(v)
+        if lenc != renc:
+            return None
+        # Equal encodings pair children of equal keys (so of equal kinds).
+        links[pair] = pairing = tuple(zip(ledges, redges))
+        for le, re in pairing:
+            child = (lt.edge_dst[le], rt.edge_dst[re])
+            if child not in links:
+                if lt.node_children[child[0]]:
+                    stack.append(child)
+                else:
+                    links[child] = ()
+    return links
 
 
 def equivalent_up_to_relabeling(
@@ -663,10 +833,10 @@ def equivalent_up_to_relabeling(
         lt, rt = left_forest[li], right_forest[ri]
         l_axis = sorted(range(len(lt.players)), key=lambda i: lcodes[lt.players[i]])
         r_axis = sorted(range(len(rt.players)), key=lambda i: rcodes[rt.players[i]])
-        node_map = _walk_pair(lt, rt, l_key_dicts[li], r_key_dicts[ri], l_axis, r_axis)
-        if node_map is None:
+        links = _walk_pair(lt, rt, l_key_dicts[li], r_key_dicts[ri], l_axis, r_axis)
+        if links is None:
             return None
-        pairs.append(TreePairWitness(li, ri, node_map))
+        pairs.append(TreePairWitness(li, ri, links))
     return EquivalenceWitness(player_map, outcome_map, pairs, left_forest, right_forest)
 
 

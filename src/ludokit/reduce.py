@@ -17,12 +17,16 @@ meaningfully decide:
 (matrix-redundancy, bookkeeping, single-player, symmetry; repeat) via a
 bottom-up pass: once a node's local loop stabilizes its whole subtree is
 normal, so sibling-subtree comparisons can use cached canonical keys.  The
-pass hash-conses its input first and normalizes each distinct subtree once;
-later copies share the finished subtree, and the normal form is unfolded
-back into a tree on output.  The public `reduce_*` operations apply one
-maximal site at a time and verify the measure (node count, then total
-choice count) strictly decreases; a site whose node has been cut off from
-the root, or whose structure no longer holds, raises `StaleSiteError`.
+rewrites work in place, so an input arena that shares nodes (a built tree)
+is unfolded first.  The pass then hash-conses it and normalizes each
+distinct subtree once; later copies share the finished subtree, and the
+normal form is unfolded back into a tree on output.  The public `reduce_*`
+operations apply one maximal site at a time and verify the measure (node
+count, then total choice count) strictly decreases; a site whose node has
+been cut off from the root, or whose structure no longer holds, raises
+`StaleSiteError`.  They and the `find_*_sites` functions name nodes by
+arena id, so they raise `TreeInvariantError` on an arena that shares nodes:
+`unfold` a built tree before calling them.
 Per-node matrix facts come from `canon._node_meta`, which caches them under
 the node's edge labels, so rewrites need no cache invalidation.
 
@@ -50,6 +54,10 @@ from .tree import (
     TERMINAL,
     TRUNCATED,
     choice_rank,
+    is_shared,
+    postorder,
+    require_unshared,
+    unfold,
 )
 
 MAX_LABEL_SEQUENCES = 1_000_000
@@ -184,7 +192,7 @@ def _splice_into(tree: GameTree, old: int, new: int) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _pruned_labels(meta: canon.NodeMeta) -> Optional[list[frozenset]]:
+def _pruned_labels(meta: canon.NodeMeta) -> Optional[tuple[frozenset, ...]]:
     """Per-edge labels once every redundant choice is deleted, or None.
 
     A choice of one player is redundant when another of that player's
@@ -223,12 +231,23 @@ def _pruned_labels(meta: canon.NodeMeta) -> Optional[list[frozenset]]:
         per_edge[pos].add(seq)
     if not all(per_edge):
         raise AssertionError("matrix redundancy orphaned an edge")
-    return [frozenset(seqs) for seqs in per_edge]
+    return tuple([frozenset(seqs) for seqs in per_edge])
+
+
+def _pruned_at(tree: GameTree, node: int) -> Optional[tuple[frozenset, ...]]:
+    """`_pruned_labels` of the node's matrix, cached beside its `NodeMeta`
+    in `tree.label_cache` under the node's edge labels."""
+    key = ("pruned", tuple([tree.edge_label[e] for e in tree.node_children[node]]))
+    cache = tree.label_cache
+    if key in cache:
+        return cache[key]
+    pruned = cache[key] = _pruned_labels(canon._node_meta(tree, node))
+    return pruned
 
 
 def _matrix_redundancy_at(tree: GameTree, node: int) -> bool:
     """Delete redundant choices at the node; returns True if anything changed."""
-    pruned = _pruned_labels(canon._node_meta(tree, node))
+    pruned = _pruned_at(tree, node)
     if pruned is None:
         return False
     for e, label in zip(tree.node_children[node], pruned):
@@ -237,17 +256,19 @@ def _matrix_redundancy_at(tree: GameTree, node: int) -> bool:
 
 
 def find_matrix_redundancy_sites(tree: GameTree) -> list[ReductionSite]:
+    require_unshared(tree, "find_matrix_redundancy_sites")
     return [
         ReductionSite("matrix-redundancy", node)
         for node in tree.iter_nodes()
         if tree.node_kind[node] == STATE
         and tree.node_children[node]
-        and _pruned_labels(canon._node_meta(tree, node)) is not None
+        and _pruned_at(tree, node) is not None
     ]
 
 
 def reduce_matrix_redundancy(tree: GameTree, site) -> GameTree:
     """Apply the duplicate-choice reduction at one node (no-op if none)."""
+    require_unshared(tree, "reduce_matrix_redundancy")
     node = site.root if isinstance(site, ReductionSite) else site
     _check_live(tree, node)
     if tree.node_kind[node] != STATE:
@@ -301,6 +322,7 @@ def _bookkeeping_walk(tree: GameTree, root: int):
 
 def find_bookkeeping_sites(tree: GameTree) -> list[ReductionSite]:
     """Maximal bookkeeping subtrees that actually shrink the tree."""
+    require_unshared(tree, "find_bookkeeping_sites")
     sites = []
     for node in tree.iter_nodes():
         if not _is_forced(tree, node):
@@ -322,6 +344,7 @@ def find_bookkeeping_sites(tree: GameTree) -> list[ReductionSite]:
 
 def reduce_bookkeeping(tree: GameTree, site: ReductionSite) -> GameTree:
     """Collapse one maximal bookkeeping subtree (cases per the definition)."""
+    require_unshared(tree, "reduce_bookkeeping")
     root = site.root
     _check_live(tree, root)
     if not _is_forced(tree, root):
@@ -436,6 +459,7 @@ def _single_player_site_at(tree: GameTree, node: int) -> bool:
 
 def find_single_player_sites(tree: GameTree) -> list[ReductionSite]:
     """Maximal single-player deterministic subtrees of depth at least two."""
+    require_unshared(tree, "find_single_player_sites")
     sites = []
     for node in tree.iter_nodes():
         if not _single_player_site_at(tree, node):
@@ -454,6 +478,7 @@ def find_single_player_sites(tree: GameTree) -> list[ReductionSite]:
 
 def reduce_single_player(tree: GameTree, site: ReductionSite) -> GameTree:
     """Collapse one maximal single-player subtree into composite choices."""
+    require_unshared(tree, "reduce_single_player")
     root = site.root
     _check_live(tree, root)
     if not _single_player_site_at(tree, root):
@@ -477,6 +502,7 @@ def reduce_single_player(tree: GameTree, site: ReductionSite) -> GameTree:
 
 def find_symmetry_sites(tree: GameTree) -> list[ReductionSite]:
     """Sibling pairs equivalent up to relabeling with identical players/outcomes."""
+    require_unshared(tree, "find_symmetry_sites")
     keys = canon.subtree_keys(tree, pin_players=True, pin_outcomes=True)
     sites = []
     for node in tree.iter_nodes():
@@ -514,6 +540,7 @@ def _merge_pair(tree: GameTree, parent: int, victim_edge: int, survivor_edge: in
 
 def reduce_symmetry(tree: GameTree, site: ReductionSite) -> GameTree:
     """Merge one symmetry-redundant subtree into its sibling."""
+    require_unshared(tree, "reduce_symmetry")
     victim_edge, survivor_edge = site.payload
     parent = site.root
     _check_live(tree, parent)
@@ -548,7 +575,7 @@ def _intern(tree: GameTree) -> tuple[list[int], list[tuple[int, int]]]:
     edge_kind = tree.edge_kind
     edge_label = tree.edge_label
     edge_prob = tree.edge_prob
-    for n in canon._postorder(tree, tree.root):
+    for n in postorder(tree):
         children = node_children[n]
         key = (
             tree.node_kind[n],
@@ -584,7 +611,7 @@ def _normalize_fast(tree: GameTree, trace: ReductionTrace) -> GameTree:
     rewrites by its ancestors touch their own edges and their children's
     parent pointers, never a finished node's children or labels.  The tree
     is a DAG from then on (parent pointers of shared nodes name one of
-    their parents); `GameTree.compact` unfolds it.
+    their parents); `unfold` unfolds it.
     """
     key_fn = canon.make_key_fn(tree, canon.PIN_SYMMETRY)
     trunc_memo: dict[int, bool] = {}
@@ -593,11 +620,10 @@ def _normalize_fast(tree: GameTree, trace: ReductionTrace) -> GameTree:
         cached = trunc_memo.get(node)
         if cached is not None:
             return cached
-        for n in canon._postorder(tree, node, trunc_memo):
-            if n not in trunc_memo:
-                trunc_memo[n] = tree.node_kind[n] == TRUNCATED or any(
-                    trunc_memo[tree.edge_dst[e]] for e in tree.node_children[n]
-                )
+        for n in postorder(tree, node, trunc_memo):
+            trunc_memo[n] = tree.node_kind[n] == TRUNCATED or any(
+                trunc_memo[tree.edge_dst[e]] for e in tree.node_children[n]
+            )
         return trunc_memo[node]
 
     ids, costs = _intern(tree)
@@ -695,7 +721,7 @@ def _normalize_fast(tree: GameTree, trace: ReductionTrace) -> GameTree:
             if not changed:
                 return
 
-    # canon._postorder's order, not descending into a repeated subtree.
+    # Children first, not descending into a repeated subtree.
     # finished: subtree id -> (finished node, slice of trace.steps).
     finished: dict[int, tuple[int, int, int]] = {}
     stack: list[tuple[int, int]] = [(tree.root, -1)]
@@ -770,13 +796,21 @@ def normalize(
     The default engine applies the canonical order bottom-up, normalizing
     each distinct subtree once and unfolding the shared result on output;
     passing `shuffle_seed` switches to a reference engine that repeatedly
-    picks a random site, used to check order robustness.  `consume=True`
-    skips the defensive copy when the caller owns the tree.
+    picks a random site, used to check order robustness.  Both rewrite in
+    place, which is unsound on a shared node (its other parents would keep
+    the stale child), so an input arena that shares nodes, such as a built
+    one, is unfolded first; trace node ids are then those of `unfold`.
+    The normal form is written out by `unfold`, so its ids follow that
+    numbering.  `consume=True` skips the defensive copy of an unshared
+    input when the caller owns the tree.
     """
-    work = tree if consume else tree.copy()
+    if is_shared(tree):
+        work = unfold(tree)
+    else:
+        work = tree if consume else tree.copy()
     trace = ReductionTrace()
     if shuffle_seed is None:
         _normalize_fast(work, trace)
     else:
         _normalize_random(work, trace, random.Random(shuffle_seed))
-    return work.compact(), trace
+    return unfold(work), trace

@@ -1,8 +1,20 @@
 """Game-tree construction, decision matrices, and import/export.
 
 Trees are stored as flat arenas (parallel arrays indexed by node/edge id)
-because realistic games produce trees with millions of nodes.  Deleted
-nodes become unreachable tombstones; `compact` renumbers densely and
+because realistic games produce trees with millions of nodes.  An arena may
+share nodes: `build_tree` makes one node per distinct subtree it can name
+(a state, or a state and the rounds left), reached along every edge that
+leads to it, and normalization shares finished subtrees.  Such an arena
+stands for its unfolding, the tree with one copy of a node per root path.
+Passes that compute per-node facts (stats, keys, exports) visit each arena
+node once and weight it by its number of root paths, so every count they
+report (`tree_stats`, `GameTree.node_count`, the ids in an export) is an
+unfolded-tree count; `iter_nodes` yields a shared node once per path, and
+`unfold` writes the unfolding out as a fresh arena.  Shared nodes have
+several parents, so `node_parent_edge` names one of them only; it is exact
+on unshared arenas such as imported trees.
+
+Deleted nodes become unreachable tombstones; `unfold` drops them and
 unfolds nodes that normalization left shared.  Facts derived from edge
 labels are cached under the (immutable) labels themselves, so rewriting a
 tree never makes a cache entry stale.
@@ -22,6 +34,7 @@ unordered.
 
 from __future__ import annotations
 
+import itertools
 import json
 from array import array
 from dataclasses import dataclass
@@ -134,7 +147,11 @@ class GameTree:
         return -1 if e < 0 else self.edge_src[e]
 
     def iter_nodes(self) -> Iterator[int]:
-        """Live nodes, preorder from the root."""
+        """Nodes of the unfolded tree, preorder from the root.
+
+        A shared node is yielded once per path to it; `postorder` visits
+        each node of the arena once.
+        """
         stack = [self.root]
         while stack:
             n = stack.pop()
@@ -144,9 +161,11 @@ class GameTree:
                 stack.append(self.edge_dst[e])
 
     def node_count(self) -> int:
-        return sum(1 for _ in self.iter_nodes())
+        """Nodes of the unfolded tree: a shared node counts once per path."""
+        return _unfolded_sizes(self, postorder(self))[self.root]
 
     def subtree_nodes(self, node: int) -> Iterator[int]:
+        """Like `iter_nodes`, below `node`: once per path, in no set order."""
         stack = [node]
         while stack:
             n = stack.pop()
@@ -155,14 +174,12 @@ class GameTree:
                 stack.append(self.edge_dst[e])
 
     def depth(self) -> int:
-        best = 0
-        stack = [(self.root, 0)]
-        while stack:
-            n, d = stack.pop()
-            best = max(best, d)
-            for e in self.node_children[n]:
-                stack.append((self.edge_dst[e], d + 1))
-        return best
+        """Edges on the longest path from the root."""
+        height = [0] * len(self.node_kind)
+        dst = self.edge_dst
+        for n in postorder(self):
+            height[n] = max([height[dst[e]] + 1 for e in self.node_children[n]], default=0)
+        return height[self.root]
 
     def copy(self) -> "GameTree":
         dup = GameTree(self.players, self.system)
@@ -177,30 +194,6 @@ class GameTree:
         dup.edge_prob = list(self.edge_prob)
         dup.edge_label = list(self.edge_label)
         dup.root = self.root
-        return dup
-
-    def compact(self) -> "GameTree":
-        """A fresh tree holding only live nodes, renumbered in preorder.
-
-        Every visit of a node gets its own copy, so a node reached along
-        several edges (normalization shares each distinct finished subtree)
-        is unfolded into a tree.  On a tree this is a plain renumbering.
-        """
-        dup = GameTree(self.players, self.system)
-        out_edges: list[list[tuple[int, int]]] = []  # per new node: (old edge, new child)
-        stack = [(self.root, -1, -1)]  # (old node, new parent, old edge into it)
-        while stack:
-            n, parent, e = stack.pop()
-            new = dup.add_node(self.node_kind[n], self.node_state[n], self.node_outcome[n])
-            out_edges.append([])
-            if parent >= 0:
-                out_edges[parent].append((e, new))
-            for child_edge in reversed(self.node_children[n]):
-                stack.append((self.edge_dst[child_edge], new, child_edge))
-        for src, edges in enumerate(out_edges):
-            for e, dst in edges:
-                dup.add_edge(src, dst, self.edge_kind[e], self.edge_prob[e], self.edge_label[e])
-        dup.root = 0
         return dup
 
     def structurally_equal(self, other: "GameTree") -> bool:
@@ -223,6 +216,164 @@ class GameTree:
 
 
 # ---------------------------------------------------------------------------
+# Walking a shared arena
+# ---------------------------------------------------------------------------
+
+
+def postorder(tree: GameTree, node: Optional[int] = None, done=()) -> list[int]:
+    """Each node below `node` (default: the root) once, children first.
+
+    Nodes in `done` (a memo) are left out and not descended into.  On an
+    arena with a cycle the order is not children-first; `_unfolded_sizes`
+    detects that.
+    """
+    node_children = tree.node_children
+    edge_dst = tree.edge_dst
+    seen: set[int] = set()
+    order: list[int] = []
+    stack = [tree.root if node is None else node]  # n: enter n; ~n: leave n
+    push = stack.append
+    pop = stack.pop
+    while stack:
+        n = pop()
+        if n < 0:
+            order.append(~n)
+        elif n not in seen:
+            seen.add(n)
+            push(~n)
+            for e in node_children[n]:
+                child = edge_dst[e]
+                if child not in seen and child not in done:
+                    push(child)
+    return order
+
+
+def _unfolded_sizes(tree: GameTree, order: list[int]) -> list[int]:
+    """Per node of `order` (`postorder(tree)`), its subtree's unfolded size.
+
+    Raises TreeInvariantError on a cycle: a child on one is reached before
+    its size is known.
+    """
+    size = [0] * len(tree.node_kind)
+    node_children = tree.node_children
+    edge_dst = tree.edge_dst
+    for n in order:
+        s = 1
+        for e in node_children[n]:
+            k = size[edge_dst[e]]
+            if not k:
+                raise TreeInvariantError(f"node {edge_dst[e]} lies on a cycle")
+            s += k
+        size[n] = s
+    return size
+
+
+def _path_counts(tree: GameTree, order: list[int]) -> list[int]:
+    """Per node, the number of root paths to it: its copies in the unfolded
+    tree.  `order` is `postorder(tree)`."""
+    count = [0] * len(tree.node_kind)
+    count[tree.root] = 1
+    node_children = tree.node_children
+    edge_dst = tree.edge_dst
+    for n in reversed(order):
+        c = count[n]
+        for e in node_children[n]:
+            count[edge_dst[e]] += c
+    return count
+
+
+def _unfold(tree: GameTree) -> tuple[GameTree, list[int]]:
+    """`unfold`, plus the arena node each new node copies.
+
+    Every new node but the root is created with its incoming edge, so new
+    edge i leads to new node i + 1.
+    """
+    node_kind = tree.node_kind
+    node_children = tree.node_children
+    edge_dst = tree.edge_dst
+    size = _unfolded_sizes(tree, postorder(tree))[tree.root]
+    origin = [tree.root]  # per new node
+    edge_origin: list[int] = []  # per new edge
+    edge_src: list[int] = []
+    children: list = [None] * size
+    stack = [(tree.root, 0)]  # (arena node, new node) to expand
+    while stack:
+        n, m = stack.pop()
+        mine = children[m] = []
+        for e in node_children[n]:
+            child = edge_dst[e]
+            c = len(origin)
+            mine.append(c - 1)
+            origin.append(child)
+            edge_origin.append(e)
+            edge_src.append(m)
+            if node_kind[child] != CHANCE:
+                stack.append((child, c))
+                continue
+            # A chance node's children are created along with it.
+            theirs = children[c] = []
+            for e2 in node_children[child]:
+                g = len(origin)
+                theirs.append(g - 1)
+                origin.append(edge_dst[e2])
+                edge_origin.append(e2)
+                edge_src.append(c)
+                stack.append((edge_dst[e2], g))
+
+    out = GameTree(tree.players, tree.system)
+    out.label_cache = tree.label_cache
+    out.node_kind = array("b", [node_kind[n] for n in origin])
+    out.node_state = [tree.node_state[n] for n in origin]
+    out.node_outcome = [tree.node_outcome[n] for n in origin]
+    out.node_children = children
+    out.node_parent_edge = array("i", range(-1, size - 1))
+    out.edge_kind = array("b", [tree.edge_kind[e] for e in edge_origin])
+    out.edge_src = array("i", edge_src)
+    out.edge_dst = array("i", range(1, size))
+    out.edge_prob = [tree.edge_prob[e] for e in edge_origin]
+    out.edge_label = [tree.edge_label[e] for e in edge_origin]
+    out.root = 0
+    return out, origin
+
+
+def unfold(tree: GameTree) -> GameTree:
+    """The tree the arena denotes, as a fresh arena: one node per root path.
+
+    Nodes are numbered as an unshared `build_tree` numbers them: a node's
+    children get ids when the node is expanded, a chance child's children
+    right after it, and the last child created is expanded first.  So
+    unfolding a built arena gives exactly the arrays an unshared build
+    would.  The label cache is shared: its entries are keyed by immutable
+    labels.
+    """
+    return _unfold(tree)[0]
+
+
+def is_shared(tree: GameTree) -> bool:
+    """Is some node reached along more than one path from the root?"""
+    seen: set[int] = set()
+    stack = [tree.root]
+    while stack:
+        n = stack.pop()
+        if n in seen:
+            return True
+        seen.add(n)
+        for e in tree.node_children[n]:
+            stack.append(tree.edge_dst[e])
+    return False
+
+
+def require_unshared(tree: GameTree, what: str) -> None:
+    """Raise TreeInvariantError if the arena shares a node.
+
+    `what` names or rewrites nodes by arena id, which is sound only on a
+    tree: on a shared arena one id stands for every copy of the node.
+    """
+    if is_shared(tree):
+        raise TreeInvariantError(f"{what} needs an unshared tree; unfold the arena first")
+
+
+# ---------------------------------------------------------------------------
 # Construction from a system
 # ---------------------------------------------------------------------------
 
@@ -233,14 +384,22 @@ def build_tree(
     depth_limit: Optional[int] = None,
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> GameTree:
-    """Build the game tree rooted at s0.
+    """Build the game tree rooted at s0, as a DAG that shares equal subtrees.
 
     Per legal decision tuple one decision edge is drawn; a singleton
     consequence list leads straight to a state node, otherwise through a
     chance node with probability-labeled chance edges.  `depth_limit` counts
     decision rounds from the root: state nodes more than `depth_limit` rounds
-    deep are left unexpanded and marked truncated.  `node_budget` bounds total
-    node count (systems can describe infinite trees).
+    deep are left unexpanded and marked truncated.
+
+    A state's subtree depends only on the state (and, under `depth_limit`,
+    on the rounds left), so the arena holds one node per state, or per
+    (state, round) under `depth_limit`; each state node owns a chance node
+    per decision tuple that needs one.  Node ids are handed out in the order
+    an unshared build creates them, skipping repeats, and `unfold` recovers
+    that build's arrays exactly.  `node_budget` bounds the node count of the
+    unfolded tree (systems can describe infinite trees): a larger tree, or a
+    state graph with a cycle, raises BudgetExceededError.
     """
     engine = sys.engine()
     tree = GameTree(sys.players, sys)
@@ -253,69 +412,64 @@ def build_tree(
             label_cache[dtuple] = lab
         return lab
 
-    # Per-state expansion cache: transposition-heavy games revisit states.
-    expansion_cache: dict[GameState, Optional[list]] = {}
-
-    def expansion(state: GameState):
-        cached = expansion_cache.get(state, False)
-        if cached is not False:
-            return cached
-        sets = engine.legal_sets(state)
-        if not any(sets):
-            expansion_cache[state] = None
-            return None
-        import itertools as _it
-
-        choices = [sorted(s) if s else [None] for s in sets]
-        out = []
-        for dtuple in _it.product(*choices):
-            results = engine.consequences(dtuple, state)
-            resolved = tuple(
-                (p, engine.apply_actions(names, state)) for p, names in results
-            )
-            out.append((dtuple, resolved))
-        expansion_cache[state] = out
-        return out
-
-    budget = node_budget
-    root = tree.add_node(STATE, state=s0)
-    tree.root = root
-    # (node, state, generation)
-    stack: list[tuple[int, GameState, int]] = [(root, s0, 0)]
-    count = 1
     add_node = tree.add_node
     add_edge = tree.add_edge
+    limited = depth_limit is not None
+    # (node, state, generation) of created, unexpanded nodes
+    stack: list[tuple[int, GameState, int]] = []
+    nodes: dict = {}  # state, or (state, generation) under a depth limit
+
+    def node_for(state: GameState, gen: int) -> int:
+        key = (state, gen) if limited else state
+        node = nodes.get(key)
+        if node is None:
+            node = nodes[key] = add_node(STATE, state=state)
+            stack.append((node, state, gen))
+        return node
+
+    tree.root = node_for(s0, 0)
     while stack:
         node, state, gen = stack.pop()
-        moves = expansion(state)
-        if moves is None:
+        sets = engine.legal_sets(state)
+        if not any(sets):
             tree.node_kind[node] = TERMINAL
             tree.node_outcome[node] = engine.outcome(state)
             continue
-        if depth_limit is not None and gen > depth_limit:
+        dtuples = itertools.product(*[sorted(s) if s else [None] for s in sets])
+        if limited and gen > depth_limit:
+            # Unexpanded, but a decision tuple no consequence rule matches
+            # still raises, as it does on an expanded node.
+            for dtuple in dtuples:
+                engine.consequences(dtuple, state)
             tree.node_kind[node] = TRUNCATED
             continue
-        for dtuple, results in moves:
-            if count + len(results) + 1 > budget:
-                raise BudgetExceededError(
-                    f"node budget {node_budget} exceeded while expanding "
-                    f"{format_decision_tuple(dtuple)}"
-                )
+        for dtuple in dtuples:
+            results = engine.consequences(dtuple, state)
             if len(results) == 1:
-                succ = results[0][1]
-                child = add_node(STATE, state=succ)
-                count += 1
-                add_edge(node, child, DECISION_EDGE, label=label_for(dtuple))
-                stack.append((child, succ, gen + 1))
+                succ = engine.apply_actions(results[0][1], state)
+                add_edge(node, node_for(succ, gen + 1), DECISION_EDGE, label=label_for(dtuple))
             else:
                 chance = add_node(CHANCE)
-                count += 1
                 add_edge(node, chance, DECISION_EDGE, label=label_for(dtuple))
-                for p, succ in results:
-                    child = add_node(STATE, state=succ)
-                    count += 1
-                    add_edge(chance, child, CHANCE_EDGE, prob=p)
-                    stack.append((child, succ, gen + 1))
+                for p, names in results:
+                    succ = engine.apply_actions(names, state)
+                    add_edge(chance, node_for(succ, gen + 1), CHANCE_EDGE, prob=p)
+        if len(tree.node_kind) > node_budget:
+            raise BudgetExceededError(
+                f"node budget {node_budget} exceeded while expanding "
+                f"{format_decision_tuple(dtuple)}"
+            )
+    try:
+        size = _unfolded_sizes(tree, postorder(tree))[tree.root]
+    except TreeInvariantError:
+        raise BudgetExceededError(
+            f"node budget {node_budget} exceeded: the state graph has a cycle, "
+            "so the tree is infinite"
+        ) from None
+    if size > node_budget:
+        raise BudgetExceededError(
+            f"node budget {node_budget} exceeded: the tree has {size} nodes"
+        )
     return tree
 
 
@@ -543,44 +697,68 @@ def _label_sort_key(label: EdgeLabel):
     )
 
 
-def _preorder(tree: GameTree) -> tuple[list[int], dict[int, int], list[list[int]]]:
+def _preorder(tree: GameTree) -> tuple[list[int], list, list[int]]:
     """The canonical numbering shared by the exports.
 
-    Returns the live nodes in preorder (a node's id is its position there),
-    the id of each node, and per position the node's out-edges in canonical
-    order: decision edges by sorted tuple sequences, chance edges by
-    descending probability, then by the child's fully pinned subtree key.
+    Returns the nodes of the unfolded tree in preorder (a shared node once
+    per path to it; a node's id is its position there), per arena node its
+    out-edges in canonical order, and per arena node its unfolded subtree
+    size: a child's id is its parent's id plus one plus the sizes of the
+    children before it.  Decision edges sort by their sorted tuple
+    sequences, chance edges by descending probability, and equally likely
+    ones by the child's fully pinned subtree key.  Both sorts run once per
+    arena node, and keys are computed only below tied chance edges.
     """
-    from . import canon  # local import: canon orders chance edges by subtree key
+    from . import canon  # local import: canon orders tied chance edges by subtree key
 
-    keys = canon.subtree_keys(
-        tree, pin_players=True, pin_outcomes=True, pin_states=True
-    )
+    node_kind = tree.node_kind
+    node_children = tree.node_children
+    edge_dst = tree.edge_dst
+    edge_prob = tree.edge_prob
+    edge_label = tree.edge_label
     label_keys: dict = {}
+    key_fn = None
 
     def label_key(e: int):
-        label = tree.edge_label[e]
+        label = edge_label[e]
         key = label_keys.get(label)
         if key is None:
             key = label_keys[label] = _label_sort_key(label)
         return key
 
-    def chance_key(e: int):
-        return (-tree.edge_prob[e], keys[tree.edge_dst[e]])
+    ordered: list = [None] * len(node_kind)
+    size = [0] * len(node_kind)
+    for n in postorder(tree):
+        edges = node_children[n]
+        s = 1
+        if edges:
+            if node_kind[n] != CHANCE:
+                edges = sorted(edges, key=label_key)
+            else:
+                probs = [edge_prob[e] for e in edges]
+                tied = {p for p in probs if probs.count(p) > 1}
+                if tied and key_fn is None:
+                    key_fn = canon.make_key_fn(tree, canon.PIN_ALL)
+                edges = sorted(
+                    edges,
+                    key=lambda e: (
+                        -edge_prob[e],
+                        key_fn(edge_dst[e]) if edge_prob[e] in tied else b"",
+                    ),
+                )
+            for e in edges:
+                s += size[edge_dst[e]]
+        ordered[n] = edges
+        size[n] = s
 
     sequence: list[int] = []
-    order: list[list[int]] = []
     stack = [tree.root]
     while stack:
         n = stack.pop()
         sequence.append(n)
-        edges = tree.node_children[n]
-        if edges:
-            edges = sorted(edges, key=chance_key if tree.node_kind[n] == CHANCE else label_key)
-            for e in reversed(edges):
-                stack.append(tree.edge_dst[e])
-        order.append(edges)
-    return sequence, {n: i for i, n in enumerate(sequence)}, order
+        for e in reversed(ordered[n]):
+            stack.append(edge_dst[e])
+    return sequence, ordered, size
 
 
 # ---------------------------------------------------------------------------
@@ -632,12 +810,12 @@ def write_json(tree: GameTree, write: Callable[[str], object], level: int = 0) -
     edge label's sorted ``"tuples"`` block and probability; strings are quoted
     by the C encoder's ``encode_basestring_ascii``, as ``json.dumps`` does.
     """
-    sequence, ids, order = _preorder(tree)
+    sequence, ordered, size = _preorder(tree)
     pad = "  " * level
     i1, i2, i3 = pad + "  ", pad + "    ", pad + "      "
     write(
         f'{pad}{{\n{i1}"players": {_json_list(tree.players, i1)},\n'
-        f'{i1}"root": {ids[tree.root]},\n{i1}"nodes": ['
+        f'{i1}"root": 0,\n{i1}"nodes": ['
     )
     kinds = {
         STATE: f',\n{i3}"kind": "state"',
@@ -667,8 +845,10 @@ def write_json(tree: GameTree, write: Callable[[str], object], level: int = 0) -
     tails: dict = {}
     probs: dict = {}
     sep = "\n"
-    for i, edges in enumerate(order):
-        for e in edges:
+    edge_dst = tree.edge_dst
+    for i, n in enumerate(sequence):
+        to = i + 1
+        for e in ordered[n]:
             if tree.edge_kind[e] == DECISION_EDGE:
                 label = tree.edge_label[e]
                 tail = tails.get(label)
@@ -684,9 +864,8 @@ def write_json(tree: GameTree, write: Callable[[str], object], level: int = 0) -
                     tail = probs[prob] = (
                         f',\n{i3}"kind": "chance",\n{i3}"prob": {_quote(str(prob))}{close}'
                     )
-            write(
-                f'{sep}{i2}{{\n{i3}"from": {i},\n{i3}"to": {ids[tree.edge_dst[e]]}{tail}'
-            )
+            write(f'{sep}{i2}{{\n{i3}"from": {i},\n{i3}"to": {to}{tail}')
+            to += size[edge_dst[e]]
             sep = ",\n"
     write(f"]\n{pad}}}" if sep == "\n" else f"\n{i1}]\n{pad}}}")
 
@@ -836,7 +1015,7 @@ def write_dot(tree: GameTree, write: Callable[[str], object]) -> None:
     distinct edge label and probability, and each outcome's node attributes,
     are rendered once per call.
     """
-    sequence, ids, order = _preorder(tree)
+    sequence, ordered, size = _preorder(tree)
     write("digraph gametree {\n")
     kinds = {
         STATE: 'shape=circle style=filled fillcolor=black label="" width=0.15',
@@ -855,15 +1034,18 @@ def write_dot(tree: GameTree, write: Callable[[str], object]) -> None:
             attrs = kinds[kind]
         write(f"  n{i} [{attrs}];\n")
     labels: dict = {}
-    for i, edges in enumerate(order):
-        for e in edges:
+    edge_dst = tree.edge_dst
+    for i, n in enumerate(sequence):
+        to = i + 1
+        for e in ordered[n]:
             key = tree.edge_label[e] if tree.edge_kind[e] == DECISION_EDGE else tree.edge_prob[e]
             label = labels.get(key)
             if label is None:
                 label = labels[key] = (
                     _dot_escape(format_label(key)) if isinstance(key, frozenset) else str(key)
                 )
-            write(f'  n{i} -> n{ids[tree.edge_dst[e]]} [label="{label}"];\n')
+            write(f'  n{i} -> n{to} [label="{label}"];\n')
+            to += size[edge_dst[e]]
     write("}\n")
 
 
@@ -897,11 +1079,16 @@ class TreeStats:
 
 
 def tree_stats(tree: GameTree) -> TreeStats:
+    """Counts of the unfolded tree, from one visit of each arena node: a
+    shared node counts once per path to it."""
+    order = postorder(tree)
+    paths = _path_counts(tree, order)
     counts = {STATE: 0, CHANCE: 0, TERMINAL: 0, TRUNCATED: 0}
     edges = 0
-    for n in tree.iter_nodes():
-        counts[tree.node_kind[n]] += 1
-        edges += len(tree.node_children[n])
+    for n in order:
+        c = paths[n]
+        counts[tree.node_kind[n]] += c
+        edges += c * len(tree.node_children[n])
     return TreeStats(
         nodes=sum(counts.values()),
         state_nodes=counts[STATE],

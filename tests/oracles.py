@@ -9,12 +9,28 @@ from __future__ import annotations
 
 import itertools
 import json
+from typing import Optional
 
-from ludokit import canon
-from ludokit.core import WILDCARD, And, Lit, Not, Or, Ref, format_decision_tuple
+from ludokit import canon, core
+from ludokit.core import (
+    WILDCARD,
+    And,
+    DecisionTuple,
+    GameState,
+    GameSystem,
+    Lit,
+    Not,
+    Or,
+    Ref,
+    format_decision_tuple,
+)
+from ludokit.errors import BudgetExceededError
 from ludokit.tree import (
     CHANCE,
+    CHANCE_EDGE,
     DECISION_EDGE,
+    DEFAULT_NODE_BUDGET,
+    EdgeLabel,
     GameTree,
     STATE,
     TERMINAL,
@@ -79,6 +95,109 @@ def enumerate_tictactoe_playthroughs(limit: int | None = None):
 
     recurse("X", "O", ())
     return out
+
+
+# ---------------------------------------------------------------------------
+# The unshared tree builder: one node per root path
+# ---------------------------------------------------------------------------
+
+
+def build_tree(
+    sys: GameSystem,
+    s0: GameState,
+    depth_limit: Optional[int] = None,
+    node_budget: int = DEFAULT_NODE_BUDGET,
+) -> GameTree:
+    """Build the game tree rooted at s0, every node its own copy: the
+    unfolded reference for the shared arena `ludokit.tree.build_tree` makes.
+
+    Per legal decision tuple one decision edge is drawn; a singleton
+    consequence list leads straight to a state node, otherwise through a
+    chance node with probability-labeled chance edges.  `depth_limit` counts
+    decision rounds from the root: state nodes more than `depth_limit` rounds
+    deep are left unexpanded and marked truncated.  `node_budget` bounds total
+    node count (systems can describe infinite trees).
+    """
+    engine = sys.engine()
+    tree = GameTree(sys.players, sys)
+    label_cache: dict[DecisionTuple, EdgeLabel] = {}
+
+    def label_for(dtuple: DecisionTuple) -> EdgeLabel:
+        lab = label_cache.get(dtuple)
+        if lab is None:
+            lab = frozenset({(dtuple,)})
+            label_cache[dtuple] = lab
+        return lab
+
+    # Per-state expansion cache: transposition-heavy games revisit states.
+    expansion_cache: dict[GameState, Optional[list]] = {}
+
+    def expansion(state: GameState):
+        cached = expansion_cache.get(state, False)
+        if cached is not False:
+            return cached
+        sets = engine.legal_sets(state)
+        if not any(sets):
+            expansion_cache[state] = None
+            return None
+        import itertools as _it
+
+        choices = [sorted(s) if s else [None] for s in sets]
+        out = []
+        for dtuple in _it.product(*choices):
+            results = engine.consequences(dtuple, state)
+            resolved = tuple(
+                (p, engine.apply_actions(names, state)) for p, names in results
+            )
+            out.append((dtuple, resolved))
+        expansion_cache[state] = out
+        return out
+
+    budget = node_budget
+    root = tree.add_node(STATE, state=s0)
+    tree.root = root
+    # (node, state, generation)
+    stack: list[tuple[int, GameState, int]] = [(root, s0, 0)]
+    count = 1
+    add_node = tree.add_node
+    add_edge = tree.add_edge
+    while stack:
+        node, state, gen = stack.pop()
+        moves = expansion(state)
+        if moves is None:
+            tree.node_kind[node] = TERMINAL
+            tree.node_outcome[node] = engine.outcome(state)
+            continue
+        if depth_limit is not None and gen > depth_limit:
+            tree.node_kind[node] = TRUNCATED
+            continue
+        for dtuple, results in moves:
+            if count + len(results) + 1 > budget:
+                raise BudgetExceededError(
+                    f"node budget {node_budget} exceeded while expanding "
+                    f"{format_decision_tuple(dtuple)}"
+                )
+            if len(results) == 1:
+                succ = results[0][1]
+                child = add_node(STATE, state=succ)
+                count += 1
+                add_edge(node, child, DECISION_EDGE, label=label_for(dtuple))
+                stack.append((child, succ, gen + 1))
+            else:
+                chance = add_node(CHANCE)
+                count += 1
+                add_edge(node, chance, DECISION_EDGE, label=label_for(dtuple))
+                for p, succ in results:
+                    child = add_node(STATE, state=succ)
+                    count += 1
+                    add_edge(chance, child, CHANCE_EDGE, prob=p)
+                    stack.append((child, succ, gen + 1))
+    return tree
+
+
+def build_forest(sys: GameSystem, depth_limit: Optional[int] = None) -> list[GameTree]:
+    """The unshared `build_tree` of each initial state, in the library's order."""
+    return [build_tree(sys, s0, depth_limit) for s0 in core.initial_states(sys)]
 
 
 # ---------------------------------------------------------------------------

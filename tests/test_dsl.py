@@ -12,6 +12,7 @@ import generators
 from conftest import fixture_text
 from ludokit import core
 from ludokit.dsl import GameParseError, parse_game, serialize_game
+from ludokit.errors import LudokitError
 
 
 MINIMAL = """
@@ -314,3 +315,69 @@ def test_round_trip_random_systems(seed):
     text = serialize_game(sys)
     again = parse_game(text, "generated.game")
     assert again == sys
+
+
+# ---------------------------------------------------------------------------
+# Fuzzing: whatever the text, only a LudokitError may escape the parser
+# ---------------------------------------------------------------------------
+
+FUZZ_GAMES = [
+    "tictactoe", "3to15", "misere", "perturbed", "endofturn",
+    "forbidden", "parity", "mixed_a", "mixed_b",
+]
+_TOKEN = re.compile(r"\w+|\s+|.", re.DOTALL)
+_SPARE = ["(", ")", "{", "}", ",", ";", ":", "=", "..", "$i", "0", "*", "prob", "1/2",
+          "when", "set", "not", "and", "or", "forall", "in", "if", "\n", " ", "#", "-1"]
+
+
+def _parses_or_raises_ludokit_error(text: str) -> None:
+    try:
+        parse_game(text)
+    except LudokitError:
+        pass
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.text(max_size=400))
+def test_parse_arbitrary_text(text):
+    _parses_or_raises_ludokit_error(text)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from(_SPARE + ["players", "track", "P", "a", "x"]), max_size=60))
+def test_parse_token_soup(tokens):
+    _parses_or_raises_ludokit_error(" ".join(tokens))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(FUZZ_GAMES),
+    st.lists(
+        st.tuples(
+            st.sampled_from(["delete", "duplicate", "replace", "insert", "swap"]),
+            st.integers(0, 10**6),
+            st.integers(0, 10**6),
+        ),
+        min_size=1,
+        max_size=4,
+    ),
+)
+def test_parse_mutated_fixtures(game, edits):
+    tokens = _TOKEN.findall(fixture_text(f"{game}.game"))
+    vocabulary = sorted(set(tokens)) + _SPARE
+    for op, i, j in edits:
+        i %= len(tokens)
+        if op == "delete":
+            del tokens[i]
+        elif op == "duplicate":
+            tokens.insert(i, tokens[i])
+        elif op == "replace":
+            tokens[i] = vocabulary[j % len(vocabulary)]
+        elif op == "insert":
+            tokens.insert(i, vocabulary[j % len(vocabulary)])
+        else:
+            j %= len(tokens)
+            tokens[i], tokens[j] = tokens[j], tokens[i]
+        if not tokens:
+            tokens = [" "]
+    _parses_or_raises_ludokit_error("".join(tokens))

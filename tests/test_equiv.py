@@ -5,13 +5,14 @@ from __future__ import annotations
 import dataclasses
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 import generators
 import oracles
-from ludokit import core, equiv, reduce, tree
+from ludokit import canon, core, equiv, reduce, tree
 from ludokit.equiv import (
     agency_equivalent,
     canonical_form,
@@ -24,6 +25,7 @@ from ludokit.equiv import (
     structurally_equivalent,
     verify_witness,
 )
+from ludokit.errors import TreeInvariantError
 from ludokit.tree import (
     CHANCE,
     CHANCE_EDGE,
@@ -33,6 +35,13 @@ from ludokit.tree import (
     TERMINAL,
     decision_matrix,
 )
+
+
+def set_child_pair(pair, link, i, child_pair) -> None:
+    """Replace the i-th child pair of a related pair of a witness."""
+    pairing = list(pair.links[link])
+    pairing[i] = child_pair
+    pair.links[link] = tuple(pairing)
 
 
 def path_tree(outcomes: list[str]) -> GameTree:
@@ -116,6 +125,16 @@ class TestStructuralCorrespondences:
     def test_mismatch_empty(self):
         maps = list(structural_correspondences(star_tree(["a"]), star_tree(["a", "b"])))
         assert maps == []
+
+    def test_shared_arena_rejected(self, systems):
+        built = tree.build_forest(systems["parity"])[0]
+        assert tree.is_shared(built)
+        plain = tree.unfold(built)
+        for left, right in ((built, plain), (plain, built)):
+            with pytest.raises(TreeInvariantError):
+                structural_correspondences(left, right)
+        f = next(structural_correspondences(plain, plain))
+        assert len(set(f.values())) == len(f) == built.node_count()
 
     def test_maps_are_isomorphisms(self):
         a = star_tree(["a", "a", "b"])
@@ -367,13 +386,58 @@ class TestWitnessMachinery:
     def test_corrupted_witness_detected(self, swap_pair_left, swap_pair_right):
         w = agency_equivalent(swap_pair_left, swap_pair_right)
         pair = w.pairs[0]
-        nodes = list(pair.node_map)
-        terminals = [
-            n for n in nodes
-            if w.left_forest[0].node_kind[n] == TERMINAL
+        lt = w.left_forest[0]
+        # swap the images of two terminals: the right edges of their child pairs
+        spots = [
+            (link, i)
+            for link, pairing in pair.links.items()
+            for i, (e, _) in enumerate(pairing)
+            if lt.node_kind[lt.edge_dst[e]] == TERMINAL
         ]
-        a, b = terminals[0], terminals[1]
-        pair.node_map[a], pair.node_map[b] = pair.node_map[b], pair.node_map[a]
+        (a, i), (b, j) = spots[0], spots[1]
+        (ea, ra), (eb, rb) = pair.links[a][i], pair.links[b][j]
+        set_child_pair(pair, a, i, (ea, rb))
+        set_child_pair(pair, b, j, (eb, ra))
+        assert verify_witness(w) != []
+
+
+class TestSharedWitness:
+    """Witnesses of built forests relate pairs of shared nodes."""
+
+    @pytest.fixture(scope="class")
+    def forests(self, systems):
+        games = ("tictactoe", "3to15")
+        shared = [tree.build_forest(systems[g], depth_limit=3) for g in games]
+        unshared = [oracles.build_forest(systems[g], depth_limit=3) for g in games]
+        return shared, unshared
+
+    def test_verifies_and_unfolds_to_the_unshared_witness(self, forests):
+        (left, right), (uleft, uright) = forests
+        w = equivalent_up_to_relabeling(left, right)
+        assert verify_witness(w) == []
+        reference = equivalent_up_to_relabeling(uleft, uright)
+        assert [p.node_map for p in w.pairs] == [p.node_map for p in reference.pairs]
+        assert w.to_json() == reference.to_json()
+        assert verify_witness(invert_witness(w)) == []
+        back = equivalent_up_to_relabeling(right, left)
+        assert verify_witness(compose_witnesses(w, back)) == []
+
+    def test_swapped_child_pairs_detected(self, forests):
+        (left, right), _ = forests
+        w = equivalent_up_to_relabeling(left, right)
+        pair = w.pairs[0]
+        lt = w.left_forest[0]
+        keys = canon.subtree_keys(lt, pin_players=True, pin_outcomes=True)
+        # a child pairing whose first two left children differ even with
+        # players and outcomes pinned: swapping their images is wrong
+        link = next(
+            link for link, pairing in sorted(pair.links.items())
+            if len(pairing) > 1
+            and keys[lt.edge_dst[pairing[0][0]]] != keys[lt.edge_dst[pairing[1][0]]]
+        )
+        (a, ra), (b, rb) = pair.links[link][:2]
+        set_child_pair(pair, link, 0, (a, rb))
+        set_child_pair(pair, link, 1, (b, ra))
         assert verify_witness(w) != []
 
 
@@ -448,20 +512,21 @@ class TestMatchCandidates:
     must equal those of recomputing every profile per left choice."""
 
     def state_pairs(self, witness):
+        """Each related state pair, with its child pairing as an edge map."""
         for pair in witness.pairs:
             lt = witness.left_forest[pair.left_index]
             rt = witness.right_forest[pair.right_index]
-            for u, v in sorted(pair.node_map.items()):
+            for (u, v), pairing in sorted(pair.links.items()):
                 if lt.node_kind[u] == STATE and lt.node_children[u]:
-                    yield lt, rt, u, v, pair.node_map
+                    images = dict(pairing)
+                    yield lt, rt, u, v, {e: images[e] for e in lt.node_children[u]}
 
     def assert_candidates_agree(self, witness, rng) -> int:
         checked = 0
-        for lt, rt, u, v, node_map in self.state_pairs(witness):
+        for lt, rt, u, v, edge_map in self.state_pairs(witness):
             lm, rm = decision_matrix(lt, u), decision_matrix(rt, v)
             rindex = {p: i for i, p in enumerate(rm.players)}
             order = [(i, rindex[witness.player_map[p]]) for i, p in enumerate(lm.players)]
-            edge_map = equiv._induced_edge_map(lt, rt, node_map, u, v)
             right_edges = list(edge_map.values())
             rng.shuffle(right_edges)
             scrambled = dict(zip(edge_map, right_edges))
@@ -482,6 +547,35 @@ class TestMatchCandidates:
                 w = equivalent_up_to_relabeling(left, right)
                 checked += self.assert_candidates_agree(w, rng)
         assert checked > 500
+
+    def test_one_chooser_shortcut_agrees(self, systems):
+        """At nodes where at most one player chooses, `verify_witness`
+        compares cell counts per edge pair instead of calling
+        `match_matrices`; both give the same answer, for the true child
+        pairing and for a scrambled one."""
+        rng = random.Random(5)
+        forests = [tree.build_forest(systems[g], depth_limit=3) for g in ("tictactoe", "3to15")]
+        witnesses = [equivalent_up_to_relabeling(*forests)]
+        for _ in range(80):
+            a = generators.random_tree(rng, max_nodes=30, n_players=rng.choice((2, 3)))
+            b, _ = reduce.normalize(a)
+            witnesses += [equivalent_up_to_relabeling(t, t.copy()) for t in (a, b)]
+        answers = Counter()
+        for w in witnesses:
+            for lt, rt, u, v, edge_map in self.state_pairs(w):
+                lm, rm = decision_matrix(lt, u), decision_matrix(rt, v)
+                if sum(1 for cs in lm.choice_sets if len(cs) > 1) > 1:
+                    continue
+                right_edges = list(edge_map.values())
+                rng.shuffle(right_edges)
+                for em in (edge_map, dict(zip(edge_map, right_edges))):
+                    got = equiv._one_chooser_match(
+                        Counter(lm.mapping.values()), Counter(rm.mapping.values()),
+                        tuple(em.items()),
+                    )
+                    assert got == (match_matrices(lm, rm, w.player_map, em) is not None)
+                    answers[got] += 1
+        assert answers[True] > 100 and answers[False] > 10
 
     def test_tictactoe_against_3to15(self, systems):
         forests = [tree.build_forest(systems[g], depth_limit=3) for g in ("tictactoe", "3to15")]

@@ -2,7 +2,9 @@
 
 `export_json`, `export_dot` and the CLI's `tree`/`reduce` output are written
 chunk by chunk with cached fragments; the references build the whole
-document and dump it.  Every test here compares bytes.
+document and dump it.  Built trees share nodes, so their exports are
+compared with the references' rendering of the unshared tree that
+`oracles.build_tree` builds.  Every test here compares bytes.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import pytest
 import generators
 import oracles
 from conftest import fixture_path, fixture_text
-from ludokit import cli, reduce, tree
+from ludokit import cli, equiv, reduce, tree
 from ludokit.tree import CHANCE, CHANCE_EDGE, DECISION_EDGE, STATE, TERMINAL, TRUNCATED
 
 GAMES = [
@@ -46,11 +48,18 @@ def depth3_forests(systems):
     return {g: tree.build_forest(systems[g], depth_limit=3) for g in GAMES}
 
 
+@pytest.fixture(scope="module")
+def depth3_references(systems):
+    """The same forests built unshared, one node per root path."""
+    return {g: oracles.build_forest(systems[g], depth_limit=3) for g in GAMES}
+
+
 class TestLibrary:
     @pytest.mark.parametrize("game", GAMES)
-    def test_fixture_depth3_and_normal_form(self, depth3_forests, game):
-        for t in depth3_forests[game]:
-            assert_exports_match(t)
+    def test_fixture_depth3_and_normal_form(self, depth3_forests, depth3_references, game):
+        for t, reference in zip(depth3_forests[game], depth3_references[game], strict=True):
+            assert tree.export_json(t) == oracles.export_json(reference)
+            assert tree.export_dot(t) == oracles.export_dot(reference)
             assert_exports_match(reduce.normalize(t)[0])
 
     @pytest.mark.parametrize("name", TREE_FILES)
@@ -97,22 +106,23 @@ class TestLibrary:
         t = tree.build_forest(systems["parity"])[0]
         chunks: list[str] = []
         tree.write_json(t, chunks.append, level=level)
-        lines = oracles.export_json(t).rstrip("\n").split("\n")
+        reference = oracles.build_forest(systems["parity"])[0]
+        lines = oracles.export_json(reference).rstrip("\n").split("\n")
         assert "".join(chunks) == "\n".join("  " * level + line for line in lines)
 
 
 class TestCli:
     @pytest.mark.parametrize("game", GAMES)
     @pytest.mark.parametrize("fmt", ["json", "dot"])
-    def test_tree_depth3(self, capsys, depth3_forests, game, fmt):
+    def test_tree_depth3(self, capsys, depth3_references, game, fmt):
         code, out, _ = run(
             capsys, "tree", fixture_path(f"{game}.game"), "--depth", "3", "--format", fmt
         )
         assert code == 0
-        assert out == oracles.cli_trees(depth3_forests[game], fmt)
+        assert out == oracles.cli_trees(depth3_references[game], fmt)
 
     def test_tree_forest_to_file(self, capsys, systems, tmp_path):
-        forest = tree.build_forest(systems["mixed_a"])
+        forest = oracles.build_forest(systems["mixed_a"])
         assert len(forest) == 4
         path = tmp_path / "forest.json"
         code, out, _ = run(capsys, "tree", fixture_path("mixed_a.game"), "--out", str(path))
@@ -120,14 +130,39 @@ class TestCli:
         assert path.read_text(encoding="utf-8") == oracles.cli_trees(forest)
         assert json.loads(path.read_text())["forest"][3]["players"] == ["P"]
 
-    def test_tree_stats_then_export(self, capsys, depth3_forests):
+    def test_tree_stats_then_export(self, capsys, depth3_references):
         code, out, _ = run(
             capsys, "tree", fixture_path("parity.game"), "--depth", "3", "--stats", "--out", "-"
         )
         assert code == 0
         stats, _, text = out.partition("\n")
         assert stats.startswith("tree 0:")
-        assert text == oracles.cli_trees(depth3_forests["parity"])
+        assert text == oracles.cli_trees(depth3_references["parity"])
+
+    @pytest.mark.parametrize(
+        "left, right",
+        [(g, g) for g in GAMES] + [("tictactoe", "3to15"), ("tictactoe", "misere"),
+                                  ("mixed_a", "mixed_b")],
+    )
+    def test_equiv_witness_depth3(self, capsys, monkeypatch, depth3_references, left, right):
+        """The witness of two shared forests unfolds to the bytes of the
+        witness of the unshared ones."""
+        monkeypatch.setattr(
+            cli, "build_forest",
+            lambda system, node_budget: tree.build_forest(system, 3, node_budget),
+        )
+        code, out, _ = run(
+            capsys, "equiv", fixture_path(f"{left}.game"), fixture_path(f"{right}.game"),
+            "--witness",
+        )
+        reference = equiv.equivalent_up_to_relabeling(
+            depth3_references[left], depth3_references[right]
+        )
+        assert code == (0 if reference is not None else 1)
+        if reference is None:
+            assert out == "relabel: not equivalent\n"
+        else:
+            assert out == "relabel: equivalent\n" + reference.to_json()
 
     def test_reduce_forest(self, capsys, systems):
         forms = [reduce.normalize(t)[0] for t in tree.build_forest(systems["mixed_a"])]

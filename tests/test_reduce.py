@@ -10,7 +10,7 @@ import pytest
 
 import generators
 from ludokit import canon, core, equiv, reduce, tree
-from ludokit.errors import StaleSiteError
+from ludokit.errors import StaleSiteError, TreeInvariantError
 from ludokit.reduce import (
     find_bookkeeping_sites,
     find_matrix_redundancy_sites,
@@ -124,7 +124,7 @@ class TestSinglePlayer:
         assert m.choice_sets[1] == (None,)
 
     def test_depth_one_site_excluded(self, systems):
-        t = tree.build_forest(systems["parity"])[0]
+        t = tree.unfold(tree.build_forest(systems["parity"])[0])
         assert find_single_player_sites(t) == []
 
     def test_other_player_boundary(self):
@@ -211,7 +211,7 @@ class TestMatrixRedundancy:
         assert m.choice_sets[2] == ("c", "d")  # e was redundant with c
 
     def test_all_distinct_matrix_unchanged(self, systems):
-        t = tree.build_forest(systems["parity"])[0]
+        t = tree.unfold(tree.build_forest(systems["parity"])[0])
         assert find_matrix_redundancy_sites(t) == []
         before = tree.export_json(t)
         reduce_matrix_redundancy(t, t.root)
@@ -416,6 +416,48 @@ class TestSharing:
             ref_form, ref_trace = normalize(t)
             assert tree.export_json(form) == tree.export_json(ref_form)
             assert _step_counts(trace) == _step_counts(ref_trace)
+
+    def test_pruned_labels_cache_agrees(self, corpus, monkeypatch):
+        cached = reduce._pruned_at
+        calls = []
+
+        def checked(t, node):
+            got = cached(t, node)
+            fresh = reduce._pruned_labels(canon._node_meta(t, node))
+            assert got == fresh
+            calls.append(got)
+            return got
+
+        monkeypatch.setattr(reduce, "_pruned_at", checked)
+        for t in corpus:
+            normalize(t)
+        assert any(got is not None for got in calls) and None in calls
+
+    def test_per_site_api_rejects_shared_arenas(self, systems):
+        """Sites name arena nodes, so a shared arena is refused, untouched."""
+        t = midgame_tree(systems["tictactoe"], 4)
+        assert tree.is_shared(t)
+        before = t.copy()
+        for find in (
+            find_matrix_redundancy_sites,
+            find_bookkeeping_sites,
+            find_single_player_sites,
+            find_symmetry_sites,
+        ):
+            with pytest.raises(TreeInvariantError):
+                find(t)
+        for kind, apply in (
+            ("matrix-redundancy", reduce_matrix_redundancy),
+            ("bookkeeping", reduce_bookkeeping),
+            ("single-player", reduce_single_player),
+        ):
+            with pytest.raises(TreeInvariantError):
+                apply(t, reduce.ReductionSite(kind, t.root))
+        first, second = t.node_children[t.root][:2]
+        with pytest.raises(TreeInvariantError):
+            reduce_symmetry(t, reduce.ReductionSite("symmetry", t.root, (second, first)))
+        assert t.structurally_equal(before)
+        assert find_bookkeeping_sites(tree.unfold(t))
 
     def test_first_occurrence_spliced_out(self):
         t = twin_chance_tree()

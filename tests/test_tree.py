@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import generators
+import oracles
 from ludokit import core, tree
 from ludokit.errors import BudgetExceededError, LudokitError, TreeInvariantError
 from ludokit.tree import (
@@ -25,6 +26,19 @@ from ludokit.tree import (
     tree_stats,
     validate_tree,
 )
+
+
+# A game whose only move leads back to its only state: an infinite tree.
+LOOP_GAME = """
+players P
+track t { a }
+decisions m
+action noop { when t=a set t=a }
+init t=a
+legal P m when t=a
+consequence (m) -> prob 1: noop
+outcome default never
+"""
 
 
 @pytest.fixture(scope="module")
@@ -90,19 +104,9 @@ class TestBuild:
             build_tree(ttt, s0, node_budget=50)
 
     def test_nonterminating_system_hits_budget(self):
-        text = """
-players P
-track t { a }
-decisions m
-action noop { when t=a set t=a }
-init t=a
-legal P m when t=a
-consequence (m) -> prob 1: noop
-outcome default never
-"""
         from ludokit.dsl import parse_game
 
-        loop = parse_game(text)
+        loop = parse_game(LOOP_GAME)
         with pytest.raises(BudgetExceededError):
             build_tree(loop, ("a",), node_budget=1000)
 
@@ -130,6 +134,96 @@ outcome default done
         t = build_forest(sys)[0]
         assert t.node_kind[t.root] == TERMINAL
         assert t.node_outcome[t.root] == "done"
+
+
+GAMES = [
+    "tictactoe", "3to15", "misere", "perturbed", "endofturn",
+    "forbidden", "parity", "mixed_a", "mixed_b",
+]
+
+
+def arrays(t: tree.GameTree) -> tuple:
+    return (
+        t.players, t.root, list(t.node_kind), t.node_state, t.node_outcome, t.node_children,
+        list(t.node_parent_edge), list(t.edge_kind), list(t.edge_src), list(t.edge_dst),
+        t.edge_prob, t.edge_label,
+    )
+
+
+def x_first(system) -> core.GameState:
+    """The empty board with X to move: the root of one half of the forest."""
+    return system.state_from_dict({"turn": "X", **{f"c{i}": "e" for i in range(1, 10)}})
+
+
+class TestSharedBuild:
+    """`build_tree` shares equal subtrees; `unfold` gives the unshared build."""
+
+    def assert_unfolds_to(self, shared: tree.GameTree, reference: tree.GameTree) -> None:
+        assert arrays(tree.unfold(shared)) == arrays(reference)
+        assert tree_stats(shared) == tree_stats(reference)
+        assert shared.node_count() == reference.node_count() == len(reference.node_kind)
+        assert shared.depth() == reference.depth()
+        # iter_nodes walks the unfolded tree: once per path, in preorder
+        assert [(shared.node_kind[n], shared.node_state[n]) for n in shared.iter_nodes()] == [
+            (reference.node_kind[n], reference.node_state[n]) for n in reference.iter_nodes()
+        ]
+
+    @pytest.mark.parametrize("game", GAMES)
+    def test_depth3_forests(self, systems, game):
+        shared = build_forest(systems[game], depth_limit=3)
+        reference = oracles.build_forest(systems[game], depth_limit=3)
+        for t, ref in zip(shared, reference, strict=True):
+            self.assert_unfolds_to(t, ref)
+
+    @pytest.mark.parametrize("game", ["parity", "mixed_a"])
+    def test_full_forests(self, systems, game):
+        for t, ref in zip(build_forest(systems[game]), oracles.build_forest(systems[game]),
+                          strict=True):
+            self.assert_unfolds_to(t, ref)
+
+    def test_x_first_forbidden(self, systems):
+        forbidden = systems["forbidden"]
+        shared = build_tree(forbidden, x_first(forbidden))
+        reference = oracles.build_tree(forbidden, x_first(forbidden))
+        assert len(reference.node_kind) == 179_116
+        assert len(shared.node_kind) < len(reference.node_kind) // 20
+        self.assert_unfolds_to(shared, reference)
+
+    def test_unshared_arena_unfolds_to_itself(self, systems):
+        reference = oracles.build_forest(systems["parity"])[0]
+        assert not tree.is_shared(reference)
+        assert arrays(tree.unfold(reference)) == arrays(reference)
+
+    def test_one_node_per_state(self, ttt):
+        t = build_forest(ttt)[0]
+        states = [t.node_state[n] for n in tree.postorder(t) if t.node_kind[n] != CHANCE]
+        assert len(states) == len(set(states))
+        assert tree.is_shared(t)
+
+
+class TestBudget:
+    """The budget bounds the unfolded tree, not the shared arena."""
+
+    TTT_NODES = 1_099_894
+
+    def test_cycle_raises_whatever_the_budget(self):
+        from ludokit.dsl import parse_game
+
+        with pytest.raises(BudgetExceededError, match="cycle"):
+            build_tree(parse_game(LOOP_GAME), ("a",), node_budget=10**12)
+
+    def test_unfolded_count_is_budgeted(self, ttt):
+        s0 = core.initial_states(ttt)[0]
+        t = build_tree(ttt, s0, node_budget=self.TTT_NODES)
+        assert len(t.node_kind) == 10_958
+        assert tree_stats(t).nodes == t.node_count() == self.TTT_NODES
+        with pytest.raises(BudgetExceededError, match=str(self.TTT_NODES)):
+            build_tree(ttt, s0, node_budget=self.TTT_NODES - 1)
+
+    def test_arena_over_budget_stops_early(self, ttt):
+        s0 = core.initial_states(ttt)[0]
+        with pytest.raises(BudgetExceededError, match="while expanding"):
+            build_tree(ttt, s0, node_budget=100)
 
 
 class TestDecisionMatrix:
