@@ -17,16 +17,16 @@ meaningfully decide:
 (matrix-redundancy, bookkeeping, single-player, symmetry; repeat) via a
 bottom-up pass: once a node's local loop stabilizes its whole subtree is
 normal, so sibling-subtree comparisons can use cached canonical keys.  The
-rewrites work in place, so an input arena that shares nodes (a built tree)
-is unfolded first.  The pass then hash-conses it and normalizes each
-distinct subtree once; later copies share the finished subtree, and the
-normal form is unfolded back into a tree on output.  The public `reduce_*`
-operations apply one maximal site at a time and verify the measure (node
-count, then total choice count) strictly decreases; a site whose node has
-been cut off from the root, or whose structure no longer holds, raises
-`StaleSiteError`.  They and the `find_*_sites` functions name nodes by
-arena id, so they raise `TreeInvariantError` on an arena that shares nodes:
-`unfold` a built tree before calling them.
+pass rewrites in place and works on a shared arena (a built tree) as it
+is: it hash-conses the arena and normalizes each distinct subtree once,
+later copies share the finished subtree, and the normal form is unfolded
+into a tree on output.  The public `reduce_*` operations apply one maximal
+site at a time and verify the measure (node count, then total choice count)
+strictly decreases; a site whose node has been cut off from the root, or
+whose structure no longer holds, raises `StaleSiteError`.  They and the
+`find_*_sites` functions name nodes by arena id, so they raise
+`TreeInvariantError` on an arena that shares nodes: `unfold` a built tree
+before calling them.
 Per-node matrix facts come from `canon._node_meta`, which caches them under
 the node's edge labels, so rewrites need no cache invalidation.
 
@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -87,16 +87,39 @@ class TraceStep:
     choices_after: int
 
 
-@dataclass
 class ReductionTrace:
-    steps: list[TraceStep] = field(default_factory=list)
+    """The steps of one normalization, from the measure it started at.
 
-    def record(self, kind: str, root: int, before: tuple[int, int], after: tuple[int, int]) -> None:
-        if after >= before:
+    Each step is kept as (kind, root, node change, choice change); `steps`
+    spells them out as `TraceStep`s, measures included, on first access.
+    """
+
+    def __init__(self, start: tuple[int, int] = (0, 0)) -> None:
+        self.start = start
+        self.deltas: list[tuple[str, int, int, int]] = []
+        self._steps: list[TraceStep] = []
+
+    def record(self, kind: str, root: int, dn: int, dc: int) -> None:
+        """Add a step that changes the measure by (dn, dc); it must decrease it."""
+        if (dn, dc) >= (0, 0):
             raise AssertionError(
-                f"{kind} at node {root} did not decrease the measure: {before} -> {after}"
+                f"{kind} at node {root} did not decrease the measure: changed it by ({dn}, {dc})"
             )
-        self.steps.append(TraceStep(kind, root, before[0], after[0], before[1], after[1]))
+        self.deltas.append((kind, root, dn, dc))
+
+    @property
+    def steps(self) -> list[TraceStep]:
+        steps = self._steps
+        if len(steps) < len(self.deltas):
+            if steps:
+                nodes, choices = steps[-1].nodes_after, steps[-1].choices_after
+            else:
+                nodes, choices = self.start
+            for kind, root, dn, dc in self.deltas[len(steps):]:
+                steps.append(TraceStep(kind, root, nodes, nodes + dn, choices, choices + dc))
+                nodes += dn
+                choices += dc
+        return steps
 
     def to_json(self) -> str:
         return json.dumps(
@@ -137,15 +160,6 @@ def tree_measure(tree: GameTree) -> tuple[int, int]:
     return nodes, choices
 
 
-def _subtree_cost(tree: GameTree, node: int) -> tuple[int, int]:
-    nodes = 0
-    choices = 0
-    for n in tree.subtree_nodes(node):
-        nodes += 1
-        choices += node_choice_total(tree, n)
-    return nodes, choices
-
-
 def _owner_of(tree: GameTree, node: int) -> Optional[int]:
     """The unique player with a non-null choice at the node, if any."""
     if tree.node_kind[node] != STATE:
@@ -176,15 +190,14 @@ def _has_truncated(tree: GameTree, node: int) -> bool:
     return any(tree.node_kind[n] == TRUNCATED for n in tree.subtree_nodes(node))
 
 
-def _splice_into(tree: GameTree, old: int, new: int) -> None:
-    """Move `new` (with its subtree) into `old`'s position."""
-    e = tree.node_parent_edge[old]
+def _splice_into(tree: GameTree, e: int, new: int) -> None:
+    """Move `new` (with its subtree) to the end of edge `e`, or to the root
+    when `e` is -1: into the position of the node `e` led to."""
     if e < 0:
         tree.root = new
-        tree.node_parent_edge[new] = -1
     else:
         tree.edge_dst[e] = new
-        tree.node_parent_edge[new] = e
+    tree.node_parent_edge[new] = e
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +368,7 @@ def reduce_bookkeeping(tree: GameTree, site: ReductionSite) -> GameTree:
     if not has_chance:
         assert len(leaves) == 1
         leaf = leaves[0][0]
-        _splice_into(tree, root, leaf)
+        _splice_into(tree, tree.node_parent_edge[root], leaf)
         return tree
     total = sum((p for _, p in leaves), Fraction(0))
     if total != 1:
@@ -379,7 +392,7 @@ def reduce_bookkeeping(tree: GameTree, site: ReductionSite) -> GameTree:
     else:
         # Case 2a: a fresh chance node takes the root's position.
         c = tree.add_node(CHANCE)
-        _splice_into(tree, root, c)
+        _splice_into(tree, parent_edge, c)
         for leaf, p in leaves:
             tree.add_edge(c, leaf, CHANCE_EDGE, prob=p)
     return tree
@@ -520,9 +533,12 @@ def find_symmetry_sites(tree: GameTree) -> list[ReductionSite]:
     return sites
 
 
-def _merge_pair(tree: GameTree, parent: int, victim_edge: int, survivor_edge: int) -> bool:
+def _merge_pair(
+    tree: GameTree, parent: int, parent_edge: int, victim_edge: int, survivor_edge: int
+) -> bool:
     """Merge victim subtree onto survivor; returns True if the parent chance
-    node was spliced out (merged probability reached 1)."""
+    node was spliced out of `parent_edge`, the edge into it (merged
+    probability reached 1)."""
     if tree.edge_kind[victim_edge] == DECISION_EDGE:
         tree.edge_label[survivor_edge] = tree.edge_label[survivor_edge] | tree.edge_label[victim_edge]
         tree.node_children[parent].remove(victim_edge)
@@ -532,8 +548,7 @@ def _merge_pair(tree: GameTree, parent: int, victim_edge: int, survivor_edge: in
     tree.node_children[parent].remove(victim_edge)
     if prob == 1:
         assert len(tree.node_children[parent]) == 1
-        survivor = tree.edge_dst[survivor_edge]
-        _splice_into(tree, parent, survivor)
+        _splice_into(tree, parent_edge, tree.edge_dst[survivor_edge])
         return True
     return False
 
@@ -549,7 +564,7 @@ def reduce_symmetry(tree: GameTree, site: ReductionSite) -> GameTree:
     keys = canon.subtree_keys(tree, pin_players=True, pin_outcomes=True)
     if keys[tree.edge_dst[victim_edge]] != keys[tree.edge_dst[survivor_edge]]:
         raise StaleSiteError("subtree equivalence no longer holds")
-    _merge_pair(tree, parent, victim_edge, survivor_edge)
+    _merge_pair(tree, parent, tree.node_parent_edge[parent], victim_edge, survivor_edge)
     return tree
 
 
@@ -600,41 +615,49 @@ def _intern(tree: GameTree) -> tuple[list[int], list[tuple[int, int]]]:
 
 
 def _normalize_fast(tree: GameTree, trace: ReductionTrace) -> GameTree:
-    """Bottom-up normalization with incremental canonical keys.
+    """Bottom-up normalization with incremental canonical keys, in place.
 
-    Each distinct subtree of the input is normalized once.  A later copy of
-    an already finished subtree is not processed again: its parent edge is
-    pointed at the first copy's finished node, and the first copy's trace
-    steps are replayed, so the trace and its running measure are exactly
-    those of processing the copy.  This is sound because finishing a
-    subtree writes only inside it and into its own parent edge, and later
-    rewrites by its ancestors touch their own edges and their children's
-    parent pointers, never a finished node's children or labels.  The tree
-    is a DAG from then on (parent pointers of shared nodes name one of
-    their parents); `unfold` unfolds it.
+    The input may be a DAG (a built arena) and is not unfolded.  Each
+    distinct subtree (`_intern` class) is normalized once, at the first of
+    its nodes the walk reaches.  The walk carries each node's incoming edge,
+    because on a DAG a node's parent pointer names only one of its parents:
+    a node is finished into the edge it was reached by, and a symmetry merge
+    that splices it out rewrites that edge.  A later edge into a finished
+    class is pointed at the finished node, and the class's trace steps are
+    replayed, so the trace is exactly that of processing the copy.
+
+    This is sound because each arena node is processed at most once, after
+    all of its children, and processing writes only into the node's own
+    out-edges and the incoming edge being walked.  Every other edge into the
+    node's class is redirected when the walk pops it, so no parent sees a
+    stale child, and a finished node's children and labels never change
+    again.  Parent pointers are not kept up to date; `unfold` writes the
+    output tree with fresh ones.
     """
     key_fn = canon.make_key_fn(tree, canon.PIN_SYMMETRY)
-    trunc_memo: dict[int, bool] = {}
+    facts: dict[int, tuple[int, int, bool]] = {}
 
-    def has_trunc(node: int) -> bool:
-        cached = trunc_memo.get(node)
-        if cached is not None:
-            return cached
-        for n in postorder(tree, node, trunc_memo):
-            trunc_memo[n] = tree.node_kind[n] == TRUNCATED or any(
-                trunc_memo[tree.edge_dst[e]] for e in tree.node_children[n]
-            )
-        return trunc_memo[node]
+    def finished_facts(node: int) -> tuple[int, int, bool]:
+        """(node count, choice count, has a truncated node) of a finished
+        subtree; it never changes again, so a memo entry stays valid."""
+        got = facts.get(node)
+        if got is not None:
+            return got
+        for n in postorder(tree, node, facts):
+            nodes, choices = 1, node_choice_total(tree, n)
+            trunc = tree.node_kind[n] == TRUNCATED
+            for e in tree.node_children[n]:
+                child_nodes, child_choices, child_trunc = facts[tree.edge_dst[e]]
+                nodes += child_nodes
+                choices += child_choices
+                trunc = trunc or child_trunc
+            facts[n] = (nodes, choices, trunc)
+        return facts[node]
 
     ids, costs = _intern(tree)
-    nodes_live, choices_live = costs[ids[tree.root]]
-
-    def record(kind: str, at: int, dn: int, dc: int) -> None:
-        nonlocal nodes_live, choices_live
-        before = (nodes_live, choices_live)
-        nodes_live += dn
-        choices_live += dc
-        trace.record(kind, at, before, (nodes_live, choices_live))
+    trace.start = costs[ids[tree.root]]
+    record = trace.record
+    deltas = trace.deltas
 
     def splice_forced_child(v: int, e_vw: int) -> bool:
         """Bookkeeping, pairwise: splice a forced state child of v."""
@@ -647,7 +670,6 @@ def _normalize_fast(tree: GameTree, trace: ReductionTrace) -> GameTree:
         w_choices = node_choice_total(tree, w)
         if x_kind in (STATE, TERMINAL):
             tree.edge_dst[e_vw] = x
-            tree.node_parent_edge[x] = e_vw
             record("bookkeeping", w, -1, -w_choices)
             return True
         if x_kind == CHANCE:
@@ -664,12 +686,13 @@ def _normalize_fast(tree: GameTree, trace: ReductionTrace) -> GameTree:
                 record("bookkeeping", w, -2, -w_choices)
             else:
                 tree.edge_dst[e_vw] = x
-                tree.node_parent_edge[x] = e_vw
                 record("bookkeeping", w, -1, -w_choices)
             return True
         return False  # truncated target: skip
 
-    def process(v: int) -> None:
+    def process(v: int, e_in: int) -> None:
+        """Normalize v's node, whose children are finished; `e_in` leads to
+        v (-1 at the root)."""
         while True:
             changed = False
             if tree.node_kind[v] == STATE and tree.node_children[v]:
@@ -697,7 +720,7 @@ def _normalize_fast(tree: GameTree, trace: ReductionTrace) -> GameTree:
             groups: dict[bytes, list[int]] = {}
             for e in tree.node_children[v]:
                 dst = tree.edge_dst[e]
-                if has_trunc(dst):
+                if finished_facts(dst)[2]:
                     continue
                 groups.setdefault(key_fn(dst), []).append(e)
             spliced_out = False
@@ -706,10 +729,9 @@ def _normalize_fast(tree: GameTree, trace: ReductionTrace) -> GameTree:
                     continue
                 survivor = edges[0]
                 for victim in edges[1:]:
-                    cost = _subtree_cost(tree, tree.edge_dst[victim])
-                    spliced = _merge_pair(tree, v, victim, survivor)
-                    extra = (1, 0) if spliced else (0, 0)
-                    record("symmetry", v, -(cost[0] + extra[0]), -cost[1])
+                    nodes, choices, _ = finished_facts(tree.edge_dst[victim])
+                    spliced = _merge_pair(tree, v, e_in, victim, survivor)
+                    record("symmetry", v, -nodes - (1 if spliced else 0), -choices)
                     changed = True
                     if spliced:
                         spliced_out = True
@@ -721,34 +743,31 @@ def _normalize_fast(tree: GameTree, trace: ReductionTrace) -> GameTree:
             if not changed:
                 return
 
-    # Children first, not descending into a repeated subtree.
-    # finished: subtree id -> (finished node, slice of trace.steps).
+    # Children first, not descending into a finished class.  An entry is
+    # (node, incoming edge, its first step), the first step -1 while the
+    # node is yet to be entered.
+    # finished: class id -> (finished node, its steps lo:hi)
     finished: dict[int, tuple[int, int, int]] = {}
-    stack: list[tuple[int, int]] = [(tree.root, -1)]
+    stack: list[tuple[int, int, int]] = [(tree.root, -1, -1)]
     while stack:
-        v, first_step = stack.pop()
-        if first_step < 0:
+        v, e, lo = stack.pop()
+        if lo < 0:
             done = finished.get(ids[v])
             if done is None:
-                stack.append((v, len(trace.steps)))
-                for e in tree.node_children[v]:
-                    stack.append((tree.edge_dst[e], -1))
+                stack.append((v, e, len(deltas)))
+                for c in tree.node_children[v]:
+                    stack.append((tree.edge_dst[c], c, -1))
                 continue
             node, lo, hi = done
             # v is not the root: the root's subtree is the largest, so unique
-            tree.edge_dst[tree.node_parent_edge[v]] = node
-            for s in trace.steps[lo:hi]:
-                record(
-                    s.kind, s.root,
-                    s.nodes_after - s.nodes_before, s.choices_after - s.choices_before,
-                )
+            tree.edge_dst[e] = node
+            # A replay repeats deltas that `record` has already checked, so
+            # it cannot fail the check; the measures follow from the deltas.
+            deltas.extend(deltas[lo:hi])
             continue
-        e = tree.node_parent_edge[v]
         if tree.node_kind[v] not in (TERMINAL, TRUNCATED):
-            process(v)
-        finished[ids[v]] = (
-            tree.edge_dst[e] if e >= 0 else tree.root, first_step, len(trace.steps)
-        )
+            process(v, e)
+        finished[ids[v]] = (tree.edge_dst[e] if e >= 0 else tree.root, lo, len(deltas))
 
     # Root-level bookkeeping (Case 1 with the root as the subtree root).
     while _is_forced(tree, tree.root):
@@ -759,13 +778,13 @@ def _normalize_fast(tree: GameTree, trace: ReductionTrace) -> GameTree:
         old_root = tree.root
         cost = node_choice_total(tree, old_root)
         tree.root = x
-        tree.node_parent_edge[x] = -1
         record("bookkeeping", old_root, -1, -cost)
     return tree
 
 
 def _normalize_random(tree: GameTree, trace: ReductionTrace, rng: random.Random) -> GameTree:
     """Reference engine: detect all sites, apply one at random, repeat."""
+    trace.start = measure = tree_measure(tree)
     while True:
         sites = (
             find_matrix_redundancy_sites(tree)
@@ -776,7 +795,6 @@ def _normalize_random(tree: GameTree, trace: ReductionTrace, rng: random.Random)
         if not sites:
             return tree
         site = rng.choice(sites)
-        before = tree_measure(tree)
         if site.kind == "matrix-redundancy":
             reduce_matrix_redundancy(tree, site)
         elif site.kind == "bookkeeping":
@@ -785,32 +803,33 @@ def _normalize_random(tree: GameTree, trace: ReductionTrace, rng: random.Random)
             reduce_single_player(tree, site)
         else:
             reduce_symmetry(tree, site)
-        trace.record(site.kind, site.root, before, tree_measure(tree))
+        before, measure = measure, tree_measure(tree)
+        trace.record(site.kind, site.root, measure[0] - before[0], measure[1] - before[1])
 
 
 def normalize(
     tree: GameTree, shuffle_seed: Optional[int] = None, consume: bool = False
 ) -> tuple[GameTree, ReductionTrace]:
-    """Reduce a tree to its normal form; the input tree is never modified.
+    """Reduce a tree to its normal form; the input is left unchanged
+    unless `consume=True`.
 
-    The default engine applies the canonical order bottom-up, normalizing
-    each distinct subtree once and unfolding the shared result on output;
-    passing `shuffle_seed` switches to a reference engine that repeatedly
-    picks a random site, used to check order robustness.  Both rewrite in
-    place, which is unsound on a shared node (its other parents would keep
-    the stale child), so an input arena that shares nodes, such as a built
-    one, is unfolded first; trace node ids are then those of `unfold`.
-    The normal form is written out by `unfold`, so its ids follow that
-    numbering.  `consume=True` skips the defensive copy of an unshared
-    input when the caller owns the tree.
+    The default engine applies the canonical order bottom-up, in place on a
+    copy of the input, or on the input itself with `consume=True` when the
+    caller owns it.  A shared input arena, such as a built one, is not
+    unfolded: each distinct subtree is normalized once and later copies
+    point at the finished one, so trace node ids name the input's arena
+    nodes.  Passing `shuffle_seed` switches to a reference engine that
+    repeatedly picks a random site, used to check order robustness; its
+    per-site rewrites name nodes by arena id, so it unfolds a shared input
+    first and its trace ids are then those of `unfold`.  Either way the
+    normal form is written out by `unfold`, so it is an unshared tree whose
+    ids follow that numbering.
     """
-    if is_shared(tree):
-        work = unfold(tree)
-    else:
-        work = tree if consume else tree.copy()
     trace = ReductionTrace()
     if shuffle_seed is None:
+        work = tree if consume else tree.copy()
         _normalize_fast(work, trace)
     else:
+        work = unfold(tree) if is_shared(tree) else tree if consume else tree.copy()
         _normalize_random(work, trace, random.Random(shuffle_seed))
     return unfold(work), trace

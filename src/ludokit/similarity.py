@@ -24,7 +24,7 @@ from statistics import NormalDist
 from typing import Optional
 
 from . import equiv, reduce as reduce_mod
-from .core import GameState, GameSystem, reachable_states
+from .core import GameState, GameSystem, enumerate_states, reachable_states
 from .errors import LudokitError, NoRuleMatchesError, StateMapError
 from .tree import build_tree
 
@@ -248,22 +248,30 @@ def _compare_at(
     return SampleRecord(state, mapped, matched=witness is not None)
 
 
-def _scope_sampler(sys: GameSystem, scope: str, rng: random.Random):
+def _scope_pool(sys: GameSystem, scope: str) -> Optional[list[GameState]]:
+    """The states a scope draws from: under "reachable", the reachable
+    states sorted; under "all", None (every track's values combine)."""
     if scope == "all":
+        return None
+    if scope == "reachable":
+        return sorted(reachable_states(sys))
+    raise ValueError(f"scope must be 'all' or 'reachable', not {scope!r}")
+
+
+def _scope_sampler(sys: GameSystem, scope: str, rng: random.Random):
+    pool = _scope_pool(sys, scope)
+    if pool is None:
         value_lists = [t.values for t in sys.tracks]
 
         def draw() -> GameState:
             return tuple(rng.choice(values) for values in value_lists)
 
         return draw
-    if scope == "reachable":
-        pool = sorted(reachable_states(sys))
 
-        def draw() -> GameState:
-            return pool[rng.randrange(len(pool))]
+    def draw() -> GameState:
+        return pool[rng.randrange(len(pool))]
 
-        return draw
-    raise ValueError(f"scope must be 'all' or 'reachable', not {scope!r}")
+    return draw
 
 
 def similarity(
@@ -326,14 +334,9 @@ def exhaustive_proportion(
 ) -> tuple[int, int]:
     """(matches, total) over every state in scope; the sampling-free truth."""
     psi.validate(left, right)
-    if scope == "all":
-        from .core import enumerate_states
-
+    pool = _scope_pool(left, scope)
+    if pool is None:
         pool = list(enumerate_states(left))
-    elif scope == "reachable":
-        pool = sorted(reachable_states(left))
-    else:
-        raise ValueError(f"scope must be 'all' or 'reachable', not {scope!r}")
     matches = 0
     for state in pool:
         if _compare_at(left, right, psi, state, depth).matched:

@@ -182,7 +182,10 @@ class GameTree:
         return height[self.root]
 
     def copy(self) -> "GameTree":
+        """An independent arena with the same arrays; the label cache is
+        shared, as its entries are keyed by immutable labels."""
         dup = GameTree(self.players, self.system)
+        dup.label_cache = self.label_cache
         dup.node_kind = array("b", self.node_kind)
         dup.node_state = list(self.node_state)
         dup.node_outcome = list(self.node_outcome)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import random
 from fractions import Fraction
@@ -356,6 +357,36 @@ def twin_chance_tree() -> GameTree:
     return t
 
 
+def shared_chance_arena(reached_last_first: bool) -> GameTree:
+    """A shared arena: three moves lead to one chance node, whose two
+    edges both lead to one matrix node.
+
+    Merging the chance node's twin children reaches probability 1 and
+    splices it out of the edge the walk reached it by; the other moves'
+    edges must then be pointed at the surviving matrix node.  The chance
+    node's parent pointer names the move edge added last; the walk reaches
+    it first by the last move in the root's child order, which
+    `reached_last_first` makes that edge or another one.
+    """
+    t = GameTree(("P", "Q"))
+    root = t.add_node(STATE, state=("r",))
+    t.root = root
+    s = t.add_node(STATE, state=("s",))
+    for i, joint in enumerate([("a", "x"), ("a", "y"), ("b", "x"), ("b", "y")]):
+        leaf = t.add_node(TERMINAL, outcome="w" if i in (0, 3) else "l")
+        t.add_edge(s, leaf, DECISION_EDGE, label=frozenset({(joint,)}))
+    c = t.add_node(CHANCE)
+    for _ in range(2):
+        t.add_edge(c, s, CHANCE_EDGE, prob=Fraction(1, 2))
+    for move in ("m1", "m2", "m3"):
+        t.add_edge(root, c, DECISION_EDGE, label=frozenset({((move, None),)}))
+    if not reached_last_first:
+        t.node_children[root].reverse()
+    leaf = t.add_node(TERMINAL, outcome="x")
+    t.add_edge(root, leaf, DECISION_EDGE, label=frozenset({(("m4", None),)}))
+    return t
+
+
 def midgame_tree(system, marks: int) -> GameTree:
     """The full tree below a board with `marks` cells already filled."""
     s = dict(zip((track.name for track in system.tracks), core.initial_states(system)[0]))
@@ -363,6 +394,15 @@ def midgame_tree(system, marks: int) -> GameTree:
         s[cell] = "X" if i % 2 == 0 else "O"
     s["turn"] = "X" if marks % 2 == 0 else "O"
     return tree.build_tree(system, system.state_from_dict(s))
+
+
+def _arrays(t: GameTree) -> tuple:
+    """Copies of every array of the arena, for array-for-array comparison."""
+    return (
+        t.players, t.root, list(t.node_kind), list(t.node_state), list(t.node_outcome),
+        [list(c) for c in t.node_children], list(t.node_parent_edge), list(t.edge_kind),
+        list(t.edge_src), list(t.edge_dst), list(t.edge_prob), list(t.edge_label),
+    )
 
 
 def _step_counts(trace) -> list[tuple]:
@@ -470,3 +510,126 @@ class TestSharing:
         assert len(splices) == 2
         assert splices[0].root == splices[1].root
         assert t.node_kind[splices[0].root] == CHANCE
+
+    # A built arena is normalized as it is, never unfolded.
+
+    @pytest.fixture(scope="class")
+    def arenas(self, systems):
+        """Two hand-built arenas, every fixture's depth-3 forest, the full
+        parity and mixed_a forests, and the full X-first half of forbidden."""
+        trees = [shared_chance_arena(True), shared_chance_arena(False)]
+        for name in sorted(systems):
+            trees += tree.build_forest(systems[name], depth_limit=3)
+        for name in ("parity", "mixed_a"):
+            trees += tree.build_forest(systems[name])
+        trees.append(midgame_tree(systems["forbidden"], 0))
+        return trees
+
+    @pytest.fixture(scope="class")
+    def results(self, arenas):
+        """Per arena: its arrays before, and (normal form, trace) of the
+        arena and of its unfolding."""
+        out = []
+        for t in arenas:
+            before = _arrays(t)
+            out.append((before, normalize(t), normalize(tree.unfold(t))))
+        return out
+
+    def test_corpus_is_shared(self, arenas):
+        # two hand-built arenas, parity (twice), the four tic-tac-toe
+        # boards, forbidden (twice)
+        assert sum(tree.is_shared(t) for t in arenas) >= 10
+        forbidden = arenas[-1]
+        assert len(forbidden.node_kind) * 20 < forbidden.node_count()
+
+    def test_same_form_and_steps_as_unfolded_input(self, results):
+        for _, (form, trace), (ref_form, ref_trace) in results:
+            assert tree.export_json(form) == tree.export_json(ref_form)
+            assert _step_counts(trace) == _step_counts(ref_trace)
+            validate_tree(form)
+
+    def test_trace_roots_name_input_nodes(self, arenas, results):
+        for t, (_, (_, trace), _) in zip(arenas, results):
+            for step in trace.steps:
+                assert t.node_kind[step.root] in (STATE, CHANCE)
+
+    def test_shared_input_untouched(self, arenas, results):
+        for t, (before, _, _) in zip(arenas, results):
+            assert _arrays(t) == before
+
+    def test_unfolds_only_the_output(self, arenas, monkeypatch):
+        unfolded, interned = [], []
+        real_unfold, real_intern = reduce.unfold, reduce._intern
+
+        def counting_unfold(t):
+            unfolded.append(real_unfold(t))
+            return unfolded[-1]
+
+        def counting_intern(t):
+            interned.append(len(t.node_kind))
+            return real_intern(t)
+
+        monkeypatch.setattr(reduce, "unfold", counting_unfold)
+        monkeypatch.setattr(reduce, "_intern", counting_intern)
+        for t in arenas:
+            for consume in (False, True):
+                unfolded.clear()
+                interned.clear()
+                form, _ = normalize(t.copy() if consume else t, consume=consume)
+                assert len(unfolded) == 1 and unfolded[0] is form
+                assert interned == [len(t.node_kind)]
+
+    def test_lazy_steps_match_eager_reference(self, systems, monkeypatch):
+        """With all sharing off, every step goes through `record`, and the
+        tree's own measure, taken as each step is recorded, is the eager
+        reference for `steps` and `to_json`.  The arena's steps, replays
+        included, have the same counts."""
+        trees = [
+            twin_chance_tree(),
+            midgame_tree(systems["tictactoe"], 4),
+            midgame_tree(systems["forbidden"], 4),
+            generators.random_tree(random.Random(7), max_nodes=45),
+        ]
+        shared = [normalize(t)[1] for t in trees]
+        intern, fast, record = reduce._intern, reduce._normalize_fast, reduce.ReductionTrace.record
+        work: list[GameTree] = []
+        measures: list[tuple[int, int]] = []
+        eager: list[reduce.TraceStep] = []
+
+        def unshared(t):
+            ids, costs = intern(t)
+            return list(range(len(t.node_kind))), [costs[i] for i in ids]
+
+        def measured_fast(t, trace):
+            work.append(t)
+            measures.append(reduce.tree_measure(t))
+            return fast(t, trace)
+
+        def eager_record(self, kind, root, dn, dc):
+            record(self, kind, root, dn, dc)
+            (nodes, choices), after = measures[-1], reduce.tree_measure(work[-1])
+            measures.append(after)
+            eager.append(reduce.TraceStep(kind, root, nodes, after[0], choices, after[1]))
+
+        monkeypatch.setattr(reduce, "_intern", unshared)
+        monkeypatch.setattr(reduce, "_normalize_fast", measured_fast)
+        monkeypatch.setattr(reduce.ReductionTrace, "record", eager_record)
+        for t, shared_trace in zip(trees, shared):
+            eager.clear()
+            _, trace = normalize(tree.unfold(t))
+            assert eager and trace.steps == eager
+            assert trace.steps is trace.steps
+            assert trace.to_json() == json.dumps(
+                [dataclasses.asdict(s) for s in eager], indent=2
+            ) + "\n"
+            assert _step_counts(shared_trace) == _step_counts(trace)
+
+    def test_non_decreasing_step_raises(self, swap_pair_right, monkeypatch):
+        trace = reduce.ReductionTrace((10, 10))
+        for dn, dc in ((0, 0), (0, 1), (1, -5)):
+            with pytest.raises(AssertionError, match="did not decrease"):
+                trace.record("symmetry", 0, dn, dc)
+        assert trace.steps == []
+        monkeypatch.setattr(reduce, "_matrix_redundancy_at", lambda t, node: True)
+        with pytest.raises(AssertionError, match="did not decrease"):
+            normalize(swap_pair_right)

@@ -186,6 +186,19 @@ class TestSimilarity:
         matches, total = exhaustive_proportion(a, b, mixed_psi, depth=2, scope="reachable")
         assert total == 8  # 4 initial states plus 4 successors
 
+    def test_unknown_scope_rejected(self, systems, mixed_psi):
+        a, b = systems["mixed_a"], systems["mixed_b"]
+        message = "scope must be 'all' or 'reachable', not 'some'"
+        with pytest.raises(ValueError, match=message):
+            similarity(a, b, mixed_psi, samples=5, depth=1, scope="some")
+        with pytest.raises(ValueError, match=message):
+            exhaustive_proportion(a, b, mixed_psi, depth=1, scope="some")
+
+    def test_all_scope_covers_the_track_product(self, systems, mixed_psi):
+        a, b = systems["mixed_a"], systems["mixed_b"]
+        _, total = exhaustive_proportion(a, b, mixed_psi, depth=1)
+        assert total == len(list(core.enumerate_states(a)))
+
     def test_zero_samples_rejected(self, systems, mixed_psi):
         with pytest.raises(LudokitError):
             similarity(systems["mixed_a"], systems["mixed_b"], mixed_psi, samples=0, depth=1)

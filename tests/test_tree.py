@@ -194,6 +194,13 @@ class TestSharedBuild:
         assert not tree.is_shared(reference)
         assert arrays(tree.unfold(reference)) == arrays(reference)
 
+    def test_copy_shares_the_label_cache(self, systems):
+        t = build_forest(systems["parity"])[0]
+        tree.decoded_label(t, t.edge_label[t.node_children[t.root][0]])
+        dup = t.copy()
+        assert dup.label_cache is t.label_cache and t.label_cache
+        assert arrays(dup) == arrays(t)
+
     def test_one_node_per_state(self, ttt):
         t = build_forest(ttt)[0]
         states = [t.node_state[n] for n in tree.postorder(t) if t.node_kind[n] != CHANCE]
