@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import sys as _sys
 from typing import Optional
 
@@ -219,13 +220,17 @@ def cmd_tree(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    if args.trace not in (None, "-") and args.trace == args.out:
+    if (
+        args.trace not in (None, "-")
+        and args.out not in (None, "-")
+        and os.path.realpath(args.trace) == os.path.realpath(args.out)
+    ):
         raise _Failure(f"--trace and --out both name {args.out}")
     with _output(args.out) as write, (
         _output(args.trace) if args.trace is not None else contextlib.nullcontext()
     ) as write_trace:
         forest = _load_forest(args.file, args.budget)
-        results = [reduce_mod.normalize(t, consume=True) for t in forest]
+        results = [reduce_mod.normalize(t) for t in forest]
         if args.trace is not None:
             trace_doc = [json.loads(trace.to_json()) for _, trace in results]
             write_trace(

@@ -846,11 +846,9 @@ def equivalent_up_to_relabeling(
 
 
 def _normal_forms(value) -> list[GameTree]:
-    """Normal forms of a system's full forest (built here, so consumed) or of
-    a caller's trees (copied first)."""
-    built = isinstance(value, GameSystem)
-    forest = build_forest(value) if built else _as_forest(value)
-    return [reduce_mod.normalize(t, consume=built)[0] for t in forest]
+    """Normal forms of a system's full forest or of a caller's trees."""
+    forest = build_forest(value) if isinstance(value, GameSystem) else _as_forest(value)
+    return [reduce_mod.normalize(t)[0] for t in forest]
 
 
 def agency_equivalent(

@@ -17,16 +17,17 @@ meaningfully decide:
 (matrix-redundancy, bookkeeping, single-player, symmetry; repeat) via a
 bottom-up pass: once a node's local loop stabilizes its whole subtree is
 normal, so sibling-subtree comparisons can use cached canonical keys.  The
-pass rewrites in place and works on a shared arena (a built tree) as it
-is: it hash-conses the arena and normalizes each distinct subtree once,
-later copies share the finished subtree, and the normal form is unfolded
-into a tree on output.  The public `reduce_*` operations apply one maximal
-site at a time and verify the measure (node count, then total choice count)
-strictly decreases; a site whose node has been cut off from the root, or
-whose structure no longer holds, raises `StaleSiteError`.  They and the
-`find_*_sites` functions name nodes by arena id, so they raise
-`TreeInvariantError` on an arena that shares nodes: `unfold` a built tree
-before calling them.
+pass only reads its input, which may be a shared arena (a built tree): it
+builds the normal form into a fresh hash-consed arena, normalizing each
+distinct subtree once, and unfolds that into a tree on output.
+`normalize_random` is the reference engine that applies sites in a random
+order, to check that the result does not depend on it.  The public
+`reduce_*` operations apply one maximal site at a time and verify the
+measure (node count, then total choice count) strictly decreases; a site
+whose node has been cut off from the root, or whose structure no longer
+holds, raises `StaleSiteError`.  They and the `find_*_sites` functions
+name nodes by arena id, so they raise `TreeInvariantError` on an arena that
+shares nodes: `unfold` a built tree before calling them.
 Per-node matrix facts come from `canon._node_meta`, which caches them under
 the node's edge labels, so rewrites need no cache invalidation.
 
@@ -55,7 +56,6 @@ from .tree import (
     TRUNCATED,
     choice_rank,
     is_shared,
-    postorder,
     require_unshared,
     unfold,
 )
@@ -533,24 +533,20 @@ def find_symmetry_sites(tree: GameTree) -> list[ReductionSite]:
     return sites
 
 
-def _merge_pair(
-    tree: GameTree, parent: int, parent_edge: int, victim_edge: int, survivor_edge: int
-) -> bool:
-    """Merge victim subtree onto survivor; returns True if the parent chance
-    node was spliced out of `parent_edge`, the edge into it (merged
-    probability reached 1)."""
+def _merge_pair(tree: GameTree, parent: int, victim_edge: int, survivor_edge: int) -> int:
+    """Merge victim subtree onto survivor; returns the node that now stands
+    for `parent`: the survivor's child when the merged probability reached 1
+    and the chance node drops out, else `parent` itself."""
+    tree.node_children[parent].remove(victim_edge)
     if tree.edge_kind[victim_edge] == DECISION_EDGE:
         tree.edge_label[survivor_edge] = tree.edge_label[survivor_edge] | tree.edge_label[victim_edge]
-        tree.node_children[parent].remove(victim_edge)
-        return False
+        return parent
     prob = tree.edge_prob[survivor_edge] + tree.edge_prob[victim_edge]
     tree.edge_prob[survivor_edge] = prob
-    tree.node_children[parent].remove(victim_edge)
     if prob == 1:
         assert len(tree.node_children[parent]) == 1
-        _splice_into(tree, parent_edge, tree.edge_dst[survivor_edge])
-        return True
-    return False
+        return tree.edge_dst[survivor_edge]
+    return parent
 
 
 def reduce_symmetry(tree: GameTree, site: ReductionSite) -> GameTree:
@@ -564,7 +560,9 @@ def reduce_symmetry(tree: GameTree, site: ReductionSite) -> GameTree:
     keys = canon.subtree_keys(tree, pin_players=True, pin_outcomes=True)
     if keys[tree.edge_dst[victim_edge]] != keys[tree.edge_dst[survivor_edge]]:
         raise StaleSiteError("subtree equivalence no longer holds")
-    _merge_pair(tree, parent, tree.node_parent_edge[parent], victim_edge, survivor_edge)
+    node = _merge_pair(tree, parent, victim_edge, survivor_edge)
+    if node != parent:
+        _splice_into(tree, tree.node_parent_edge[parent], node)
     return tree
 
 
@@ -573,263 +571,213 @@ def reduce_symmetry(tree: GameTree, site: ReductionSite) -> GameTree:
 # ---------------------------------------------------------------------------
 
 
-def _intern(tree: GameTree) -> tuple[list[int], list[tuple[int, int]]]:
-    """Hash-cons the tree: one id per distinct subtree.
+def _normal_form(tree: GameTree, trace: ReductionTrace) -> GameTree:
+    """The normal form of `tree` as a fresh shared arena; `tree` is only read.
 
-    Returns every node's id (indexed by node) and, per id, the subtree's
-    (node count, total choice count).  The key is exact and ordered: kind,
-    state, outcome and each out-edge's kind, label, probability and child
-    id.  So it is sound on imported, reduced and depth-limited trees alike,
-    where equal states need not root equal subtrees.
+    `nf(v)` is memoized on v's kind, state and outcome and each out-edge's
+    kind, label, probability and `nf(child)`, the unique-table scheme of
+    hash-consing.  A new key copies v into the output arena with edges to
+    its children's finished forms, and the canonical-order loop rewrites
+    that copy's out-edges only.  The loop reads nothing but the key's
+    fields, so equal keys have equal normal forms on imported, reduced and
+    depth-limited trees alike.  A finished node never changes again, so any
+    number of parents can share it, and nothing needs a parent.  Each
+    input node is visited once, after its children.  A repeated input node
+    replays the trace steps of its whole subtree and a repeated key the
+    steps of its own loop, so the trace is that of the unfolded tree, and a
+    step's `root` names the first input node copied into the node it
+    rewrote.  The output's measure is known from the finished nodes, so the
+    trace starts at that measure minus the steps' changes.
     """
-    ids = [0] * len(tree.node_kind)
-    table: dict[tuple, int] = {}
-    costs: list[tuple[int, int]] = []
-    node_children = tree.node_children
-    edge_dst = tree.edge_dst
-    edge_kind = tree.edge_kind
-    edge_label = tree.edge_label
-    edge_prob = tree.edge_prob
-    for n in postorder(tree):
-        children = node_children[n]
-        key = (
-            tree.node_kind[n],
-            tree.node_state[n],
-            tree.node_outcome[n],
-            tuple(
-                (edge_kind[e], edge_label[e], edge_prob[e], ids[edge_dst[e]])
-                for e in children
-            ),
-        )
-        i = table.get(key)
-        if i is None:
-            i = table[key] = len(costs)
-            nodes, choices = 1, node_choice_total(tree, n)
-            for e in children:
-                child_nodes, child_choices = costs[ids[edge_dst[e]]]
-                nodes += child_nodes
-                choices += child_choices
-            costs.append((nodes, choices))
-        ids[n] = i
-    return ids, costs
-
-
-def _normalize_fast(tree: GameTree, trace: ReductionTrace) -> GameTree:
-    """Bottom-up normalization with incremental canonical keys, in place.
-
-    The input may be a DAG (a built arena) and is not unfolded.  Each
-    distinct subtree (`_intern` class) is normalized once, at the first of
-    its nodes the walk reaches.  The walk carries each node's incoming edge,
-    because on a DAG a node's parent pointer names only one of its parents:
-    a node is finished into the edge it was reached by, and a symmetry merge
-    that splices it out rewrites that edge.  A later edge into a finished
-    class is pointed at the finished node, and the class's trace steps are
-    replayed, so the trace is exactly that of processing the copy.
-
-    This is sound because each arena node is processed at most once, after
-    all of its children, and processing writes only into the node's own
-    out-edges and the incoming edge being walked.  Every other edge into the
-    node's class is redirected when the walk pops it, so no parent sees a
-    stale child, and a finished node's children and labels never change
-    again.  Parent pointers are not kept up to date; `unfold` writes the
-    output tree with fresh ones.
-    """
-    key_fn = canon.make_key_fn(tree, canon.PIN_SYMMETRY)
+    out = GameTree(tree.players, tree.system)
+    out.label_cache = tree.label_cache
+    key_fn = canon.make_key_fn(out, canon.PIN_SYMMETRY)
+    origin: list[int] = []  # per output node, the input node it copies
+    # per finished output node: (node count, choice count, has a truncated node)
     facts: dict[int, tuple[int, int, bool]] = {}
-
-    def finished_facts(node: int) -> tuple[int, int, bool]:
-        """(node count, choice count, has a truncated node) of a finished
-        subtree; it never changes again, so a memo entry stays valid."""
-        got = facts.get(node)
-        if got is not None:
-            return got
-        for n in postorder(tree, node, facts):
-            nodes, choices = 1, node_choice_total(tree, n)
-            trunc = tree.node_kind[n] == TRUNCATED
-            for e in tree.node_children[n]:
-                child_nodes, child_choices, child_trunc = facts[tree.edge_dst[e]]
-                nodes += child_nodes
-                choices += child_choices
-                trunc = trunc or child_trunc
-            facts[n] = (nodes, choices, trunc)
-        return facts[node]
-
-    ids, costs = _intern(tree)
-    trace.start = costs[ids[tree.root]]
-    record = trace.record
     deltas = trace.deltas
+
+    def record(kind: str, node: int, dn: int, dc: int) -> None:
+        trace.record(kind, origin[node], dn, dc)
 
     def splice_forced_child(v: int, e_vw: int) -> bool:
         """Bookkeeping, pairwise: splice a forced state child of v."""
-        w = tree.edge_dst[e_vw]
-        if not _is_forced(tree, w):
+        w = out.edge_dst[e_vw]
+        if not _is_forced(out, w):
             return False
-        e_wx = tree.node_children[w][0]
-        x = tree.edge_dst[e_wx]
-        x_kind = tree.node_kind[x]
-        w_choices = node_choice_total(tree, w)
-        if x_kind in (STATE, TERMINAL):
-            tree.edge_dst[e_vw] = x
+        x = out.edge_dst[out.node_children[w][0]]
+        x_kind = out.node_kind[x]
+        if x_kind == TRUNCATED:
+            return False
+        if x_kind == CHANCE and any(
+            out.node_kind[out.edge_dst[e]] == TRUNCATED for e in out.node_children[x]
+        ):
+            return False  # site leaves include a truncated node
+        w_choices = node_choice_total(out, w)
+        if x_kind == CHANCE and out.node_kind[v] == CHANCE:
+            # fold x's edges into v, scaled by the edge into w
+            p_r = out.edge_prob[e_vw]
+            out.node_children[v].remove(e_vw)
+            for e in out.node_children[x]:
+                out.add_edge(v, out.edge_dst[e], CHANCE_EDGE, prob=p_r * out.edge_prob[e])
+            record("bookkeeping", w, -2, -w_choices)
+        else:
+            out.edge_dst[e_vw] = x
             record("bookkeeping", w, -1, -w_choices)
-            return True
-        if x_kind == CHANCE:
-            if any(
-                tree.node_kind[tree.edge_dst[e]] == TRUNCATED
-                for e in tree.node_children[x]
-            ):
-                return False  # site leaves include a truncated node
-            if tree.node_kind[v] == CHANCE:
-                p_r = tree.edge_prob[e_vw]
-                tree.node_children[v].remove(e_vw)
-                for e in tree.node_children[x]:
-                    tree.add_edge(v, tree.edge_dst[e], CHANCE_EDGE, prob=p_r * tree.edge_prob[e])
-                record("bookkeeping", w, -2, -w_choices)
-            else:
-                tree.edge_dst[e_vw] = x
-                record("bookkeeping", w, -1, -w_choices)
-            return True
-        return False  # truncated target: skip
+        return True
 
-    def process(v: int, e_in: int) -> None:
-        """Normalize v's node, whose children are finished; `e_in` leads to
-        v (-1 at the root)."""
+    def process(v: int) -> int:
+        """Normalize the copy v, a state or chance node whose children are
+        finished; returns the node that stands for it."""
+        is_state = out.node_kind[v] == STATE
         while True:
             changed = False
-            if tree.node_kind[v] == STATE and tree.node_children[v]:
-                before = node_choice_total(tree, v)
-                if _matrix_redundancy_at(tree, v):
-                    record("matrix-redundancy", v, 0, node_choice_total(tree, v) - before)
+            if is_state and out.node_children[v]:
+                before = node_choice_total(out, v)
+                if _matrix_redundancy_at(out, v):
+                    record("matrix-redundancy", v, 0, node_choice_total(out, v) - before)
                     changed = True
-            if tree.node_kind[v] in (STATE, CHANCE):
-                for e in list(tree.node_children[v]):
-                    if e in tree.node_children[v] and splice_forced_child(v, e):
-                        changed = True
-            if tree.node_kind[v] == STATE and _single_player_site_at(tree, v):
-                owner = _owner_of(tree, v)
-                before_v = node_choice_total(tree, v)
-                absorbed = _absorb_children_once(tree, v, owner)
+            for e in list(out.node_children[v]):
+                if e in out.node_children[v] and splice_forced_child(v, e):
+                    changed = True
+            if is_state and _single_player_site_at(out, v):
+                owner = _owner_of(out, v)
+                before_v = node_choice_total(out, v)
+                absorbed = _absorb_children_once(out, v, owner)
                 if absorbed:
                     changed = True
                     dc = (
-                        node_choice_total(tree, v)
+                        node_choice_total(out, v)
                         - before_v
-                        - sum(node_choice_total(tree, w) for w in absorbed)
+                        - sum(node_choice_total(out, w) for w in absorbed)
                     )
                     record("single-player", v, -len(absorbed), dc)
             # symmetry merges among the (now stable-keyed) children
             groups: dict[bytes, list[int]] = {}
-            for e in tree.node_children[v]:
-                dst = tree.edge_dst[e]
-                if finished_facts(dst)[2]:
+            for e in out.node_children[v]:
+                dst = out.edge_dst[e]
+                if facts[dst][2]:
                     continue
                 groups.setdefault(key_fn(dst), []).append(e)
-            spliced_out = False
             for edges in groups.values():
-                if len(edges) < 2:
-                    continue
                 survivor = edges[0]
                 for victim in edges[1:]:
-                    nodes, choices, _ = finished_facts(tree.edge_dst[victim])
-                    spliced = _merge_pair(tree, v, e_in, victim, survivor)
-                    record("symmetry", v, -nodes - (1 if spliced else 0), -choices)
+                    nodes, choices, _ = facts[out.edge_dst[victim]]
+                    stand = _merge_pair(out, v, victim, survivor)
+                    record("symmetry", v, -nodes - (stand != v), -choices)
                     changed = True
-                    if spliced:
-                        spliced_out = True
-                        break
-                if spliced_out:
-                    break
-            if spliced_out:
-                return  # v itself was removed
+                    if stand != v:
+                        return stand  # v itself was removed
             if not changed:
-                return
+                return v
 
-    # Children first, not descending into a finished class.  An entry is
-    # (node, incoming edge, its first step), the first step -1 while the
-    # node is yet to be entered.
-    # finished: class id -> (finished node, its steps lo:hi)
-    finished: dict[int, tuple[int, int, int]] = {}
-    stack: list[tuple[int, int, int]] = [(tree.root, -1, -1)]
+    # Children first.  A stack entry is (input node, its first step), the
+    # first step -1 while the node is yet to be entered.
+    # done: input node -> (its normal form, the steps of its subtree lo:hi)
+    # table: memo key -> (normal form, the steps of its own loop lo:hi)
+    done: dict[int, tuple[int, int, int]] = {}
+    table: dict[tuple, tuple[int, int, int]] = {}
+    add_node, add_edge = out.add_node, out.add_edge
+    stack: list[tuple[int, int]] = [(tree.root, -1)]
     while stack:
-        v, e, lo = stack.pop()
+        v, lo = stack.pop()
         if lo < 0:
-            done = finished.get(ids[v])
-            if done is None:
-                stack.append((v, e, len(deltas)))
-                for c in tree.node_children[v]:
-                    stack.append((tree.edge_dst[c], c, -1))
-                continue
-            node, lo, hi = done
-            # v is not the root: the root's subtree is the largest, so unique
-            tree.edge_dst[e] = node
-            # A replay repeats deltas that `record` has already checked, so
-            # it cannot fail the check; the measures follow from the deltas.
-            deltas.extend(deltas[lo:hi])
+            got = done.get(v)
+            if got is None:
+                stack.append((v, len(deltas)))
+                for e in tree.node_children[v]:
+                    stack.append((tree.edge_dst[e], -1))
+            else:
+                # A replay repeats deltas that `record` has already checked,
+                # so it cannot fail the check.
+                deltas.extend(deltas[got[1]:got[2]])
             continue
-        if tree.node_kind[v] not in (TERMINAL, TRUNCATED):
-            process(v, e)
-        finished[ids[v]] = (tree.edge_dst[e] if e >= 0 else tree.root, lo, len(deltas))
+        edges = tuple(
+            (tree.edge_kind[e], tree.edge_label[e], tree.edge_prob[e], done[tree.edge_dst[e]][0])
+            for e in tree.node_children[v]
+        )
+        key = (tree.node_kind[v], tree.node_state[v], tree.node_outcome[v], edges)
+        got = table.get(key)
+        if got is None:
+            c = add_node(key[0], key[1], key[2])
+            origin.append(v)
+            for kind, label, prob, child in edges:
+                add_edge(c, child, kind, prob, label)
+            mark = len(deltas)
+            if key[0] in (STATE, CHANCE):
+                c = process(c)
+            if c not in facts:
+                nodes, choices = 1, node_choice_total(out, c)
+                trunc = out.node_kind[c] == TRUNCATED
+                for e in out.node_children[c]:
+                    child_nodes, child_choices, child_trunc = facts[out.edge_dst[e]]
+                    nodes += child_nodes
+                    choices += child_choices
+                    trunc = trunc or child_trunc
+                facts[c] = (nodes, choices, trunc)
+            got = table[key] = (c, mark, len(deltas))
+        else:
+            deltas.extend(deltas[got[1]:got[2]])
+        done[v] = (got[0], lo, len(deltas))
 
     # Root-level bookkeeping (Case 1 with the root as the subtree root).
-    while _is_forced(tree, tree.root):
-        e = tree.node_children[tree.root][0]
-        x = tree.edge_dst[e]
-        if tree.node_kind[x] not in (STATE, TERMINAL):
+    root = done[tree.root][0]
+    while _is_forced(out, root):
+        x = out.edge_dst[out.node_children[root][0]]
+        if out.node_kind[x] not in (STATE, TERMINAL):
             break
-        old_root = tree.root
-        cost = node_choice_total(tree, old_root)
-        tree.root = x
-        record("bookkeeping", old_root, -1, -cost)
-    return tree
+        record("bookkeeping", root, -1, -node_choice_total(out, root))
+        root = x
+    out.root = root
+    nodes, choices, _ = facts[root]
+    trace.start = (nodes - sum(d[2] for d in deltas), choices - sum(d[3] for d in deltas))
+    return out
 
 
-def _normalize_random(tree: GameTree, trace: ReductionTrace, rng: random.Random) -> GameTree:
-    """Reference engine: detect all sites, apply one at random, repeat."""
-    trace.start = measure = tree_measure(tree)
-    while True:
-        sites = (
-            find_matrix_redundancy_sites(tree)
-            + find_bookkeeping_sites(tree)
-            + find_single_player_sites(tree)
-            + find_symmetry_sites(tree)
-        )
-        if not sites:
-            return tree
-        site = rng.choice(sites)
-        if site.kind == "matrix-redundancy":
-            reduce_matrix_redundancy(tree, site)
-        elif site.kind == "bookkeeping":
-            reduce_bookkeeping(tree, site)
-        elif site.kind == "single-player":
-            reduce_single_player(tree, site)
-        else:
-            reduce_symmetry(tree, site)
-        before, measure = measure, tree_measure(tree)
-        trace.record(site.kind, site.root, measure[0] - before[0], measure[1] - before[1])
+def normalize(tree: GameTree, consume: bool = False) -> tuple[GameTree, ReductionTrace]:
+    """Reduce a tree to its normal form; the input is never written.
 
-
-def normalize(
-    tree: GameTree, shuffle_seed: Optional[int] = None, consume: bool = False
-) -> tuple[GameTree, ReductionTrace]:
-    """Reduce a tree to its normal form; the input is left unchanged
-    unless `consume=True`.
-
-    The default engine applies the canonical order bottom-up, in place on a
-    copy of the input, or on the input itself with `consume=True` when the
-    caller owns it.  A shared input arena, such as a built one, is not
-    unfolded: each distinct subtree is normalized once and later copies
-    point at the finished one, so trace node ids name the input's arena
-    nodes.  Passing `shuffle_seed` switches to a reference engine that
-    repeatedly picks a random site, used to check order robustness; its
-    per-site rewrites name nodes by arena id, so it unfolds a shared input
-    first and its trace ids are then those of `unfold`.  Either way the
-    normal form is written out by `unfold`, so it is an unshared tree whose
-    ids follow that numbering.
+    The rewrites apply in the canonical order, bottom-up, to fresh copies
+    of the input's nodes (`_normal_form`).  A shared input arena, such as a
+    built one, is not unfolded: each distinct subtree is normalized once, so
+    trace node ids name the input's arena nodes.  The normal form is written
+    out by `unfold`, so it is an unshared tree whose ids follow that
+    numbering.  `consume` is accepted for callers that pass it and has no
+    effect.
     """
     trace = ReductionTrace()
-    if shuffle_seed is None:
-        work = tree if consume else tree.copy()
-        _normalize_fast(work, trace)
-    else:
-        work = unfold(tree) if is_shared(tree) else tree if consume else tree.copy()
-        _normalize_random(work, trace, random.Random(shuffle_seed))
-    return unfold(work), trace
+    return unfold(_normal_form(tree, trace)), trace
+
+
+def normalize_random(tree: GameTree, seed: int) -> tuple[GameTree, ReductionTrace]:
+    """Reference engine: detect all sites, apply one at random, repeat.
+
+    Used to check that the normal form does not depend on the order of the
+    rewrites.  Its per-site rewrites name nodes by arena id, so it works on
+    a copy of the input, unfolded first when the input is shared; trace ids
+    are those of the copy.  The input is left unchanged.
+    """
+    work = unfold(tree) if is_shared(tree) else tree.copy()
+    rng = random.Random(seed)
+    trace = ReductionTrace()
+    trace.start = measure = tree_measure(work)
+    while True:
+        sites = (
+            find_matrix_redundancy_sites(work)
+            + find_bookkeeping_sites(work)
+            + find_single_player_sites(work)
+            + find_symmetry_sites(work)
+        )
+        if not sites:
+            return unfold(work), trace
+        site = rng.choice(sites)
+        if site.kind == "matrix-redundancy":
+            reduce_matrix_redundancy(work, site)
+        elif site.kind == "bookkeeping":
+            reduce_bookkeeping(work, site)
+        elif site.kind == "single-player":
+            reduce_single_player(work, site)
+        else:
+            reduce_symmetry(work, site)
+        before, measure = measure, tree_measure(work)
+        trace.record(site.kind, site.root, measure[0] - before[0], measure[1] - before[1])

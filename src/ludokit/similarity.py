@@ -216,7 +216,7 @@ class SimilarityReport:
 
 def _partial_normal_form(sys: GameSystem, state: GameState, depth: int):
     tree = build_tree(sys, state, depth_limit=depth)
-    form, _ = reduce_mod.normalize(tree, consume=True)
+    form, _ = reduce_mod.normalize(tree)
     return form
 
 

@@ -14,10 +14,10 @@ unfolded-tree count; `iter_nodes` yields a shared node once per path, and
 several parents, so `node_parent_edge` names one of them only; it is exact
 on unshared arenas such as imported trees.
 
-Deleted nodes become unreachable tombstones; `unfold` drops them and
-unfolds nodes that normalization left shared.  Facts derived from edge
-labels are cached under the (immutable) labels themselves, so rewriting a
-tree never makes a cache entry stale.
+Nodes that a rewrite cuts off stay in the arena, unreachable; `unfold`
+drops them.  Facts derived from edge labels are cached under the
+(immutable) labels themselves, so rewriting a tree never makes a cache
+entry stale.
 
 Node kinds: state, chance, terminal, truncated.  Decision edges leave state
 nodes and carry a nonempty set of decision-tuple sequences (a freshly built

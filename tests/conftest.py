@@ -1,8 +1,7 @@
 """Shared fixtures: parsed systems and cached heavy artifacts.
 
 Session-scoped trees are shared for speed; tests must not mutate them
-(normalize copies its input by default, so the usual call patterns are
-safe).
+(normalize never writes its input, so the usual call patterns are safe).
 """
 
 from __future__ import annotations

@@ -2,7 +2,8 @@
 
 Everything here is deliberately written from first principles, sharing no
 logic with the package's canonical-key machinery, so key-based verdicts can
-be checked against definition-faithful brute force.
+be checked against definition-faithful brute force.  The exceptions, the
+reference renderers and the in-place normalizer, say so where they start.
 """
 
 from __future__ import annotations
@@ -25,6 +26,17 @@ from ludokit.core import (
     format_decision_tuple,
 )
 from ludokit.errors import BudgetExceededError
+from ludokit.reduce import (
+    ReductionTrace,
+    _absorb_children_once,
+    _is_forced,
+    _matrix_redundancy_at,
+    _merge_pair,
+    _owner_of,
+    _single_player_site_at,
+    _splice_into,
+    node_choice_total,
+)
 from ludokit.tree import (
     CHANCE,
     CHANCE_EDGE,
@@ -36,6 +48,8 @@ from ludokit.tree import (
     TERMINAL,
     TRUNCATED,
     decision_matrix,
+    postorder,
+    unfold,
 )
 
 WIN_LINES = (
@@ -541,3 +555,232 @@ def match_candidates(left, right, order, edge_map):
             cand[c] = matches
         candidates.append(cand)
     return candidates
+
+
+# ---------------------------------------------------------------------------
+# The in-place normalizer: the reference for `ludokit.reduce.normalize`.
+# Unlike the rest of this module it uses the package's rewrite helpers and
+# `canon` keys: it checks the memoized engine's sharing and bookkeeping, not
+# the rewrites themselves.
+# ---------------------------------------------------------------------------
+
+
+def _intern(tree: GameTree) -> tuple[list[int], list[tuple[int, int]]]:
+    """Hash-cons the tree: one id per distinct subtree.
+
+    Returns every node's id (indexed by node) and, per id, the subtree's
+    (node count, total choice count).  The key is exact and ordered: kind,
+    state, outcome and each out-edge's kind, label, probability and child
+    id.  So it is sound on imported, reduced and depth-limited trees alike,
+    where equal states need not root equal subtrees.
+    """
+    ids = [0] * len(tree.node_kind)
+    table: dict[tuple, int] = {}
+    costs: list[tuple[int, int]] = []
+    node_children = tree.node_children
+    edge_dst = tree.edge_dst
+    edge_kind = tree.edge_kind
+    edge_label = tree.edge_label
+    edge_prob = tree.edge_prob
+    for n in postorder(tree):
+        children = node_children[n]
+        key = (
+            tree.node_kind[n],
+            tree.node_state[n],
+            tree.node_outcome[n],
+            tuple(
+                (edge_kind[e], edge_label[e], edge_prob[e], ids[edge_dst[e]])
+                for e in children
+            ),
+        )
+        i = table.get(key)
+        if i is None:
+            i = table[key] = len(costs)
+            nodes, choices = 1, node_choice_total(tree, n)
+            for e in children:
+                child_nodes, child_choices = costs[ids[edge_dst[e]]]
+                nodes += child_nodes
+                choices += child_choices
+            costs.append((nodes, choices))
+        ids[n] = i
+    return ids, costs
+
+
+def _normalize_fast(tree: GameTree, trace: ReductionTrace) -> GameTree:
+    """Bottom-up normalization with incremental canonical keys, in place.
+
+    The input may be a DAG (a built arena) and is not unfolded.  Each
+    distinct subtree (`_intern` class) is normalized once, at the first of
+    its nodes the walk reaches.  The walk carries each node's incoming edge,
+    because on a DAG a node's parent pointer names only one of its parents:
+    a node is finished into the edge it was reached by, and a symmetry merge
+    that splices it out rewrites that edge.  A later edge into a finished
+    class is pointed at the finished node, and the class's trace steps are
+    replayed, so the trace is exactly that of processing the copy.
+
+    This is sound because each arena node is processed at most once, after
+    all of its children, and processing writes only into the node's own
+    out-edges and the incoming edge being walked.  Every other edge into the
+    node's class is redirected when the walk pops it, so no parent sees a
+    stale child, and a finished node's children and labels never change
+    again.  Parent pointers are not kept up to date; `unfold` writes the
+    output tree with fresh ones.
+    """
+    key_fn = canon.make_key_fn(tree, canon.PIN_SYMMETRY)
+    facts: dict[int, tuple[int, int, bool]] = {}
+
+    def finished_facts(node: int) -> tuple[int, int, bool]:
+        """(node count, choice count, has a truncated node) of a finished
+        subtree; it never changes again, so a memo entry stays valid."""
+        got = facts.get(node)
+        if got is not None:
+            return got
+        for n in postorder(tree, node, facts):
+            nodes, choices = 1, node_choice_total(tree, n)
+            trunc = tree.node_kind[n] == TRUNCATED
+            for e in tree.node_children[n]:
+                child_nodes, child_choices, child_trunc = facts[tree.edge_dst[e]]
+                nodes += child_nodes
+                choices += child_choices
+                trunc = trunc or child_trunc
+            facts[n] = (nodes, choices, trunc)
+        return facts[node]
+
+    ids, costs = _intern(tree)
+    trace.start = costs[ids[tree.root]]
+    record = trace.record
+    deltas = trace.deltas
+
+    def splice_forced_child(v: int, e_vw: int) -> bool:
+        """Bookkeeping, pairwise: splice a forced state child of v."""
+        w = tree.edge_dst[e_vw]
+        if not _is_forced(tree, w):
+            return False
+        e_wx = tree.node_children[w][0]
+        x = tree.edge_dst[e_wx]
+        x_kind = tree.node_kind[x]
+        w_choices = node_choice_total(tree, w)
+        if x_kind in (STATE, TERMINAL):
+            tree.edge_dst[e_vw] = x
+            record("bookkeeping", w, -1, -w_choices)
+            return True
+        if x_kind == CHANCE:
+            if any(
+                tree.node_kind[tree.edge_dst[e]] == TRUNCATED
+                for e in tree.node_children[x]
+            ):
+                return False  # site leaves include a truncated node
+            if tree.node_kind[v] == CHANCE:
+                p_r = tree.edge_prob[e_vw]
+                tree.node_children[v].remove(e_vw)
+                for e in tree.node_children[x]:
+                    tree.add_edge(v, tree.edge_dst[e], CHANCE_EDGE, prob=p_r * tree.edge_prob[e])
+                record("bookkeeping", w, -2, -w_choices)
+            else:
+                tree.edge_dst[e_vw] = x
+                record("bookkeeping", w, -1, -w_choices)
+            return True
+        return False  # truncated target: skip
+
+    def process(v: int, e_in: int) -> None:
+        """Normalize v's node, whose children are finished; `e_in` leads to
+        v (-1 at the root)."""
+        while True:
+            changed = False
+            if tree.node_kind[v] == STATE and tree.node_children[v]:
+                before = node_choice_total(tree, v)
+                if _matrix_redundancy_at(tree, v):
+                    record("matrix-redundancy", v, 0, node_choice_total(tree, v) - before)
+                    changed = True
+            if tree.node_kind[v] in (STATE, CHANCE):
+                for e in list(tree.node_children[v]):
+                    if e in tree.node_children[v] and splice_forced_child(v, e):
+                        changed = True
+            if tree.node_kind[v] == STATE and _single_player_site_at(tree, v):
+                owner = _owner_of(tree, v)
+                before_v = node_choice_total(tree, v)
+                absorbed = _absorb_children_once(tree, v, owner)
+                if absorbed:
+                    changed = True
+                    dc = (
+                        node_choice_total(tree, v)
+                        - before_v
+                        - sum(node_choice_total(tree, w) for w in absorbed)
+                    )
+                    record("single-player", v, -len(absorbed), dc)
+            # symmetry merges among the (now stable-keyed) children
+            groups: dict[bytes, list[int]] = {}
+            for e in tree.node_children[v]:
+                dst = tree.edge_dst[e]
+                if finished_facts(dst)[2]:
+                    continue
+                groups.setdefault(key_fn(dst), []).append(e)
+            spliced_out = False
+            for edges in groups.values():
+                if len(edges) < 2:
+                    continue
+                survivor = edges[0]
+                for victim in edges[1:]:
+                    nodes, choices, _ = finished_facts(tree.edge_dst[victim])
+                    stand = _merge_pair(tree, v, victim, survivor)
+                    spliced = stand != v
+                    if spliced:
+                        _splice_into(tree, e_in, stand)
+                    record("symmetry", v, -nodes - (1 if spliced else 0), -choices)
+                    changed = True
+                    if spliced:
+                        spliced_out = True
+                        break
+                if spliced_out:
+                    break
+            if spliced_out:
+                return  # v itself was removed
+            if not changed:
+                return
+
+    # Children first, not descending into a finished class.  An entry is
+    # (node, incoming edge, its first step), the first step -1 while the
+    # node is yet to be entered.
+    # finished: class id -> (finished node, its steps lo:hi)
+    finished: dict[int, tuple[int, int, int]] = {}
+    stack: list[tuple[int, int, int]] = [(tree.root, -1, -1)]
+    while stack:
+        v, e, lo = stack.pop()
+        if lo < 0:
+            done = finished.get(ids[v])
+            if done is None:
+                stack.append((v, e, len(deltas)))
+                for c in tree.node_children[v]:
+                    stack.append((tree.edge_dst[c], c, -1))
+                continue
+            node, lo, hi = done
+            # v is not the root: the root's subtree is the largest, so unique
+            tree.edge_dst[e] = node
+            # A replay repeats deltas that `record` has already checked, so
+            # it cannot fail the check; the measures follow from the deltas.
+            deltas.extend(deltas[lo:hi])
+            continue
+        if tree.node_kind[v] not in (TERMINAL, TRUNCATED):
+            process(v, e)
+        finished[ids[v]] = (tree.edge_dst[e] if e >= 0 else tree.root, lo, len(deltas))
+
+    # Root-level bookkeeping (Case 1 with the root as the subtree root).
+    while _is_forced(tree, tree.root):
+        e = tree.node_children[tree.root][0]
+        x = tree.edge_dst[e]
+        if tree.node_kind[x] not in (STATE, TERMINAL):
+            break
+        old_root = tree.root
+        cost = node_choice_total(tree, old_root)
+        tree.root = x
+        record("bookkeeping", old_root, -1, -cost)
+    return tree
+
+
+def normalize_in_place(tree: GameTree) -> tuple[GameTree, ReductionTrace]:
+    """`ludokit.reduce.normalize` as it rewrote the input arena in place, on
+    a copy of `tree`.  The result is written out by `unfold`."""
+    trace = ReductionTrace()
+    work = tree.copy()
+    _normalize_fast(work, trace)
+    return unfold(work), trace

@@ -149,6 +149,29 @@ class TestReduce:
         assert json.loads(trace_path.read_text()) == []
         assert first.read_text() == second.read_text()
 
+    def test_trace_and_out_spelled_differently_exit_2(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, _, err = run(
+            capsys, "reduce", fixture_path("swap_pair_right.json"),
+            "--trace", "x.json", "--out", "./x.json",
+        )
+        assert code == 2
+        assert "both name" in err
+        assert not (tmp_path / "x.json").exists()
+
+    def test_trace_and_out_through_a_symlink_exit_2(self, capsys, tmp_path):
+        real = tmp_path / "real.json"
+        real.write_text("kept")
+        link = tmp_path / "link.json"
+        os.symlink(real, link)
+        code, _, err = run(
+            capsys, "reduce", fixture_path("swap_pair_right.json"),
+            "--trace", str(real), "--out", str(link),
+        )
+        assert code == 2
+        assert "both name" in err
+        assert real.read_text() == "kept"
+
 
     def test_non_integer_node_id_exit_2(self, capsys, tmp_path):
         doc = json.loads(fixture_text("swap_pair_right.json"))

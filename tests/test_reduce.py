@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 import generators
+import oracles
 from ludokit import canon, core, equiv, reduce, tree
 from ludokit.errors import StaleSiteError, TreeInvariantError
 from ludokit.reduce import (
@@ -18,6 +19,7 @@ from ludokit.reduce import (
     find_single_player_sites,
     find_symmetry_sites,
     normalize,
+    normalize_random,
     reduce_bookkeeping,
     reduce_matrix_redundancy,
     reduce_single_player,
@@ -301,7 +303,7 @@ class TestNormalize:
         ]
         for t in corpus:
             canonical, _ = normalize(t)
-            forms = [normalize(t, shuffle_seed=seed)[0] for seed in range(10)]
+            forms = [normalize_random(t, seed)[0] for seed in range(10)]
             for form in forms:
                 assert equiv.equivalent_up_to_relabeling(canonical, form) is not None
 
@@ -325,7 +327,7 @@ class TestNormalize:
         for seed in range(25):
             t = generators.random_tree(random.Random(seed), max_nodes=35)
             fast, _ = normalize(t)
-            slow, _ = normalize(t, shuffle_seed=seed * 7 + 1)
+            slow, _ = normalize_random(t, seed * 7 + 1)
             assert equiv.equivalent_up_to_relabeling(fast, slow) is not None
 
 
@@ -425,7 +427,7 @@ class TestSharing:
 
     def test_corpus_shares_subtrees(self, corpus):
         for t in corpus:
-            ids, _ = reduce._intern(t)
+            ids, _ = oracles._intern(t)
             assert len(set(ids[n] for n in t.iter_nodes())) < t.node_count()
 
     def test_form_is_a_valid_tree_and_input_untouched(self, corpus):
@@ -438,22 +440,22 @@ class TestSharing:
     def test_matches_randomized_oracle(self, corpus):
         for t in corpus:
             form, _ = normalize(t)
-            oracle, _ = normalize(t, shuffle_seed=5)
+            oracle, _ = normalize_random(t, 5)
             assert canon.canonical_form(form) == canon.canonical_form(oracle)
 
     def test_trace_matches_unshared_reference(self, corpus, systems, monkeypatch):
         trees = corpus + [midgame_tree(systems["tictactoe"], 3)]
         shared = [normalize(t) for t in trees]
-        intern = reduce._intern
+        intern = oracles._intern
 
         def unshared(t):
             """Every node its own subtree id: the normalizer shares nothing."""
             ids, costs = intern(t)
             return list(range(len(t.node_kind))), [costs[i] for i in ids]
 
-        monkeypatch.setattr(reduce, "_intern", unshared)
+        monkeypatch.setattr(oracles, "_intern", unshared)
         for t, (form, trace) in zip(trees, shared):
-            ref_form, ref_trace = normalize(t)
+            ref_form, ref_trace = oracles.normalize_in_place(t)
             assert tree.export_json(form) == tree.export_json(ref_form)
             assert _step_counts(trace) == _step_counts(ref_trace)
 
@@ -557,20 +559,39 @@ class TestSharing:
         for t, (before, _, _) in zip(arenas, results):
             assert _arrays(t) == before
 
+    def test_matches_in_place_oracle(self, arenas):
+        """The memoized engine gives the in-place engine's arrays and step
+        counts, and writes nothing into its input, `consume` or not."""
+        randoms = [
+            generators.random_tree(
+                random.Random(seed), max_nodes=30 + seed % 50, n_players=2 + seed % 2,
+                allow_truncated=seed % 3 == 0,
+            )
+            for seed in range(300)
+        ]
+        for t in arenas + randoms:
+            before = _arrays(t)
+            ref_form, ref_trace = oracles.normalize_in_place(t)
+            for consume in (False, True):
+                form, trace = normalize(t, consume=consume)
+                assert _arrays(form) == _arrays(ref_form)
+                assert _step_counts(trace) == _step_counts(ref_trace)
+                assert _arrays(t) == before
+
     def test_unfolds_only_the_output(self, arenas, monkeypatch):
         unfolded, interned = [], []
-        real_unfold, real_intern = reduce.unfold, reduce._intern
+        real_unfold, real_memo = reduce.unfold, reduce._normal_form
 
         def counting_unfold(t):
             unfolded.append(real_unfold(t))
             return unfolded[-1]
 
-        def counting_intern(t):
+        def counting_memo(t, trace):
             interned.append(len(t.node_kind))
-            return real_intern(t)
+            return real_memo(t, trace)
 
         monkeypatch.setattr(reduce, "unfold", counting_unfold)
-        monkeypatch.setattr(reduce, "_intern", counting_intern)
+        monkeypatch.setattr(reduce, "_normal_form", counting_memo)
         for t in arenas:
             for consume in (False, True):
                 unfolded.clear()
@@ -591,7 +612,7 @@ class TestSharing:
             generators.random_tree(random.Random(7), max_nodes=45),
         ]
         shared = [normalize(t)[1] for t in trees]
-        intern, fast, record = reduce._intern, reduce._normalize_fast, reduce.ReductionTrace.record
+        intern, fast, record = oracles._intern, oracles._normalize_fast, reduce.ReductionTrace.record
         work: list[GameTree] = []
         measures: list[tuple[int, int]] = []
         eager: list[reduce.TraceStep] = []
@@ -611,12 +632,12 @@ class TestSharing:
             measures.append(after)
             eager.append(reduce.TraceStep(kind, root, nodes, after[0], choices, after[1]))
 
-        monkeypatch.setattr(reduce, "_intern", unshared)
-        monkeypatch.setattr(reduce, "_normalize_fast", measured_fast)
+        monkeypatch.setattr(oracles, "_intern", unshared)
+        monkeypatch.setattr(oracles, "_normalize_fast", measured_fast)
         monkeypatch.setattr(reduce.ReductionTrace, "record", eager_record)
         for t, shared_trace in zip(trees, shared):
             eager.clear()
-            _, trace = normalize(tree.unfold(t))
+            _, trace = oracles.normalize_in_place(tree.unfold(t))
             assert eager and trace.steps == eager
             assert trace.steps is trace.steps
             assert trace.to_json() == json.dumps(
