@@ -82,15 +82,15 @@ def _parse_state(sys_: GameSystem, literal: str):
 
 
 @contextlib.contextmanager
-def _output(path: Optional[str]):
-    """Yield the write of PATH opened for writing (stdout for None or "-").
+def _output(path: Optional[str], mode: str = "w"):
+    """Yield the write of PATH opened in `mode` (stdout for None or "-").
 
     An OSError while opening, writing or closing becomes exit 2, so an
     unwritable output never reads as a negative verdict.
     """
     to_stdout = path is None or path == "-"
     try:
-        handle = _sys.stdout if to_stdout else open(path, "w", encoding="utf-8")
+        handle = _sys.stdout if to_stdout else open(path, mode, encoding="utf-8")
         try:
             yield handle.write
         finally:
@@ -226,11 +226,17 @@ def cmd_reduce(args) -> int:
         and os.path.realpath(args.trace) == os.path.realpath(args.out)
     ):
         raise _Failure(f"--trace and --out both name {args.out}")
+    # An output may name the input, so outputs are truncated only once the
+    # input is read and normalized.  Opening them to append nothing first
+    # makes an unwritable one fail before that work, and truncates nothing.
+    for path in (args.out, args.trace):
+        with _output(path, "a"):
+            pass
+    forest = _load_forest(args.file, args.budget)
+    results = [reduce_mod.normalize(t) for t in forest]
     with _output(args.out) as write, (
         _output(args.trace) if args.trace is not None else contextlib.nullcontext()
     ) as write_trace:
-        forest = _load_forest(args.file, args.budget)
-        results = [reduce_mod.normalize(t) for t in forest]
         if args.trace is not None:
             trace_doc = [json.loads(trace.to_json()) for _, trace in results]
             write_trace(

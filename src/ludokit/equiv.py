@@ -13,12 +13,12 @@ Three nested predicates:
 
 Decisions are made through canonical keys (see `canon`); a successful
 comparison yields an `EquivalenceWitness` carrying the node correspondence
-and the global player/outcome maps.  Built trees share nodes, so the
-correspondence of a tree pair is a relation on pairs of arena nodes, each
-related pair with a child pairing that matches its out-edges one to one;
-the walk that finds it visits each distinct pair once.  Unfolded from the
-root pair it is a bijection between the unfolded trees, which
-`TreePairWitness.node_map` and `EquivalenceWitness.to_json` build on
+and the global player/outcome maps.  Built trees and normal forms share
+nodes, so the correspondence of a tree pair is a relation on pairs of arena
+nodes, each related pair with a child pairing that matches its out-edges
+one to one; the walk that finds it visits each distinct pair once.
+Unfolded from the root pair it is a bijection between the unfolded trees,
+which `TreePairWitness.node_map` and `EquivalenceWitness.to_json` build on
 demand.  `verify_witness` replays the defining conditions directly on the
 trees, once per related pair and independently of the key machinery, and
 is used by the test suite to re-check every witness the search returns.

@@ -19,7 +19,9 @@ bottom-up pass: once a node's local loop stabilizes its whole subtree is
 normal, so sibling-subtree comparisons can use cached canonical keys.  The
 pass only reads its input, which may be a shared arena (a built tree): it
 builds the normal form into a fresh hash-consed arena, normalizing each
-distinct subtree once, and unfolds that into a tree on output.
+distinct subtree once, and returns that arena's reachable part, still
+shared.  Like a built tree, the form stands for its unfolding: exports,
+node counts and witnesses unfold it on demand.
 `normalize_random` is the reference engine that applies sites in a random
 order, to check that the result does not depend on it.  The public
 `reduce_*` operations apply one maximal site at a time and verify the
@@ -27,7 +29,7 @@ measure (node count, then total choice count) strictly decreases; a site
 whose node has been cut off from the root, or whose structure no longer
 holds, raises `StaleSiteError`.  They and the `find_*_sites` functions
 name nodes by arena id, so they raise `TreeInvariantError` on an arena that
-shares nodes: `unfold` a built tree before calling them.
+shares nodes: `unfold` a built tree or a normal form before calling them.
 Per-node matrix facts come from `canon._node_meta`, which caches them under
 the node's edge labels, so rewrites need no cache invalidation.
 
@@ -55,6 +57,7 @@ from .tree import (
     TERMINAL,
     TRUNCATED,
     choice_rank,
+    compact,
     is_shared,
     require_unshared,
     unfold,
@@ -740,13 +743,15 @@ def normalize(tree: GameTree, consume: bool = False) -> tuple[GameTree, Reductio
     The rewrites apply in the canonical order, bottom-up, to fresh copies
     of the input's nodes (`_normal_form`).  A shared input arena, such as a
     built one, is not unfolded: each distinct subtree is normalized once, so
-    trace node ids name the input's arena nodes.  The normal form is written
-    out by `unfold`, so it is an unshared tree whose ids follow that
-    numbering.  `consume` is accepted for callers that pass it and has no
-    effect.
+    trace node ids name the input's arena nodes.  The normal form is a
+    shared arena like a built tree, holding each distinct finished subtree
+    once; exports, counts and witnesses unfold it on demand.  `compact`
+    keeps its reachable nodes and numbers them as `unfold` would, so an
+    unshared form has exactly the arrays of its unfolding.  `consume` is
+    accepted for callers that pass it and has no effect.
     """
     trace = ReductionTrace()
-    return unfold(_normal_form(tree, trace)), trace
+    return compact(_normal_form(tree, trace)), trace
 
 
 def normalize_random(tree: GameTree, seed: int) -> tuple[GameTree, ReductionTrace]:

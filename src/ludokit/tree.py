@@ -15,8 +15,8 @@ several parents, so `node_parent_edge` names one of them only; it is exact
 on unshared arenas such as imported trees.
 
 Nodes that a rewrite cuts off stay in the arena, unreachable; `unfold`
-drops them.  Facts derived from edge labels are cached under the
-(immutable) labels themselves, so rewriting a tree never makes a cache
+and `compact` drop them.  Facts derived from edge labels are cached under
+the (immutable) labels themselves, so rewriting a tree never makes a cache
 entry stale.
 
 Node kinds: state, chance, terminal, truncated.  Decision edges leave state
@@ -352,6 +352,80 @@ def unfold(tree: GameTree) -> GameTree:
     return _unfold(tree)[0]
 
 
+def compact(tree: GameTree) -> GameTree:
+    """The part of the arena reachable from the root, as a fresh arena that
+    keeps its sharing.
+
+    Nodes and edges are numbered in the order in which `unfold` creates the
+    first copy of each, and a node's parent edge is the one its first copy
+    is created along, so on an unshared arena the arrays are exactly those
+    of `unfold`.  The walk replays `unfold`'s stack but expands a node only
+    when it is first popped: when `unfold` pops a later copy, the subtree
+    of the first is done, so the later copy creates no new node.  Every
+    child is still pushed, so that each node is first popped when it is in
+    `unfold`.  The label cache is shared.
+    """
+    node_kind = tree.node_kind
+    node_children = tree.node_children
+    edge_dst = tree.edge_dst
+    new_id = {tree.root: 0}
+    origin = [tree.root]  # per new node
+    parent_edge = [-1]  # per new node
+    edge_origin: list[int] = []  # per new edge
+    edge_src: list[int] = []  # per new edge, a new node
+    children: list[list[int]] = [[]]  # per new node
+
+    def copy_edge(e: int, m: int) -> int:
+        """Number edge e out of new node m, and its target if new; returns it."""
+        children[m].append(len(edge_origin))
+        edge_origin.append(e)
+        edge_src.append(m)
+        child = edge_dst[e]
+        if child not in new_id:
+            new_id[child] = len(origin)
+            origin.append(child)
+            parent_edge.append(len(edge_origin) - 1)
+            children.append([])
+        return child
+
+    expanded: set[int] = set()
+    stack = [tree.root]
+    while stack:
+        n = stack.pop()
+        if n in expanded:
+            continue
+        expanded.add(n)
+        m = new_id[n]
+        for e in node_children[n]:
+            child = copy_edge(e, m)
+            if node_kind[child] != CHANCE:
+                stack.append(child)
+                continue
+            # A chance node's children are created along with each copy.
+            if child not in expanded:
+                expanded.add(child)
+                c = new_id[child]
+                for e2 in node_children[child]:
+                    copy_edge(e2, c)
+            for e2 in node_children[child]:
+                stack.append(edge_dst[e2])
+
+    out = GameTree(tree.players, tree.system)
+    out.label_cache = tree.label_cache
+    out.node_kind = array("b", [node_kind[n] for n in origin])
+    out.node_state = [tree.node_state[n] for n in origin]
+    out.node_outcome = [tree.node_outcome[n] for n in origin]
+    out.node_children = children
+    out.node_parent_edge = array("i", parent_edge)
+    out.edge_kind = array("b", [tree.edge_kind[e] for e in edge_origin])
+    out.edge_src = array("i", edge_src)
+    out.edge_dst = array("i", [new_id[edge_dst[e]] for e in edge_origin])
+    out.edge_prob = [tree.edge_prob[e] for e in edge_origin]
+    out.edge_label = [tree.edge_label[e] for e in edge_origin]
+    out.root = 0
+    return out
+
+
 def is_shared(tree: GameTree) -> bool:
     """Is some node reached along more than one path from the root?"""
     seen: set[int] = set()
@@ -631,16 +705,17 @@ def decision_matrix(tree: GameTree, node: int) -> DecisionMatrix:
 
 
 def validate_tree(tree: GameTree) -> None:
-    """Check every GameTree invariant; raises TreeInvariantError with a witness."""
+    """Check every GameTree invariant; raises TreeInvariantError with a witness.
+
+    A shared arena, such as a built tree or a normal form, is valid when
+    its unfolding is: each node reachable from the root is checked once,
+    however many paths reach it, and a cycle is rejected.
+    """
     if tree.root < 0:
         raise TreeInvariantError("tree has no root")
-    seen: set[int] = set()
-    stack = [tree.root]
-    while stack:
-        n = stack.pop()
-        if n in seen:
-            raise TreeInvariantError(f"node {n} reached twice (not a tree)")
-        seen.add(n)
+    order = postorder(tree)
+    _unfolded_sizes(tree, order)  # raises on a cycle
+    for n in order:
         kind = tree.node_kind[n]
         edges = tree.node_children[n]
         if kind == CHANCE:
@@ -683,7 +758,6 @@ def validate_tree(tree: GameTree) -> None:
         for e in edges:
             if tree.edge_src[e] != n:
                 raise TreeInvariantError(f"edge {e} source inconsistent")
-            stack.append(tree.edge_dst[e])
     if tree.node_kind[tree.root] == CHANCE:
         raise TreeInvariantError("root must be a state-like node")
 

@@ -172,6 +172,44 @@ class TestReduce:
         assert "both name" in err
         assert real.read_text() == "kept"
 
+    def _reduced(self, capsys, tmp_path):
+        """A copy of swap_pair_right.json, and what reduce prints for it."""
+        path = tmp_path / "F.json"
+        path.write_text(fixture_text("swap_pair_right.json"))
+        code, out, _ = run(capsys, "reduce", str(path), "--trace", "-")
+        assert code == 0
+        return path, out
+
+    def test_out_naming_the_input(self, capsys, tmp_path):
+        path, out = self._reduced(capsys, tmp_path)
+        code, stdout, err = run(capsys, "reduce", str(path), "--out", str(path))
+        assert (code, stdout, err) == (0, "", "")
+        assert out.endswith(path.read_text())
+        assert json.loads(path.read_text())["root"] == 0
+
+    def test_out_naming_the_input_by_a_second_spelling(self, capsys, tmp_path, monkeypatch):
+        path, out = self._reduced(capsys, tmp_path)
+        monkeypatch.chdir(tmp_path)
+        code, _, err = run(capsys, "reduce", "F.json", "--out", "./F.json")
+        assert (code, err) == (0, "")
+        assert out.endswith(path.read_text())
+
+    def test_trace_naming_the_input(self, capsys, tmp_path):
+        path, out = self._reduced(capsys, tmp_path)
+        code, stdout, err = run(capsys, "reduce", str(path), "--trace", str(path))
+        assert (code, err) == (0, "")
+        assert path.read_text() + stdout == out
+        assert json.loads(path.read_text())[0]["kind"] == "matrix-redundancy"
+
+    def test_failed_load_leaves_the_input_unchanged(self, capsys, tmp_path):
+        path = tmp_path / "F.json"
+        path.write_text('{"players": ["P"]')
+        for flag in ("--out", "--trace"):
+            code, _, err = run(capsys, "reduce", str(path), flag, str(path))
+            assert code == 2
+            assert "malformed JSON" in err
+            assert path.read_text() == '{"players": ["P"]'
+
 
     def test_non_integer_node_id_exit_2(self, capsys, tmp_path):
         doc = json.loads(fixture_text("swap_pair_right.json"))

@@ -4,7 +4,8 @@
 chunk by chunk with cached fragments; the references build the whole
 document and dump it.  Built trees share nodes, so their exports are
 compared with the references' rendering of the unshared tree that
-`oracles.build_tree` builds.  Every test here compares bytes.
+`oracles.build_tree` builds; normal forms share nodes too, and are compared
+with the rendering of their `unfold`.  Every test here compares bytes.
 """
 
 from __future__ import annotations
@@ -37,6 +38,13 @@ def assert_exports_match(t: tree.GameTree) -> None:
     assert tree.export_dot(t) == oracles.export_dot(t)
 
 
+def assert_form_exports_match(form: tree.GameTree) -> None:
+    """A normal form may share nodes; the references render its unfolding."""
+    unfolded = tree.unfold(form)
+    assert tree.export_json(form) == oracles.export_json(unfolded)
+    assert tree.export_dot(form) == oracles.export_dot(unfolded)
+
+
 def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
@@ -60,13 +68,13 @@ class TestLibrary:
         for t, reference in zip(depth3_forests[game], depth3_references[game], strict=True):
             assert tree.export_json(t) == oracles.export_json(reference)
             assert tree.export_dot(t) == oracles.export_dot(reference)
-            assert_exports_match(reduce.normalize(t)[0])
+            assert_form_exports_match(reduce.normalize(t)[0])
 
     @pytest.mark.parametrize("name", TREE_FILES)
     def test_tree_fixture_files(self, name):
         t = tree.import_json(fixture_text(name))
         assert_exports_match(t)
-        assert_exports_match(reduce.normalize(t)[0])
+        assert_form_exports_match(reduce.normalize(t)[0])
 
     def test_truncated_tree(self, ttt):
         t = tree.build_forest(ttt, depth_limit=2)[0]
@@ -81,7 +89,7 @@ class TestLibrary:
                 rng, max_nodes=50, n_players=1 + seed % 3, allow_truncated=seed % 4 == 0
             )
             assert_exports_match(t)
-            assert_exports_match(reduce.normalize(t)[0])
+            assert_form_exports_match(reduce.normalize(t)[0])
 
     def test_single_node_tree_has_no_edges(self):
         t = tree.GameTree(("P",))
@@ -164,6 +172,33 @@ class TestCli:
         else:
             assert out == "relabel: equivalent\n" + reference.to_json()
 
+    def test_agency_witness_parity_depth3(self, capsys, monkeypatch):
+        """Pinned bytes: parity's depth-3 normal form is unshared, and the
+        witness names its nodes by the ids `unfold` gives them."""
+        monkeypatch.setattr(
+            cli, "build_forest",
+            lambda system, node_budget: tree.build_forest(system, 3, node_budget),
+        )
+        game = fixture_path("parity.game")
+        code, out, _ = run(capsys, "equiv", game, game, "--mode", "agency", "--witness")
+        assert code == 0
+        choices = {"\"left\"": "left", "\"right\"": "right"}
+        assert out == "agency: equivalent\n" + json.dumps(
+            {
+                "players": {"A": "A", "B": "B"},
+                "outcomes": {"A_wins": "A_wins", "B_wins": "B_wins"},
+                "trees": [
+                    {
+                        "left": 0,
+                        "right": 0,
+                        "nodes": {"0": 0, "1": 1, "2": 2},
+                        "choices": {"0": {"A": choices, "B": choices}},
+                    }
+                ],
+            },
+            indent=2,
+        ) + "\n"
+
     def test_reduce_forest(self, capsys, systems):
         forms = [reduce.normalize(t)[0] for t in tree.build_forest(systems["mixed_a"])]
         code, out, _ = run(capsys, "reduce", fixture_path("mixed_a.game"))
@@ -175,14 +210,14 @@ class TestCli:
         form = reduce.normalize(tree.import_json(fixture_text(name)))[0]
         code, out, _ = run(capsys, "reduce", fixture_path(name))
         assert code == 0
-        assert out == oracles.cli_trees([form])
+        assert out == oracles.cli_trees([tree.unfold(form)])
 
     def test_reduce_trace_then_form_on_stdout(self, capsys, swap_pair_right):
         form, trace = reduce.normalize(swap_pair_right)
         code, out, _ = run(capsys, "reduce", fixture_path("swap_pair_right.json"), "--trace")
         assert code == 0
         trace_text = json.dumps(json.loads(trace.to_json()), indent=2) + "\n"
-        assert out == trace_text + oracles.cli_trees([form])
+        assert out == trace_text + oracles.cli_trees([tree.unfold(form)])
 
 
 class TestUnwritableOutput:

@@ -263,7 +263,8 @@ class TestNormalize:
             assert again.structurally_equal(form)
 
     def test_no_sites_remain(self, swap_pair_right):
-        form, _ = normalize(swap_pair_right)
+        # The per-site finders refuse shared arenas, and a normal form is one.
+        form = tree.unfold(normalize(swap_pair_right)[0])
         assert find_matrix_redundancy_sites(form) == []
         assert find_bookkeeping_sites(form) == []
         assert find_single_player_sites(form) == []
@@ -434,7 +435,8 @@ class TestSharing:
         for t in corpus:
             before = t.copy()
             form, _ = normalize(t)
-            validate_tree(form)  # rejects a node reached twice
+            validate_tree(form)  # checks each arena node once
+            validate_tree(tree.unfold(form))
             assert t.structurally_equal(before)
 
     def test_matches_randomized_oracle(self, corpus):
@@ -574,30 +576,33 @@ class TestSharing:
             ref_form, ref_trace = oracles.normalize_in_place(t)
             for consume in (False, True):
                 form, trace = normalize(t, consume=consume)
-                assert _arrays(form) == _arrays(ref_form)
+                assert _arrays(tree.unfold(form)) == _arrays(ref_form)
                 assert _step_counts(trace) == _step_counts(ref_trace)
                 assert _arrays(t) == before
 
-    def test_unfolds_only_the_output(self, arenas, monkeypatch):
+    def test_unfolds_nothing(self, arenas, monkeypatch):
+        """`normalize` unfolds nothing: neither its input nor its output."""
         unfolded, interned = [], []
-        real_unfold, real_memo = reduce.unfold, reduce._normal_form
+        real_memo = reduce._normal_form
 
-        def counting_unfold(t):
-            unfolded.append(real_unfold(t))
-            return unfolded[-1]
+        def refuse_unfold(t):
+            unfolded.append(t)
+            raise AssertionError("normalize unfolded an arena")
 
         def counting_memo(t, trace):
             interned.append(len(t.node_kind))
             return real_memo(t, trace)
 
-        monkeypatch.setattr(reduce, "unfold", counting_unfold)
+        monkeypatch.setattr(reduce, "unfold", refuse_unfold)
+        monkeypatch.setattr(tree, "unfold", refuse_unfold)
+        monkeypatch.setattr(tree, "_unfold", refuse_unfold)
         monkeypatch.setattr(reduce, "_normal_form", counting_memo)
         for t in arenas:
             for consume in (False, True):
                 unfolded.clear()
                 interned.clear()
-                form, _ = normalize(t.copy() if consume else t, consume=consume)
-                assert len(unfolded) == 1 and unfolded[0] is form
+                normalize(t.copy() if consume else t, consume=consume)
+                assert unfolded == []
                 assert interned == [len(t.node_kind)]
 
     def test_lazy_steps_match_eager_reference(self, systems, monkeypatch):
@@ -654,3 +659,96 @@ class TestSharing:
         monkeypatch.setattr(reduce, "_matrix_redundancy_at", lambda t, node: True)
         with pytest.raises(AssertionError, match="did not decrease"):
             normalize(swap_pair_right)
+
+
+class TestSharedForm:
+    """`normalize` returns its hash-consed arena: only reachable nodes,
+    numbered as `unfold` numbers them, standing for its unfolding."""
+
+    @pytest.fixture(scope="class")
+    def results(self, systems):
+        """Per input: (input, normal form, trace) over every fixture's
+        depth-3 forest, the full parity and mixed_a forests, X-first
+        forbidden and 300 random trees."""
+        trees = []
+        for name in sorted(systems):
+            trees += tree.build_forest(systems[name], depth_limit=3)
+        for name in ("parity", "mixed_a"):
+            trees += tree.build_forest(systems[name])
+        trees.append(midgame_tree(systems["forbidden"], 0))
+        trees += [
+            generators.random_tree(
+                random.Random(seed), max_nodes=30 + seed % 50, n_players=1 + seed % 3,
+                allow_truncated=seed % 3 == 0,
+            )
+            for seed in range(300)
+        ]
+        return [(t, *normalize(t)) for t in trees]
+
+    def test_every_node_reachable(self, results):
+        for _, form, _ in results:
+            assert sorted(tree.postorder(form)) == list(range(len(form.node_kind)))
+            assert len(form.edge_kind) == sum(len(c) for c in form.node_children)
+
+    def test_exports_are_those_of_the_unfolding(self, results):
+        for _, form, _ in results:
+            unfolded = tree.unfold(form)
+            assert tree.export_json(form) == tree.export_json(unfolded)
+            assert tree.export_dot(form) == tree.export_dot(unfolded)
+
+    def test_unshared_form_has_the_unfolded_arrays(self, results):
+        shared = 0
+        for _, form, _ in results:
+            if tree.is_shared(form):
+                shared += 1
+            else:
+                assert _arrays(form) == _arrays(tree.unfold(form))
+        assert 100 < shared < len(results) - 100
+
+    def test_node_count_is_the_unfolded_count(self, results):
+        for _, form, _ in results:
+            assert form.node_count() == len(tree.unfold(form).node_kind)
+        forbidden = results[-301][1]
+        assert forbidden.node_count() == 22_404
+        assert len(forbidden.node_kind) == 2_775
+
+    def test_trace_is_that_of_the_memoized_pass(self, results):
+        """The renumbering touches no trace: its steps and `root` ids are
+        those `_normal_form` records, and they end at the form's measure."""
+        for t, form, trace in results:
+            raw = reduce.ReductionTrace()
+            reduce._normal_form(t, raw)
+            assert trace.to_json() == raw.to_json()
+            assert reduce.tree_measure(form) == (
+                (trace.steps[-1].nodes_after, trace.steps[-1].choices_after)
+                if trace.steps else trace.start
+            )
+
+    def test_validate_accepts_sharing_and_rejects_a_cycle(self, systems):
+        built = tree.build_forest(systems["parity"])[0]
+        assert tree.is_shared(built)
+        validate_tree(built)
+        t = GameTree(("P",))
+        a = t.add_node(STATE)
+        b = t.add_node(STATE)
+        t.root = a
+        t.add_edge(a, b, DECISION_EDGE, label=frozenset({(("x",),)}))
+        t.add_edge(b, a, DECISION_EDGE, label=frozenset({(("y",),)}))
+        with pytest.raises(TreeInvariantError, match="cycle"):
+            validate_tree(t)
+
+    def test_import_still_rejects_two_incoming_edges(self):
+        doc = {
+            "players": ["P"],
+            "root": 0,
+            "nodes": [
+                {"id": 0, "kind": "state"},
+                {"id": 1, "kind": "terminal", "outcome": "w"},
+            ],
+            "edges": [
+                {"from": 0, "to": 1, "kind": "decision", "tuples": [[["a"]]]},
+                {"from": 0, "to": 1, "kind": "decision", "tuples": [[["b"]]]},
+            ],
+        }
+        with pytest.raises(TreeInvariantError, match="two incoming edges"):
+            tree.import_json(json.dumps(doc))
