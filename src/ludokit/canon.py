@@ -31,7 +31,7 @@ from hashlib import blake2b
 from typing import Callable, NamedTuple, Optional
 
 from .errors import LabelingLimitError
-from .tree import CHANCE, GameTree, STATE, TERMINAL, choice_rank, decoded_label, postorder
+from .tree import CHANCE, GameTree, STATE, TERMINAL, decoded_label, postorder
 
 Pin = frozenset
 PIN_NONE: Pin = frozenset()
@@ -102,19 +102,16 @@ def node_player_sizes(tree: GameTree, node: int) -> tuple[int, ...]:
 
 
 def _matrix_fingerprint_general(
-    cells: list[tuple],
-    choice_lists: list[list],
-    edge_ids: list[int],
-    cols: dict[int, bytes],
-) -> tuple[bytes, list[list], list[int]]:
+    cells: list[tuple], choice_lists: list[list], edge_cols: list[bytes]
+) -> tuple[bytes, list[int]]:
     """Canonical form of a multi-player matrix by refinement + branching.
 
-    cells: (choice-index tuple, edge position) pairs covering the product.
-    Returns (fingerprint, per-axis choice order, edge order) realizing it.
+    cells: (choice-index tuple, edge position) pairs covering the product;
+    edge_cols: each edge position's color.  Returns (fingerprint, edge
+    positions in the order realizing it).
     """
     n_axes = len(choice_lists)
-    n_edges = len(edge_ids)
-    edge_cols = [cols[e] for e in edge_ids]
+    n_edges = len(edge_cols)
 
     def refine(choice_class: list[list[int]], edge_class: list[int]):
         while True:
@@ -183,13 +180,10 @@ def _matrix_fingerprint_general(
                         best = result
                 return best
         # discrete: derive canonical orders
-        axis_orders = []
+        inv = []
         for a in range(n_axes):
             perm = sorted(range(len(choice_lists[a])), key=lambda i: choice_class[a][i])
-            axis_orders.append(perm)
-        inv = [
-            {old: new for new, old in enumerate(perm)} for perm in axis_orders
-        ]
+            inv.append({old: new for new, old in enumerate(perm)})
         cellmap = {}
         for idx, epos in cells:
             cellmap[tuple(inv[a][idx[a]] for a in range(n_axes))] = epos
@@ -207,18 +201,13 @@ def _matrix_fingerprint_general(
                 tuple(edge_cols[epos] for epos in edge_perm),
             )
         ).encode()
-        return enc, axis_orders, edge_perm
+        return enc, edge_perm
 
     col_rank = {c: i for i, c in enumerate(sorted(set(edge_cols)))}
-    enc, axis_orders, edge_perm = solve(
+    return solve(
         [[0] * len(c) for c in choice_lists],
         [col_rank[c] for c in edge_cols],
     )
-    ordered_choices = [
-        [choice_lists[a][i] for i in axis_orders[a]] for a in range(len(choice_lists))
-    ]
-    ordered_edges = [edge_ids[epos] for epos in edge_perm]
-    return enc, ordered_choices, ordered_edges
 
 
 def matrix_structure(tree: GameTree, node: int, axis_order: list[int]):
@@ -249,41 +238,35 @@ def matrix_structure(tree: GameTree, node: int, axis_order: list[int]):
 
 def canonical_matrix(
     tree: GameTree, node: int, axis_order: list[int], cols: dict[int, bytes]
-) -> tuple[bytes, list[list], list[int]]:
-    """Canonical matrix fingerprint plus the orders realizing it.
+) -> tuple[bytes, list[int]]:
+    """Canonical fingerprint of a state node's matrix with two or more
+    active players, plus the edge order realizing it.
 
-    Returns (fingerprint, per-axis canonical choice order, canonical edge
-    order).  Axis order is the global player order of the current numbering.
+    Axis order is the global player order of the current numbering; `cols`
+    colors each out-edge by its child's key.  The solver's whole input
+    derives from the node's edge labels, the axis order and the child keys
+    in edge order, so the result is cached in `tree.label_cache` under
+    those values, its edge order kept as positions in `node_children`:
+    nodes, labelings and trees sharing the cache solve each matrix once.
     """
-    cells, choice_lists, edge_ids = matrix_structure(tree, node, axis_order)
-    sizes = tuple(len(c) for c in choice_lists)
-    active = [a for a, s in enumerate(sizes) if s > 1]
-    if len(active) <= 1:
-        # Single-player structure: the matrix is determined by how many of
-        # the active player's choices land on each edge color.
-        per_edge: dict[int, int] = {}
-        for _, epos in cells:
-            per_edge[epos] = per_edge.get(epos, 0) + 1
-        order = sorted(per_edge, key=lambda epos: (cols[edge_ids[epos]], per_edge[epos]))
-        enc = repr(
-            (sizes, tuple((cols[edge_ids[epos]], per_edge[epos]) for epos in order))
-        ).encode()
-        if active:
-            a = active[0]
-            epos_rank = {epos: i for i, epos in enumerate(order)}
-            cellmap = {idx[a]: epos for idx, epos in cells}
-            perm = sorted(
-                range(len(choice_lists[a])),
-                key=lambda i: (epos_rank[cellmap[i]], choice_rank(choice_lists[a][i])),
-            )
-            axis_orders = [
-                [choice_lists[b][i] for i in (perm if b == a else range(len(choice_lists[b])))]
-                for b in range(len(choice_lists))
-            ]
-        else:
-            axis_orders = [list(c) for c in choice_lists]
-        return enc, axis_orders, [edge_ids[epos] for epos in order]
-    return _matrix_fingerprint_general(cells, choice_lists, edge_ids, cols)
+    edges = tree.node_children[node]
+    memo_key = (
+        "matrix",
+        tuple([tree.edge_label[e] for e in edges]),
+        tuple(axis_order),
+        tuple([cols[e] for e in edges]),
+    )
+    found = tree.label_cache.get(memo_key)
+    if found is None:
+        cells, choice_lists, edge_ids = matrix_structure(tree, node, axis_order)
+        enc, edge_perm = _matrix_fingerprint_general(
+            cells, choice_lists, [cols[e] for e in edge_ids]
+        )
+        position = {e: i for i, e in enumerate(edges)}
+        found = tree.label_cache[memo_key] = (
+            enc, tuple([position[edge_ids[p]] for p in edge_perm])
+        )
+    return found[0], [edges[p] for p in found[1]]
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +375,7 @@ def _fill_keys(
                 )
             else:
                 cols = {e: memo[edge_dst[e]] for e in edges}
-                fingerprint, _, _ = canonical_matrix(tree, n, axis_order, cols)
+                fingerprint, _ = canonical_matrix(tree, n, axis_order, cols)
                 enc = b"S" + axis_header + b"G" + fingerprint
             if pin_states:
                 enc += repr(node_state[n]).encode()
@@ -435,7 +418,7 @@ def ordered_edges(
         )
         return enc, [e for _, e in pairs]
     cols = {e: keys[tree.edge_dst[e]] for e in edges}
-    fingerprint, _, edge_order = canonical_matrix(tree, node, axis_order, cols)
+    fingerprint, edge_order = canonical_matrix(tree, node, axis_order, cols)
     return b"G" + fingerprint, edge_order
 
 
