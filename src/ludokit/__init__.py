@@ -63,24 +63,11 @@ from .errors import (
     LudokitError,
     NoRuleMatchesError,
     NonTerminalStateError,
-    StaleSiteError,
     StateMapError,
     TerminalStateError,
     TreeInvariantError,
 )
-from .reduce import (
-    ReductionSite,
-    ReductionTrace,
-    find_bookkeeping_sites,
-    find_matrix_redundancy_sites,
-    find_single_player_sites,
-    find_symmetry_sites,
-    normalize,
-    reduce_bookkeeping,
-    reduce_matrix_redundancy,
-    reduce_single_player,
-    reduce_symmetry,
-)
+from .reduce import ReductionTrace, normalize
 from .similarity import (
     SimilarityReport,
     StateMap,

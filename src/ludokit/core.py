@@ -23,7 +23,6 @@ from typing import Callable, Iterator, Optional, Union
 from .errors import (
     AmbiguityWarning,
     IllegalDecisionError,
-    InvalidSystemError,
     NoRuleMatchesError,
     NonTerminalStateError,
     TerminalStateError,
@@ -315,13 +314,6 @@ def validate_system(sys: GameSystem) -> list[str]:
     if sys.default_outcome not in sys.outcomes:
         problems.append(f"default outcome {sys.default_outcome!r} not declared")
     return problems
-
-
-def require_valid(sys: GameSystem) -> GameSystem:
-    problems = validate_system(sys)
-    if problems:
-        raise InvalidSystemError(problems)
-    return sys
 
 
 # ---------------------------------------------------------------------------

@@ -54,9 +54,5 @@ class LabelingLimitError(LudokitError):
     """Canonicalization would have to try more symmetric labelings than its limit."""
 
 
-class StaleSiteError(LudokitError):
-    """A reduction site no longer matches the tree it was detected on."""
-
-
 class StateMapError(LudokitError):
     """A state map is not a valid bijection between the two systems."""

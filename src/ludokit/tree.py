@@ -164,15 +164,6 @@ class GameTree:
         """Nodes of the unfolded tree: a shared node counts once per path."""
         return _unfolded_sizes(self, postorder(self))[self.root]
 
-    def subtree_nodes(self, node: int) -> Iterator[int]:
-        """Like `iter_nodes`, below `node`: once per path, in no set order."""
-        stack = [node]
-        while stack:
-            n = stack.pop()
-            yield n
-            for e in self.node_children[n]:
-                stack.append(self.edge_dst[e])
-
     def depth(self) -> int:
         """Edges on the longest path from the root."""
         height = [0] * len(self.node_kind)

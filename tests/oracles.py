@@ -3,13 +3,17 @@
 Everything here is deliberately written from first principles, sharing no
 logic with the package's canonical-key machinery, so key-based verdicts can
 be checked against definition-faithful brute force.  The exceptions, the
-reference renderers and the in-place normalizer, say so where they start.
+reference renderers, the in-place normalizer and the per-site engine with
+its randomized `normalize_random`, say so where they start.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import random
+from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional
 
 from ludokit import canon, core
@@ -25,16 +29,17 @@ from ludokit.core import (
     Ref,
     format_decision_tuple,
 )
-from ludokit.errors import BudgetExceededError
+from ludokit.errors import BudgetExceededError, LudokitError, TreeInvariantError
 from ludokit.reduce import (
     ReductionTrace,
     _absorb_children_once,
+    _absorbable,
     _is_forced,
     _matrix_redundancy_at,
     _merge_pair,
     _owner_of,
+    _pruned_at,
     _single_player_site_at,
-    _splice_into,
     node_choice_total,
 )
 from ludokit.tree import (
@@ -48,7 +53,9 @@ from ludokit.tree import (
     TERMINAL,
     TRUNCATED,
     decision_matrix,
+    is_shared,
     postorder,
+    require_unshared,
     unfold,
 )
 
@@ -784,3 +791,295 @@ def normalize_in_place(tree: GameTree) -> tuple[GameTree, ReductionTrace]:
     work = tree.copy()
     _normalize_fast(work, trace)
     return unfold(work), trace
+
+
+# ---------------------------------------------------------------------------
+# The per-site engine: `normalize_random` checks that `ludokit.reduce.normalize`
+# does not depend on the order of the rewrites.  Like the in-place normalizer
+# it uses the package's rewrite helpers and `canon` keys.  Sites name nodes by
+# arena id, so a shared arena is refused with `TreeInvariantError`; a stale
+# site raises `StaleSiteError`.
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class ReductionSite:
+    """A detected rewrite opportunity at node `root`.
+
+    Applying it re-checks that `root` is still reachable from the tree's
+    root and that the site's structure still holds.
+    """
+
+    kind: str  # "matrix-redundancy" | "bookkeeping" | "single-player" | "symmetry"
+    root: int
+    payload: tuple = ()
+
+
+class StaleSiteError(LudokitError):
+    """A reduction site no longer matches the tree it was detected on."""
+
+
+def tree_measure(tree: GameTree) -> tuple[int, int]:
+    """(node count, total choice-set cardinality): the termination measure."""
+    nodes = 0
+    choices = 0
+    for n in tree.iter_nodes():
+        nodes += 1
+        choices += node_choice_total(tree, n)
+    return nodes, choices
+
+
+def _is_live(tree: GameTree, node: int) -> bool:
+    """Is `node` still reachable from the root along current edges?"""
+    while node != tree.root:
+        e = tree.node_parent_edge[node]
+        if e < 0 or tree.edge_dst[e] != node:
+            return False
+        node = tree.edge_src[e]
+        if e not in tree.node_children[node]:
+            return False
+    return True
+
+
+def _check_live(tree: GameTree, node: int) -> None:
+    if not _is_live(tree, node):
+        raise StaleSiteError(f"node {node} is no longer in the tree")
+
+
+def _has_truncated(tree: GameTree, node: int) -> bool:
+    return any(tree.node_kind[n] == TRUNCATED for n in postorder(tree, node))
+
+
+def _splice_into(tree: GameTree, e: int, new: int) -> None:
+    """Move `new` (with its subtree) to the end of edge `e`, or to the root
+    when `e` is -1: into the position of the node `e` led to."""
+    if e < 0:
+        tree.root = new
+    else:
+        tree.edge_dst[e] = new
+    tree.node_parent_edge[new] = e
+
+
+def find_matrix_redundancy_sites(tree: GameTree) -> list[ReductionSite]:
+    require_unshared(tree, "find_matrix_redundancy_sites")
+    return [
+        ReductionSite("matrix-redundancy", node)
+        for node in tree.iter_nodes()
+        if tree.node_kind[node] == STATE
+        and tree.node_children[node]
+        and _pruned_at(tree, node) is not None
+    ]
+
+
+def reduce_matrix_redundancy(tree: GameTree, site) -> GameTree:
+    """Apply the duplicate-choice reduction at one node (no-op if none)."""
+    require_unshared(tree, "reduce_matrix_redundancy")
+    node = site.root if isinstance(site, ReductionSite) else site
+    _check_live(tree, node)
+    if tree.node_kind[node] != STATE:
+        raise TreeInvariantError(f"node {node} is not a state node")
+    _matrix_redundancy_at(tree, node)
+    return tree
+
+
+def _bookkeeping_walk(tree: GameTree, root: int):
+    """Interiors, leaves, and path probabilities of the maximal site at root.
+
+    Returns (interiors, leaves: [(node, prob)], has_chance, touches_truncated).
+    """
+    interiors: list[int] = []
+    leaves: list[tuple[int, Fraction]] = []
+    has_chance = False
+    touches_truncated = False
+    stack: list[tuple[int, Fraction, bool]] = [(root, Fraction(1), True)]
+    while stack:
+        node, prob, is_root = stack.pop()
+        kind = tree.node_kind[node]
+        if kind == CHANCE:
+            has_chance = True
+            interiors.append(node)
+            for e in tree.node_children[node]:
+                stack.append((tree.edge_dst[e], prob * tree.edge_prob[e], False))
+        elif _is_forced(tree, node):
+            interiors.append(node)
+            e = tree.node_children[node][0]
+            stack.append((tree.edge_dst[e], prob, False))
+        else:
+            if kind == TRUNCATED:
+                touches_truncated = True
+            leaves.append((node, prob))
+    return interiors, leaves, has_chance, touches_truncated
+
+
+def find_bookkeeping_sites(tree: GameTree) -> list[ReductionSite]:
+    """Maximal bookkeeping subtrees that actually shrink the tree."""
+    require_unshared(tree, "find_bookkeeping_sites")
+    sites = []
+    for node in tree.iter_nodes():
+        if not _is_forced(tree, node):
+            continue
+        parent = tree.parent(node)
+        if parent >= 0 and _is_forced(tree, parent):
+            continue  # not maximal: parent's site contains this one
+        interiors, leaves, has_chance, touches = _bookkeeping_walk(tree, node)
+        if touches:
+            continue
+        if not has_chance:
+            sites.append(ReductionSite("bookkeeping", node, ("case1",)))
+            continue
+        if parent < 0 and len(interiors) == 2 and tree.node_kind[interiors[1]] == CHANCE:
+            continue  # root -> chance -> leaves is already the reduced shape
+        sites.append(ReductionSite("bookkeeping", node, ("case2",)))
+    return sites
+
+
+def reduce_bookkeeping(tree: GameTree, site: ReductionSite) -> GameTree:
+    """Collapse one maximal bookkeeping subtree (cases per the definition)."""
+    require_unshared(tree, "reduce_bookkeeping")
+    root = site.root
+    _check_live(tree, root)
+    if not _is_forced(tree, root):
+        raise StaleSiteError(f"node {root} no longer roots a bookkeeping subtree")
+    interiors, leaves, has_chance, touches = _bookkeeping_walk(tree, root)
+    if touches:
+        raise StaleSiteError("site touches a truncated frontier node")
+    if not has_chance:
+        assert len(leaves) == 1
+        leaf = leaves[0][0]
+        _splice_into(tree, tree.node_parent_edge[root], leaf)
+        return tree
+    total = sum((p for _, p in leaves), Fraction(0))
+    if total != 1:
+        raise AssertionError(f"path probabilities sum to {total}, not 1")
+    parent_edge = tree.node_parent_edge[root]
+    if parent_edge < 0:
+        # Case 2c: keep the root and its single decision edge.
+        e_r = tree.node_children[root][0]
+        c = tree.add_node(CHANCE)
+        tree.edge_dst[e_r] = c
+        tree.node_parent_edge[c] = e_r
+        for leaf, p in leaves:
+            tree.add_edge(c, leaf, CHANCE_EDGE, prob=p)
+    elif tree.node_kind[tree.edge_src[parent_edge]] == CHANCE:
+        # Case 2b: fold into the parent chance node, scaling by its edge.
+        parent = tree.edge_src[parent_edge]
+        p_r = tree.edge_prob[parent_edge]
+        tree.node_children[parent].remove(parent_edge)
+        for leaf, p in leaves:
+            tree.add_edge(parent, leaf, CHANCE_EDGE, prob=p_r * p)
+    else:
+        # Case 2a: a fresh chance node takes the root's position.
+        c = tree.add_node(CHANCE)
+        _splice_into(tree, parent_edge, c)
+        for leaf, p in leaves:
+            tree.add_edge(c, leaf, CHANCE_EDGE, prob=p)
+    return tree
+
+
+def find_single_player_sites(tree: GameTree) -> list[ReductionSite]:
+    """Maximal single-player deterministic subtrees of depth at least two."""
+    require_unshared(tree, "find_single_player_sites")
+    sites = []
+    for node in tree.iter_nodes():
+        if not _single_player_site_at(tree, node):
+            continue
+        parent = tree.parent(node)
+        if (
+            parent >= 0
+            and _owner_of(tree, parent) == _owner_of(tree, node)
+            and _single_player_site_at(tree, parent)
+            and _absorbable(tree, parent, _owner_of(tree, parent), node)
+        ):
+            continue  # parent's site strictly contains this one
+        sites.append(ReductionSite("single-player", node))
+    return sites
+
+
+def reduce_single_player(tree: GameTree, site: ReductionSite) -> GameTree:
+    """Collapse one maximal single-player subtree into composite choices."""
+    require_unshared(tree, "reduce_single_player")
+    root = site.root
+    _check_live(tree, root)
+    if not _single_player_site_at(tree, root):
+        raise StaleSiteError(f"node {root} no longer roots a single-player site")
+    owner = _owner_of(tree, root)
+    absorbed_any = False
+    while True:
+        absorbed = _absorb_children_once(tree, root, owner)
+        if not absorbed:
+            break
+        absorbed_any = True
+    if not absorbed_any:
+        raise StaleSiteError(f"node {root} has no absorbable children")
+    return tree
+
+
+def find_symmetry_sites(tree: GameTree) -> list[ReductionSite]:
+    """Sibling pairs equivalent up to relabeling with identical players/outcomes."""
+    require_unshared(tree, "find_symmetry_sites")
+    keys = canon.subtree_keys(tree, pin_players=True, pin_outcomes=True)
+    sites = []
+    for node in tree.iter_nodes():
+        groups: dict[bytes, list[int]] = {}
+        for e in tree.node_children[node]:
+            dst = tree.edge_dst[e]
+            if _has_truncated(tree, dst):
+                continue
+            groups.setdefault(keys[dst], []).append(e)
+        for edges in groups.values():
+            if len(edges) > 1:
+                survivor = edges[0]
+                for victim in edges[1:]:
+                    sites.append(ReductionSite("symmetry", node, (victim, survivor)))
+    return sites
+
+
+def reduce_symmetry(tree: GameTree, site: ReductionSite) -> GameTree:
+    """Merge one symmetry-redundant subtree into its sibling."""
+    require_unshared(tree, "reduce_symmetry")
+    victim_edge, survivor_edge = site.payload
+    parent = site.root
+    _check_live(tree, parent)
+    if victim_edge not in tree.node_children[parent] or survivor_edge not in tree.node_children[parent]:
+        raise StaleSiteError("merge edges are no longer siblings")
+    keys = canon.subtree_keys(tree, pin_players=True, pin_outcomes=True)
+    if keys[tree.edge_dst[victim_edge]] != keys[tree.edge_dst[survivor_edge]]:
+        raise StaleSiteError("subtree equivalence no longer holds")
+    node = _merge_pair(tree, parent, victim_edge, survivor_edge)
+    if node != parent:
+        _splice_into(tree, tree.node_parent_edge[parent], node)
+    return tree
+
+
+def normalize_random(tree: GameTree, seed: int) -> tuple[GameTree, ReductionTrace]:
+    """Reference engine: detect all sites, apply one at random, repeat.
+
+    Used to check that the normal form does not depend on the order of the
+    rewrites.  Its per-site rewrites name nodes by arena id, so it works on
+    a copy of the input, unfolded first when the input is shared; trace ids
+    are those of the copy.  The input is left unchanged.
+    """
+    work = unfold(tree) if is_shared(tree) else tree.copy()
+    rng = random.Random(seed)
+    trace = ReductionTrace()
+    trace.start = measure = tree_measure(work)
+    while True:
+        sites = (
+            find_matrix_redundancy_sites(work)
+            + find_bookkeeping_sites(work)
+            + find_single_player_sites(work)
+            + find_symmetry_sites(work)
+        )
+        if not sites:
+            return unfold(work), trace
+        site = rng.choice(sites)
+        if site.kind == "matrix-redundancy":
+            reduce_matrix_redundancy(work, site)
+        elif site.kind == "bookkeeping":
+            reduce_bookkeeping(work, site)
+        elif site.kind == "single-player":
+            reduce_single_player(work, site)
+        else:
+            reduce_symmetry(work, site)
+        before, measure = measure, tree_measure(work)
+        trace.record(site.kind, site.root, measure[0] - before[0], measure[1] - before[1])

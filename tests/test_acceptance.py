@@ -90,7 +90,7 @@ def test_03_symmetry_reduction(ttt):
         assert len(first_moves) == 9
         classes = {keys[n] for n in first_moves}
         assert len(classes) == 3
-        form, _ = reduce.normalize(subtree, consume=True)
+        form, _ = reduce.normalize(subtree)
         assert len(form.node_children[form.root]) == 3
         assert time.time() - started <= 300
 
@@ -105,13 +105,13 @@ def test_04_agency_equivalence_positives(systems, normalized_ttt, swap_pair_left
         started = time.time()
         # (a) declaring end-of-turn is not meaningfully different
         eot_forest = tree.build_forest(systems["endofturn"])
-        eot_forms = [reduce.normalize(t, consume=True)[0] for t in eot_forest]
+        eot_forms = [reduce.normalize(t)[0] for t in eot_forest]
         w_a = equiv.equivalent_up_to_relabeling(normalized_ttt, eot_forms)
         assert w_a is not None
         assert equiv.verify_witness(w_a) == []
         # (b) forbidding redundant openings is not meaningfully different
         forb_forest = tree.build_forest(systems["forbidden"])
-        forb_forms = [reduce.normalize(t, consume=True)[0] for t in forb_forest]
+        forb_forms = [reduce.normalize(t)[0] for t in forb_forest]
         w_b = equiv.equivalent_up_to_relabeling(normalized_ttt, forb_forms)
         assert w_b is not None
         assert equiv.verify_witness(w_b) == []

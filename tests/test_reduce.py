@@ -12,13 +12,14 @@ import pytest
 import generators
 import oracles
 from ludokit import canon, core, equiv, reduce, tree
-from ludokit.errors import StaleSiteError, TreeInvariantError
-from ludokit.reduce import (
+from ludokit.errors import TreeInvariantError
+from ludokit.reduce import normalize
+from oracles import (
+    StaleSiteError,
     find_bookkeeping_sites,
     find_matrix_redundancy_sites,
     find_single_player_sites,
     find_symmetry_sites,
-    normalize,
     normalize_random,
     reduce_bookkeeping,
     reduce_matrix_redundancy,
@@ -331,6 +332,19 @@ class TestNormalize:
             slow, _ = normalize_random(t, seed * 7 + 1)
             assert equiv.equivalent_up_to_relabeling(fast, slow) is not None
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="single-player absorbs a child only while its children are state or "
+        "terminal nodes, and a Case-2 bookkeeping step that fires first makes a "
+        "grandchild a chance node, so the normal form depends on rewrite order",
+    )
+    def test_tree_agency_equivalent_to_its_random_reductions(self):
+        # seeds 131 and 154 of the generator above, outside the 25 it runs
+        for seed, order in ((131, 1), (154, 2)):
+            t = generators.random_tree(random.Random(seed), max_nodes=35)
+            reduced, _ = normalize_random(t, order)
+            assert equiv.agency_equivalent(t, reduced) is not None
+
 
 def twin_chance_tree() -> GameTree:
     """Two identical chance nodes, each over two identical matrix subtrees.
@@ -496,10 +510,10 @@ class TestSharing:
             ("single-player", reduce_single_player),
         ):
             with pytest.raises(TreeInvariantError):
-                apply(t, reduce.ReductionSite(kind, t.root))
+                apply(t, oracles.ReductionSite(kind, t.root))
         first, second = t.node_children[t.root][:2]
         with pytest.raises(TreeInvariantError):
-            reduce_symmetry(t, reduce.ReductionSite("symmetry", t.root, (second, first)))
+            reduce_symmetry(t, oracles.ReductionSite("symmetry", t.root, (second, first)))
         assert t.structurally_equal(before)
         assert find_bookkeeping_sites(tree.unfold(t))
 
@@ -593,7 +607,6 @@ class TestSharing:
             interned.append(len(t.node_kind))
             return real_memo(t, trace)
 
-        monkeypatch.setattr(reduce, "unfold", refuse_unfold)
         monkeypatch.setattr(tree, "unfold", refuse_unfold)
         monkeypatch.setattr(tree, "_unfold", refuse_unfold)
         monkeypatch.setattr(reduce, "_normal_form", counting_memo)
@@ -628,12 +641,12 @@ class TestSharing:
 
         def measured_fast(t, trace):
             work.append(t)
-            measures.append(reduce.tree_measure(t))
+            measures.append(oracles.tree_measure(t))
             return fast(t, trace)
 
         def eager_record(self, kind, root, dn, dc):
             record(self, kind, root, dn, dc)
-            (nodes, choices), after = measures[-1], reduce.tree_measure(work[-1])
+            (nodes, choices), after = measures[-1], oracles.tree_measure(work[-1])
             measures.append(after)
             eager.append(reduce.TraceStep(kind, root, nodes, after[0], choices, after[1]))
 
@@ -719,7 +732,7 @@ class TestSharedForm:
             raw = reduce.ReductionTrace()
             reduce._normal_form(t, raw)
             assert trace.to_json() == raw.to_json()
-            assert reduce.tree_measure(form) == (
+            assert oracles.tree_measure(form) == (
                 (trace.steps[-1].nodes_after, trace.steps[-1].choices_after)
                 if trace.steps else trace.start
             )
