@@ -11,6 +11,11 @@ keyed once, and its key is that of each of its copies in the unfolded tree.
 - state nodes encode a canonical form of their decision matrix with edges
   colored by child keys, quotiented by per-player choice relabeling.
 
+`_fill_keys` is the one node encoder.  With each key it records the node's
+out-edges in the order its encoding lists them, so two nodes of equal keys
+correspond child by child in those orders: the equivalence walk reads them
+instead of deriving the pairing again.
+
 Label classes that may be freely renamed (players, outcomes when unpinned)
 are handled by enumerating candidate numberings and taking the minimum root
 key over the orbit.  Candidates are pruned by cheap renaming-invariant
@@ -282,6 +287,20 @@ def literal_outcome_codes(outcomes) -> dict[str, bytes]:
     return {o: b"O:" + o.encode() for o in outcomes}
 
 
+def _labeling(tree: GameTree, player_code: dict[str, bytes], outcome_code: dict[str, bytes]):
+    """A labeling's axis order, its axis header and its outcome coder; an
+    outcome missing from `outcome_code` gets a literal code."""
+    players = tree.players
+    axis_order = sorted(range(len(players)), key=lambda i: player_code[players[i]])
+    axis_header = b",".join(player_code[players[i]] for i in axis_order) + b";"
+
+    def out_code(outcome: str) -> bytes:
+        code = outcome_code.get(outcome)
+        return code if code is not None else b"O:" + outcome.encode()
+
+    return axis_order, axis_header, out_code
+
+
 def make_key_fn(
     tree: GameTree,
     pin: Pin = PIN_SYMMETRY,
@@ -301,35 +320,18 @@ def make_key_fn(
         player_code = literal_player_codes(tree.players)
     if outcome_code is None and "outcomes" not in pin:
         raise ValueError("unpinned outcomes need an explicit numbering")
+    axis_order, axis_header, out_code = _labeling(tree, player_code, outcome_code or {})
     pin_states = "states" in pin
-    axis_order = sorted(range(len(tree.players)), key=lambda i: player_code[tree.players[i]])
-    axis_header = b",".join(player_code[tree.players[i]] for i in axis_order) + b";"
     memo: dict[int, bytes] = {}
-    node_kind = tree.node_kind
-    node_outcome = tree.node_outcome
-    node_state = tree.node_state
-    node_children = tree.node_children
-    edge_dst = tree.edge_dst
-    edge_prob = tree.edge_prob
-
-    def out_code(outcome: str) -> bytes:
-        if outcome_code is None:
-            return b"O:" + outcome.encode()
-        code = outcome_code.get(outcome)
-        return code if code is not None else b"O:" + outcome.encode()
+    orders: dict[int, list[int]] = {}
 
     def key(node: int) -> bytes:
         cached = memo.get(node)
         if cached is not None:
             return cached
         _fill_keys(
-            tree,
-            postorder(tree, node, memo),
-            memo,
-            axis_order,
-            axis_header,
-            pin_states,
-            out_code,
+            tree, postorder(tree, node, memo), memo, orders,
+            axis_order, axis_header, out_code, pin_states,
         )
         return memo[node]
 
@@ -340,12 +342,14 @@ def _fill_keys(
     tree: GameTree,
     order,
     memo: dict[int, bytes],
+    orders: dict[int, list[int]],
     axis_order: list[int],
     axis_header: bytes,
-    pin_states: bool,
     out_code,
+    pin_states: bool,
 ) -> None:
-    """Compute keys for `order` (children-first) into `memo`; the hot loop."""
+    """Compute keys for `order` (children-first) into `memo`, and each node's
+    out-edges into `orders` in the order its encoding lists them; the hot loop."""
     node_kind = tree.node_kind
     node_outcome = tree.node_outcome
     node_state = tree.node_state
@@ -363,19 +367,19 @@ def _fill_keys(
             if active <= 1:
                 # Single-active-player matrix: fully described by sizes plus
                 # the multiset of (child key, choices onto the child's edge).
-                parts = [
-                    memo[edge_dst[e]] + b"#%d;" % c for e, c in zip(edges, counts)
-                ]
-                parts.sort()
+                parts = sorted([
+                    (memo[edge_dst[e]] + b"#%d;" % c, e) for e, c in zip(edges, counts)
+                ])
                 enc = (
                     b"S"
                     + axis_header
                     + repr([sizes[i] for i in axis_order]).encode()
-                    + b"".join(parts)
+                    + b"".join([part for part, _ in parts])
                 )
+                orders[n] = [e for _, e in parts]
             else:
                 cols = {e: memo[edge_dst[e]] for e in edges}
-                fingerprint, _ = canonical_matrix(tree, n, axis_order, cols)
+                fingerprint, orders[n] = canonical_matrix(tree, n, axis_order, cols)
                 enc = b"S" + axis_header + b"G" + fingerprint
             if pin_states:
                 enc += repr(node_state[n]).encode()
@@ -388,9 +392,10 @@ def _fill_keys(
                 pb = prob_bytes.get(p)
                 if pb is None:
                     pb = prob_bytes[p] = str(p).encode() + b"@"
-                parts.append(pb + memo[edge_dst[e]])
+                parts.append((pb + memo[edge_dst[e]], e))
             parts.sort()
-            enc = b"C" + b"|".join(parts)
+            enc = b"C" + b"|".join([part for part, _ in parts])
+            orders[n] = [e for _, e in parts]
         else:
             enc = b"U"
             if pin_states:
@@ -398,66 +403,9 @@ def _fill_keys(
         memo[n] = digest(enc)
 
 
-def ordered_edges(
-    tree: GameTree, node: int, axis_order: list[int], keys: dict[int, bytes]
-) -> tuple[bytes, list[int]]:
-    """Matrix encoding plus a canonical edge order (for witness pairing).
-
-    Two corresponding state nodes get equal encodings and positionally
-    corresponding edge orders exactly when their matrices match under the
-    current labeling assignment.
-    """
-    edges = tree.node_children[node]
-    _, sizes, counts, active, _ = _node_meta(tree, node)
-    if active <= 1:
-        pairs = sorted(
-            (keys[tree.edge_dst[e]] + b"#%d;" % c, e) for e, c in zip(edges, counts)
-        )
-        enc = repr([sizes[i] for i in axis_order]).encode() + b"".join(
-            part for part, _ in pairs
-        )
-        return enc, [e for _, e in pairs]
-    cols = {e: keys[tree.edge_dst[e]] for e in edges}
-    fingerprint, edge_order = canonical_matrix(tree, node, axis_order, cols)
-    return b"G" + fingerprint, edge_order
-
-
-def subtree_keys(
-    tree: GameTree,
-    pin_players: bool = True,
-    pin_outcomes: bool = True,
-    pin_states: bool = False,
-    player_code: Optional[dict[str, bytes]] = None,
-    outcome_code: Optional[dict[str, bytes]] = None,
-) -> dict[int, bytes]:
-    """Keys for every live node under one labeling assignment, each node
-    keyed once however many paths reach it."""
-    pin = set()
-    if pin_players:
-        pin.add("players")
-    if pin_outcomes:
-        pin.add("outcomes")
-    if pin_states:
-        pin.add("states")
-    fn = make_key_fn(tree, frozenset(pin), player_code, outcome_code)
-    return {n: fn(n) for n in postorder(tree)}
-
-
 # ---------------------------------------------------------------------------
 # Candidate labeling assignments
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Assignment:
-    player_code: tuple[tuple[str, bytes], ...]
-    outcome_code: tuple[tuple[str, bytes], ...]
-
-    def players(self) -> dict[str, bytes]:
-        return dict(self.player_code)
-
-    def outcomes(self) -> dict[str, bytes]:
-        return dict(self.outcome_code)
 
 
 def _signature_groups(signatures: dict[str, bytes]) -> list[list[str]]:
@@ -571,8 +519,9 @@ MAX_ASSIGNMENTS = 20000
 
 def assignments_for(
     forest: list[GameTree], pin: Pin, cache: Optional[dict] = None
-) -> list[Assignment]:
-    """Candidate (player, outcome) numberings compatible with the signatures.
+) -> list[tuple[dict[str, bytes], dict[str, bytes]]]:
+    """Candidate labelings compatible with the signatures, as (player code,
+    outcome code) pairs of dicts.
 
     Raises `LabelingLimitError` when there are more than MAX_ASSIGNMENTS of
     them; `cache` is as in `forest_profile`.
@@ -594,49 +543,32 @@ def assignments_for(
         outcome_codes = [literal_outcome_codes(o_sigs)]
     else:
         outcome_codes = _grouped_numberings(o_sigs)
-    return [
-        Assignment(tuple(sorted(pc.items())), tuple(sorted(oc.items())))
-        for pc in player_codes
-        for oc in outcome_codes
-    ]
-
-
-def best_assignment(forest: list[GameTree], pin: Pin) -> tuple[bytes, Assignment]:
-    """The canonical (minimum) forest key and the assignment achieving it."""
-    digest, assignment, _ = best_assignment_with_keys(forest, pin, keep_keys=False)
-    return digest, assignment
+    return [(pc, oc) for pc in player_codes for oc in outcome_codes]
 
 
 def best_assignment_with_keys(
-    forest: list[GameTree], pin: Pin, keep_keys: bool = True, cache: Optional[dict] = None
-) -> tuple[bytes, Assignment, Optional[list[dict[int, bytes]]]]:
-    """Like `best_assignment`, optionally keeping the argmin per-node keys.
+    forest: list[GameTree], pin: Pin, cache: Optional[dict] = None
+) -> tuple[bytes, tuple, list[dict[int, bytes]], list[dict[int, list[int]]]]:
+    """The canonical (minimum) forest key, the labeling achieving it, and
+    per tree that labeling's node keys and out-edge orders (see `_fill_keys`).
 
     `cache` is as in `forest_profile`.
     """
-    orders = [postorder(tree) for tree in forest]
-    best: Optional[tuple[bytes, Assignment, Optional[list]]] = None
-    for assignment in assignments_for(forest, pin, cache):
-        pcodes = assignment.players()
-        ocodes = assignment.outcomes()
-        key_dicts = []
-        root_keys = []
-        for tree, order in zip(forest, orders):
-            players = tree.players
-            axis_order = sorted(range(len(players)), key=lambda i: pcodes[players[i]])
-            axis_header = b",".join(pcodes[players[i]] for i in axis_order) + b";"
-            memo: dict[int, bytes] = {}
+    postorders = [postorder(tree) for tree in forest]
+    best: Optional[tuple] = None
+    for labeling in assignments_for(forest, pin, cache):
+        keys: list[dict[int, bytes]] = []
+        orders: list[dict[int, list[int]]] = []
+        for tree, order in zip(forest, postorders):
+            keys.append({})
+            orders.append({})
             _fill_keys(
-                tree, order, memo, axis_order, axis_header,
-                "states" in pin,
-                lambda o: ocodes.get(o, b"O:" + o.encode()),
+                tree, order, keys[-1], orders[-1], *_labeling(tree, *labeling), "states" in pin
             )
-            if keep_keys:
-                key_dicts.append(memo)
-            root_keys.append(memo[tree.root])
-        combined = _digest(b"F%d|" % len(root_keys) + b"|".join(sorted(root_keys)))
+        root_keys = sorted([memo[tree.root] for tree, memo in zip(forest, keys)])
+        combined = _digest(b"F%d|" % len(root_keys) + b"|".join(root_keys))
         if best is None or combined < best[0]:
-            best = (combined, assignment, key_dicts if keep_keys else None)
+            best = (combined, labeling, keys, orders)
     assert best is not None
     return best
 
@@ -644,5 +576,4 @@ def best_assignment_with_keys(
 def canonical_form(tree_or_forest, pin: Pin = PIN_NONE) -> CanonicalKey:
     """Canonical key of a tree or forest; equal keys == equivalent."""
     forest = tree_or_forest if isinstance(tree_or_forest, list) else [tree_or_forest]
-    digest, _ = best_assignment(forest, pin)
-    return CanonicalKey(digest, pin)
+    return CanonicalKey(best_assignment_with_keys(forest, pin)[0], pin)

@@ -39,26 +39,30 @@ class _Failure(Exception):
         self.code = code
 
 
-def _load_system(path: str) -> GameSystem:
+def _read_text(path: str) -> str:
+    """The file's text; an unreadable or non-UTF-8 file is an input error."""
     try:
         with open(path, encoding="utf-8") as handle:
-            text = handle.read()
+            return handle.read()
     except OSError as exc:
         raise _Failure(f"cannot read {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise _Failure(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from exc
+
+
+def _load_system(path: str) -> GameSystem:
     try:
-        return dsl.parse_game(text, path)
+        return dsl.parse_game(_read_text(path), path)
     except dsl.GameParseError as exc:
         raise _Failure(str(exc)) from exc
 
 
 def _load_forest(path: str, budget: int) -> list[GameTree]:
-    """A .game file builds its full forest; a .json file imports one tree."""
+    """A .game file builds its full forest; a .json file imports a tree
+    document or a ``{"forest": [...]}`` document of several."""
     if path.endswith(".json"):
         try:
-            with open(path, encoding="utf-8") as handle:
-                return [tree_mod.import_json(handle.read())]
-        except OSError as exc:
-            raise _Failure(f"cannot read {path}: {exc.strerror}") from exc
+            return tree_mod.import_forest_json(_read_text(path))
         except LudokitError as exc:
             raise _Failure(f"{path}: {exc}") from exc
     sys_ = _load_system(path)
@@ -280,10 +284,7 @@ def cmd_sim(args) -> int:
     right = _load_system(args.b)
     if args.map is not None:
         try:
-            with open(args.map, encoding="utf-8") as handle:
-                psi = StateMap.from_json(handle.read())
-        except OSError as exc:
-            raise _Failure(f"cannot read {args.map}: {exc.strerror}") from exc
+            psi = StateMap.from_json(_read_text(args.map))
         except LudokitError as exc:
             raise _Failure(f"{args.map}: {exc}") from exc
     else:

@@ -16,7 +16,8 @@ comparison yields an `EquivalenceWitness` carrying the node correspondence
 and the global player/outcome maps.  Built trees and normal forms share
 nodes, so the correspondence of a tree pair is a relation on pairs of arena
 nodes, each related pair with a child pairing that matches its out-edges
-one to one; the walk that finds it visits each distinct pair once.
+one to one; the walk that finds it visits each distinct pair once, pairing
+children by position in the out-edge orders the key pass recorded.
 Unfolded from the root pair it is a bijection between the unfolded trees,
 which `TreePairWitness.node_map` and `EquivalenceWitness.to_json` build on
 demand.  `verify_witness` replays the defining conditions directly on the
@@ -683,9 +684,7 @@ def verify_witness(
 # ---------------------------------------------------------------------------
 
 
-def _pair_trees_by_key(
-    left_forest, right_forest, lkeys_roots, rkeys_roots
-) -> Optional[list[tuple[int, int]]]:
+def _pair_trees_by_key(lkeys_roots, rkeys_roots) -> Optional[list[tuple[int, int]]]:
     lgroups: dict[bytes, list[int]] = {}
     for i, k in enumerate(lkeys_roots):
         lgroups.setdefault(k, []).append(i)
@@ -703,48 +702,29 @@ def _pair_trees_by_key(
     return sorted(pairs)
 
 
-def _arrangements(tree: GameTree, keys: dict[int, bytes], axis: list[int]):
-    """Per node, memoized: an encoding of its children's keys and structure,
-    and its out-edges in an order that pairs them with those of any node of
-    equal encoding.  Chance edges group by (probability, child key)."""
-    memo: dict[int, tuple] = {}
-
-    def arrangement(n: int) -> tuple:
-        got = memo.get(n)
-        if got is None:
-            if tree.node_kind[n] == CHANCE:
-                groups: dict = {}
-                for e in tree.node_children[n]:
-                    groups.setdefault(
-                        (str(tree.edge_prob[e]), keys[tree.edge_dst[e]]), []
-                    ).append(e)
-                order = sorted(groups)
-                got = (
-                    [(k, len(groups[k])) for k in order],
-                    [e for k in order for e in groups[k]],
-                )
-            else:
-                got = canon.ordered_edges(tree, n, axis, keys)
-            memo[n] = got
-        return got
-
-    return arrangement
+def _code_map(left: dict[str, bytes], right: dict[str, bytes]) -> Optional[dict[str, str]]:
+    """Each left name to the right name of equal code, in sorted left-name
+    order; None when some left code has no right name."""
+    by_code = {code: name for name, code in right.items()}
+    mapped = {name: by_code.get(code) for name, code in sorted(left.items())}
+    return None if None in mapped.values() else mapped
 
 
 def _walk_pair(
     lt: GameTree,
     rt: GameTree,
     lkeys: dict[int, bytes],
+    lorders: dict[int, list[int]],
     rkeys: dict[int, bytes],
-    l_axis: list[int],
-    r_axis: list[int],
+    rorders: dict[int, list[int]],
 ) -> Optional[dict[tuple[int, int], Pairing]]:
-    """The witness relation of two trees, walking each distinct pair once;
-    None when some pair's keys or matrices disagree."""
+    """The witness relation of two trees, walking each distinct pair once.
+
+    A related pair's children are paired by zipping the two nodes' out-edge
+    orders from the key pass; None when some aligned children's keys differ.
+    """
     if lkeys[lt.root] != rkeys[rt.root]:
         return None
-    left = _arrangements(lt, lkeys, l_axis)
-    right = _arrangements(rt, rkeys, r_axis)
     links: dict[tuple[int, int], Pairing] = {}
     stack = [(lt.root, rt.root)]
     while stack:
@@ -755,14 +735,11 @@ def _walk_pair(
         if not lt.node_children[u]:
             links[pair] = ()
             continue
-        lenc, ledges = left(u)
-        renc, redges = right(v)
-        if lenc != renc:
-            return None
-        # Equal encodings pair children of equal keys (so of equal kinds).
-        links[pair] = pairing = tuple(zip(ledges, redges))
+        links[pair] = pairing = tuple(zip(lorders[u], rorders[v]))
         for le, re in pairing:
             child = (lt.edge_dst[le], rt.edge_dst[re])
+            if lkeys[child[0]] != rkeys[child[1]]:
+                return None
             if child not in links:
                 if lt.node_children[child[0]]:
                     stack.append(child)
@@ -801,39 +778,30 @@ def equivalent_up_to_relabeling(
         right_forest, pin, r_cache
     ):
         return None
-    lkey, l_assign, l_key_dicts = canon.best_assignment_with_keys(left_forest, pin, cache=l_cache)
-    rkey, r_assign, r_key_dicts = canon.best_assignment_with_keys(right_forest, pin, cache=r_cache)
+    lkey, (l_players, l_outcomes), lkeys, lorders = canon.best_assignment_with_keys(
+        left_forest, pin, l_cache
+    )
+    rkey, (r_players, r_outcomes), rkeys, rorders = canon.best_assignment_with_keys(
+        right_forest, pin, r_cache
+    )
     if lkey != rkey:
         return None
+    player_map = _code_map(l_players, r_players)
+    outcome_map = _code_map(l_outcomes, r_outcomes)
+    if player_map is None or outcome_map is None:
+        return None
 
-    lcodes = l_assign.players()
-    rcodes = r_assign.players()
-    player_map = {}
-    rev = {code: p for p, code in rcodes.items()}
-    for p, code in lcodes.items():
-        if code not in rev:
-            return None
-        player_map[p] = rev[code]
-    l_out = l_assign.outcomes()
-    r_out = r_assign.outcomes()
-    rev_out = {code: o for o, code in r_out.items()}
-    outcome_map = {}
-    for o, code in l_out.items():
-        if code not in rev_out:
-            return None
-        outcome_map[o] = rev_out[code]
-
-    pairs: list[TreePairWitness] = []
-    l_root_keys = [keys[t.root] for t, keys in zip(left_forest, l_key_dicts)]
-    r_root_keys = [keys[t.root] for t, keys in zip(right_forest, r_key_dicts)]
-    tree_pairs = _pair_trees_by_key(left_forest, right_forest, l_root_keys, r_root_keys)
+    tree_pairs = _pair_trees_by_key(
+        [keys[t.root] for t, keys in zip(left_forest, lkeys)],
+        [keys[t.root] for t, keys in zip(right_forest, rkeys)],
+    )
     if tree_pairs is None:
         return None
+    pairs: list[TreePairWitness] = []
     for li, ri in tree_pairs:
-        lt, rt = left_forest[li], right_forest[ri]
-        l_axis = sorted(range(len(lt.players)), key=lambda i: lcodes[lt.players[i]])
-        r_axis = sorted(range(len(rt.players)), key=lambda i: rcodes[rt.players[i]])
-        links = _walk_pair(lt, rt, l_key_dicts[li], r_key_dicts[ri], l_axis, r_axis)
+        links = _walk_pair(
+            left_forest[li], right_forest[ri], lkeys[li], lorders[li], rkeys[ri], rorders[ri]
+        )
         if links is None:
             return None
         pairs.append(TreePairWitness(li, ri, links))

@@ -960,12 +960,34 @@ def _node_ref(value, where: str) -> int:
     return value
 
 
-def import_json(text: str) -> GameTree:
-    """Parse and fully validate a tree document."""
+def _parse_json(text: str):
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
         raise TreeInvariantError(f"malformed JSON: {exc}") from exc
+
+
+def import_json(text: str) -> GameTree:
+    """Parse and fully validate a tree document."""
+    return _tree_from_doc(_parse_json(text))
+
+
+def import_forest_json(text: str) -> list[GameTree]:
+    """The trees of a tree document, or of a ``{"forest": [...]}`` document
+    of several (as the CLI writes them), each checked as by `import_json`."""
+    doc = _parse_json(text)
+    if not isinstance(doc, dict) or "forest" not in doc:
+        return [_tree_from_doc(doc)]
+    members = doc["forest"]
+    if not isinstance(members, list) or not members:
+        raise TreeInvariantError("'forest' must be a nonempty list of tree documents")
+    forest = [_tree_from_doc(member) for member in members]
+    if any(t.players != forest[0].players for t in forest):
+        raise TreeInvariantError("the trees of a forest must list the same players")
+    return forest
+
+
+def _tree_from_doc(doc) -> GameTree:
     if not isinstance(doc, dict):
         raise TreeInvariantError("tree document must be a JSON object")
     players = doc.get("players")

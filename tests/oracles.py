@@ -410,6 +410,12 @@ def brute_equivalent(lt: GameTree, rt: GameTree, pin=frozenset()) -> bool:
     return False
 
 
+def subtree_keys(tree: GameTree, pin=canon.PIN_SYMMETRY) -> dict[int, bytes]:
+    """Every live node's `canon.make_key_fn` key under literal labels."""
+    key = canon.make_key_fn(tree, pin)
+    return {n: key(n) for n in postorder(tree)}
+
+
 # ---------------------------------------------------------------------------
 # Reference renderers: the exports as a document built whole, then dumped.
 # Unlike the rest of this module they use `canon`: the export order breaks
@@ -420,7 +426,7 @@ def brute_equivalent(lt: GameTree, rt: GameTree, pin=frozenset()) -> bool:
 
 def _export_order(tree: GameTree) -> dict:
     """Canonically ordered out-edges per live node."""
-    keys = canon.subtree_keys(tree, pin_players=True, pin_outcomes=True, pin_states=True)
+    keys = subtree_keys(tree, canon.PIN_ALL)
 
     def label_key(label):
         return sorted(
@@ -1017,7 +1023,7 @@ def reduce_single_player(tree: GameTree, site: ReductionSite) -> GameTree:
 def find_symmetry_sites(tree: GameTree) -> list[ReductionSite]:
     """Sibling pairs equivalent up to relabeling with identical players/outcomes."""
     require_unshared(tree, "find_symmetry_sites")
-    keys = canon.subtree_keys(tree, pin_players=True, pin_outcomes=True)
+    keys = subtree_keys(tree)
     sites = []
     for node in tree.iter_nodes():
         groups: dict[bytes, list[int]] = {}
@@ -1042,7 +1048,7 @@ def reduce_symmetry(tree: GameTree, site: ReductionSite) -> GameTree:
     _check_live(tree, parent)
     if victim_edge not in tree.node_children[parent] or survivor_edge not in tree.node_children[parent]:
         raise StaleSiteError("merge edges are no longer siblings")
-    keys = canon.subtree_keys(tree, pin_players=True, pin_outcomes=True)
+    keys = subtree_keys(tree)
     if keys[tree.edge_dst[victim_edge]] != keys[tree.edge_dst[survivor_edge]]:
         raise StaleSiteError("subtree equivalence no longer holds")
     node = _merge_pair(tree, parent, victim_edge, survivor_edge)

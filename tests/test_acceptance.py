@@ -16,7 +16,7 @@ import pytest
 import generators
 import oracles
 from conftest import fixture_path, fixture_text
-from ludokit import canon, cli, core, equiv, reduce, tree
+from ludokit import cli, core, equiv, reduce, tree
 from ludokit.similarity import StateMap, exhaustive_proportion, similarity
 from ludokit.tree import CHANCE, TERMINAL
 
@@ -85,7 +85,7 @@ def test_03_symmetry_reduction(ttt):
         )
         subtree = tree.build_tree(ttt, s_x)
         # independent check: canonical keys of the 9 original move subtrees
-        keys = canon.subtree_keys(subtree, pin_players=True, pin_outcomes=True)
+        keys = oracles.subtree_keys(subtree)
         first_moves = [subtree.edge_dst[e] for e in subtree.node_children[subtree.root]]
         assert len(first_moves) == 9
         classes = {keys[n] for n in first_moves}

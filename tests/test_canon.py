@@ -7,6 +7,7 @@ import random
 import pytest
 
 import generators
+import oracles
 from conftest import fixture_text
 from ludokit import canon, equiv, reduce, tree
 from ludokit.tree import DECISION_EDGE, GameTree, STATE, TERMINAL
@@ -24,19 +25,12 @@ def cold_matrix(t: GameTree, node: int, axis_order, cols):
         t.label_cache = warm
 
 
-def assignment_axes(t: GameTree, assignment):
-    pcodes = assignment.players()
-    axis = sorted(range(len(t.players)), key=lambda i: pcodes[t.players[i]])
-    header = b",".join(pcodes[t.players[i]] for i in axis) + b";"
-    ocodes = assignment.outcomes()
-    return axis, header, lambda o: ocodes.get(o, b"O:" + o.encode())
-
-
-def keys_for(t: GameTree, assignment) -> dict[int, bytes]:
-    axis, header, out_code = assignment_axes(t, assignment)
-    memo: dict[int, bytes] = {}
-    canon._fill_keys(t, tree.postorder(t), memo, axis, header, False, out_code)
-    return memo
+def keys_for(t: GameTree, labeling) -> tuple[dict[int, bytes], dict[int, list[int]]]:
+    """Every node's key and recorded out-edge order under one labeling."""
+    keys: dict[int, bytes] = {}
+    orders: dict[int, list[int]] = {}
+    canon._fill_keys(t, tree.postorder(t), keys, orders, *canon._labeling(t, *labeling), False)
+    return keys, orders
 
 
 def simultaneous_nodes(t: GameTree) -> list[int]:
@@ -47,21 +41,17 @@ def simultaneous_nodes(t: GameTree) -> list[int]:
 
 
 def assert_memo_sound(forest: list[GameTree], monkeypatch) -> int:
-    """Keys and `ordered_edges` orders of every candidate assignment, from
+    """Keys and recorded out-edge orders of every candidate labeling, from
     the forest's warm shared cache, equal those from a fresh cache per
     call; returns how many matrix orders were compared."""
     compared = 0
-    for assignment in canon.assignments_for(forest, canon.PIN_NONE):
+    for labeling in canon.assignments_for(forest, canon.PIN_NONE):
         for t in forest:
-            axis = assignment_axes(t, assignment)[0]
-            nodes = simultaneous_nodes(t)
-            warm = keys_for(t, assignment)
-            warm_orders = [canon.ordered_edges(t, n, axis, warm) for n in nodes]
+            warm = keys_for(t, labeling)
             with monkeypatch.context() as m:
                 m.setattr(canon, "canonical_matrix", cold_matrix)
-                assert keys_for(t, assignment) == warm
-                assert [canon.ordered_edges(t, n, axis, warm) for n in nodes] == warm_orders
-            compared += len(nodes)
+                assert keys_for(t, labeling) == warm
+            compared += len(simultaneous_nodes(t))
     return compared
 
 
@@ -93,7 +83,7 @@ def twin_matrices() -> tuple[GameTree, list[int]]:
 class TestMatrixMemoSoundness:
     def test_equal_labels_different_child_keys(self, monkeypatch):
         t, nodes = twin_matrices()
-        keys = canon.subtree_keys(t)
+        keys = oracles.subtree_keys(t)
         labels = [[t.edge_label[e] for e in t.node_children[n]] for n in nodes]
         assert labels[0] == labels[1]
         cols = [{e: keys[t.edge_dst[e]] for e in t.node_children[n]} for n in nodes]
@@ -104,7 +94,7 @@ class TestMatrixMemoSoundness:
 
     def test_one_node_under_two_axis_orders(self):
         t, (u, _) = twin_matrices()
-        keys = canon.subtree_keys(t)
+        keys = oracles.subtree_keys(t)
         cols = {e: keys[t.edge_dst[e]] for e in t.node_children[u]}
         axes = ([0, 1, 2], [2, 1, 0])
         cold = [cold_matrix(t, u, axis, cols) for axis in axes]

@@ -2,10 +2,16 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+
+import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import fixture_path, fixture_text
 from ludokit import cli
@@ -219,6 +225,45 @@ class TestReduce:
         code, _, err = run(capsys, "reduce", str(path))
         assert code == 2
         assert "integer node id" in err
+
+
+class TestForestDocuments:
+    """`tree` and `reduce` write several trees as ``{"forest": [...]}``;
+    `equiv` and `reduce` read that document back."""
+
+    def test_tree_forest_round_trip(self, capsys, tmp_path):
+        game = fixture_path("mixed_a.game")
+        forest = str(tmp_path / "forest.json")
+        assert run(capsys, "tree", game, "--out", forest)[0] == 0
+        assert len(json.loads((tmp_path / "forest.json").read_text())["forest"]) == 4
+        assert run(capsys, "equiv", forest, game) == (0, "relabel: equivalent\n", "")
+        assert run(capsys, "reduce", forest) == run(capsys, "reduce", game)
+
+    def test_reduce_forest_round_trip(self, capsys, tmp_path):
+        game = fixture_path("mixed_a.game")
+        normal = str(tmp_path / "normal.json")
+        assert run(capsys, "reduce", game, "--out", normal)[0] == 0
+        code, out, _ = run(capsys, "equiv", normal, game, "--mode", "agency")
+        assert (code, out) == (0, "agency: equivalent\n")
+        assert run(capsys, "reduce", normal)[1] == (tmp_path / "normal.json").read_text()
+
+    @pytest.mark.parametrize("forest", ["[]", "{}", "3"])
+    def test_empty_or_non_list_forest_exits_2(self, capsys, tmp_path, forest):
+        path = tmp_path / "forest.json"
+        path.write_text('{"forest": %s}' % forest)
+        for verb in (["equiv", str(path), str(path)], ["reduce", str(path)]):
+            code, out, err = run(capsys, *verb)
+            assert (code, out) == (2, "")
+            assert "'forest' must be a nonempty list" in err
+
+    def test_forest_of_different_players_exits_2(self, capsys, tmp_path):
+        member = json.loads(fixture_text("swap_pair_left.json"))
+        renamed = dict(member, players=[member["players"][0], "Q2"])
+        path = tmp_path / "forest.json"
+        path.write_text(json.dumps({"forest": [member, renamed]}))
+        code, out, err = run(capsys, "equiv", str(path), str(path))
+        assert (code, out) == (2, "")
+        assert "must list the same players" in err
 
 
 class TestEquiv:
@@ -437,3 +482,39 @@ class TestRobustness:
         )
         assert done.returncode == 0, done.stderr
         assert "complete" in done.stdout
+
+
+# Each command reads the file named "{}" as its one arbitrary input.
+_INPUT_ARGVS = [
+    ("equiv", "{}.json", fixture_path("swap_pair_left.json")),
+    ("equiv", "{}.game", fixture_path("parity.game")),
+    ("reduce", "{}.json"),
+    ("reduce", "{}.game"),
+    ("validate", "{}.game"),
+    ("sim", fixture_path("mixed_a.game"), fixture_path("mixed_b.game"),
+     "--map", "{}.json", "--samples", "1"),
+]
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    data=st.binary(max_size=40) | st.text(max_size=40).map(str.encode),
+    argv=st.sampled_from(_INPUT_ARGVS),
+)
+def test_any_input_bytes_keep_the_exit_contract(data, argv):
+    """Whatever bytes an input file holds, `main` returns an exit code and
+    raises nothing; bytes that are not UTF-8 are an input error (exit 2)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        stem = os.path.join(tmp, "input")
+        for suffix in (".json", ".game"):
+            with open(stem + suffix, "wb") as handle:
+                handle.write(data)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main([arg.replace("{}", stem) for arg in argv])
+    assert code in (0, 1, 2)
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError:
+        assert code == 2
+        assert "not UTF-8" in err.getvalue()

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import random
 from collections import Counter
@@ -401,6 +402,34 @@ class TestWitnessMachinery:
         assert verify_witness(w) != []
 
 
+# sha256 of `to_json()` on depth-3 forests; the witness bytes are an export
+# format, so a change of the key pass or of the walk must keep them.
+WITNESS_DIGESTS = [
+    ("tictactoe", "3to15", "relabel",
+     "ab95973523e56449368268965f574defd8be22bdb9a3ec11d73be1bd93e5841e"),
+    ("mixed_a", "mixed_a", "relabel",
+     "7d51a1f33ec6161438cc250c24d0e1b98e0c106dcfaa705776f459f418c01e60"),
+    ("mixed_a", "mixed_a", "agency",
+     "9379ce3b995d76c6a787a0f1c321860268e872de6eb030753d377295495a5ef8"),
+    ("perturbed", "perturbed", "relabel",
+     "ab95973523e56449368268965f574defd8be22bdb9a3ec11d73be1bd93e5841e"),
+    # pairs chance edges of equal probability
+    ("endofturn", "endofturn", "agency",
+     "c530105496896c16c42f5b2568bdbd5395eacb33c7cfbf8d20fda0e6a1add72f"),
+]
+
+
+@pytest.mark.parametrize("left,right,mode,digest", WITNESS_DIGESTS)
+def test_witness_bytes_are_stable(systems, left, right, mode, digest):
+    compare = equivalent_up_to_relabeling if mode == "relabel" else agency_equivalent
+    witness = compare(
+        tree.build_forest(systems[left], depth_limit=3),
+        tree.build_forest(systems[right], depth_limit=3),
+    )
+    assert verify_witness(witness) == []
+    assert hashlib.sha256(witness.to_json().encode()).hexdigest() == digest
+
+
 class TestSharedWitness:
     """Witnesses of built forests relate pairs of shared nodes."""
 
@@ -427,7 +456,7 @@ class TestSharedWitness:
         w = equivalent_up_to_relabeling(left, right)
         pair = w.pairs[0]
         lt = w.left_forest[0]
-        keys = canon.subtree_keys(lt, pin_players=True, pin_outcomes=True)
+        keys = oracles.subtree_keys(lt)
         # a child pairing whose first two left children differ even with
         # players and outcomes pinned: swapping their images is wrong
         link = next(
