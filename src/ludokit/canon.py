@@ -9,7 +9,9 @@ keyed once, and its key is that of each of its copies in the unfolded tree.
   otherwise a canonical outcome number),
 - chance nodes encode the sorted multiset of (exact probability, child key),
 - state nodes encode a canonical form of their decision matrix with edges
-  colored by child keys, quotiented by per-player choice relabeling.
+  colored by child keys, quotiented by per-player choice relabeling; the
+  matrix is read from `tree.node_meta`, which decodes and checks each
+  node's labels once per distinct tuple of labels.
 
 `_fill_keys` is the one node encoder.  With each key it records the node's
 out-edges in the order its encoding lists them, so two nodes of equal keys
@@ -33,10 +35,10 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from hashlib import blake2b
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Optional
 
 from .errors import LabelingLimitError
-from .tree import CHANCE, GameTree, STATE, TERMINAL, decoded_label, postorder
+from .tree import CHANCE, GameTree, STATE, TERMINAL, node_meta, postorder
 
 Pin = frozenset
 PIN_NONE: Pin = frozenset()
@@ -57,48 +59,6 @@ class CanonicalKey:
 
     def hex(self) -> str:
         return self.digest.hex()
-
-
-# ---------------------------------------------------------------------------
-# Per-node matrix facts (cached on the tree under the node's edge labels)
-# ---------------------------------------------------------------------------
-
-
-class NodeMeta(NamedTuple):
-    """What a state node's out-edge labels spell, per player and per edge."""
-
-    choices: tuple[frozenset, ...]  # per player: the node's choice set
-    sizes: tuple[int, ...]  # per player: len(choices[i])
-    counts: tuple[int, ...]  # per edge: joint choices mapped onto it
-    active: int  # players with more than one choice
-    decoded: tuple[tuple, ...]  # per edge: its (sequence, joint) pairs
-
-
-def _node_meta(tree: GameTree, node: int) -> NodeMeta:
-    """The node's matrix facts, cached under its tuple of edge labels.
-
-    Labels are immutable values, so no rewrite can make an entry stale;
-    nodes with equal labels (equal matrices) share one entry.
-    """
-    labels = tuple([tree.edge_label[e] for e in tree.node_children[node]])
-    meta = tree.label_cache.get(labels)
-    if meta is None:
-        decoded = tuple([decoded_label(tree, label) for label in labels])
-        choices = tuple(
-            frozenset([joint[i] for pairs in decoded for _, joint in pairs])
-            for i in range(len(tree.players))
-        )
-        sizes = tuple([len(c) for c in choices])
-        meta = tree.label_cache[labels] = NodeMeta(
-            choices, sizes, tuple([len(pairs) for pairs in decoded]),
-            sum(1 for s in sizes if s > 1), decoded,
-        )
-    return meta
-
-
-def node_player_sizes(tree: GameTree, node: int) -> tuple[int, ...]:
-    """Per-player choice-set sizes at a state node (by player index)."""
-    return _node_meta(tree, node).sizes
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +180,7 @@ def matrix_structure(tree: GameTree, node: int, axis_order: list[int]):
     edges = tree.node_children[node]
     joints = [
         (joint, e)
-        for e, pairs in zip(edges, _node_meta(tree, node).decoded)
+        for e, pairs in zip(edges, node_meta(tree, node).decoded)
         for _, joint in pairs
     ]
     per_axis: list[dict] = [{} for _ in axis_order]
@@ -301,26 +261,19 @@ def _labeling(tree: GameTree, player_code: dict[str, bytes], outcome_code: dict[
     return axis_order, axis_header, out_code
 
 
-def make_key_fn(
-    tree: GameTree,
-    pin: Pin = PIN_SYMMETRY,
-    player_code: Optional[dict[str, bytes]] = None,
-    outcome_code: Optional[dict[str, bytes]] = None,
-) -> Callable[[int], bytes]:
-    """A memoized per-node key function bound to one labeling assignment.
+def make_key_fn(tree: GameTree, pin: Pin = PIN_SYMMETRY) -> Callable[[int], bytes]:
+    """A memoized per-node key function under literal player and outcome codes.
 
     Children's keys must be available (computed on demand) before a node's
     key; suitable for incremental bottom-up use during normalization.
-    Outcomes absent from `outcome_code` get literal codes (normalization
-    only ever compares siblings inside one tree, where that is sound).
+    Literal codes are sound only where labels are pinned, so `pin` must pin
+    players and outcomes.
     """
-    if player_code is None:
-        if "players" not in pin:
-            raise ValueError("unpinned players need an explicit numbering")
-        player_code = literal_player_codes(tree.players)
-    if outcome_code is None and "outcomes" not in pin:
-        raise ValueError("unpinned outcomes need an explicit numbering")
-    axis_order, axis_header, out_code = _labeling(tree, player_code, outcome_code or {})
+    if "players" not in pin or "outcomes" not in pin:
+        raise ValueError("literal keys need players and outcomes pinned")
+    axis_order, axis_header, out_code = _labeling(
+        tree, literal_player_codes(tree.players), {}
+    )
     pin_states = "states" in pin
     memo: dict[int, bytes] = {}
     orders: dict[int, list[int]] = {}
@@ -358,12 +311,12 @@ def _fill_keys(
     edge_prob = tree.edge_prob
     prob_bytes: dict = {}
     digest = _digest
-    meta_of = _node_meta
+    meta_of = node_meta
     for n in order:
         kind = node_kind[n]
         if kind == STATE:
             edges = node_children[n]
-            _, sizes, counts, active, _ = meta_of(tree, n)
+            _, sizes, counts, active, _, _, _ = meta_of(tree, n)
             if active <= 1:
                 # Single-active-player matrix: fully described by sizes plus
                 # the multiset of (child key, choices onto the child's edge).
@@ -466,7 +419,7 @@ def _forest_signatures(forest: list[GameTree]):
                 for d, k in at.items():
                     sig[d] += k
             elif kind == STATE:
-                sizes = node_player_sizes(tree, n)
+                sizes = node_meta(tree, n).sizes
                 for i, p in enumerate(players):
                     sig = player_sig[p]
                     for d, k in at.items():

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import itertools
 import json
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from hashlib import blake2b
@@ -54,6 +53,7 @@ from .tree import (
     build_forest,
     decision_matrix,
     is_shared,
+    node_meta,
     postorder,
     require_unshared,
 )
@@ -315,7 +315,7 @@ def match_matrices(
     return {left.players[i]: result[pos] for pos, (i, _) in enumerate(order)}
 
 
-def _one_chooser_match(lcells: Counter, rcells: Counter, pairing: Pairing) -> bool:
+def _one_chooser_match(lcells: dict, rcells: dict, pairing: Pairing) -> bool:
     """`match_matrices(left, right, player_map, dict(pairing)) is not None`
     where at most one player has more than one choice, without a search.
 
@@ -558,7 +558,10 @@ def verify_witness(
     path is reached once.  So the unfolding is a bijection between the
     unfolded trees that maps root to root and children to children, and
     each of its node pairs copies a checked arena pair, so it passes the
-    same checks.
+    same checks.  Matrices are compared through `node_meta`, which decodes
+    labels and computes no key: choice-set sizes under the player map,
+    then cell counts per paired edge where at most one player chooses, and
+    a `match_matrices` search only where two or more do.
     """
     pin = _as_pin(pin)
     problems: list[str] = []
@@ -600,20 +603,6 @@ def verify_witness(
             continue
         rindex = {p: j for j, p in enumerate(rt.players)}
         axes = [(i, rindex[pm[p]]) for i, p in enumerate(lt.players)]
-        matrices: dict = {}
-
-        def matrix(t: GameTree, n: int) -> tuple:
-            """The node's decision matrix, its choice-set sizes, whether at
-            most one player has a choice, and its cell count per edge."""
-            got = matrices.get((t is lt, n))
-            if got is None:
-                m = decision_matrix(t, n)
-                sizes = [len(cs) for cs in m.choice_sets]
-                got = matrices[(t is lt, n)] = (
-                    m, sizes, sum(1 for k in sizes if k > 1) <= 1, Counter(m.mapping.values())
-                )
-            return got
-
         checked: set[tuple[int, int]] = set()
         stack = [(lt.root, rt.root)]
         while stack:
@@ -662,14 +651,17 @@ def verify_witness(
                         return problems
                 seen_out.add(lo)
             elif lkind == STATE:
-                lm, lsizes, single, lcells = matrix(lt, u)
-                rm, rsizes, _, rcells = matrix(rt, v)
-                if any(lsizes[i] != rsizes[j] for i, j in axes):
+                lmeta, rmeta = node_meta(lt, u), node_meta(rt, v)
+                if any(lmeta.sizes[i] != rmeta.sizes[j] for i, j in axes):
                     matched = False
-                elif single:
-                    matched = _one_chooser_match(lcells, rcells, pairing)
+                elif lmeta.active <= 1:
+                    matched = _one_chooser_match(
+                        dict(zip(ledges, lmeta.counts)), dict(zip(redges, rmeta.counts)), pairing
+                    )
                 else:
-                    matched = match_matrices(lm, rm, pm, dict(pairing)) is not None
+                    matched = match_matrices(
+                        decision_matrix(lt, u), decision_matrix(rt, v), pm, dict(pairing)
+                    ) is not None
                 if not matched:
                     if report(f"node {u}: decision matrices do not match"):
                         return problems

@@ -23,9 +23,9 @@ distinct subtree once, and returns that arena's reachable part, still
 shared.  Like a built tree, the form stands for its unfolding: exports,
 node counts and witnesses unfold it on demand.  This pass is the
 package's one rewriting engine; each helper below reads or rewrites one
-node's out-edges for it.  Per-node matrix facts come from
-`canon._node_meta`, which caches them under the node's edge labels, so
-rewrites need no cache invalidation.
+node's out-edges for it.  Per-node matrix facts (choice sets, their total
+size, the one player who chooses) come from `tree.node_meta`, which caches
+them under the node's edge labels, so rewrites need no cache invalidation.
 
 Sites that touch truncated frontier nodes are skipped, so depth-limited
 partial trees normalize deterministically without inventing semantics for
@@ -45,15 +45,16 @@ from .tree import (
     CHANCE_EDGE,
     DECISION_EDGE,
     GameTree,
+    NodeMeta,
     STATE,
     TERMINAL,
     TRUNCATED,
     choice_rank,
     compact,
+    node_meta,
 )
 
 MAX_LABEL_SEQUENCES = 1_000_000
-_NULL_ONLY = frozenset({None})
 
 
 @dataclass(frozen=True)
@@ -126,16 +127,7 @@ def node_choice_total(tree: GameTree, node: int) -> int:
     """Total choice-set cardinality of the node's decision matrix (0 off state nodes)."""
     if tree.node_kind[node] != STATE or not tree.node_children[node]:
         return 0
-    return sum(canon.node_player_sizes(tree, node))
-
-
-def _owner_of(tree: GameTree, node: int) -> Optional[int]:
-    """The unique player with a non-null choice at the node, if any."""
-    if tree.node_kind[node] != STATE:
-        return None
-    choices = canon._node_meta(tree, node).choices
-    candidates = [i for i, c in enumerate(choices) if c != _NULL_ONLY]
-    return candidates[0] if len(candidates) == 1 else None
+    return node_meta(tree, node).total
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +135,7 @@ def _owner_of(tree: GameTree, node: int) -> Optional[int]:
 # ---------------------------------------------------------------------------
 
 
-def _pruned_labels(meta: canon.NodeMeta) -> Optional[tuple[frozenset, ...]]:
+def _pruned_labels(meta: NodeMeta) -> Optional[tuple[frozenset, ...]]:
     """Per-edge labels once every redundant choice is deleted, or None.
 
     A choice of one player is redundant when another of that player's
@@ -192,7 +184,7 @@ def _pruned_at(tree: GameTree, node: int) -> Optional[tuple[frozenset, ...]]:
     cache = tree.label_cache
     if key in cache:
         return cache[key]
-    pruned = cache[key] = _pruned_labels(canon._node_meta(tree, node))
+    pruned = cache[key] = _pruned_labels(node_meta(tree, node))
     return pruned
 
 
@@ -236,7 +228,7 @@ def _absorbable(tree: GameTree, v: int, owner: int, child: int) -> bool:
     """Can `child` be folded into its parent's composite choices?"""
     if tree.node_kind[child] != STATE or not tree.node_children[child]:
         return False
-    if _owner_of(tree, child) != owner:
+    if node_meta(tree, child).owner != owner:
         return False
     for e in tree.node_children[child]:
         dst_kind = tree.node_kind[tree.edge_dst[e]]
@@ -274,22 +266,6 @@ def _absorb_children_once(tree: GameTree, v: int, owner: int) -> list[int]:
             tree.add_edge(v, leaf, DECISION_EDGE, label=label)
         absorbed.append(w)
     return absorbed
-
-
-def _single_player_site_at(tree: GameTree, node: int) -> bool:
-    """Does a (truncation-free) single-player site root here?"""
-    owner = _owner_of(tree, node)
-    if owner is None:
-        return False
-    if any(
-        tree.node_kind[tree.edge_dst[e]] == TRUNCATED
-        for e in tree.node_children[node]
-    ):
-        return False  # a site leaf would be a truncated node
-    return any(
-        _absorbable(tree, node, owner, tree.edge_dst[e])
-        for e in tree.node_children[node]
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +355,7 @@ def _normal_form(tree: GameTree, trace: ReductionTrace) -> GameTree:
         is_state = out.node_kind[v] == STATE
         while True:
             changed = False
-            if is_state and out.node_children[v]:
+            if is_state:
                 before = node_choice_total(out, v)
                 if _matrix_redundancy_at(out, v):
                     record("matrix-redundancy", v, 0, node_choice_total(out, v) - before)
@@ -387,8 +363,12 @@ def _normal_form(tree: GameTree, trace: ReductionTrace) -> GameTree:
             for e in list(out.node_children[v]):
                 if e in out.node_children[v] and splice_forced_child(v, e):
                     changed = True
-            if is_state and _single_player_site_at(out, v):
-                owner = _owner_of(out, v)
+            # Single-player: a site roots at v when one player owns v's
+            # choices and no child is truncated (a site leaf would be one).
+            owner = node_meta(out, v).owner if is_state else None
+            if owner is not None and not any(
+                out.node_kind[out.edge_dst[e]] == TRUNCATED for e in out.node_children[v]
+            ):
                 before_v = node_choice_total(out, v)
                 absorbed = _absorb_children_once(out, v, owner)
                 if absorbed:

@@ -234,16 +234,15 @@ def _compare_at(
     except NoRuleMatchesError:
         return SampleRecord(state, mapped, matched=False, completeness_gap=True)
     pin = set()
+    player_map = outcome_map = None
     if psi.players is not None:
-        rform = equiv.relabel_tree(
-            rform, player_map={v: k for k, v in psi.players.items()}
-        )
+        player_map = {v: k for k, v in psi.players.items()}
         pin.add("players")
     if psi.outcomes is not None:
-        rform = equiv.relabel_tree(
-            rform, outcome_map={v: k for k, v in psi.outcomes.items()}
-        )
+        outcome_map = {v: k for k, v in psi.outcomes.items()}
         pin.add("outcomes")
+    if pin:
+        rform = equiv.relabel_tree(rform, player_map, outcome_map)
     witness = equiv.equivalent_up_to_relabeling(lform, rform, pin=pin)
     return SampleRecord(state, mapped, matched=witness is not None)
 

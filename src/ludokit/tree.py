@@ -17,7 +17,10 @@ on unshared arenas such as imported trees.
 Nodes that a rewrite cuts off stay in the arena, unreachable; `unfold`
 and `compact` drop them.  Facts derived from edge labels are cached under
 the (immutable) labels themselves, so rewriting a tree never makes a cache
-entry stale.
+entry stale.  The chief such fact is a state node's `NodeMeta`: `node_meta`
+is the one place out-edge labels are decoded into a decision matrix and
+checked, and `decision_matrix`, the canonical keys, the rewrites and the
+witness check all read it.
 
 Node kinds: state, chance, terminal, truncated.  Decision edges leave state
 nodes and carry a nonempty set of decision-tuple sequences (a freshly built
@@ -36,11 +39,12 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Callable, Iterator, Optional, Union
+from typing import Callable, Iterator, NamedTuple, Optional, Union
 
 from .core import (
     DecisionTuple,
@@ -573,8 +577,9 @@ class DecisionMatrix:
 
     In a fresh tree the choices are the legal sets (null-padded) and each
     joint tuple maps to the edge carrying it; reductions substitute tuple
-    sequences for choices.  When every player has a single choice the domain
-    is empty and the matrix maps () to its single edge.
+    sequences for choices.  When every player has a single choice the
+    domain is empty (`empty_domain`) and the matrix maps the one joint
+    choice to its single edge.
     """
 
     node: int
@@ -592,11 +597,20 @@ class DecisionMatrix:
             seen.setdefault(edge)
         return list(seen)
 
-    def domain(self) -> list[tuple[Choice, ...]]:
-        """Joint choice tuples; empty when the matrix has an empty domain."""
-        if self.empty_domain:
-            return []
-        return list(self.mapping)
+
+class NodeMeta(NamedTuple):
+    """What a state node's out-edge labels spell, per player and per edge."""
+
+    choices: tuple[frozenset, ...]  # per player: the node's choice set
+    sizes: tuple[int, ...]  # per player: len(choices[i])
+    counts: tuple[int, ...]  # per edge: joint choices mapped onto it
+    active: int  # players with more than one choice
+    decoded: tuple[tuple, ...]  # per edge: its (sequence, joint) pairs
+    owner: Optional[int]  # the only player whose choice set is not {None}
+    total: int  # sum(sizes)
+
+
+_NULL_ONLY = frozenset({None})
 
 
 def _decode_seq(seq: TupleSeq, n_players: int, where: str) -> tuple[Choice, ...]:
@@ -620,73 +634,90 @@ def _decode_seq(seq: TupleSeq, n_players: int, where: str) -> tuple[Choice, ...]
     return tuple(joint)
 
 
-def decoded_label(tree: GameTree, label: EdgeLabel) -> tuple:
-    """(tuple sequence, joint choice tuple) pairs of an edge label, cached.
+def node_meta(tree: GameTree, node: int) -> NodeMeta:
+    """The matrix a state node's out-edge labels spell, checked and cached.
 
-    Labels repeat heavily across a tree (every claim-cell-3 edge carries the
-    same tuple set), so hot paths share one decode per distinct label.  Each
-    sequence stays paired with its joint: an equal label need not iterate
-    its sequences in the same order.
+    The one place labels are decoded.  The record is cached in
+    `tree.label_cache` under the node's tuple of edge labels, and each
+    label's (sequence, joint choice) pairs under the label: labels repeat
+    heavily across a tree, and nodes with equal labels (equal matrices)
+    share one entry.  Labels are immutable values, so no rewrite makes an
+    entry stale.  Each sequence stays paired with its joint, as an equal
+    label need not iterate its sequences in the same order.
+
+    A miss checks the matrix: the node has decision edges only, each with
+    a nonempty label of well-formed, not all-null sequences; no joint
+    choice repeats; and the joint choices cover the product of the choice
+    sets.  Every check reads the labels only (a chance edge's label is
+    None), so a tuple of labels that passed once passes at every node, and
+    one that fails is not cached.
     """
-    pairs = tree.label_cache.get(label)
-    if pairs is None:
-        n = len(tree.players)
-        pairs = tree.label_cache[label] = tuple(
-            (seq, _decode_seq(seq, n, "label")) for seq in label
+    edges = tree.node_children[node]
+    labels = tuple([tree.edge_label[e] for e in edges])
+    cache = tree.label_cache
+    meta = cache.get(labels)
+    if meta is not None:
+        return meta
+    if not edges:
+        raise TreeInvariantError(f"state node {node} has no outgoing edges")
+    n = len(tree.players)
+    decoded = []
+    seen: set = set()
+    for e, label in zip(edges, labels):
+        if tree.edge_kind[e] != DECISION_EDGE:
+            raise TreeInvariantError(f"state node {node} has a non-decision edge")
+        if not label:
+            raise TreeInvariantError(f"edge {e} has an empty tuple set")
+        pairs = cache.get(label)
+        if pairs is None:
+            pairs = tuple([(seq, _decode_seq(seq, n, f"edge {e}")) for seq in label])
+            for _, joint in pairs:
+                if all(c is None for c in joint):
+                    raise TreeInvariantError(f"edge {e} carries an all-null decision tuple")
+            cache[label] = pairs
+        for _, joint in pairs:
+            if joint in seen:
+                raise TreeInvariantError(
+                    f"sibling edges of node {node} share the joint choice {joint!r}"
+                )
+            seen.add(joint)
+        decoded.append(pairs)
+    choices = tuple(map(frozenset, zip(*seen)))
+    sizes = tuple(map(len, choices))
+    if len(seen) != math.prod(sizes):
+        raise TreeInvariantError(
+            f"decision matrix at node {node} is not total: "
+            f"{len(seen)} joint choices over a domain of {math.prod(sizes)}"
         )
-    return pairs
+    owners = [i for i, c in enumerate(choices) if c != _NULL_ONLY]
+    meta = cache[labels] = NodeMeta(
+        choices, sizes, tuple(map(len, decoded)), sum(1 for s in sizes if s > 1),
+        tuple(decoded), owners[0] if len(owners) == 1 else None, sum(sizes),
+    )
+    return meta
 
 
 def decision_matrix(tree: GameTree, node: int) -> DecisionMatrix:
     """The strategic-form game played at a non-terminal state node.
 
-    Choices and the map are read from the outgoing edge labels, which agrees
-    with the legal sets on freshly built trees and stays correct on reduced
-    and imported ones.  Raises on chance, terminal, and truncated nodes.
+    A view of `node_meta`: choices and the map are read from the outgoing
+    edge labels, which agrees with the legal sets on freshly built trees
+    and stays correct on reduced and imported ones.  Choice sets are
+    sorted by `choice_rank`; the map lists edges in stored order, each
+    edge's joint choices in its label's order.  Raises on chance, terminal,
+    and truncated nodes, and on labels that do not spell a total matrix.
     """
     if tree.node_kind[node] != STATE:
         raise TreeInvariantError(
             f"node {node} is {tree.kind_name(node)}; decision matrices live on state nodes"
         )
-    edges = tree.node_children[node]
-    if not edges:
-        raise TreeInvariantError(f"state node {node} has no outgoing edges")
-    n = len(tree.players)
+    meta = node_meta(tree, node)
     mapping: dict[tuple[Choice, ...], int] = {}
-    per_player: list[set] = [set() for _ in range(n)]
-    for e in edges:
-        if tree.edge_kind[e] != DECISION_EDGE:
-            raise TreeInvariantError(f"state node {node} has a non-decision edge")
-        label = tree.edge_label[e]
-        if not label:
-            raise TreeInvariantError(f"edge {e} has an empty tuple set")
-        for seq in label:
-            joint = _decode_seq(seq, n, f"edge {e}")
-            if all(c is None for c in joint):
-                raise TreeInvariantError(f"edge {e} carries an all-null decision tuple")
-            if joint in mapping:
-                raise TreeInvariantError(
-                    f"sibling edges of node {node} share the joint choice {joint!r}"
-                )
-            mapping[joint] = e
-            for i, c in enumerate(joint):
-                per_player[i].add(c)
-    choice_sets = tuple(
-        tuple(sorted(s, key=choice_rank)) if s else (None,) for s in per_player
-    )
-    expected = 1
-    for cs in choice_sets:
-        expected *= len(cs)
-    if len(mapping) != expected:
-        raise TreeInvariantError(
-            f"decision matrix at node {node} is not total: "
-            f"{len(mapping)} joint choices over a domain of {expected}"
-        )
-    covered = set(mapping.values())
-    if covered != set(edges):
-        raise TreeInvariantError(
-            f"decision matrix at node {node} does not cover all outgoing edges"
-        )
+    for e, pairs in zip(tree.node_children[node], meta.decoded):
+        joint_of = dict(pairs)
+        for seq in tree.edge_label[e]:
+            mapping[joint_of[seq]] = e
+    choice_sets = tuple(tuple(sorted(c, key=choice_rank)) for c in meta.choices)
     return DecisionMatrix(node, tree.players, choice_sets, mapping)
 
 

@@ -37,9 +37,7 @@ from ludokit.reduce import (
     _is_forced,
     _matrix_redundancy_at,
     _merge_pair,
-    _owner_of,
     _pruned_at,
-    _single_player_site_at,
     node_choice_total,
 )
 from ludokit.tree import (
@@ -52,8 +50,11 @@ from ludokit.tree import (
     STATE,
     TERMINAL,
     TRUNCATED,
+    _decode_seq,
+    choice_rank,
     decision_matrix,
     is_shared,
+    node_meta,
     postorder,
     require_unshared,
     unfold,
@@ -571,11 +572,90 @@ def match_candidates(left, right, order, edge_map):
 
 
 # ---------------------------------------------------------------------------
+# The reference matrix decoder: the loop `decision_matrix` ran before
+# `tree.node_meta` took the decoding over, kept as it was, checks included.
+# ---------------------------------------------------------------------------
+
+
+def reference_matrix(tree: GameTree, node: int) -> tuple[tuple, dict]:
+    """(choice sets sorted by `choice_rank`, joint choice -> edge) of a state
+    node, decoded from its labels on every call."""
+    if tree.node_kind[node] != STATE:
+        raise TreeInvariantError(
+            f"node {node} is {tree.kind_name(node)}; decision matrices live on state nodes"
+        )
+    edges = tree.node_children[node]
+    if not edges:
+        raise TreeInvariantError(f"state node {node} has no outgoing edges")
+    n = len(tree.players)
+    mapping: dict[tuple, int] = {}
+    per_player: list[set] = [set() for _ in range(n)]
+    for e in edges:
+        if tree.edge_kind[e] != DECISION_EDGE:
+            raise TreeInvariantError(f"state node {node} has a non-decision edge")
+        label = tree.edge_label[e]
+        if not label:
+            raise TreeInvariantError(f"edge {e} has an empty tuple set")
+        for seq in label:
+            joint = _decode_seq(seq, n, f"edge {e}")
+            if all(c is None for c in joint):
+                raise TreeInvariantError(f"edge {e} carries an all-null decision tuple")
+            if joint in mapping:
+                raise TreeInvariantError(
+                    f"sibling edges of node {node} share the joint choice {joint!r}"
+                )
+            mapping[joint] = e
+            for i, c in enumerate(joint):
+                per_player[i].add(c)
+    choice_sets = tuple(
+        tuple(sorted(s, key=choice_rank)) if s else (None,) for s in per_player
+    )
+    expected = 1
+    for cs in choice_sets:
+        expected *= len(cs)
+    if len(mapping) != expected:
+        raise TreeInvariantError(
+            f"decision matrix at node {node} is not total: "
+            f"{len(mapping)} joint choices over a domain of {expected}"
+        )
+    covered = set(mapping.values())
+    if covered != set(edges):
+        raise TreeInvariantError(
+            f"decision matrix at node {node} does not cover all outgoing edges"
+        )
+    return choice_sets, mapping
+
+
+# ---------------------------------------------------------------------------
 # The in-place normalizer: the reference for `ludokit.reduce.normalize`.
 # Unlike the rest of this module it uses the package's rewrite helpers and
 # `canon` keys: it checks the memoized engine's sharing and bookkeeping, not
-# the rewrites themselves.
+# the rewrites themselves.  It keeps its own single-player site test, which
+# the package engine folds into its loop.
 # ---------------------------------------------------------------------------
+
+
+def _owner_of(tree: GameTree, node: int) -> Optional[int]:
+    """The unique player with a non-null choice at the node, if any."""
+    if tree.node_kind[node] != STATE:
+        return None
+    return node_meta(tree, node).owner
+
+
+def _single_player_site_at(tree: GameTree, node: int) -> bool:
+    """Does a (truncation-free) single-player site root here?"""
+    owner = _owner_of(tree, node)
+    if owner is None:
+        return False
+    if any(
+        tree.node_kind[tree.edge_dst[e]] == TRUNCATED
+        for e in tree.node_children[node]
+    ):
+        return False  # a site leaf would be a truncated node
+    return any(
+        _absorbable(tree, node, owner, tree.edge_dst[e])
+        for e in tree.node_children[node]
+    )
 
 
 def _intern(tree: GameTree) -> tuple[list[int], list[tuple[int, int]]]:

@@ -36,7 +36,7 @@ def keys_for(t: GameTree, labeling) -> tuple[dict[int, bytes], dict[int, list[in
 def simultaneous_nodes(t: GameTree) -> list[int]:
     return [
         n for n in tree.postorder(t)
-        if t.node_kind[n] == STATE and canon._node_meta(t, n).active > 1
+        if t.node_kind[n] == STATE and tree.node_meta(t, n).active > 1
     ]
 
 

@@ -479,7 +479,12 @@ class TestCanonicalForm:
         forest = tree.build_forest(systems["parity"])
         assert canonical_form(forest).digest != canonical_form(
             forest, pin={"players", "outcomes"}
-        ).digest or True  # keys may coincide only by chance; just exercise
+        ).digest
+        # Misere tic-tac-toe renames the outcomes: equal keys unless pinned.
+        ttt = tree.build_forest(systems["tictactoe"], depth_limit=5)
+        mis = tree.build_forest(systems["misere"], depth_limit=5)
+        assert canonical_form(ttt) == canonical_form(mis)
+        assert canonical_form(ttt, pin={"outcomes"}) != canonical_form(mis, pin={"outcomes"})
 
     def test_agreement_with_witness_search_random(self):
         rng = random.Random(2024)

@@ -481,7 +481,7 @@ class TestSharing:
 
         def checked(t, node):
             got = cached(t, node)
-            fresh = reduce._pruned_labels(canon._node_meta(t, node))
+            fresh = reduce._pruned_labels(tree.node_meta(t, node))
             assert got == fresh
             calls.append(got)
             return got

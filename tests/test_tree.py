@@ -4,16 +4,19 @@ from __future__ import annotations
 
 import json
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import generators
 import oracles
-from ludokit import core, tree
+from ludokit import core, equiv, reduce, tree
 from ludokit.errors import BudgetExceededError, LudokitError, TreeInvariantError
 from ludokit.tree import (
     CHANCE,
+    CHANCE_EDGE,
+    DECISION_EDGE,
     STATE,
     TERMINAL,
     TRUNCATED,
@@ -196,7 +199,7 @@ class TestSharedBuild:
 
     def test_copy_shares_the_label_cache(self, systems):
         t = build_forest(systems["parity"])[0]
-        tree.decoded_label(t, t.edge_label[t.node_children[t.root][0]])
+        tree.node_meta(t, t.root)
         dup = t.copy()
         assert dup.label_cache is t.label_cache and t.label_cache
         assert arrays(dup) == arrays(t)
@@ -266,6 +269,115 @@ class TestDecisionMatrix:
         leaf = t.children(t.root)[0]
         with pytest.raises(TreeInvariantError):
             decision_matrix(t, leaf)
+
+
+# Words naming each check `node_meta` makes, as its messages spell them.
+MATRIX_CHECKS = (
+    "no outgoing edges", "non-decision edge", "empty tuple set", "all-null",
+    "share the joint choice", "not total",
+)
+
+
+def check_word(fn, *args) -> str:
+    """The `MATRIX_CHECKS` word of the TreeInvariantError `fn(*args)` raises."""
+    with pytest.raises(TreeInvariantError) as info:
+        fn(*args)
+    words = [w for w in MATRIX_CHECKS if w in str(info.value)]
+    assert len(words) == 1, str(info.value)
+    return words[0]
+
+
+def non_total_tree() -> tree.GameTree:
+    """Two players whose only cells are (a, x) and (b, y): not a total matrix."""
+    t = tree.GameTree(("A", "B"))
+    t.root = t.add_node(STATE)
+    for joint, outcome in ((("a", "x"), "w"), (("b", "y"), "l")):
+        leaf = t.add_node(TERMINAL, outcome=outcome)
+        t.add_edge(t.root, leaf, DECISION_EDGE, label=frozenset({(joint,)}))
+    return t
+
+
+def corruptions(t: tree.GameTree, node: int):
+    """(word, copy of t with one corruption at the node) per applicable check."""
+    edges = t.node_children[node]
+    e0, n = edges[0], len(t.players)
+    label = t.edge_label[e0]
+    relabeled = [
+        ("empty tuple set", e0, frozenset()),
+        ("all-null", e0, label | {((None,) * n,)}),
+    ]
+    if len(edges) > 1:
+        relabeled.append(("share the joint choice", edges[1], t.edge_label[edges[1]] | label))
+    if n > 1:
+        # A new choice for every player: one more cell, many more missing.
+        relabeled.append(("not total", e0, label | {(("\x7f",) * n,)}))
+    for word, e, bad in relabeled:
+        dup = t.copy()
+        dup.edge_label[e] = bad
+        yield word, dup
+    dup = t.copy()
+    dup.edge_kind[e0], dup.edge_label[e0], dup.edge_prob[e0] = CHANCE_EDGE, None, Fraction(1)
+    yield "non-decision edge", dup
+    dup = t.copy()
+    dup.node_children[node] = []
+    yield "no outgoing edges", dup
+
+
+class TestNodeMeta:
+    def test_non_total_matrix_is_refused_everywhere(self):
+        """Every entry point refuses the non-total matrix with the same check."""
+        for fn in (
+            tree.validate_tree,
+            equiv.canonical_form,
+            lambda t: equiv.equivalent_up_to_relabeling(t, non_total_tree()),
+            reduce.normalize,
+        ):
+            with pytest.raises(TreeInvariantError, match="not total"):
+                fn(non_total_tree())
+
+    def test_agrees_with_the_reference_decoder(self):
+        """On random trees and their normal forms, `node_meta` and
+        `decision_matrix` agree with the per-call reference decoder."""
+        checked = 0
+        for seed in range(150):
+            t = generators.random_tree(random.Random(seed), allow_truncated=seed % 3 == 0)
+            for form in (t, reduce.normalize(t)[0]):
+                for n in tree.postorder(form):
+                    if form.node_kind[n] != STATE:
+                        continue
+                    choice_sets, mapping = oracles.reference_matrix(form, n)
+                    meta = tree.node_meta(form, n)
+                    m = decision_matrix(form, n)
+                    sizes = tuple(len(cs) for cs in choice_sets)
+                    owners = [i for i, cs in enumerate(choice_sets) if cs != (None,)]
+                    edges = form.node_children[n]
+                    assert meta.sizes == sizes
+                    assert meta.choices == tuple(frozenset(cs) for cs in choice_sets)
+                    assert meta.counts == tuple(list(mapping.values()).count(e) for e in edges)
+                    assert meta.active == sum(1 for k in sizes if k > 1)
+                    assert meta.owner == (owners[0] if len(owners) == 1 else None)
+                    assert meta.total == sum(sizes)
+                    assert m.choice_sets == choice_sets
+                    assert list(m.mapping.items()) == list(mapping.items())
+                    checked += 1
+        assert checked > 1000
+
+    def test_corrupted_labels_raise_the_reference_check(self):
+        """Each corruption raises the same check in `node_meta`,
+        `decision_matrix` and the reference, even on a warm shared cache."""
+        seen = set()
+        for seed in range(40):
+            t = generators.random_tree(random.Random(seed))
+            for n in tree.postorder(t):
+                if t.node_kind[n] != STATE:
+                    continue
+                tree.node_meta(t, n)  # warm the cache the copies share
+                for word, bad in corruptions(t, n):
+                    assert check_word(oracles.reference_matrix, bad, n) == word
+                    assert check_word(tree.node_meta, bad, n) == word
+                    assert check_word(decision_matrix, bad, n) == word
+                    seen.add(word)
+        assert seen == set(MATRIX_CHECKS)
 
 
 class TestJsonRoundTrip:
