@@ -11,7 +11,12 @@ keyed once, and its key is that of each of its copies in the unfolded tree.
 - state nodes encode a canonical form of their decision matrix with edges
   colored by child keys, quotiented by per-player choice relabeling; the
   matrix is read from `tree.node_meta`, which decodes and checks each
-  node's labels once per distinct tuple of labels.
+  node's labels once per distinct tuple of labels.  Where two or more
+  players choose, `_matrix_fingerprint_general` finds that form by
+  refinement and branching on tied choices.  It skips a branch that an
+  automorphism maps onto an explored one (the twin rule: two choices
+  whose rows, the other coordinates -> edge, are equal), since its least
+  encoding is the same and a tie keeps the first branch.
 
 `_fill_keys` is the one node encoder.  With each key it records the node's
 out-edges in the order its encoding lists them, so two nodes of equal keys
@@ -73,96 +78,128 @@ def _matrix_fingerprint_general(
 
     cells: (choice-index tuple, edge position) pairs covering the product;
     edge_cols: each edge position's color.  Returns (fingerprint, edge
-    positions in the order realizing it).
+    positions in the order realizing it): of the leaves of the search, the
+    first with the least encoding.
+
+    Branches that an automorphism maps onto an explored branch are skipped
+    (the twin rule).  Two choices of one axis are twins when their rows
+    (the other coordinates -> edge) are equal, so swapping them leaves every
+    cell's edge unchanged.  A twin of an explored member of a tied class has
+    an isomorphic subtree, hence the same least encoding, and a tie keeps
+    the first branch.  When a whole tied class is one twin group, each of
+    its members would be individualized in turn along a single path, and
+    refinement splits nothing in between, so the class is made discrete in
+    index order in one step.
     """
     n_axes = len(choice_lists)
     n_edges = len(edge_cols)
+    sizes = [len(c) for c in choice_lists]
+    # per edge: its cells; per axis and choice: its cells as (edge, the
+    # other coordinates)
+    by_edge: list[list[tuple]] = [[] for _ in range(n_edges)]
+    by_choice = [[[] for _ in range(n)] for n in sizes]
+    for idx, epos in cells:
+        by_edge[epos].append(idx)
+        for a in range(n_axes):
+            by_choice[a][idx[a]].append((epos, idx[:a] + idx[a + 1 :]))
+    # twin[a][i]: the first choice of axis a whose row (the other
+    # coordinates -> edge) equals choice i's
+    twin = []
+    for rows in by_choice:
+        first: dict = {}
+        twin.append([
+            first.setdefault(tuple(sorted([(other, epos) for epos, other in row])), i)
+            for i, row in enumerate(rows)
+        ])
+    getitem = list.__getitem__
 
     def refine(choice_class: list[list[int]], edge_class: list[int]):
-        while True:
-            changed = False
-            new_edge_sigs = [[] for _ in range(n_edges)]
-            for idx, epos in cells:
-                new_edge_sigs[epos].append(
-                    tuple(choice_class[a][idx[a]] for a in range(n_axes))
-                )
-            sig_map = {}
-            new_edge_class = []
-            for epos in range(n_edges):
-                sig = (edge_class[epos], tuple(sorted(new_edge_sigs[epos])))
-                if sig not in sig_map:
-                    sig_map[sig] = None
-                new_edge_class.append(sig)
-            ordered = {s: i for i, s in enumerate(sorted(sig_map))}
-            new_edge_class = [ordered[s] for s in new_edge_class]
-            if new_edge_class != edge_class:
-                changed = True
-                edge_class = new_edge_class
-            for a in range(n_axes):
-                sigs = [[] for _ in choice_lists[a]]
-                for idx, epos in cells:
-                    sigs[idx[a]].append(
-                        (
-                            edge_class[epos],
-                            tuple(
-                                choice_class[b][idx[b]]
-                                for b in range(n_axes)
-                                if b != a
-                            ),
-                        )
-                    )
-                keyed = [
-                    (choice_class[a][i], tuple(sorted(sigs[i])))
-                    for i in range(len(choice_lists[a]))
-                ]
-                ordered = {s: i for i, s in enumerate(sorted(set(keyed)))}
-                new_class = [ordered[k] for k in keyed]
-                if new_class != choice_class[a]:
-                    changed = True
-                    choice_class[a] = new_class
-            if not changed:
-                return choice_class, edge_class
+        """Refine to the fixpoint of the edge step and the axis steps, run in
+        turn; stops once every step in a row has changed nothing.  A step
+        whose classes are already 0..n-1 is skipped: it cannot change them."""
+        parts = [edge_class, *choice_class]  # step k refines parts[k]
+        discrete = [sorted(p) == list(range(len(p))) for p in parts]
+        quiet = 0  # steps in a row that changed nothing
+        k = 0
+        while quiet <= n_axes:
+            if not discrete[k]:
+                if k == 0:
+                    choices = parts[1:]
+                    keyed = [
+                        (c, tuple(sorted([tuple(map(getitem, choices, idx)) for idx in on_edge])))
+                        for c, on_edge in zip(parts[0], by_edge)
+                    ]
+                else:
+                    edges, others = parts[0], parts[1:k] + parts[k + 1 :]
+                    keyed = [
+                        (c, tuple(sorted([
+                            (edges[epos], tuple(map(getitem, others, other)))
+                            for epos, other in row
+                        ])))
+                        for c, row in zip(parts[k], by_choice[k - 1])
+                    ]
+                ordered = {sig: i for i, sig in enumerate(sorted(set(keyed)))}
+                new_class = [ordered[sig] for sig in keyed]
+                discrete[k] = len(ordered) == len(new_class)
+                if new_class != parts[k]:
+                    parts[k] = new_class
+                    quiet = -1
+            quiet += 1
+            k = (k + 1) % (n_axes + 1)
+        return parts[1:], parts[0]
 
     def solve(choice_class: list[list[int]], edge_class: list[int]):
-        choice_class = [list(c) for c in choice_class]
         choice_class, edge_class = refine(choice_class, edge_class)
         for a in range(n_axes):
-            counts = Counter(choice_class[a])
-            dup = sorted(c for c, k in counts.items() if k > 1)
-            if dup:
-                target = dup[0]
-                members = [i for i, c in enumerate(choice_class[a]) if c == target]
+            classes = choice_class[a]  # numbered 0..k-1 by refine
+            count = [0] * sizes[a]
+            for c in classes:
+                count[c] += 1
+            target = next((c for c, k in enumerate(count) if k > 1), None)
+            if target is not None:
+                members = [i for i, c in enumerate(classes) if c == target]
+                if len({twin[a][m] for m in members}) == 1:
+                    # one twin group: the path individualizing its members in turn
+                    step = {m: target + r for r, m in enumerate(members)}
+                    shift = len(members) - 1
+                    trial = list(choice_class)
+                    trial[a] = [
+                        step[i] if c == target else c + shift if c > target else c
+                        for i, c in enumerate(classes)
+                    ]
+                    return solve(trial, edge_class)
                 best = None
+                explored = set()
                 for m in members:
-                    trial = [list(c) for c in choice_class]
+                    if twin[a][m] in explored:
+                        continue
+                    explored.add(twin[a][m])
+                    trial = list(choice_class)
                     # individualize m below its class peers
                     trial[a] = [
                         c * 2 + (0 if i == m else 1) if c == target else c * 2
-                        for i, c in enumerate(trial[a])
+                        for i, c in enumerate(classes)
                     ]
-                    result = solve(trial, list(edge_class))
+                    result = solve(trial, edge_class)
                     if best is None or result[0] < best[0]:
                         best = result
                 return best
-        # discrete: derive canonical orders
-        inv = []
-        for a in range(n_axes):
-            perm = sorted(range(len(choice_lists[a])), key=lambda i: choice_class[a][i])
-            inv.append({old: new for new, old in enumerate(perm)})
-        cellmap = {}
+        # discrete: each choice's class is its canonical index; read the
+        # cells in that order, numbering edges by first occurrence
+        flat = [0] * len(cells)
         for idx, epos in cells:
-            cellmap[tuple(inv[a][idx[a]] for a in range(n_axes))] = epos
-        flat = []
+            pos = 0
+            for a in range(n_axes):
+                pos = pos * sizes[a] + choice_class[a][idx[a]]
+            flat[pos] = epos
         edge_first: dict[int, int] = {}
-        for idx in itertools.product(*(range(len(c)) for c in choice_lists)):
-            epos = cellmap[idx]
-            pos = edge_first.setdefault(epos, len(edge_first))
-            flat.append(pos)
-        edge_perm = sorted(edge_first, key=edge_first.get)
+        for epos in flat:
+            edge_first.setdefault(epos, len(edge_first))
+        edge_perm = list(edge_first)
         enc = repr(
             (
-                tuple(len(c) for c in choice_lists),
-                tuple(flat),
+                tuple(sizes),
+                tuple([edge_first[epos] for epos in flat]),
                 tuple(edge_cols[epos] for epos in edge_perm),
             )
         ).encode()

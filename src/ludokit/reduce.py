@@ -16,16 +16,36 @@ meaningfully decide:
 `normalize` applies these to a fixed point in a canonical order
 (matrix-redundancy, bookkeeping, single-player, symmetry; repeat) via a
 bottom-up pass: once a node's local loop stabilizes its whole subtree is
-normal, so sibling-subtree comparisons can use cached canonical keys.  The
-pass only reads its input, which may be a shared arena (a built tree): it
-builds the normal form into a fresh hash-consed arena, normalizing each
-distinct subtree once, and returns that arena's reachable part, still
-shared.  Like a built tree, the form stands for its unfolding: exports,
-node counts and witnesses unfold it on demand.  This pass is the
-package's one rewriting engine; each helper below reads or rewrites one
-node's out-edges for it.  Per-node matrix facts (choice sets, their total
-size, the one player who chooses) come from `tree.node_meta`, which caches
-them under the node's edge labels, so rewrites need no cache invalidation.
+normal, so sibling-subtree comparisons can use cached canonical keys.
+
+The local loop is a worklist.  The first round runs all four checks; after
+that a check reruns only when a rewrite that fired could enable it, in the
+same round if it comes later in the order, else in the next:
+
+| rewrite that fired | rewrites to rerun |
+| --- | --- |
+| matrix redundancy (it reaches its own fixpoint) | none |
+| symmetry merge | matrix redundancy and single-player; `_absorb_children_once`'s collision check reads sibling labels |
+| splice or absorb | all four |
+
+Matrix redundancy only rewrites the node's labels: bookkeeping and
+symmetry read its children, which stay the same, and it is pending only
+together with single-player, which runs after it.  A symmetry merge
+unions one edge's label into another's and drops a child, so it enables
+no splice and leaves no two children of equal keys.  A check that is
+skipped could not have fired, so the steps and the normal form are those
+of rerunning every check until none fires.
+
+The pass only reads its input, which may be a shared arena (a built
+tree): it builds the normal form into a fresh hash-consed arena,
+normalizing each distinct subtree once, and returns that arena's
+reachable part, still shared.  Like a built tree, the form stands for
+its unfolding: exports, node counts and witnesses unfold it on demand.
+This pass is the package's one rewriting engine; each helper below reads
+or rewrites one node's out-edges for it.  Per-node matrix facts (choice
+sets, their total size, the one player who chooses) come from
+`tree.node_meta`, which caches them under the node's edge labels, so
+rewrites need no cache invalidation.
 
 Sites that touch truncated frontier nodes are skipped, so depth-limited
 partial trees normalize deterministically without inventing semantics for
@@ -119,18 +139,6 @@ class ReductionTrace:
 
 
 # ---------------------------------------------------------------------------
-# Measure helpers
-# ---------------------------------------------------------------------------
-
-
-def node_choice_total(tree: GameTree, node: int) -> int:
-    """Total choice-set cardinality of the node's decision matrix (0 off state nodes)."""
-    if tree.node_kind[node] != STATE or not tree.node_children[node]:
-        return 0
-    return node_meta(tree, node).total
-
-
-# ---------------------------------------------------------------------------
 # Matrix redundancy
 # ---------------------------------------------------------------------------
 
@@ -156,7 +164,7 @@ def _pruned_labels(meta: NodeMeta) -> Optional[tuple[frozenset, ...]]:
                 sig.setdefault(joint[i], []).append((joint[:i] + joint[i + 1 :], pos))
             groups: dict = {}
             for choice, results in sig.items():
-                groups.setdefault(tuple(sorted(results, key=repr)), []).append(choice)
+                groups.setdefault(frozenset(results), []).append(choice)
             doomed = set()
             for members in groups.values():
                 if len(members) > 1:
@@ -224,7 +232,7 @@ def _concat_labels(a: frozenset, b: frozenset, cap: int) -> frozenset:
     return frozenset(out)
 
 
-def _absorbable(tree: GameTree, v: int, owner: int, child: int) -> bool:
+def _absorbable(tree: GameTree, owner: int, child: int) -> bool:
     """Can `child` be folded into its parent's composite choices?"""
     if tree.node_kind[child] != STATE or not tree.node_children[child]:
         return False
@@ -243,7 +251,7 @@ def _absorb_children_once(tree: GameTree, v: int, owner: int) -> list[int]:
     children_edges = list(tree.node_children[v])
     for e_vw in children_edges:
         w = tree.edge_dst[e_vw]
-        if not _absorbable(tree, v, owner, w):
+        if not _absorbable(tree, owner, w):
             continue
         base = tree.edge_label[e_vw]
         new_labels = []
@@ -293,6 +301,11 @@ def _merge_pair(tree: GameTree, parent: int, victim_edge: int, survivor_edge: in
 # Normalization
 # ---------------------------------------------------------------------------
 
+MATRIX_REDUNDANCY, BOOKKEEPING, SINGLE_PLAYER, SYMMETRY = 1, 2, 4, 8
+ALL_REWRITES = MATRIX_REDUNDANCY | BOOKKEEPING | SINGLE_PLAYER | SYMMETRY
+# What a symmetry merge can enable: it changes the merged edge's label
+ENABLED_BY_SYMMETRY = MATRIX_REDUNDANCY | SINGLE_PLAYER
+
 
 def _normal_form(tree: GameTree, trace: ReductionTrace) -> GameTree:
     """The normal form of `tree` as a fresh shared arena; `tree` is only read.
@@ -304,24 +317,36 @@ def _normal_form(tree: GameTree, trace: ReductionTrace) -> GameTree:
     that copy's out-edges only.  The loop reads nothing but the key's
     fields, so equal keys have equal normal forms on imported, reduced and
     depth-limited trees alike.  A finished node never changes again, so any
-    number of parents can share it, and nothing needs a parent.  Each
-    input node is visited once, after its children.  A repeated input node
-    replays the trace steps of its whole subtree and a repeated key the
-    steps of its own loop, so the trace is that of the unfolded tree, and a
-    step's `root` names the first input node copied into the node it
-    rewrote.  The output's measure is known from the finished nodes, so the
-    trace starts at that measure minus the steps' changes.
+    number of parents can share it, nothing needs a parent, and its facts
+    are computed once.  Each input node is visited once, after its
+    children.  A repeated input node replays the trace steps of its whole
+    subtree and a repeated key the steps of its own loop, so the trace is
+    that of the unfolded tree, and a step's `root` names the first input
+    node copied into the node it rewrote.  The output's measure is known
+    from the finished nodes, so the trace starts at that measure minus the
+    running total of the steps' changes.
     """
     out = GameTree(tree.players, tree.system)
     out.label_cache = tree.label_cache
     key_fn = canon.make_key_fn(out, canon.PIN_SYMMETRY)
     origin: list[int] = []  # per output node, the input node it copies
-    # per finished output node: (node count, choice count, has a truncated node)
-    facts: dict[int, tuple[int, int, bool]] = {}
+    # per finished output node: (node count, choice count, has a truncated
+    # node, its own choice total, the owner single-player may absorb it into)
+    facts: dict[int, tuple[int, int, bool, int, Optional[int]]] = {}
     deltas = trace.deltas
+    total = [0, 0]  # the changes of the steps in `deltas`, summed
 
     def record(kind: str, node: int, dn: int, dc: int) -> None:
         trace.record(kind, origin[node], dn, dc)
+        total[0] += dn
+        total[1] += dc
+
+    def replay(lo: int, hi: int, dn: int, dc: int) -> None:
+        # A replay repeats deltas that `record` has already checked, so it
+        # cannot fail the check.
+        deltas.extend(deltas[lo:hi])
+        total[0] += dn
+        total[1] += dc
 
     def splice_forced_child(v: int, e_vw: int) -> bool:
         """Bookkeeping, pairwise: splice a forced state child of v."""
@@ -336,7 +361,7 @@ def _normal_form(tree: GameTree, trace: ReductionTrace) -> GameTree:
             out.node_kind[out.edge_dst[e]] == TRUNCATED for e in out.node_children[x]
         ):
             return False  # site leaves include a truncated node
-        w_choices = node_choice_total(out, w)
+        w_choices = facts[w][3]
         if x_kind == CHANCE and out.node_kind[v] == CHANCE:
             # fold x's edges into v, scaled by the edge into w
             p_r = out.edge_prob[e_vw]
@@ -351,73 +376,109 @@ def _normal_form(tree: GameTree, trace: ReductionTrace) -> GameTree:
 
     def process(v: int) -> int:
         """Normalize the copy v, a state or chance node whose children are
-        finished; returns the node that stands for it."""
+        finished; returns the node that stands for it.  Each round runs the
+        pending rewrites in the canonical order (see the module docstring)."""
         is_state = out.node_kind[v] == STATE
-        while True:
-            changed = False
-            if is_state:
-                before = node_choice_total(out, v)
+        children = out.node_children[v]
+        applicable = ALL_REWRITES if is_state else BOOKKEEPING | SYMMETRY
+        pending = applicable
+        meta = None  # `node_meta` of v's labels as they are now, once read
+        while pending:
+            if pending & MATRIX_REDUNDANCY:
+                pending &= ~MATRIX_REDUNDANCY
+                if meta is None:
+                    meta = node_meta(out, v)
                 if _matrix_redundancy_at(out, v):
-                    record("matrix-redundancy", v, 0, node_choice_total(out, v) - before)
-                    changed = True
-            for e in list(out.node_children[v]):
-                if e in out.node_children[v] and splice_forced_child(v, e):
-                    changed = True
-            # Single-player: a site roots at v when one player owns v's
-            # choices and no child is truncated (a site leaf would be one).
-            owner = node_meta(out, v).owner if is_state else None
-            if owner is not None and not any(
-                out.node_kind[out.edge_dst[e]] == TRUNCATED for e in out.node_children[v]
-            ):
-                before_v = node_choice_total(out, v)
-                absorbed = _absorb_children_once(out, v, owner)
-                if absorbed:
-                    changed = True
-                    dc = (
-                        node_choice_total(out, v)
-                        - before_v
-                        - sum(node_choice_total(out, w) for w in absorbed)
-                    )
-                    record("single-player", v, -len(absorbed), dc)
-            # symmetry merges among the (now stable-keyed) children
-            groups: dict[bytes, list[int]] = {}
-            for e in out.node_children[v]:
-                dst = out.edge_dst[e]
-                if facts[dst][2]:
-                    continue
-                groups.setdefault(key_fn(dst), []).append(e)
-            for edges in groups.values():
-                survivor = edges[0]
-                for victim in edges[1:]:
-                    nodes, choices, _ = facts[out.edge_dst[victim]]
-                    stand = _merge_pair(out, v, victim, survivor)
-                    record("symmetry", v, -nodes - (stand != v), -choices)
-                    changed = True
-                    if stand != v:
-                        return stand  # v itself was removed
-            if not changed:
-                return v
+                    after = node_meta(out, v)
+                    record("matrix-redundancy", v, 0, after.total - meta.total)
+                    meta = after
+            if pending & BOOKKEEPING:
+                pending &= ~BOOKKEEPING
+                for e in list(children):
+                    if e in children and splice_forced_child(v, e):
+                        pending = applicable
+            if pending & SINGLE_PLAYER:
+                pending &= ~SINGLE_PLAYER
+                if meta is None:
+                    meta = node_meta(out, v)
+                # A site roots at v when one player owns v's choices, no
+                # child is truncated (a site leaf would be one) and a child
+                # is absorbable.
+                owner = meta.owner
+                if (
+                    owner is not None
+                    and any(facts[out.edge_dst[e]][4] == owner for e in children)
+                    and not any(out.node_kind[out.edge_dst[e]] == TRUNCATED for e in children)
+                ):
+                    absorbed = _absorb_children_once(out, v, owner)
+                    if absorbed:
+                        after = node_meta(out, v)
+                        dc = after.total - meta.total - sum(facts[w][3] for w in absorbed)
+                        record("single-player", v, -len(absorbed), dc)
+                        meta = after
+                        pending = applicable
+            if pending & SYMMETRY:
+                pending &= ~SYMMETRY
+                # merges among the (finished, so stable-keyed) children
+                groups: dict[bytes, list[int]] = {}
+                for e in children:
+                    dst = out.edge_dst[e]
+                    if facts[dst][2]:
+                        continue
+                    groups.setdefault(key_fn(dst), []).append(e)
+                for edges in groups.values():
+                    survivor = edges[0]
+                    for victim in edges[1:]:
+                        nodes, choices = facts[out.edge_dst[victim]][:2]
+                        stand = _merge_pair(out, v, victim, survivor)
+                        record("symmetry", v, -nodes - (stand != v), -choices)
+                        if stand != v:
+                            return stand  # v itself was removed
+                        pending |= ENABLED_BY_SYMMETRY & applicable
+                        meta = None
+        return v
 
-    # Children first.  A stack entry is (input node, its first step), the
-    # first step -1 while the node is yet to be entered.
-    # done: input node -> (its normal form, the steps of its subtree lo:hi)
-    # table: memo key -> (normal form, the steps of its own loop lo:hi)
-    done: dict[int, tuple[int, int, int]] = {}
-    table: dict[tuple, tuple[int, int, int]] = {}
+    def finish(c: int) -> None:
+        """Record the facts of the finished node c."""
+        nodes, choices, absorber = 1, 0, None
+        kind = out.node_kind[c]
+        if kind == STATE:
+            meta = node_meta(out, c)
+            choices = meta.total
+            if meta.owner is not None and all(
+                out.node_kind[out.edge_dst[e]] in (STATE, TERMINAL) for e in out.node_children[c]
+            ):
+                absorber = meta.owner
+        own = choices
+        trunc = kind == TRUNCATED
+        for e in out.node_children[c]:
+            child_nodes, child_choices, child_trunc = facts[out.edge_dst[e]][:3]
+            nodes += child_nodes
+            choices += child_choices
+            trunc = trunc or child_trunc
+        facts[c] = (nodes, choices, trunc, own, absorber)
+
+    # Children first.  A stack entry is (input node, its first step, the
+    # running totals there), the first step -1 while the node is yet to be
+    # entered.
+    # done: input node -> (its normal form, the steps of its subtree lo:hi,
+    #   their changes summed)
+    # table: memo key -> (normal form, the steps of its own loop lo:hi,
+    #   their changes summed)
+    done: dict[int, tuple[int, int, int, int, int]] = {}
+    table: dict[tuple, tuple[int, int, int, int, int]] = {}
     add_node, add_edge = out.add_node, out.add_edge
-    stack: list[tuple[int, int]] = [(tree.root, -1)]
+    stack: list[tuple[int, int, int, int]] = [(tree.root, -1, 0, 0)]
     while stack:
-        v, lo = stack.pop()
+        v, lo, dn0, dc0 = stack.pop()
         if lo < 0:
             got = done.get(v)
             if got is None:
-                stack.append((v, len(deltas)))
+                stack.append((v, len(deltas), total[0], total[1]))
                 for e in tree.node_children[v]:
-                    stack.append((tree.edge_dst[e], -1))
+                    stack.append((tree.edge_dst[e], -1, 0, 0))
             else:
-                # A replay repeats deltas that `record` has already checked,
-                # so it cannot fail the check.
-                deltas.extend(deltas[got[1]:got[2]])
+                replay(*got[1:])
             continue
         edges = tuple(
             (tree.edge_kind[e], tree.edge_label[e], tree.edge_prob[e], done[tree.edge_dst[e]][0])
@@ -430,22 +491,15 @@ def _normal_form(tree: GameTree, trace: ReductionTrace) -> GameTree:
             origin.append(v)
             for kind, label, prob, child in edges:
                 add_edge(c, child, kind, prob, label)
-            mark = len(deltas)
+            mark, dn, dc = len(deltas), total[0], total[1]
             if key[0] in (STATE, CHANCE):
                 c = process(c)
             if c not in facts:
-                nodes, choices = 1, node_choice_total(out, c)
-                trunc = out.node_kind[c] == TRUNCATED
-                for e in out.node_children[c]:
-                    child_nodes, child_choices, child_trunc = facts[out.edge_dst[e]]
-                    nodes += child_nodes
-                    choices += child_choices
-                    trunc = trunc or child_trunc
-                facts[c] = (nodes, choices, trunc)
-            got = table[key] = (c, mark, len(deltas))
+                finish(c)
+            got = table[key] = (c, mark, len(deltas), total[0] - dn, total[1] - dc)
         else:
-            deltas.extend(deltas[got[1]:got[2]])
-        done[v] = (got[0], lo, len(deltas))
+            replay(*got[1:])
+        done[v] = (got[0], lo, len(deltas), total[0] - dn0, total[1] - dc0)
 
     # Root-level bookkeeping (Case 1 with the root as the subtree root).
     root = done[tree.root][0]
@@ -453,11 +507,11 @@ def _normal_form(tree: GameTree, trace: ReductionTrace) -> GameTree:
         x = out.edge_dst[out.node_children[root][0]]
         if out.node_kind[x] not in (STATE, TERMINAL):
             break
-        record("bookkeeping", root, -1, -node_choice_total(out, root))
+        record("bookkeeping", root, -1, -facts[root][3])
         root = x
     out.root = root
-    nodes, choices, _ = facts[root]
-    trace.start = (nodes - sum(d[2] for d in deltas), choices - sum(d[3] for d in deltas))
+    nodes, choices = facts[root][:2]
+    trace.start = (nodes - total[0], choices - total[1])
     return out
 
 

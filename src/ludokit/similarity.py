@@ -214,8 +214,12 @@ class SimilarityReport:
         )
 
 
-def _partial_normal_form(sys: GameSystem, state: GameState, depth: int):
+def _partial_normal_form(sys: GameSystem, state: GameState, depth: int, label_cache: dict):
+    """The normal form of the depth-limited tree at `state`, its per-label
+    facts kept in `label_cache`: labels are values, so the trees of one
+    system can share one cache and decode each matrix once."""
     tree = build_tree(sys, state, depth_limit=depth)
+    tree.label_cache = label_cache
     form, _ = reduce_mod.normalize(tree)
     return form
 
@@ -226,11 +230,13 @@ def _compare_at(
     psi: StateMap,
     state: GameState,
     depth: int,
+    label_caches: tuple[dict, dict],
 ) -> SampleRecord:
+    """Score one state; `label_caches` holds one label cache per system."""
     mapped = apply_state_map(psi, state, left, right)
     try:
-        lform = _partial_normal_form(left, state, depth)
-        rform = _partial_normal_form(right, mapped, depth)
+        lform = _partial_normal_form(left, state, depth, label_caches[0])
+        rform = _partial_normal_form(right, mapped, depth, label_caches[1])
     except NoRuleMatchesError:
         return SampleRecord(state, mapped, matched=False, completeness_gap=True)
     pin = set()
@@ -301,8 +307,9 @@ def similarity(
     records = []
     matches = 0
     gaps = 0
+    label_caches: tuple[dict, dict] = ({}, {})
     for state in states:
-        record = _compare_at(left, right, psi, state, depth)
+        record = _compare_at(left, right, psi, state, depth, label_caches)
         records.append(record)
         if record.matched:
             matches += 1
@@ -337,7 +344,8 @@ def exhaustive_proportion(
     if pool is None:
         pool = list(enumerate_states(left))
     matches = 0
+    label_caches: tuple[dict, dict] = ({}, {})
     for state in pool:
-        if _compare_at(left, right, psi, state, depth).matched:
+        if _compare_at(left, right, psi, state, depth, label_caches).matched:
             matches += 1
     return matches, len(pool)

@@ -3,8 +3,9 @@
 Everything here is deliberately written from first principles, sharing no
 logic with the package's canonical-key machinery, so key-based verdicts can
 be checked against definition-faithful brute force.  The exceptions, the
-reference renderers, the in-place normalizer and the per-site engine with
-its randomized `normalize_random`, say so where they start.
+reference renderers, the reference matrix solver, the in-place normalizer
+and the per-site engine with its randomized `normalize_random`, say so
+where they start.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import itertools
 import json
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -38,7 +40,6 @@ from ludokit.reduce import (
     _matrix_redundancy_at,
     _merge_pair,
     _pruned_at,
-    node_choice_total,
 )
 from ludokit.tree import (
     CHANCE,
@@ -627,12 +628,136 @@ def reference_matrix(tree: GameTree, node: int) -> tuple[tuple, dict]:
 
 
 # ---------------------------------------------------------------------------
+# The reference matrix solver: `canon._matrix_fingerprint_general` as it was
+# before automorphism pruning, kept verbatim.  It individualizes every member
+# of a tied class and keeps the first minimum, so the pruned solver must give
+# the same (fingerprint, edge order) on every input.
+# ---------------------------------------------------------------------------
+
+
+def reference_matrix_fingerprint(
+    cells: list[tuple], choice_lists: list[list], edge_cols: list[bytes]
+) -> tuple[bytes, list[int]]:
+    """Canonical form of a multi-player matrix by refinement + branching.
+
+    cells: (choice-index tuple, edge position) pairs covering the product;
+    edge_cols: each edge position's color.  Returns (fingerprint, edge
+    positions in the order realizing it).
+    """
+    n_axes = len(choice_lists)
+    n_edges = len(edge_cols)
+
+    def refine(choice_class: list[list[int]], edge_class: list[int]):
+        while True:
+            changed = False
+            new_edge_sigs = [[] for _ in range(n_edges)]
+            for idx, epos in cells:
+                new_edge_sigs[epos].append(
+                    tuple(choice_class[a][idx[a]] for a in range(n_axes))
+                )
+            sig_map = {}
+            new_edge_class = []
+            for epos in range(n_edges):
+                sig = (edge_class[epos], tuple(sorted(new_edge_sigs[epos])))
+                if sig not in sig_map:
+                    sig_map[sig] = None
+                new_edge_class.append(sig)
+            ordered = {s: i for i, s in enumerate(sorted(sig_map))}
+            new_edge_class = [ordered[s] for s in new_edge_class]
+            if new_edge_class != edge_class:
+                changed = True
+                edge_class = new_edge_class
+            for a in range(n_axes):
+                sigs = [[] for _ in choice_lists[a]]
+                for idx, epos in cells:
+                    sigs[idx[a]].append(
+                        (
+                            edge_class[epos],
+                            tuple(
+                                choice_class[b][idx[b]]
+                                for b in range(n_axes)
+                                if b != a
+                            ),
+                        )
+                    )
+                keyed = [
+                    (choice_class[a][i], tuple(sorted(sigs[i])))
+                    for i in range(len(choice_lists[a]))
+                ]
+                ordered = {s: i for i, s in enumerate(sorted(set(keyed)))}
+                new_class = [ordered[k] for k in keyed]
+                if new_class != choice_class[a]:
+                    changed = True
+                    choice_class[a] = new_class
+            if not changed:
+                return choice_class, edge_class
+
+    def solve(choice_class: list[list[int]], edge_class: list[int]):
+        choice_class = [list(c) for c in choice_class]
+        choice_class, edge_class = refine(choice_class, edge_class)
+        for a in range(n_axes):
+            counts = Counter(choice_class[a])
+            dup = sorted(c for c, k in counts.items() if k > 1)
+            if dup:
+                target = dup[0]
+                members = [i for i, c in enumerate(choice_class[a]) if c == target]
+                best = None
+                for m in members:
+                    trial = [list(c) for c in choice_class]
+                    # individualize m below its class peers
+                    trial[a] = [
+                        c * 2 + (0 if i == m else 1) if c == target else c * 2
+                        for i, c in enumerate(trial[a])
+                    ]
+                    result = solve(trial, list(edge_class))
+                    if best is None or result[0] < best[0]:
+                        best = result
+                return best
+        # discrete: derive canonical orders
+        inv = []
+        for a in range(n_axes):
+            perm = sorted(range(len(choice_lists[a])), key=lambda i: choice_class[a][i])
+            inv.append({old: new for new, old in enumerate(perm)})
+        cellmap = {}
+        for idx, epos in cells:
+            cellmap[tuple(inv[a][idx[a]] for a in range(n_axes))] = epos
+        flat = []
+        edge_first: dict[int, int] = {}
+        for idx in itertools.product(*(range(len(c)) for c in choice_lists)):
+            epos = cellmap[idx]
+            pos = edge_first.setdefault(epos, len(edge_first))
+            flat.append(pos)
+        edge_perm = sorted(edge_first, key=edge_first.get)
+        enc = repr(
+            (
+                tuple(len(c) for c in choice_lists),
+                tuple(flat),
+                tuple(edge_cols[epos] for epos in edge_perm),
+            )
+        ).encode()
+        return enc, edge_perm
+
+    col_rank = {c: i for i, c in enumerate(sorted(set(edge_cols)))}
+    return solve(
+        [[0] * len(c) for c in choice_lists],
+        [col_rank[c] for c in edge_cols],
+    )
+
+
+# ---------------------------------------------------------------------------
 # The in-place normalizer: the reference for `ludokit.reduce.normalize`.
 # Unlike the rest of this module it uses the package's rewrite helpers and
 # `canon` keys: it checks the memoized engine's sharing and bookkeeping, not
 # the rewrites themselves.  It keeps its own single-player site test, which
 # the package engine folds into its loop.
 # ---------------------------------------------------------------------------
+
+
+def node_choice_total(tree: GameTree, node: int) -> int:
+    """Total choice-set cardinality of the node's decision matrix (0 off state nodes)."""
+    if tree.node_kind[node] != STATE or not tree.node_children[node]:
+        return 0
+    return node_meta(tree, node).total
 
 
 def _owner_of(tree: GameTree, node: int) -> Optional[int]:
@@ -653,7 +778,7 @@ def _single_player_site_at(tree: GameTree, node: int) -> bool:
     ):
         return False  # a site leaf would be a truncated node
     return any(
-        _absorbable(tree, node, owner, tree.edge_dst[e])
+        _absorbable(tree, owner, tree.edge_dst[e])
         for e in tree.node_children[node]
     )
 
@@ -1074,7 +1199,7 @@ def find_single_player_sites(tree: GameTree) -> list[ReductionSite]:
             parent >= 0
             and _owner_of(tree, parent) == _owner_of(tree, node)
             and _single_player_site_at(tree, parent)
-            and _absorbable(tree, parent, _owner_of(tree, parent), node)
+            and _absorbable(tree, _owner_of(tree, parent), node)
         ):
             continue  # parent's site strictly contains this one
         sites.append(ReductionSite("single-player", node))

@@ -1,10 +1,15 @@
-"""The matrix canonical-form memo in `tree.label_cache`: sound and used."""
+"""The matrix solver and its memo in `tree.label_cache`: the pruned solver
+agrees with the reference, and the memo is sound and used."""
 
 from __future__ import annotations
 
+import itertools
+import math
 import random
+import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import generators
 import oracles
@@ -146,3 +151,118 @@ def test_repeats_are_served_from_the_cache(monkeypatch):
     )
     assert equiv.canonical_form(renamed) == equiv.canonical_form(t)
     assert len(calls) == first
+
+
+# ---------------------------------------------------------------------------
+# The pruned solver against the reference solver
+# ---------------------------------------------------------------------------
+
+
+def solve_calls(fn, *args):
+    """`fn(*args)` and the number of calls of the solver's inner `solve`."""
+    calls = [0]
+    where = ("solve", fn.__code__.co_filename)
+
+    def count(frame, event, arg):
+        # a trace function sees Python calls only; returning None leaves
+        # the called frame untraced
+        if (frame.f_code.co_name, frame.f_code.co_filename) == where:
+            calls[0] += 1
+
+    previous = sys.gettrace()
+    sys.settrace(count)
+    try:
+        result = fn(*args)
+    finally:
+        sys.settrace(previous)
+    return result, calls[0]
+
+
+PATTERNS = ("random", "single-edge", "diagonal", "latin")
+# Axis sizes: 2-3 axes of 1-4 choices.  The reference solver tries up to
+# prod(size!) leaves, so shapes above 600 (such as 4x4x2) are left out.
+SHAPES = [
+    sizes
+    for n_axes in (2, 3)
+    for sizes in itertools.product(range(1, 5), repeat=n_axes)
+    if math.prod(map(math.factorial, sizes)) <= 600
+]
+
+
+@st.composite
+def colored_matrices(draw):
+    """(cells, choice lists, edge colors) of a total matrix of one of
+    `SHAPES` with 1-4 edges, in a shuffled cell order."""
+    sizes = draw(st.sampled_from(SHAPES))
+    idxs = list(itertools.product(*(range(n) for n in sizes)))
+    n_edges = draw(st.integers(1, 4))
+    pattern = draw(st.sampled_from(PATTERNS))
+    if pattern == "single-edge":
+        raw = [0] * len(idxs)
+    elif pattern == "diagonal":
+        raw = [int(len(set(idx)) == 1) for idx in idxs]
+    elif pattern == "latin":
+        raw = [sum(idx) % n_edges for idx in idxs]
+    else:
+        raw = draw(st.lists(st.integers(0, n_edges - 1), min_size=len(idxs), max_size=len(idxs)))
+    used = sorted(set(raw))
+    epos = {e: i for i, e in enumerate(draw(st.permutations(used)))}
+    n_colors = draw(st.integers(1, len(used)))
+    edge_cols = [b"c%d" % draw(st.integers(0, n_colors - 1)) for _ in used]
+    cells = draw(st.permutations([(idx, epos[e]) for idx, e in zip(idxs, raw)]))
+    choice_lists = [["x%d" % i for i in range(n)] for n in sizes]
+    return cells, choice_lists, edge_cols
+
+
+class TestPrunedSolver:
+    @settings(max_examples=300, deadline=None)
+    @given(colored_matrices())
+    def test_agrees_with_the_reference(self, matrix):
+        cells, choice_lists, edge_cols = matrix
+        got, calls = solve_calls(canon._matrix_fingerprint_general, cells, choice_lists, edge_cols)
+        want, ref_calls = solve_calls(
+            oracles.reference_matrix_fingerprint, cells, choice_lists, edge_cols
+        )
+        assert got == want
+        assert calls <= ref_calls
+
+    def test_one_edge_takes_one_call_per_axis(self):
+        sizes = (3, 3, 2)
+        cells = [(idx, 0) for idx in itertools.product(*(range(n) for n in sizes))]
+        choice_lists = [list(range(n)) for n in sizes]
+        got, calls = solve_calls(canon._matrix_fingerprint_general, cells, choice_lists, [b"k"])
+        assert got == oracles.reference_matrix_fingerprint(cells, choice_lists, [b"k"])
+        assert calls == len(sizes) + 1
+
+    def test_small_trees_corpus(self, monkeypatch):
+        """Every solver run of a small-trees pass (seed 7 of the benchmark's
+        corpus: agency check, witness check and both canonical forms per
+        tree) agrees with the reference, in at most 1,300 `solve` calls."""
+        runs = []
+        pruned = canon._matrix_fingerprint_general
+
+        def checked(cells, choice_lists, edge_cols):
+            got, calls = solve_calls(pruned, cells, choice_lists, edge_cols)
+            assert got == oracles.reference_matrix_fingerprint(cells, choice_lists, edge_cols)
+            runs.append(calls)
+            return got
+
+        monkeypatch.setattr(canon, "_matrix_fingerprint_general", checked)
+        for k in range(200):
+            shape = random.Random(f"corpus/{k}")
+            t = generators.random_tree(
+                shape, max_nodes=shape.randint(20, 200), n_players=shape.choice((2, 3))
+            )
+            maps = random.Random(f"7/{k}")
+            players = list(t.players)
+            outcomes = ["w1", "w2", "w3"]
+            renamed = equiv.relabel_tree(
+                t,
+                dict(zip(players, maps.sample(players, len(players)))),
+                dict(zip(outcomes, maps.sample(outcomes, len(outcomes)))),
+            )
+            witness = equiv.agency_equivalent(t, renamed)
+            assert witness is not None and not equiv.verify_witness(witness)
+            assert equiv.canonical_form(t) == equiv.canonical_form(renamed)
+        assert len(runs) == 728
+        assert sum(runs) <= 1300

@@ -674,6 +674,74 @@ class TestSharing:
             normalize(swap_pair_right)
 
 
+class TestWorklist:
+    """`normalize` reruns after a rewrite only the rewrites it can enable;
+    a check it skips could not have fired, so its normal forms and traces
+    are those of the in-place oracle, which reruns every check."""
+
+    @staticmethod
+    def subtree_form(t: GameTree, node: int) -> str:
+        sub = t.copy()
+        sub.root = node
+        return tree.export_json(normalize(sub)[0])
+
+    def test_symmetry_merge_enables_single_player(self):
+        """A merge can clear the collision that blocked an absorb.  P1's
+        choices x, x.y and x.y.y lead to w, a copy of w, and a leaf.
+        Absorbing w would make x.y (taken by its copy's edge); absorbing
+        the copy would make x.y.y (taken by the leaf's edge).  Once the two
+        copies merge, matrix redundancy keeps x alone on their edge, and w
+        is absorbed in the next round."""
+        t = GameTree(("P1", "P2"))
+        root = t.root = t.add_node(STATE)
+        leaf = t.add_node(TERMINAL, outcome="w3")
+        for base in (("x",), ("x", "y")):
+            w = t.add_node(STATE)
+            seq = tuple((c, None) for c in base)
+            t.add_edge(root, w, DECISION_EDGE, label=frozenset({seq}))
+            for move, outcome in (("y", "w1"), ("z", "w2")):
+                end = t.add_node(TERMINAL, outcome=outcome)
+                t.add_edge(w, end, DECISION_EDGE, label=frozenset({((move, None),)}))
+        seq = (("x", None), ("y", None), ("y", None))
+        t.add_edge(root, leaf, DECISION_EDGE, label=frozenset({seq}))
+        form, trace = normalize(t)
+        ref_form, ref_trace = oracles.normalize_in_place(t)
+        assert [step.kind for step in trace.steps] == [
+            "symmetry", "matrix-redundancy", "single-player"
+        ]
+        assert form.node_count() == 4
+        assert tree.export_json(form) == tree.export_json(ref_form)
+        assert trace.to_json() == ref_trace.to_json()
+
+    @pytest.mark.parametrize("variant", ["2-player", "3-player", "truncated"])
+    def test_exports_and_traces_equal_the_in_place_oracle(self, variant):
+        """Export bytes and trace JSON equal the oracle's.  A step's `root`
+        names the first input node of its memo key, where the oracle names
+        the first of its exact subtree: where the two differ (a handful of
+        these trees, as before the worklist), both name input nodes of
+        equal normal form."""
+        fired = set()
+        for seed in range(200):
+            t = generators.random_tree(
+                random.Random(f"worklist/{variant}/{seed}"),
+                max_nodes=30 + seed % 50,
+                n_players=3 if variant == "3-player" else 2,
+                allow_truncated=variant == "truncated",
+            )
+            form, trace = normalize(t)
+            ref_form, ref_trace = oracles.normalize_in_place(t)
+            assert tree.export_json(form) == tree.export_json(ref_form)
+            steps, ref_steps = json.loads(trace.to_json()), json.loads(ref_trace.to_json())
+            assert len(steps) == len(ref_steps)
+            for step, ref in zip(steps, ref_steps):
+                root, ref_root = step.pop("root"), ref.pop("root")
+                assert step == ref
+                if root != ref_root:
+                    assert self.subtree_form(t, root) == self.subtree_form(t, ref_root)
+            fired.update(step["kind"] for step in steps)
+        assert fired == {"matrix-redundancy", "bookkeeping", "single-player", "symmetry"}
+
+
 class TestSharedForm:
     """`normalize` returns its hash-consed arena: only reachable nodes,
     numbered as `unfold` numbers them, standing for its unfolding."""

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import fixture_text
-from ludokit import core
+from ludokit import canon, core, equiv, reduce, tree
 from ludokit.errors import LudokitError, StateMapError
 from ludokit.similarity import (
     StateMap,
@@ -137,6 +137,30 @@ class TestStateMap:
 
 
 class TestSimilarity:
+    def test_one_label_cache_per_system(self, systems, magic_psi, monkeypatch):
+        """The samples of one call share a label cache per system, so each
+        distinct tuple of edge labels is decoded once per system.  With a
+        fresh cache per sampled tree, as before, this call missed 2,907
+        times."""
+        real = tree.node_meta
+        misses = []
+        seen = set()
+
+        def counting(t, node):
+            labels = tuple([t.edge_label[e] for e in t.node_children[node]])
+            if labels not in t.label_cache:
+                misses.append(labels)
+            seen.add((id(t.label_cache), labels))
+            return real(t, node)
+
+        for module in (tree, canon, reduce, equiv):
+            monkeypatch.setattr(module, "node_meta", counting)
+        report = similarity(
+            systems["tictactoe"], systems["3to15"], magic_psi, samples=200, depth=2
+        )
+        assert report.matches == 200
+        assert len(misses) == len(seen) < 2907
+
     def test_self_similarity(self, systems):
         sys = systems["mixed_a"]
         psi = StateMap.identity(sys, sys)
