@@ -432,13 +432,19 @@ class _Engine:
     Each player's legality rules form one function returning that player's
     legal set; the outcome rules form one function returning the first
     matching outcome, and each action one function returning the successor
-    state.  Consequence rules are indexed by decision tuple (a pattern match
-    depends only on the tuple), so a lookup tests only the guards of the
-    rules whose patterns match, in rule order.  `init_fn` is init's function;
-    `initial_states` first restricts the tracks that init's top-level
-    literals force.  Legal-set, consequence, action, and outcome lookups are
-    cached by state, which makes tree construction fast on
-    transposition-heavy games.
+    state.  `init_fn` is init's function; `initial_states` first restricts
+    the tracks that init's top-level literals force.  Legal-set and outcome
+    lookups are cached by state, which makes tree construction fast on
+    transposition-heavy games.  Actions are not cached: a build applies each
+    (actions, state) pair once, since it expands each state node once.
+
+    Consequence rules are indexed by decision tuple, on the tuple's first
+    lookup: a pattern match depends only on the tuple.  When the first rule
+    whose pattern matches has no guard, first-match picks it in every state,
+    so its results are stored per tuple in `_cons_fixed` and a lookup is one
+    dict hit.  Only a tuple whose first match is guarded tests guards, in
+    rule order, and caches its answer per (tuple, state).  Strict lookups
+    always scan every matching rule.
     """
 
     def __init__(self, sys: GameSystem):
@@ -446,6 +452,7 @@ class _Engine:
         self.track_index = {t.name: i for i, t in enumerate(sys.tracks)}
         self.value_lists = tuple(t.values for t in sys.tracks)
         self.ref_index = {name: i for i, name in enumerate(sys.named_sets)}
+        self._memo_len = len(self.ref_index)
         gen = _CodeGen(self.track_index, self.ref_index, {})
         for name, expr in sys.named_sets.items():
             gen.named_set(self.ref_index[name], expr)
@@ -480,10 +487,12 @@ class _Engine:
         # decision tuple -> ((guard_fn, results), ...) of the rules whose
         # patterns match it, in rule order
         self._cons_index: dict[DecisionTuple, tuple] = {}
+        # decision tuple -> results, for tuples whose first match is unguarded
+        self._cons_fixed: dict[DecisionTuple, tuple] = {}
 
         self._legal_cache: dict[GameState, tuple[frozenset[str], ...]] = {}
+        # (decision tuple, state) -> results, for the other tuples
         self._cons_cache: dict[tuple[DecisionTuple, GameState], tuple] = {}
-        self._apply_cache: dict[tuple[tuple[str, ...], GameState], GameState] = {}
         self._outcome_cache: dict[GameState, str] = {}
 
     # -- expression compilation -------------------------------------------
@@ -499,7 +508,7 @@ class _Engine:
         return gen.flush()[name]
 
     def fresh_memo(self) -> list:
-        return [None] * len(self.ref_index)
+        return [None] * self._memo_len
 
     def eval(self, fn: _EvalFn, state: GameState) -> bool:
         return fn(state, self.fresh_memo())
@@ -514,48 +523,51 @@ class _Engine:
         return cached
 
     def consequences(self, dtuple: DecisionTuple, state: GameState, strict: bool = False):
-        key = (dtuple, state)
-        cached = self._cons_cache.get(key)
-        if cached is None or strict:
-            candidates = self._cons_index.get(dtuple)
-            if candidates is None:
-                candidates = self._cons_index[dtuple] = tuple(
-                    (guard_fn, results)
-                    for pattern, guard_fn, results in self._cons_rules
-                    if _pattern_matches(pattern, dtuple)
+        if not strict:
+            cached = self._cons_fixed.get(dtuple)
+            if cached is None:
+                cached = self._cons_cache.get((dtuple, state))
+            if cached is not None:
+                return cached
+        candidates = self._cons_index.get(dtuple)
+        if candidates is None:
+            candidates = self._cons_index[dtuple] = tuple(
+                (guard_fn, results)
+                for pattern, guard_fn, results in self._cons_rules
+                if _pattern_matches(pattern, dtuple)
+            )
+            if candidates and candidates[0][0] is None:
+                self._cons_fixed[dtuple] = candidates[0][1]
+                if not strict:
+                    return candidates[0][1]
+        memo = self.fresh_memo()
+        matches = []
+        for guard_fn, results in candidates:
+            if guard_fn is None or guard_fn(state, memo):
+                matches.append(results)
+                if not strict:
+                    break
+        if not matches:
+            raise NoRuleMatchesError(state, dtuple)
+        if strict and len(matches) > 1:
+            warnings.warn(
+                AmbiguityWarning(
+                    f"{len(matches)} consequence rules match "
+                    f"{format_decision_tuple(dtuple)}; first-match applies"
                 )
-            memo = self.fresh_memo()
-            matches = []
-            for guard_fn, results in candidates:
-                if guard_fn is None or guard_fn(state, memo):
-                    matches.append(results)
-                    if not strict:
-                        break
-            if not matches:
-                raise NoRuleMatchesError(state, dtuple)
-            if strict and len(matches) > 1:
-                warnings.warn(
-                    AmbiguityWarning(
-                        f"{len(matches)} consequence rules match "
-                        f"{format_decision_tuple(dtuple)}; first-match applies"
-                    )
-                )
-            cached = matches[0]
-            self._cons_cache[key] = cached
-        return cached
+            )
+        if candidates[0][0] is not None:  # a guarded first match
+            self._cons_cache[(dtuple, state)] = matches[0]
+        return matches[0]
 
     def apply_actions(self, names: tuple[str, ...], state: GameState) -> GameState:
-        key = (names, state)
-        cached = self._apply_cache.get(key)
-        if cached is None:
-            cached = state
-            for name in names:
-                fn = self._action_fns.get(name)
-                if fn is None:
-                    raise KeyError(f"unknown action {name!r}")
-                cached = fn(cached, self.fresh_memo())
-            self._apply_cache[key] = cached
-        return cached
+        n = self._memo_len
+        for name in names:
+            fn = self._action_fns.get(name)
+            if fn is None:
+                raise KeyError(f"unknown action {name!r}")
+            state = fn(state, [None] * n)
+        return state
 
     def outcome(self, state: GameState) -> str:
         cached = self._outcome_cache.get(state)

@@ -150,7 +150,12 @@ def _pruned_labels(meta: NodeMeta) -> Optional[tuple[frozenset, ...]]:
     choices leads to the same edge against every joint choice of the
     others; of such a group the first by `choice_rank` survives.  Deleting
     repeats until no choice is redundant.  A pure function of the labels.
+    When every edge carries one joint choice, two choices of a player meet
+    the same joint choice of the others on different edges, so none is
+    redundant.
     """
+    if all(count == 1 for count in meta.counts):
+        return None
     entries = [
         (pos, seq, joint) for pos, pairs in enumerate(meta.decoded) for seq, joint in pairs
     ]
@@ -374,9 +379,10 @@ def _normal_form(tree: GameTree, trace: ReductionTrace) -> GameTree:
             record("bookkeeping", w, -1, -w_choices)
         return True
 
-    def process(v: int) -> int:
+    def process(v: int) -> tuple[int, Optional[NodeMeta]]:
         """Normalize the copy v, a state or chance node whose children are
-        finished; returns the node that stands for it.  Each round runs the
+        finished; returns the node that stands for it and, when that is v,
+        v's `node_meta` if the loop holds it current.  Each round runs the
         pending rewrites in the canonical order (see the module docstring)."""
         is_state = out.node_kind[v] == STATE
         children = out.node_children[v]
@@ -433,17 +439,19 @@ def _normal_form(tree: GameTree, trace: ReductionTrace) -> GameTree:
                         stand = _merge_pair(out, v, victim, survivor)
                         record("symmetry", v, -nodes - (stand != v), -choices)
                         if stand != v:
-                            return stand  # v itself was removed
+                            return stand, None  # v itself was removed
                         pending |= ENABLED_BY_SYMMETRY & applicable
                         meta = None
-        return v
+        return v, meta
 
-    def finish(c: int) -> None:
-        """Record the facts of the finished node c."""
+    def finish(c: int, meta: Optional[NodeMeta]) -> None:
+        """Record the facts of the finished node c, given its `node_meta`
+        when the caller holds it."""
         nodes, choices, absorber = 1, 0, None
         kind = out.node_kind[c]
         if kind == STATE:
-            meta = node_meta(out, c)
+            if meta is None:
+                meta = node_meta(out, c)
             choices = meta.total
             if meta.owner is not None and all(
                 out.node_kind[out.edge_dst[e]] in (STATE, TERMINAL) for e in out.node_children[c]
@@ -492,10 +500,11 @@ def _normal_form(tree: GameTree, trace: ReductionTrace) -> GameTree:
             for kind, label, prob, child in edges:
                 add_edge(c, child, kind, prob, label)
             mark, dn, dc = len(deltas), total[0], total[1]
+            meta = None
             if key[0] in (STATE, CHANCE):
-                c = process(c)
+                c, meta = process(c)
             if c not in facts:
-                finish(c)
+                finish(c, meta)
             got = table[key] = (c, mark, len(deltas), total[0] - dn, total[1] - dc)
         else:
             replay(*got[1:])

@@ -119,6 +119,25 @@ def random_tree(
     return tree
 
 
+def small_trees_corpus(seed: int = 7):
+    """The benchmark's small-trees corpus under one seed's relabelings.
+
+    Yields (tree, player map, outcome map) for each of its 200 trees: the
+    shape comes from ``corpus/<k>`` and the maps from ``<seed>/<k>``.
+    """
+    for k in range(200):
+        shape = random.Random(f"corpus/{k}")
+        t = random_tree(shape, max_nodes=shape.randint(20, 200), n_players=shape.choice((2, 3)))
+        maps = random.Random(f"{seed}/{k}")
+        players = list(t.players)
+        outcomes = ["w1", "w2", "w3"]
+        yield (
+            t,
+            dict(zip(players, maps.sample(players, len(players)))),
+            dict(zip(outcomes, maps.sample(outcomes, len(outcomes)))),
+        )
+
+
 # ---------------------------------------------------------------------------
 # Random game systems (for serializer round trips)
 # ---------------------------------------------------------------------------

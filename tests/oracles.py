@@ -3,9 +3,9 @@
 Everything here is deliberately written from first principles, sharing no
 logic with the package's canonical-key machinery, so key-based verdicts can
 be checked against definition-faithful brute force.  The exceptions, the
-reference renderers, the reference matrix solver, the in-place normalizer
-and the per-site engine with its randomized `normalize_random`, say so
-where they start.
+reference renderers, the reference matrix solver, the reference
+matrix-redundancy loop, the in-place normalizer and the per-site engine
+with its randomized `normalize_random`, say so where they start.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import itertools
 import json
 import random
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
@@ -31,15 +31,18 @@ from ludokit.core import (
     Ref,
     format_decision_tuple,
 )
-from ludokit.errors import BudgetExceededError, LudokitError, TreeInvariantError
+from ludokit.errors import (
+    BudgetExceededError,
+    LudokitError,
+    NoRuleMatchesError,
+    TreeInvariantError,
+)
 from ludokit.reduce import (
     ReductionTrace,
     _absorb_children_once,
     _absorbable,
     _is_forced,
-    _matrix_redundancy_at,
     _merge_pair,
-    _pruned_at,
 )
 from ludokit.tree import (
     CHANCE,
@@ -48,6 +51,7 @@ from ludokit.tree import (
     DEFAULT_NODE_BUDGET,
     EdgeLabel,
     GameTree,
+    NodeMeta,
     STATE,
     TERMINAL,
     TRUNCATED,
@@ -264,14 +268,36 @@ def legal_sets(sys, state) -> tuple:
     )
 
 
+def matching_rules(sys, dtuple, state) -> list:
+    """Every consequence rule whose pattern and guard match, in rule order."""
+    return [
+        rule
+        for rule in sys.consequence_rules
+        if all(want in (WILDCARD, got) for want, got in zip(rule.pattern, dtuple))
+        and (rule.guard is None or eval_expr(sys, rule.guard, state))
+    ]
+
+
 def consequences(sys, dtuple, state):
     """Results of the first rule whose pattern and guard match, else None."""
-    for rule in sys.consequence_rules:
-        if all(want in (WILDCARD, got) for want, got in zip(rule.pattern, dtuple)) and (
-            rule.guard is None or eval_expr(sys, rule.guard, state)
-        ):
-            return rule.results
-    return None
+    matches = matching_rules(sys, dtuple, state)
+    return matches[0].results if matches else None
+
+
+def with_oracle_consequences(sys: GameSystem) -> GameSystem:
+    """A copy of `sys` whose engine resolves every consequence lookup with
+    `consequences` above: no index, no cache, guards read off the rules."""
+    copy = replace(sys)
+    engine = copy.engine()
+
+    def resolve(dtuple, state, strict=False):
+        results = consequences(copy, dtuple, state)
+        if results is None:
+            raise NoRuleMatchesError(state, dtuple)
+        return results
+
+    engine.consequences = resolve
+    return copy
 
 
 def apply_action(sys, name, state) -> tuple:
@@ -625,6 +651,60 @@ def reference_matrix(tree: GameTree, node: int) -> tuple[tuple, dict]:
             f"decision matrix at node {node} does not cover all outgoing edges"
         )
     return choice_sets, mapping
+
+
+# ---------------------------------------------------------------------------
+# The reference matrix-redundancy loop: `reduce._pruned_labels` before its
+# exit for matrices whose every edge carries one joint choice, kept verbatim.
+# The oracle engines below rewrite with it, so they never share that exit.
+# ---------------------------------------------------------------------------
+
+
+def reference_pruned_labels(meta: NodeMeta) -> Optional[tuple[frozenset, ...]]:
+    """Per-edge labels once every redundant choice is deleted, or None."""
+    entries = [
+        (pos, seq, joint) for pos, pairs in enumerate(meta.decoded) for seq, joint in pairs
+    ]
+    n = len(meta.choices)
+    changed = False
+    while True:
+        deleted = False
+        for i in range(n):
+            sig: dict = {}
+            for pos, _, joint in entries:
+                sig.setdefault(joint[i], []).append((joint[:i] + joint[i + 1 :], pos))
+            groups: dict = {}
+            for choice, results in sig.items():
+                groups.setdefault(frozenset(results), []).append(choice)
+            doomed = set()
+            for members in groups.values():
+                if len(members) > 1:
+                    members.sort(key=choice_rank)
+                    doomed.update(members[1:])
+            if doomed:
+                entries = [t for t in entries if t[2][i] not in doomed]
+                deleted = changed = True
+        if not deleted:
+            break
+    if not changed:
+        return None
+    per_edge: list[set] = [set() for _ in meta.decoded]
+    for pos, seq, _ in entries:
+        per_edge[pos].add(seq)
+    if not all(per_edge):
+        raise AssertionError("matrix redundancy orphaned an edge")
+    return tuple([frozenset(seqs) for seqs in per_edge])
+
+
+def _matrix_redundancy_at(tree: GameTree, node: int) -> bool:
+    """Delete redundant choices at the node by the reference loop; returns
+    True if anything changed."""
+    pruned = reference_pruned_labels(node_meta(tree, node))
+    if pruned is None:
+        return False
+    for e, label in zip(tree.node_children[node], pruned):
+        tree.edge_label[e] = label
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -1078,7 +1158,7 @@ def find_matrix_redundancy_sites(tree: GameTree) -> list[ReductionSite]:
         for node in tree.iter_nodes()
         if tree.node_kind[node] == STATE
         and tree.node_children[node]
-        and _pruned_at(tree, node) is not None
+        and reference_pruned_labels(node_meta(tree, node)) is not None
     ]
 
 

@@ -248,19 +248,8 @@ class TestPrunedSolver:
             return got
 
         monkeypatch.setattr(canon, "_matrix_fingerprint_general", checked)
-        for k in range(200):
-            shape = random.Random(f"corpus/{k}")
-            t = generators.random_tree(
-                shape, max_nodes=shape.randint(20, 200), n_players=shape.choice((2, 3))
-            )
-            maps = random.Random(f"7/{k}")
-            players = list(t.players)
-            outcomes = ["w1", "w2", "w3"]
-            renamed = equiv.relabel_tree(
-                t,
-                dict(zip(players, maps.sample(players, len(players)))),
-                dict(zip(outcomes, maps.sample(outcomes, len(outcomes)))),
-            )
+        for t, player_map, outcome_map in generators.small_trees_corpus(7):
+            renamed = equiv.relabel_tree(t, player_map, outcome_map)
             witness = equiv.agency_equivalent(t, renamed)
             assert witness is not None and not equiv.verify_witness(witness)
             assert equiv.canonical_form(t) == equiv.canonical_form(renamed)

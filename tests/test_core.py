@@ -418,6 +418,104 @@ def test_engine_matches_first_principles_on_random_systems(seed):
     assert core.initial_states(sys) == oracles.initial_states(sys)
 
 
+# Consequence rules over two players choosing among m, n and z; no pattern
+# names z, so a tuple with z matches only wildcards.
+_CHOICES = (None, "m", "n", "z")
+_PATTERN_ENTRIES = st.sampled_from(("m", "n", None, core.WILDCARD))
+_GUARDS = _expressions(())
+
+
+@st.composite
+def _consequence_systems(draw):
+    """Two players on `_TRACKS` with random consequence rules.
+
+    Patterns mix exact, null and wildcard entries, guards are random state
+    sets or absent, and one pattern always has a guarded rule right ahead of
+    an unguarded one.  Rule k's one result applies action `r<k>`, which sets
+    track a to k mod 3, so results tell rules apart and builds go places.
+    Legality is random per player, decision and state set.
+    """
+    patterns = st.tuples(_PATTERN_ENTRIES, _PATTERN_ENTRIES)
+    rules = draw(st.lists(st.tuples(patterns, st.none() | _GUARDS), max_size=5))
+    shadowed = draw(patterns)
+    at = draw(st.integers(0, len(rules)))
+    rules[at:at] = [(shadowed, draw(_GUARDS)), (shadowed, None)]
+    legality = [
+        core.LegalityRule(player, decision, draw(_GUARDS))
+        for player in ("P", "Q")
+        for decision in ("m", "n", "z")
+        if draw(st.booleans())
+    ]
+    return GameSystem(
+        players=("P", "Q"),
+        tracks=_TRACKS,
+        init=Lit("a", "0"),
+        decisions=("m", "n", "z"),
+        actions={
+            f"r{k}": core.ActionDef(f"r{k}", (core.ActionClause(None, (("a", str(k % 3)),)),))
+            for k in range(len(rules))
+        },
+        consequence_rules=tuple(
+            core.ConsequenceRule(pattern, guard, ((Fraction(1), (f"r{k}",)),))
+            for k, (pattern, guard) in enumerate(rules)
+        ),
+        legality_rules=tuple(legality),
+        outcomes=("o",),
+        outcome_rules=(),
+        default_outcome="o",
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(_consequence_systems(), st.booleans())
+def test_consequences_match_first_principles(sys, strict_first):
+    """Plain and strict lookups, first and repeated, in either order, give
+    the first rule whose pattern and guard match; strict lookups warn when
+    more than one does, and a tuple no rule matches raises."""
+    import itertools
+    import warnings
+
+    import oracles
+
+    engine = sys.engine()
+    lookups = [True, False, True] if strict_first else [False, True, False]
+    for strict in lookups:
+        for state in core.enumerate_states(sys):
+            for dtuple in itertools.product(_CHOICES, repeat=2):
+                expected = oracles.consequences(sys, dtuple, state)
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    if expected is None:
+                        with pytest.raises(NoRuleMatchesError):
+                            engine.consequences(dtuple, state, strict=strict)
+                    else:
+                        assert engine.consequences(dtuple, state, strict=strict) == expected
+                ambiguous = strict and len(oracles.matching_rules(sys, dtuple, state)) > 1
+                assert [w.category for w in caught] == (
+                    [core.AmbiguityWarning] if ambiguous else []
+                )
+
+
+@settings(max_examples=150, deadline=None)
+@given(_consequence_systems(), st.integers(0, 2))
+def test_builds_match_first_principles_consequences(sys, depth):
+    """A depth-limited build equals, byte for byte, the build whose engine
+    reads consequences off the rules; where that build meets a tuple no
+    rule matches, at an expanded node or at the truncated frontier, both
+    raise."""
+    import oracles
+    from ludokit import tree
+
+    s0 = core.initial_states(sys)[0]
+    try:
+        want = tree.export_json(tree.build_tree(oracles.with_oracle_consequences(sys), s0, depth))
+    except NoRuleMatchesError:
+        with pytest.raises(NoRuleMatchesError):
+            tree.build_tree(sys, s0, depth)
+    else:
+        assert tree.export_json(tree.build_tree(sys, s0, depth)) == want
+
+
 class TestGeneratedEngine:
     def test_deep_expressions_split_into_helpers(self):
         """Nesting far past one generated function's depth still evaluates."""

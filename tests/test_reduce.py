@@ -7,7 +7,10 @@ import json
 import random
 from fractions import Fraction
 
+import itertools
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import generators
 import oracles
@@ -235,6 +238,64 @@ class TestMatrixRedundancy:
         assert forced  # the two-choice node collapsed to a blank single-edge matrix
         for n in forced:
             assert decision_matrix(t, n).empty_domain
+
+
+@st.composite
+def _matrices(draw):
+    """A one-node tree whose decision matrix is total: every joint choice of
+    1-3 players with 1-3 choices each maps onto one of its edges, and each
+    edge carries at least one joint choice (about a third of the draws one
+    each)."""
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    joints = list(itertools.product(*[[f"c{i}" for i in range(n)] for n in sizes]))
+    if draw(st.integers(0, 2)) == 0:
+        cells = list(range(len(joints)))
+    else:
+        drawn = draw(
+            st.lists(st.integers(0, len(joints) - 1), min_size=len(joints), max_size=len(joints))
+        )
+        first: dict[int, int] = {}
+        cells = [first.setdefault(c, len(first)) for c in drawn]
+    t = GameTree(tuple(f"P{i}" for i in range(len(sizes))))
+    t.root = t.add_node(STATE)
+    for edge in range(max(cells) + 1):
+        label = frozenset((joint,) for joint, c in zip(joints, cells) if c == edge)
+        t.add_edge(t.root, t.add_node(TERMINAL, outcome="w"), DECISION_EDGE, label=label)
+    return t
+
+
+class TestPrunedLabels:
+    """`reduce._pruned_labels` returns None at once on a matrix whose every
+    edge carries one joint choice; otherwise it runs the reference loop."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_matrices())
+    def test_equals_reference_on_random_matrices(self, t):
+        meta = tree.node_meta(t, t.root)
+        assert reduce._pruned_labels(meta) == oracles.reference_pruned_labels(meta)
+
+    def test_equals_reference_on_every_small_trees_miss(self, monkeypatch):
+        """Every cache miss of `_pruned_at` over a small-trees pass (seed 7:
+        the agency check of each tree against its relabeling, and both
+        canonical forms)."""
+        pruned = reduce._pruned_labels
+        misses = []
+
+        def checked(meta):
+            got = pruned(meta)
+            assert got == oracles.reference_pruned_labels(meta)
+            misses.append((all(c == 1 for c in meta.counts), got is not None))
+            return got
+
+        monkeypatch.setattr(reduce, "_pruned_labels", checked)
+        for t, player_map, outcome_map in generators.small_trees_corpus(7):
+            renamed = equiv.relabel_tree(t, player_map, outcome_map)
+            assert equiv.agency_equivalent(t, renamed) is not None
+            assert equiv.canonical_form(t) == equiv.canonical_form(renamed)
+        # 480 of the 1,194 misses take the early exit; 478 prune something
+        assert len(misses) == 1194
+        assert sum(one_each for one_each, _ in misses) == 480
+        assert sum(changed for _, changed in misses) == 478
 
 
 class TestNormalize:

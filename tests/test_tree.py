@@ -12,7 +12,12 @@ from hypothesis import given, settings, strategies as st
 import generators
 import oracles
 from ludokit import core, equiv, reduce, tree
-from ludokit.errors import BudgetExceededError, LudokitError, TreeInvariantError
+from ludokit.errors import (
+    BudgetExceededError,
+    LudokitError,
+    NoRuleMatchesError,
+    TreeInvariantError,
+)
 from ludokit.tree import (
     CHANCE,
     CHANCE_EDGE,
@@ -209,6 +214,84 @@ class TestSharedBuild:
         states = [t.node_state[n] for n in tree.postorder(t) if t.node_kind[n] != CHANCE]
         assert len(states) == len(set(states))
         assert tree.is_shared(t)
+
+
+# One player walks a 0 -> 1 -> 2: m is legal at 0 and 1, n at 1 only.
+# Consequence rules are filled in per test.
+WALK_GAME = """
+players P
+track a {{ 0, 1, 2 }}
+decisions m, n
+action up {{ when a=0 set a=1 ; when a=1 set a=2 }}
+init a=0
+legal P m when not a=2
+legal P n when a=1
+{rules}
+outcome default done
+"""
+
+
+class TestConsequenceResolution:
+    """`build_tree` resolves consequences as the rules say, whether the
+    engine answers per decision tuple or per (tuple, state)."""
+
+    @pytest.mark.parametrize("game", GAMES)
+    def test_fixture_forests_export_as_with_first_principles(self, systems, game):
+        """Depths 1-5, against an engine that reads every consequence off
+        the rules (`oracles.with_oracle_consequences`)."""
+        reference = oracles.with_oracle_consequences(systems[game])
+        for depth in range(1, 6):
+            got = [export_json(t) for t in build_forest(systems[game], depth_limit=depth)]
+            want = [export_json(t) for t in build_forest(reference, depth_limit=depth)]
+            assert got == want
+
+    def test_unguarded_rules_hold_no_per_state_entries(self, ttt):
+        """Every tic-tac-toe rule is unguarded, so after the depth-5 build
+        the engine holds one answer per decision tuple and none per
+        (tuple, state)."""
+        import dataclasses
+
+        ttt = dataclasses.replace(ttt)  # a fresh engine
+        assert all(rule.guard is None for rule in ttt.consequence_rules)
+        build_forest(ttt, depth_limit=5)
+        engine = ttt.engine()
+        assert len(engine._cons_fixed) == 19  # (flip, flip) and 9 moves each
+        assert engine._cons_cache == {}
+
+    @pytest.mark.parametrize("depth", [None, 0])
+    @pytest.mark.parametrize(
+        "rules",
+        [
+            "consequence (m) -> prob 1: up",
+            "consequence (m) -> prob 1: up\nconsequence (n) when a=0 -> prob 1: up",
+        ],
+        ids=["no-rule", "guard-fails"],
+    )
+    def test_unmatched_tuple_raises(self, rules, depth):
+        """No rule matches (n) at a=1: an expanded node raises, and so does
+        the truncated frontier of a depth-0 build."""
+        from ludokit.dsl import parse_game
+
+        sys = parse_game(WALK_GAME.format(rules=rules))
+        with pytest.raises(NoRuleMatchesError):
+            build_tree(sys, ("0",), depth_limit=depth)
+
+    def test_guard_decides_per_state(self):
+        """(m)'s first rule is guarded, so (m) resolves per state: the
+        unguarded rule at a=0, the guarded coin at a=1.  (n)'s first match
+        is the unguarded wildcard."""
+        from ludokit.dsl import parse_game
+
+        sys = parse_game(WALK_GAME.format(rules="""
+consequence (m) when a=1 -> prob 1/2: up ; prob 1/2: up
+consequence (*) -> prob 1: up
+"""))
+        t = build_tree(sys, ("0",))
+        assert [t.node_kind[n] for n in t.iter_nodes()] == [
+            STATE, STATE, CHANCE, TERMINAL, TERMINAL, TERMINAL
+        ]
+        t = build_tree(sys, ("0",), depth_limit=0)
+        assert [t.node_kind[n] for n in t.iter_nodes()] == [STATE, TRUNCATED]
 
 
 class TestBudget:
