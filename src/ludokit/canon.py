@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from hashlib import blake2b
 from typing import Callable, Optional
 
-from .errors import LabelingLimitError
+from .errors import LabelingLimitError, TreeInvariantError
 from .tree import CHANCE, GameTree, STATE, TERMINAL, node_meta, postorder
 
 Pin = frozenset
@@ -301,28 +301,39 @@ def _labeling(tree: GameTree, player_code: dict[str, bytes], outcome_code: dict[
 def make_key_fn(tree: GameTree, pin: Pin = PIN_SYMMETRY) -> Callable[[int], bytes]:
     """A memoized per-node key function under literal player and outcome codes.
 
-    Children's keys must be available (computed on demand) before a node's
-    key; suitable for incremental bottom-up use during normalization.
-    Literal codes are sound only where labels are pinned, so `pin` must pin
-    players and outcomes.
+    Each node is keyed at most once, when first asked for, straight from
+    its children's keys: a child not yet keyed is keyed first, along a
+    depth-first path of unkeyed nodes.  The nodes keyed so far must not
+    change, so normalization can key its finished nodes on demand.  Literal
+    codes are sound only where labels are pinned, so `pin` must pin players
+    and outcomes.
     """
     if "players" not in pin or "outcomes" not in pin:
         raise ValueError("literal keys need players and outcomes pinned")
-    axis_order, axis_header, out_code = _labeling(
-        tree, literal_player_codes(tree.players), {}
-    )
+    labeling = _labeling(tree, literal_player_codes(tree.players), {})
     pin_states = "states" in pin
     memo: dict[int, bytes] = {}
     orders: dict[int, list[int]] = {}
+    node_children = tree.node_children
+    edge_dst = tree.edge_dst
 
     def key(node: int) -> bytes:
         cached = memo.get(node)
         if cached is not None:
             return cached
-        _fill_keys(
-            tree, postorder(tree, node, memo), memo, orders,
-            axis_order, axis_header, out_code, pin_states,
-        )
+        path = [node]  # unkeyed nodes, each a child of the one before
+        while path:
+            n = path[-1]
+            for e in node_children[n]:
+                child = edge_dst[e]
+                if child not in memo:
+                    if len(path) == len(node_children):
+                        raise TreeInvariantError("the arena has a cycle")
+                    path.append(child)
+                    break
+            else:
+                path.pop()
+                _fill_keys(tree, (n,), memo, orders, *labeling, pin_states)
         return memo[node]
 
     return key

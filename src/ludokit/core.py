@@ -494,6 +494,11 @@ class _Engine:
         # (decision tuple, state) -> results, for the other tuples
         self._cons_cache: dict[tuple[DecisionTuple, GameState], tuple] = {}
         self._outcome_cache: dict[GameState, str] = {}
+        # The label cache of every tree `tree.build_tree` builds from this
+        # system, so a matrix met again in a later build is decoded, pruned
+        # and solved once.  Its entries are keyed by immutable labels, and
+        # all those trees have the system's player count, so none goes stale.
+        self.label_cache: dict = {}
 
     # -- expression compilation -------------------------------------------
 

@@ -36,6 +36,10 @@ no splice and leaves no two children of equal keys.  A check that is
 skipped could not have fired, so the steps and the normal form are those
 of rerunning every check until none fires.
 
+Matrix redundancy looks nothing up where every edge carries one joint
+choice, as it cannot fire there.  Children are keyed on demand, each
+finished node at most once.
+
 The pass only reads its input, which may be a shared arena (a built
 tree): it builds the normal form into a fresh hash-consed arena,
 normalizing each distinct subtree once, and returns that arena's
@@ -150,12 +154,16 @@ def _pruned_labels(meta: NodeMeta) -> Optional[tuple[frozenset, ...]]:
     choices leads to the same edge against every joint choice of the
     others; of such a group the first by `choice_rank` survives.  Deleting
     repeats until no choice is redundant.  A pure function of the labels.
-    When every edge carries one joint choice, two choices of a player meet
-    the same joint choice of the others on different edges, so none is
-    redundant.
+    When one player has more than one choice, the others have one joint
+    choice, so that player's choices are redundant exactly when they share
+    an edge: each edge keeps its first, and nothing is left to delete.
     """
-    if all(count == 1 for count in meta.counts):
-        return None
+    if meta.active == 1:
+        i = meta.sizes.index(max(meta.sizes))  # the player who chooses
+        kept = [min(pairs, key=lambda pair: choice_rank(pair[1][i]))[0] for pairs in meta.decoded]
+        if len(kept) == sum(meta.counts):
+            return None
+        return tuple([frozenset([seq]) for seq in kept])
     entries = [
         (pos, seq, joint) for pos, pairs in enumerate(meta.decoded) for seq, joint in pairs
     ]
@@ -336,8 +344,11 @@ def _normal_form(tree: GameTree, trace: ReductionTrace) -> GameTree:
     key_fn = canon.make_key_fn(out, canon.PIN_SYMMETRY)
     origin: list[int] = []  # per output node, the input node it copies
     # per finished output node: (node count, choice count, has a truncated
-    # node, its own choice total, the owner single-player may absorb it into)
-    facts: dict[int, tuple[int, int, bool, int, Optional[int]]] = {}
+    # node, its own choice total, the owner single-player may absorb it
+    # into, the node bookkeeping splices it to or -1)
+    facts: dict[int, tuple[int, int, bool, int, Optional[int], int]] = {}
+    node_kind, node_children = out.node_kind, out.node_children
+    edge_dst, edge_prob = out.edge_dst, out.edge_prob
     deltas = trace.deltas
     total = [0, 0]  # the changes of the steps in `deltas`, summed
 
@@ -353,39 +364,43 @@ def _normal_form(tree: GameTree, trace: ReductionTrace) -> GameTree:
         total[0] += dn
         total[1] += dc
 
-    def splice_forced_child(v: int, e_vw: int) -> bool:
-        """Bookkeeping, pairwise: splice a forced state child of v."""
-        w = out.edge_dst[e_vw]
+    def splice_target(w: int) -> int:
+        """Bookkeeping, pairwise: the node a parent's edge into the finished
+        node w is redirected to, or -1 when w is not a forced state node or
+        the site's leaves include a truncated node."""
         if not _is_forced(out, w):
-            return False
-        x = out.edge_dst[out.node_children[w][0]]
-        x_kind = out.node_kind[x]
-        if x_kind == TRUNCATED:
-            return False
-        if x_kind == CHANCE and any(
-            out.node_kind[out.edge_dst[e]] == TRUNCATED for e in out.node_children[x]
+            return -1
+        x = edge_dst[node_children[w][0]]
+        x_kind = node_kind[x]
+        if x_kind == TRUNCATED or x_kind == CHANCE and any(
+            node_kind[edge_dst[e]] == TRUNCATED for e in node_children[x]
         ):
-            return False  # site leaves include a truncated node
+            return -1
+        return x
+
+    def splice(v: int, e_vw: int, x: int) -> None:
+        """Splice out the forced child w that v's edge e_vw leads to, whose
+        splice target is x."""
+        w = edge_dst[e_vw]
         w_choices = facts[w][3]
-        if x_kind == CHANCE and out.node_kind[v] == CHANCE:
+        if node_kind[x] == CHANCE and node_kind[v] == CHANCE:
             # fold x's edges into v, scaled by the edge into w
-            p_r = out.edge_prob[e_vw]
-            out.node_children[v].remove(e_vw)
-            for e in out.node_children[x]:
-                out.add_edge(v, out.edge_dst[e], CHANCE_EDGE, prob=p_r * out.edge_prob[e])
+            p_r = edge_prob[e_vw]
+            node_children[v].remove(e_vw)
+            for e in node_children[x]:
+                out.add_edge(v, edge_dst[e], CHANCE_EDGE, prob=p_r * edge_prob[e])
             record("bookkeeping", w, -2, -w_choices)
         else:
-            out.edge_dst[e_vw] = x
+            edge_dst[e_vw] = x
             record("bookkeeping", w, -1, -w_choices)
-        return True
 
     def process(v: int) -> tuple[int, Optional[NodeMeta]]:
         """Normalize the copy v, a state or chance node whose children are
         finished; returns the node that stands for it and, when that is v,
         v's `node_meta` if the loop holds it current.  Each round runs the
         pending rewrites in the canonical order (see the module docstring)."""
-        is_state = out.node_kind[v] == STATE
-        children = out.node_children[v]
+        is_state = node_kind[v] == STATE
+        children = node_children[v]
         applicable = ALL_REWRITES if is_state else BOOKKEEPING | SYMMETRY
         pending = applicable
         meta = None  # `node_meta` of v's labels as they are now, once read
@@ -394,14 +409,20 @@ def _normal_form(tree: GameTree, trace: ReductionTrace) -> GameTree:
                 pending &= ~MATRIX_REDUNDANCY
                 if meta is None:
                     meta = node_meta(out, v)
-                if _matrix_redundancy_at(out, v):
+                # Where every edge carries one joint choice, two choices of
+                # a player meet the same joint choice of the others on
+                # different edges, so none is redundant.
+                if sum(meta.counts) > len(meta.counts) and _matrix_redundancy_at(out, v):
                     after = node_meta(out, v)
                     record("matrix-redundancy", v, 0, after.total - meta.total)
                     meta = after
             if pending & BOOKKEEPING:
                 pending &= ~BOOKKEEPING
+                # a splice rewrites or removes only its own edge
                 for e in list(children):
-                    if e in children and splice_forced_child(v, e):
+                    x = facts[edge_dst[e]][5]
+                    if x >= 0:
+                        splice(v, e, x)
                         pending = applicable
             if pending & SINGLE_PLAYER:
                 pending &= ~SINGLE_PLAYER
@@ -413,8 +434,8 @@ def _normal_form(tree: GameTree, trace: ReductionTrace) -> GameTree:
                 owner = meta.owner
                 if (
                     owner is not None
-                    and any(facts[out.edge_dst[e]][4] == owner for e in children)
-                    and not any(out.node_kind[out.edge_dst[e]] == TRUNCATED for e in children)
+                    and any([facts[edge_dst[e]][4] == owner for e in children])
+                    and not any([node_kind[edge_dst[e]] == TRUNCATED for e in children])
                 ):
                     absorbed = _absorb_children_once(out, v, owner)
                     if absorbed:
@@ -428,14 +449,13 @@ def _normal_form(tree: GameTree, trace: ReductionTrace) -> GameTree:
                 # merges among the (finished, so stable-keyed) children
                 groups: dict[bytes, list[int]] = {}
                 for e in children:
-                    dst = out.edge_dst[e]
-                    if facts[dst][2]:
-                        continue
-                    groups.setdefault(key_fn(dst), []).append(e)
+                    dst = edge_dst[e]
+                    if not facts[dst][2]:
+                        groups.setdefault(key_fn(dst), []).append(e)
                 for edges in groups.values():
                     survivor = edges[0]
                     for victim in edges[1:]:
-                        nodes, choices = facts[out.edge_dst[victim]][:2]
+                        nodes, choices = facts[edge_dst[victim]][:2]
                         stand = _merge_pair(out, v, victim, survivor)
                         record("symmetry", v, -nodes - (stand != v), -choices)
                         if stand != v:
@@ -448,23 +468,24 @@ def _normal_form(tree: GameTree, trace: ReductionTrace) -> GameTree:
         """Record the facts of the finished node c, given its `node_meta`
         when the caller holds it."""
         nodes, choices, absorber = 1, 0, None
-        kind = out.node_kind[c]
+        kind = node_kind[c]
+        edges = node_children[c]
         if kind == STATE:
             if meta is None:
                 meta = node_meta(out, c)
             choices = meta.total
             if meta.owner is not None and all(
-                out.node_kind[out.edge_dst[e]] in (STATE, TERMINAL) for e in out.node_children[c]
+                [node_kind[edge_dst[e]] in (STATE, TERMINAL) for e in edges]
             ):
                 absorber = meta.owner
         own = choices
         trunc = kind == TRUNCATED
-        for e in out.node_children[c]:
-            child_nodes, child_choices, child_trunc = facts[out.edge_dst[e]][:3]
+        for e in edges:
+            child_nodes, child_choices, child_trunc = facts[edge_dst[e]][:3]
             nodes += child_nodes
             choices += child_choices
             trunc = trunc or child_trunc
-        facts[c] = (nodes, choices, trunc, own, absorber)
+        facts[c] = (nodes, choices, trunc, own, absorber, splice_target(c))
 
     # Children first.  A stack entry is (input node, its first step, the
     # running totals there), the first step -1 while the node is yet to be
@@ -476,6 +497,8 @@ def _normal_form(tree: GameTree, trace: ReductionTrace) -> GameTree:
     done: dict[int, tuple[int, int, int, int, int]] = {}
     table: dict[tuple, tuple[int, int, int, int, int]] = {}
     add_node, add_edge = out.add_node, out.add_edge
+    in_children, in_dst = tree.node_children, tree.edge_dst
+    in_kind, in_label, in_prob = tree.edge_kind, tree.edge_label, tree.edge_prob
     stack: list[tuple[int, int, int, int]] = [(tree.root, -1, 0, 0)]
     while stack:
         v, lo, dn0, dc0 = stack.pop()
@@ -483,15 +506,15 @@ def _normal_form(tree: GameTree, trace: ReductionTrace) -> GameTree:
             got = done.get(v)
             if got is None:
                 stack.append((v, len(deltas), total[0], total[1]))
-                for e in tree.node_children[v]:
-                    stack.append((tree.edge_dst[e], -1, 0, 0))
+                for e in in_children[v]:
+                    stack.append((in_dst[e], -1, 0, 0))
             else:
                 replay(*got[1:])
             continue
-        edges = tuple(
-            (tree.edge_kind[e], tree.edge_label[e], tree.edge_prob[e], done[tree.edge_dst[e]][0])
-            for e in tree.node_children[v]
-        )
+        edges = tuple([
+            (in_kind[e], in_label[e], in_prob[e], done[in_dst[e]][0])
+            for e in in_children[v]
+        ])
         key = (tree.node_kind[v], tree.node_state[v], tree.node_outcome[v], edges)
         got = table.get(key)
         if got is None:
@@ -534,7 +557,7 @@ def normalize(tree: GameTree, consume: bool = False) -> tuple[GameTree, Reductio
     shared arena like a built tree, holding each distinct finished subtree
     once; exports, counts and witnesses unfold it on demand.  `compact`
     keeps its reachable nodes and numbers them as `unfold` would, so an
-    unshared form has exactly the arrays of its unfolding.  `consume` is
+    unshared form has exactly the columns of its unfolding.  `consume` is
     accepted for callers that pass it and has no effect.
     """
     trace = ReductionTrace()

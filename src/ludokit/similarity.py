@@ -214,13 +214,10 @@ class SimilarityReport:
         )
 
 
-def _partial_normal_form(sys: GameSystem, state: GameState, depth: int, label_cache: dict):
-    """The normal form of the depth-limited tree at `state`, its per-label
-    facts kept in `label_cache`: labels are values, so the trees of one
-    system can share one cache and decode each matrix once."""
-    tree = build_tree(sys, state, depth_limit=depth)
-    tree.label_cache = label_cache
-    form, _ = reduce_mod.normalize(tree)
+def _partial_normal_form(sys: GameSystem, state: GameState, depth: int):
+    """The normal form of the depth-limited tree at `state`; its per-label
+    facts go to the system's label cache, shared by every call."""
+    form, _ = reduce_mod.normalize(build_tree(sys, state, depth_limit=depth))
     return form
 
 
@@ -230,13 +227,12 @@ def _compare_at(
     psi: StateMap,
     state: GameState,
     depth: int,
-    label_caches: tuple[dict, dict],
 ) -> SampleRecord:
-    """Score one state; `label_caches` holds one label cache per system."""
+    """Score one state."""
     mapped = apply_state_map(psi, state, left, right)
     try:
-        lform = _partial_normal_form(left, state, depth, label_caches[0])
-        rform = _partial_normal_form(right, mapped, depth, label_caches[1])
+        lform = _partial_normal_form(left, state, depth)
+        rform = _partial_normal_form(right, mapped, depth)
     except NoRuleMatchesError:
         return SampleRecord(state, mapped, matched=False, completeness_gap=True)
     pin = set()
@@ -307,9 +303,8 @@ def similarity(
     records = []
     matches = 0
     gaps = 0
-    label_caches: tuple[dict, dict] = ({}, {})
     for state in states:
-        record = _compare_at(left, right, psi, state, depth, label_caches)
+        record = _compare_at(left, right, psi, state, depth)
         records.append(record)
         if record.matched:
             matches += 1
@@ -344,8 +339,7 @@ def exhaustive_proportion(
     if pool is None:
         pool = list(enumerate_states(left))
     matches = 0
-    label_caches: tuple[dict, dict] = ({}, {})
     for state in pool:
-        if _compare_at(left, right, psi, state, depth, label_caches).matched:
+        if _compare_at(left, right, psi, state, depth).matched:
             matches += 1
     return matches, len(pool)

@@ -1,7 +1,9 @@
 """Game-tree construction, decision matrices, and import/export.
 
-Trees are stored as flat arenas (parallel arrays indexed by node/edge id)
-because realistic games produce trees with millions of nodes.  An arena may
+Trees are stored as flat arenas, one plain list per node or edge field
+(a column) indexed by node or edge id, because realistic games produce
+trees with millions of nodes; lists rather than `array`s, because reading
+an `array` allocates a fresh int for every id above 256.  An arena may
 share nodes: `build_tree` makes one node per distinct subtree it can name
 (a state, or a state and the rounds left), reached along every edge that
 leads to it, and normalization shares finished subtrees.  Such an arena
@@ -40,7 +42,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
@@ -92,14 +93,14 @@ class GameTree:
         # Keyed by immutable label values (an edge label, or a node's tuple
         # of out-edge labels), so it survives every rewrite.
         self.label_cache: dict = {}
-        self.node_kind = array("b")
+        self.node_kind: list[int] = []
         self.node_state: list[Optional[GameState]] = []
         self.node_outcome: list[Optional[str]] = []
         self.node_children: list[list[int]] = []
-        self.node_parent_edge = array("i")
-        self.edge_kind = array("b")
-        self.edge_src = array("i")
-        self.edge_dst = array("i")
+        self.node_parent_edge: list[int] = []
+        self.edge_kind: list[int] = []
+        self.edge_src: list[int] = []
+        self.edge_dst: list[int] = []
         self.edge_prob: list[Optional[Fraction]] = []
         self.edge_label: list[Optional[EdgeLabel]] = []
         self.root = -1
@@ -177,18 +178,18 @@ class GameTree:
         return height[self.root]
 
     def copy(self) -> "GameTree":
-        """An independent arena with the same arrays; the label cache is
+        """An independent arena with the same columns; the label cache is
         shared, as its entries are keyed by immutable labels."""
         dup = GameTree(self.players, self.system)
         dup.label_cache = self.label_cache
-        dup.node_kind = array("b", self.node_kind)
+        dup.node_kind = list(self.node_kind)
         dup.node_state = list(self.node_state)
         dup.node_outcome = list(self.node_outcome)
         dup.node_children = [list(c) for c in self.node_children]
-        dup.node_parent_edge = array("i", self.node_parent_edge)
-        dup.edge_kind = array("b", self.edge_kind)
-        dup.edge_src = array("i", self.edge_src)
-        dup.edge_dst = array("i", self.edge_dst)
+        dup.node_parent_edge = list(self.node_parent_edge)
+        dup.edge_kind = list(self.edge_kind)
+        dup.edge_src = list(self.edge_src)
+        dup.edge_dst = list(self.edge_dst)
         dup.edge_prob = list(self.edge_prob)
         dup.edge_label = list(self.edge_label)
         dup.root = self.root
@@ -320,14 +321,14 @@ def _unfold(tree: GameTree) -> tuple[GameTree, list[int]]:
 
     out = GameTree(tree.players, tree.system)
     out.label_cache = tree.label_cache
-    out.node_kind = array("b", [node_kind[n] for n in origin])
+    out.node_kind = [node_kind[n] for n in origin]
     out.node_state = [tree.node_state[n] for n in origin]
     out.node_outcome = [tree.node_outcome[n] for n in origin]
     out.node_children = children
-    out.node_parent_edge = array("i", range(-1, size - 1))
-    out.edge_kind = array("b", [tree.edge_kind[e] for e in edge_origin])
-    out.edge_src = array("i", edge_src)
-    out.edge_dst = array("i", range(1, size))
+    out.node_parent_edge = list(range(-1, size - 1))
+    out.edge_kind = [tree.edge_kind[e] for e in edge_origin]
+    out.edge_src = edge_src
+    out.edge_dst = list(range(1, size))
     out.edge_prob = [tree.edge_prob[e] for e in edge_origin]
     out.edge_label = [tree.edge_label[e] for e in edge_origin]
     out.root = 0
@@ -340,7 +341,7 @@ def unfold(tree: GameTree) -> GameTree:
     Nodes are numbered as an unshared `build_tree` numbers them: a node's
     children get ids when the node is expanded, a chance child's children
     right after it, and the last child created is expanded first.  So
-    unfolding a built arena gives exactly the arrays an unshared build
+    unfolding a built arena gives exactly the columns an unshared build
     would.  The label cache is shared: its entries are keyed by immutable
     labels.
     """
@@ -353,7 +354,7 @@ def compact(tree: GameTree) -> GameTree:
 
     Nodes and edges are numbered in the order in which `unfold` creates the
     first copy of each, and a node's parent edge is the one its first copy
-    is created along, so on an unshared arena the arrays are exactly those
+    is created along, so on an unshared arena the columns are exactly those
     of `unfold`.  The walk replays `unfold`'s stack but expands a node only
     when it is first popped: when `unfold` pops a later copy, the subtree
     of the first is done, so the later copy creates no new node.  Every
@@ -407,14 +408,14 @@ def compact(tree: GameTree) -> GameTree:
 
     out = GameTree(tree.players, tree.system)
     out.label_cache = tree.label_cache
-    out.node_kind = array("b", [node_kind[n] for n in origin])
+    out.node_kind = [node_kind[n] for n in origin]
     out.node_state = [tree.node_state[n] for n in origin]
     out.node_outcome = [tree.node_outcome[n] for n in origin]
     out.node_children = children
-    out.node_parent_edge = array("i", parent_edge)
-    out.edge_kind = array("b", [tree.edge_kind[e] for e in edge_origin])
-    out.edge_src = array("i", edge_src)
-    out.edge_dst = array("i", [new_id[edge_dst[e]] for e in edge_origin])
+    out.node_parent_edge = parent_edge
+    out.edge_kind = [tree.edge_kind[e] for e in edge_origin]
+    out.edge_src = edge_src
+    out.edge_dst = [new_id[edge_dst[e]] for e in edge_origin]
     out.edge_prob = [tree.edge_prob[e] for e in edge_origin]
     out.edge_label = [tree.edge_label[e] for e in edge_origin]
     out.root = 0
@@ -469,12 +470,14 @@ def build_tree(
     (state, round) under `depth_limit`; each state node owns a chance node
     per decision tuple that needs one.  Node ids are handed out in the order
     an unshared build creates them, skipping repeats, and `unfold` recovers
-    that build's arrays exactly.  `node_budget` bounds the node count of the
+    that build's columns exactly.  `node_budget` bounds the node count of the
     unfolded tree (systems can describe infinite trees): a larger tree, or a
-    state graph with a cycle, raises BudgetExceededError.
+    state graph with a cycle, raises BudgetExceededError.  Every tree built from
+    one system shares the system engine's label cache.
     """
     engine = sys.engine()
     tree = GameTree(sys.players, sys)
+    tree.label_cache = engine.label_cache
     label_cache: dict[DecisionTuple, EdgeLabel] = {}
 
     def label_for(dtuple: DecisionTuple) -> EdgeLabel:

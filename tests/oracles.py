@@ -654,9 +654,10 @@ def reference_matrix(tree: GameTree, node: int) -> tuple[tuple, dict]:
 
 
 # ---------------------------------------------------------------------------
-# The reference matrix-redundancy loop: `reduce._pruned_labels` before its
-# exit for matrices whose every edge carries one joint choice, kept verbatim.
-# The oracle engines below rewrite with it, so they never share that exit.
+# The reference matrix-redundancy loop, kept verbatim: `reduce._pruned_labels`
+# answers a matrix where one player chooses in closed form, and `reduce`
+# skips matrices whose every edge carries one joint choice.  The oracle
+# engines below run this loop at every node.
 # ---------------------------------------------------------------------------
 
 

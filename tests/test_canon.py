@@ -15,6 +15,7 @@ import generators
 import oracles
 from conftest import fixture_text
 from ludokit import canon, equiv, reduce, tree
+from ludokit.errors import TreeInvariantError
 from ludokit.tree import DECISION_EDGE, GameTree, STATE, TERMINAL
 
 COLD_MATRIX = canon.canonical_matrix
@@ -255,3 +256,39 @@ class TestPrunedSolver:
             assert equiv.canonical_form(t) == equiv.canonical_form(renamed)
         assert len(runs) == 728
         assert sum(runs) <= 1300
+
+
+class TestKeyFn:
+    """`make_key_fn` keys a node when first asked, from its children's
+    keys, keying any unkeyed descendant first."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_any_order_gives_the_batch_keys_once(self, seed, systems, monkeypatch):
+        rng = random.Random(seed)
+        if seed == 0:
+            t = tree.build_forest(systems["parity"])[0]
+        else:
+            t = generators.random_tree(rng, max_nodes=40, n_players=1 + seed % 3)
+        expected, _ = keys_for(t, (canon.literal_player_codes(t.players), {}))
+        encoded = []
+        fill_keys = canon._fill_keys
+
+        def counted(t, order, *rest):
+            encoded.extend(order)
+            return fill_keys(t, order, *rest)
+
+        monkeypatch.setattr(canon, "_fill_keys", counted)
+        key = canon.make_key_fn(t, canon.PIN_SYMMETRY)
+        asked = list(expected)
+        rng.shuffle(asked)
+        assert {n: key(n) for n in asked} == expected
+        assert sorted(encoded) == sorted(expected)
+
+    def test_a_cycle_raises(self):
+        t = GameTree(("P",))
+        a, b = t.add_node(STATE), t.add_node(STATE)
+        t.root = a
+        t.add_edge(a, b, DECISION_EDGE, label=frozenset({(("x",),)}))
+        t.add_edge(b, a, DECISION_EDGE, label=frozenset({(("y",),)}))
+        with pytest.raises(TreeInvariantError, match="cycle"):
+            canon.make_key_fn(t, canon.PIN_SYMMETRY)(a)

@@ -14,7 +14,8 @@ from hypothesis import given, settings, strategies as st
 
 import generators
 import oracles
-from ludokit import canon, core, equiv, reduce, tree
+from conftest import fixture_path
+from ludokit import canon, core, dsl, equiv, reduce, tree
 from ludokit.errors import TreeInvariantError
 from ludokit.reduce import normalize
 from oracles import (
@@ -265,8 +266,8 @@ def _matrices(draw):
 
 
 class TestPrunedLabels:
-    """`reduce._pruned_labels` returns None at once on a matrix whose every
-    edge carries one joint choice; otherwise it runs the reference loop."""
+    """`reduce._pruned_labels` equals the reference loop, and normalize
+    never asks it about a matrix whose every edge carries one joint choice."""
 
     @settings(max_examples=300, deadline=None)
     @given(_matrices())
@@ -292,9 +293,11 @@ class TestPrunedLabels:
             renamed = equiv.relabel_tree(t, player_map, outcome_map)
             assert equiv.agency_equivalent(t, renamed) is not None
             assert equiv.canonical_form(t) == equiv.canonical_form(renamed)
-        # 480 of the 1,194 misses take the early exit; 478 prune something
-        assert len(misses) == 1194
-        assert sum(one_each for one_each, _ in misses) == 480
+        # normalize looks nothing up where every edge carries one joint
+        # choice, so no miss takes the early exit (480 of 1,194 misses did
+        # when it looked them up); 478 prune something
+        assert len(misses) == 714
+        assert sum(one_each for one_each, _ in misses) == 0
         assert sum(changed for _, changed in misses) == 478
 
 
@@ -801,6 +804,50 @@ class TestWorklist:
                     assert self.subtree_form(t, root) == self.subtree_form(t, ref_root)
             fired.update(step["kind"] for step in steps)
         assert fired == {"matrix-redundancy", "bookkeeping", "single-player", "symmetry"}
+
+
+class TestWorkCounts:
+    """What normalizing the X-first forbidden tree computes, counted: a
+    change that recomputes a per-node fact shows here without timing the
+    host.  The system is parsed afresh, so its label cache starts cold."""
+
+    def test_x_first_forbidden(self, monkeypatch):
+        system = dsl.parse_file(fixture_path("forbidden.game"))
+        t = midgame_tree(system, 0)
+        counts = {"node_meta": 0, "pruned": 0}
+        keyed: list = []
+        arenas: list = []
+        node_meta, pruned_labels = reduce.node_meta, reduce._pruned_labels
+        fill_keys, compact = canon._fill_keys, reduce.compact
+
+        def counted_meta(t, node):
+            counts["node_meta"] += 1
+            return node_meta(t, node)
+
+        def counted_pruned(meta):
+            counts["pruned"] += 1
+            return pruned_labels(meta)
+
+        def counted_keys(t, order, memo, *rest):
+            order = list(order)
+            keyed.extend((id(memo), n) for n in order)
+            return fill_keys(t, order, memo, *rest)
+
+        def kept_compact(arena):
+            arenas.append(arena)
+            return compact(arena)
+
+        monkeypatch.setattr(reduce, "node_meta", counted_meta)
+        monkeypatch.setattr(reduce, "_pruned_labels", counted_pruned)
+        monkeypatch.setattr(canon, "_fill_keys", counted_keys)
+        monkeypatch.setattr(reduce, "compact", kept_compact)
+        form, _ = normalize(t)
+        assert form.node_count() == 22_404
+        # 8,300 calls and 1,413 computations when matrix redundancy looked up
+        # matrices whose every edge carries one joint choice
+        assert counts == {"node_meta": 7_844, "pruned": 957}
+        # each output node is keyed at most once, and only when asked for
+        assert len(keyed) == len(set(keyed)) == 3_633 < len(arenas[0].node_kind)
 
 
 class TestSharedForm:

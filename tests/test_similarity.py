@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import fixture_text
 from ludokit import canon, core, equiv, reduce, tree
+from ludokit.dsl import parse_game
 from ludokit.errors import LudokitError, StateMapError
 from ludokit.similarity import (
     StateMap,
@@ -137,11 +138,14 @@ class TestStateMap:
 
 
 class TestSimilarity:
-    def test_one_label_cache_per_system(self, systems, magic_psi, monkeypatch):
-        """The samples of one call share a label cache per system, so each
-        distinct tuple of edge labels is decoded once per system.  With a
-        fresh cache per sampled tree, as before, this call missed 2,907
-        times."""
+    def test_one_label_cache_per_system(self, magic_psi, monkeypatch):
+        """Every tree built from a system shares the system's label cache,
+        across calls too, so each distinct tuple of edge labels is decoded
+        once per system.  Freshly parsed systems start cold.  With a fresh
+        cache per sampled tree, as before, the first call missed 2,907
+        times; the same call again misses nothing and adds no entry, so
+        repeating a call does not grow the caches."""
+        left, right = (parse_game(fixture_text(f"{g}.game"), g) for g in ("tictactoe", "3to15"))
         real = tree.node_meta
         misses = []
         seen = set()
@@ -149,17 +153,24 @@ class TestSimilarity:
         def counting(t, node):
             labels = tuple([t.edge_label[e] for e in t.node_children[node]])
             if labels not in t.label_cache:
-                misses.append(labels)
+                misses.append((id(t.label_cache), labels))
             seen.add((id(t.label_cache), labels))
             return real(t, node)
 
         for module in (tree, canon, reduce, equiv):
             monkeypatch.setattr(module, "node_meta", counting)
-        report = similarity(
-            systems["tictactoe"], systems["3to15"], magic_psi, samples=200, depth=2
-        )
+        report = similarity(left, right, magic_psi, samples=200, depth=2)
         assert report.matches == 200
-        assert len(misses) == len(seen) < 2907
+        assert {cache for cache, _ in seen} == {
+            id(left.engine().label_cache), id(right.engine().label_cache)
+        }
+        first = len(misses)
+        assert set(misses) == seen and first == len(seen) < 2907
+        sizes = len(left.engine().label_cache), len(right.engine().label_cache)
+        again = similarity(left, right, magic_psi, samples=200, depth=2)
+        assert again.to_json() == report.to_json()
+        assert len(misses) == first
+        assert (len(left.engine().label_cache), len(right.engine().label_cache)) == sizes
 
     def test_self_similarity(self, systems):
         sys = systems["mixed_a"]

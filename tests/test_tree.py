@@ -209,6 +209,27 @@ class TestSharedBuild:
         assert dup.label_cache is t.label_cache and t.label_cache
         assert arrays(dup) == arrays(t)
 
+    def test_every_producer_yields_list_columns(self, systems):
+        """Arena columns are plain lists wherever an arena is made: an
+        `array` column would make each read of an id above 256 allocate,
+        and an `array` never equals a list."""
+        built = build_forest(systems["parity"])[0]
+        imported = tree.import_json(tree.export_json(built))
+        arenas = {
+            "build_tree": built,
+            "import_json": imported,
+            "unfold": tree.unfold(built),
+            "compact": tree.compact(built),
+            "copy": built.copy(),
+            "relabel_tree": equiv.relabel_tree(imported, outcome_map={}),
+            "normalize": reduce.normalize(built)[0],
+        }
+        for name, t in arenas.items():
+            for column in tree.GameTree.__slots__:
+                value = getattr(t, column)
+                if column not in ("players", "root", "system", "label_cache"):
+                    assert type(value) is list, (name, column)
+
     def test_one_node_per_state(self, ttt):
         t = build_forest(ttt)[0]
         states = [t.node_state[n] for n in tree.postorder(t) if t.node_kind[n] != CHANCE]
