@@ -38,10 +38,10 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
 from hashlib import blake2b
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
+from .core import typed_record
 from .errors import LabelingLimitError, TreeInvariantError
 from .tree import CHANCE, GameTree, STATE, TERMINAL, node_meta, postorder
 
@@ -55,8 +55,8 @@ def _digest(data: bytes) -> bytes:
     return blake2b(data, digest_size=16).digest()
 
 
-@dataclass(frozen=True)
-class CanonicalKey:
+@typed_record
+class CanonicalKey(NamedTuple):
     """Canonical form of a tree (or forest): equal keys == equivalent trees."""
 
     digest: bytes

@@ -18,7 +18,7 @@ import random
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterator, Optional, Union
+from typing import Callable, Iterator, NamedTuple, Optional, Union
 
 from .errors import (
     AmbiguityWarning,
@@ -43,35 +43,63 @@ WILDCARD = "*"
 
 
 # ---------------------------------------------------------------------------
+# Value records
+# ---------------------------------------------------------------------------
+
+
+def _record_eq(self, other):
+    if self.__class__ is other.__class__:
+        return tuple.__eq__(self, other)
+    return False if isinstance(other, tuple) else NotImplemented
+
+
+def _record_ne(self, other):
+    eq = _record_eq(self, other)
+    return eq if eq is NotImplemented else not eq
+
+
+def typed_record(cls):
+    """Make a NamedTuple record equal only to records of its own class.
+
+    Plain tuple equality would give ``And(p) == Or(p)`` and
+    ``Lit("t", "a") == ("t", "a")``.  The hash stays the tuple's, which is
+    consistent with this equality and is the hash a frozen dataclass gave:
+    that of its field tuple.
+    """
+    cls.__eq__, cls.__ne__, cls.__hash__ = _record_eq, _record_ne, tuple.__hash__
+    return cls
+
+
+# ---------------------------------------------------------------------------
 # State-set expressions
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Lit:
+@typed_record
+class Lit(NamedTuple):
     """Literal ``track = value``: the set of states where the track holds value."""
 
     track: str
     value: str
 
 
-@dataclass(frozen=True)
-class Not:
+@typed_record
+class Not(NamedTuple):
     operand: "Expr"
 
 
-@dataclass(frozen=True)
-class And:
+@typed_record
+class And(NamedTuple):
     parts: tuple["Expr", ...]
 
 
-@dataclass(frozen=True)
-class Or:
+@typed_record
+class Or(NamedTuple):
     parts: tuple["Expr", ...]
 
 
-@dataclass(frozen=True)
-class Ref:
+@typed_record
+class Ref(NamedTuple):
     """Reference to a named state set."""
 
     name: str
@@ -85,22 +113,22 @@ Expr = Union[Lit, Not, And, Or, Ref]
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TrackSpec:
+@typed_record
+class TrackSpec(NamedTuple):
     """One factor of the state space: a named, ordered finite value set."""
 
     name: str
     values: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class ActionClause:
+@typed_record
+class ActionClause(NamedTuple):
     guard: Optional[Expr]  # None means the whole state space
     assignments: tuple[tuple[str, str], ...]  # (track, value) pairs
 
 
-@dataclass(frozen=True)
-class ActionDef:
+@typed_record
+class ActionDef(NamedTuple):
     """A state transformer: first matching clause applies, else identity."""
 
     name: str
@@ -120,15 +148,15 @@ class ConsequenceRule:
     results: tuple[tuple[Fraction, tuple[str, ...]], ...]
 
 
-@dataclass(frozen=True)
-class LegalityRule:
+@typed_record
+class LegalityRule(NamedTuple):
     player: str
     decision: str
     region: Expr
 
 
-@dataclass(frozen=True)
-class OutcomeRule:
+@typed_record
+class OutcomeRule(NamedTuple):
     region: Expr
     outcome: str
 
@@ -730,16 +758,16 @@ def reachable_states(sys: GameSystem) -> set[GameState]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Violation:
+@typed_record
+class Violation(NamedTuple):
     kind: str
     message: str
     state: Optional[GameState] = None
     decision_tuple: Optional[DecisionTuple] = None
 
 
-@dataclass
-class CompletenessReport:
+@typed_record
+class CompletenessReport(NamedTuple):
     scope: str
     states_checked: int
     violations: list[Violation]
@@ -812,8 +840,8 @@ def check_completeness(sys: GameSystem, scope: str = "reachable") -> Completenes
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PlayStep:
+@typed_record
+class PlayStep(NamedTuple):
     state: GameState
     decision_tuple: DecisionTuple
     consequence_index: int
@@ -821,8 +849,8 @@ class PlayStep:
     next_state: GameState
 
 
-@dataclass(frozen=True)
-class Playthrough:
+@typed_record
+class Playthrough(NamedTuple):
     initial_state: GameState
     steps: tuple[PlayStep, ...]
     outcome: str

@@ -45,9 +45,8 @@ serialization emits the expanded form (macros are not reconstructed), and
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from . import core
 from .core import (
@@ -65,6 +64,7 @@ from .core import (
     Ref,
     TrackSpec,
     WILDCARD,
+    typed_record,
 )
 from .errors import LudokitError
 
@@ -80,8 +80,8 @@ _PUNCT = (
 )
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+@typed_record
+class Diagnostic(NamedTuple):
     path: str
     line: int
     col: int
@@ -103,8 +103,8 @@ class GameParseError(LudokitError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Token:
+@typed_record
+class Token(NamedTuple):
     kind: str  # "ident", "punct", "eof"
     value: str
     line: int
@@ -159,8 +159,8 @@ def _lex(text: str, path: str) -> list[Token]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Name:
+@typed_record
+class Name(NamedTuple):
     """An identifier occurrence, possibly containing $binder templates."""
 
     text: str
@@ -168,34 +168,34 @@ class Name:
     col: int
 
 
-@dataclass(frozen=True)
-class RLit:
+@typed_record
+class RLit(NamedTuple):
     track: Name
     value: Name
 
 
-@dataclass(frozen=True)
-class RRef:
+@typed_record
+class RRef(NamedTuple):
     name: Name
 
 
-@dataclass(frozen=True)
-class RNot:
+@typed_record
+class RNot(NamedTuple):
     operand: "RExpr"
 
 
-@dataclass(frozen=True)
-class RAnd:
+@typed_record
+class RAnd(NamedTuple):
     parts: tuple["RExpr", ...]
 
 
-@dataclass(frozen=True)
-class ROr:
+@typed_record
+class ROr(NamedTuple):
     parts: tuple["RExpr", ...]
 
 
-@dataclass(frozen=True)
-class Binder:
+@typed_record
+class Binder(NamedTuple):
     var: str
     values: tuple[str, ...]
     line: int
@@ -207,22 +207,22 @@ class Binder:
 Arith = tuple
 
 
-@dataclass(frozen=True)
-class Comparison:
+@typed_record
+class Comparison(NamedTuple):
     op: str
     left: Arith
     right: Arith
 
 
-@dataclass(frozen=True)
-class Guard:
+@typed_record
+class Guard(NamedTuple):
     comparisons: tuple[Comparison, ...]
     line: int
     col: int
 
 
-@dataclass(frozen=True)
-class RComprehension:
+@typed_record
+class RComprehension(NamedTuple):
     kind: str  # "any" | "all"
     binders: tuple[Binder, ...]
     guard: Optional[Guard]
@@ -234,61 +234,61 @@ class RComprehension:
 RExpr = Union[RLit, RRef, RNot, RAnd, ROr, RComprehension]
 
 
-@dataclass(frozen=True)
-class DGame:
+@typed_record
+class DGame(NamedTuple):
     name: Name
 
 
-@dataclass(frozen=True)
-class DPlayers:
+@typed_record
+class DPlayers(NamedTuple):
     names: tuple[Name, ...]
 
 
-@dataclass(frozen=True)
-class DTrack:
+@typed_record
+class DTrack(NamedTuple):
     name: Name
     values: tuple[Name, ...]
 
 
-@dataclass(frozen=True)
-class DDecisions:
+@typed_record
+class DDecisions(NamedTuple):
     names: tuple[Name, ...]
 
 
-@dataclass(frozen=True)
-class DSet:
+@typed_record
+class DSet(NamedTuple):
     name: Name
     expr: RExpr
 
 
-@dataclass(frozen=True)
-class RActionClause:
+@typed_record
+class RActionClause(NamedTuple):
     guard: Optional[RExpr]
     assignments: tuple[tuple[Name, Name], ...]
 
 
-@dataclass(frozen=True)
-class DAction:
+@typed_record
+class DAction(NamedTuple):
     name: Name
     clauses: tuple[RActionClause, ...]
 
 
-@dataclass(frozen=True)
-class DInit:
+@typed_record
+class DInit(NamedTuple):
     expr: RExpr
     line: int
     col: int
 
 
-@dataclass(frozen=True)
-class DLegal:
+@typed_record
+class DLegal(NamedTuple):
     player: Name
     decision: Name
     region: RExpr
 
 
-@dataclass(frozen=True)
-class DConsequence:
+@typed_record
+class DConsequence(NamedTuple):
     pattern: tuple[Name, ...]  # entries "0" and "*" are special
     guard: Optional[RExpr]
     results: tuple[tuple[Fraction, tuple[Name, ...]], ...]
@@ -296,19 +296,19 @@ class DConsequence:
     col: int
 
 
-@dataclass(frozen=True)
-class DOutcome:
+@typed_record
+class DOutcome(NamedTuple):
     name: Name
     region: RExpr
 
 
-@dataclass(frozen=True)
-class DDefaultOutcome:
+@typed_record
+class DDefaultOutcome(NamedTuple):
     name: Name
 
 
-@dataclass(frozen=True)
-class DForall:
+@typed_record
+class DForall(NamedTuple):
     binder: Binder
     guard: Optional[Guard]
     body: tuple["Decl", ...]

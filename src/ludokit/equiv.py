@@ -38,10 +38,10 @@ import json
 from dataclasses import dataclass, field
 from functools import cached_property
 from hashlib import blake2b
-from typing import Iterator, Optional, Union
+from typing import Iterator, NamedTuple, Optional, Union
 
 from . import canon, reduce as reduce_mod
-from .core import GameSystem
+from .core import GameSystem, typed_record
 from .errors import LudokitError
 from .tree import (
     CHANCE,
@@ -83,8 +83,8 @@ def _as_pin(pin) -> Pin:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Skeleton:
+@typed_record
+class Skeleton(NamedTuple):
     """Pure shape of a tree: node/edge arrangement only, no labels, no kinds."""
 
     digest: bytes

@@ -63,7 +63,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import canon
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, TreeInvariantError
 from .tree import (
     CHANCE,
     CHANCE_EDGE,
@@ -491,10 +491,11 @@ def _normal_form(tree: GameTree, trace: ReductionTrace) -> GameTree:
     # running totals there), the first step -1 while the node is yet to be
     # entered.
     # done: input node -> (its normal form, the steps of its subtree lo:hi,
-    #   their changes summed)
+    #   their changes summed), or () while the node is entered but not done:
+    #   meeting it again then means it lies on a cycle
     # table: memo key -> (normal form, the steps of its own loop lo:hi,
     #   their changes summed)
-    done: dict[int, tuple[int, int, int, int, int]] = {}
+    done: dict[int, tuple] = {}
     table: dict[tuple, tuple[int, int, int, int, int]] = {}
     add_node, add_edge = out.add_node, out.add_edge
     in_children, in_dst = tree.node_children, tree.edge_dst
@@ -505,9 +506,12 @@ def _normal_form(tree: GameTree, trace: ReductionTrace) -> GameTree:
         if lo < 0:
             got = done.get(v)
             if got is None:
+                done[v] = ()
                 stack.append((v, len(deltas), total[0], total[1]))
                 for e in in_children[v]:
                     stack.append((in_dst[e], -1, 0, 0))
+            elif not got:
+                raise TreeInvariantError(f"node {v} lies on a cycle")
             else:
                 replay(*got[1:])
             continue
@@ -558,7 +562,8 @@ def normalize(tree: GameTree, consume: bool = False) -> tuple[GameTree, Reductio
     once; exports, counts and witnesses unfold it on demand.  `compact`
     keeps its reachable nodes and numbers them as `unfold` would, so an
     unshared form has exactly the columns of its unfolding.  `consume` is
-    accepted for callers that pass it and has no effect.
+    accepted for callers that pass it and has no effect.  Raises
+    TreeInvariantError on a cycle, as `validate_tree` does.
     """
     trace = ReductionTrace()
     return compact(_normal_form(tree, trace)), trace

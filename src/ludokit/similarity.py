@@ -21,10 +21,10 @@ import json
 import random
 from dataclasses import dataclass, field
 from statistics import NormalDist
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import equiv, reduce as reduce_mod
-from .core import GameState, GameSystem, enumerate_states, reachable_states
+from .core import GameState, GameSystem, enumerate_states, reachable_states, typed_record
 from .errors import LudokitError, NoRuleMatchesError, StateMapError
 from .tree import build_tree
 
@@ -48,8 +48,8 @@ def wilson_interval(successes: int, trials: int, level: float = 0.95) -> tuple[f
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class StateMap:
+@typed_record
+class StateMap(NamedTuple):
     """A track/value bijection from one system's state space to another's.
 
     `tracks` maps source track names to target track names; `values` maps,
@@ -157,8 +157,8 @@ def apply_state_map(psi: StateMap, state: GameState, src: GameSystem, dst: GameS
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class SampleRecord:
+@typed_record
+class SampleRecord(NamedTuple):
     state: GameState
     mapped_state: GameState
     matched: bool

@@ -53,6 +53,7 @@ from .core import (
     GameSystem,
     format_decision_tuple,
     initial_states,
+    typed_record,
 )
 from .errors import BudgetExceededError, TreeInvariantError
 
@@ -809,7 +810,8 @@ def _preorder(tree: GameTree) -> tuple[list[int], list, list[int]]:
     children before it.  Decision edges sort by their sorted tuple
     sequences, chance edges by descending probability, and equally likely
     ones by the child's fully pinned subtree key.  Both sorts run once per
-    arena node, and keys are computed only below tied chance edges.
+    arena node, and keys are computed only below tied chance edges.  Raises
+    TreeInvariantError on a cycle, as `validate_tree` does.
     """
     from . import canon  # local import: canon orders tied chance edges by subtree key
 
@@ -849,7 +851,10 @@ def _preorder(tree: GameTree) -> tuple[list[int], list, list[int]]:
                     ),
                 )
             for e in edges:
-                s += size[edge_dst[e]]
+                k = size[edge_dst[e]]
+                if not k:  # a child not yet sized lies on a cycle
+                    raise TreeInvariantError(f"node {edge_dst[e]} lies on a cycle")
+                s += k
         ordered[n] = edges
         size[n] = s
 
@@ -1191,8 +1196,8 @@ def export_dot(tree: GameTree) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class TreeStats:
+@typed_record
+class TreeStats(NamedTuple):
     nodes: int
     state_nodes: int
     chance_nodes: int

@@ -6,7 +6,9 @@ Session-scoped trees are shared for speed; tests must not mutate them
 
 from __future__ import annotations
 
+import contextlib
 import pathlib
+import signal
 import sys
 
 import pytest
@@ -35,6 +37,23 @@ def fixture_path(name: str) -> str:
 
 def fixture_text(name: str) -> str:
     return (FIXTURES / name).read_text(encoding="utf-8")
+
+
+@contextlib.contextmanager
+def deadline(seconds: float):
+    """Fail the block with TimeoutError once `seconds` of wall time pass,
+    so that a walk that never returns fails fast instead of hanging."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture(scope="session")

@@ -243,3 +243,19 @@ def random_system(rng: random.Random) -> GameSystem:
         named_sets=named_sets,
         name=f"random{rng.randint(0, 999)}",
     )
+
+
+# ---------------------------------------------------------------------------
+# Malformed arenas
+# ---------------------------------------------------------------------------
+
+
+def two_node_cycle() -> GameTree:
+    """The arena a -> b -> a: `GameTree.add_edge` allows it, and every walk
+    of the library must refuse it."""
+    t = GameTree(("P",))
+    a, b = t.add_node(STATE), t.add_node(STATE)
+    t.root = a
+    t.add_edge(a, b, DECISION_EDGE, label=frozenset({(("x",),)}))
+    t.add_edge(b, a, DECISION_EDGE, label=frozenset({(("y",),)}))
+    return t

@@ -285,10 +285,6 @@ class TestKeyFn:
         assert sorted(encoded) == sorted(expected)
 
     def test_a_cycle_raises(self):
-        t = GameTree(("P",))
-        a, b = t.add_node(STATE), t.add_node(STATE)
-        t.root = a
-        t.add_edge(a, b, DECISION_EDGE, label=frozenset({(("x",),)}))
-        t.add_edge(b, a, DECISION_EDGE, label=frozenset({(("y",),)}))
+        t = generators.two_node_cycle()
         with pytest.raises(TreeInvariantError, match="cycle"):
-            canon.make_key_fn(t, canon.PIN_SYMMETRY)(a)
+            canon.make_key_fn(t, canon.PIN_SYMMETRY)(t.root)

@@ -19,8 +19,9 @@ import pytest
 
 import generators
 import oracles
-from conftest import fixture_path, fixture_text
+from conftest import deadline, fixture_path, fixture_text
 from ludokit import cli, equiv, reduce, tree
+from ludokit.errors import TreeInvariantError
 from ludokit.tree import CHANCE, CHANCE_EDGE, DECISION_EDGE, STATE, TERMINAL, TRUNCATED
 
 GAMES = [
@@ -108,6 +109,13 @@ class TestLibrary:
             t.add_edge(coin, leaf, CHANCE_EDGE, prob=prob)
         tree.validate_tree(t)
         assert_exports_match(t)
+
+    @pytest.mark.parametrize("export", [tree.export_json, tree.export_dot], ids=["json", "dot"])
+    def test_exports_refuse_a_cycle(self, export):
+        """The shared preorder walk sizes each node after its children; a
+        child not yet sized lies on a cycle."""
+        with deadline(1.0), pytest.raises(TreeInvariantError, match="node 0 lies on a cycle"):
+            export(generators.two_node_cycle())
 
     @pytest.mark.parametrize("level", [0, 1, 2, 5])
     def test_level_indents_every_line(self, systems, level):

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 import generators
 import oracles
-from conftest import fixture_path
+from conftest import deadline, fixture_path
 from ludokit import canon, core, dsl, equiv, reduce, tree
 from ludokit.errors import TreeInvariantError
 from ludokit.reduce import normalize
@@ -917,14 +917,14 @@ class TestSharedForm:
         built = tree.build_forest(systems["parity"])[0]
         assert tree.is_shared(built)
         validate_tree(built)
-        t = GameTree(("P",))
-        a = t.add_node(STATE)
-        b = t.add_node(STATE)
-        t.root = a
-        t.add_edge(a, b, DECISION_EDGE, label=frozenset({(("x",),)}))
-        t.add_edge(b, a, DECISION_EDGE, label=frozenset({(("y",),)}))
         with pytest.raises(TreeInvariantError, match="cycle"):
-            validate_tree(t)
+            validate_tree(generators.two_node_cycle())
+
+    def test_normalize_refuses_a_cycle(self):
+        """The walk meets a node it has entered but not finished, and
+        refuses it at once instead of descending around the cycle."""
+        with deadline(1.0), pytest.raises(TreeInvariantError, match="node 0 lies on a cycle"):
+            normalize(generators.two_node_cycle())
 
     def test_import_still_rejects_two_incoming_edges(self):
         doc = {
