@@ -463,8 +463,13 @@ class _Engine:
     state.  `init_fn` is init's function; `initial_states` first restricts
     the tracks that init's top-level literals force.  Legal-set and outcome
     lookups are cached by state, which makes tree construction fast on
-    transposition-heavy games.  Actions are not cached: a build applies each
-    (actions, state) pair once, since it expands each state node once.
+    transposition-heavy games.  The cached legal sets are hash-consed: equal
+    frozensets, and equal per-state tuples of them, are one shared object.
+    Frozensets, and tuples that hold them, stay tracked by the cyclic
+    garbage collector, and every full collection walks them all, so the
+    fewer there are, the cheaper each collection.  Actions are not cached:
+    a build applies each (actions, state) pair once, since it expands each
+    state node once.
 
     Consequence rules are indexed by decision tuple, on the tuple's first
     lookup: a pattern match depends only on the tuple.  When the first rule
@@ -519,6 +524,9 @@ class _Engine:
         self._cons_fixed: dict[DecisionTuple, tuple] = {}
 
         self._legal_cache: dict[GameState, tuple[frozenset[str], ...]] = {}
+        # One shared object per distinct legal set and per distinct tuple of
+        # them; never evicted, it grows only with distinct values.
+        self._interned: dict = {}
         # (decision tuple, state) -> results, for the other tuples
         self._cons_cache: dict[tuple[DecisionTuple, GameState], tuple] = {}
         self._outcome_cache: dict[GameState, str] = {}
@@ -552,7 +560,9 @@ class _Engine:
         cached = self._legal_cache.get(state)
         if cached is None:
             memo = self.fresh_memo()
-            cached = self._legal_cache[state] = tuple([fn(state, memo) for fn in self._legal_fns])
+            intern = self._interned.setdefault
+            sets = tuple([intern(s, s) for s in [fn(state, memo) for fn in self._legal_fns]])
+            cached = self._legal_cache[state] = intern(sets, sets)
         return cached
 
     def consequences(self, dtuple: DecisionTuple, state: GameState, strict: bool = False):

@@ -94,13 +94,18 @@ class TraceStep:
 class ReductionTrace:
     """The steps of one normalization, from the measure it started at.
 
-    Each step is kept as (kind, root, node change, choice change); `steps`
-    spells them out as `TraceStep`s, measures included, on first access.
+    Each step is kept as (kind, root, node change, choice change), and a
+    repeat of earlier steps as the span (lo, hi) of their positions;
+    `length` counts the steps, repeats included.  `steps` spells them out
+    as `TraceStep`s, measures included, on first access, in one forward
+    pass: a span points backward, at steps already spelled.
     """
 
     def __init__(self, start: tuple[int, int] = (0, 0)) -> None:
         self.start = start
-        self.deltas: list[tuple[str, int, int, int]] = []
+        self.length = 0
+        self._log: list[tuple] = []  # steps and spans, in order
+        self._spelled = 0  # entries of `_log` already in `_steps`
         self._steps: list[TraceStep] = []
 
     def record(self, kind: str, root: int, dn: int, dc: int) -> None:
@@ -109,20 +114,38 @@ class ReductionTrace:
             raise AssertionError(
                 f"{kind} at node {root} did not decrease the measure: changed it by ({dn}, {dc})"
             )
-        self.deltas.append((kind, root, dn, dc))
+        self._log.append((kind, root, dn, dc))
+        self.length += 1
+
+    def replay(self, lo: int, hi: int) -> None:
+        """Repeat the steps at positions lo:hi, which `record` has checked."""
+        if lo < hi:
+            self._log.append((lo, hi))
+            self.length += hi - lo
 
     @property
     def steps(self) -> list[TraceStep]:
         steps = self._steps
-        if len(steps) < len(self.deltas):
+        log = self._log
+        if self._spelled < len(log):
             if steps:
                 nodes, choices = steps[-1].nodes_after, steps[-1].choices_after
             else:
                 nodes, choices = self.start
-            for kind, root, dn, dc in self.deltas[len(steps):]:
-                steps.append(TraceStep(kind, root, nodes, nodes + dn, choices, choices + dc))
-                nodes += dn
-                choices += dc
+            for entry in log[self._spelled:]:
+                if len(entry) == 2:
+                    deltas = [
+                        (s.kind, s.root, s.nodes_after - s.nodes_before,
+                         s.choices_after - s.choices_before)
+                        for s in steps[entry[0]:entry[1]]
+                    ]
+                else:
+                    deltas = [entry]
+                for kind, root, dn, dc in deltas:
+                    steps.append(TraceStep(kind, root, nodes, nodes + dn, choices, choices + dc))
+                    nodes += dn
+                    choices += dc
+            self._spelled = len(log)
         return steps
 
     def to_json(self) -> str:
@@ -349,8 +372,7 @@ def _normal_form(tree: GameTree, trace: ReductionTrace) -> GameTree:
     facts: dict[int, tuple[int, int, bool, int, Optional[int], int]] = {}
     node_kind, node_children = out.node_kind, out.node_children
     edge_dst, edge_prob = out.edge_dst, out.edge_prob
-    deltas = trace.deltas
-    total = [0, 0]  # the changes of the steps in `deltas`, summed
+    total = [0, 0]  # the changes of the steps in `trace`, summed
 
     def record(kind: str, node: int, dn: int, dc: int) -> None:
         trace.record(kind, origin[node], dn, dc)
@@ -358,9 +380,7 @@ def _normal_form(tree: GameTree, trace: ReductionTrace) -> GameTree:
         total[1] += dc
 
     def replay(lo: int, hi: int, dn: int, dc: int) -> None:
-        # A replay repeats deltas that `record` has already checked, so it
-        # cannot fail the check.
-        deltas.extend(deltas[lo:hi])
+        trace.replay(lo, hi)
         total[0] += dn
         total[1] += dc
 
@@ -507,7 +527,7 @@ def _normal_form(tree: GameTree, trace: ReductionTrace) -> GameTree:
             got = done.get(v)
             if got is None:
                 done[v] = ()
-                stack.append((v, len(deltas), total[0], total[1]))
+                stack.append((v, trace.length, total[0], total[1]))
                 for e in in_children[v]:
                     stack.append((in_dst[e], -1, 0, 0))
             elif not got:
@@ -526,16 +546,16 @@ def _normal_form(tree: GameTree, trace: ReductionTrace) -> GameTree:
             origin.append(v)
             for kind, label, prob, child in edges:
                 add_edge(c, child, kind, prob, label)
-            mark, dn, dc = len(deltas), total[0], total[1]
+            mark, dn, dc = trace.length, total[0], total[1]
             meta = None
             if key[0] in (STATE, CHANCE):
                 c, meta = process(c)
             if c not in facts:
                 finish(c, meta)
-            got = table[key] = (c, mark, len(deltas), total[0] - dn, total[1] - dc)
+            got = table[key] = (c, mark, trace.length, total[0] - dn, total[1] - dc)
         else:
             replay(*got[1:])
-        done[v] = (got[0], lo, len(deltas), total[0] - dn0, total[1] - dc0)
+        done[v] = (got[0], lo, trace.length, total[0] - dn0, total[1] - dc0)
 
     # Root-level bookkeeping (Case 1 with the root as the subtree root).
     root = done[tree.root][0]

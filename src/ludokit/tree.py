@@ -91,8 +91,9 @@ class GameTree:
     def __init__(self, players: tuple[str, ...], system: Optional[GameSystem] = None):
         self.players = players
         self.system = system
-        # Keyed by immutable label values (an edge label, or a node's tuple
-        # of out-edge labels), so it survives every rewrite.
+        # Keyed by immutable label values (an edge label, a node's tuple of
+        # out-edge labels, or such a value under a tag), so it survives
+        # every rewrite.
         self.label_cache: dict = {}
         self.node_kind: list[int] = []
         self.node_state: list[Optional[GameState]] = []
@@ -647,7 +648,10 @@ def node_meta(tree: GameTree, node: int) -> NodeMeta:
     heavily across a tree, and nodes with equal labels (equal matrices)
     share one entry.  Labels are immutable values, so no rewrite makes an
     entry stale.  Each sequence stays paired with its joint, as an equal
-    label need not iterate its sequences in the same order.
+    label need not iterate its sequences in the same order.  The per-player
+    choice sets are hash-consed under ``("choices", set)`` keys, so equal
+    sets in different records are one object: frozensets stay tracked by
+    the cyclic garbage collector, and every full collection walks them all.
 
     A miss checks the matrix: the node has decision edges only, each with
     a nonempty label of well-formed, not all-null sequences; no joint
@@ -686,7 +690,7 @@ def node_meta(tree: GameTree, node: int) -> NodeMeta:
                 )
             seen.add(joint)
         decoded.append(pairs)
-    choices = tuple(map(frozenset, zip(*seen)))
+    choices = tuple([cache.setdefault(("choices", c), c) for c in map(frozenset, zip(*seen))])
     sizes = tuple(map(len, choices))
     if len(seen) != math.prod(sizes):
         raise TreeInvariantError(
@@ -912,10 +916,12 @@ def write_json(tree: GameTree, write: Callable[[str], object], level: int = 0) -
 
     The text is ``json.dumps(doc, indent=2)`` of the document, nested `level`
     indent steps deep (the CLI writes a forest as a list of such documents).
-    It is written a node or an edge per chunk.  The fragments that repeat are
-    rendered once per call: each distinct state's ``"state"`` block, outcome,
-    edge label's sorted ``"tuples"`` block and probability; strings are quoted
-    by the C encoder's ``encode_basestring_ascii``, as ``json.dumps`` does.
+    The fragments that repeat are rendered once per call: each distinct
+    state's ``"state"`` block, outcome, edge label's sorted ``"tuples"``
+    block and probability.  Each is written as a chunk of its own, so a
+    caller that keeps the chunks keeps one copy of it, not one per node or
+    edge.  Strings are quoted by the C encoder's ``encode_basestring_ascii``,
+    as ``json.dumps`` does.
     """
     sequence, ordered, size = _preorder(tree)
     pad = "  " * level
@@ -930,23 +936,24 @@ def write_json(tree: GameTree, write: Callable[[str], object], level: int = 0) -
         TERMINAL: f',\n{i3}"kind": "terminal"',
         TRUNCATED: f',\n{i3}"kind": "state",\n{i3}"truncated": true',
     }
-    states: dict = {None: ""}
-    outcomes: dict = {None: ""}
     close = f"\n{i2}}}"
+    states: dict = {}
+    # an outcome's text ends the node
+    outcomes: dict = {None: close}
     sep = "\n"
     for i, n in enumerate(sequence):
+        write(f'{sep}{i2}{{\n{i3}"id": {i}{kinds[tree.node_kind[n]]}')
         state = tree.node_state[n]
-        state_text = states.get(state)
-        if state_text is None:
-            state_text = states[state] = f',\n{i3}"state": {_json_list(state, i3)}'
+        if state is not None:
+            state_text = states.get(state)
+            if state_text is None:
+                state_text = states[state] = f',\n{i3}"state": {_json_list(state, i3)}'
+            write(state_text)
         outcome = tree.node_outcome[n]
         outcome_text = outcomes.get(outcome)
         if outcome_text is None:
-            outcome_text = outcomes[outcome] = f',\n{i3}"outcome": {_quote(outcome)}'
-        write(
-            f'{sep}{i2}{{\n{i3}"id": {i}{kinds[tree.node_kind[n]]}'
-            f"{state_text}{outcome_text}{close}"
-        )
+            outcome_text = outcomes[outcome] = f',\n{i3}"outcome": {_quote(outcome)}{close}'
+        write(outcome_text)
         sep = ",\n"
     write(f'\n{i1}],\n{i1}"edges": [')
     tails: dict = {}
@@ -971,7 +978,8 @@ def write_json(tree: GameTree, write: Callable[[str], object], level: int = 0) -
                     tail = probs[prob] = (
                         f',\n{i3}"kind": "chance",\n{i3}"prob": {_quote(str(prob))}{close}'
                     )
-            write(f'{sep}{i2}{{\n{i3}"from": {i},\n{i3}"to": {to}{tail}')
+            write(f'{sep}{i2}{{\n{i3}"from": {i},\n{i3}"to": {to}')
+            write(tail)
             to += size[edge_dst[e]]
             sep = ",\n"
     write(f"]\n{pad}}}" if sep == "\n" else f"\n{i1}]\n{pad}}}")

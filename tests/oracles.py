@@ -948,7 +948,6 @@ def _normalize_fast(tree: GameTree, trace: ReductionTrace) -> GameTree:
     ids, costs = _intern(tree)
     trace.start = costs[ids[tree.root]]
     record = trace.record
-    deltas = trace.deltas
 
     def splice_forced_child(v: int, e_vw: int) -> bool:
         """Bookkeeping, pairwise: splice a forced state child of v."""
@@ -1048,20 +1047,20 @@ def _normalize_fast(tree: GameTree, trace: ReductionTrace) -> GameTree:
         if lo < 0:
             done = finished.get(ids[v])
             if done is None:
-                stack.append((v, e, len(deltas)))
+                stack.append((v, e, trace.length))
                 for c in tree.node_children[v]:
                     stack.append((tree.edge_dst[c], c, -1))
                 continue
             node, lo, hi = done
             # v is not the root: the root's subtree is the largest, so unique
             tree.edge_dst[e] = node
-            # A replay repeats deltas that `record` has already checked, so
-            # it cannot fail the check; the measures follow from the deltas.
-            deltas.extend(deltas[lo:hi])
+            # A replay repeats steps that `record` has already checked, so
+            # it cannot fail the check; the measures follow from the steps.
+            trace.replay(lo, hi)
             continue
         if tree.node_kind[v] not in (TERMINAL, TRUNCATED):
             process(v, e)
-        finished[ids[v]] = (tree.edge_dst[e] if e >= 0 else tree.root, lo, len(deltas))
+        finished[ids[v]] = (tree.edge_dst[e] if e >= 0 else tree.root, lo, trace.length)
 
     # Root-level bookkeeping (Case 1 with the root as the subtree root).
     while _is_forced(tree, tree.root):

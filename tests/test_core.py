@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import gc
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ludokit import core
+from conftest import fixture_path
+from ludokit import core, dsl, tree
 from ludokit.core import (
     And,
     GameSystem,
@@ -104,6 +106,45 @@ class TestLegalSets:
     def test_win_blocks_play(self, ttt):
         s = board(ttt, turn="O", c1="X", c2="X", c3="X")
         assert core.legal_set(ttt, "O", s) == frozenset()
+
+
+class TestHashConsedLegalSets:
+    """The engine keeps one object per distinct legal set and per distinct
+    tuple of them, so the sets it caches stay few for the collector."""
+
+    def test_equal_legal_sets_are_one_object(self, ttt):
+        s1 = board(ttt, turn="X", c1="X", c2="O")
+        s2 = board(ttt, turn="X", c1="O", c2="X")
+        assert s1 != s2
+        assert core.legal_set(ttt, "X", s1) == set("3456789")
+        assert core.legal_set(ttt, "X", s1) is core.legal_set(ttt, "X", s2)
+        engine = ttt.engine()
+        assert engine.legal_sets(s1) is engine.legal_sets(s2)
+
+    @pytest.fixture
+    def depth5_build(self):
+        """A fresh system's engine, and the tracked objects its first
+        depth-5 build leaves alive after a full collection."""
+        system = dsl.parse_file(fixture_path("tictactoe.game"))
+        engine = system.engine()
+        gc.collect()
+        before = len(gc.get_objects())
+        t = tree.build_tree(system, core.initial_states(system)[0], depth_limit=5)
+        gc.collect()
+        return t, engine, len(gc.get_objects()) - before
+
+    def test_depth5_build_keeps_one_tuple_per_distinct_value(self, depth5_build):
+        t, engine, _ = depth5_build
+        states = {s for s in t.node_state if s is not None}
+        assert len(states) == 4_701
+        tuples = [engine.legal_sets(s) for s in states]
+        assert len({id(sets) for sets in tuples}) == len(set(tuples)) <= 766
+        assert len({id(s) for sets in tuples for s in sets}) == 384
+
+    def test_depth5_build_leaves_few_tracked_objects(self, depth5_build):
+        """18,855 when each state kept its own tuple and frozensets."""
+        _, _, tracked = depth5_build
+        assert tracked <= 8_000
 
 
 class TestTerminality:

@@ -127,6 +127,20 @@ class TestLibrary:
         assert "".join(chunks) == "\n".join("  " * level + line for line in lines)
 
 
+    def test_repeated_fragments_are_shared_chunks(self, systems):
+        """A state block, outcome, label tail or probability is rendered once
+        and written as its own chunk, so repeats are one object."""
+        t = tree.build_forest(systems["tictactoe"], depth_limit=3)[0]
+        chunks: list[str] = []
+        tree.write_json(t, chunks.append)
+        for marker in ('"state":', '"outcome":', '"tuples":', '"prob":'):
+            mine = [c for c in chunks if marker in c]
+            assert len({id(c) for c in mine}) == len(set(mine))
+        states = [c for c in chunks if '"state":' in c]
+        with_state = [n for n in t.iter_nodes() if t.node_state[n] is not None]
+        assert len(states) == len(with_state) > len(set(states))
+
+
 class TestCli:
     @pytest.mark.parametrize("game", GAMES)
     @pytest.mark.parametrize("fmt", ["json", "dot"])

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -14,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 import generators
 import oracles
-from conftest import deadline, fixture_path
+from conftest import deadline, fixture_path, fixture_text
 from ludokit import canon, core, dsl, equiv, reduce, tree
 from ludokit.errors import TreeInvariantError
 from ludokit.reduce import normalize
@@ -848,6 +849,23 @@ class TestWorkCounts:
         assert counts == {"node_meta": 7_844, "pruned": 957}
         # each output node is keyed at most once, and only when asked for
         assert len(keyed) == len(set(keyed)) == 3_633 < len(arenas[0].node_kind)
+
+    def test_x_first_forbidden_trace(self):
+        """The trace of the tree perfbench's agency-forbidden normalizes (the
+        opening coin replaced by X moving first), pinned.  A repeated
+        subtree's steps are kept as a span of earlier steps, so 5,835
+        recorded steps and 5,156 spans spell all 104,994."""
+        coin = "consequence (flip, flip) -> prob 1/2: X_first ; prob 1/2: O_first"
+        text = fixture_text("forbidden.game")
+        assert text.count(coin) == 1
+        system = dsl.parse_game(text.replace(coin, "consequence (flip, flip) -> prob 1: X_first"))
+        (t,) = tree.build_forest(system)
+        _, trace = normalize(t)
+        assert trace.length == len(trace.steps) == 104_994
+        assert len(trace._log) == 5_835 + 5_156
+        assert hashlib.sha256(trace.to_json().encode()).hexdigest() == (
+            "dc7b2205fd295561e8c59633bcc511a608f58adc16f3f674fd8da8c2d0c0492a"
+        )
 
 
 class TestSharedForm:

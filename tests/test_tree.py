@@ -466,6 +466,20 @@ class TestNodeMeta:
                     checked += 1
         assert checked > 1000
 
+    def test_equal_choice_sets_are_one_object(self, systems):
+        """Choice sets are hash-consed through the label cache: equal sets of
+        different records, and of different trees of one system, are one
+        object."""
+        sets = []
+        for t in tree.build_forest(systems["tictactoe"], depth_limit=3):
+            form = reduce.normalize(t)[0]
+            for arena in (t, form):
+                for n in tree.postorder(arena):
+                    if arena.node_kind[n] == STATE:
+                        sets.extend(tree.node_meta(arena, n).choices)
+        assert len(sets) > 500
+        assert len({id(c) for c in sets}) == len(set(sets)) < 100
+
     def test_corrupted_labels_raise_the_reference_check(self):
         """Each corruption raises the same check in `node_meta`,
         `decision_matrix` and the reference, even on a warm shared cache."""
