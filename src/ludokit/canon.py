@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 from hashlib import blake2b
 from typing import Callable, NamedTuple, Optional
 
@@ -285,8 +284,10 @@ def literal_outcome_codes(outcomes) -> dict[str, bytes]:
 
 
 def _labeling(tree: GameTree, player_code: dict[str, bytes], outcome_code: dict[str, bytes]):
-    """A labeling's axis order, its axis header and its outcome coder; an
-    outcome missing from `outcome_code` gets a literal code."""
+    """A labeling's axis order, axis header and outcome coder, and its tables
+    of constants (terminal keys per outcome, single-chooser prefixes per
+    `sizes`) that `_fill_keys` fills as it meets them; an outcome missing
+    from `outcome_code` gets a literal code."""
     players = tree.players
     axis_order = sorted(range(len(players)), key=lambda i: player_code[players[i]])
     axis_header = b",".join(player_code[players[i]] for i in axis_order) + b";"
@@ -295,7 +296,7 @@ def _labeling(tree: GameTree, player_code: dict[str, bytes], outcome_code: dict[
         code = outcome_code.get(outcome)
         return code if code is not None else b"O:" + outcome.encode()
 
-    return axis_order, axis_header, out_code
+    return axis_order, axis_header, out_code, {}, {}
 
 
 def make_key_fn(tree: GameTree, pin: Pin = PIN_SYMMETRY) -> Callable[[int], bytes]:
@@ -339,6 +340,9 @@ def make_key_fn(tree: GameTree, pin: Pin = PIN_SYMMETRY) -> Callable[[int], byte
     return key
 
 
+_TRUNCATED_KEY = _digest(b"U")  # a truncated node's key, states unpinned
+
+
 def _fill_keys(
     tree: GameTree,
     order,
@@ -347,6 +351,8 @@ def _fill_keys(
     axis_order: list[int],
     axis_header: bytes,
     out_code,
+    leaf_keys: dict[str, bytes],
+    prefixes: dict[tuple, bytes],
     pin_states: bool,
 ) -> None:
     """Compute keys for `order` (children-first) into `memo`, and each node's
@@ -362,6 +368,13 @@ def _fill_keys(
     meta_of = node_meta
     for n in order:
         kind = node_kind[n]
+        if kind == TERMINAL:
+            outcome = node_outcome[n]
+            key = leaf_keys.get(outcome)
+            if key is None:
+                key = leaf_keys[outcome] = digest(b"T" + out_code(outcome))
+            memo[n] = key
+            continue
         if kind == STATE:
             edges = node_children[n]
             _, sizes, counts, active, _, _, _ = meta_of(tree, n)
@@ -371,12 +384,12 @@ def _fill_keys(
                 parts = sorted([
                     (memo[edge_dst[e]] + b"#%d;" % c, e) for e, c in zip(edges, counts)
                 ])
-                enc = (
-                    b"S"
-                    + axis_header
-                    + repr([sizes[i] for i in axis_order]).encode()
-                    + b"".join([part for part, _ in parts])
-                )
+                prefix = prefixes.get(sizes)
+                if prefix is None:
+                    prefix = prefixes[sizes] = (
+                        b"S" + axis_header + repr([sizes[i] for i in axis_order]).encode()
+                    )
+                enc = prefix + b"".join([part for part, _ in parts])
                 orders[n] = [e for _, e in parts]
             else:
                 cols = {e: memo[edge_dst[e]] for e in edges}
@@ -384,8 +397,6 @@ def _fill_keys(
                 enc = b"S" + axis_header + b"G" + fingerprint
             if pin_states:
                 enc += repr(node_state[n]).encode()
-        elif kind == TERMINAL:
-            enc = b"T" + out_code(node_outcome[n])
         elif kind == CHANCE:
             parts = []
             for e in node_children[n]:
@@ -397,10 +408,11 @@ def _fill_keys(
             parts.sort()
             enc = b"C" + b"|".join([part for part, _ in parts])
             orders[n] = [e for _, e in parts]
+        elif pin_states:
+            enc = b"U" + repr(node_state[n]).encode()
         else:
-            enc = b"U"
-            if pin_states:
-                enc += repr(node_state[n]).encode()
+            memo[n] = _TRUNCATED_KEY
+            continue
         memo[n] = digest(enc)
 
 
@@ -440,44 +452,74 @@ def _forest_signatures(forest: list[GameTree]):
 
     Per player, the (depth, choice-set size) multiset of its state nodes;
     per outcome, the depth multiset of its terminals; and the multisets of
-    node kinds and chance probabilities.  Each arena node is visited once,
-    parents first, carrying how many root paths reach it at each depth.
+    node kinds and chance probabilities.  One flat pass per tree visits each
+    arena node once, parents first, with its depth and its count of root
+    paths in two lists; a node reached at several depths keeps {depth:
+    paths} in a dict instead.  State nodes are tallied per (depth, sizes)
+    and terminals per (outcome, depth), and expanded per player and outcome
+    once at the end.
     """
+    if not forest:
+        raise TreeInvariantError("empty forest")
     players = forest[0].players
-    player_sig: dict[str, Counter] = {p: Counter() for p in players}
-    outcome_sig: dict[str, Counter] = {}
-    kind_counts: Counter = Counter()
-    prob_counts: Counter = Counter()
+    states: dict[tuple, int] = {}  # (depth, sizes) -> paths
+    terminals: dict[tuple, int] = {}  # (outcome, depth) -> paths
+    kinds = [0] * 4  # paths per node kind: STATE, CHANCE, TERMINAL, TRUNCATED
+    probs: dict = {}
     for tree in forest:
         node_kind = tree.node_kind
+        node_outcome = tree.node_outcome
         node_children = tree.node_children
         edge_dst = tree.edge_dst
-        depths: dict[int, dict[int, int]] = {tree.root: {0: 1}}  # node -> {depth: paths}
+        edge_prob = tree.edge_prob
+        depth = [-1] * len(node_kind)  # -1: not reached yet; -2: in `several`
+        paths = [0] * len(node_kind)
+        several: dict[int, dict[int, int]] = {}
+        depth[tree.root] = 0
+        paths[tree.root] = 1
         for n in reversed(postorder(tree)):
-            at = depths.pop(n)
-            paths = sum(at.values())
+            d = depth[n]
             kind = node_kind[n]
-            kind_counts[kind] += paths
-            for e in node_children[n]:
-                below = depths.setdefault(edge_dst[e], {})
-                for d, k in at.items():
-                    below[d + 1] = below.get(d + 1, 0) + k
-            if kind == TERMINAL:
-                sig = outcome_sig.setdefault(tree.node_outcome[n], Counter())
-                for d, k in at.items():
-                    sig[d] += k
-            elif kind == STATE:
+            if kind == STATE:
                 sizes = node_meta(tree, n).sizes
-                for i, p in enumerate(players):
-                    sig = player_sig[p]
-                    for d, k in at.items():
-                        sig[(d, sizes[i])] += k
-            elif kind == CHANCE:
+            for d, k in ((d, paths[n]),) if d >= 0 else several.pop(n).items():  # per depth
+                kinds[kind] += k
+                below = d + 1
                 for e in node_children[n]:
-                    prob_counts[tree.edge_prob[e]] += paths
+                    c = edge_dst[e]
+                    at = depth[c]
+                    if at == below:
+                        paths[c] += k
+                    elif at == -1:
+                        depth[c] = below
+                        paths[c] = k
+                    else:
+                        if at >= 0:
+                            several[c] = {at: paths[c]}
+                            depth[c] = -2
+                        several[c][below] = several[c].get(below, 0) + k
+                if kind == STATE:
+                    key = (d, sizes)
+                    states[key] = states.get(key, 0) + k
+                elif kind == TERMINAL:
+                    key = (node_outcome[n], d)
+                    terminals[key] = terminals.get(key, 0) + k
+                elif kind == CHANCE:
+                    for e in node_children[n]:
+                        p = edge_prob[e]
+                        probs[p] = probs.get(p, 0) + k
+    player_sig: dict[str, dict] = {p: {} for p in players}
+    for (d, sizes), k in states.items():
+        for p, size in zip(players, sizes):
+            sig = player_sig[p]
+            sig[d, size] = sig.get((d, size), 0) + k
+    outcome_sig: dict[str, dict] = {}
+    for (outcome, d), k in terminals.items():
+        sig = outcome_sig.setdefault(outcome, {})
+        sig[d] = sig.get(d, 0) + k
     p_sigs = {p: repr(sorted(c.items())).encode() for p, c in player_sig.items()}
     o_sigs = {o: repr(sorted(c.items())).encode() for o, c in outcome_sig.items()}
-    return p_sigs, o_sigs, kind_counts, prob_counts
+    return p_sigs, o_sigs, {kind: k for kind, k in enumerate(kinds) if k}, probs
 
 
 def _cached_signatures(forest: list[GameTree], cache: Optional[dict]):
@@ -527,8 +569,8 @@ def assignments_for(
     Raises `LabelingLimitError` when there are more than MAX_ASSIGNMENTS of
     them; `cache` is as in `forest_profile`.
     """
-    players = forest[0].players
     p_sigs, o_sigs, _, _ = _cached_signatures(forest, cache)
+    players = forest[0].players
     p_count = 1 if "players" in pin else _numbering_count(p_sigs)
     o_count = 1 if "outcomes" in pin else _numbering_count(o_sigs)
     if p_count * o_count > MAX_ASSIGNMENTS:
@@ -548,12 +590,16 @@ def assignments_for(
 
 
 def best_assignment_with_keys(
-    forest: list[GameTree], pin: Pin, cache: Optional[dict] = None
+    forest: list[GameTree], pin: Pin, cache: Optional[dict] = None, target: Optional[bytes] = None
 ) -> tuple[bytes, tuple, list[dict[int, bytes]], list[dict[int, list[int]]]]:
     """The canonical (minimum) forest key, the labeling achieving it, and
     per tree that labeling's node keys and out-edge orders (see `_fill_keys`).
 
-    `cache` is as in `forest_profile`.
+    `cache` is as in `forest_profile`.  With `target`, the first labeling
+    whose forest key equals it is returned, and later ones are not keyed.
+    That is the labeling the minimum keeps: a forest with a labeling keyed
+    `target` is equivalent to the one whose minimum `target` is, and
+    equivalent forests have equal sets of candidate keys.
     """
     postorders = [postorder(tree) for tree in forest]
     best: Optional[tuple] = None
@@ -568,6 +614,8 @@ def best_assignment_with_keys(
             )
         root_keys = sorted([memo[tree.root] for tree, memo in zip(forest, keys)])
         combined = _digest(b"F%d|" % len(root_keys) + b"|".join(root_keys))
+        if combined == target:
+            return combined, labeling, keys, orders
         if best is None or combined < best[0]:
             best = (combined, labeling, keys, orders)
     assert best is not None

@@ -42,7 +42,7 @@ from typing import Iterator, NamedTuple, Optional, Union
 
 from . import canon, reduce as reduce_mod
 from .core import GameSystem, typed_record
-from .errors import LudokitError
+from .errors import LudokitError, TreeInvariantError
 from .tree import (
     CHANCE,
     DecisionMatrix,
@@ -578,6 +578,8 @@ def verify_witness(
         return ["tree pairing is not a bijection on the left"]
     if sorted(p.right_index for p in witness.pairs) != list(range(len(right_forest))):
         return ["tree pairing is not a bijection on the right"]
+    if not left_forest:
+        raise TreeInvariantError("empty forest")
 
     pm = witness.player_map
     lplayers = left_forest[0].players
@@ -592,6 +594,7 @@ def verify_witness(
     if "outcomes" in pin and any(k != v for k, v in om.items()):
         return ["outcomes are pinned but the outcome map is not the identity"]
 
+    pin_states = "states" in pin
     seen_out: set[str] = set()
     for pair in witness.pairs:
         lt = left_forest[pair.left_index]
@@ -603,23 +606,27 @@ def verify_witness(
             continue
         rindex = {p: j for j, p in enumerate(rt.players)}
         axes = [(i, rindex[pm[p]]) for i, p in enumerate(lt.players)]
+        lkinds, rkinds = lt.node_kind, rt.node_kind
+        lchildren, rchildren = lt.node_children, rt.node_children
+        ldst, rdst = lt.edge_dst, rt.edge_dst
         checked: set[tuple[int, int]] = set()
         stack = [(lt.root, rt.root)]
         while stack:
-            u, v = stack.pop()
-            if (u, v) in checked:
+            uv = stack.pop()
+            if uv in checked:
                 continue
-            checked.add((u, v))
-            lkind, rkind = lt.node_kind[u], rt.node_kind[v]
+            checked.add(uv)
+            u, v = uv
+            lkind, rkind = lkinds[u], rkinds[v]
             if lkind != rkind:
                 if report(f"node {u}: kind {lt.kind_name(u)} maps to {rt.kind_name(v)}"):
                     return problems
                 continue
-            if "states" in pin and lt.node_state[u] != rt.node_state[v]:
+            if pin_states and lt.node_state[u] != rt.node_state[v]:
                 if report(f"node {u}: states pinned but labels differ"):
                     return problems
-            pairing = links[(u, v)]
-            ledges, redges = lt.node_children[u], rt.node_children[v]
+            pairing = links[uv]
+            ledges, redges = lchildren[u], rchildren[v]
             if len(pairing) != len(ledges) or len(pairing) != len(redges) or pairing and (
                 {le for le, _ in pairing} != set(ledges) or {re for _, re in pairing} != set(redges)
             ):
@@ -628,7 +635,7 @@ def verify_witness(
                 continue
             unrelated = False
             for le, re in pairing:
-                child = (lt.edge_dst[le], rt.edge_dst[re])
+                child = (ldst[le], rdst[re])
                 if child in links:
                     stack.append(child)
                 else:
@@ -655,7 +662,8 @@ def verify_witness(
                 if any(lmeta.sizes[i] != rmeta.sizes[j] for i, j in axes):
                     matched = False
                 elif lmeta.active <= 1:
-                    matched = _one_chooser_match(
+                    # a bijective pairing matches edges of one cell each
+                    matched = max(lmeta.counts) == 1 == max(rmeta.counts) or _one_chooser_match(
                         dict(zip(ledges, lmeta.counts)), dict(zip(redges, rmeta.counts)), pairing
                     )
                 else:
@@ -754,6 +762,8 @@ def equivalent_up_to_relabeling(
     right_forest = _as_forest(right)
     if len(left_forest) != len(right_forest):
         return None
+    if not left_forest:
+        raise TreeInvariantError("empty forest")
     if len(left_forest[0].players) != len(right_forest[0].players):
         return None
     if "players" in pin and sorted(left_forest[0].players) != sorted(
@@ -773,8 +783,9 @@ def equivalent_up_to_relabeling(
     lkey, (l_players, l_outcomes), lkeys, lorders = canon.best_assignment_with_keys(
         left_forest, pin, l_cache
     )
+    # The right side stops at the first labeling that reaches the left key.
     rkey, (r_players, r_outcomes), rkeys, rorders = canon.best_assignment_with_keys(
-        right_forest, pin, r_cache
+        right_forest, pin, r_cache, target=lkey
     )
     if lkey != rkey:
         return None

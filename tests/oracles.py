@@ -4,8 +4,9 @@ Everything here is deliberately written from first principles, sharing no
 logic with the package's canonical-key machinery, so key-based verdicts can
 be checked against definition-faithful brute force.  The exceptions, the
 reference renderers, the reference matrix solver, the reference
-matrix-redundancy loop, the in-place normalizer and the per-site engine
-with its randomized `normalize_random`, say so where they start.
+matrix-redundancy loop, the in-place normalizer, the per-site engine
+with its randomized `normalize_random` and the reference key pass, say so
+where they start.
 """
 
 from __future__ import annotations
@@ -1374,3 +1375,139 @@ def normalize_random(tree: GameTree, seed: int) -> tuple[GameTree, ReductionTrac
             reduce_symmetry(work, site)
         before, measure = measure, tree_measure(work)
         trace.record(site.kind, site.root, measure[0] - before[0], measure[1] - before[1])
+
+
+# ---------------------------------------------------------------------------
+# Reference key pass: `canon`'s labeling, node encoder and signature walk as
+# they were before the labeling kept its constants and the walk went flat,
+# copied unchanged but for their names.  Like the reference renderers they
+# use `canon` (its digest and its matrix solver); the key pass and the walk
+# must agree with them byte for byte.
+# ---------------------------------------------------------------------------
+
+_digest = canon._digest
+canonical_matrix = canon.canonical_matrix
+
+
+def reference_labeling(tree: GameTree, player_code: dict[str, bytes], outcome_code: dict[str, bytes]):
+    """A labeling's axis order, its axis header and its outcome coder; an
+    outcome missing from `outcome_code` gets a literal code."""
+    players = tree.players
+    axis_order = sorted(range(len(players)), key=lambda i: player_code[players[i]])
+    axis_header = b",".join(player_code[players[i]] for i in axis_order) + b";"
+
+    def out_code(outcome: str) -> bytes:
+        code = outcome_code.get(outcome)
+        return code if code is not None else b"O:" + outcome.encode()
+
+    return axis_order, axis_header, out_code
+
+
+def reference_fill_keys(
+    tree: GameTree,
+    order,
+    memo: dict[int, bytes],
+    orders: dict[int, list[int]],
+    axis_order: list[int],
+    axis_header: bytes,
+    out_code,
+    pin_states: bool,
+) -> None:
+    """Compute keys for `order` (children-first) into `memo`, and each node's
+    out-edges into `orders` in the order its encoding lists them; the hot loop."""
+    node_kind = tree.node_kind
+    node_outcome = tree.node_outcome
+    node_state = tree.node_state
+    node_children = tree.node_children
+    edge_dst = tree.edge_dst
+    edge_prob = tree.edge_prob
+    prob_bytes: dict = {}
+    digest = _digest
+    meta_of = node_meta
+    for n in order:
+        kind = node_kind[n]
+        if kind == STATE:
+            edges = node_children[n]
+            _, sizes, counts, active, _, _, _ = meta_of(tree, n)
+            if active <= 1:
+                # Single-active-player matrix: fully described by sizes plus
+                # the multiset of (child key, choices onto the child's edge).
+                parts = sorted([
+                    (memo[edge_dst[e]] + b"#%d;" % c, e) for e, c in zip(edges, counts)
+                ])
+                enc = (
+                    b"S"
+                    + axis_header
+                    + repr([sizes[i] for i in axis_order]).encode()
+                    + b"".join([part for part, _ in parts])
+                )
+                orders[n] = [e for _, e in parts]
+            else:
+                cols = {e: memo[edge_dst[e]] for e in edges}
+                fingerprint, orders[n] = canonical_matrix(tree, n, axis_order, cols)
+                enc = b"S" + axis_header + b"G" + fingerprint
+            if pin_states:
+                enc += repr(node_state[n]).encode()
+        elif kind == TERMINAL:
+            enc = b"T" + out_code(node_outcome[n])
+        elif kind == CHANCE:
+            parts = []
+            for e in node_children[n]:
+                p = edge_prob[e]
+                pb = prob_bytes.get(p)
+                if pb is None:
+                    pb = prob_bytes[p] = str(p).encode() + b"@"
+                parts.append((pb + memo[edge_dst[e]], e))
+            parts.sort()
+            enc = b"C" + b"|".join([part for part, _ in parts])
+            orders[n] = [e for _, e in parts]
+        else:
+            enc = b"U"
+            if pin_states:
+                enc += repr(node_state[n]).encode()
+        memo[n] = digest(enc)
+
+
+def reference_forest_signatures(forest: list[GameTree]):
+    """Renaming-invariant statistics of the unfolded forest.
+
+    Per player, the (depth, choice-set size) multiset of its state nodes;
+    per outcome, the depth multiset of its terminals; and the multisets of
+    node kinds and chance probabilities.  Each arena node is visited once,
+    parents first, carrying how many root paths reach it at each depth.
+    """
+    players = forest[0].players
+    player_sig: dict[str, Counter] = {p: Counter() for p in players}
+    outcome_sig: dict[str, Counter] = {}
+    kind_counts: Counter = Counter()
+    prob_counts: Counter = Counter()
+    for tree in forest:
+        node_kind = tree.node_kind
+        node_children = tree.node_children
+        edge_dst = tree.edge_dst
+        depths: dict[int, dict[int, int]] = {tree.root: {0: 1}}  # node -> {depth: paths}
+        for n in reversed(postorder(tree)):
+            at = depths.pop(n)
+            paths = sum(at.values())
+            kind = node_kind[n]
+            kind_counts[kind] += paths
+            for e in node_children[n]:
+                below = depths.setdefault(edge_dst[e], {})
+                for d, k in at.items():
+                    below[d + 1] = below.get(d + 1, 0) + k
+            if kind == TERMINAL:
+                sig = outcome_sig.setdefault(tree.node_outcome[n], Counter())
+                for d, k in at.items():
+                    sig[d] += k
+            elif kind == STATE:
+                sizes = node_meta(tree, n).sizes
+                for i, p in enumerate(players):
+                    sig = player_sig[p]
+                    for d, k in at.items():
+                        sig[(d, sizes[i])] += k
+            elif kind == CHANCE:
+                for e in node_children[n]:
+                    prob_counts[tree.edge_prob[e]] += paths
+    p_sigs = {p: repr(sorted(c.items())).encode() for p, c in player_sig.items()}
+    o_sigs = {o: repr(sorted(c.items())).encode() for o, c in outcome_sig.items()}
+    return p_sigs, o_sigs, kind_counts, prob_counts

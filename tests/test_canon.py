@@ -7,6 +7,7 @@ import itertools
 import math
 import random
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,7 +17,7 @@ import oracles
 from conftest import fixture_text
 from ludokit import canon, equiv, reduce, tree
 from ludokit.errors import TreeInvariantError
-from ludokit.tree import DECISION_EDGE, GameTree, STATE, TERMINAL
+from ludokit.tree import CHANCE, CHANCE_EDGE, DECISION_EDGE, GameTree, STATE, TERMINAL
 
 COLD_MATRIX = canon.canonical_matrix
 
@@ -288,3 +289,95 @@ class TestKeyFn:
         t = generators.two_node_cycle()
         with pytest.raises(TreeInvariantError, match="cycle"):
             canon.make_key_fn(t, canon.PIN_SYMMETRY)(t.root)
+
+
+PINS = [
+    canon.PIN_NONE,
+    frozenset({"players"}),
+    frozenset({"outcomes"}),
+    frozenset({"states"}),
+    canon.PIN_SYMMETRY,
+    canon.PIN_ALL,
+]
+
+
+def assert_key_pass_matches_reference(forest: list[GameTree]) -> int:
+    """The signatures, and each candidate labeling's keys and out-edge
+    orders under every pin regime of PINS, equal the reference key pass's;
+    so do `make_key_fn`'s keys where players and outcomes are pinned.
+    Returns how many (labeling, tree) key passes were compared."""
+    got, want = canon._forest_signatures(forest), oracles.reference_forest_signatures(forest)
+    assert got == want
+    assert list(got[1]) == list(want[1])  # outcomes in the order first met
+    compared = 0
+    for pin in PINS:
+        pin_states = "states" in pin
+        for labeling in canon.assignments_for(forest, pin):
+            for t in forest:
+                order = tree.postorder(t)
+                got_pass: tuple[dict, dict] = ({}, {})
+                want_pass: tuple[dict, dict] = ({}, {})
+                canon._fill_keys(t, order, *got_pass, *canon._labeling(t, *labeling), pin_states)
+                oracles.reference_fill_keys(
+                    t, order, *want_pass, *oracles.reference_labeling(t, *labeling), pin_states
+                )
+                assert got_pass == want_pass
+                compared += 1
+        if "players" in pin and "outcomes" in pin:
+            for t in forest:
+                want_keys: dict[int, bytes] = {}
+                literal = oracles.reference_labeling(t, canon.literal_player_codes(t.players), {})
+                oracles.reference_fill_keys(
+                    t, tree.postorder(t), want_keys, {}, *literal, pin_states
+                )
+                key = canon.make_key_fn(t, pin)
+                assert {n: key(n) for n in want_keys} == want_keys
+    return compared
+
+
+def two_depth_arena() -> GameTree:
+    """A shared state node reached at depth 1 and, through a chance node on
+    one path only, at depth 2; so are the terminals below it."""
+    t = GameTree(("P", "Q"))
+    t.root = t.add_node(STATE)
+    coin = t.add_node(CHANCE)
+    shared = t.add_node(STATE, state="shared")
+    t.add_edge(t.root, coin, DECISION_EDGE, label=frozenset({(("a", None),)}))
+    t.add_edge(t.root, shared, DECISION_EDGE, label=frozenset({(("b", None),)}))
+    t.add_edge(coin, shared, CHANCE_EDGE, prob=Fraction(1, 3))
+    t.add_edge(coin, t.add_node(TERMINAL, outcome="l"), CHANCE_EDGE, prob=Fraction(2, 3))
+    for choice, outcome in (("c", "w"), ("d", "l"), ("e", "w")):
+        leaf = t.add_node(TERMINAL, outcome=outcome)
+        t.add_edge(shared, leaf, DECISION_EDGE, label=frozenset({((None, choice),)}))
+    tree.validate_tree(t)
+    return t
+
+
+class TestKeyPassAgainstReference:
+    """The flat signature walk and the key pass with per-labeling constants
+    give the bytes of the reference key pass in `oracles`."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10**9))
+    def test_random_trees_and_normal_forms(self, seed):
+        rng = random.Random(seed)
+        t = generators.random_tree(
+            rng, max_nodes=30, n_players=rng.choice((1, 2, 3)), allow_truncated=True
+        )
+        assert assert_key_pass_matches_reference([t]) > 0
+        assert assert_key_pass_matches_reference([reduce.normalize(t)[0]]) > 0
+
+    @pytest.mark.parametrize(
+        "name", ["tictactoe", "3to15", "misere", "perturbed", "endofturn", "mixed_a", "mixed_b"]
+    )
+    def test_depth3_fixture_forests(self, systems, name):
+        forest = tree.build_forest(systems[name], depth_limit=3)
+        assert assert_key_pass_matches_reference(forest) > 0
+
+    def test_node_reached_at_two_depths(self):
+        t = two_depth_arena()
+        p_sigs, o_sigs, kinds, probs = canon._forest_signatures([t])
+        # the shared node's leaves count at depths 2 and 3, the coin's at 2
+        assert o_sigs == {"l": b"[(2, 2), (3, 1)]", "w": b"[(2, 2), (3, 2)]"}
+        assert probs == {Fraction(1, 3): 1, Fraction(2, 3): 1}
+        assert assert_key_pass_matches_reference([t]) > 0

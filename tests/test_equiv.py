@@ -616,3 +616,113 @@ class TestMatchCandidates:
         w = equivalent_up_to_relabeling(*forests)
         assert self.assert_candidates_agree(w, random.Random(3)) > 50
         assert verify_witness(w) == []
+
+
+def two_rounds(branches: list[tuple[str, ...]]) -> GameTree:
+    """P picks a branch, then a leaf: the outcomes of branch i in order."""
+    t = GameTree(("P",))
+    t.root = t.add_node(STATE)
+    for i, outcomes in enumerate(branches):
+        mid = t.add_node(STATE)
+        t.add_edge(t.root, mid, DECISION_EDGE, label=frozenset({((f"b{i}",),)}))
+        for j, outcome in enumerate(outcomes):
+            leaf = t.add_node(TERMINAL, outcome=outcome)
+            t.add_edge(mid, leaf, DECISION_EDGE, label=frozenset({((f"c{j}",),)}))
+    return t
+
+
+@pytest.fixture(scope="module")
+def depth5_forests(systems):
+    return {
+        g: tree.build_forest(systems[g], depth_limit=5)
+        for g in ("tictactoe", "3to15", "misere", "perturbed")
+    }
+
+
+class TestWorkCounts:
+    """How many candidate labelings a comparison keys on each side, counted:
+    a change that keys a labeling it need not shows here without timing the
+    host.  The right side stops at the first labeling whose forest key is
+    the left side's."""
+
+    @staticmethod
+    def keyed(monkeypatch, left, right, pin=()):
+        """The verdict, and the labelings keyed on the left and on the right."""
+        left_ids = {id(t) for t in left}
+        calls = {"left": 0, "right": 0}
+        fill_keys = canon._fill_keys
+
+        def counted(t, *rest):
+            calls["left" if id(t) in left_ids else "right"] += 1
+            return fill_keys(t, *rest)
+
+        monkeypatch.setattr(canon, "_fill_keys", counted)
+        verdict = equivalent_up_to_relabeling(left, right, pin)
+        assert calls["left"] % len(left) == calls["right"] % len(right) == 0
+        return verdict, calls["left"] // len(left), calls["right"] // len(right)
+
+    def test_depth5_tictactoe_against_3to15(self, depth5_forests, monkeypatch):
+        left, right = depth5_forests["tictactoe"], depth5_forests["3to15"]
+        witness, on_left, on_right = self.keyed(monkeypatch, left, right)
+        assert witness is not None
+        assert (on_left, on_right) == (4, 2)
+        # the labeling the right side stops at is the one the minimum keeps
+        target = canon.best_assignment_with_keys(left, canon.PIN_NONE)[0]
+        full = canon.best_assignment_with_keys(right, canon.PIN_NONE)
+        stopped = canon.best_assignment_with_keys(right, canon.PIN_NONE, target=target)
+        assert full[0] == target
+        assert stopped[:2] == full[:2]
+
+    @pytest.mark.parametrize("game,pin", [("misere", {"outcomes"}), ("perturbed", ())])
+    def test_depth5_rejects_key_nothing(self, depth5_forests, monkeypatch, game, pin):
+        left, right = depth5_forests["tictactoe"], depth5_forests[game]
+        assert self.keyed(monkeypatch, left, right, pin) == (None, 0, 0)
+
+    def test_equal_profiles_unequal_keys_try_every_labeling(self, monkeypatch):
+        left, right = two_rounds([("w", "l"), ("w", "l")]), two_rounds([("w", "w"), ("l", "l")])
+        pin = canon.PIN_NONE
+        assert canon.forest_profile([left], pin) == canon.forest_profile([right], pin)
+        assert self.keyed(monkeypatch, [left], [right]) == (None, 2, 2)
+
+
+def test_one_chooser_cell_counts_are_checked():
+    """Where one player chooses and an edge carries two cells, pairing it
+    with an edge of one cell is reported."""
+    t = GameTree(("P", "Q"))
+    t.root = t.add_node(STATE)
+    for outcome, choices in (("w1", ("a", "b")), ("w2", ("c",))):
+        leaf = t.add_node(TERMINAL, outcome=outcome)
+        t.add_edge(t.root, leaf, DECISION_EDGE, label=frozenset(((c, None),) for c in choices))
+    w = equivalent_up_to_relabeling(t, t.copy())
+    assert verify_witness(w) == []
+    (pair,) = w.pairs
+    (e1, r1), (e2, r2) = pair.links[(t.root, t.root)]
+    pair.links[(t.root, t.root)] = ((e1, r2), (e2, r1))
+    pair.links[(t.edge_dst[e1], t.edge_dst[r2])] = ()
+    pair.links[(t.edge_dst[e2], t.edge_dst[r1])] = ()
+    assert f"node {t.root}: decision matrices do not match" in verify_witness(w)
+
+
+class TestEmptyForest:
+    """An empty forest is an invalid input at every entry point."""
+
+    def test_relabel(self):
+        with pytest.raises(TreeInvariantError, match="empty forest"):
+            equivalent_up_to_relabeling([], [])
+
+    def test_agency(self):
+        with pytest.raises(TreeInvariantError, match="empty forest"):
+            agency_equivalent([], [])
+
+    def test_equiv_canonical_form(self):
+        with pytest.raises(TreeInvariantError, match="empty forest"):
+            canonical_form([])
+
+    def test_canon_canonical_form(self):
+        with pytest.raises(TreeInvariantError, match="empty forest"):
+            canon.canonical_form([])
+
+    def test_verify_witness(self):
+        witness = equiv.EquivalenceWitness({}, {}, [], [], [])
+        with pytest.raises(TreeInvariantError, match="empty forest"):
+            verify_witness(witness)
