@@ -48,7 +48,6 @@ from .equiv import (
     compose_witnesses,
     equivalent_up_to_relabeling,
     invert_witness,
-    match_matrices,
     strip,
     structural_correspondences,
     structurally_equivalent,
@@ -77,12 +76,10 @@ from .similarity import (
     wilson_interval,
 )
 from .tree import (
-    DecisionMatrix,
     GameTree,
     TreeStats,
     build_forest,
     build_tree,
-    decision_matrix,
     export_dot,
     export_json,
     import_json,

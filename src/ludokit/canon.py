@@ -21,7 +21,10 @@ keyed once, and its key is that of each of its copies in the unfolded tree.
 `_fill_keys` is the one node encoder.  With each key it records the node's
 out-edges in the order its encoding lists them, so two nodes of equal keys
 correspond child by child in those orders: the equivalence walk reads them
-instead of deriving the pairing again.
+instead of deriving the pairing again.  Where two or more players choose,
+the matrix memo keeps each axis's choices in the order of the encoding as
+well, and the walk pairs choices of equal rank into the witness's choice
+bijections.
 
 Label classes that may be freely renamed (players, outcomes when unpinned)
 are handled by enumerating candidate numberings and taking the minimum root
@@ -72,13 +75,16 @@ class CanonicalKey(NamedTuple):
 
 def _matrix_fingerprint_general(
     cells: list[tuple], choice_lists: list[list], edge_cols: list[bytes]
-) -> tuple[bytes, list[int]]:
+) -> tuple[bytes, list[int], list[list[int]]]:
     """Canonical form of a multi-player matrix by refinement + branching.
 
     cells: (choice-index tuple, edge position) pairs covering the product;
     edge_cols: each edge position's color.  Returns (fingerprint, edge
-    positions in the order realizing it): of the leaves of the search, the
-    first with the least encoding.
+    positions in the order realizing it, per axis each choice's rank in
+    that order): of the leaves of the search, the first with the least
+    encoding.  Two matrices of equal fingerprint correspond through their
+    orders: rank r of axis k to rank r of axis k, and the i-th edge to the
+    i-th edge.
 
     Branches that an automorphism maps onto an explored branch are skipped
     (the twin rule).  Two choices of one axis are twins when their rows
@@ -202,7 +208,7 @@ def _matrix_fingerprint_general(
                 tuple(edge_cols[epos] for epos in edge_perm),
             )
         ).encode()
-        return enc, edge_perm
+        return enc, edge_perm, choice_class
 
     col_rank = {c: i for i, c in enumerate(sorted(set(edge_cols)))}
     return solve(
@@ -239,9 +245,10 @@ def matrix_structure(tree: GameTree, node: int, axis_order: list[int]):
 
 def canonical_matrix(
     tree: GameTree, node: int, axis_order: list[int], cols: dict[int, bytes]
-) -> tuple[bytes, list[int]]:
+) -> tuple[bytes, list[int], tuple[tuple, ...]]:
     """Canonical fingerprint of a state node's matrix with two or more
-    active players, plus the edge order realizing it.
+    active players, the edge order realizing it, and per axis the choices
+    in the order realizing it.
 
     Axis order is the global player order of the current numbering; `cols`
     colors each out-edge by its child's key.  The solver's whole input
@@ -260,14 +267,15 @@ def canonical_matrix(
     found = tree.label_cache.get(memo_key)
     if found is None:
         cells, choice_lists, edge_ids = matrix_structure(tree, node, axis_order)
-        enc, edge_perm = _matrix_fingerprint_general(
+        enc, edge_perm, ranks = _matrix_fingerprint_general(
             cells, choice_lists, [cols[e] for e in edge_ids]
         )
         position = {e: i for i, e in enumerate(edges)}
+        ordered = [tuple([c for _, c in sorted(zip(r, cs))]) for r, cs in zip(ranks, choice_lists)]
         found = tree.label_cache[memo_key] = (
-            enc, tuple([position[edge_ids[p]] for p in edge_perm])
+            enc, tuple([position[edge_ids[p]] for p in edge_perm]), tuple(ordered)
         )
-    return found[0], [edges[p] for p in found[1]]
+    return found[0], [edges[p] for p in found[1]], found[2]
 
 
 # ---------------------------------------------------------------------------
@@ -283,13 +291,18 @@ def literal_outcome_codes(outcomes) -> dict[str, bytes]:
     return {o: b"O:" + o.encode() for o in outcomes}
 
 
+def axes(players, player_code: dict[str, bytes]) -> list[int]:
+    """Player indices by code: the axis order of a labeling's matrices."""
+    return sorted(range(len(players)), key=lambda i: player_code[players[i]])
+
+
 def _labeling(tree: GameTree, player_code: dict[str, bytes], outcome_code: dict[str, bytes]):
     """A labeling's axis order, axis header and outcome coder, and its tables
     of constants (terminal keys per outcome, single-chooser prefixes per
     `sizes`) that `_fill_keys` fills as it meets them; an outcome missing
     from `outcome_code` gets a literal code."""
     players = tree.players
-    axis_order = sorted(range(len(players)), key=lambda i: player_code[players[i]])
+    axis_order = axes(players, player_code)
     axis_header = b",".join(player_code[players[i]] for i in axis_order) + b";"
 
     def out_code(outcome: str) -> bytes:
@@ -393,7 +406,7 @@ def _fill_keys(
                 orders[n] = [e for _, e in parts]
             else:
                 cols = {e: memo[edge_dst[e]] for e in edges}
-                fingerprint, orders[n] = canonical_matrix(tree, n, axis_order, cols)
+                fingerprint, orders[n], _ = canonical_matrix(tree, n, axis_order, cols)
                 enc = b"S" + axis_header + b"G" + fingerprint
             if pin_states:
                 enc += repr(node_state[n]).encode()

@@ -20,9 +20,13 @@ one to one; the walk that finds it visits each distinct pair once, pairing
 children by position in the out-edge orders the key pass recorded.
 Unfolded from the root pair it is a bijection between the unfolded trees,
 which `TreePairWitness.node_map` and `EquivalenceWitness.to_json` build on
-demand.  `verify_witness` replays the defining conditions directly on the
-trees, once per related pair and independently of the key machinery, and
-is used by the test suite to re-check every witness the search returns.
+demand.  Where two or more players choose, the walk also records the
+per-player choice bijections, pairing choices of equal rank in the choice
+orders of the key pass; where at most one does, the child pairing fixes
+them.  So a witness is a certificate: `verify_witness` replays the
+defining conditions directly on the trees, once per related pair, in time
+linear in the matrices' cells and independently of the key machinery, and
+searches for nothing.  The test suite re-checks every witness with it.
 
 Pinning: `pin` is a set drawn from {"players", "outcomes", "states"}.  A
 pinned label class must match identically instead of up to bijection
@@ -36,22 +40,22 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from hashlib import blake2b
-from typing import Iterator, NamedTuple, Optional, Union
+from typing import Callable, Iterator, NamedTuple, Optional, Union
 
 from . import canon, reduce as reduce_mod
 from .core import GameSystem, typed_record
 from .errors import LudokitError, TreeInvariantError
 from .tree import (
     CHANCE,
-    DecisionMatrix,
     GameTree,
+    NodeMeta,
     STATE,
     TERMINAL,
     _unfold,
     build_forest,
-    decision_matrix,
+    choice_rank,
     is_shared,
     node_meta,
     postorder,
@@ -62,6 +66,8 @@ Pin = frozenset
 ForestLike = Union[GameTree, list]
 # A child pairing: (left edge, right edge) pairs.
 Pairing = tuple[tuple[int, int], ...]
+# Per left player, a bijection of its choices at a node onto its image's.
+ChoiceMaps = dict[str, dict]
 
 
 def _as_forest(value: ForestLike) -> list[GameTree]:
@@ -147,7 +153,7 @@ def _correspondences(left: GameTree, right: GameTree) -> Iterator[dict[int, int]
             key = keys_list[key_index]
             lmembers = lgroups[key]
             for perm in itertools.permutations(rgroups[key]):
-                child_streams = [gen(a, b) for a, b in zip(lmembers, perm)]
+                child_streams = [partial(gen, a, b) for a, b in zip(lmembers, perm)]
                 for combo in _product_of_maps(child_streams):
                     for rest in group_matchings(key_index + 1, keys_list):
                         merged = dict(combo)
@@ -164,169 +170,18 @@ def _correspondences(left: GameTree, right: GameTree) -> Iterator[dict[int, int]
     yield from gen(left.root, right.root)
 
 
-def _product_of_maps(streams: list[Iterator[dict]]) -> Iterator[dict]:
+def _product_of_maps(streams: list[Callable[[], Iterator[dict]]]) -> Iterator[dict]:
+    """The union of one map from each stream, for every choice of maps, in
+    `itertools.product` order.  A stream is made afresh for each
+    combination of the streams before it, so nothing is materialized."""
     if not streams:
         yield {}
         return
-    materialized = [list(s) for s in streams]
-    for combo in itertools.product(*materialized):
-        merged: dict = {}
-        for part in combo:
-            merged.update(part)
-        yield merged
-
-
-# ---------------------------------------------------------------------------
-# Matrix matching
-# ---------------------------------------------------------------------------
-
-
-def _choice_profiles(mapping: dict, axis: int, choices, image) -> dict:
-    """Per choice on `axis`: the sorted images of the edges its cells reach."""
-    rows: dict = {c: [] for c in choices}
-    for joint, edge in mapping.items():
-        row = rows.get(joint[axis])
-        if row is not None:
-            row.append(image(edge))
-    return {c: tuple(sorted(row)) for c, row in rows.items()}
-
-
-def _candidates(
-    left: DecisionMatrix,
-    right: DecisionMatrix,
-    order: list[tuple[int, int]],
-    edge_map: Optional[dict[int, int]],
-) -> Optional[list[dict]]:
-    """Per axis pair (i, j) of `order`: each left choice's possible images,
-    in right choice order; None when some left choice has none.
-
-    With `edge_map`, a right choice is possible only if the sorted edges its
-    cells reach equal the mapped edges of the left choice's cells.
-    """
-    candidates: list[dict] = []
-    for i, j in order:
-        if edge_map is None:
-            candidates.append({c: list(right.choice_sets[j]) for c in left.choice_sets[i]})
-            continue
-        by_profile: dict = {}
-        for c2, rp in _choice_profiles(right.mapping, j, right.choice_sets[j], repr).items():
-            by_profile.setdefault(rp, []).append(c2)
-        cand: dict = {}
-        for c, lp in _choice_profiles(
-            left.mapping, i, left.choice_sets[i], lambda edge: repr(edge_map.get(edge))
-        ).items():
-            matches = by_profile.get(lp)
-            if matches is None:
-                return None
-            cand[c] = matches
-        candidates.append(cand)
-    return candidates
-
-
-def match_matrices(
-    left: DecisionMatrix,
-    right: DecisionMatrix,
-    player_map: dict[str, str],
-    edge_map: Optional[dict[int, int]] = None,
-) -> Optional[dict[str, dict]]:
-    """Search per-player choice bijections making the matrices agree.
-
-    `player_map` is the fixed global player correspondence.  With `edge_map`
-    (from an enclosing structural correspondence) the matrices must map onto
-    corresponding edges; without it some edge bijection is searched as well.
-    Returns {left player: {left choice: right choice}} or None.  The null
-    choice is relabelable like any other.
-    """
-    if set(player_map) != set(left.players) or set(player_map.values()) != set(right.players):
-        return None
-    rindex = {p: i for i, p in enumerate(right.players)}
-    order = [(i, rindex[player_map[p]]) for i, p in enumerate(left.players)]
-    lsets = left.choice_sets
-    rsets = right.choice_sets
-    if any(len(lsets[i]) != len(rsets[j]) for i, j in order):
-        return None
-
-    lcells = list(left.mapping.items())
-
-    candidates = _candidates(left, right, order, edge_map)
-    if candidates is None:
-        return None
-
-    def backtrack(pos: int, assigned: list[dict]) -> Optional[list[dict]]:
-        if pos == len(order):
-            return assigned
-        i, j = order[pos]
-        cand = candidates[pos]
-        choices = sorted(lsets[i], key=lambda c: len(cand[c]))
-        for images in _bijections(choices, cand):
-            trial = assigned + [images]
-            if _consistent(trial, pos + 1):
-                result = backtrack(pos + 1, trial)
-                if result is not None:
-                    return result
-        return None
-
-    def _bijections(choices, cand) -> Iterator[dict]:
-        used: set = set()
-        images: dict = {}
-
-        def rec(k: int) -> Iterator[dict]:
-            if k == len(choices):
-                yield dict(images)
-                return
-            c = choices[k]
-            for c2 in cand[c]:
-                marker = repr(c2)
-                if marker in used:
-                    continue
-                used.add(marker)
-                images[c] = c2
-                yield from rec(k + 1)
-                used.discard(marker)
-                del images[c]
-
-        yield from rec(0)
-
-    def _consistent(assigned: list[dict], upto: int) -> bool:
-        # Once every player is assigned, verify the induced edge mapping.
-        if upto < len(order):
-            return True
-        induced: dict[int, int] = {}
-        for joint, edge in lcells:
-            image = []
-            for pos, (i, j) in enumerate(order):
-                image.append((j, assigned[pos][joint[i]]))
-            rjoint = [None] * len(right.players)
-            for j, c2 in image:
-                rjoint[j] = c2
-            redge = right.mapping.get(tuple(rjoint))
-            if redge is None:
-                return False
-            if edge_map is not None and edge_map.get(edge) != redge:
-                return False
-            prior = induced.setdefault(edge, redge)
-            if prior != redge:
-                return False
-        return len(set(induced.values())) == len(induced)
-
-    result = backtrack(0, [])
-    if result is None:
-        return None
-    return {left.players[i]: result[pos] for pos, (i, _) in enumerate(order)}
-
-
-def _one_chooser_match(lcells: dict, rcells: dict, pairing: Pairing) -> bool:
-    """`match_matrices(left, right, player_map, dict(pairing)) is not None`
-    where at most one player has more than one choice, without a search.
-
-    `lcells` and `rcells` count each matrix's cells per edge, and the
-    choice-set sizes must agree under the player map.  Every other player
-    then has one choice, so its bijection is forced, and a cell is one
-    choice of the chooser.  A bijection of the chooser's choices carries
-    each left cell to a right cell on the paired edge iff every paired edge
-    pair has equally many cells: match each edge pair's cells in any order.
-    """
-    return all(lcells[le] == rcells[re] for le, re in pairing)
+    for part in streams[0]():
+        for rest in _product_of_maps(streams[1:]):
+            merged = dict(part)
+            merged.update(rest)
+            yield merged
 
 
 # ---------------------------------------------------------------------------
@@ -342,13 +197,17 @@ class TreePairWitness:
     pair (u, v) to its child pairing, which matches u's out-edges one to
     one with v's.  The pairs that count are those reachable from the root
     pair through child pairings.  On shared arenas a node may be related to
-    several nodes, one per context it is reached in.  The trees are those
-    of the witness the pair belongs to, at `left_index` and `right_index`.
+    several nodes, one per context it is reached in.  `choices` holds the
+    choice bijections of each related state pair where two or more players
+    choose; where at most one does, the child pairing fixes them (see
+    `EquivalenceWitness.choice_maps`).  The trees are those of the witness
+    the pair belongs to, at `left_index` and `right_index`.
     """
 
     left_index: int
     right_index: int
     links: dict[tuple[int, int], Pairing]
+    choices: dict[tuple[int, int], ChoiceMaps] = field(default_factory=dict)
     # The (left, right) forests of the witness holding the pair, set by it.
     # Not the witness itself: that cycle would keep every witness and its
     # forests alive until the cycle collector runs.
@@ -372,10 +231,9 @@ class EquivalenceWitness:
     """Correspondence bundle certifying equivalence up to relabeling.
 
     Carries the global player and outcome bijections, one node relation per
-    paired tree, and the forests it relates (for agency verdicts these are
-    the normal forms); every tree a pair's relation names is read from
-    them.  Per-node choice maps are derived on demand from the child
-    pairings, which fix the edge correspondence.
+    paired tree with the choice bijections it records, and the forests it
+    relates (for agency verdicts these are the normal forms); every tree a
+    pair's relation names is read from them.
     """
 
     player_map: dict[str, str]
@@ -391,17 +249,34 @@ class EquivalenceWitness:
     def trees(self, pair: TreePairWitness) -> tuple[GameTree, GameTree]:
         return self.left_forest[pair.left_index], self.right_forest[pair.right_index]
 
-    def choice_maps(self, pair: TreePairWitness, u: int, v: int) -> Optional[dict]:
-        """Per-player choice bijections at the related state pair (u, v)."""
+    def choice_maps(self, pair: TreePairWitness, u: int, v: int) -> Optional[ChoiceMaps]:
+        """Per-player choice bijections at the related state pair (u, v).
+
+        Where two or more players choose, the maps the pair records.  Where
+        at most one does, the child pairing fixes them: on each paired edge,
+        a player's choices map to its image's in `choice_rank` order, keyed
+        by (cells on the choice's edge, `choice_rank`).
+        """
         left, right = self.trees(pair)
         if left.node_kind[u] != STATE:
             return None
-        return match_matrices(
-            decision_matrix(left, u),
-            decision_matrix(right, v),
-            self.player_map,
-            dict(pair.links[(u, v)]),
-        )
+        lmeta = node_meta(left, u)
+        if lmeta.active > 1:
+            return pair.choices.get((u, v))
+        rmeta = node_meta(right, v)
+        lcells = dict(zip(left.node_children[u], lmeta.decoded))
+        rcells = dict(zip(right.node_children[v], rmeta.decoded))
+        rindex = {p: j for j, p in enumerate(right.players)}
+        maps: ChoiceMaps = {}
+        for i, p in enumerate(left.players):
+            j = rindex[self.player_map[p]]
+            images = []
+            for le, re in pair.links[(u, v)]:
+                lcs = sorted({joint[i] for _, joint in lcells[le]}, key=choice_rank)
+                rcs = sorted({joint[j] for _, joint in rcells[re]}, key=choice_rank)
+                images += [((len(lcells[le]), choice_rank(a)), a, b) for a, b in zip(lcs, rcs)]
+            maps[p] = {a: b for _, a, b in sorted(images, key=lambda image: image[0])}
+        return maps
 
     def to_json(self) -> str:
         """The witness as unfolded node maps and per-node choice maps."""
@@ -476,8 +351,9 @@ def _unfold_relation(
 
 
 def invert_witness(witness: EquivalenceWitness) -> EquivalenceWitness:
+    pm = witness.player_map
     return EquivalenceWitness(
-        player_map={v: k for k, v in witness.player_map.items()},
+        player_map={v: k for k, v in pm.items()},
         outcome_map={v: k for k, v in witness.outcome_map.items()},
         pairs=[
             TreePairWitness(
@@ -487,6 +363,10 @@ def invert_witness(witness: EquivalenceWitness) -> EquivalenceWitness:
                     (v, u): tuple([(re, le) for le, re in pairing])
                     for (u, v), pairing in p.links.items()
                 },
+                {
+                    (v, u): {pm[q]: {b: a for a, b in m.items()} for q, m in maps.items()}
+                    for (u, v), maps in p.choices.items()
+                },
             )
             for p in witness.pairs
         ],
@@ -495,13 +375,19 @@ def invert_witness(witness: EquivalenceWitness) -> EquivalenceWitness:
     )
 
 
-def _compose_links(
-    p: TreePairWitness, q: TreePairWitness, left: GameTree, middle: GameTree, right: GameTree
-) -> dict:
-    """The relation of p (left to middle) then q (middle to right): a pair
-    (u, w) through the first middle node the walk from the roots relates it
-    by."""
+def _compose_pair(
+    p: TreePairWitness,
+    q: TreePairWitness,
+    pm: dict[str, str],
+    left: GameTree,
+    middle: GameTree,
+    right: GameTree,
+) -> TreePairWitness:
+    """The relation of p (left to middle) then q (middle to right), `pm`
+    mapping p's players: a pair (u, w) through the first middle node the
+    walk from the roots relates it by, with the composed choice maps."""
     links: dict[tuple[int, int], Pairing] = {}
+    choices: dict[tuple[int, int], ChoiceMaps] = {}
     stack = [(left.root, middle.root, right.root)]
     while stack:
         u, m, w = stack.pop()
@@ -509,9 +395,15 @@ def _compose_links(
             continue
         onward = dict(q.links[(m, w)])
         links[(u, w)] = pairing = tuple([(le, onward[me]) for le, me in p.links[(u, m)]])
+        first, then = p.choices.get((u, m)), q.choices.get((m, w))
+        if first is not None and then is not None:
+            choices[(u, w)] = {
+                player: {a: then[pm[player]][b] for a, b in maps.items()}
+                for player, maps in first.items()
+            }
         for (le, me), (_, re) in zip(p.links[(u, m)], pairing):
             stack.append((left.edge_dst[le], middle.edge_dst[me], right.edge_dst[re]))
-    return links
+    return TreePairWitness(p.left_index, q.right_index, links, choices)
 
 
 def compose_witnesses(
@@ -524,11 +416,7 @@ def compose_witnesses(
         q = by_left[p.right_index]
         left, middle = first.trees(p)
         right = second.right_forest[q.right_index]
-        pairs.append(
-            TreePairWitness(
-                p.left_index, q.right_index, _compose_links(p, q, left, middle, right)
-            )
-        )
+        pairs.append(_compose_pair(p, q, first.player_map, left, middle, right))
     return EquivalenceWitness(
         player_map={k: second.player_map[v] for k, v in first.player_map.items()},
         outcome_map={k: second.outcome_map[v] for k, v in first.outcome_map.items()},
@@ -541,6 +429,40 @@ def compose_witnesses(
 # ---------------------------------------------------------------------------
 # Witness verification (independent of the canonical-key machinery)
 # ---------------------------------------------------------------------------
+
+
+def _carries_cells(
+    maps: ChoiceMaps,
+    players: tuple[str, ...],
+    axes: list[tuple[int, int]],
+    lmeta: NodeMeta,
+    rmeta: NodeMeta,
+    pairing: Pairing,
+    ledges: list[int],
+    redges: list[int],
+) -> bool:
+    """Whether `maps` carries one matrix onto the other: per player, a
+    bijection of its choices onto those of its image (player i onto j for
+    each (i, j) of `axes`), carrying every left cell to a right cell on the
+    paired edge.  Linear in the cells."""
+    if maps.keys() != set(players):
+        return False
+    for i, j in axes:
+        m = maps[players[i]]
+        # the sets have equal sizes, so this makes m a bijection
+        if m.keys() != lmeta.choices[i] or set(m.values()) != rmeta.choices[j]:
+            return False
+    edge_of = {joint: re for re, cells in zip(redges, rmeta.decoded) for _, joint in cells}
+    image = dict(pairing)
+    per_axis = [(maps[players[i]], j) for i, j in axes]
+    rjoint: list = [None] * len(axes)
+    for le, cells in zip(ledges, lmeta.decoded):
+        for _, joint in cells:
+            for c, (m, j) in zip(joint, per_axis):
+                rjoint[j] = m[c]
+            if edge_of.get(tuple(rjoint)) != image[le]:
+                return False
+    return True
 
 
 def verify_witness(
@@ -559,9 +481,14 @@ def verify_witness(
     unfolded trees that maps root to root and children to children, and
     each of its node pairs copies a checked arena pair, so it passes the
     same checks.  Matrices are compared through `node_meta`, which decodes
-    labels and computes no key: choice-set sizes under the player map,
-    then cell counts per paired edge where at most one player chooses, and
-    a `match_matrices` search only where two or more do.
+    labels and computes no key, and nothing is searched: first choice-set
+    sizes under the player map.  Where two or more players choose, the
+    pair's recorded choice maps are checked as a certificate, in time
+    linear in the cells (`_carries_cells`); a missing map is a problem.
+    Where at most one player chooses, each paired edge pair must carry
+    equally many cells, which is exactly the check of the maps
+    `EquivalenceWitness.choice_maps` derives there: every other player has
+    one choice, and the chooser's choices on paired edges are zipped.
     """
     pin = _as_pin(pin)
     problems: list[str] = []
@@ -663,13 +590,19 @@ def verify_witness(
                     matched = False
                 elif lmeta.active <= 1:
                     # a bijective pairing matches edges of one cell each
-                    matched = max(lmeta.counts) == 1 == max(rmeta.counts) or _one_chooser_match(
-                        dict(zip(ledges, lmeta.counts)), dict(zip(redges, rmeta.counts)), pairing
-                    )
+                    matched = max(lmeta.counts) == 1 == max(rmeta.counts)
+                    if not matched:
+                        lcells = dict(zip(ledges, lmeta.counts))
+                        rcells = dict(zip(redges, rmeta.counts))
+                        matched = all(lcells[le] == rcells[re] for le, re in pairing)
+                elif uv not in pair.choices:
+                    if report(f"node {u}: no choice maps where two or more players choose"):
+                        return problems
+                    continue
                 else:
-                    matched = match_matrices(
-                        decision_matrix(lt, u), decision_matrix(rt, v), pm, dict(pairing)
-                    ) is not None
+                    matched = _carries_cells(
+                        pair.choices[uv], lt.players, axes, lmeta, rmeta, pairing, ledges, redges
+                    )
                 if not matched:
                     if report(f"node {u}: decision matrices do not match"):
                         return problems
@@ -717,15 +650,22 @@ def _walk_pair(
     lorders: dict[int, list[int]],
     rkeys: dict[int, bytes],
     rorders: dict[int, list[int]],
-) -> Optional[dict[tuple[int, int], Pairing]]:
+    laxes: list[int],
+    raxes: list[int],
+) -> Optional[tuple[dict[tuple[int, int], Pairing], dict[tuple[int, int], ChoiceMaps]]]:
     """The witness relation of two trees, walking each distinct pair once.
 
     A related pair's children are paired by zipping the two nodes' out-edge
     orders from the key pass; None when some aligned children's keys differ.
+    At a state pair where two or more players choose, the walk records the
+    choice maps too: each left choice maps to the right choice of equal
+    rank in the orders of the two matrix encodings, axis k to axis k of the
+    axis orders `laxes` and `raxes` (`canon.canonical_matrix`).
     """
     if lkeys[lt.root] != rkeys[rt.root]:
         return None
     links: dict[tuple[int, int], Pairing] = {}
+    choices: dict[tuple[int, int], ChoiceMaps] = {}
     stack = [(lt.root, rt.root)]
     while stack:
         pair = stack.pop()
@@ -736,6 +676,14 @@ def _walk_pair(
             links[pair] = ()
             continue
         links[pair] = pairing = tuple(zip(lorders[u], rorders[v]))
+        if lt.node_kind[u] == STATE and node_meta(lt, u).active > 1:
+            ranked = dict(zip(laxes, zip(
+                _ranked_choices(lt, u, laxes, lkeys), _ranked_choices(rt, v, raxes, rkeys)
+            )))
+            choices[pair] = {
+                p: dict(sorted(zip(*ranked[i]), key=lambda ab: choice_rank(ab[0])))
+                for i, p in enumerate(lt.players)
+            }
         for le, re in pairing:
             child = (lt.edge_dst[le], rt.edge_dst[re])
             if lkeys[child[0]] != rkeys[child[1]]:
@@ -745,7 +693,14 @@ def _walk_pair(
                     stack.append(child)
                 else:
                     links[child] = ()
-    return links
+    return links, choices
+
+
+def _ranked_choices(t: GameTree, n: int, axes: list[int], keys: dict[int, bytes]):
+    """Per axis, the node's choices in the order of its matrix encoding; the
+    key pass left them in the matrix memo."""
+    cols = {e: keys[t.edge_dst[e]] for e in t.node_children[n]}
+    return canon.canonical_matrix(t, n, axes, cols)[2]
 
 
 def equivalent_up_to_relabeling(
@@ -802,12 +757,14 @@ def equivalent_up_to_relabeling(
         return None
     pairs: list[TreePairWitness] = []
     for li, ri in tree_pairs:
-        links = _walk_pair(
-            left_forest[li], right_forest[ri], lkeys[li], lorders[li], rkeys[ri], rorders[ri]
+        lt, rt = left_forest[li], right_forest[ri]
+        relation = _walk_pair(
+            lt, rt, lkeys[li], lorders[li], rkeys[ri], rorders[ri],
+            canon.axes(lt.players, l_players), canon.axes(rt.players, r_players),
         )
-        if links is None:
+        if relation is None:
             return None
-        pairs.append(TreePairWitness(li, ri, links))
+        pairs.append(TreePairWitness(li, ri, *relation))
     return EquivalenceWitness(player_map, outcome_map, pairs, left_forest, right_forest)
 
 

@@ -21,8 +21,8 @@ and `compact` drop them.  Facts derived from edge labels are cached under
 the (immutable) labels themselves, so rewriting a tree never makes a cache
 entry stale.  The chief such fact is a state node's `NodeMeta`: `node_meta`
 is the one place out-edge labels are decoded into a decision matrix and
-checked, and `decision_matrix`, the canonical keys, the rewrites and the
-witness check all read it.
+checked, and validation, the canonical keys, the rewrites and the witness
+check all read it.
 
 Node kinds: state, chance, terminal, truncated.  Decision edges leave state
 nodes and carry a nonempty set of decision-tuple sequences (a freshly built
@@ -42,7 +42,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Callable, Iterator, NamedTuple, Optional, Union
@@ -576,33 +575,6 @@ def choice_rank(choice: Choice):
     return (2, repr(choice))
 
 
-@dataclass
-class DecisionMatrix:
-    """Per-player choice sets and the total map from joint choices to edges.
-
-    In a fresh tree the choices are the legal sets (null-padded) and each
-    joint tuple maps to the edge carrying it; reductions substitute tuple
-    sequences for choices.  When every player has a single choice the
-    domain is empty (`empty_domain`) and the matrix maps the one joint
-    choice to its single edge.
-    """
-
-    node: int
-    players: tuple[str, ...]
-    choice_sets: tuple[tuple[Choice, ...], ...]
-    mapping: dict[tuple[Choice, ...], int]
-
-    @property
-    def empty_domain(self) -> bool:
-        return all(len(cs) == 1 for cs in self.choice_sets)
-
-    def edges(self) -> list[int]:
-        seen: dict[int, None] = {}
-        for edge in self.mapping.values():
-            seen.setdefault(edge)
-        return list(seen)
-
-
 class NodeMeta(NamedTuple):
     """What a state node's out-edge labels spell, per player and per edge."""
 
@@ -705,30 +677,6 @@ def node_meta(tree: GameTree, node: int) -> NodeMeta:
     return meta
 
 
-def decision_matrix(tree: GameTree, node: int) -> DecisionMatrix:
-    """The strategic-form game played at a non-terminal state node.
-
-    A view of `node_meta`: choices and the map are read from the outgoing
-    edge labels, which agrees with the legal sets on freshly built trees
-    and stays correct on reduced and imported ones.  Choice sets are
-    sorted by `choice_rank`; the map lists edges in stored order, each
-    edge's joint choices in its label's order.  Raises on chance, terminal,
-    and truncated nodes, and on labels that do not spell a total matrix.
-    """
-    if tree.node_kind[node] != STATE:
-        raise TreeInvariantError(
-            f"node {node} is {tree.kind_name(node)}; decision matrices live on state nodes"
-        )
-    meta = node_meta(tree, node)
-    mapping: dict[tuple[Choice, ...], int] = {}
-    for e, pairs in zip(tree.node_children[node], meta.decoded):
-        joint_of = dict(pairs)
-        for seq in tree.edge_label[e]:
-            mapping[joint_of[seq]] = e
-    choice_sets = tuple(tuple(sorted(c, key=choice_rank)) for c in meta.choices)
-    return DecisionMatrix(node, tree.players, choice_sets, mapping)
-
-
 # ---------------------------------------------------------------------------
 # Validation
 # ---------------------------------------------------------------------------
@@ -774,7 +722,7 @@ def validate_tree(tree: GameTree) -> None:
                 raise TreeInvariantError(f"non-terminal state node {n} carries an outcome")
             if not edges:
                 raise TreeInvariantError(f"state node {n} has no outgoing decision edge")
-            decision_matrix(tree, n)
+            node_meta(tree, n)
         elif kind == TERMINAL:
             if tree.node_outcome[n] is None:
                 raise TreeInvariantError(f"terminal node {n} has no outcome")

@@ -58,7 +58,6 @@ from ludokit.tree import (
     TRUNCATED,
     _decode_seq,
     choice_rank,
-    decision_matrix,
     is_shared,
     node_meta,
     postorder,
@@ -326,23 +325,25 @@ def outcome(sys, state) -> str:
 
 
 def _brute_matrices_match(lt, u, rt, v, pi, edge_map) -> bool:
-    lm = decision_matrix(lt, u)
-    rm = decision_matrix(rt, v)
-    rindex = {p: i for i, p in enumerate(rm.players)}
-    axes = [(i, rindex[pi[p]]) for i, p in enumerate(lm.players)]
-    if any(len(lm.choice_sets[i]) != len(rm.choice_sets[j]) for i, j in axes):
+    """Whether some per-player choice bijections carry the matrix at u onto
+    the one at v, under the player map `pi` and the edge map `edge_map`."""
+    lsets, lmapping = reference_matrix(lt, u)
+    rsets, rmapping = reference_matrix(rt, v)
+    rindex = {p: i for i, p in enumerate(rt.players)}
+    axes = [(i, rindex[pi[p]]) for i, p in enumerate(lt.players)]
+    if any(len(lsets[i]) != len(rsets[j]) for i, j in axes):
         return False
     options = [
-        list(itertools.permutations(rm.choice_sets[j])) for _, j in axes
+        list(itertools.permutations(rsets[j])) for _, j in axes
     ]
     for combo in itertools.product(*options):
-        lam = [dict(zip(lm.choice_sets[i], combo[k])) for k, (i, _) in enumerate(axes)]
+        lam = [dict(zip(lsets[i], combo[k])) for k, (i, _) in enumerate(axes)]
         ok = True
-        for joint, edge in lm.mapping.items():
-            rjoint: list = [None] * len(rm.players)
+        for joint, edge in lmapping.items():
+            rjoint: list = [None] * len(rt.players)
             for k, (i, j) in enumerate(axes):
                 rjoint[j] = lam[k][joint[i]]
-            if rm.mapping.get(tuple(rjoint)) != edge_map[edge]:
+            if rmapping.get(tuple(rjoint)) != edge_map[edge]:
                 ok = False
                 break
         if ok:
@@ -569,39 +570,9 @@ def cli_trees(forest: list, fmt: str = "json") -> str:
 
 
 # ---------------------------------------------------------------------------
-# Candidate images of matrix choices, by recomputing every profile
-# ---------------------------------------------------------------------------
-
-
-def match_candidates(left, right, order, edge_map):
-    """Per axis pair (i, j): each left choice's images, in right choice order."""
-
-    def profile(cells, axis, choice, image):
-        return tuple(sorted(repr(image(edge)) for joint, edge in cells if joint[axis] == choice))
-
-    lcells = list(left.mapping.items())
-    rcells = list(right.mapping.items())
-    candidates = []
-    for i, j in order:
-        cand = {}
-        for c in left.choice_sets[i]:
-            if edge_map is None:
-                matches = list(right.choice_sets[j])
-            else:
-                lp = profile(lcells, i, c, edge_map.get)
-                matches = [
-                    c2 for c2 in right.choice_sets[j] if profile(rcells, j, c2, int) == lp
-                ]
-            if not matches:
-                return None
-            cand[c] = matches
-        candidates.append(cand)
-    return candidates
-
-
-# ---------------------------------------------------------------------------
-# The reference matrix decoder: the loop `decision_matrix` ran before
-# `tree.node_meta` took the decoding over, kept as it was, checks included.
+# The reference matrix decoder: the loop the library's matrix view ran
+# before `tree.node_meta` took the decoding over, kept as it was, checks
+# included.
 # ---------------------------------------------------------------------------
 
 
@@ -1444,7 +1415,7 @@ def reference_fill_keys(
                 orders[n] = [e for _, e in parts]
             else:
                 cols = {e: memo[edge_dst[e]] for e in edges}
-                fingerprint, orders[n] = canonical_matrix(tree, n, axis_order, cols)
+                fingerprint, orders[n], _ = canonical_matrix(tree, n, axis_order, cols)
                 enc = b"S" + axis_header + b"G" + fingerprint
             if pin_states:
                 enc += repr(node_state[n]).encode()

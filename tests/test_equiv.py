@@ -10,9 +10,11 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import generators
 import oracles
+from conftest import deadline
 from ludokit import canon, core, equiv, reduce, tree
 from ludokit.equiv import (
     agency_equivalent,
@@ -20,7 +22,6 @@ from ludokit.equiv import (
     compose_witnesses,
     equivalent_up_to_relabeling,
     invert_witness,
-    match_matrices,
     strip,
     structural_correspondences,
     structurally_equivalent,
@@ -34,7 +35,6 @@ from ludokit.tree import (
     GameTree,
     STATE,
     TERMINAL,
-    decision_matrix,
 )
 
 
@@ -66,6 +66,23 @@ def star_tree(outcomes: list[str]) -> GameTree:
     for i, outcome in enumerate(outcomes):
         leaf = t.add_node(TERMINAL, outcome=outcome)
         t.add_edge(root, leaf, DECISION_EDGE, label=frozenset({((f"d{i}",),)}))
+    return t
+
+
+def binary_tree(depth: int) -> GameTree:
+    """P picks left or right `depth` times; every leaf is outcome w."""
+    t = GameTree(("P",))
+    t.root = t.add_node(STATE)
+    frontier = [t.root]
+    for level in range(depth):
+        kind = STATE if level < depth - 1 else TERMINAL
+        grown = []
+        for node in frontier:
+            for d in ("l", "r"):
+                child = t.add_node(kind, outcome=None if kind == STATE else "w")
+                t.add_edge(node, child, DECISION_EDGE, label=frozenset({((d,),)}))
+                grown.append(child)
+        frontier = grown
     return t
 
 
@@ -117,6 +134,20 @@ class TestStructuralCorrespondences:
         maps = list(structural_correspondences(star_tree(["a", "b"]), star_tree(["c", "d"])))
         assert len(maps) == 2
 
+    def test_binary_tree_map_count(self):
+        # every one of the 3 inner nodes may swap its two children
+        maps = list(structural_correspondences(binary_tree(2), binary_tree(2)))
+        assert len(maps) == 8
+        assert len({tuple(sorted(f.items())) for f in maps}) == 8
+
+    def test_first_map_is_lazy(self):
+        """2^127 maps relate the depth-7 tree to itself; the first comes
+        without the others being made."""
+        t = binary_tree(7)
+        with deadline(5.0):
+            first = next(structural_correspondences(t, t))
+        assert len(set(first.values())) == len(first) == t.node_count() == 255
+
     def test_swap_pair_correspondence_exists(self, swap_pair_left, swap_pair_right):
         maps = structural_correspondences(swap_pair_left, swap_pair_right)
         first = next(maps, None)
@@ -149,35 +180,50 @@ class TestStructuralCorrespondences:
 
 
 class TestMatchMatrices:
+    """Whether two decision matrices match, asked of whole trees."""
+
     def test_trio_matrix_pure_renaming(self, trio_matrix_a, trio_matrix_b):
-        ma = decision_matrix(trio_matrix_a, trio_matrix_a.root)
-        mb = decision_matrix(trio_matrix_b, trio_matrix_b.root)
-        identity = {p: p for p in trio_matrix_a.players}
-        lam = match_matrices(ma, mb, identity)
-        assert lam is not None
-        assert sorted(len(m) for m in lam.values()) == [1, 2, 3]
+        w = equivalent_up_to_relabeling(trio_matrix_a, trio_matrix_b, pin={"players"})
+        assert w is not None and verify_witness(w, pin={"players"}) == []
+        maps = w.choice_maps(w.pairs[0], trio_matrix_a.root, trio_matrix_b.root)
+        assert sorted(len(m) for m in maps.values()) == [1, 2, 3]
 
     def test_swap_pair_matrix_verdicts(self, swap_pair_left, swap_pair_right):
-        swap = {"P1": "p2", "P2": "p1"}
-        nodes_l = {"A": 0, "B": 3, "D": 5, "C": 9}
-        nodes_r = {"A": 0, "B": 3, "D": 5, "C": 9}
-        def matrix(t, n):
-            return decision_matrix(t, n)
-        assert match_matrices(matrix(swap_pair_left, nodes_l["A"]), matrix(swap_pair_right, nodes_r["A"]), swap) is not None
-        assert match_matrices(matrix(swap_pair_left, nodes_l["C"]), matrix(swap_pair_right, nodes_r["C"]), swap) is not None
-        assert match_matrices(matrix(swap_pair_left, nodes_l["B"]), matrix(swap_pair_right, nodes_r["B"]), swap) is None
-        assert match_matrices(matrix(swap_pair_left, nodes_l["D"]), matrix(swap_pair_right, nodes_r["D"]), swap) is None
+        """The two trees have one shape and one node numbering.  Relating
+        each node to its namesake under the player swap, the matrices at A
+        (node 0) and C (node 9) match, and those at B (node 3) and D
+        (node 5) do not."""
+        left, right = swap_pair_left, swap_pair_right
+        links = {}
+        for n in left.iter_nodes():
+            image = {right.edge_dst[e]: e for e in right.node_children[n]}
+            links[(n, n)] = tuple((e, image[left.edge_dst[e]]) for e in left.node_children[n])
+        w = equiv.EquivalenceWitness(
+            {"P1": "p2", "P2": "p1"},
+            {f"o{i}": f"w{i}" for i in (1, 2, 3)},
+            [equiv.TreePairWitness(0, 0, links)],
+            [left],
+            [right],
+        )
+        assert verify_witness(w) == [
+            "node 3: decision matrices do not match",
+            "node 5: decision matrices do not match",
+        ]
 
     def test_empty_domain_matrices_match(self, swap_pair_left):
-        m = decision_matrix(swap_pair_left, 3)  # the blank B matrix
-        assert m.empty_domain
-        swapped = dataclasses.replace(m)
-        assert match_matrices(m, swapped, {"P1": "P1", "P2": "P2"}) is not None
+        t = swap_pair_left
+        w = equivalent_up_to_relabeling(t, t.copy())
+        assert verify_witness(w) == []
+        assert tree.node_meta(t, 3).active == 0  # the blank B matrix
+        assert w.choice_maps(w.pairs[0], 3, 3) == {"P1": {None: None}, "P2": {"m": "m"}}
 
-    def test_size_mismatch_fails(self, trio_matrix_a, swap_pair_left):
-        ma = decision_matrix(trio_matrix_a, trio_matrix_a.root)
-        mb = decision_matrix(swap_pair_left, swap_pair_left.root)
-        assert match_matrices(ma, mb, {"P1": "P1", "P2": "P2", "P3": "P2"}) is None
+    def test_size_mismatch_fails(self, trio_matrix_a):
+        """Relating the trio matrix to itself with P1 (2 choices) and P3
+        (3 choices) swapped is reported."""
+        t = trio_matrix_a
+        w = equivalent_up_to_relabeling(t, t.copy())
+        w.player_map = {"P1": "P3", "P2": "P2", "P3": "P1"}
+        assert verify_witness(w) == [f"node {t.root}: decision matrices do not match"]
 
 
 def rename_system(sys, decision_map=None, value_map=None, outcome_map=None):
@@ -541,81 +587,201 @@ class TestCanonicalForm:
         assert checked_equal > 20  # both verdicts exercised
 
 
-class TestMatchCandidates:
-    """`equiv._candidates` groups right choices by profile; the candidate lists
-    must equal those of recomputing every profile per left choice."""
+def rename_choices(t: GameTree, prefix: str) -> GameTree:
+    """A copy with every decision renamed by `prefix`: the same game."""
 
-    def state_pairs(self, witness):
-        """Each related state pair, with its child pairing as an edge map."""
+    def entry(d):
+        return d if d is None else prefix + d
+
+    dup = t.copy()
+    dup.edge_label = [
+        label if label is None
+        else frozenset(tuple(tuple(map(entry, dtuple)) for dtuple in seq) for seq in label)
+        for label in t.edge_label
+    ]
+    return dup
+
+
+def latin_square(n: int, rows: list[str], cols: list[str]) -> GameTree:
+    """R picks row i and C column j at once; the cell leads to outcome
+    s(i + j mod n), one edge and terminal per symbol."""
+    t = GameTree(("R", "C"))
+    t.root = t.add_node(STATE)
+    for k in range(n):
+        leaf = t.add_node(TERMINAL, outcome=f"s{k}")
+        cells = [(rows[i], cols[(k - i) % n]) for i in range(n)]
+        t.add_edge(t.root, leaf, DECISION_EDGE, label=frozenset((cell,) for cell in cells))
+    return t
+
+
+def latin_pair(n: int) -> tuple[GameTree, GameTree]:
+    """An order-n cyclic Latin square and a copy whose rows and columns are
+    renamed by shuffled names."""
+    rng = random.Random(n)
+    rows, cols = [f"r{i}" for i in range(n)], [f"c{j}" for j in range(n)]
+    names = [f"x{i}" for i in range(n)], [f"y{j}" for j in range(n)]
+    for shuffled in names:
+        rng.shuffle(shuffled)
+    return latin_square(n, rows, cols), latin_square(n, *names)
+
+
+class TestChoiceCertificates:
+    """Where two or more players choose, a witness records its choice maps,
+    and `verify_witness` checks them as a certificate."""
+
+    @staticmethod
+    def multi_chooser_pairs(witness):
+        """(pair, left tree, right tree, u, v) per related state pair where
+        two or more players choose."""
         for pair in witness.pairs:
-            lt = witness.left_forest[pair.left_index]
-            rt = witness.right_forest[pair.right_index]
-            for (u, v), pairing in sorted(pair.links.items()):
-                if lt.node_kind[u] == STATE and lt.node_children[u]:
-                    images = dict(pairing)
-                    yield lt, rt, u, v, {e: images[e] for e in lt.node_children[u]}
+            lt, rt = witness.trees(pair)
+            for u, v in sorted(pair.links):
+                if lt.node_kind[u] == STATE and tree.node_meta(lt, u).active > 1:
+                    yield pair, lt, rt, u, v
 
-    def assert_candidates_agree(self, witness, rng) -> int:
+    def assert_certified(self, witness) -> int:
+        """Each multi-chooser pair's recorded maps pass the certificate
+        check, and the brute-force search agrees that a bijection exists;
+        returns how many pairs were checked."""
+        assert witness is not None and verify_witness(witness) == []
+        pm = witness.player_map
         checked = 0
-        for lt, rt, u, v, edge_map in self.state_pairs(witness):
-            lm, rm = decision_matrix(lt, u), decision_matrix(rt, v)
-            rindex = {p: i for i, p in enumerate(rm.players)}
-            order = [(i, rindex[witness.player_map[p]]) for i, p in enumerate(lm.players)]
-            right_edges = list(edge_map.values())
-            rng.shuffle(right_edges)
-            scrambled = dict(zip(edge_map, right_edges))
-            for em in (None, edge_map, scrambled):
-                assert equiv._candidates(lm, rm, order, em) == oracles.match_candidates(
-                    lm, rm, order, em
-                )
+        for pair, lt, rt, u, v in self.multi_chooser_pairs(witness):
+            rindex = {p: j for j, p in enumerate(rt.players)}
+            axes = [(i, rindex[pm[p]]) for i, p in enumerate(lt.players)]
+            pairing = pair.links[(u, v)]
+            assert equiv._carries_cells(
+                pair.choices[(u, v)], lt.players, axes, tree.node_meta(lt, u),
+                tree.node_meta(rt, v), pairing, lt.node_children[u], rt.node_children[v],
+            )
+            assert oracles._brute_matrices_match(lt, u, rt, v, pm, dict(pairing))
             checked += 1
         return checked
 
-    def test_random_trees_and_normal_forms(self):
-        rng = random.Random(11)
+    def test_fixture_witnesses(self, systems, trio_matrix_a, trio_matrix_b):
         checked = 0
-        for _ in range(80):
-            a = generators.random_tree(rng, max_nodes=30, n_players=rng.choice((2, 3)))
-            b, _ = reduce.normalize(a)
-            for left, right in ((a, a.copy()), (b, b.copy())):
-                w = equivalent_up_to_relabeling(left, right)
-                checked += self.assert_candidates_agree(w, rng)
-        assert checked > 500
+        for game in ("parity", "mixed_a", "mixed_b", "endofturn"):
+            forest = tree.build_forest(systems[game], depth_limit=3)
+            renamed = [rename_choices(t, "n_") for t in forest]
+            checked += self.assert_certified(equivalent_up_to_relabeling(forest, renamed))
+            checked += self.assert_certified(agency_equivalent(forest, renamed))
+        for compare in (equivalent_up_to_relabeling, agency_equivalent):
+            checked += self.assert_certified(compare(trio_matrix_a, trio_matrix_b))
+        # parity's and the trio matrices are the corpus's simultaneous moves
+        assert checked >= 4
 
-    def test_one_chooser_shortcut_agrees(self, systems):
-        """At nodes where at most one player chooses, `verify_witness`
-        compares cell counts per edge pair instead of calling
-        `match_matrices`; both give the same answer, for the true child
-        pairing and for a scrambled one."""
-        rng = random.Random(5)
-        forests = [tree.build_forest(systems[g], depth_limit=3) for g in ("tictactoe", "3to15")]
-        witnesses = [equivalent_up_to_relabeling(*forests)]
-        for _ in range(80):
-            a = generators.random_tree(rng, max_nodes=30, n_players=rng.choice((2, 3)))
-            b, _ = reduce.normalize(a)
-            witnesses += [equivalent_up_to_relabeling(t, t.copy()) for t in (a, b)]
-        answers = Counter()
-        for w in witnesses:
-            for lt, rt, u, v, edge_map in self.state_pairs(w):
-                lm, rm = decision_matrix(lt, u), decision_matrix(rt, v)
-                if sum(1 for cs in lm.choice_sets if len(cs) > 1) > 1:
-                    continue
-                right_edges = list(edge_map.values())
-                rng.shuffle(right_edges)
-                for em in (edge_map, dict(zip(edge_map, right_edges))):
-                    got = equiv._one_chooser_match(
-                        Counter(lm.mapping.values()), Counter(rm.mapping.values()),
-                        tuple(em.items()),
-                    )
-                    assert got == (match_matrices(lm, rm, w.player_map, em) is not None)
-                    answers[got] += 1
-        assert answers[True] > 100 and answers[False] > 10
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10**6), st.sampled_from((2, 3)))
+    def test_random_trees(self, seed, n_players):
+        rng = random.Random(seed)
+        a = generators.random_tree(rng, max_nodes=30, n_players=n_players)
+        players = list(a.players)
+        b = rename_choices(
+            equiv.relabel_tree(a, dict(zip(players, rng.sample(players, n_players)))), "n_"
+        )
+        self.assert_certified(equivalent_up_to_relabeling(a, b))
+        self.assert_certified(agency_equivalent(a, b))
 
-    def test_tictactoe_against_3to15(self, systems):
+    def test_zip_maps_pass_the_certificate_check(self, systems):
+        """Where at most one player chooses, the maps `choice_maps` derives
+        from the child pairing pass the same check."""
         forests = [tree.build_forest(systems[g], depth_limit=3) for g in ("tictactoe", "3to15")]
         w = equivalent_up_to_relabeling(*forests)
-        assert self.assert_candidates_agree(w, random.Random(3)) > 50
-        assert verify_witness(w) == []
+        rng = random.Random(4)
+        witnesses = [w] + [
+            equivalent_up_to_relabeling(t, rename_choices(t, "n_"))
+            for t in (generators.random_tree(rng, max_nodes=30, n_players=3) for _ in range(40))
+        ]
+        checked = 0
+        for w in witnesses:
+            for pair in w.pairs:
+                lt, rt = w.trees(pair)
+                rindex = {p: j for j, p in enumerate(rt.players)}
+                axes = [(i, rindex[w.player_map[p]]) for i, p in enumerate(lt.players)]
+                for (u, v), pairing in sorted(pair.links.items()):
+                    if lt.node_kind[u] != STATE or tree.node_meta(lt, u).active > 1:
+                        continue
+                    assert equiv._carries_cells(
+                        w.choice_maps(pair, u, v), lt.players, axes, tree.node_meta(lt, u),
+                        tree.node_meta(rt, v), pairing, lt.node_children[u], rt.node_children[v],
+                    )
+                    checked += 1
+        assert checked > 300
+
+    def test_one_chooser_verdict_is_the_brute_force_verdict(self):
+        """Where at most one player chooses, `verify_witness` accepts a
+        random child pairing exactly when some choice bijection carries
+        the matrix along it."""
+        rng = random.Random(5)
+        answers = Counter()
+        for _ in range(300):
+            t = GameTree(("P", "Q"))
+            t.root = t.add_node(STATE)
+            n_edges = rng.randint(1, 4)
+            cells: list[list[str]] = [[f"d{e}"] for e in range(n_edges)]
+            for k in range(n_edges, n_edges + rng.randint(0, 3)):
+                cells[rng.randrange(n_edges)].append(f"d{k}")
+            for choices in cells:
+                label = frozenset(((c, "q"),) for c in choices)
+                t.add_edge(t.root, t.add_node(TERMINAL, outcome="w"), DECISION_EDGE, label=label)
+            other = rename_choices(t, "n_")
+            redges = list(other.node_children[other.root])
+            rng.shuffle(redges)
+            pairing = tuple(zip(t.node_children[t.root], redges))
+            links = {(t.root, other.root): pairing}
+            links.update({(t.edge_dst[le], other.edge_dst[re]): () for le, re in pairing})
+            w = equiv.EquivalenceWitness(
+                {"P": "P", "Q": "Q"}, {"w": "w"}, [equiv.TreePairWitness(0, 0, links)], [t], [other]
+            )
+            accepted = verify_witness(w) == []
+            assert accepted == oracles._brute_matrices_match(
+                t, t.root, other, other.root, w.player_map, dict(pairing)
+            )
+            answers[accepted] += 1
+        assert answers[True] > 50 and answers[False] > 50
+
+    def latin_witness(self, n: int):
+        left, right = latin_pair(n)
+        w = equivalent_up_to_relabeling(left, right, pin={"outcomes"})
+        assert w is not None
+        return w
+
+    def test_corrupted_map_is_reported(self):
+        for corrupt in ("not a bijection", "rows swapped"):
+            w = self.latin_witness(3)
+            (pair,) = w.pairs
+            rows = pair.choices[(0, 0)]["R"]
+            r0, r1 = sorted(rows)[:2]
+            if corrupt == "not a bijection":
+                rows[r0] = rows[r1]
+            else:
+                rows[r0], rows[r1] = rows[r1], rows[r0]
+            assert verify_witness(w, pin={"outcomes"}) == ["node 0: decision matrices do not match"]
+
+    def test_missing_map_is_reported(self):
+        w = self.latin_witness(3)
+        del w.pairs[0].choices[(0, 0)]
+        assert verify_witness(w, pin={"outcomes"}) == [
+            "node 0: no choice maps where two or more players choose"
+        ]
+
+    @pytest.mark.parametrize("n", range(3, 11))
+    def test_latin_squares_verify(self, n):
+        """Every row and column of a cyclic Latin square meets each symbol
+        once, so no choice can be told from another by the edges it
+        reaches; the check is linear all the same."""
+        w = self.latin_witness(n)
+        back = invert_witness(w)
+        with deadline(2.0):
+            assert verify_witness(w, pin={"outcomes"}) == []
+            assert verify_witness(back, pin={"outcomes"}) == []
+            assert verify_witness(compose_witnesses(w, back), pin={"outcomes"}) == []
+            assert verify_witness(compose_witnesses(back, w), pin={"outcomes"}) == []
+        if n <= 4:
+            pairing = w.pairs[0].links[(0, 0)]
+            left, right = w.trees(w.pairs[0])
+            assert oracles._brute_matrices_match(left, 0, right, 0, w.player_map, dict(pairing))
+        assert json.loads(w.to_json())["trees"][0]["choices"]["0"]["R"]
 
 
 def two_rounds(branches: list[tuple[str, ...]]) -> GameTree:

@@ -54,14 +54,13 @@ EXPECTED_RECORDS = {
     "tree": "TreeStats",
 }
 
-# Classes that stay dataclasses, and why: the first three are rebuilt with
+# Classes that stay dataclasses, and why: the first two are rebuilt with
 # `dataclasses.replace`, TraceStep is read with `dataclasses.asdict`, and the
 # last three use field options (`init=False`, `repr=False`, a post-init
 # hook) or are written after construction.
 KEPT_DATACLASSES = {
     "core.GameSystem",
     "core.ConsequenceRule",
-    "tree.DecisionMatrix",
     "reduce.TraceStep",
     "equiv.TreePairWitness",
     "equiv.EquivalenceWitness",

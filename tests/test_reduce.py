@@ -38,7 +38,6 @@ from ludokit.tree import (
     GameTree,
     STATE,
     TERMINAL,
-    decision_matrix,
     validate_tree,
 )
 
@@ -128,9 +127,9 @@ class TestSinglePlayer:
         for e in edges:
             (seq,) = t.edge_label[e]
             assert len(seq) == 2  # composite two-step choices
-        m = decision_matrix(t, t.root)
-        assert len(m.choice_sets[0]) == 6  # P's choices are the sequences
-        assert m.choice_sets[1] == (None,)
+        meta = tree.node_meta(t, t.root)
+        assert meta.sizes[0] == 6  # P's choices are the sequences
+        assert meta.choices[1] == frozenset({None})
 
     def test_depth_one_site_excluded(self, systems):
         t = tree.unfold(tree.build_forest(systems["parity"])[0])
@@ -215,9 +214,9 @@ class TestMatrixRedundancy:
         assert [s.root for s in sites] == [t.root]
         reduce_matrix_redundancy(t, sites[0])
         validate_tree(t)
-        m = decision_matrix(t, t.root)
-        assert sorted(len(cs) for cs in m.choice_sets) == [1, 2, 2]
-        assert m.choice_sets[2] == ("c", "d")  # e was redundant with c
+        meta = tree.node_meta(t, t.root)
+        assert sorted(meta.sizes) == [1, 2, 2]
+        assert meta.choices[2] == frozenset({"c", "d"})  # e was redundant with c
 
     def test_all_distinct_matrix_unchanged(self, systems):
         t = tree.unfold(tree.build_forest(systems["parity"])[0])
@@ -239,7 +238,7 @@ class TestMatrixRedundancy:
         ]
         assert forced  # the two-choice node collapsed to a blank single-edge matrix
         for n in forced:
-            assert decision_matrix(t, n).empty_domain
+            assert tree.node_meta(t, n).active == 0
 
 
 @st.composite

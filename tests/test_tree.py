@@ -27,7 +27,6 @@ from ludokit.tree import (
     TRUNCATED,
     build_forest,
     build_tree,
-    decision_matrix,
     export_dot,
     export_json,
     import_json,
@@ -342,37 +341,36 @@ class TestBudget:
 
 class TestDecisionMatrix:
     def test_root_flip_matrix(self, ttt, ttt_depth2):
-        m = decision_matrix(ttt_depth2, ttt_depth2.root)
-        assert m.choice_sets == (("flip",), ("flip",))
-        assert list(m.mapping) == [("flip", "flip")]
-        assert m.empty_domain
+        meta = tree.node_meta(ttt_depth2, ttt_depth2.root)
+        assert meta.choices == (frozenset({"flip"}), frozenset({"flip"}))
+        assert [joint for cells in meta.decoded for _, joint in cells] == [("flip", "flip")]
+        assert meta.active == 0
 
     def test_parity_matrix(self, systems):
         t = build_forest(systems["parity"])[0]
-        m = decision_matrix(t, t.root)
-        assert m.choice_sets == (("left", "right"), ("left", "right"))
-        assert len(m.mapping) == 4
-        assert len(m.edges()) == 4
-        assert not m.empty_domain
+        meta = tree.node_meta(t, t.root)
+        assert meta.choices == (frozenset({"left", "right"}),) * 2
+        assert sum(meta.counts) == 4
+        assert len(t.node_children[t.root]) == 4
+        assert meta.active == 2
 
     def test_trio_matrix_inactive_player(self, trio_matrix_a):
-        m = decision_matrix(trio_matrix_a, trio_matrix_a.root)
-        sizes = sorted(len(cs) for cs in m.choice_sets)
-        assert sizes == [1, 2, 3]  # P2 inactive, P1 two choices, P3 three
-        assert m.choice_sets[1] == (None,)
-        assert len(m.mapping) == 6
-        assert len(m.edges()) == 4
+        meta = tree.node_meta(trio_matrix_a, trio_matrix_a.root)
+        assert sorted(meta.sizes) == [1, 2, 3]  # P2 inactive, P1 two choices, P3 three
+        assert meta.choices[1] == frozenset({None})
+        assert sum(meta.counts) == 6
+        assert len(meta.counts) == 4
 
     def test_matrix_on_chance_node_rejected(self, ttt_depth2):
         chance = ttt_depth2.children(ttt_depth2.root)[0]
         with pytest.raises(TreeInvariantError):
-            decision_matrix(ttt_depth2, chance)
+            tree.node_meta(ttt_depth2, chance)
 
     def test_matrix_on_terminal_rejected(self, systems):
         t = build_forest(systems["parity"])[0]
         leaf = t.children(t.root)[0]
         with pytest.raises(TreeInvariantError):
-            decision_matrix(t, leaf)
+            tree.node_meta(t, leaf)
 
 
 # Words naming each check `node_meta` makes, as its messages spell them.
@@ -440,8 +438,8 @@ class TestNodeMeta:
                 fn(non_total_tree())
 
     def test_agrees_with_the_reference_decoder(self):
-        """On random trees and their normal forms, `node_meta` and
-        `decision_matrix` agree with the per-call reference decoder."""
+        """On random trees and their normal forms, `node_meta` agrees with
+        the per-call reference decoder."""
         checked = 0
         for seed in range(150):
             t = generators.random_tree(random.Random(seed), allow_truncated=seed % 3 == 0)
@@ -451,7 +449,6 @@ class TestNodeMeta:
                         continue
                     choice_sets, mapping = oracles.reference_matrix(form, n)
                     meta = tree.node_meta(form, n)
-                    m = decision_matrix(form, n)
                     sizes = tuple(len(cs) for cs in choice_sets)
                     owners = [i for i, cs in enumerate(choice_sets) if cs != (None,)]
                     edges = form.node_children[n]
@@ -461,8 +458,9 @@ class TestNodeMeta:
                     assert meta.active == sum(1 for k in sizes if k > 1)
                     assert meta.owner == (owners[0] if len(owners) == 1 else None)
                     assert meta.total == sum(sizes)
-                    assert m.choice_sets == choice_sets
-                    assert list(m.mapping.items()) == list(mapping.items())
+                    assert {
+                        joint: e for e, cells in zip(edges, meta.decoded) for _, joint in cells
+                    } == mapping
                     checked += 1
         assert checked > 1000
 
@@ -481,8 +479,8 @@ class TestNodeMeta:
         assert len({id(c) for c in sets}) == len(set(sets)) < 100
 
     def test_corrupted_labels_raise_the_reference_check(self):
-        """Each corruption raises the same check in `node_meta`,
-        `decision_matrix` and the reference, even on a warm shared cache."""
+        """Each corruption raises the same check in `node_meta` and the
+        reference, even on a warm shared cache."""
         seen = set()
         for seed in range(40):
             t = generators.random_tree(random.Random(seed))
@@ -493,7 +491,6 @@ class TestNodeMeta:
                 for word, bad in corruptions(t, n):
                     assert check_word(oracles.reference_matrix, bad, n) == word
                     assert check_word(tree.node_meta, bad, n) == word
-                    assert check_word(decision_matrix, bad, n) == word
                     seen.add(word)
         assert seen == set(MATRIX_CHECKS)
 
