@@ -62,6 +62,7 @@ from .errors import (
     LudokitError,
     NoRuleMatchesError,
     NonTerminalStateError,
+    RoundLimitError,
     StateMapError,
     TerminalStateError,
     TreeInvariantError,
@@ -72,7 +73,6 @@ from .similarity import (
     StateMap,
     apply_state_map,
     exhaustive_proportion,
-    similarity,
     wilson_interval,
 )
 from .tree import (

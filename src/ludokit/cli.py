@@ -2,7 +2,8 @@
 
 Exit codes follow one contract across all subcommands: 0 for success or a
 positive verdict (complete / equivalent), 1 for a well-formed negative
-verdict (violations found / not equivalent), 2 for usage or input errors.
+verdict (violations found / not equivalent), 2 for usage or input errors,
+refused computations, and running out of memory or of recursion depth.
 Reports go to stdout, diagnostics to stderr; output is plain text (NO_COLOR
 is honored trivially) and byte-stable for fixed arguments and seeds.
 """
@@ -411,6 +412,12 @@ def main(argv: Optional[list[str]] = None) -> int:
         return exc.code
     except LudokitError as exc:
         print(str(exc), file=_sys.stderr)
+        return USAGE
+    except MemoryError:
+        print("out of memory", file=_sys.stderr)
+        return USAGE
+    except RecursionError:
+        print("recursion limit reached: the input nests too deeply", file=_sys.stderr)
         return USAGE
 
 

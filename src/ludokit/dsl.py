@@ -45,8 +45,9 @@ serialization emits the expanded form (macros are not reconstructed), and
 from __future__ import annotations
 
 import itertools
+import re
 from fractions import Fraction
-from typing import NamedTuple, Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 from . import core
 from .core import (
@@ -74,9 +75,12 @@ KEYWORDS = {
     "not", "and", "or", "any", "all", "in", "if",
 }
 
-_PUNCT = (
-    "->", "..", "<=", ">=", "!=", "{", "}", "(", ")", ",", ";", ":", "=",
-    "*", "/", "+", "-", "<", ">",
+# One match per token of a line: blanks, then a punctuator (the two-character
+# ones first, so "->" is never "-" and ">"), an identifier of alphanumerics,
+# "_" and "$" (`\w` is `str.isalnum` or "_"), a comment, any other character
+# (an error), or the line's end after trailing blanks.
+_TOKEN = re.compile(
+    r"[ \t\r]*(?:(->|\.\.|[<>!]=|[{}(),;:=*/+\-<>])|([\w$]+)|(#.*)|(.)|\Z)"
 )
 
 
@@ -112,45 +116,32 @@ class Token(NamedTuple):
 
 
 def _lex(text: str, path: str) -> list[Token]:
+    """The tokens of `text`, ending with an "eof" token.
+
+    Lines and columns count from 1, a column in code points.  The end-of-file
+    token sits after the last line's last character, or at the start of a
+    comment that ends the file.
+    """
     tokens: list[Token] = []
-    line, col, i = 1, 1, 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        matched = None
-        for p in _PUNCT:
-            if text.startswith(p, i):
-                matched = p
+    append = tokens.append
+    for line, source in enumerate(text.split("\n"), 1):
+        end = len(source) + 1
+        for match in _TOKEN.finditer(source):
+            group = match.lastindex
+            if group is None:  # the line's end
                 break
-        if matched:
-            tokens.append(Token("punct", matched, line, col))
-            i += len(matched)
-            col += len(matched)
-            continue
-        if ch.isalnum() or ch in "_$":
-            start = i
-            while i < n and (text[i].isalnum() or text[i] in "_$"):
-                i += 1
-            tokens.append(Token("ident", text[start:i], line, col))
-            col += i - start
-            continue
-        raise GameParseError(
-            [Diagnostic(path, line, col, "error", f"unexpected character {ch!r}")]
-        )
-    tokens.append(Token("eof", "", line, col))
+            col = match.start(group) + 1
+            if group == 1:
+                append(Token("punct", match[1], line, col))
+            elif group == 2:
+                append(Token("ident", match[2], line, col))
+            elif group == 3:
+                end = col
+            else:
+                raise GameParseError(
+                    [Diagnostic(path, line, col, "error", f"unexpected character {match[4]!r}")]
+                )
+    tokens.append(Token("eof", "", line, end))
     return tokens
 
 
@@ -675,12 +666,21 @@ def _flatten(cls, parts: list[RExpr]) -> tuple[RExpr, ...]:
 # ---------------------------------------------------------------------------
 
 
+# Arithmetic nodes of the largest guard `_Expander.guard_test` compiles;
+# larger guards are interpreted.  Python's compiler recurses once per
+# operator and parenthesis, so a long sum or deep nesting would exhaust it.
+_GUARD_NODES = 100
+
+_COMPARE = {"=": "==", "!=": "!=", "<": "<", "<=": "<=", ">": ">", ">=": ">="}
+
+
 class _Expander:
     """Substitutes forall binders into identifiers, purely syntactically."""
 
     def __init__(self, path: str):
         self.path = path
         self.diagnostics: list[Diagnostic] = []
+        self.compiled_guards: dict[str, Callable] = {}  # by their source
 
     def error(self, line: int, col: int, message: str) -> None:
         self.diagnostics.append(Diagnostic(self.path, line, col, "error", message))
@@ -749,15 +749,84 @@ class _Expander:
                 return False
         return True
 
+    def guard_test(self, guard: Guard, binders: tuple[Binder, ...], env: dict[str, str]):
+        """`guard` compiled to a function of one integer per binder, and
+        those integers: each binder's values as integers, or None for a
+        binder the guard does not read.  Variables bound outside the
+        binders become constants.
+
+        None instead where evaluating the guard could report a diagnostic,
+        because a variable it reads is unbound or not integer-valued, or
+        where its arithmetic is too large to compile; `eval_guard` then
+        interprets it per combination.
+        """
+        slot = {b.var: i for i, b in enumerate(binders)}  # a later binder shadows
+        used: set[int] = set()
+        nodes = [0]
+
+        def source(node: Arith) -> str:
+            nodes[0] += 1
+            if nodes[0] > _GUARD_NODES:
+                raise ValueError("too large to compile")
+            if node[0] == "int":
+                return str(node[1])
+            if node[0] == "var":
+                if node[1] in slot:
+                    used.add(slot[node[1]])
+                    return f"a{slot[node[1]]}"
+                return str(int(env[node[1]]))  # KeyError or ValueError: interpret
+            return "(0" + "".join(
+                f" {sign} " + "*".join(source(f) for f in factors)
+                for sign, factors in node[1]
+            ) + ")"
+
+        try:
+            body = " and ".join(
+                f"{source(c.left)} {_COMPARE[c.op]} {source(c.right)}"
+                for c in guard.comparisons
+            )
+            numbers = [
+                [int(v) for v in b.values] if i in used else [None] * len(b.values)
+                for i, b in enumerate(binders)
+            ]
+        except (KeyError, ValueError):
+            return None
+        code = f"lambda {', '.join(f'a{i}' for i in range(len(binders)))}: {body}"
+        test = self.compiled_guards.get(code)
+        if test is None:
+            # the source holds only generated names, integers and operators
+            test = self.compiled_guards[code] = eval(code, {})
+        return test, numbers
+
+    def bindings(self, binders: tuple[Binder, ...], guard: Optional[Guard], env: dict[str, str]):
+        """The environments of the binders' combinations that pass `guard`,
+        in `itertools.product` order.
+
+        A lazy iterator: a guard interpreted per combination reports its
+        diagnostics between the expansions of the combinations before it.
+        """
+        names = [b.var for b in binders]
+        combos = itertools.product(*(b.values for b in binders))
+        compiled = None if guard is None else self.guard_test(guard, binders, env)
+        if compiled is None:
+            for combo in combos:
+                inner = dict(env)
+                inner.update(zip(names, combo))
+                if guard is None or self.eval_guard(guard, inner):
+                    yield inner
+            return
+        test, numbers = compiled
+        for combo, values in zip(combos, itertools.product(*numbers)):
+            if test(*values):
+                inner = dict(env)
+                inner.update(zip(names, combo))
+                yield inner
+
     def expand_decls(self, decls, env: dict[str, str]) -> list[Decl]:
         out: list[Decl] = []
         for decl in decls:
             if isinstance(decl, DForall):
-                for value in decl.binder.values:
-                    inner = dict(env)
-                    inner[decl.binder.var] = value
-                    if decl.guard is not None and not self.eval_guard(decl.guard, inner):
-                        continue
+                for inner in self.bindings((decl.binder,), decl.guard, env):
                     out.extend(self.expand_decls(decl.body, inner))
             else:
                 out.append(self.expand_decl(decl, env))
@@ -818,12 +887,7 @@ class _Expander:
             return type(expr)(_flatten(type(expr), parts))
         if isinstance(expr, RComprehension):
             parts: list[RExpr] = []
-            for combo in itertools.product(*(b.values for b in expr.binders)):
-                inner = dict(env)
-                for b, value in zip(expr.binders, combo):
-                    inner[b.var] = value
-                if expr.guard is not None and not self.eval_guard(expr.guard, inner):
-                    continue
+            for inner in self.bindings(expr.binders, expr.guard, env):
                 parts.append(self.expand_expr(expr.body, inner))
             if not parts:
                 self.error(expr.line, expr.col, "comprehension expands to no terms")

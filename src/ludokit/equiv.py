@@ -39,13 +39,12 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import partial
 from hashlib import blake2b
 from typing import Callable, Iterator, NamedTuple, Optional, Union
 
 from . import canon, reduce as reduce_mod
-from .core import GameSystem, typed_record
+from .core import GameSystem, SlotRecord, typed_record
 from .errors import LudokitError, TreeInvariantError
 from .tree import (
     CHANCE,
@@ -189,8 +188,7 @@ def _product_of_maps(streams: list[Callable[[], Iterator[dict]]]) -> Iterator[di
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class TreePairWitness:
+class TreePairWitness(SlotRecord):
     """The correspondence between one left and one right tree.
 
     `links` is a relation on pairs of arena nodes: it maps each related
@@ -204,30 +202,42 @@ class TreePairWitness:
     the pair belongs to, at `left_index` and `right_index`.
     """
 
-    left_index: int
-    right_index: int
-    links: dict[tuple[int, int], Pairing]
-    choices: dict[tuple[int, int], ChoiceMaps] = field(default_factory=dict)
-    # The (left, right) forests of the witness holding the pair, set by it.
-    # Not the witness itself: that cycle would keep every witness and its
-    # forests alive until the cycle collector runs.
-    forests: Optional[tuple[list[GameTree], list[GameTree]]] = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    __slots__ = ("left_index", "right_index", "links", "choices", "forests", "_node_map")
+    _fields = __slots__[:4]
 
-    @cached_property
+    def __init__(
+        self,
+        left_index: int,
+        right_index: int,
+        links: dict[tuple[int, int], Pairing],
+        choices: Optional[dict[tuple[int, int], ChoiceMaps]] = None,
+    ):
+        self.left_index = left_index
+        self.right_index = right_index
+        self.links = links
+        self.choices = {} if choices is None else choices
+        # The (left, right) forests of the witness holding the pair, set by it.
+        # Not the witness itself: that cycle would keep every witness and its
+        # forests alive until the cycle collector runs.
+        self.forests: Optional[tuple[list[GameTree], list[GameTree]]] = None
+        self._node_map: Optional[dict[int, int]] = None
+
+    @property
     def node_map(self) -> dict[int, int]:
         """Left node -> right node of the unfolded trees.
 
         Built on first access, in time linear in the unfolded trees, and
         kept; see `_unfold_relation`.
         """
-        left, right = self.forests
-        return _unfold_relation(self, left[self.left_index], right[self.right_index])[0]
+        if self._node_map is None:
+            left, right = self.forests
+            self._node_map = _unfold_relation(
+                self, left[self.left_index], right[self.right_index]
+            )[0]
+        return self._node_map
 
 
-@dataclass
-class EquivalenceWitness:
+class EquivalenceWitness(SlotRecord):
     """Correspondence bundle certifying equivalence up to relabeling.
 
     Carries the global player and outcome bijections, one node relation per
@@ -236,15 +246,25 @@ class EquivalenceWitness:
     pair's relation names is read from them.
     """
 
-    player_map: dict[str, str]
-    outcome_map: dict[str, str]
-    pairs: list[TreePairWitness]
-    left_forest: list[GameTree] = field(repr=False)
-    right_forest: list[GameTree] = field(repr=False)
+    __slots__ = ("player_map", "outcome_map", "pairs", "left_forest", "right_forest")
+    _fields = __slots__
+    _hidden = frozenset({"left_forest", "right_forest"})
 
-    def __post_init__(self) -> None:
-        for pair in self.pairs:
-            pair.forests = (self.left_forest, self.right_forest)
+    def __init__(
+        self,
+        player_map: dict[str, str],
+        outcome_map: dict[str, str],
+        pairs: list[TreePairWitness],
+        left_forest: list[GameTree],
+        right_forest: list[GameTree],
+    ):
+        self.player_map = player_map
+        self.outcome_map = outcome_map
+        self.pairs = pairs
+        self.left_forest = left_forest
+        self.right_forest = right_forest
+        for pair in pairs:
+            pair.forests = (left_forest, right_forest)
 
     def trees(self, pair: TreePairWitness) -> tuple[GameTree, GameTree]:
         return self.left_forest[pair.left_index], self.right_forest[pair.right_index]

@@ -42,6 +42,10 @@ class AmbiguityWarning(UserWarning):
     """More than one rule matches in strict mode (first-match still applies)."""
 
 
+class RoundLimitError(LudokitError):
+    """A playthrough reached its round bound without ending (the game may cycle)."""
+
+
 class TreeInvariantError(LudokitError):
     """A game tree (often an imported one) violates a structural invariant."""
 

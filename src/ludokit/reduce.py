@@ -59,10 +59,10 @@ the unexplored region.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import canon
+from .core import typed_record
 from .errors import BudgetExceededError, TreeInvariantError
 from .tree import (
     CHANCE,
@@ -81,8 +81,8 @@ from .tree import (
 MAX_LABEL_SEQUENCES = 1_000_000
 
 
-@dataclass(frozen=True)
-class TraceStep:
+@typed_record
+class TraceStep(NamedTuple):
     kind: str
     root: int
     nodes_before: int

@@ -19,12 +19,18 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
 from statistics import NormalDist
 from typing import NamedTuple, Optional
 
 from . import equiv, reduce as reduce_mod
-from .core import GameState, GameSystem, enumerate_states, reachable_states, typed_record
+from .core import (
+    GameState,
+    GameSystem,
+    SlotRecord,
+    enumerate_states,
+    reachable_states,
+    typed_record,
+)
 from .errors import LudokitError, NoRuleMatchesError, StateMapError
 from .tree import build_tree
 
@@ -165,19 +171,39 @@ class SampleRecord(NamedTuple):
     completeness_gap: bool = False
 
 
-@dataclass
-class SimilarityReport:
-    estimate: float
-    samples: int
-    matches: int
-    confidence_level: float
-    interval_low: float
-    interval_high: float
-    depth: int
-    seed: int
-    scope: str
-    completeness_gaps: int = 0
-    records: Optional[list[SampleRecord]] = field(default=None, repr=False)
+class SimilarityReport(SlotRecord):
+    __slots__ = (
+        "estimate", "samples", "matches", "confidence_level", "interval_low",
+        "interval_high", "depth", "seed", "scope", "completeness_gaps", "records",
+    )
+    _fields = __slots__
+    _hidden = frozenset({"records"})
+
+    def __init__(
+        self,
+        estimate: float,
+        samples: int,
+        matches: int,
+        confidence_level: float,
+        interval_low: float,
+        interval_high: float,
+        depth: int,
+        seed: int,
+        scope: str,
+        completeness_gaps: int = 0,
+        records: Optional[list[SampleRecord]] = None,
+    ):
+        self.estimate = estimate
+        self.samples = samples
+        self.matches = matches
+        self.confidence_level = confidence_level
+        self.interval_low = interval_low
+        self.interval_high = interval_high
+        self.depth = depth
+        self.seed = seed
+        self.scope = scope
+        self.completeness_gaps = completeness_gaps
+        self.records = records
 
     def to_json(self) -> str:
         doc = {

@@ -20,6 +20,19 @@ from ludokit import dsl, reduce, tree
 
 FIXTURES = TESTS_DIR / "fixtures"
 
+# A two-state loop: every round toggles t, and no state is terminal.
+LOOP_GAME = """\
+game loop
+players P
+track t { a, b }
+decisions go
+action toggle { when t=a set t=b ; set t=a }
+init t=a
+legal P go when t=a or t=b
+consequence (go) -> prob 1: toggle
+outcome default none
+"""
+
 # One verdict line per acceptance criterion, echoed in the run summary.
 ACCEPTANCE_LINES: list[str] = []
 

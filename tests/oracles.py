@@ -5,8 +5,8 @@ logic with the package's canonical-key machinery, so key-based verdicts can
 be checked against definition-faithful brute force.  The exceptions, the
 reference renderers, the reference matrix solver, the reference
 matrix-redundancy loop, the in-place normalizer, the per-site engine
-with its randomized `normalize_random` and the reference key pass, say so
-where they start.
+with its randomized `normalize_random`, the reference key pass and the
+front end's reference passes, say so where they start.
 """
 
 from __future__ import annotations
@@ -15,11 +15,37 @@ import itertools
 import json
 import random
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from ludokit import canon, core
+from ludokit.dsl import (
+    DAction,
+    DConsequence,
+    DDecisions,
+    DDefaultOutcome,
+    DForall,
+    DGame,
+    DInit,
+    DLegal,
+    DOutcome,
+    DPlayers,
+    DSet,
+    DTrack,
+    Diagnostic,
+    GameParseError,
+    Name,
+    RActionClause,
+    RAnd,
+    RComprehension,
+    RLit,
+    RNot,
+    ROr,
+    RRef,
+    Token,
+    _flatten,
+)
 from ludokit.core import (
     WILDCARD,
     And,
@@ -287,7 +313,7 @@ def consequences(sys, dtuple, state):
 def with_oracle_consequences(sys: GameSystem) -> GameSystem:
     """A copy of `sys` whose engine resolves every consequence lookup with
     `consequences` above: no index, no cache, guards read off the rules."""
-    copy = replace(sys)
+    copy = sys._replace()
     engine = copy.engine()
 
     def resolve(dtuple, state, strict=False):
@@ -1482,3 +1508,341 @@ def reference_forest_signatures(forest: list[GameTree]):
     p_sigs = {p: repr(sorted(c.items())).encode() for p, c in player_sig.items()}
     o_sigs = {o: repr(sorted(c.items())).encode() for o, c in outcome_sig.items()}
     return p_sigs, o_sigs, kind_counts, prob_counts
+
+
+# ---------------------------------------------------------------------------
+# The front end's reference passes: the character-by-character lexer, the
+# validation walk that re-walks a named set at every reference, and the
+# macro expander that interprets each guard per combination.  They are the
+# package's earlier implementations, kept verbatim; `tests/test_dsl.py`
+# requires the same tokens, problems, expansions and diagnostics of the
+# package's passes.
+# ---------------------------------------------------------------------------
+
+
+_PUNCT = (
+    "->", "..", "<=", ">=", "!=", "{", "}", "(", ")", ",", ";", ":", "=",
+    "*", "/", "+", "-", "<", ">",
+)
+
+
+def reference_lex(text: str, path: str) -> list[Token]:
+    tokens: list[Token] = []
+    line, col, i = 1, 1, 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if ch in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if ch == "#":
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        matched = None
+        for p in _PUNCT:
+            if text.startswith(p, i):
+                matched = p
+                break
+        if matched:
+            tokens.append(Token("punct", matched, line, col))
+            i += len(matched)
+            col += len(matched)
+            continue
+        if ch.isalnum() or ch in "_$":
+            start = i
+            while i < n and (text[i].isalnum() or text[i] in "_$"):
+                i += 1
+            tokens.append(Token("ident", text[start:i], line, col))
+            col += i - start
+            continue
+        raise GameParseError(
+            [Diagnostic(path, line, col, "error", f"unexpected character {ch!r}")]
+        )
+    tokens.append(Token("eof", "", line, col))
+    return tokens
+
+
+
+def reference_validate_system(sys: GameSystem) -> list[str]:
+    """Return structural problems (empty list means the system is well formed).
+
+    Checks reference resolution, probability sums, named-set acyclicity, and
+    pattern arity.  Does not enumerate states; see `check_completeness` for
+    the behavioral checks.
+    """
+    problems: list[str] = []
+    if not sys.players:
+        problems.append("player list is empty")
+    if len(set(sys.players)) != len(sys.players):
+        problems.append("duplicate player names")
+    if not sys.tracks:
+        problems.append("no tracks declared")
+    track_names = [t.name for t in sys.tracks]
+    if len(set(track_names)) != len(track_names):
+        problems.append("duplicate track names")
+    tracks = {t.name: t for t in sys.tracks}
+    for t in sys.tracks:
+        if not t.values:
+            problems.append(f"track {t.name!r} has no values")
+        if len(set(t.values)) != len(t.values):
+            problems.append(f"track {t.name!r} has duplicate values")
+    if len(set(sys.decisions)) != len(sys.decisions):
+        problems.append("duplicate decision names")
+    for d in sys.decisions:
+        if d in ("0", WILDCARD):
+            problems.append(f"decision name {d!r} is reserved")
+    if len(set(sys.outcomes)) != len(sys.outcomes):
+        problems.append("duplicate outcome names")
+
+    def check_expr(expr: Expr, where: str, stack: tuple[str, ...] = ()) -> None:
+        # depth first with an explicit stack: named-set chains nest arbitrarily
+        todo: list[tuple[Expr, str, tuple[str, ...]]] = [(expr, where, stack)]
+        while todo:
+            expr, where, stack = todo.pop()
+            if isinstance(expr, Lit):
+                track = tracks.get(expr.track)
+                if track is None:
+                    problems.append(f"{where}: unknown track {expr.track!r}")
+                elif expr.value not in track.values:
+                    problems.append(
+                        f"{where}: track {expr.track!r} has no value {expr.value!r}"
+                    )
+            elif isinstance(expr, Not):
+                todo.append((expr.operand, where, stack))
+            elif isinstance(expr, (And, Or)):
+                todo.extend((part, where, stack) for part in reversed(expr.parts))
+            elif isinstance(expr, Ref):
+                if expr.name not in sys.named_sets:
+                    problems.append(f"{where}: unknown named set {expr.name!r}")
+                elif expr.name in stack:
+                    problems.append(
+                        f"{where}: cyclic named-set reference through {expr.name!r}"
+                    )
+                else:
+                    todo.append(
+                        (sys.named_sets[expr.name], f"set {expr.name}", stack + (expr.name,))
+                    )
+
+    for name, expr in sys.named_sets.items():
+        check_expr(expr, f"set {name}", (name,))
+    check_expr(sys.init, "init")
+
+    decisions = set(sys.decisions)
+    for action in sys.actions.values():
+        for clause in action.clauses:
+            if clause.guard is not None:
+                check_expr(clause.guard, f"action {action.name}")
+            for track_name, value in clause.assignments:
+                track = tracks.get(track_name)
+                if track is None:
+                    problems.append(
+                        f"action {action.name}: unknown track {track_name!r}"
+                    )
+                elif value not in track.values:
+                    problems.append(
+                        f"action {action.name}: track {track_name!r} has no value {value!r}"
+                    )
+    for rule in sys.legality_rules:
+        if rule.player not in sys.players:
+            problems.append(f"legality rule: unknown player {rule.player!r}")
+        if rule.decision not in decisions:
+            problems.append(f"legality rule: unknown decision {rule.decision!r}")
+        check_expr(rule.region, f"legal {rule.player} {rule.decision}")
+    for i, rule in enumerate(sys.consequence_rules):
+        where = f"consequence rule #{i + 1}"
+        if len(rule.pattern) != len(sys.players):
+            problems.append(
+                f"{where}: pattern arity {len(rule.pattern)} != {len(sys.players)} players"
+            )
+        for entry in rule.pattern:
+            if entry is not None and entry != WILDCARD and entry not in decisions:
+                problems.append(f"{where}: unknown decision {entry!r} in pattern")
+        if rule.guard is not None:
+            check_expr(rule.guard, where)
+        if not rule.results:
+            problems.append(f"{where}: no results")
+        total = sum((p for p, _ in rule.results), Fraction(0))
+        if rule.results and total != 1:
+            problems.append(f"{where}: probabilities sum to {total}, not 1")
+        for p, names in rule.results:
+            if not 0 < p <= 1:
+                problems.append(f"{where}: probability {p} not in (0, 1]")
+            for action_name in names:
+                if action_name not in sys.actions:
+                    problems.append(f"{where}: unknown action {action_name!r}")
+    for i, rule in enumerate(sys.outcome_rules):
+        where = f"outcome rule #{i + 1}"
+        if rule.outcome not in sys.outcomes:
+            problems.append(f"{where}: unknown outcome {rule.outcome!r}")
+        check_expr(rule.region, where)
+    if sys.default_outcome not in sys.outcomes:
+        problems.append(f"default outcome {sys.default_outcome!r} not declared")
+    return problems
+
+
+
+class ReferenceExpander:
+    """Substitutes forall binders into identifiers, purely syntactically."""
+
+    def __init__(self, path: str):
+        self.path = path
+        self.diagnostics: list[Diagnostic] = []
+
+    def error(self, line: int, col: int, message: str) -> None:
+        self.diagnostics.append(Diagnostic(self.path, line, col, "error", message))
+
+    def subst(self, name: Name, env: dict[str, str]) -> Name:
+        text = name.text
+        if "$" not in text:
+            return name
+        out = []
+        i = 0
+        while i < len(text):
+            if text[i] == "$":
+                j = i + 1
+                while j < len(text) and (text[j].isalnum() or text[j] == "_"):
+                    j += 1
+                var = text[i + 1 : j]
+                if var in env:
+                    out.append(env[var])
+                else:
+                    self.error(name.line, name.col, f"unbound macro variable ${var}")
+                    out.append(text[i:j])
+                i = j
+            else:
+                out.append(text[i])
+                i += 1
+        return Name("".join(out), name.line, name.col)
+
+    def eval_arith(self, node: Arith, env: dict[str, str]) -> Optional[int]:
+        if node[0] == "int":
+            return node[1]
+        if node[0] == "var":
+            _, var, line, col = node
+            value = env.get(var)
+            if value is None:
+                self.error(line, col, f"unbound macro variable {var} in guard")
+                return None
+            try:
+                return int(value)
+            except ValueError:
+                self.error(line, col, f"binder {var}={value!r} is not integer-valued")
+                return None
+        total: Optional[int] = 0
+        for sign, factors in node[1]:
+            # evaluate every factor, so each unbound variable gets a diagnostic
+            product: Optional[int] = 1
+            for factor in factors:
+                value = self.eval_arith(factor, env)
+                product = None if value is None or product is None else product * value
+            if total is None or product is None:
+                total = None
+            else:
+                total += product if sign == "+" else -product
+        return total
+
+    def eval_guard(self, guard: Guard, env: dict[str, str]) -> bool:
+        for comparison in guard.comparisons:
+            lv = self.eval_arith(comparison.left, env)
+            rv = self.eval_arith(comparison.right, env)
+            if lv is None or rv is None:
+                return False
+            ok = {
+                "=": lv == rv, "!=": lv != rv, "<": lv < rv,
+                "<=": lv <= rv, ">": lv > rv, ">=": lv >= rv,
+            }[comparison.op]
+            if not ok:
+                return False
+        return True
+
+    def expand_decls(self, decls, env: dict[str, str]) -> list[Decl]:
+        out: list[Decl] = []
+        for decl in decls:
+            if isinstance(decl, DForall):
+                for value in decl.binder.values:
+                    inner = dict(env)
+                    inner[decl.binder.var] = value
+                    if decl.guard is not None and not self.eval_guard(decl.guard, inner):
+                        continue
+                    out.extend(self.expand_decls(decl.body, inner))
+            else:
+                out.append(self.expand_decl(decl, env))
+        return out
+
+    def expand_decl(self, decl: Decl, env: dict[str, str]) -> Decl:
+        s = lambda n: self.subst(n, env)
+        if isinstance(decl, DGame):
+            return DGame(s(decl.name))
+        if isinstance(decl, DPlayers):
+            return DPlayers(tuple(s(n) for n in decl.names))
+        if isinstance(decl, DTrack):
+            return DTrack(s(decl.name), tuple(s(v) for v in decl.values))
+        if isinstance(decl, DDecisions):
+            return DDecisions(tuple(s(n) for n in decl.names))
+        if isinstance(decl, DSet):
+            return DSet(s(decl.name), self.expand_expr(decl.expr, env))
+        if isinstance(decl, DAction):
+            clauses = tuple(
+                RActionClause(
+                    None if c.guard is None else self.expand_expr(c.guard, env),
+                    tuple((s(t), s(v)) for t, v in c.assignments),
+                )
+                for c in decl.clauses
+            )
+            return DAction(s(decl.name), clauses)
+        if isinstance(decl, DInit):
+            return DInit(self.expand_expr(decl.expr, env), decl.line, decl.col)
+        if isinstance(decl, DLegal):
+            return DLegal(s(decl.player), s(decl.decision), self.expand_expr(decl.region, env))
+        if isinstance(decl, DConsequence):
+            return DConsequence(
+                tuple(s(p) for p in decl.pattern),
+                None if decl.guard is None else self.expand_expr(decl.guard, env),
+                tuple((p, tuple(s(a) for a in acts)) for p, acts in decl.results),
+                decl.line,
+                decl.col,
+            )
+        if isinstance(decl, DOutcome):
+            return DOutcome(s(decl.name), self.expand_expr(decl.region, env))
+        if isinstance(decl, DDefaultOutcome):
+            return DDefaultOutcome(s(decl.name))
+        raise TypeError(decl)
+
+    def expand_expr(self, expr: RExpr, env: dict[str, str]) -> RExpr:
+        if isinstance(expr, RLit):
+            return RLit(self.subst(expr.track, env), self.subst(expr.value, env))
+        if isinstance(expr, RRef):
+            return RRef(self.subst(expr.name, env))
+        if isinstance(expr, RNot):
+            return RNot(self.expand_expr(expr.operand, env))
+        if isinstance(expr, (RAnd, ROr)):
+            # comprehensions may expand to same-class conjunctions; flatten
+            # so the printed form re-parses to an identical node
+            parts = []
+            for p in expr.parts:  # a loop, not a comprehension: one frame per level
+                parts.append(self.expand_expr(p, env))
+            return type(expr)(_flatten(type(expr), parts))
+        if isinstance(expr, RComprehension):
+            parts: list[RExpr] = []
+            for combo in itertools.product(*(b.values for b in expr.binders)):
+                inner = dict(env)
+                for b, value in zip(expr.binders, combo):
+                    inner[b.var] = value
+                if expr.guard is not None and not self.eval_guard(expr.guard, inner):
+                    continue
+                parts.append(self.expand_expr(expr.body, inner))
+            if not parts:
+                self.error(expr.line, expr.col, "comprehension expands to no terms")
+                return RAnd(())
+            if len(parts) == 1:
+                return parts[0]
+            cls = ROr if expr.kind == "any" else RAnd
+            return cls(_flatten(cls, parts))
+        raise TypeError(expr)

@@ -13,8 +13,8 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import fixture_path, fixture_text
-from ludokit import cli
+from conftest import LOOP_GAME, deadline, fixture_path, fixture_text
+from ludokit import cli, equiv
 
 
 def run(capsys, *argv):
@@ -56,6 +56,26 @@ class TestValidate:
         code, out, _ = run(capsys, "validate", fixture_path("parity.game"), "--json")
         assert code == 0
         assert json.loads(out)["complete"] is True
+
+    def test_violations_do_not_depend_on_string_hashing(self, tmp_path):
+        """Thousands of no-consequence violations come out in one order under
+        any hash seed."""
+        guarded = fixture_text("tictactoe.game").replace(
+            "consequence ($i, 0) -> prob 1", "consequence ($i, 0) when c1=e -> prob 1"
+        )
+        path = tmp_path / "guarded.game"
+        path.write_text(guarded)
+        outs = []
+        for seed in ("1", "2"):
+            done = subprocess.run(
+                [sys.executable, "-m", "ludokit", "validate", str(path)],
+                capture_output=True, text=True, timeout=120,
+                env={**os.environ, "PYTHONHASHSEED": seed,
+                     "PYTHONPATH": os.pathsep.join(sys.path)},
+            )
+            assert done.returncode == 1 and done.stdout.count("no-consequence") > 1000
+            outs.append(done.stdout)
+        assert outs[0] == outs[1]
 
 
 class TestPlay:
@@ -394,6 +414,55 @@ class TestUsage:
             code, out, err = run(capsys, *argv)
             assert code == 2, argv
             assert out == "" and "non-negative" in err
+
+
+class TestCyclicGame:
+    def test_validate_names_a_state_on_the_loop(self, capsys, tmp_path):
+        path = tmp_path / "loop.game"
+        path.write_text(LOOP_GAME)
+        code, out, err = run(capsys, "validate", str(path))
+        assert code == 1 and err == ""
+        assert "cycle: the reachable state graph has a cycle through t=a" in out
+
+    def test_play_exits_2_within_a_second(self, capsys, tmp_path):
+        path = tmp_path / "loop.game"
+        path.write_text(LOOP_GAME)
+        with deadline(1):
+            code, out, err = run(capsys, "play", str(path))
+        assert code == 2 and out == ""
+        assert err.strip() == (
+            "playthrough still running after 100000 rounds (at t=a); the game may cycle"
+        )
+
+    def test_depth_limited_tree_still_builds(self, capsys, tmp_path):
+        path = tmp_path / "loop.game"
+        path.write_text(LOOP_GAME)
+        code, out, _ = run(capsys, "tree", str(path), "--depth", "3", "--stats")
+        assert code == 0 and "truncated=1" in out
+
+
+class TestResourceErrors:
+    """Running out of memory or of recursion depth is exit 2 with one line
+    on stderr, never a traceback with exit 1 ("not equivalent")."""
+
+    @pytest.mark.parametrize("error, message", [
+        (MemoryError, "out of memory"),
+        (RecursionError, "recursion limit reached"),
+    ])
+    @pytest.mark.parametrize("argv, target", [
+        (["validate", fixture_path("parity.game")], (cli, "check_completeness")),
+        (["equiv", fixture_path("parity.game"), fixture_path("parity.game")],
+         (equiv, "equivalent_up_to_relabeling")),
+    ])
+    def test_exit_2_with_one_line(self, capsys, monkeypatch, error, message, argv, target):
+        def fail(*args, **kwargs):
+            raise error()
+
+        monkeypatch.setattr(*target, fail)
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith(message) and err.count("\n") == 1
+        assert "Traceback" not in err
 
 
 class TestRobustness:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import gc
 from fractions import Fraction
@@ -10,7 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import fixture_path
+from conftest import LOOP_GAME, deadline, fixture_path, fixture_text
 from ludokit import core, dsl, tree
 from ludokit.core import (
     And,
@@ -26,6 +25,7 @@ from ludokit.errors import (
     IllegalDecisionError,
     NoRuleMatchesError,
     NonTerminalStateError,
+    RoundLimitError,
     TerminalStateError,
 )
 
@@ -206,20 +206,15 @@ class TestConsequences:
         assert core.consequences(ttt, ("1", None), s) == ((Fraction(1), ("X_1", "next")),)
 
     def test_probability_sum_enforced_at_validation(self, ttt):
-        bad_rule = dataclasses.replace(
-            ttt.consequence_rules[0],
+        bad_rule = ttt.consequence_rules[0]._replace(
             results=((Fraction(1, 2), ("X_first",)), (Fraction(1, 3), ("O_first",))),
         )
-        bad = dataclasses.replace(
-            ttt, consequence_rules=(bad_rule,) + ttt.consequence_rules[1:]
-        )
+        bad = ttt._replace(consequence_rules=(bad_rule,) + ttt.consequence_rules[1:])
         problems = core.validate_system(bad)
         assert any("sum" in p for p in problems)
 
     def test_strict_mode_flags_overlap(self, ttt):
-        dup = dataclasses.replace(
-            ttt, consequence_rules=ttt.consequence_rules + (ttt.consequence_rules[0],)
-        )
+        dup = ttt._replace(consequence_rules=ttt.consequence_rules + (ttt.consequence_rules[0],))
         s0 = core.initial_states(dup)[0]
         with pytest.warns(core.AmbiguityWarning):
             core.consequences(dup, ("flip", "flip"), s0, strict=True)
@@ -284,7 +279,7 @@ class TestCompleteness:
         assert report.states_checked == 59049
 
     def test_missing_consequence_detected(self, ttt):
-        broken = dataclasses.replace(ttt, consequence_rules=ttt.consequence_rules[1:])
+        broken = ttt._replace(consequence_rules=ttt.consequence_rules[1:])
         report = core.check_completeness(broken, scope="reachable")
         kinds = {v.kind for v in report.violations}
         assert "no-consequence" in kinds
@@ -292,22 +287,36 @@ class TestCompleteness:
         assert witness.decision_tuple == ("flip", "flip")
 
     def test_probability_sum_violation_reported(self, ttt):
-        bad_rule = dataclasses.replace(
-            ttt.consequence_rules[0],
+        bad_rule = ttt.consequence_rules[0]._replace(
             results=((Fraction(1, 2), ("X_first",)), (Fraction(1, 3), ("O_first",))),
         )
-        bad = dataclasses.replace(
-            ttt, consequence_rules=(bad_rule,) + ttt.consequence_rules[1:]
-        )
+        bad = ttt._replace(consequence_rules=(bad_rule,) + ttt.consequence_rules[1:])
         report = core.check_completeness(bad, scope="reachable")
         assert any(v.kind == "probability-sum" for v in report.violations)
 
     def test_empty_initial_set(self, ttt):
-        impossible = dataclasses.replace(
-            ttt, init=And((Lit("turn", "start"), Lit("turn", "X")))
-        )
+        impossible = ttt._replace(init=And((Lit("turn", "start"), Lit("turn", "X"))))
         report = core.check_completeness(impossible)
         assert any(v.kind == "empty-initial-set" for v in report.violations)
+
+    @pytest.mark.parametrize("scope", ["reachable", "all"])
+    def test_a_cycle_is_a_violation_naming_a_state_on_it(self, scope):
+        loop = dsl.parse_game(LOOP_GAME)
+        report = core.check_completeness(loop, scope=scope)
+        assert [(v.kind, v.state) for v in report.violations] == [("cycle", ("a",))]
+        assert "cycle through t=a" in report.violations[0].message
+
+    def test_a_cycle_behind_an_acyclic_prefix(self):
+        """The named state is on the cycle, not on the path to it."""
+        text = LOOP_GAME.replace("{ a, b }", "{ s, a, b }").replace("init t=a", "init t=s")
+        text = text.replace("{ when t=a", "{ when t=s set t=a ; when t=a")
+        text = text.replace("t=a or t=b", "t=s or t=a or t=b")
+        report = core.check_completeness(dsl.parse_game(text))
+        assert [(v.kind, v.state) for v in report.violations] == [("cycle", ("a",))]
+
+    def test_no_cycle_in_any_fixture(self, systems):
+        for name, sys in systems.items():
+            assert core.check_completeness(sys).complete, name
 
 
 class TestPlay:
@@ -351,6 +360,23 @@ class TestPlay:
         s0 = core.initial_states(ttt)[0]
         with pytest.raises(IllegalDecisionError):
             core.play(ttt, s0, policy=lambda p, legal, s: "9", seed=0)
+
+    def test_a_cyclic_game_stops_at_the_round_bound(self, monkeypatch):
+        loop = dsl.parse_game(LOOP_GAME)
+        with deadline(5), pytest.raises(RoundLimitError, match="after 100000 rounds"):
+            core.play(loop, ("a",))
+        monkeypatch.setattr(core, "MAX_PLAY_ROUNDS", 3)
+        with pytest.raises(RoundLimitError, match="after 3 rounds .at t=b."):
+            core.play(loop, ("a",))
+
+    def test_a_game_ending_on_the_last_allowed_round_returns(self, ttt, monkeypatch):
+        s0 = core.initial_states(ttt)[0]
+        full = core.play(ttt, s0, seed=3)
+        monkeypatch.setattr(core, "MAX_PLAY_ROUNDS", len(full.steps))
+        assert core.play(ttt, s0, seed=3) == full
+        monkeypatch.setattr(core, "MAX_PLAY_ROUNDS", len(full.steps) - 1)
+        with pytest.raises(RoundLimitError):
+            core.play(ttt, s0, seed=3)
 
 
 @settings(max_examples=60, deadline=None)
@@ -429,6 +455,88 @@ def test_generated_expressions_match_first_principles(data):
     for state in core.enumerate_states(sys):
         assert engine.eval(fn, state) is oracles.eval_expr(sys, expr, state)
     assert core.initial_states(sys) == oracles.initial_states(sys)
+
+
+def _broken_expressions(names: tuple[str, ...]):
+    """Expressions with unknown tracks and values, and references to named
+    sets that may be missing or reach a cycle."""
+    lits = st.sampled_from(
+        [Lit(t.name, v) for t in _TRACKS for v in t.values[:2]] + [Lit("z", "0"), Lit("a", "9")]
+    )
+    leaves = lits | st.sampled_from([Ref(n) for n in names])
+    return st.recursive(
+        leaves,
+        lambda kids: st.builds(Not, kids)
+        | st.builds(And, st.lists(kids, max_size=3).map(tuple))
+        | st.builds(Or, st.lists(kids, max_size=3).map(tuple)),
+        max_leaves=6,
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_validation_problems_match_the_reference(data):
+    """The same problems, in the same order and with the same repeats, as
+    the walk that re-walks a named set at every reference to it."""
+    import oracles
+
+    names = ("S0", "S1", "S2", "S3", "missing")
+    exprs = _broken_expressions(names)
+    named_sets = {n: data.draw(exprs) for n in names[: data.draw(st.integers(0, 4))]}
+    guard = st.none() | exprs
+    sys = _expr_system(named_sets, init=data.draw(exprs))._replace(
+        decisions=("m",),
+        actions={"go": core.ActionDef("go", (core.ActionClause(data.draw(guard), (("a", "1"),)),))},
+        consequence_rules=(
+            core.ConsequenceRule(("m",), data.draw(guard), ((Fraction(1), ("go",)),)),
+        ),
+        legality_rules=(core.LegalityRule("P", "m", data.draw(exprs)),),
+        outcome_rules=(core.OutcomeRule(data.draw(exprs), "o"),),
+    )
+    assert core.validate_system(sys) == oracles.reference_validate_system(sys)
+
+
+def test_problems_repeat_at_every_reference():
+    """A set's problems are reported at each reference to it, as the walk
+    that re-walked the set reported them."""
+    import oracles
+
+    named = {"bad": Or((Lit("z", "0"), Lit("a", "9")))}
+    for k in range(60):
+        named[f"S{k}"] = And((Ref("bad"), Ref(f"S{k - 1}") if k else Lit("a", "0")))
+    sys = _expr_system(named, init=And((Ref("S59"), Ref("S58"))))
+    problems = core.validate_system(sys)
+    assert problems == oracles.reference_validate_system(sys)
+    assert problems.count("set bad: unknown track 'z'") == 1 + sum(range(1, 61)) + 60 + 59
+
+
+def test_cycle_problems_depend_on_where_the_walk_enters():
+    """A set on a cycle reports the reference that closes the cycle as seen
+    from where the walk entered it, so its problems are never reused."""
+    import oracles
+
+    named = {
+        "A": Ref("B"),
+        "B": Or((Ref("A"), Ref("C"), Ref("C"))),
+        "C": Lit("z", "0"),
+        "D": And((Ref("B"), Ref("A"))),
+        "E": Ref("E"),
+    }
+    sys = _expr_system(named, init=Or((Ref("D"), Ref("E"), Ref("C"))))
+    problems = core.validate_system(sys)
+    assert problems == oracles.reference_validate_system(sys)
+    assert "set B: cyclic named-set reference through 'A'" in problems
+    assert "set A: cyclic named-set reference through 'B'" in problems
+
+
+def test_each_named_set_is_walked_once():
+    """Each set references the one before it twice, so a walk that re-walks
+    a set at every reference would visit 2**40 nodes."""
+    named = {"S0": Lit("a", "0")}
+    for k in range(1, 41):
+        named[f"S{k}"] = Or((Ref(f"S{k - 1}"), Not(Ref(f"S{k - 1}"))))
+    with deadline(2):
+        assert core.validate_system(_expr_system(named, init=Ref("S40"))) == []
 
 
 @settings(max_examples=100, deadline=None)
@@ -613,8 +721,7 @@ class TestGeneratedEngine:
         wild = core.ConsequenceRule(("*",), Lit("t", "b"), ((Fraction(1), ("stay",)),))
         exact = core.ConsequenceRule(("m",), None, ((Fraction(1), ("go",)),))
         base = _tiny_system()
-        sys = dataclasses.replace(
-            base,
+        sys = base._replace(
             actions={**base.actions, "stay": core.ActionDef("stay", ())},
             consequence_rules=(wild, exact),
         )
@@ -624,6 +731,36 @@ class TestGeneratedEngine:
             assert core.consequences(sys, ("m",), ("b",), strict=True) == wild.results
         with pytest.raises(NoRuleMatchesError):
             core.consequences(sys, (None,), ("a",))
+
+
+class TestCompiledCodeCache:
+    def test_engines_sharing_a_code_object_keep_their_own_constants(self):
+        """Two systems that differ only in names generate one source; the
+        second engine reuses the first one's code object, and each engine
+        evaluates with its own values."""
+        first = _tiny_system()
+        renamed = TrackSpec("t", ("c", "d"))
+        second = first._replace(
+            tracks=(renamed,),
+            init=Lit("t", "c"),
+            actions={"go": core.ActionDef("go", (core.ActionClause(Lit("t", "c"), (("t", "d"),)),))},
+            legality_rules=(core.LegalityRule("P", "m", Lit("t", "c")),),
+        )
+        a, b = first.engine(), second.engine()
+        assert a.init_fn.__code__ is b.init_fn.__code__
+        assert a._action_fns["go"].__code__ is b._action_fns["go"].__code__
+        assert core.initial_states(first) == [("a",)] and core.initial_states(second) == [("c",)]
+        assert core.apply_action(first, "go", ("a",)) == ("b",)
+        assert core.apply_action(second, "go", ("c",)) == ("d",)
+        assert core.apply_action(second, "go", ("a",)) == ("a",)
+        assert core.legal_set(first, "P", ("a",)) == {"m"} and not core.legal_set(first, "P", ("c",))
+        assert core.legal_set(second, "P", ("c",)) == {"m"} and not core.legal_set(second, "P", ("a",))
+
+    def test_fixtures_with_one_rule_shape_compile_once(self):
+        texts = [fixture_text(f"{name}.game") for name in ("tictactoe", "misere", "perturbed")]
+        engines = [dsl.parse_game(text).engine() for text in texts]
+        assert len({e.init_fn.__code__ for e in engines}) == 1
+        assert len({e._outcome_fn.__code__ for e in engines}) == 1
 
 
 class TestInitialStates:
@@ -665,7 +802,7 @@ class TestInitialStates:
         from conftest import fixture_text
         from ludokit import dsl
 
-        sys = dataclasses.replace(_tiny_system(), init=And((Lit("t", "a"), Lit("t", "b"))))
+        sys = _tiny_system()._replace(init=And((Lit("t", "a"), Lit("t", "b"))))
         assert core.initial_states(sys) == []
         text = fixture_text("mixed_a.game").replace("init u=p", "init u=p and t=a and u=q")
         with pytest.raises(dsl.GameParseError, match="no state satisfies"):

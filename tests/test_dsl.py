@@ -11,7 +11,15 @@ from hypothesis import given, settings, strategies as st
 import generators
 from conftest import fixture_text
 from ludokit import core
-from ludokit.dsl import GameParseError, parse_game, serialize_game
+from ludokit.dsl import (
+    GameParseError,
+    Token,
+    _Expander,
+    _Parser,
+    _lex,
+    parse_game,
+    serialize_game,
+)
 from ludokit.errors import LudokitError
 
 
@@ -381,3 +389,118 @@ def test_parse_mutated_fixtures(game, edits):
         if not tokens:
             tokens = [" "]
     _parses_or_raises_ludokit_error("".join(tokens))
+
+
+# ---------------------------------------------------------------------------
+# The front end's passes against their references in `oracles`
+# ---------------------------------------------------------------------------
+
+# Every punctuator, the characters that start one or several, blanks and
+# line ends, "$", comments, and non-ASCII characters on both sides of
+# `str.isalnum`: letters, decimal digits, a superscript and a Roman numeral
+# (alphanumeric, not decimal), a no-break space, a form feed, a line
+# separator and a currency sign (not alphanumeric).
+_LEX_PIECES = [
+    "->", "..", "<=", ">=", "!=", "{", "}", "(", ")", ",", ";", ":", "=", "*", "/",
+    "+", "-", "<", ">", "!", ".", " ", "\t", "\r", "\n", "#", "# note", "$", "_",
+    "a", "Z", "0", "9", "c$i", "é", "ß", "中", "٣", "²", "Ⅻ", " ", "\x0c",
+    " ", "€", "players", "0x", "1..9",
+]
+
+
+def _lex_outcome(lex, text):
+    try:
+        return lex(text, "fuzz.game")
+    except GameParseError as exc:
+        return exc.diagnostics
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.sampled_from(_LEX_PIECES), max_size=40).map("".join) | st.text(max_size=60))
+def test_lexer_matches_the_reference(text):
+    """The same tokens, or the same diagnostic, as the character-by-character
+    lexer; a comment that ends the file leaves the end-of-file column at
+    its "#"."""
+    import oracles
+
+    assert _lex_outcome(_lex, text) == _lex_outcome(oracles.reference_lex, text)
+
+
+def test_comment_at_end_of_file_keeps_the_column():
+    assert _lex("players P  # note", "p")[-1] == Token("eof", "", 1, 12)
+    assert _lex("players P\n# note\n", "p")[-1] == Token("eof", "", 3, 1)
+    assert _lex("", "p") == [Token("eof", "", 1, 1)]
+
+
+def _arith_text():
+    """Guard arithmetic over binders i and j, the outer forall variable w,
+    the unbound q and the non-integer-valued x (bound to a name), with
+    literals and parentheses."""
+    atoms = st.sampled_from(["i", "j", "w", "q", "x", "0", "1", "2", "10"])
+    return st.recursive(
+        atoms,
+        lambda kids: st.one_of(
+            st.tuples(kids, st.sampled_from([" + ", " - ", " * "]), kids).map("".join),
+            kids.map(lambda k: f"({k})"),
+        ),
+        max_leaves=6,
+    )
+
+
+def _guard_text():
+    comparison = st.tuples(
+        _arith_text(), st.sampled_from(["=", "!=", "<", "<=", ">", ">="]), _arith_text()
+    ).map(" ".join)
+    return st.lists(comparison, min_size=1, max_size=3).map(" and ".join)
+
+
+def _expand_both(text: str):
+    import oracles
+
+    decls = _Parser(_lex(text, "fuzz.game"), "fuzz.game").parse_file()
+    mine, reference = _Expander("fuzz.game"), oracles.ReferenceExpander("fuzz.game")
+    return (
+        (mine.expand_decls(decls, {}), mine.diagnostics),
+        (reference.expand_decls(decls, {}), reference.diagnostics),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    _guard_text(),
+    st.sampled_from(["any", "all"]),
+    st.sampled_from(["i in 1..3", "i in {1, x, 2}", "i in 0..0"]),
+    st.sampled_from(["j in 2..4", "i in {3, 1}", "j in {x}", "j in 1..2, k in {a, b}"]),
+    st.sampled_from(["1..2", "{3, x}"]),
+    st.booleans(),
+)
+def test_expansion_matches_the_reference(guard, kind, first, second, outer, as_forall):
+    """Comprehensions and forall blocks under generated guards expand to the
+    same declarations, with the same diagnostics in the same order (unbound
+    variables, non-integer values, empty comprehensions), as when every
+    guard is interpreted per combination."""
+    x = "" if "x" in outer else "forall x in {v} { "
+    close = "" if "x" in outer else " }"
+    if as_forall:
+        body = f"forall {first} if {guard} {{ decisions d$i$w$q }}"
+    else:
+        body = f"set S$w = ({kind} {first}, {second} if {guard}: t$i=v$j$q)"
+    text = f"{x}forall w in {outer} {{ {body} }}{close}"
+    mine, reference = _expand_both(text)
+    assert mine == reference
+
+
+def test_expansion_of_every_fixture_matches_the_reference():
+    for game in ["tictactoe", "3to15", "endofturn", "forbidden", "parity", "mixed_a"]:
+        mine, reference = _expand_both(fixture_text(f"{game}.game"))
+        assert mine == reference and not mine[1]
+
+
+def test_a_guard_too_large_to_compile_is_interpreted():
+    """A 150-term sum is past what the guard compiler takes; its value and
+    an unbound variable's diagnostics come from the interpreter."""
+    guard = " + ".join(["i"] * 150)
+    mine, reference = _expand_both(f"set S = (any i in 1..3 if {guard} = 300: t$i=v)")
+    assert mine == reference and mine[0][0].expr.track.text == "t2"
+    mine, reference = _expand_both(f"set S = (any i in 1..3 if {guard} + q = 300: t$i=v)")
+    assert mine == reference and len(mine[1]) == 4  # three unbound q, then no terms

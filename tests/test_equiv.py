@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import random
@@ -283,8 +282,7 @@ def rename_system(sys, decision_map=None, value_map=None, outcome_map=None):
         core.LegalityRule(r.player, d(r.decision), expr(r.region))
         for r in sys.legality_rules
     )
-    return dataclasses.replace(
-        sys,
+    return sys._replace(
         tracks=tracks,
         init=expr(sys.init),
         decisions=tuple(d(x) for x in sys.decisions),

@@ -1,9 +1,12 @@
-"""The value-record contract, and which classes stay dataclasses.
+"""The value-record contract, and that the library defines no dataclass.
 
 The library's immutable value records are `typing.NamedTuple` classes made
 type-aware by `core.typed_record`: they compare, hash and print as the
 frozen dataclasses they replaced did, and building one at import costs no
-generated source.
+generated source.  The records with mutable or lazily filled fields are
+`core.SlotRecord` classes: they compare and print as the mutable
+dataclasses they replaced did, and are unhashable like them.  So importing
+the package needs neither `dataclasses` nor `inspect`.
 """
 
 from __future__ import annotations
@@ -11,12 +14,16 @@ from __future__ import annotations
 import dataclasses
 import importlib
 import inspect
+import os
+import pathlib
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
 import ludokit
-from ludokit import core
+from ludokit import core, equiv
 from ludokit.core import And, Lit, Not, Or, Ref
 from ludokit.dsl import RAnd, ROr, RRef
 
@@ -43,29 +50,20 @@ RECORDS = sorted(
 )
 
 EXPECTED_RECORDS = {
-    "core": "Lit Not And Or Ref TrackSpec ActionClause ActionDef LegalityRule "
-    "OutcomeRule Violation CompletenessReport PlayStep Playthrough",
+    "core": "Lit Not And Or Ref TrackSpec ActionClause ActionDef ConsequenceRule "
+    "LegalityRule OutcomeRule Violation CompletenessReport PlayStep Playthrough",
     "dsl": "Diagnostic Token Name RLit RRef RNot RAnd ROr Binder Comparison Guard "
     "RComprehension DGame DPlayers DTrack DDecisions DSet RActionClause DAction "
     "DInit DLegal DConsequence DOutcome DDefaultOutcome DForall",
     "canon": "CanonicalKey",
     "equiv": "Skeleton",
+    "reduce": "TraceStep",
     "similarity": "StateMap SampleRecord",
     "tree": "TreeStats",
 }
 
-# Classes that stay dataclasses, and why: the first two are rebuilt with
-# `dataclasses.replace`, TraceStep is read with `dataclasses.asdict`, and the
-# last three use field options (`init=False`, `repr=False`, a post-init
-# hook) or are written after construction.
-KEPT_DATACLASSES = {
-    "core.GameSystem",
-    "core.ConsequenceRule",
-    "reduce.TraceStep",
-    "equiv.TreePairWitness",
-    "equiv.EquivalenceWitness",
-    "similarity.SimilarityReport",
-}
+# The package's dataclasses: none.
+KEPT_DATACLASSES: set[str] = set()
 
 
 def _sample(cls):
@@ -80,10 +78,94 @@ def test_records_are_the_expected_classes():
 
 
 def test_dataclasses_are_only_the_kept_set():
-    """A new `@dataclass` costs generated, compiled methods on every import;
-    adding one means adding it here."""
+    """A `@dataclass` costs generated, compiled methods on every import, and
+    importing `dataclasses` costs `inspect` as well; the kept set is empty."""
     found = {_qualified(cls) for cls in _library_classes() if dataclasses.is_dataclass(cls)}
     assert found == KEPT_DATACLASSES
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    """In a fresh interpreter without `site`, whose start-up imports depend
+    on the installation."""
+    code = "import sys, ludokit; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    src = str(pathlib.Path(ludokit.__file__).resolve().parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src}, timeout=60, check=True,
+    )
+    assert done.stdout.strip() == "[]"
+
+
+SLOT_RECORDS = sorted(
+    (cls for cls in _library_classes() if issubclass(cls, core.SlotRecord) and cls._fields),
+    key=_qualified,
+)
+
+
+def _slot_sample(cls, **changes):
+    """An instance with a distinct string in every field (a witness's pairs
+    are a list of one pair), then `changes`."""
+    values = {name: f"{name}-{cls.__name__}" for name in cls._fields}
+    if cls is equiv.EquivalenceWitness:
+        values["pairs"] = [equiv.TreePairWitness(0, 1, {(0, 0): ((2, 3),)})]
+    values.update(changes)
+    return cls(**values)
+
+
+def _dataclass_twin(cls):
+    """The mutable dataclass a slot record replaced: the same fields, those
+    in `_hidden` with ``repr=False``."""
+    return dataclasses.make_dataclass(
+        cls.__name__,
+        [(name, object, dataclasses.field(repr=name not in cls._hidden)) for name in cls._fields],
+    )
+
+
+def test_slot_records_are_the_expected_classes():
+    assert {_qualified(cls) for cls in SLOT_RECORDS} == {
+        "core.GameSystem",
+        "equiv.EquivalenceWitness",
+        "equiv.TreePairWitness",
+        "similarity.SimilarityReport",
+    }
+
+
+@pytest.mark.parametrize("cls", SLOT_RECORDS, ids=_qualified)
+class TestSlotRecordContract:
+    def test_repr_is_the_dataclass_repr(self, cls):
+        rec = _slot_sample(cls)
+        twin = _dataclass_twin(cls)
+        assert repr(rec) == repr(twin(*(getattr(rec, name) for name in cls._fields)))
+
+    def test_equality_compares_every_field(self, cls):
+        rec = _slot_sample(cls)
+        assert rec == _slot_sample(cls) and not rec != _slot_sample(cls)
+        for name in cls._fields:
+            other = _slot_sample(cls, **{name: [] if name == "pairs" else "changed"})
+            assert rec != other and not rec == other
+        twin = _dataclass_twin(cls)
+        assert rec != twin(*(getattr(rec, name) for name in cls._fields))
+        assert rec != tuple(getattr(rec, name) for name in cls._fields)
+
+    def test_unhashable(self, cls):
+        with pytest.raises(TypeError):
+            hash(_slot_sample(cls))
+
+    def test_replace(self, cls):
+        rec = _slot_sample(cls)
+        name = cls._fields[-1]
+        assert rec._replace(**{name: "changed"}) == _slot_sample(cls, **{name: "changed"})
+        assert rec._replace() == rec and rec._replace() is not rec
+
+    def test_no_instance_dict(self, cls):
+        with pytest.raises(AttributeError):
+            _slot_sample(cls).unknown_field = 1
+
+
+def test_engine_is_neither_compared_nor_shown(ttt):
+    fresh = ttt._replace()
+    assert fresh._engine is None and ttt.engine() is ttt._engine
+    assert fresh == ttt and repr(fresh) == repr(ttt)
 
 
 @pytest.mark.parametrize("cls", RECORDS, ids=_qualified)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import random
@@ -723,7 +722,7 @@ class TestSharing:
             assert eager and trace.steps == eager
             assert trace.steps is trace.steps
             assert trace.to_json() == json.dumps(
-                [dataclasses.asdict(s) for s in eager], indent=2
+                [s._asdict() for s in eager], indent=2
             ) + "\n"
             assert _step_counts(shared_trace) == _step_counts(trace)
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import random
 
@@ -240,7 +239,7 @@ class TestSimilarity:
 
     def test_completeness_gaps_flagged(self, systems, mixed_psi):
         a = systems["mixed_a"]
-        broken = dataclasses.replace(a, consequence_rules=())
+        broken = a._replace(consequence_rules=())
         report = similarity(broken, systems["mixed_b"], mixed_psi, samples=30, depth=2,
                             seed=1, keep_records=True)
         gap_records = [r for r in report.records if r.completeness_gap]

@@ -95,13 +95,9 @@ class TestBuild:
         assert len(forest) == 4  # the t track is free in the initial set
 
     def test_empty_initial_set_rejected(self, ttt):
-        import dataclasses
-
         from ludokit.core import And, Lit
 
-        bad = dataclasses.replace(
-            ttt, init=And((Lit("turn", "start"), Lit("turn", "X")))
-        )
+        bad = ttt._replace(init=And((Lit("turn", "start"), Lit("turn", "X"))))
         with pytest.raises(TreeInvariantError):
             build_forest(bad)
 
@@ -269,9 +265,7 @@ class TestConsequenceResolution:
         """Every tic-tac-toe rule is unguarded, so after the depth-5 build
         the engine holds one answer per decision tuple and none per
         (tuple, state)."""
-        import dataclasses
-
-        ttt = dataclasses.replace(ttt)  # a fresh engine
+        ttt = ttt._replace()  # a fresh engine
         assert all(rule.guard is None for rule in ttt.consequence_rules)
         build_forest(ttt, depth_limit=5)
         engine = ttt.engine()
