@@ -3,7 +3,8 @@
 Exit codes follow one contract across all subcommands: 0 for success or a
 positive verdict (complete / equivalent), 1 for a well-formed negative
 verdict (violations found / not equivalent), 2 for usage or input errors,
-refused computations, and running out of memory or of recursion depth.
+refused computations, an output that cannot be written, and running out of
+memory or of recursion depth.  `main` alone turns an exception into a code.
 Reports go to stdout, diagnostics to stderr; output is plain text (NO_COLOR
 is honored trivially) and byte-stable for fixed arguments and seeds.
 """
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import json
 import os
 import sys as _sys
@@ -35,9 +37,17 @@ OK, NEGATIVE, USAGE = 0, 1, 2
 
 
 class _Failure(Exception):
-    def __init__(self, message: str, code: int = USAGE):
-        super().__init__(message)
-        self.code = code
+    """An input or usage error the front end detects itself."""
+
+
+class _ClosedStdout:
+    """Stands in for a stdout the process was started without: writing fails."""
+
+    def write(self, text: str) -> int:
+        raise OSError(errno.EBADF, "stdout is closed")
+
+    def flush(self) -> None:
+        pass
 
 
 def _read_text(path: str) -> str:
@@ -52,10 +62,7 @@ def _read_text(path: str) -> str:
 
 
 def _load_system(path: str) -> GameSystem:
-    try:
-        return dsl.parse_game(_read_text(path), path)
-    except dsl.GameParseError as exc:
-        raise _Failure(str(exc)) from exc
+    return dsl.parse_game(_read_text(path), path)
 
 
 def _load_forest(path: str, budget: int) -> list[GameTree]:
@@ -164,10 +171,7 @@ def cmd_play(args) -> int:
     sys_ = _load_system(args.file)
     roots = initial_states(sys_)
     policy = first_policy if args.policy == "first" else None
-    try:
-        result = play(sys_, roots[0], policy=policy, seed=args.seed)
-    except LudokitError as exc:
-        raise _Failure(str(exc)) from exc
+    result = play(sys_, roots[0], policy=policy, seed=args.seed)
     if args.json:
         doc = {
             "initial_state": list(result.initial_state),
@@ -204,13 +208,10 @@ def cmd_tree(args) -> int:
         roots = initial_states(sys_)
     export = args.out is not None or not args.stats
     with _output(args.out) if export else contextlib.nullcontext() as write:
-        try:
-            forest = [
-                build_tree(sys_, s0, depth_limit=args.depth, node_budget=args.budget)
-                for s0 in roots
-            ]
-        except LudokitError as exc:
-            raise _Failure(str(exc)) from exc
+        forest = [
+            build_tree(sys_, s0, depth_limit=args.depth, node_budget=args.budget)
+            for s0 in roots
+        ]
         if args.stats:
             for i, t in enumerate(forest):
                 stats = tree_mod.tree_stats(t)
@@ -254,20 +255,17 @@ def cmd_reduce(args) -> int:
 def cmd_equiv(args) -> int:
     left = _load_forest(args.a, args.budget)
     right = _load_forest(args.b, args.budget)
-    try:
-        if args.mode == "structural":
-            lskel = sorted(equiv.strip(t).digest for t in left)
-            rskel = sorted(equiv.strip(t).digest for t in right)
-            verdict = lskel == rskel
-            witness = None
-        elif args.mode == "relabel":
-            witness = equiv.equivalent_up_to_relabeling(left, right, pin=args.pin)
-            verdict = witness is not None
-        else:
-            witness = equiv.agency_equivalent(left, right)
-            verdict = witness is not None
-    except LudokitError as exc:
-        raise _Failure(str(exc)) from exc
+    if args.mode == "structural":
+        lskel = sorted(equiv.strip(t).digest for t in left)
+        rskel = sorted(equiv.strip(t).digest for t in right)
+        verdict = lskel == rskel
+        witness = None
+    elif args.mode == "relabel":
+        witness = equiv.equivalent_up_to_relabeling(left, right, pin=args.pin)
+        verdict = witness is not None
+    else:
+        witness = equiv.agency_equivalent(left, right)
+        verdict = witness is not None
     if args.json:
         doc = {"mode": args.mode, "equivalent": verdict}
         if witness is not None and args.witness:
@@ -295,18 +293,9 @@ def cmd_sim(args) -> int:
     except LudokitError as exc:
         hint = "" if args.map else " (tracks differ; supply a state map with --map)"
         raise _Failure(f"invalid state map: {exc}{hint}") from exc
-    try:
-        report = estimate_similarity(
-            left,
-            right,
-            psi,
-            samples=args.samples,
-            depth=args.depth,
-            seed=args.seed,
-            scope=args.scope,
-        )
-    except LudokitError as exc:
-        raise _Failure(str(exc)) from exc
+    report = estimate_similarity(
+        left, right, psi, samples=args.samples, depth=args.depth, seed=args.seed, scope=args.scope
+    )
     if args.json:
         print(report.to_json(), end="")
     else:
@@ -405,20 +394,22 @@ def main(argv: Optional[list[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return USAGE if exc.code not in (0, None) else 0
+    if _sys.stdout is None:  # started with stdout closed
+        _sys.stdout = _ClosedStdout()
     try:
-        return args.fn(args)
-    except _Failure as exc:
-        print(str(exc), file=_sys.stderr)
-        return exc.code
-    except LudokitError as exc:
-        print(str(exc), file=_sys.stderr)
-        return USAGE
+        code = args.fn(args)
+        _sys.stdout.flush()  # a buffered report fails here, not at interpreter exit
+        return code
+    except (_Failure, LudokitError) as exc:
+        message = str(exc)
+    except OSError as exc:  # inputs and --out files are reported where opened
+        message = f"cannot write stdout: {exc.strerror}"
     except MemoryError:
-        print("out of memory", file=_sys.stderr)
-        return USAGE
+        message = "out of memory"
     except RecursionError:
-        print("recursion limit reached: the input nests too deeply", file=_sys.stderr)
-        return USAGE
+        message = "recursion limit reached: the input nests too deeply"
+    print(message, file=_sys.stderr)
+    return USAGE
 
 
 if __name__ == "__main__":

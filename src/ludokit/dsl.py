@@ -372,6 +372,12 @@ class _Parser:
         tok = self.peek()
         return tok.kind == "ident" and tok.value == word
 
+    def eat_keyword(self, word: str) -> bool:
+        if self.at_keyword(word):
+            self.pos += 1
+            return True
+        return False
+
     def expect_keyword(self, word: str) -> Token:
         tok = self.next()
         if tok.kind != "ident" or tok.value != word:
@@ -385,6 +391,15 @@ class _Parser:
         if tok.value in KEYWORDS:
             raise self.fail(tok, f"keyword {tok.value!r} cannot be used as {what}")
         return Name(tok.value, tok.line, tok.col)
+
+    def integer(self, tok: Token, message: str) -> int:
+        """The value of `tok`, a decimal literal; else fail with `message`."""
+        if tok.kind != "ident" or not tok.value.isdecimal():
+            raise self.fail(tok, message)
+        try:
+            return int(tok.value)
+        except ValueError:  # more digits than int() converts
+            raise self.fail(tok, f"integer literal too long ({len(tok.value)} digits)") from None
 
     def name_list(self) -> tuple[Name, ...]:
         names = [self.expect_name()]
@@ -448,8 +463,7 @@ class _Parser:
             return self.consequence()
         if word == "outcome":
             self.next()
-            if self.at_keyword("default"):
-                self.next()
+            if self.eat_keyword("default"):
                 return DDefaultOutcome(self.expect_name("outcome name"))
             name = self.expect_name("outcome name")
             self.expect_keyword("when")
@@ -470,10 +484,7 @@ class _Parser:
         raise self.fail(tok, f"unknown declaration {word!r}")
 
     def action_clause(self) -> RActionClause:
-        guard = None
-        if self.at_keyword("when"):
-            self.next()
-            guard = self.expression()
+        guard = self.expression() if self.eat_keyword("when") else None
         self.expect_keyword("set")
         assignments = [self.assignment()]
         while self.eat_punct(","):
@@ -492,10 +503,7 @@ class _Parser:
         while self.eat_punct(","):
             pattern.append(self.pattern_entry())
         self.expect_punct(")")
-        guard = None
-        if self.at_keyword("when"):
-            self.next()
-            guard = self.expression()
+        guard = self.expression() if self.eat_keyword("when") else None
         self.expect_punct("->")
         results = [self.result()]
         while self.eat_punct(";"):
@@ -513,16 +521,10 @@ class _Parser:
     def result(self) -> tuple[Fraction, tuple[Name, ...]]:
         self.expect_keyword("prob")
         tok = self.next()
-        if tok.kind != "ident" or not tok.value.isdecimal():
-            raise self.fail(tok, "expected a probability numerator")
-        num = int(tok.value)
+        num = self.integer(tok, "expected a probability numerator")
+        den = 1
         if self.eat_punct("/"):
-            den_tok = self.next()
-            if den_tok.kind != "ident" or not den_tok.value.isdecimal():
-                raise self.fail(den_tok, "expected a probability denominator")
-            den = int(den_tok.value)
-        else:
-            den = 1
+            den = self.integer(self.next(), "expected a probability denominator")
         if den == 0 or not 0 < Fraction(num, den) <= 1:
             raise self.fail(tok, f"probability {num}/{den} not in (0, 1]")
         self.expect_punct(":")
@@ -568,14 +570,12 @@ class _Parser:
                 expr = RNot(expr)
             self.depth -= nots
             ands.append(expr)
-            if self.at_keyword("and"):
-                self.next()
+            if self.eat_keyword("and"):
                 continue
             ors.append(ands[0] if len(ands) == 1 else RAnd(_flatten(RAnd, ands)))
             ands = []
-            if not self.at_keyword("or"):
+            if not self.eat_keyword("or"):
                 return ors[0] if len(ors) == 1 else ROr(_flatten(ROr, ors))
-            self.next()
 
     def comprehension_head(self) -> tuple[str, tuple[Binder, ...], Optional[Guard], Token]:
         """``any``/``all``, the binders and the guard, up to the ``:`` before the body."""
@@ -590,7 +590,6 @@ class _Parser:
     def binder(self) -> Binder:
         var = self.expect_name("binder variable")
         self.expect_keyword("in")
-        tok = self.peek()
         if self.eat_punct("{"):
             values = [self.expect_name().text]
             while self.eat_punct(","):
@@ -598,13 +597,9 @@ class _Parser:
             self.expect_punct("}")
             return Binder(var.text, tuple(values), var.line, var.col)
         lo_tok = self.next()
-        if lo_tok.kind != "ident" or not lo_tok.value.isdecimal():
-            raise self.fail(tok, "expected a value list {..} or integer range lo..hi")
+        lo = self.integer(lo_tok, "expected a value list {..} or integer range lo..hi")
         self.expect_punct("..")
-        hi_tok = self.next()
-        if hi_tok.kind != "ident" or not hi_tok.value.isdecimal():
-            raise self.fail(hi_tok, "expected an integer range bound")
-        lo, hi = int(lo_tok.value), int(hi_tok.value)
+        hi = self.integer(self.next(), "expected an integer range bound")
         if hi < lo:
             raise self.fail(lo_tok, f"empty range {lo}..{hi}")
         return Binder(var.text, tuple(str(v) for v in range(lo, hi + 1)), var.line, var.col)
@@ -612,8 +607,7 @@ class _Parser:
     def guard(self) -> Guard:
         tok = self.expect_keyword("if")
         comparisons = [self.comparison()]
-        while self.at_keyword("and"):
-            self.next()
+        while self.eat_keyword("and"):
             comparisons.append(self.comparison())
         return Guard(tuple(comparisons), tok.line, tok.col)
 
@@ -637,12 +631,11 @@ class _Parser:
                     factors.append(self.arith())
                     self.expect_punct(")")
                     self.depth -= 1
-                elif tok.kind != "ident":
-                    raise self.fail(tok, "expected an integer or binder variable")
-                elif tok.value.isdecimal():
-                    factors.append(("int", int(tok.value)))
-                else:
+                elif tok.kind == "ident" and not tok.value.isdecimal():
                     factors.append(("var", tok.value, tok.line, tok.col))
+                else:
+                    value = self.integer(tok, "expected an integer or binder variable")
+                    factors.append(("int", value))
                 if not self.eat_punct("*"):
                     break
             terms.append((sign, tuple(factors)))
@@ -671,6 +664,8 @@ def _flatten(cls, parts: list[RExpr]) -> tuple[RExpr, ...]:
 # operator and parenthesis, so a long sum or deep nesting would exhaust it.
 _GUARD_NODES = 100
 
+_MACRO = re.compile(r"\$(\w*)")  # a binder reference: "$", then `\w` as in `_TOKEN`
+
 _COMPARE = {"=": "==", "!=": "!=", "<": "<", "<=": "<=", ">": ">", ">=": ">="}
 
 
@@ -686,27 +681,16 @@ class _Expander:
         self.diagnostics.append(Diagnostic(self.path, line, col, "error", message))
 
     def subst(self, name: Name, env: dict[str, str]) -> Name:
-        text = name.text
-        if "$" not in text:
+        if "$" not in name.text:
             return name
-        out = []
-        i = 0
-        while i < len(text):
-            if text[i] == "$":
-                j = i + 1
-                while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                    j += 1
-                var = text[i + 1 : j]
-                if var in env:
-                    out.append(env[var])
-                else:
-                    self.error(name.line, name.col, f"unbound macro variable ${var}")
-                    out.append(text[i:j])
-                i = j
-            else:
-                out.append(text[i])
-                i += 1
-        return Name("".join(out), name.line, name.col)
+
+        def value(match: re.Match) -> str:
+            if match[1] in env:
+                return env[match[1]]
+            self.error(name.line, name.col, f"unbound macro variable {match[0]}")
+            return match[0]
+
+        return Name(_MACRO.sub(value, name.text), name.line, name.col)
 
     def eval_arith(self, node: Arith, env: dict[str, str]) -> Optional[int]:
         if node[0] == "int":
@@ -981,17 +965,18 @@ class _Builder:
         if not players:
             self.error(1, 1, "no players declared")
 
+        def checked(track: Name, value: Name) -> tuple[str, str]:
+            """A ``track=value`` pair; reports an unknown track or value."""
+            spec = track_map.get(track.text)
+            if spec is None:
+                self.error(track, message=f"unknown track {track.text!r}")
+            elif value.text not in spec.values:
+                self.error(value, message=f"track {track.text!r} has no value {value.text!r}")
+            return track.text, value.text
+
         def resolve_expr(expr: RExpr) -> Expr:
             if isinstance(expr, RLit):
-                track = track_map.get(expr.track.text)
-                if track is None:
-                    self.error(expr.track, message=f"unknown track {expr.track.text!r}")
-                elif expr.value.text not in track.values:
-                    self.error(
-                        expr.value,
-                        message=f"track {expr.track.text!r} has no value {expr.value.text!r}",
-                    )
-                return Lit(expr.track.text, expr.value.text)
+                return Lit(*checked(expr.track, expr.value))
             if isinstance(expr, RRef):
                 if expr.name.text not in set_spans:
                     self.error(expr.name, message=f"unknown named set {expr.name.text!r}")
@@ -1013,17 +998,7 @@ class _Builder:
                 clauses = []
                 for clause in decl.clauses:
                     guard = None if clause.guard is None else resolve_expr(clause.guard)
-                    assignments = []
-                    for track_name, value in clause.assignments:
-                        track = track_map.get(track_name.text)
-                        if track is None:
-                            self.error(track_name, message=f"unknown track {track_name.text!r}")
-                        elif value.text not in track.values:
-                            self.error(
-                                value,
-                                message=f"track {track_name.text!r} has no value {value.text!r}",
-                            )
-                        assignments.append((track_name.text, value.text))
+                    assignments = [checked(track, value) for track, value in clause.assignments]
                     clauses.append(ActionClause(guard, tuple(assignments)))
                 actions[decl.name.text] = ActionDef(decl.name.text, tuple(clauses))
             elif isinstance(decl, DInit):

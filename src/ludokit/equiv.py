@@ -485,9 +485,11 @@ def _carries_cells(
     return True
 
 
-def verify_witness(
-    witness: EquivalenceWitness, pin=(), max_problems: int = 20
-) -> list[str]:
+# Problems `verify_witness` lists before it stops checking.
+_MAX_PROBLEMS = 20
+
+
+def verify_witness(witness: EquivalenceWitness, pin=()) -> list[str]:
     """Replay the defining conditions on the trees; empty list means valid.
 
     Each related pair reachable from the root pair is checked once, however
@@ -515,7 +517,7 @@ def verify_witness(
 
     def report(msg: str) -> bool:
         problems.append(msg)
-        return len(problems) >= max_problems
+        return len(problems) >= _MAX_PROBLEMS
 
     left_forest = witness.left_forest
     right_forest = witness.right_forest

@@ -301,6 +301,10 @@ def _scope_sampler(sys: GameSystem, scope: str, rng: random.Random):
     return draw
 
 
+# Confidence level of the reported Wilson interval.
+_CONFIDENCE_LEVEL = 0.95
+
+
 def similarity(
     left: GameSystem,
     right: GameSystem,
@@ -309,7 +313,6 @@ def similarity(
     depth: int,
     seed: int = 0,
     scope: str = "all",
-    confidence_level: float = 0.95,
     keep_records: bool = False,
 ) -> SimilarityReport:
     """Estimate how often the two systems agree on sampled states.
@@ -336,12 +339,12 @@ def similarity(
             matches += 1
         if record.completeness_gap:
             gaps += 1
-    low, high = wilson_interval(matches, samples, confidence_level)
+    low, high = wilson_interval(matches, samples, _CONFIDENCE_LEVEL)
     return SimilarityReport(
         estimate=matches / samples,
         samples=samples,
         matches=matches,
-        confidence_level=confidence_level,
+        confidence_level=_CONFIDENCE_LEVEL,
         interval_low=low,
         interval_high=high,
         depth=depth,

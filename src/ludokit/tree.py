@@ -424,17 +424,14 @@ def compact(tree: GameTree) -> GameTree:
 
 
 def is_shared(tree: GameTree) -> bool:
-    """Is some node reached along more than one path from the root?"""
-    seen: set[int] = set()
-    stack = [tree.root]
-    while stack:
-        n = stack.pop()
-        if n in seen:
-            return True
-        seen.add(n)
-        for e in tree.node_children[n]:
-            stack.append(tree.edge_dst[e])
-    return False
+    """Is some node reached along more than one path from the root?
+
+    The n reachable nodes form a tree exactly when n - 1 edges leave them:
+    one into each node but the root.  A cycle answers True.
+    """
+    order = postorder(tree)
+    node_children = tree.node_children
+    return sum(len(node_children[n]) for n in order) != len(order) - 1
 
 
 def require_unshared(tree: GameTree, what: str) -> None:
@@ -745,11 +742,12 @@ def validate_tree(tree: GameTree) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _seq_sort_key(seq: TupleSeq):
+    return tuple(tuple("\x00" if d is None else d for d in t) for t in seq)
+
+
 def _label_sort_key(label: EdgeLabel):
-    return sorted(
-        tuple(tuple("\x00" if d is None else d for d in t) for t in seq)
-        for seq in label
-    )
+    return sorted(map(_seq_sort_key, label))
 
 
 def _preorder(tree: GameTree) -> tuple[list[int], list, list[int]]:
@@ -782,11 +780,11 @@ def _preorder(tree: GameTree) -> tuple[list[int], list, list[int]]:
             key = label_keys[label] = _label_sort_key(label)
         return key
 
+    order = postorder(tree)
+    size = _unfolded_sizes(tree, order)  # raises on a cycle
     ordered: list = [None] * len(node_kind)
-    size = [0] * len(node_kind)
-    for n in postorder(tree):
+    for n in order:
         edges = node_children[n]
-        s = 1
         if edges:
             if node_kind[n] != CHANCE:
                 edges = sorted(edges, key=label_key)
@@ -802,13 +800,7 @@ def _preorder(tree: GameTree) -> tuple[list[int], list, list[int]]:
                         key_fn(edge_dst[e]) if edge_prob[e] in tied else b"",
                     ),
                 )
-            for e in edges:
-                k = size[edge_dst[e]]
-                if not k:  # a child not yet sized lies on a cycle
-                    raise TreeInvariantError(f"node {edge_dst[e]} lies on a cycle")
-                s += k
         ordered[n] = edges
-        size[n] = s
 
     sequence: list[int] = []
     stack = [tree.root]
@@ -1082,15 +1074,8 @@ def _dot_escape(text: str) -> str:
 
 
 def format_label(label: EdgeLabel) -> str:
-    seqs = sorted(
-        label,
-        key=lambda seq: tuple(tuple("\x00" if d is None else d for d in t) for t in seq),
-    )
-    parts = []
-    for seq in seqs:
-        text = ".".join(format_decision_tuple(t) for t in seq)
-        parts.append(text)
-    return "{" + ", ".join(parts) + "}"
+    seqs = sorted(label, key=_seq_sort_key)
+    return "{" + ", ".join(".".join(format_decision_tuple(t) for t in seq) for seq in seqs) + "}"
 
 
 def write_dot(tree: GameTree, write: Callable[[str], object]) -> None:

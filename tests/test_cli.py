@@ -587,3 +587,98 @@ def test_any_input_bytes_keep_the_exit_contract(data, argv):
     except UnicodeDecodeError:
         assert code == 2
         assert "not UTF-8" in err.getvalue()
+
+
+def _src_env() -> dict:
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    return env
+
+
+class TestUnwritableStdout:
+    """A report that cannot be written is exit 2 with one stderr line, never
+    a traceback or exit 1, whichever verb writes it."""
+
+    ARGVS = [
+        ["validate", fixture_path("parity.game")],
+        ["play", fixture_path("parity.game")],
+        ["tree", "--depth", "1", fixture_path("parity.game")],
+        ["reduce", fixture_path("parity.game")],
+        ["equiv", "--witness", fixture_path("parity.game"), fixture_path("parity.game")],
+        ["sim", "--samples", "1", fixture_path("parity.game"), fixture_path("parity.game")],
+    ]
+
+    @pytest.mark.parametrize("argv", ARGVS, ids=lambda argv: argv[0])
+    def test_closed_pipe_exits_2(self, argv):
+        """The pipe's read end is closed before the child starts, so its
+        first write to stdout fails with a broken pipe."""
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "ludokit", *argv], stdout=write_end,
+                stderr=subprocess.PIPE, text=True, env=_src_env(), timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert done.returncode == 2, done.stderr
+        assert done.stderr == "cannot write stdout: Broken pipe\n"
+
+    @pytest.mark.parametrize("argv", ARGVS, ids=lambda argv: argv[0])
+    def test_closed_descriptor_exits_2(self, argv):
+        """Started with no stdout at all, Python sets `sys.stdout` to None."""
+        done = subprocess.run(
+            [sys.executable, "-m", "ludokit", *argv], stdout=subprocess.DEVNULL,
+            stderr=subprocess.PIPE, text=True, env=_src_env(), timeout=120,
+            preexec_fn=lambda: os.close(1),
+        )
+        assert done.returncode == 2, done.stderr
+        assert done.stderr == "cannot write stdout: stdout is closed\n"
+
+    def test_output_file_needs_no_stdout(self, tmp_path):
+        out = tmp_path / "tree.json"
+        done = subprocess.run(
+            [sys.executable, "-m", "ludokit", "tree", "--depth", "1",
+             fixture_path("parity.game"), "--out", str(out)],
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+            env=_src_env(), timeout=120, preexec_fn=lambda: os.close(1),
+        )
+        assert (done.returncode, done.stderr) == (0, "")
+        assert json.loads(out.read_text())["nodes"]
+
+
+_SMALL_GAME = """\
+game g
+players A
+track t { a, b }
+decisions go
+action flip { set t=b }
+init t=a
+legal A go when t=a
+consequence (go) -> prob 1: flip
+outcome default done
+"""
+
+
+class TestLongNumbers:
+    """A number with more digits than `int()` converts is a positioned
+    diagnostic and exit 2, wherever the grammar reads one."""
+
+    NINES = "9" * 5000
+
+    @pytest.mark.parametrize("old, new", [
+        ("init t=a", "init t=a\nforall i in 1..NINES { legal A go when t=b }"),
+        ("prob 1: flip", "prob NINES/1: flip"),
+        ("init t=a", "init t=a\nforall i in 1..2 if i < NINES { legal A go when t=b }"),
+    ], ids=["range-bound", "probability", "guard-constant"])
+    def test_exit_2_at_the_token(self, capsys, tmp_path, old, new):
+        text = _SMALL_GAME.replace(old, new.replace("NINES", self.NINES))
+        lines = text.split("\n")
+        line = next(k for k, source in enumerate(lines, 1) if self.NINES in source)
+        col = lines[line - 1].index(self.NINES) + 1
+        path = tmp_path / "long.game"
+        path.write_text(text)
+        code, out, err = run(capsys, "validate", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"{path}:{line}:{col}: error: integer literal too long (5000 digits)\n"
