@@ -97,19 +97,26 @@ def _parse_state(sys_: GameSystem, literal: str):
 def _output(path: Optional[str], mode: str = "w"):
     """Yield the write of PATH opened in `mode` (stdout for None or "-").
 
-    An OSError while opening, writing or closing becomes exit 2, so an
-    unwritable output never reads as a negative verdict.
+    An OSError while opening, writing or closing PATH becomes exit 2 naming
+    PATH, so an unwritable output never reads as a negative verdict.  Only
+    the file's own calls are guarded: a failed write to stdout, even one made
+    while PATH is open, reaches `main`, which names stdout.
     """
-    to_stdout = path is None or path == "-"
-    try:
-        handle = _sys.stdout if to_stdout else open(path, mode, encoding="utf-8")
+    if path is None or path == "-":
+        yield _sys.stdout.write
+        return
+
+    def guarded(call, *args):
         try:
-            yield handle.write
-        finally:
-            if not to_stdout:
-                handle.close()
-    except OSError as exc:
-        raise _Failure(f"cannot write {'stdout' if to_stdout else path}: {exc.strerror}") from exc
+            return call(*args)
+        except OSError as exc:
+            raise _Failure(f"cannot write {path}: {exc.strerror}") from exc
+
+    handle = guarded(lambda: open(path, mode, encoding="utf-8"))
+    try:
+        yield lambda text: guarded(handle.write, text)
+    finally:
+        guarded(handle.close)
 
 
 def _write_trees(forest: list[GameTree], fmt: str, write) -> None:
@@ -403,7 +410,13 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (_Failure, LudokitError) as exc:
         message = str(exc)
     except OSError as exc:  # inputs and --out files are reported where opened
-        message = f"cannot write stdout: {exc.strerror}"
+        message = f"cannot write stdout: {exc.strerror or exc}"
+        if _sys.stdout is _sys.__stdout__:
+            # The unwritten bytes stay buffered, and the flush at interpreter
+            # exit would fail on them again and make the exit status 120.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, _sys.stdout.fileno())
+            os.close(devnull)
     except MemoryError:
         message = "out of memory"
     except RecursionError:

@@ -609,21 +609,59 @@ class TestUnwritableStdout:
         ["sim", "--samples", "1", fixture_path("parity.game"), fixture_path("parity.game")],
     ]
 
+    @staticmethod
+    def _run(argv, stdout, buffered=True):
+        """Run the CLI on `stdout`; unless `buffered`, each write reaches the
+        descriptor at once, so the failure comes from inside the verb rather
+        than from the flush after it."""
+        env = _src_env()
+        env.pop("PYTHONUNBUFFERED", None)
+        if not buffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        return subprocess.run(
+            [sys.executable, "-m", "ludokit", *argv], stdout=stdout,
+            stderr=subprocess.PIPE, text=True, env=env, timeout=120,
+        )
+
+    @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
     @pytest.mark.parametrize("argv", ARGVS, ids=lambda argv: argv[0])
-    def test_closed_pipe_exits_2(self, argv):
+    def test_closed_pipe_exits_2(self, argv, buffered):
         """The pipe's read end is closed before the child starts, so its
-        first write to stdout fails with a broken pipe."""
+        first write to stdout fails with a broken pipe.  Buffered, the
+        report is still held when `main` returns; the exit must stay 2, not
+        the 120 Python gives a flush that fails at interpreter exit."""
         read_end, write_end = os.pipe()
         os.close(read_end)
         try:
-            done = subprocess.run(
-                [sys.executable, "-m", "ludokit", *argv], stdout=write_end,
-                stderr=subprocess.PIPE, text=True, env=_src_env(), timeout=120,
-            )
+            done = self._run(argv, write_end, buffered)
         finally:
             os.close(write_end)
         assert done.returncode == 2, done.stderr
         assert done.stderr == "cannot write stdout: Broken pipe\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("argv", ARGVS, ids=lambda argv: argv[0])
+    def test_full_device_exits_2(self, argv):
+        with open("/dev/full", "w") as full:
+            done = self._run(argv, full)
+        assert done.returncode == 2, done.stderr
+        assert done.stderr == "cannot write stdout: No space left on device\n"
+
+    @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("argv", [
+        ["tree", "--depth", "1", "--stats", "--out"],
+        ["reduce", "--trace", "--out"],
+    ], ids=lambda argv: argv[0])
+    def test_stdout_failure_beside_an_output_file_names_stdout(self, tmp_path, argv, buffered):
+        """A file open for `--out` does not take the blame for stdout."""
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = self._run([*argv, str(tmp_path / "out.json"), fixture_path("parity.game")],
+                             write_end, buffered)
+        finally:
+            os.close(write_end)
+        assert (done.returncode, done.stderr) == (2, "cannot write stdout: Broken pipe\n")
 
     @pytest.mark.parametrize("argv", ARGVS, ids=lambda argv: argv[0])
     def test_closed_descriptor_exits_2(self, argv):
