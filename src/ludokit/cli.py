@@ -50,6 +50,31 @@ class _ClosedStdout:
         pass
 
 
+class _StdoutError(Exception):
+    """An OSError from writing or flushing stdout, told apart from any other."""
+
+
+class _Stdout:
+    """`sys.stdout` while a verb runs: its write and flush raise
+    `_StdoutError` for an OSError, so only such a failure is blamed on
+    stdout."""
+
+    def __init__(self, stream):
+        self.stream = stream
+
+    def write(self, text: str) -> int:
+        try:
+            return self.stream.write(text)
+        except OSError as exc:
+            raise _StdoutError(exc.strerror or exc) from exc
+
+    def flush(self) -> None:
+        try:
+            self.stream.flush()
+        except OSError as exc:
+            raise _StdoutError(exc.strerror or exc) from exc
+
+
 def _read_text(path: str) -> str:
     """The file's text; an unreadable or non-UTF-8 file is an input error."""
     try:
@@ -401,26 +426,30 @@ def main(argv: Optional[list[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return USAGE if exc.code not in (0, None) else 0
-    if _sys.stdout is None:  # started with stdout closed
-        _sys.stdout = _ClosedStdout()
+    stdout = _ClosedStdout() if _sys.stdout is None else _sys.stdout  # None: started closed
+    _sys.stdout = _Stdout(stdout)
     try:
         code = args.fn(args)
         _sys.stdout.flush()  # a buffered report fails here, not at interpreter exit
         return code
     except (_Failure, LudokitError) as exc:
         message = str(exc)
-    except OSError as exc:  # inputs and --out files are reported where opened
-        message = f"cannot write stdout: {exc.strerror or exc}"
-        if _sys.stdout is _sys.__stdout__:
+    except _StdoutError as exc:
+        message = f"cannot write stdout: {exc}"
+        if stdout is _sys.__stdout__:
             # The unwritten bytes stay buffered, and the flush at interpreter
             # exit would fail on them again and make the exit status 120.
             devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, _sys.stdout.fileno())
+            os.dup2(devnull, stdout.fileno())
             os.close(devnull)
+    except OSError as exc:  # inputs and --out files are reported where opened
+        message = f"operating system error: {' '.join(str(exc).split()) or type(exc).__name__}"
     except MemoryError:
         message = "out of memory"
     except RecursionError:
         message = "recursion limit reached: the input nests too deeply"
+    finally:
+        _sys.stdout = stdout
     print(message, file=_sys.stderr)
     return USAGE
 

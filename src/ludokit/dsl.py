@@ -28,6 +28,8 @@ arithmetic on binders that hold integer-valued names.
 
 Parentheses, ``not`` and ``forall`` blocks nest at most `MAX_NESTING`
 (500) levels deep; deeper input is a diagnostic, not a recursion error.
+An integer range lists at most `MAX_BINDINGS` (100,000) values, and the
+binders of one ``forall`` or comprehension combine to at most as many.
 So do chains of named sets that reference each other: each set on a chain
 is one level, plus one per 40 levels of nesting inside it.
 
@@ -45,6 +47,7 @@ serialization emits the expanded form (macros are not reconstructed), and
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional, Union
@@ -322,6 +325,11 @@ Decl = Union[
 # well inside Python's recursion limit and turns deeper input into a
 # diagnostic.
 MAX_NESTING = 500
+
+# Most values one integer range may list, and most combinations one binder
+# list may expand to.  Binders are expanded eagerly, so a larger range would
+# only spend time and memory before any diagnostic.
+MAX_BINDINGS = 100_000
 
 
 class _Parser:
@@ -602,6 +610,10 @@ class _Parser:
         hi = self.integer(self.next(), "expected an integer range bound")
         if hi < lo:
             raise self.fail(lo_tok, f"empty range {lo}..{hi}")
+        if hi - lo >= MAX_BINDINGS:
+            raise self.fail(
+                lo_tok, f"range {lo}..{hi} has {hi - lo + 1} values, more than {MAX_BINDINGS}"
+            )
         return Binder(var.text, tuple(str(v) for v in range(lo, hi + 1)), var.line, var.col)
 
     def guard(self) -> Guard:
@@ -789,6 +801,14 @@ class _Expander:
         A lazy iterator: a guard interpreted per combination reports its
         diagnostics between the expansions of the combinations before it.
         """
+        count = math.prod(len(b.values) for b in binders)
+        if count > MAX_BINDINGS:
+            first = binders[0]
+            self.error(
+                first.line, first.col,
+                f"binders expand to {count} combinations, more than {MAX_BINDINGS}",
+            )
+            return
         names = [b.var for b in binders]
         combos = itertools.product(*(b.values for b in binders))
         compiled = None if guard is None else self.guard_test(guard, binders, env)

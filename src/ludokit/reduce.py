@@ -59,7 +59,7 @@ the unexplored region.
 from __future__ import annotations
 
 import json
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 from . import canon
 from .core import typed_record
@@ -343,8 +343,19 @@ ALL_REWRITES = MATRIX_REDUNDANCY | BOOKKEEPING | SINGLE_PLAYER | SYMMETRY
 ENABLED_BY_SYMMETRY = MATRIX_REDUNDANCY | SINGLE_PLAYER
 
 
-def _normal_form(tree: GameTree, trace: ReductionTrace) -> GameTree:
-    """The normal form of `tree` as a fresh shared arena; `tree` is only read.
+class Normalizer(NamedTuple):
+    """What `normalizer` returns: the output arena, the trace, the key memo
+    of finished nodes and the function from an input node to its form."""
+
+    out: GameTree
+    trace: ReductionTrace
+    key_fn: Callable[[int], bytes]
+    form: Callable[[int], int]
+
+
+def normalizer(tree: GameTree, trace: Optional[ReductionTrace] = None) -> Normalizer:
+    """Normal forms of any number of roots of one input arena, built into
+    one output arena `out`; the input is only read.
 
     `nf(v)` is memoized on v's kind, state and outcome and each out-edge's
     kind, label, probability and `nf(child)`, the unique-table scheme of
@@ -355,13 +366,25 @@ def _normal_form(tree: GameTree, trace: ReductionTrace) -> GameTree:
     depth-limited trees alike.  A finished node never changes again, so any
     number of parents can share it, nothing needs a parent, and its facts
     are computed once.  Each input node is visited once, after its
-    children.  A repeated input node replays the trace steps of its whole
-    subtree and a repeated key the steps of its own loop, so the trace is
-    that of the unfolded tree, and a step's `root` names the first input
+    children, whichever root reaches it first: the output arena, the unique
+    table, the map of done input nodes and the facts of finished nodes are
+    kept across roots, as a BDD package keeps one unique table for many
+    functions.  `key_fn` is the literal-code key memo (players and outcomes
+    pinned) of the finished nodes, which the symmetry rewrite groups
+    siblings by.
+
+    `form(v)` returns the output node of input node v's normal form.  The
+    trace records the steps of every root in the order they ran.  A
+    repeated input node replays the trace steps of its whole subtree and a
+    repeated key the steps of its own loop, so the trace of one root is
+    that of its unfolded tree, and a step's `root` names the first input
     node copied into the node it rewrote.  The output's measure is known
-    from the finished nodes, so the trace starts at that measure minus the
-    running total of the steps' changes.
+    from the finished nodes, so `form(v)` sets the trace to start at v's
+    measure minus the running total of the steps' changes: after one root,
+    the trace is that root's.
     """
+    if trace is None:
+        trace = ReductionTrace()
     out = GameTree(tree.players, tree.system)
     out.label_cache = tree.label_cache
     key_fn = canon.make_key_fn(out, canon.PIN_SYMMETRY)
@@ -520,64 +543,77 @@ def _normal_form(tree: GameTree, trace: ReductionTrace) -> GameTree:
     add_node, add_edge = out.add_node, out.add_edge
     in_children, in_dst = tree.node_children, tree.edge_dst
     in_kind, in_label, in_prob = tree.edge_kind, tree.edge_label, tree.edge_prob
-    stack: list[tuple[int, int, int, int]] = [(tree.root, -1, 0, 0)]
-    while stack:
-        v, lo, dn0, dc0 = stack.pop()
-        if lo < 0:
-            got = done.get(v)
+
+    def form(top: int) -> int:
+        stack: list[tuple[int, int, int, int]] = [(top, -1, 0, 0)]
+        while stack:
+            v, lo, dn0, dc0 = stack.pop()
+            if lo < 0:
+                got = done.get(v)
+                if got is None:
+                    done[v] = ()
+                    stack.append((v, trace.length, total[0], total[1]))
+                    for e in in_children[v]:
+                        stack.append((in_dst[e], -1, 0, 0))
+                elif not got:
+                    raise TreeInvariantError(f"node {v} lies on a cycle")
+                else:
+                    replay(*got[1:])
+                continue
+            edges = tuple([
+                (in_kind[e], in_label[e], in_prob[e], done[in_dst[e]][0])
+                for e in in_children[v]
+            ])
+            key = (tree.node_kind[v], tree.node_state[v], tree.node_outcome[v], edges)
+            got = table.get(key)
             if got is None:
-                done[v] = ()
-                stack.append((v, trace.length, total[0], total[1]))
-                for e in in_children[v]:
-                    stack.append((in_dst[e], -1, 0, 0))
-            elif not got:
-                raise TreeInvariantError(f"node {v} lies on a cycle")
+                c = add_node(key[0], key[1], key[2])
+                origin.append(v)
+                for kind, label, prob, child in edges:
+                    add_edge(c, child, kind, prob, label)
+                mark, dn, dc = trace.length, total[0], total[1]
+                meta = None
+                if key[0] in (STATE, CHANCE):
+                    c, meta = process(c)
+                if c not in facts:
+                    finish(c, meta)
+                got = table[key] = (c, mark, trace.length, total[0] - dn, total[1] - dc)
             else:
                 replay(*got[1:])
-            continue
-        edges = tuple([
-            (in_kind[e], in_label[e], in_prob[e], done[in_dst[e]][0])
-            for e in in_children[v]
-        ])
-        key = (tree.node_kind[v], tree.node_state[v], tree.node_outcome[v], edges)
-        got = table.get(key)
-        if got is None:
-            c = add_node(key[0], key[1], key[2])
-            origin.append(v)
-            for kind, label, prob, child in edges:
-                add_edge(c, child, kind, prob, label)
-            mark, dn, dc = trace.length, total[0], total[1]
-            meta = None
-            if key[0] in (STATE, CHANCE):
-                c, meta = process(c)
-            if c not in facts:
-                finish(c, meta)
-            got = table[key] = (c, mark, trace.length, total[0] - dn, total[1] - dc)
-        else:
-            replay(*got[1:])
-        done[v] = (got[0], lo, trace.length, total[0] - dn0, total[1] - dc0)
+            done[v] = (got[0], lo, trace.length, total[0] - dn0, total[1] - dc0)
 
-    # Root-level bookkeeping (Case 1 with the root as the subtree root).
-    root = done[tree.root][0]
-    while _is_forced(out, root):
-        x = out.edge_dst[out.node_children[root][0]]
-        if out.node_kind[x] not in (STATE, TERMINAL):
-            break
-        record("bookkeeping", root, -1, -facts[root][3])
-        root = x
-    out.root = root
-    nodes, choices = facts[root][:2]
-    trace.start = (nodes - total[0], choices - total[1])
-    return out
+        # Root-level bookkeeping (Case 1 with the root as the subtree
+        # root): it moves the root down and rewrites no node.
+        root = done[top][0]
+        while _is_forced(out, root):
+            x = edge_dst[node_children[root][0]]
+            if node_kind[x] not in (STATE, TERMINAL):
+                break
+            record("bookkeeping", root, -1, -facts[root][3])
+            root = x
+        nodes, choices = facts[root][:2]
+        trace.start = (nodes - total[0], choices - total[1])
+        return root
+
+    return Normalizer(out, trace, key_fn, form)
+
+
+def _normal_form(tree: GameTree, trace: ReductionTrace) -> GameTree:
+    """The normal form of `tree` as a fresh shared arena, its steps recorded
+    in `trace`: `normalizer`'s one-root case."""
+    norm = normalizer(tree, trace)
+    norm.out.root = norm.form(tree.root)
+    return norm.out
 
 
 def normalize(tree: GameTree, consume: bool = False) -> tuple[GameTree, ReductionTrace]:
     """Reduce a tree to its normal form; the input is never written.
 
     The rewrites apply in the canonical order, bottom-up, to fresh copies
-    of the input's nodes (`_normal_form`).  A shared input arena, such as a
-    built one, is not unfolded: each distinct subtree is normalized once, so
-    trace node ids name the input's arena nodes.  The normal form is a
+    of the input's nodes (`normalizer`, of which this is the one-root
+    case).  A shared input arena, such as a built one, is not unfolded:
+    each distinct subtree is normalized once, so trace node ids name the
+    input's arena nodes.  The normal form is a
     shared arena like a built tree, holding each distinct finished subtree
     once; exports, counts and witnesses unfold it on demand.  `compact`
     keeps its reachable nodes and numbers them as `unfold` would, so an

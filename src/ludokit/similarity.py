@@ -9,6 +9,11 @@ when the normal forms are equivalent up to relabeling under the pinning the
 map induces.  The average match rate is reported with a 95% Wilson score
 interval.
 
+One call builds all its roots into one arena per side and normalizes them
+with one normalizer per side, so subtrees that roots share are built and
+normalized once; each root is decided by its pinned canonical key, and no
+witness is built (`_SharedArenas`).
+
 Sampling is uniform over the full track product by default ("all" scope),
 which compares the rules beyond just legally reachable play; "reachable"
 restricts to the forward closure of the initial states.  The sample list is
@@ -22,7 +27,7 @@ import random
 from statistics import NormalDist
 from typing import NamedTuple, Optional
 
-from . import equiv, reduce as reduce_mod
+from . import canon, reduce as reduce_mod
 from .core import (
     GameState,
     GameSystem,
@@ -32,7 +37,8 @@ from .core import (
     typed_record,
 )
 from .errors import LudokitError, NoRuleMatchesError, StateMapError
-from .tree import build_tree
+# `build_tree` is looked up here by the benchmark's tracer (perfbench/spans.py).
+from .tree import ArenaBuilder, build_tree  # noqa: F401
 
 
 def wilson_interval(successes: int, trials: int, level: float = 0.95) -> tuple[float, float]:
@@ -240,39 +246,78 @@ class SimilarityReport(SlotRecord):
         )
 
 
-def _partial_normal_form(sys: GameSystem, state: GameState, depth: int):
-    """The normal form of the depth-limited tree at `state`; its per-label
-    facts go to the system's label cache, shared by every call."""
-    form, _ = reduce_mod.normalize(build_tree(sys, state, depth_limit=depth))
-    return form
+class _SharedArenas:
+    """The roots of one similarity call: per side, one arena that every
+    root's depth-limited tree is built into and one normalizer over it, so
+    a subtree two roots reach is built, normalized and keyed once.
 
+    A root is decided by pinned canonical keys, and no witness is built.
+    Where psi maps players and outcomes, keys use literal codes, each side
+    from one key memo: the left side's own names, the memo its normalizer
+    groups symmetric siblings by, and the right side's names mapped back
+    through psi, so no relabeled copy of the right form is made.
+    Otherwise each root's normal form is keyed over its candidate
+    labelings under the pins psi gives (`canon.best_assignment_with_keys`),
+    the right side's pinned names mapped back through psi and its keying
+    stopping at the left key.  Either way equal keys are the verdict of
+    `equiv.equivalent_up_to_relabeling` on the two forms, the right one
+    relabeled.  A root whose build meets a decision tuple no consequence
+    rule matches is a completeness gap, and its side's arena is left as it
+    was, so a later root that reaches the same states is one too.
+    """
 
-def _compare_at(
-    left: GameSystem,
-    right: GameSystem,
-    psi: StateMap,
-    state: GameState,
-    depth: int,
-) -> SampleRecord:
-    """Score one state."""
-    mapped = apply_state_map(psi, state, left, right)
-    try:
-        lform = _partial_normal_form(left, state, depth)
-        rform = _partial_normal_form(right, mapped, depth)
-    except NoRuleMatchesError:
-        return SampleRecord(state, mapped, matched=False, completeness_gap=True)
-    pin = set()
-    player_map = outcome_map = None
-    if psi.players is not None:
-        player_map = {v: k for k, v in psi.players.items()}
-        pin.add("players")
-    if psi.outcomes is not None:
-        outcome_map = {v: k for k, v in psi.outcomes.items()}
-        pin.add("outcomes")
-    if pin:
-        rform = equiv.relabel_tree(rform, player_map, outcome_map)
-    witness = equiv.equivalent_up_to_relabeling(lform, rform, pin=pin)
-    return SampleRecord(state, mapped, matched=witness is not None)
+    def __init__(self, left: GameSystem, right: GameSystem, psi: StateMap, depth: int):
+        self.left, self.right, self.psi = left, right, psi
+        self.builders = (ArenaBuilder(left, depth), ArenaBuilder(right, depth))
+        self.normalizers = [reduce_mod.normalizer(b.tree) for b in self.builders]
+        player_map = None if psi.players is None else {v: k for k, v in psi.players.items()}
+        self.outcome_map = None if psi.outcomes is None else {
+            v: k for k, v in psi.outcomes.items()
+        }
+        self.right_players = right.players if player_map is None else tuple(
+            player_map[p] for p in right.players
+        )
+        self.right_outcomes: list[Optional[str]] = []  # per right form node, renamed
+        self.pin = frozenset(
+            name for name, m in (("players", psi.players), ("outcomes", psi.outcomes))
+            if m is not None
+        )
+        self.keys = None
+        if self.pin == canon.PIN_SYMMETRY:
+            lnorm, rnorm = self.normalizers
+            self.keys = (lnorm.key_fn, canon.make_key_fn(
+                rnorm.out, canon.PIN_SYMMETRY, player_map, self.outcome_map
+            ))
+
+    def compare(self, state: GameState) -> SampleRecord:
+        """Score one state."""
+        mapped = apply_state_map(self.psi, state, self.left, self.right)
+        lbuild, rbuild = self.builders
+        try:
+            lroot = lbuild.add_root(state)
+            rroot = rbuild.add_root(mapped)
+        except NoRuleMatchesError:
+            return SampleRecord(state, mapped, matched=False, completeness_gap=True)
+        lnorm, rnorm = self.normalizers
+        lform, rform = lnorm.form(lroot), rnorm.form(rroot)
+        if self.keys is not None:
+            matched = self.keys[0](lform) == self.keys[1](rform)
+        elif len(self.left.players) != len(self.right.players):
+            matched = False
+        else:
+            lview = lnorm.out.rooted(lform)
+            rview = rnorm.out.rooted(rform, self.right_players)
+            if self.outcome_map is not None:
+                renamed, outcomes = self.right_outcomes, rview.node_outcome
+                renamed.extend([
+                    None if o is None else self.outcome_map[o]
+                    for o in outcomes[len(renamed):]
+                ])
+                rview.node_outcome = renamed
+            lkey = canon.best_assignment_with_keys([lview], self.pin)[0]
+            rkey = canon.best_assignment_with_keys([rview], self.pin, target=lkey)[0]
+            matched = lkey == rkey
+        return SampleRecord(state, mapped, matched=matched)
 
 
 def _scope_pool(sys: GameSystem, scope: str) -> Optional[list[GameState]]:
@@ -320,8 +365,12 @@ def similarity(
     Draws `samples` states uniformly from the left system's state space
     under `scope`, scores each by agency-equivalence of depth-bounded
     partial trees at s and psi(s) (pinned by psi's optional player/outcome
-    maps), and averages.  Fixed (seed, samples, depth, scope) reproduce the
-    report exactly; per-sample completeness gaps score 0 and are flagged.
+    maps), and averages.  The call builds and normalizes every sample's
+    trees in one shared arena per side, and decides each sample by pinned
+    canonical keys, with no witness: literal-code keys when psi maps players
+    and outcomes, else keys over the labelings the pins leave.  Fixed
+    (seed, samples, depth, scope) reproduce the report exactly; per-sample
+    completeness gaps score 0 and are flagged.
     """
     if samples <= 0:
         raise LudokitError("similarity needs a positive sample count")
@@ -329,11 +378,12 @@ def similarity(
     rng = random.Random(seed)
     draw = _scope_sampler(left, scope, rng)
     states = [draw() for _ in range(samples)]
+    arenas = _SharedArenas(left, right, psi, depth)
     records = []
     matches = 0
     gaps = 0
     for state in states:
-        record = _compare_at(left, right, psi, state, depth)
+        record = arenas.compare(state)
         records.append(record)
         if record.matched:
             matches += 1
@@ -362,13 +412,19 @@ def exhaustive_proportion(
     depth: int,
     scope: str = "all",
 ) -> tuple[int, int]:
-    """(matches, total) over every state in scope; the sampling-free truth."""
+    """(matches, total) over every state in scope; the sampling-free truth.
+
+    Every state is decided as in `similarity`: all roots are built and
+    normalized in one shared arena per side, and each is decided by pinned
+    canonical keys, with no witness.
+    """
     psi.validate(left, right)
     pool = _scope_pool(left, scope)
     if pool is None:
         pool = list(enumerate_states(left))
+    arenas = _SharedArenas(left, right, psi, depth)
     matches = 0
     for state in pool:
-        if _compare_at(left, right, psi, state, depth).matched:
+        if arenas.compare(state).matched:
             matches += 1
     return matches, len(pool)

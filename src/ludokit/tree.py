@@ -196,6 +196,25 @@ class GameTree:
         dup.root = self.root
         return dup
 
+    def rooted(self, root: int, players: Optional[tuple[str, ...]] = None) -> "GameTree":
+        """The arena seen from another root, its players optionally renamed:
+        a tree over the same column lists, so it costs nothing to make and
+        sees the arena grow, and it must not be rewritten."""
+        view = GameTree(self.players if players is None else players, self.system)
+        view.label_cache = self.label_cache
+        view.node_kind = self.node_kind
+        view.node_state = self.node_state
+        view.node_outcome = self.node_outcome
+        view.node_children = self.node_children
+        view.node_parent_edge = self.node_parent_edge
+        view.edge_kind = self.edge_kind
+        view.edge_src = self.edge_src
+        view.edge_dst = self.edge_dst
+        view.edge_prob = self.edge_prob
+        view.edge_label = self.edge_label
+        view.root = root
+        return view
+
     def structurally_equal(self, other: "GameTree") -> bool:
         """Exact equality of the live arenas (labels included, order included)."""
         def encode(tree: GameTree):
@@ -248,13 +267,19 @@ def postorder(tree: GameTree, node: Optional[int] = None, done=()) -> list[int]:
     return order
 
 
-def _unfolded_sizes(tree: GameTree, order: list[int]) -> list[int]:
+def _unfolded_sizes(
+    tree: GameTree, order: list[int], size: Optional[list[int]] = None
+) -> list[int]:
     """Per node of `order` (`postorder(tree)`), its subtree's unfolded size.
 
-    Raises TreeInvariantError on a cycle: a child on one is reached before
-    its size is known.
+    With `size`, the sizes of the nodes `order` leaves out, it is extended
+    to the arena and filled in, and returned.  Raises TreeInvariantError on
+    a cycle: a child on one is reached before its size is known.
     """
-    size = [0] * len(tree.node_kind)
+    if size is None:
+        size = [0] * len(tree.node_kind)
+    else:
+        size.extend([0] * (len(tree.node_kind) - len(size)))
     node_children = tree.node_children
     edge_dst = tree.edge_dst
     for n in order:
@@ -449,6 +474,190 @@ def require_unshared(tree: GameTree, what: str) -> None:
 # ---------------------------------------------------------------------------
 
 
+class ArenaBuilder:
+    """Builds the trees of any number of roots of one system into one arena.
+
+    Per legal decision tuple one decision edge is drawn; a singleton
+    consequence list leads straight to a state node, otherwise through a
+    chance node with probability-labeled chance edges.  `depth_limit` counts
+    decision rounds from each root: state nodes more than `depth_limit`
+    rounds deep are left unexpanded and marked truncated.
+
+    A state's subtree depends only on the state (and, under `depth_limit`,
+    on the rounds left), so the arena holds one node per state, or per
+    (state, rounds left) under `depth_limit`, whichever root reaches it;
+    each state node owns a chance node per decision tuple that needs one.
+    All roots count rounds against one limit, so a node's round from its
+    root names its rounds left.  `add_root` hands out node ids in the order
+    an unshared build of that root creates them, skipping nodes the arena
+    already holds, so the arena is shared across roots the way a BDD
+    package's unique table is shared across functions.  A state that roots
+    after the first meet again, at another round, is expanded from the
+    moves kept for it, without running the rules.  `node_budget` bounds
+    each root's unfolded tree (systems can describe infinite trees).  Every
+    arena built from one system shares the system engine's label cache.
+    """
+
+    __slots__ = (
+        "tree", "depth_limit", "node_budget", "_engine", "_nodes", "_labels", "_moves",
+        "_size",
+    )
+
+    def __init__(
+        self,
+        sys: GameSystem,
+        depth_limit: Optional[int] = None,
+        node_budget: int = DEFAULT_NODE_BUDGET,
+    ):
+        self._engine = sys.engine()
+        self.tree = GameTree(sys.players, sys)
+        self.tree.label_cache = self._engine.label_cache
+        self.depth_limit = depth_limit
+        self.node_budget = node_budget
+        self._nodes: dict = {}  # state, or (state, round) under a depth limit
+        self._labels: dict[DecisionTuple, EdgeLabel] = {}
+        # Per state a root after the first has met, whose every decision
+        # tuple some consequence rule matches: () or, once it is expanded
+        # after it was met, its moves, each (label, successor, None) or
+        # (label, None, [(probability, successor), ...]).
+        self._moves: dict[GameState, object] = {}
+        self._size: list[int] = []  # per node, its unfolded size
+
+    def add_root(self, s0: GameState) -> int:
+        """The node of s0's tree, built on what the arena already holds.
+
+        A tree larger than the budget, or a state graph with a cycle, raises
+        BudgetExceededError.  On any exception, such as a decision tuple no
+        consequence rule matches, the arena is left as it was before the
+        call, so no later root finds a node of this one half expanded.
+        """
+        tree = self.tree
+        engine = self._engine
+        depth_limit = self.depth_limit
+        node_budget = self.node_budget
+        nodes = self._nodes
+        labels = self._labels
+        known = self._moves
+        node_kind, node_outcome = tree.node_kind, tree.node_outcome
+        parent_edge = tree.node_parent_edge
+        start, edge_start, keys_start = len(node_kind), len(tree.edge_kind), len(nodes)
+        sharing = start > 0  # the first root shares nothing, so it keeps no moves
+        # old node -> its parent edge before this root pointed a new edge at it
+        adopted: dict[int, int] = {}
+
+        def label_for(dtuple: DecisionTuple) -> EdgeLabel:
+            lab = labels.get(dtuple)
+            if lab is None:
+                lab = labels[dtuple] = frozenset({(dtuple,)})
+            return lab
+
+        add_node = tree.add_node
+        add_edge = tree.add_edge
+        limited = depth_limit is not None
+        # (node, state, round) of created, unexpanded nodes
+        stack: list[tuple[int, GameState, int]] = []
+
+        def node_for(state: GameState, gen: int) -> int:
+            key = (state, gen) if limited else state
+            node = nodes.get(key)
+            if node is None:
+                node = nodes[key] = add_node(STATE, state=state)
+                stack.append((node, state, gen))
+            elif node < start and node not in adopted:
+                adopted[node] = parent_edge[node]
+            return node
+
+        try:
+            root = node_for(s0, 0)
+            if root < start:
+                return root
+            while stack:
+                node, state, gen = stack.pop()
+                moves = known.get(state) if sharing else None
+                if moves:
+                    # every rule ran when this state was met before
+                    if limited and gen > depth_limit:
+                        node_kind[node] = TRUNCATED
+                        continue
+                    for label, succ, succs in moves:
+                        if succs is None:
+                            add_edge(node, node_for(succ, gen + 1), DECISION_EDGE, label=label)
+                        else:
+                            chance = add_node(CHANCE)
+                            add_edge(node, chance, DECISION_EDGE, label=label)
+                            for p, succ in succs:
+                                add_edge(chance, node_for(succ, gen + 1), CHANCE_EDGE, prob=p)
+                else:
+                    sets = engine.legal_sets(state)
+                    if not any(sets):
+                        node_kind[node] = TERMINAL
+                        node_outcome[node] = engine.outcome(state)
+                        continue
+                    dtuples = itertools.product(*[sorted(s) if s else [None] for s in sets])
+                    if limited and gen > depth_limit:
+                        # Unexpanded, but a decision tuple no consequence
+                        # rule matches still raises, as on an expanded node.
+                        if moves is None:
+                            for dtuple in dtuples:
+                                engine.consequences(dtuple, state)
+                            if sharing:
+                                known[state] = ()
+                        node_kind[node] = TRUNCATED
+                        continue
+                    # A state met before keeps its moves for the times after.
+                    kept = [] if moves is not None else None
+                    for dtuple in dtuples:
+                        results = engine.consequences(dtuple, state)
+                        label = label_for(dtuple)
+                        if len(results) == 1:
+                            succ = engine.apply_actions(results[0][1], state)
+                            add_edge(node, node_for(succ, gen + 1), DECISION_EDGE, label=label)
+                            if kept is not None:
+                                kept.append((label, succ, None))
+                        else:
+                            chance = add_node(CHANCE)
+                            add_edge(node, chance, DECISION_EDGE, label=label)
+                            succs = []
+                            for p, names in results:
+                                succ = engine.apply_actions(names, state)
+                                succs.append((p, succ))
+                                add_edge(chance, node_for(succ, gen + 1), CHANCE_EDGE, prob=p)
+                            if kept is not None:
+                                kept.append((label, None, succs))
+                    if sharing:
+                        known[state] = kept or ()
+                if len(node_kind) - start > node_budget:
+                    ((dtuple,),) = label
+                    raise BudgetExceededError(
+                        f"node budget {node_budget} exceeded while expanding "
+                        f"{format_decision_tuple(dtuple)}"
+                    )
+            try:
+                size = _unfolded_sizes(tree, postorder(tree, root, range(start)), self._size)
+            except TreeInvariantError:
+                raise BudgetExceededError(
+                    f"node budget {node_budget} exceeded: the state graph has a cycle, "
+                    "so the tree is infinite"
+                ) from None
+            if size[root] > node_budget:
+                raise BudgetExceededError(
+                    f"node budget {node_budget} exceeded: the tree has {size[root]} nodes"
+                )
+        except BaseException:
+            for column in (node_kind, tree.node_state, node_outcome, tree.node_children,
+                           parent_edge, self._size):
+                del column[start:]
+            for column in (tree.edge_kind, tree.edge_src, tree.edge_dst, tree.edge_prob,
+                           tree.edge_label):
+                del column[edge_start:]
+            for node, edge in adopted.items():
+                parent_edge[node] = edge
+            while len(nodes) > keys_start:  # this root's keys, the last inserted
+                nodes.popitem()
+            raise
+        return root
+
+
 def build_tree(
     sys: GameSystem,
     s0: GameState,
@@ -457,93 +666,15 @@ def build_tree(
 ) -> GameTree:
     """Build the game tree rooted at s0, as a DAG that shares equal subtrees.
 
-    Per legal decision tuple one decision edge is drawn; a singleton
-    consequence list leads straight to a state node, otherwise through a
-    chance node with probability-labeled chance edges.  `depth_limit` counts
-    decision rounds from the root: state nodes more than `depth_limit` rounds
-    deep are left unexpanded and marked truncated.
-
-    A state's subtree depends only on the state (and, under `depth_limit`,
-    on the rounds left), so the arena holds one node per state, or per
-    (state, round) under `depth_limit`; each state node owns a chance node
-    per decision tuple that needs one.  Node ids are handed out in the order
-    an unshared build creates them, skipping repeats, and `unfold` recovers
-    that build's columns exactly.  `node_budget` bounds the node count of the
-    unfolded tree (systems can describe infinite trees): a larger tree, or a
-    state graph with a cycle, raises BudgetExceededError.  Every tree built from
-    one system shares the system engine's label cache.
+    The one-root case of `ArenaBuilder`, which describes the tree.  Node ids
+    are handed out in the order an unshared build creates them, skipping
+    repeats, and `unfold` recovers that build's columns exactly.
+    `node_budget` bounds the node count of the unfolded tree: a larger tree,
+    or a state graph with a cycle, raises BudgetExceededError.
     """
-    engine = sys.engine()
-    tree = GameTree(sys.players, sys)
-    tree.label_cache = engine.label_cache
-    label_cache: dict[DecisionTuple, EdgeLabel] = {}
-
-    def label_for(dtuple: DecisionTuple) -> EdgeLabel:
-        lab = label_cache.get(dtuple)
-        if lab is None:
-            lab = frozenset({(dtuple,)})
-            label_cache[dtuple] = lab
-        return lab
-
-    add_node = tree.add_node
-    add_edge = tree.add_edge
-    limited = depth_limit is not None
-    # (node, state, generation) of created, unexpanded nodes
-    stack: list[tuple[int, GameState, int]] = []
-    nodes: dict = {}  # state, or (state, generation) under a depth limit
-
-    def node_for(state: GameState, gen: int) -> int:
-        key = (state, gen) if limited else state
-        node = nodes.get(key)
-        if node is None:
-            node = nodes[key] = add_node(STATE, state=state)
-            stack.append((node, state, gen))
-        return node
-
-    tree.root = node_for(s0, 0)
-    while stack:
-        node, state, gen = stack.pop()
-        sets = engine.legal_sets(state)
-        if not any(sets):
-            tree.node_kind[node] = TERMINAL
-            tree.node_outcome[node] = engine.outcome(state)
-            continue
-        dtuples = itertools.product(*[sorted(s) if s else [None] for s in sets])
-        if limited and gen > depth_limit:
-            # Unexpanded, but a decision tuple no consequence rule matches
-            # still raises, as it does on an expanded node.
-            for dtuple in dtuples:
-                engine.consequences(dtuple, state)
-            tree.node_kind[node] = TRUNCATED
-            continue
-        for dtuple in dtuples:
-            results = engine.consequences(dtuple, state)
-            if len(results) == 1:
-                succ = engine.apply_actions(results[0][1], state)
-                add_edge(node, node_for(succ, gen + 1), DECISION_EDGE, label=label_for(dtuple))
-            else:
-                chance = add_node(CHANCE)
-                add_edge(node, chance, DECISION_EDGE, label=label_for(dtuple))
-                for p, names in results:
-                    succ = engine.apply_actions(names, state)
-                    add_edge(chance, node_for(succ, gen + 1), CHANCE_EDGE, prob=p)
-        if len(tree.node_kind) > node_budget:
-            raise BudgetExceededError(
-                f"node budget {node_budget} exceeded while expanding "
-                f"{format_decision_tuple(dtuple)}"
-            )
-    try:
-        size = _unfolded_sizes(tree, postorder(tree))[tree.root]
-    except TreeInvariantError:
-        raise BudgetExceededError(
-            f"node budget {node_budget} exceeded: the state graph has a cycle, "
-            "so the tree is infinite"
-        ) from None
-    if size > node_budget:
-        raise BudgetExceededError(
-            f"node budget {node_budget} exceeded: the tree has {size} nodes"
-        )
-    return tree
+    builder = ArenaBuilder(sys, depth_limit, node_budget)
+    builder.tree.root = builder.add_root(s0)
+    return builder.tree
 
 
 def build_forest(

@@ -10,6 +10,11 @@ import subprocess
 import sys
 import tempfile
 
+try:
+    import resource
+except ImportError:  # not on every platform
+    resource = None
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -463,6 +468,42 @@ class TestResourceErrors:
         assert code == 2 and out == ""
         assert err.startswith(message) and err.count("\n") == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("error, message", [
+        (OSError(5, "Input/output error"), "operating system error: [Errno 5] Input/output error"),
+        (TimeoutError("still running after 1 s"),
+         "operating system error: still running after 1 s"),
+        (TimeoutError(), "operating system error: TimeoutError"),
+    ])
+    def test_other_os_errors_do_not_name_stdout(self, capsys, monkeypatch, error, message):
+        """Only a failed write or flush of stdout is blamed on stdout; an
+        OSError from anywhere else gets a line of its own, and exit 2."""
+        def fail(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(cli, "check_completeness", fail)
+        code, out, err = run(capsys, "validate", fixture_path("parity.game"))
+        assert (code, out, err) == (2, "", message + "\n")
+
+    @pytest.mark.skipif(not hasattr(resource, "RLIMIT_AS"), reason="needs resource.RLIMIT_AS")
+    def test_full_forest_witness_under_a_memory_limit(self):
+        """The full-forest witness of ttt vs 3to15 needs about 1.5 GB.  With
+        the child's address space capped at 400 MB it runs out of memory,
+        and the exit is 2 with one line, not a traceback.  The limit is set
+        in the child only."""
+        cap = 400 * 2**20
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+        done = subprocess.run(
+            [sys.executable, "-m", "ludokit", "equiv", "--witness",
+             fixture_path("tictactoe.game"), fixture_path("3to15.game")],
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, env=_src_env(),
+            preexec_fn=limit, timeout=300,
+        )
+        assert done.returncode == 2, done.stderr
+        assert done.stderr == "out of memory\n"
 
 
 class TestRobustness:

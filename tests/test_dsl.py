@@ -12,6 +12,7 @@ import generators
 from conftest import fixture_text
 from ludokit import core
 from ludokit.dsl import (
+    MAX_BINDINGS,
     GameParseError,
     Token,
     _Expander,
@@ -170,6 +171,52 @@ class TestDiagnostics:
             "legal P m when t=a", "forall i in 1..1 { " * 5000 + "legal P m when t=a" + " }" * 5000
         )
         assert any("nesting deeper than" in m for m in diagnostics_of(blocks))
+
+
+class TestBindingLimit:
+    """An integer range, and the combinations of one binder list, are
+    bounded by `MAX_BINDINGS`, so a huge range is a diagnostic at once."""
+
+    def test_huge_range_exits_2_at_once(self, tmp_path, capsys):
+        import time
+
+        from ludokit import cli
+
+        path = tmp_path / "big.game"
+        path.write_text(fixture_text("parity.game") + "forall z in 1..3000000 { }\n")
+        started = time.process_time()
+        code = cli.main(["validate", str(path)])
+        assert time.process_time() - started < 1.0
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"{path}:31:13: error: range 1..3000000 has 3000000 values, more than 100000\n"
+        )
+
+    def test_range_at_the_limit_is_accepted(self):
+        assert MAX_BINDINGS == 100_000
+        parse_game(MINIMAL + f"forall z in 1..{MAX_BINDINGS} {{ }}\n")
+        assert any("has 100001 values" in m for m in diagnostics_of(
+            MINIMAL + f"forall z in 0..{MAX_BINDINGS} {{ }}\n"
+        ))
+
+    def test_binder_product_is_bounded(self):
+        messages = diagnostics_of(MINIMAL.replace(
+            "init t=a", "init (any i in 1..100, j in 1..100, k in 1..11: t=a)"
+        ))
+        assert messages[0] == (
+            "test.game:6:11: error: binders expand to 110000 combinations, more than 100000"
+        )
+        parse_game(MINIMAL.replace(
+            "init t=a", "init (any i in 1..100, j in 1..100, k in 1..10 if i = j: t=a)"
+        ))
+
+    @pytest.mark.parametrize("game", [
+        "tictactoe", "3to15", "misere", "perturbed", "endofturn", "forbidden", "parity",
+        "mixed_a", "mixed_b",
+    ])
+    def test_every_fixture_parses(self, game):
+        """3to15 combines three 1..9 binders: 729 combinations."""
+        parse_game(fixture_text(f"{game}.game"), f"{game}.game")
 
 
 class TestDeepNesting:

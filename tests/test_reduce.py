@@ -737,6 +737,24 @@ class TestSharing:
             normalize(swap_pair_right)
 
 
+class TestNormalizer:
+    """One normalizer over an arena of many roots gives each root the form
+    `normalize` gives its own tree."""
+
+    @pytest.mark.parametrize("game", ["tictactoe", "forbidden", "endofturn", "mixed_a", "parity"])
+    def test_each_root_gets_its_normal_form(self, systems, game):
+        system = systems[game]
+        pool = sorted(core.reachable_states(system))
+        rng = random.Random(len(game))
+        roots = [pool[rng.randrange(len(pool))] for _ in range(30)]
+        builder = tree.ArenaBuilder(system, 3)
+        normalizer = reduce.normalizer(builder.tree)
+        for s in roots:
+            node = normalizer.form(builder.add_root(s))
+            reference = normalize(tree.build_tree(system, s, depth_limit=3))[0]
+            assert _arrays(tree.compact(normalizer.out.rooted(node))) == _arrays(reference)
+
+
 class TestWorklist:
     """`normalize` reruns after a rewrite only the rewrites it can enable;
     a check it skips could not have fired, so its normal forms and traces

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import fixture_text
-from ludokit import canon, core, equiv, reduce, tree
+from ludokit import canon, core, equiv, errors, reduce, tree
+from ludokit import similarity as similarity_mod
 from ludokit.dsl import parse_game
 from ludokit.errors import LudokitError, StateMapError
 from ludokit.similarity import (
@@ -281,3 +282,157 @@ class TestSimilarity:
         )
         report2 = similarity(ttt, mis, natural, samples=60, depth=2, seed=12)
         assert report2.estimate == 1.0
+
+
+def _valence_map(ttt):
+    """The misere map of `test_misere_valence_pinning_scores_below_one`."""
+    psi = StateMap.identity(ttt, ttt)
+    return StateMap(
+        tracks=psi.tracks, values=psi.values, players={"X": "X", "O": "O"},
+        outcomes={"X_wins": "O_loses", "O_wins": "X_loses", "draw": "draw"},
+    )
+
+
+def _key_verdict_cases(systems, magic_psi, mixed_psi):
+    ttt = systems["tictactoe"]
+    ident = StateMap.identity(ttt, ttt)
+    valence = _valence_map(ttt)
+    return {
+        "identity": ("tictactoe", "tictactoe", ident),
+        "magic": ("tictactoe", "3to15", magic_psi),
+        "mixed": ("mixed_a", "mixed_b", mixed_psi),
+        "valence": ("tictactoe", "misere", valence),
+        # no player or outcome map: every root's labelings are keyed
+        "magic-unpinned": ("tictactoe", "3to15", magic_psi._replace(players=None, outcomes=None)),
+        "misere-unpinned": ("tictactoe", "misere", ident),
+        # one label class pinned, the other keyed over its labelings
+        "players-only": ("tictactoe", "misere", valence._replace(outcomes=None,
+                                                                 players={"X": "O", "O": "X"})),
+        "outcomes-only": ("tictactoe", "misere", valence._replace(players=None)),
+        "mixed-outcomes-only": ("mixed_a", "mixed_b", mixed_psi._replace(players=None)),
+    }
+
+
+class TestKeyVerdicts:
+    """A root decided by pinned keys in the call's shared arenas gets the
+    verdict of the witness search on its own one-root normal forms."""
+
+    @pytest.mark.parametrize("scope", ["all", "reachable"])
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    @pytest.mark.parametrize("case", [
+        "identity", "magic", "mixed", "valence", "magic-unpinned", "misere-unpinned",
+        "players-only", "outcomes-only", "mixed-outcomes-only",
+    ])
+    def test_key_verdict_is_the_witness_verdict(
+        self, systems, magic_psi, mixed_psi, case, depth, scope
+    ):
+        a, b, psi = _key_verdict_cases(systems, magic_psi, mixed_psi)[case]
+        left, right = systems[a], systems[b]
+        rng = random.Random(depth * 10 + len(scope))
+        draw = similarity_mod._scope_sampler(left, scope, rng)
+        arenas = similarity_mod._SharedArenas(left, right, psi, depth)
+        pin = arenas.pin
+        players = None if psi.players is None else {v: k for k, v in psi.players.items()}
+        outcomes = None if psi.outcomes is None else {v: k for k, v in psi.outcomes.items()}
+        for _ in range(8):
+            state = draw()
+            record = arenas.compare(state)
+            mapped = apply_state_map(psi, state, left, right)
+            lform = reduce.normalize(tree.build_tree(left, state, depth_limit=depth))[0]
+            rform = reduce.normalize(tree.build_tree(right, mapped, depth_limit=depth))[0]
+            if pin:
+                rform = equiv.relabel_tree(rform, players, outcomes)
+            witness = equiv.equivalent_up_to_relabeling(lform, rform, pin=pin)
+            assert record.matched == (witness is not None), state
+            # each side's form of its root in the shared arena is the
+            # one-root form
+            for side, (sys_, root) in enumerate(((left, state), (right, mapped))):
+                norm = arenas.normalizers[side]
+                node = norm.form(arenas.builders[side].add_root(root))  # both held: no work
+                shared = norm.out.rooted(node)
+                one = reduce.normalize(tree.build_tree(sys_, root, depth_limit=depth))[0]
+                assert equiv.canonical_form(shared, canon.PIN_ALL) == equiv.canonical_form(
+                    one, canon.PIN_ALL
+                )
+                assert tree.compact(shared).structurally_equal(one)
+
+    def test_some_roots_differ(self, systems, magic_psi, mixed_psi):
+        """The cases above are not all positive: maps that pin both label
+        classes, one or neither reject some roots and accept others."""
+        cases = _key_verdict_cases(systems, magic_psi, mixed_psi)
+        for case in ("valence", "mixed", "players-only", "outcomes-only", "mixed-outcomes-only"):
+            a, b, psi = cases[case]
+            report = similarity(systems[a], systems[b], psi, samples=40, depth=2, seed=3,
+                                scope="reachable")
+            assert 0 < report.matches < 40, case
+
+    def test_roots_share_one_arena_per_side(self, systems, magic_psi):
+        """Exhaustive reachable depth 3 builds one node per distinct (state,
+        rounds left) on each side: 54,595, where the 10,957 trees built one
+        root at a time hold 354,727 state nodes."""
+        left, right = systems["tictactoe"], systems["3to15"]
+        arenas = similarity_mod._SharedArenas(left, right, magic_psi, 3)
+        pool = sorted(core.reachable_states(left))
+        assert all(arenas.compare(s).matched for s in pool)
+        for builder in arenas.builders:
+            kinds = builder.tree.node_kind
+            assert sum(1 for k in kinds if k != tree.CHANCE) == len(builder._nodes) == 54595
+
+
+# Counts up from 0 to 3 and stops, or jumps from 0 to 3; a step from n=0 or
+# n=1 raises the flag.  No consequence rule matches a step at n=2 with the
+# flag raised, so a tree that reaches that state cannot be built.
+GAP_GAME = """\
+game gap
+players P
+track n { 0, 1, 2, 3 }
+track flag { on, off }
+decisions step, jump
+action inc { when n=0 set n=1 ; when n=1 set n=2 ; when n=2 set n=3 }
+action raise { set flag=on }
+action finish { set n=3 }
+init n=0 and flag=off
+legal P step when not n=3
+legal P jump when n=0
+consequence (jump) -> prob 1: finish
+consequence (step) when n=2 and flag=off -> prob 1: inc
+consequence (step) when not n=2 -> prob 1: inc, raise
+outcome default done
+"""
+
+
+class TestCompletenessGapsInSharedArenas:
+    def test_a_failed_root_leaves_the_arena_as_it_was(self):
+        sys_ = parse_game(GAP_GAME)
+        builder = tree.ArenaBuilder(sys_, depth_limit=3)
+        good = builder.add_root(("2", "off"))  # and (3, off) one round down
+        before = [list(col) for col in _columns(builder.tree)], dict(builder._nodes)
+        # Jumps to the held (3, off) one round down, so an edge of this root
+        # enters a node of the first, and steps on to fail at (2, on).
+        with pytest.raises(errors.NoRuleMatchesError):
+            builder.add_root(("0", "off"))
+        assert ([list(col) for col in _columns(builder.tree)], dict(builder._nodes)) == before
+        # (1, on) one round down is a node the failed root had made
+        with pytest.raises(errors.NoRuleMatchesError):
+            builder.add_root(("0", "on"))
+        assert builder.add_root(("2", "off")) == good
+
+    def test_a_later_root_reaching_the_same_states_is_a_gap(self):
+        sys_ = parse_game(GAP_GAME)
+        psi = StateMap.identity(sys_, sys_)
+        arenas = similarity_mod._SharedArenas(sys_, sys_, psi, 3)
+        for state in [("2", "off"), ("0", "off"), ("0", "on"), ("1", "off"), ("0", "off"),
+                      ("3", "off")]:
+            record = arenas.compare(state)
+            try:
+                reduce.normalize(tree.build_tree(sys_, state, depth_limit=3))
+            except errors.NoRuleMatchesError:
+                assert record.completeness_gap and not record.matched, state
+            else:
+                assert record.matched and not record.completeness_gap, state
+        assert exhaustive_proportion(sys_, sys_, psi, depth=3) == (3, 8)
+
+
+def _columns(t):
+    return (t.node_kind, t.node_state, t.node_outcome, t.node_children, t.node_parent_edge,
+            t.edge_kind, t.edge_src, t.edge_dst, t.edge_prob, t.edge_label)

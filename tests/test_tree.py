@@ -232,6 +232,91 @@ class TestSharedBuild:
         assert tree.is_shared(t)
 
 
+# A counter that a coin advances by one or two; from 0 it can also step by
+# one for sure.
+COIN_GAME = """
+players P
+track n { 0, 1, 2, 3, 4, 5, 6, 7 }
+decisions roll, step
+action inc { when n=0 set n=1 ; when n=1 set n=2 ; when n=2 set n=3 ; when n=3 set n=4 ;
+             when n=4 set n=5 ; when n=5 set n=6 ; when n=6 set n=7 }
+init n=0
+legal P roll when not n=7
+legal P step when n=0
+consequence (roll) -> prob 1/2: inc ; prob 1/2: inc, inc
+consequence (step) -> prob 1: inc
+outcome default done
+"""
+
+
+def some_roots(system, count: int, seed: int) -> list[core.GameState]:
+    """`count` reachable states of `system`, drawn with repeats."""
+    pool = sorted(core.reachable_states(system))
+    rng = random.Random(seed)
+    return [pool[rng.randrange(len(pool))] for _ in range(count)]
+
+
+class TestArenaBuilder:
+    """Many roots in one arena: each root's tree is `build_tree`'s."""
+
+    @pytest.mark.parametrize("depth", [None, 2])
+    @pytest.mark.parametrize("game", GAMES)
+    def test_first_root_is_build_tree(self, systems, game, depth):
+        s0 = core.initial_states(systems[game])[0]
+        builder = tree.ArenaBuilder(systems[game], depth)
+        builder.tree.root = builder.add_root(s0)
+        assert arrays(builder.tree) == arrays(build_tree(systems[game], s0, depth))
+
+    @pytest.mark.parametrize("game", GAMES)
+    def test_each_root_unfolds_to_its_own_tree(self, systems, game):
+        system = systems[game]
+        builder = tree.ArenaBuilder(system, 3)
+        roots = some_roots(system, 40, seed=len(game))
+        nodes = [builder.add_root(s) for s in roots]
+        separate = sum(len(build_tree(system, s, 3).node_kind) for s in set(roots))
+        assert len(builder.tree.node_kind) <= separate
+        for s, node in zip(roots, nodes):
+            reference = build_tree(system, s, 3)
+            assert arrays(tree.unfold(builder.tree.rooted(node))) == arrays(
+                tree.unfold(reference)
+            )
+        assert [builder.add_root(s) for s in roots] == nodes  # held roots build nothing
+
+    def test_moves_kept_for_repeated_states(self):
+        """A state met again at another round or root is expanded from the
+        moves kept for it, chance nodes included, into the same tree."""
+        from ludokit.dsl import parse_game
+
+        system = parse_game(COIN_GAME)
+        states = list(core.enumerate_states(system))
+        builder = tree.ArenaBuilder(system, 3)
+        for s in states + states[::-1]:
+            node = builder.add_root(s)
+            assert arrays(tree.unfold(builder.tree.rooted(node))) == arrays(
+                tree.unfold(build_tree(system, s, 3))
+            )
+        kept = [moves for moves in builder._moves.values() if moves]
+        assert any(succs is not None for moves in kept for _, _, succs in moves)
+
+    def test_budget_is_per_root(self, ttt):
+        """Each root is budgeted on its own unfolded tree, and a root over
+        the budget leaves the arena as it was."""
+        roots = some_roots(ttt, 12, seed=3)
+        sizes = [build_tree(ttt, s, 3).node_count() for s in roots]
+        builder = tree.ArenaBuilder(ttt, 3, node_budget=max(sizes))
+        for s in roots:
+            builder.add_root(s)
+        big = roots[sizes.index(max(sizes))]
+        tight = tree.ArenaBuilder(ttt, 3, node_budget=max(sizes) - 1)
+        small = [s for s, n in zip(roots, sizes) if n < max(sizes)]
+        for s in small:
+            tight.add_root(s)
+        before = arrays(tight.tree)
+        with pytest.raises(BudgetExceededError, match=str(max(sizes) - 1)):
+            tight.add_root(big)
+        assert arrays(tight.tree) == before
+
+
 # One player walks a 0 -> 1 -> 2: m is legal at 0 and 1, n at 1 only.
 # Consequence rules are filled in per test.
 WALK_GAME = """
