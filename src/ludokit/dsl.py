@@ -28,10 +28,10 @@ arithmetic on binders that hold integer-valued names.
 
 Parentheses, ``not`` and ``forall`` blocks nest at most `MAX_NESTING`
 (500) levels deep; deeper input is a diagnostic, not a recursion error.
-An integer range lists at most `MAX_BINDINGS` (100,000) values, and the
-binders of one ``forall`` or comprehension combine to at most as many.
 So do chains of named sets that reference each other: each set on a chain
-is one level, plus one per 40 levels of nesting inside it.
+is one level, plus one per 40 levels of nesting inside it.  An integer
+range lists at most `MAX_BINDINGS` (100,000) values, and the binders of
+one comprehension combine to at most as many.
 
 Pattern entries in ``consequence`` are a decision id, ``0`` (null decision
 only), or ``*`` (any decision, including null).  Probabilities are exact
@@ -588,9 +588,15 @@ class _Parser:
     def comprehension_head(self) -> tuple[str, tuple[Binder, ...], Optional[Guard], Token]:
         """``any``/``all``, the binders and the guard, up to the ``:`` before the body."""
         tok = self.next()
+        first = self.tokens[self.pos]
         binders = [self.binder()]
         while self.eat_punct(","):
             binders.append(self.binder())
+        count = math.prod(len(b.values) for b in binders)
+        if count > MAX_BINDINGS:
+            raise self.fail(
+                first, f"binders expand to {count} combinations, more than {MAX_BINDINGS}"
+            )
         guard = self.guard() if self.at_keyword("if") else None
         self.expect_punct(":")
         return tok.value, tuple(binders), guard, tok
@@ -801,14 +807,6 @@ class _Expander:
         A lazy iterator: a guard interpreted per combination reports its
         diagnostics between the expansions of the combinations before it.
         """
-        count = math.prod(len(b.values) for b in binders)
-        if count > MAX_BINDINGS:
-            first = binders[0]
-            self.error(
-                first.line, first.col,
-                f"binders expand to {count} combinations, more than {MAX_BINDINGS}",
-            )
-            return
         names = [b.var for b in binders]
         combos = itertools.product(*(b.values for b in binders))
         compiled = None if guard is None else self.guard_test(guard, binders, env)

@@ -256,10 +256,10 @@ class _SharedArenas:
     from one key memo: the left side's own names, the memo its normalizer
     groups symmetric siblings by, and the right side's names mapped back
     through psi, so no relabeled copy of the right form is made.
-    Otherwise each root's normal form is keyed over its candidate
-    labelings under the pins psi gives (`canon.best_assignment_with_keys`),
-    the right side's pinned names mapped back through psi and its keying
-    stopping at the left key.  Either way equal keys are the verdict of
+    Otherwise a root whose two forms' profiles differ is rejected, and
+    else each form is keyed over its candidate labelings under the pins psi
+    gives (`canon.best_assignment_with_keys`), the right side's pinned names
+    mapped back through psi and its keying stopping at the left key.  Either way equal keys are the verdict of
     `equiv.equivalent_up_to_relabeling` on the two forms, the right one
     relabeled.  A root whose build meets a decision tuple no consequence
     rule matches is a completeness gap, and its side's arena is left as it
@@ -314,9 +314,19 @@ class _SharedArenas:
                     for o in outcomes[len(renamed):]
                 ])
                 rview.node_outcome = renamed
-            lkey = canon.best_assignment_with_keys([lview], self.pin)[0]
-            rkey = canon.best_assignment_with_keys([rview], self.pin, target=lkey)[0]
-            matched = lkey == rkey
+            # As in the relabel comparison, unequal profiles reject the root
+            # before its labelings are counted or keyed; each cache carries
+            # its side's label signatures over to the keying.
+            lcache: dict = {}
+            rcache: dict = {}
+            if canon.forest_profile([lview], self.pin, lcache) != canon.forest_profile(
+                [rview], self.pin, rcache
+            ):
+                matched = False
+            else:
+                lkey = canon.best_assignment_with_keys([lview], self.pin, lcache)[0]
+                rkey = canon.best_assignment_with_keys([rview], self.pin, rcache, target=lkey)[0]
+                matched = lkey == rkey
         return SampleRecord(state, mapped, matched=matched)
 
 
@@ -368,7 +378,8 @@ def similarity(
     maps), and averages.  The call builds and normalizes every sample's
     trees in one shared arena per side, and decides each sample by pinned
     canonical keys, with no witness: literal-code keys when psi maps players
-    and outcomes, else keys over the labelings the pins leave.  Fixed
+    and outcomes, else a profile check and keys over the labelings the pins
+    leave.  Fixed
     (seed, samples, depth, scope) reproduce the report exactly; per-sample
     completeness gaps score 0 and are flagged.
     """

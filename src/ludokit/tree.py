@@ -491,16 +491,14 @@ class ArenaBuilder:
     root names its rounds left.  `add_root` hands out node ids in the order
     an unshared build of that root creates them, skipping nodes the arena
     already holds, so the arena is shared across roots the way a BDD
-    package's unique table is shared across functions.  A state that roots
-    after the first meet again, at another round, is expanded from the
-    moves kept for it, without running the rules.  `node_budget` bounds
-    each root's unfolded tree (systems can describe infinite trees).  Every
-    arena built from one system shares the system engine's label cache.
+    package's unique table is shared across functions.  `node_budget`
+    bounds each root's unfolded tree (systems can describe infinite trees).
+    Every arena built from one system shares the system engine's label
+    cache.
     """
 
     __slots__ = (
-        "tree", "depth_limit", "node_budget", "_engine", "_nodes", "_labels", "_moves",
-        "_size",
+        "tree", "depth_limit", "node_budget", "_engine", "_nodes", "_labels", "_size",
     )
 
     def __init__(
@@ -516,11 +514,6 @@ class ArenaBuilder:
         self.node_budget = node_budget
         self._nodes: dict = {}  # state, or (state, round) under a depth limit
         self._labels: dict[DecisionTuple, EdgeLabel] = {}
-        # Per state a root after the first has met, whose every decision
-        # tuple some consequence rule matches: () or, once it is expanded
-        # after it was met, its moves, each (label, successor, None) or
-        # (label, None, [(probability, successor), ...]).
-        self._moves: dict[GameState, object] = {}
         self._size: list[int] = []  # per node, its unfolded size
 
     def add_root(self, s0: GameState) -> int:
@@ -537,11 +530,9 @@ class ArenaBuilder:
         node_budget = self.node_budget
         nodes = self._nodes
         labels = self._labels
-        known = self._moves
         node_kind, node_outcome = tree.node_kind, tree.node_outcome
         parent_edge = tree.node_parent_edge
         start, edge_start, keys_start = len(node_kind), len(tree.edge_kind), len(nodes)
-        sharing = start > 0  # the first root shares nothing, so it keeps no moves
         # old node -> its parent edge before this root pointed a new edge at it
         adopted: dict[int, int] = {}
 
@@ -573,61 +564,32 @@ class ArenaBuilder:
                 return root
             while stack:
                 node, state, gen = stack.pop()
-                moves = known.get(state) if sharing else None
-                if moves:
-                    # every rule ran when this state was met before
-                    if limited and gen > depth_limit:
-                        node_kind[node] = TRUNCATED
-                        continue
-                    for label, succ, succs in moves:
-                        if succs is None:
-                            add_edge(node, node_for(succ, gen + 1), DECISION_EDGE, label=label)
-                        else:
-                            chance = add_node(CHANCE)
-                            add_edge(node, chance, DECISION_EDGE, label=label)
-                            for p, succ in succs:
-                                add_edge(chance, node_for(succ, gen + 1), CHANCE_EDGE, prob=p)
-                else:
-                    sets = engine.legal_sets(state)
-                    if not any(sets):
-                        node_kind[node] = TERMINAL
-                        node_outcome[node] = engine.outcome(state)
-                        continue
-                    dtuples = itertools.product(*[sorted(s) if s else [None] for s in sets])
-                    if limited and gen > depth_limit:
-                        # Unexpanded, but a decision tuple no consequence
-                        # rule matches still raises, as on an expanded node.
-                        if moves is None:
-                            for dtuple in dtuples:
-                                engine.consequences(dtuple, state)
-                            if sharing:
-                                known[state] = ()
-                        node_kind[node] = TRUNCATED
-                        continue
-                    # A state met before keeps its moves for the times after.
-                    kept = [] if moves is not None else None
+                sets = engine.legal_sets(state)
+                if not any(sets):
+                    node_kind[node] = TERMINAL
+                    node_outcome[node] = engine.outcome(state)
+                    continue
+                dtuples = itertools.product(*[sorted(s) if s else [None] for s in sets])
+                if limited and gen > depth_limit:
+                    # Unexpanded, but a decision tuple no consequence rule
+                    # matches still raises, as it does on an expanded node.
                     for dtuple in dtuples:
-                        results = engine.consequences(dtuple, state)
-                        label = label_for(dtuple)
-                        if len(results) == 1:
-                            succ = engine.apply_actions(results[0][1], state)
-                            add_edge(node, node_for(succ, gen + 1), DECISION_EDGE, label=label)
-                            if kept is not None:
-                                kept.append((label, succ, None))
-                        else:
-                            chance = add_node(CHANCE)
-                            add_edge(node, chance, DECISION_EDGE, label=label)
-                            succs = []
-                            for p, names in results:
-                                succ = engine.apply_actions(names, state)
-                                succs.append((p, succ))
-                                add_edge(chance, node_for(succ, gen + 1), CHANCE_EDGE, prob=p)
-                            if kept is not None:
-                                kept.append((label, None, succs))
-                    if sharing:
-                        known[state] = kept or ()
+                        engine.consequences(dtuple, state)
+                    node_kind[node] = TRUNCATED
+                    continue
+                for dtuple in dtuples:
+                    results = engine.consequences(dtuple, state)
+                    if len(results) == 1:
+                        succ = engine.apply_actions(results[0][1], state)
+                        add_edge(node, node_for(succ, gen + 1), DECISION_EDGE,
+                                 label=label_for(dtuple))
+                    else:
+                        chance = add_node(CHANCE)
+                        add_edge(node, chance, DECISION_EDGE, label=label_for(dtuple))
+                        for p, names in results:
+                            succ = engine.apply_actions(names, state)
+                            add_edge(chance, node_for(succ, gen + 1), CHANCE_EDGE, prob=p)
                 if len(node_kind) - start > node_budget:
-                    ((dtuple,),) = label
                     raise BudgetExceededError(
                         f"node budget {node_budget} exceeded while expanding "
                         f"{format_decision_tuple(dtuple)}"

@@ -200,12 +200,22 @@ class TestBindingLimit:
         ))
 
     def test_binder_product_is_bounded(self):
+        """One diagnostic, at the first binder, and no second one for the
+        comprehension expanding to no terms."""
         messages = diagnostics_of(MINIMAL.replace(
             "init t=a", "init (any i in 1..100, j in 1..100, k in 1..11: t=a)"
         ))
-        assert messages[0] == (
+        assert messages == [
             "test.game:6:11: error: binders expand to 110000 combinations, more than 100000"
-        )
+        ]
+        # inside a forall, once, not once per iteration
+        messages = diagnostics_of(MINIMAL.replace(
+            "legal P m when t=a",
+            "forall z in 1..3 { legal P m when (all i in 1..100, j in 1..100, k in 1..11: t=a) }",
+        ))
+        assert messages == [
+            "test.game:7:40: error: binders expand to 110000 combinations, more than 100000"
+        ]
         parse_game(MINIMAL.replace(
             "init t=a", "init (any i in 1..100, j in 1..100, k in 1..10 if i = j: t=a)"
         ))

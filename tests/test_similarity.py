@@ -366,6 +366,21 @@ class TestKeyVerdicts:
                                 scope="reachable")
             assert 0 < report.matches < 40, case
 
+    def test_unequal_profiles_reject_before_labelings_are_counted(self):
+        """Nine outcomes a lone player picks among have 9! symmetric
+        labelings, over the limit; a right side whose first pick is a coin
+        between two of them has another profile, so the root scores 0, as
+        the relabel comparison rejects it, instead of raising."""
+        left, right = parse_game(_pick_game(split=False)), parse_game(_pick_game(split=True))
+        root = ("none",)
+        lform = reduce.normalize(tree.build_tree(left, root, depth_limit=2))[0]
+        rform = reduce.normalize(tree.build_tree(right, root, depth_limit=2))[0]
+        with pytest.raises(errors.LabelingLimitError):
+            canon.canonical_form(lform)
+        assert equiv.equivalent_up_to_relabeling(lform, rform) is None
+        psi = StateMap.identity(left, right)
+        assert exhaustive_proportion(left, right, psi, depth=2) == (9, 10)
+
     def test_roots_share_one_arena_per_side(self, systems, magic_psi):
         """Exhaustive reachable depth 3 builds one node per distinct (state,
         rounds left) on each side: 54,595, where the 10,957 trees built one
@@ -377,6 +392,25 @@ class TestKeyVerdicts:
         for builder in arenas.builders:
             kinds = builder.tree.node_kind
             assert sum(1 for k in kinds if k != tree.CHANCE) == len(builder._nodes) == 54595
+
+
+def _pick_game(split: bool) -> str:
+    """A lone player picks one of nine outcomes; with `split`, the first
+    pick is a fair coin between the first two."""
+    lines = [
+        "players P",
+        "track r { none, " + ", ".join(f"o{i}" for i in range(1, 10)) + " }",
+        "decisions " + ", ".join(f"d{i}" for i in range(1, 10)),
+        *(f"action to{i} {{ set r=o{i} }}" for i in range(1, 10)),
+        "init r=none",
+        *(f"legal P d{i} when r=none" for i in range(1, 10)),
+        *(f"consequence (d{i}) -> prob 1: to{i}" for i in range(2 if split else 1, 10)),
+        *(f"outcome o{i} when r=o{i}" for i in range(1, 9)),
+        "outcome default o9",
+    ]
+    if split:
+        lines.append("consequence (d1) -> prob 1/2: to1 ; prob 1/2: to2")
+    return "\n".join(lines) + "\n"
 
 
 # Counts up from 0 to 3 and stops, or jumps from 0 to 3; a step from n=0 or
