@@ -312,12 +312,7 @@ def _labeling(tree: GameTree, player_code: dict[str, bytes], outcome_code: dict[
     return axis_order, axis_header, out_code, {}, {}
 
 
-def make_key_fn(
-    tree: GameTree,
-    pin: Pin = PIN_SYMMETRY,
-    players: Optional[dict[str, str]] = None,
-    outcomes: Optional[dict[str, str]] = None,
-) -> Callable[[int], bytes]:
+def make_key_fn(tree: GameTree, pin: Pin = PIN_SYMMETRY) -> Callable[[int], bytes]:
     """A memoized per-node key function under literal player and outcome codes.
 
     Each node is keyed at most once, when first asked for, straight from
@@ -325,21 +320,14 @@ def make_key_fn(
     depth-first path of unkeyed nodes.  The nodes keyed so far must not
     change, so normalization can key its finished nodes on demand.  Literal
     codes are sound only where labels are pinned, so `pin` must pin players
-    and outcomes.  `players` and `outcomes`, bijections from the tree's
-    names, code each label under the name it maps to: the keys are those of
-    the renamed tree, which is not made.
+    and outcomes.  The codes are the tree's own names, so two key functions
+    agree on equivalent nodes of two trees that name their labels alike: an
+    arena built in another game's names (`tree.ArenaBuilder`) is keyed in
+    that game's codes.
     """
     if "players" not in pin or "outcomes" not in pin:
         raise ValueError("literal keys need players and outcomes pinned")
-    player_code = literal_player_codes(tree.players)
-    if players is not None:
-        named = literal_player_codes(players.values())
-        player_code = {p: named[players[p]] for p in tree.players}
-    outcome_code = {}
-    if outcomes is not None:
-        named = literal_outcome_codes(outcomes.values())
-        outcome_code = {o: named[name] for o, name in outcomes.items()}
-    labeling = _labeling(tree, player_code, outcome_code)
+    labeling = _labeling(tree, literal_player_codes(tree.players), {})
     pin_states = "states" in pin
     memo: dict[int, bytes] = {}
     orders: dict[int, list[int]] = {}

@@ -288,9 +288,7 @@ def cmd_equiv(args) -> int:
     left = _load_forest(args.a, args.budget)
     right = _load_forest(args.b, args.budget)
     if args.mode == "structural":
-        lskel = sorted(equiv.strip(t).digest for t in left)
-        rskel = sorted(equiv.strip(t).digest for t in right)
-        verdict = lskel == rskel
+        verdict = equiv.structurally_equivalent(left, right)
         witness = None
     elif args.mode == "relabel":
         witness = equiv.equivalent_up_to_relabeling(left, right, pin=args.pin)

@@ -110,8 +110,10 @@ def strip(tree: GameTree) -> Skeleton:
     return Skeleton(keys[tree.root], tree.node_count())
 
 
-def structurally_equivalent(left: GameTree, right: GameTree) -> bool:
-    return strip(left) == strip(right)
+def structurally_equivalent(left: ForestLike, right: ForestLike) -> bool:
+    """Equal skeletons: of two trees, or of two forests' members paired in
+    some order."""
+    return sorted(map(strip, _as_forest(left))) == sorted(map(strip, _as_forest(right)))
 
 
 def structural_correspondences(
@@ -725,6 +727,34 @@ def _ranked_choices(t: GameTree, n: int, axes: list[int], keys: dict[int, bytes]
     return canon.canonical_matrix(t, n, axes, cols)[2]
 
 
+def _keyed_alike(left_forest: list[GameTree], right_forest: list[GameTree], pin: Pin):
+    """The relabel decision: both forests' `canon.best_assignment_with_keys`
+    results under `pin` when their keys are equal, else None.
+
+    Sizes, player counts, pinned player sets and profiles reject first; each
+    side's cache carries its label signatures from the profile to the
+    keying, and the right side's keying stops at the left key.
+    """
+    if len(left_forest) != len(right_forest):
+        return None
+    if not left_forest:
+        raise TreeInvariantError("empty forest")
+    left_players, right_players = left_forest[0].players, right_forest[0].players
+    if len(left_players) != len(right_players):
+        return None
+    if "players" in pin and sorted(left_players) != sorted(right_players):
+        return None
+    l_cache: dict = {}
+    r_cache: dict = {}
+    if canon.forest_profile(left_forest, pin, l_cache) != canon.forest_profile(
+        right_forest, pin, r_cache
+    ):
+        return None
+    lbest = canon.best_assignment_with_keys(left_forest, pin, l_cache)
+    rbest = canon.best_assignment_with_keys(right_forest, pin, r_cache, target=lbest[0])
+    return (lbest, rbest) if lbest[0] == rbest[0] else None
+
+
 def equivalent_up_to_relabeling(
     left: ForestLike, right: ForestLike, pin=()
 ) -> Optional[EquivalenceWitness]:
@@ -732,40 +762,17 @@ def equivalent_up_to_relabeling(
 
     Accepts single trees or forests; a forest comparison requires a
     bijection between member trees with one global player map and one global
-    outcome map across the whole forest.
+    outcome map across the whole forest.  The keys decide (`_keyed_alike`);
+    the witness is read off the labelings and the key pass's orders.
     """
-    pin = _as_pin(pin)
     left_forest = _as_forest(left)
     right_forest = _as_forest(right)
-    if len(left_forest) != len(right_forest):
+    keyed = _keyed_alike(left_forest, right_forest, _as_pin(pin))
+    if keyed is None:
         return None
-    if not left_forest:
-        raise TreeInvariantError("empty forest")
-    if len(left_forest[0].players) != len(right_forest[0].players):
-        return None
-    if "players" in pin and sorted(left_forest[0].players) != sorted(
-        right_forest[0].players
-    ):
-        return None
-    # Cheap invariant fingerprints reject most inequivalent pairs before any
-    # canonicalization (probability multisets, outcome/player statistics).
-    # Each side's cache carries its label signatures from the profile to the
-    # assignments, so each forest is walked for them once.
-    l_cache: dict = {}
-    r_cache: dict = {}
-    if canon.forest_profile(left_forest, pin, l_cache) != canon.forest_profile(
-        right_forest, pin, r_cache
-    ):
-        return None
-    lkey, (l_players, l_outcomes), lkeys, lorders = canon.best_assignment_with_keys(
-        left_forest, pin, l_cache
-    )
-    # The right side stops at the first labeling that reaches the left key.
-    rkey, (r_players, r_outcomes), rkeys, rorders = canon.best_assignment_with_keys(
-        right_forest, pin, r_cache, target=lkey
-    )
-    if lkey != rkey:
-        return None
+    lbest, rbest = keyed
+    _, (l_players, l_outcomes), lkeys, lorders = lbest
+    _, (r_players, r_outcomes), rkeys, rorders = rbest
     player_map = _code_map(l_players, r_players)
     outcome_map = _code_map(l_outcomes, r_outcomes)
     if player_map is None or outcome_map is None:
@@ -843,5 +850,4 @@ def relabel_tree(
         dup.node_outcome = [
             outcome_map.get(o, o) if o is not None else None for o in dup.node_outcome
         ]
-    dup.system = None
     return dup

@@ -385,7 +385,7 @@ def normalizer(tree: GameTree, trace: Optional[ReductionTrace] = None) -> Normal
     """
     if trace is None:
         trace = ReductionTrace()
-    out = GameTree(tree.players, tree.system)
+    out = GameTree(tree.players)
     out.label_cache = tree.label_cache
     key_fn = canon.make_key_fn(out, canon.PIN_SYMMETRY)
     origin: list[int] = []  # per output node, the input node it copies

@@ -11,8 +11,10 @@ interval.
 
 One call builds all its roots into one arena per side and normalizes them
 with one normalizer per side, so subtrees that roots share are built and
-normalized once; each root is decided by its pinned canonical key, and no
-witness is built (`_SharedArenas`).
+normalized once.  The right side's arena is built in the left game's names,
+the players and outcomes psi maps it back to, so each root is decided by the
+relabel comparison's keys on the two forms as they stand, and no witness is
+built (`_SharedArenas`).
 
 Sampling is uniform over the full track product by default ("all" scope),
 which compares the rules beyond just legally reachable play; "reachable"
@@ -27,7 +29,7 @@ import random
 from statistics import NormalDist
 from typing import NamedTuple, Optional
 
-from . import canon, reduce as reduce_mod
+from . import canon, equiv, reduce as reduce_mod
 from .core import (
     GameState,
     GameSystem,
@@ -82,6 +84,9 @@ class StateMap(NamedTuple):
             raise StateMapError("track map does not cover exactly the source tracks")
         if sorted(self.tracks.values()) != sorted(dst_tracks):
             raise StateMapError("track map is not a bijection onto the target tracks")
+        for name in self.values:
+            if name not in self.tracks:
+                raise StateMapError(f"value map for unknown track {name!r}")
         for name, target in self.tracks.items():
             vmap = self.values.get(name)
             if vmap is None:
@@ -251,43 +256,32 @@ class _SharedArenas:
     root's depth-limited tree is built into and one normalizer over it, so
     a subtree two roots reach is built, normalized and keyed once.
 
-    A root is decided by pinned canonical keys, and no witness is built.
-    Where psi maps players and outcomes, keys use literal codes, each side
-    from one key memo: the left side's own names, the memo its normalizer
-    groups symmetric siblings by, and the right side's names mapped back
-    through psi, so no relabeled copy of the right form is made.
-    Otherwise a root whose two forms' profiles differ is rejected, and
-    else each form is keyed over its candidate labelings under the pins psi
-    gives (`canon.best_assignment_with_keys`), the right side's pinned names
-    mapped back through psi and its keying stopping at the left key.  Either way equal keys are the verdict of
-    `equiv.equivalent_up_to_relabeling` on the two forms, the right one
-    relabeled.  A root whose build meets a decision tuple no consequence
-    rule matches is a completeness gap, and its side's arena is left as it
-    was, so a later root that reaches the same states is one too.
+    The right arena speaks the left game's names: psi's inverse player and
+    outcome maps rename its labels as they are written (`ArenaBuilder`), so
+    its forms are the right forms relabeled, and no relabeled copy is made.
+    A root is decided with no witness.  Where psi maps players and
+    outcomes, both label classes are pinned, and the two normalizers'
+    literal key memos (the memos they group symmetric siblings by) decide:
+    equal literal keys are equivalence under that pin.  Otherwise the two
+    rooted forms are decided by `equiv._keyed_alike`, the decision of
+    `equiv.equivalent_up_to_relabeling`, under the pins psi gives.  A root
+    whose build meets a decision tuple no consequence rule matches is a
+    completeness gap, and its side's arena is left as it was, so a later
+    root that reaches the same states is one too.
     """
 
     def __init__(self, left: GameSystem, right: GameSystem, psi: StateMap, depth: int):
         self.left, self.right, self.psi = left, right, psi
-        self.builders = (ArenaBuilder(left, depth), ArenaBuilder(right, depth))
-        self.normalizers = [reduce_mod.normalizer(b.tree) for b in self.builders]
-        player_map = None if psi.players is None else {v: k for k, v in psi.players.items()}
-        self.outcome_map = None if psi.outcomes is None else {
-            v: k for k, v in psi.outcomes.items()
-        }
-        self.right_players = right.players if player_map is None else tuple(
-            player_map[p] for p in right.players
+        back = psi.inverse()
+        self.builders = (
+            ArenaBuilder(left, depth),
+            ArenaBuilder(right, depth, players=back.players, outcomes=back.outcomes),
         )
-        self.right_outcomes: list[Optional[str]] = []  # per right form node, renamed
+        self.normalizers = [reduce_mod.normalizer(b.tree) for b in self.builders]
         self.pin = frozenset(
             name for name, m in (("players", psi.players), ("outcomes", psi.outcomes))
             if m is not None
         )
-        self.keys = None
-        if self.pin == canon.PIN_SYMMETRY:
-            lnorm, rnorm = self.normalizers
-            self.keys = (lnorm.key_fn, canon.make_key_fn(
-                rnorm.out, canon.PIN_SYMMETRY, player_map, self.outcome_map
-            ))
 
     def compare(self, state: GameState) -> SampleRecord:
         """Score one state."""
@@ -300,33 +294,12 @@ class _SharedArenas:
             return SampleRecord(state, mapped, matched=False, completeness_gap=True)
         lnorm, rnorm = self.normalizers
         lform, rform = lnorm.form(lroot), rnorm.form(rroot)
-        if self.keys is not None:
-            matched = self.keys[0](lform) == self.keys[1](rform)
-        elif len(self.left.players) != len(self.right.players):
-            matched = False
+        if self.pin == canon.PIN_SYMMETRY:
+            matched = lnorm.key_fn(lform) == rnorm.key_fn(rform)
         else:
-            lview = lnorm.out.rooted(lform)
-            rview = rnorm.out.rooted(rform, self.right_players)
-            if self.outcome_map is not None:
-                renamed, outcomes = self.right_outcomes, rview.node_outcome
-                renamed.extend([
-                    None if o is None else self.outcome_map[o]
-                    for o in outcomes[len(renamed):]
-                ])
-                rview.node_outcome = renamed
-            # As in the relabel comparison, unequal profiles reject the root
-            # before its labelings are counted or keyed; each cache carries
-            # its side's label signatures over to the keying.
-            lcache: dict = {}
-            rcache: dict = {}
-            if canon.forest_profile([lview], self.pin, lcache) != canon.forest_profile(
-                [rview], self.pin, rcache
-            ):
-                matched = False
-            else:
-                lkey = canon.best_assignment_with_keys([lview], self.pin, lcache)[0]
-                rkey = canon.best_assignment_with_keys([rview], self.pin, rcache, target=lkey)[0]
-                matched = lkey == rkey
+            matched = equiv._keyed_alike(
+                [lnorm.out.rooted(lform)], [rnorm.out.rooted(rform)], self.pin
+            ) is not None
         return SampleRecord(state, mapped, matched=matched)
 
 
@@ -378,10 +351,10 @@ def similarity(
     maps), and averages.  The call builds and normalizes every sample's
     trees in one shared arena per side, and decides each sample by pinned
     canonical keys, with no witness: literal-code keys when psi maps players
-    and outcomes, else a profile check and keys over the labelings the pins
-    leave.  Fixed
-    (seed, samples, depth, scope) reproduce the report exactly; per-sample
-    completeness gaps score 0 and are flagged.
+    and outcomes, else the relabel comparison's profile check and keys over
+    the labelings the pins leave.  Fixed (seed, samples, depth, scope)
+    reproduce the report exactly; per-sample completeness gaps score 0 and
+    are flagged.
     """
     if samples <= 0:
         raise LudokitError("similarity needs a positive sample count")
@@ -390,16 +363,9 @@ def similarity(
     draw = _scope_sampler(left, scope, rng)
     states = [draw() for _ in range(samples)]
     arenas = _SharedArenas(left, right, psi, depth)
-    records = []
-    matches = 0
-    gaps = 0
-    for state in states:
-        record = arenas.compare(state)
-        records.append(record)
-        if record.matched:
-            matches += 1
-        if record.completeness_gap:
-            gaps += 1
+    records = [arenas.compare(state) for state in states]
+    matches = sum(record.matched for record in records)
+    gaps = sum(record.completeness_gap for record in records)
     low, high = wilson_interval(matches, samples, _CONFIDENCE_LEVEL)
     return SimilarityReport(
         estimate=matches / samples,
@@ -434,8 +400,4 @@ def exhaustive_proportion(
     if pool is None:
         pool = list(enumerate_states(left))
     arenas = _SharedArenas(left, right, psi, depth)
-    matches = 0
-    for state in pool:
-        if arenas.compare(state).matched:
-            matches += 1
-    return matches, len(pool)
+    return sum(arenas.compare(state).matched for state in pool), len(pool)

@@ -84,12 +84,11 @@ class GameTree:
     __slots__ = (
         "players", "node_kind", "node_state", "node_outcome", "node_children",
         "node_parent_edge", "edge_kind", "edge_src", "edge_dst", "edge_prob",
-        "edge_label", "root", "system", "label_cache",
+        "edge_label", "root", "label_cache",
     )
 
-    def __init__(self, players: tuple[str, ...], system: Optional[GameSystem] = None):
+    def __init__(self, players: tuple[str, ...]):
         self.players = players
-        self.system = system
         # Keyed by immutable label values (an edge label, a node's tuple of
         # out-edge labels, or such a value under a tag), so it survives
         # every rewrite.
@@ -181,7 +180,7 @@ class GameTree:
     def copy(self) -> "GameTree":
         """An independent arena with the same columns; the label cache is
         shared, as its entries are keyed by immutable labels."""
-        dup = GameTree(self.players, self.system)
+        dup = GameTree(self.players)
         dup.label_cache = self.label_cache
         dup.node_kind = list(self.node_kind)
         dup.node_state = list(self.node_state)
@@ -196,22 +195,13 @@ class GameTree:
         dup.root = self.root
         return dup
 
-    def rooted(self, root: int, players: Optional[tuple[str, ...]] = None) -> "GameTree":
-        """The arena seen from another root, its players optionally renamed:
-        a tree over the same column lists, so it costs nothing to make and
-        sees the arena grow, and it must not be rewritten."""
-        view = GameTree(self.players if players is None else players, self.system)
-        view.label_cache = self.label_cache
-        view.node_kind = self.node_kind
-        view.node_state = self.node_state
-        view.node_outcome = self.node_outcome
-        view.node_children = self.node_children
-        view.node_parent_edge = self.node_parent_edge
-        view.edge_kind = self.edge_kind
-        view.edge_src = self.edge_src
-        view.edge_dst = self.edge_dst
-        view.edge_prob = self.edge_prob
-        view.edge_label = self.edge_label
+    def rooted(self, root: int) -> "GameTree":
+        """The arena seen from another root: a tree over the same column
+        lists, so it costs nothing to make and sees the arena grow, and it
+        must not be rewritten."""
+        view = GameTree(self.players)
+        for name in GameTree.__slots__:
+            setattr(view, name, getattr(self, name))
         view.root = root
         return view
 
@@ -345,7 +335,7 @@ def _unfold(tree: GameTree) -> tuple[GameTree, list[int]]:
                 edge_src.append(c)
                 stack.append((edge_dst[e2], g))
 
-    out = GameTree(tree.players, tree.system)
+    out = GameTree(tree.players)
     out.label_cache = tree.label_cache
     out.node_kind = [node_kind[n] for n in origin]
     out.node_state = [tree.node_state[n] for n in origin]
@@ -432,7 +422,7 @@ def compact(tree: GameTree) -> GameTree:
             for e2 in node_children[child]:
                 stack.append(edge_dst[e2])
 
-    out = GameTree(tree.players, tree.system)
+    out = GameTree(tree.players)
     out.label_cache = tree.label_cache
     out.node_kind = [node_kind[n] for n in origin]
     out.node_state = [tree.node_state[n] for n in origin]
@@ -495,10 +485,16 @@ class ArenaBuilder:
     bounds each root's unfolded tree (systems can describe infinite trees).
     Every arena built from one system shares the system engine's label
     cache.
+
+    `players` and `outcomes`, bijections from the system's names, rename
+    the arena's labels as they are written: `tree.players` and each
+    terminal's outcome carry the names they map to, so the arena is the
+    relabeled arena, and no relabeled copy is made.
     """
 
     __slots__ = (
         "tree", "depth_limit", "node_budget", "_engine", "_nodes", "_labels", "_size",
+        "_outcomes",
     )
 
     def __init__(
@@ -506,12 +502,17 @@ class ArenaBuilder:
         sys: GameSystem,
         depth_limit: Optional[int] = None,
         node_budget: int = DEFAULT_NODE_BUDGET,
+        players: Optional[dict[str, str]] = None,
+        outcomes: Optional[dict[str, str]] = None,
     ):
         self._engine = sys.engine()
-        self.tree = GameTree(sys.players, sys)
+        self.tree = GameTree(
+            sys.players if players is None else tuple(players[p] for p in sys.players)
+        )
         self.tree.label_cache = self._engine.label_cache
         self.depth_limit = depth_limit
         self.node_budget = node_budget
+        self._outcomes = outcomes
         self._nodes: dict = {}  # state, or (state, round) under a depth limit
         self._labels: dict[DecisionTuple, EdgeLabel] = {}
         self._size: list[int] = []  # per node, its unfolded size
@@ -530,6 +531,7 @@ class ArenaBuilder:
         node_budget = self.node_budget
         nodes = self._nodes
         labels = self._labels
+        outcomes = self._outcomes
         node_kind, node_outcome = tree.node_kind, tree.node_outcome
         parent_edge = tree.node_parent_edge
         start, edge_start, keys_start = len(node_kind), len(tree.edge_kind), len(nodes)
@@ -567,7 +569,8 @@ class ArenaBuilder:
                 sets = engine.legal_sets(state)
                 if not any(sets):
                     node_kind[node] = TERMINAL
-                    node_outcome[node] = engine.outcome(state)
+                    outcome = engine.outcome(state)
+                    node_outcome[node] = outcome if outcomes is None else outcomes[outcome]
                     continue
                 dtuples = itertools.product(*[sorted(s) if s else [None] for s in sets])
                 if limited and gen > depth_limit:

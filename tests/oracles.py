@@ -172,7 +172,7 @@ def build_tree(
     node count (systems can describe infinite trees).
     """
     engine = sys.engine()
-    tree = GameTree(sys.players, sys)
+    tree = GameTree(sys.players)
     label_cache: dict[DecisionTuple, EdgeLabel] = {}
 
     def label_for(dtuple: DecisionTuple) -> EdgeLabel:

@@ -92,6 +92,12 @@ class TestStrip:
         assert strip(a) == strip(b)
         assert structurally_equivalent(a, b)
 
+    def test_forests_pair_members_in_any_order(self):
+        path, star, deep = path_tree(["w", "w"]), star_tree(["a", "b"]), binary_tree(2)
+        assert structurally_equivalent([path, star], [star_tree(["x", "y"]), path_tree(["z"] * 2)])
+        assert not structurally_equivalent([path, star], [star, deep])
+        assert not structurally_equivalent([path, star], [star])
+
     def test_different_leaf_counts_differ(self):
         assert strip(star_tree(["w", "w"])) != strip(star_tree(["w", "w", "w"]))
 

@@ -132,6 +132,13 @@ class TestStateMap:
         with pytest.raises(StateMapError):
             bad.validate(ttt, t315)
 
+    def test_values_for_an_unknown_track_rejected(self, systems):
+        ttt, t315 = systems["tictactoe"], systems["3to15"]
+        doc = json.loads(fixture_text("magic_square_psi.json"))
+        doc["values"]["bogus"] = {"a": "b"}
+        with pytest.raises(StateMapError, match="'bogus'"):
+            StateMap.from_json(json.dumps(doc)).validate(ttt, t315)
+
     def test_json_roundtrip(self, magic_psi):
         again = StateMap.from_json(magic_psi.to_json())
         assert again == magic_psi
@@ -351,6 +358,8 @@ class TestKeyVerdicts:
                 node = norm.form(arenas.builders[side].add_root(root))  # both held: no work
                 shared = norm.out.rooted(node)
                 one = reduce.normalize(tree.build_tree(sys_, root, depth_limit=depth))[0]
+                if side:
+                    one = equiv.relabel_tree(one, players, outcomes)
                 assert equiv.canonical_form(shared, canon.PIN_ALL) == equiv.canonical_form(
                     one, canon.PIN_ALL
                 )
@@ -465,6 +474,44 @@ class TestCompletenessGapsInSharedArenas:
             else:
                 assert record.matched and not record.completeness_gap, state
         assert exhaustive_proportion(sys_, sys_, psi, depth=3) == (3, 8)
+
+
+class TestRenamedArena:
+    """An arena built under player and outcome maps is the plain arena
+    relabeled through them, column for column."""
+
+    @staticmethod
+    def assert_relabeled(builder, sys_, root, depth, players, outcomes):
+        node = builder.add_root(root)
+        renamed = tree.unfold(builder.tree.rooted(node))
+        plain = tree.build_tree(sys_, root, depth_limit=depth)
+        relabeled = tree.unfold(equiv.relabel_tree(plain, players, outcomes))
+        assert renamed.players == relabeled.players
+        assert _columns(renamed) == _columns(relabeled), root
+
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_magic_square_inverse_maps(self, systems, magic_psi, swap):
+        """psi's own maps are identities; `swap` renames both label classes."""
+        back = magic_psi.inverse()
+        if swap:
+            back = _valence_map(systems["tictactoe"])._replace(players={"X": "O", "O": "X"})
+        right = systems["3to15"]
+        builder = tree.ArenaBuilder(right, 2, players=back.players, outcomes=back.outcomes)
+        rng = random.Random(5)
+        pool = sorted(core.reachable_states(right))
+        for _ in range(12):
+            root = pool[rng.randrange(len(pool))]
+            self.assert_relabeled(builder, right, root, 2, back.players, back.outcomes)
+
+    def test_after_a_completeness_gap(self):
+        sys_ = parse_game(GAP_GAME)
+        players, outcomes = {"P": "Q"}, {"done": "over"}
+        builder = tree.ArenaBuilder(sys_, 3, players=players, outcomes=outcomes)
+        self.assert_relabeled(builder, sys_, ("2", "off"), 3, players, outcomes)
+        with pytest.raises(errors.NoRuleMatchesError):
+            builder.add_root(("0", "off"))
+        for root in [("2", "off"), ("3", "off"), ("3", "on")]:
+            self.assert_relabeled(builder, sys_, root, 3, players, outcomes)
 
 
 def _columns(t):
