@@ -7,6 +7,8 @@ refused computations, an output that cannot be written, and running out of
 memory or of recursion depth.  `main` alone turns an exception into a code.
 Reports go to stdout, diagnostics to stderr; output is plain text (NO_COLOR
 is honored trivially) and byte-stable for fixed arguments and seeds.
+Each verb imports the tree layers it runs when it runs, so `validate` and
+`play` load only `core`, `dsl` and `errors`.
 """
 
 from __future__ import annotations
@@ -17,11 +19,11 @@ import errno
 import json
 import os
 import sys as _sys
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from . import dsl, equiv, reduce as reduce_mod, tree as tree_mod
-from .similarity import StateMap, similarity as estimate_similarity
+from . import dsl
 from .core import (
+    DEFAULT_NODE_BUDGET,
     GameSystem,
     check_completeness,
     first_policy,
@@ -31,7 +33,9 @@ from .core import (
     play,
 )
 from .errors import LudokitError
-from .tree import DEFAULT_NODE_BUDGET, GameTree, build_forest, build_tree
+
+if TYPE_CHECKING:
+    from .tree import GameTree
 
 OK, NEGATIVE, USAGE = 0, 1, 2
 
@@ -93,6 +97,8 @@ def _load_system(path: str) -> GameSystem:
 def _load_forest(path: str, budget: int) -> list[GameTree]:
     """A .game file builds its full forest; a .json file imports a tree
     document or a ``{"forest": [...]}`` document of several."""
+    from . import tree as tree_mod
+
     if path.endswith(".json"):
         try:
             return tree_mod.import_forest_json(_read_text(path))
@@ -100,7 +106,7 @@ def _load_forest(path: str, budget: int) -> list[GameTree]:
             raise _Failure(f"{path}: {exc}") from exc
     sys_ = _load_system(path)
     try:
-        return build_forest(sys_, node_budget=budget)
+        return tree_mod.build_forest(sys_, node_budget=budget)
     except LudokitError as exc:
         raise _Failure(f"{path}: {exc}") from exc
 
@@ -147,6 +153,8 @@ def _output(path: Optional[str], mode: str = "w"):
 def _write_trees(forest: list[GameTree], fmt: str, write) -> None:
     """DOT of each tree, one tree's JSON document, or ``{"forest": [...]}``
     holding the documents of a nonempty forest of several trees."""
+    from . import tree as tree_mod
+
     if fmt == "dot":
         for t in forest:
             tree_mod.write_dot(t, write)
@@ -233,6 +241,8 @@ def cmd_play(args) -> int:
 
 
 def cmd_tree(args) -> int:
+    from . import tree as tree_mod
+
     sys_ = _load_system(args.file)
     if args.root is not None:
         roots = [_parse_state(sys_, args.root)]
@@ -241,7 +251,7 @@ def cmd_tree(args) -> int:
     export = args.out is not None or not args.stats
     with _output(args.out) if export else contextlib.nullcontext() as write:
         forest = [
-            build_tree(sys_, s0, depth_limit=args.depth, node_budget=args.budget)
+            tree_mod.build_tree(sys_, s0, depth_limit=args.depth, node_budget=args.budget)
             for s0 in roots
         ]
         if args.stats:
@@ -258,6 +268,8 @@ def cmd_tree(args) -> int:
 
 
 def cmd_reduce(args) -> int:
+    from . import reduce as reduce_mod
+
     if (
         args.trace not in (None, "-")
         and args.out not in (None, "-")
@@ -285,6 +297,8 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_equiv(args) -> int:
+    from . import equiv
+
     left = _load_forest(args.a, args.budget)
     right = _load_forest(args.b, args.budget)
     if args.mode == "structural":
@@ -309,6 +323,8 @@ def cmd_equiv(args) -> int:
 
 
 def cmd_sim(args) -> int:
+    from .similarity import StateMap, similarity as estimate_similarity
+
     left = _load_system(args.a)
     right = _load_system(args.b)
     if args.map is not None:
@@ -339,8 +355,10 @@ def cmd_sim(args) -> int:
 
 
 def _pin_flags(text: str) -> frozenset:
+    from .equiv import _as_pin
+
     try:
-        return equiv._as_pin(p.strip() for p in text.split(",") if p.strip())
+        return _as_pin(p.strip() for p in text.split(",") if p.strip())
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
@@ -352,6 +370,13 @@ def _non_negative(text: str) -> int:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
+def _positive(text: str) -> int:
+    value = _non_negative(text)
+    if value == 0:
+        raise argparse.ArgumentTypeError("must be positive, got 0")
     return value
 
 
@@ -409,7 +434,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("a")
     p.add_argument("b")
     p.add_argument("--map", help="state map JSON file (default: identity)")
-    p.add_argument("--samples", type=_non_negative, default=500)
+    p.add_argument("--samples", type=_positive, default=500)
     p.add_argument("--depth", type=_non_negative, default=2)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--scope", choices=["all", "reachable"], default="all")

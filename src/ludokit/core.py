@@ -42,6 +42,10 @@ DecisionTuple = tuple[Optional[str], ...]
 # In consequence-rule patterns, "*" matches any decision including null.
 WILDCARD = "*"
 
+# Nodes a tree build may create before it refuses.  It lives here, not in
+# `tree`, so that the command line's defaults need no tree-layer import.
+DEFAULT_NODE_BUDGET = 10_000_000
+
 
 # ---------------------------------------------------------------------------
 # Value records

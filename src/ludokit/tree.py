@@ -47,6 +47,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from typing import Callable, Iterator, NamedTuple, Optional, Union
 
 from .core import (
+    DEFAULT_NODE_BUDGET,
     DecisionTuple,
     GameState,
     GameSystem,
@@ -66,8 +67,6 @@ _KIND_CODES = {v: k for k, v in _KIND_NAMES.items()}
 
 DECISION_EDGE = 0
 CHANCE_EDGE = 1
-
-DEFAULT_NODE_BUDGET = 10_000_000
 
 # A decision-tuple sequence; single-player reductions produce length > 1.
 TupleSeq = tuple[DecisionTuple, ...]

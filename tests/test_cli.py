@@ -420,6 +420,14 @@ class TestUsage:
             assert code == 2, argv
             assert out == "" and "non-negative" in err
 
+    def test_zero_samples_is_a_usage_error(self, capsys):
+        """The parser refuses a sample count of 0 as it does a negative one,
+        before any game is read."""
+        game = fixture_path("mixed_a.game")
+        code, out, err = run(capsys, "sim", game, game, "--samples", "0")
+        assert (code, out) == (2, "")
+        assert err.endswith("ludokit sim: error: argument --samples: must be positive, got 0\n")
+
 
 class TestCyclicGame:
     def test_validate_names_a_state_on_the_loop(self, capsys, tmp_path):

@@ -52,6 +52,15 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _build_depth3_forests(monkeypatch) -> None:
+    """The CLI's `.game` inputs build depth-3 forests; `equiv` looks
+    `build_forest` up on the tree module when it runs."""
+    build = tree.build_forest
+    monkeypatch.setattr(
+        tree, "build_forest", lambda system, node_budget: build(system, 3, node_budget)
+    )
+
+
 @pytest.fixture(scope="module")
 def depth3_forests(systems):
     return {g: tree.build_forest(systems[g], depth_limit=3) for g in GAMES}
@@ -177,10 +186,7 @@ class TestCli:
     def test_equiv_witness_depth3(self, capsys, monkeypatch, depth3_references, left, right):
         """The witness of two shared forests unfolds to the bytes of the
         witness of the unshared ones."""
-        monkeypatch.setattr(
-            cli, "build_forest",
-            lambda system, node_budget: tree.build_forest(system, 3, node_budget),
-        )
+        _build_depth3_forests(monkeypatch)
         code, out, _ = run(
             capsys, "equiv", fixture_path(f"{left}.game"), fixture_path(f"{right}.game"),
             "--witness",
@@ -197,10 +203,7 @@ class TestCli:
     def test_agency_witness_parity_depth3(self, capsys, monkeypatch):
         """Pinned bytes: parity's depth-3 normal form is unshared, and the
         witness names its nodes by the ids `unfold` gives them."""
-        monkeypatch.setattr(
-            cli, "build_forest",
-            lambda system, node_budget: tree.build_forest(system, 3, node_budget),
-        )
+        _build_depth3_forests(monkeypatch)
         game = fixture_path("parity.game")
         code, out, _ = run(capsys, "equiv", game, game, "--mode", "agency", "--witness")
         assert code == 0
@@ -276,7 +279,7 @@ class TestUnwritableOutput:
         def refuse(*args, **kwargs):
             raise AssertionError("built a tree for an unwritable output")
 
-        monkeypatch.setattr(cli, "build_tree", refuse)
+        monkeypatch.setattr(tree, "build_tree", refuse)
         monkeypatch.setattr(cli, "_load_forest", refuse)
         path = str(tmp_path / "missing" / "x.json")
         assert run(capsys, "tree", fixture_path("parity.game"), "--out", path)[0] == 2

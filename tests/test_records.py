@@ -7,6 +7,10 @@ generated source.  The records with mutable or lazily filled fields are
 `core.SlotRecord` classes: they compare and print as the mutable
 dataclasses they replaced did, and are unhashable like them.  So importing
 the package needs neither `dataclasses` nor `inspect`.
+
+Importing the package compiles only `core`, `dsl` and `errors`; its other
+re-exports load on first use, and still name the objects their modules
+define.
 """
 
 from __future__ import annotations
@@ -94,6 +98,109 @@ def test_import_loads_neither_dataclasses_nor_inspect():
         env={**os.environ, "PYTHONPATH": src}, timeout=60, check=True,
     )
     assert done.stdout.strip() == "[]"
+
+
+_SRC = str(pathlib.Path(ludokit.__file__).resolve().parent.parent)
+_PARITY = str(pathlib.Path(__file__).parent / "fixtures" / "parity.game")
+_BASE = {"ludokit", "ludokit.core", "ludokit.dsl", "ludokit.errors"}
+
+
+# Runs `python -m ludokit ARGS` in the interpreter, then names the package's
+# modules it loaded.
+_RUN_CLI = """
+import runpy, sys
+sys.argv[0] = "ludokit"
+try:
+    runpy.run_module("ludokit", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    assert exc.code == 0, exc.code
+print(*sorted(m for m in sys.modules if m.split(".")[0] == "ludokit"))
+"""
+
+
+def _loaded(code: str, *args: str) -> set[str]:
+    """The package's modules a fresh interpreter loads running `code` with
+    `args`, compiled from source as on a first run after install."""
+    done = subprocess.run(
+        [sys.executable, "-c", code, *args], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": _SRC, "PYTHONDONTWRITEBYTECODE": "1"},
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    return set(done.stdout.splitlines()[-1].split())
+
+
+@pytest.mark.parametrize("code, args, loaded", [
+    ("import sys, ludokit; print(*(m for m in sys.modules if m.split('.')[0] == 'ludokit'))",
+     [], _BASE),
+    (_RUN_CLI, ["validate", _PARITY], _BASE | {"ludokit.cli"}),
+    (_RUN_CLI, ["play", _PARITY], _BASE | {"ludokit.cli"}),
+    (_RUN_CLI, ["tree", "--depth", "1", _PARITY],
+     _BASE | {"ludokit.cli", "ludokit.tree", "ludokit.canon"}),
+], ids=["import", "validate", "play", "tree"])
+def test_cold_start_loads_only_what_it_runs(code, args, loaded):
+    """Importing the package compiles `core`, `dsl` and `errors` only; a
+    verb loads the tree layers it runs, and `validate` and `play` none."""
+    assert _loaded(code, *args) == loaded
+
+
+# Every public name the package exported when all of it loaded on import,
+# by the module that defines it.
+PUBLIC = {
+    "core": "ActionClause ActionDef And ConsequenceRule DecisionTuple GameState "
+    "GameSystem LegalityRule Lit Not Or OutcomeRule Playthrough Probability Ref "
+    "TrackSpec WILDCARD apply_action check_completeness consequences enumerate_states "
+    "eval_state_set initial_states is_terminal legal_decision_tuples legal_set "
+    "outcome play reachable_states validate_system",
+    "dsl": "Diagnostic GameParseError parse_file parse_game serialize_game",
+    "errors": "AmbiguityWarning BudgetExceededError IllegalDecisionError "
+    "InvalidSystemError LabelingLimitError LudokitError NoRuleMatchesError "
+    "NonTerminalStateError RoundLimitError StateMapError TerminalStateError "
+    "TreeInvariantError",
+    "equiv": "EquivalenceWitness Skeleton agency_equivalent canonical_form "
+    "compose_witnesses equivalent_up_to_relabeling invert_witness strip "
+    "structural_correspondences structurally_equivalent verify_witness",
+    "reduce": "ReductionTrace normalize",
+    "similarity": "SimilarityReport StateMap apply_state_map exhaustive_proportion "
+    "wilson_interval",
+    "tree": "GameTree TreeStats build_forest build_tree export_dot export_json "
+    "import_json tree_stats unfold validate_tree",
+}
+SUBMODULES = "canon core dsl equiv errors reduce similarity tree".split()
+PUBLIC_NAMES = sorted(
+    {name for names in PUBLIC.values() for name in names.split()} | set(SUBMODULES)
+)
+
+
+class TestPackageSurface:
+    """The lazy re-exports are the names the package always exported."""
+
+    @pytest.mark.parametrize("mod, name", [
+        (mod, name) for mod, names in PUBLIC.items() for name in names.split()
+    ])
+    def test_name_is_its_modules_object(self, mod, name):
+        assert getattr(ludokit, name) is getattr(importlib.import_module(f"ludokit.{mod}"), name)
+
+    @pytest.mark.parametrize("name", SUBMODULES + ["cli"])
+    def test_submodule_is_the_module(self, name):
+        """`ludokit.similarity` too is the module, not its function
+        `similarity`."""
+        assert getattr(ludokit, name) is importlib.import_module(f"ludokit.{name}")
+
+    def test_dir_and_all_list_every_export(self):
+        assert sorted(ludokit.__all__) == PUBLIC_NAMES
+        assert set(PUBLIC_NAMES) <= set(dir(ludokit))
+
+    def test_star_import_binds_every_export(self):
+        namespace: dict = {}
+        exec("from ludokit import *", namespace)
+        assert sorted(k for k in namespace if not k.startswith("_")) == PUBLIC_NAMES
+        assert all(namespace[name] is getattr(ludokit, name) for name in PUBLIC_NAMES)
+
+    def test_unknown_attribute_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            ludokit.no_such_name
+        assert not hasattr(ludokit, "similarity_")
 
 
 SLOT_RECORDS = sorted(
