@@ -363,20 +363,24 @@ def _pin_flags(text: str) -> frozenset:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _non_negative(text: str) -> int:
+def _integer(text: str) -> int:
     try:
-        value = int(text)
+        return int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+
+
+def _non_negative(text: str) -> int:
+    value = _integer(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
     return value
 
 
 def _positive(text: str) -> int:
-    value = _non_negative(text)
-    if value == 0:
-        raise argparse.ArgumentTypeError("must be positive, got 0")
+    value = _integer(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
     return value
 
 

@@ -802,11 +802,19 @@ def enumerate_states(sys: GameSystem) -> Iterator[GameState]:
 
 
 def initial_states(sys: GameSystem) -> list[GameState]:
-    """All initial states, in lexicographic enumeration order.
+    """All initial states, in lexicographic enumeration order."""
+    return list(iter_initial_states(sys))
+
+
+def iter_initial_states(sys: GameSystem) -> Iterator[GameState]:
+    """The initial states lazily, in lexicographic enumeration order.
 
     The literals of init's top-level conjunction (looking through `And` and
     `Ref`) restrict their tracks before the product is filtered, so a fully
     specified init tests one candidate state instead of the whole space.
+    The product is filtered as it is drawn, so a caller that asks only
+    whether some initial state exists stops at the first, however large
+    the product of the tracks init leaves free.
     """
     engine = sys.engine()
     forced: dict[int, list[str]] = {}
@@ -825,7 +833,7 @@ def initial_states(sys: GameSystem) -> list[GameState]:
         for i, values in enumerate(engine.value_lists)
     ]
     fn = engine.init_fn
-    return [s for s in itertools.product(*candidates) if fn(s, engine.fresh_memo())]
+    return (s for s in itertools.product(*candidates) if fn(s, engine.fresh_memo()))
 
 
 def reachable_states(sys: GameSystem) -> set[GameState]:
@@ -941,7 +949,7 @@ def check_completeness(sys: GameSystem, scope: str = "reachable") -> Completenes
                 )
             )
 
-    if not initial_states(sys):
+    if next(iter_initial_states(sys), None) is None:
         violations.append(Violation("empty-initial-set", "no state satisfies init"))
         return CompletenessReport(scope, 0, violations)
 

@@ -1167,7 +1167,7 @@ class _Builder:
             for p in problems:
                 self.error(1, 1, p)
             return None
-        if not core.initial_states(sys):
+        if next(core.iter_initial_states(sys), None) is None:
             self.error(1, 1, "no state satisfies the init expression")
             return None
         return sys

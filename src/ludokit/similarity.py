@@ -16,6 +16,15 @@ the players and outcomes psi maps it back to, so each root is decided by the
 relabel comparison's keys on the two forms as they stand, and no witness is
 built (`_SharedArenas`).
 
+Where psi maps players and outcomes, a root is first decided on its two
+built trees: when their literal keys (players and outcomes pinned) are
+equal, it matches, and neither tree is normalized.  This is sound because
+the normal form is a function of the tree up to isomorphism under pinned
+players and outcomes: trees with equal literal keys are isomorphic under
+that pin, so their normal forms have equal literal keys too.  Only a match
+takes the shortcut: every root whose built trees key differently is
+normalized, and its normal forms decide it.
+
 Sampling is uniform over the full track product by default ("all" scope),
 which compares the rules beyond just legally reachable play; "reachable"
 restricts to the forward closure of the initial states.  The sample list is
@@ -260,14 +269,23 @@ class _SharedArenas:
     outcome maps rename its labels as they are written (`ArenaBuilder`), so
     its forms are the right forms relabeled, and no relabeled copy is made.
     A root is decided with no witness.  Where psi maps players and
-    outcomes, both label classes are pinned, and the two normalizers'
-    literal key memos (the memos they group symmetric siblings by) decide:
-    equal literal keys are equivalence under that pin.  Otherwise the two
-    rooted forms are decided by `equiv._keyed_alike`, the decision of
-    `equiv.equivalent_up_to_relabeling`, under the pins psi gives.  A root
-    whose build meets a decision tuple no consequence rule matches is a
-    completeness gap, and its side's arena is left as it was, so a later
-    root that reaches the same states is one too.
+    outcomes, both label classes are pinned, and literal keys decide: equal
+    literal keys are equivalence under that pin.  The built trees are keyed
+    first, by one key memo per side over its arena.  The normal form is a
+    function of the tree up to isomorphism under pinned players and
+    outcomes, so built trees with equal keys have normal forms with equal
+    keys, and the root matches unnormalized.  Otherwise the two normalizers'
+    key memos (the memos they group symmetric siblings by) decide on the
+    forms.  Where psi leaves a label class unmapped, the two rooted forms
+    are decided by `equiv._keyed_alike`, the decision of
+    `equiv.equivalent_up_to_relabeling`, under the pins psi gives.  A side's
+    normalizer is made when a root first needs it.
+
+    A root whose build meets a decision tuple no consequence rule matches
+    is a completeness gap, and its side's arena is left as it was, so a
+    later root that reaches the same states is one too.  Roots are keyed
+    only once both builds succeeded, so no node a failed build made, whose
+    id the arena hands out again, is ever keyed.
     """
 
     def __init__(self, left: GameSystem, right: GameSystem, psi: StateMap, depth: int):
@@ -277,11 +295,22 @@ class _SharedArenas:
             ArenaBuilder(left, depth),
             ArenaBuilder(right, depth, players=back.players, outcomes=back.outcomes),
         )
-        self.normalizers = [reduce_mod.normalizer(b.tree) for b in self.builders]
+        self._normalizers: list[Optional[reduce_mod.Normalizer]] = [None, None]
         self.pin = frozenset(
             name for name, m in (("players", psi.players), ("outcomes", psi.outcomes))
             if m is not None
         )
+        self.literal_keys = (
+            tuple(canon.make_key_fn(b.tree) for b in self.builders)
+            if self.pin == canon.PIN_SYMMETRY else None
+        )
+
+    def normalizer(self, side: int) -> reduce_mod.Normalizer:
+        """The normalizer over side `side`'s arena (0 left, 1 right)."""
+        norm = self._normalizers[side]
+        if norm is None:
+            norm = self._normalizers[side] = reduce_mod.normalizer(self.builders[side].tree)
+        return norm
 
     def compare(self, state: GameState) -> SampleRecord:
         """Score one state."""
@@ -292,9 +321,13 @@ class _SharedArenas:
             rroot = rbuild.add_root(mapped)
         except NoRuleMatchesError:
             return SampleRecord(state, mapped, matched=False, completeness_gap=True)
-        lnorm, rnorm = self.normalizers
+        if self.literal_keys is not None:
+            lkey, rkey = self.literal_keys
+            if lkey(lroot) == rkey(rroot):
+                return SampleRecord(state, mapped, matched=True)
+        lnorm, rnorm = self.normalizer(0), self.normalizer(1)
         lform, rform = lnorm.form(lroot), rnorm.form(rroot)
-        if self.pin == canon.PIN_SYMMETRY:
+        if self.literal_keys is not None:
             matched = lnorm.key_fn(lform) == rnorm.key_fn(rform)
         else:
             matched = equiv._keyed_alike(
@@ -351,7 +384,8 @@ def similarity(
     maps), and averages.  The call builds and normalizes every sample's
     trees in one shared arena per side, and decides each sample by pinned
     canonical keys, with no witness: literal-code keys when psi maps players
-    and outcomes, else the relabel comparison's profile check and keys over
+    and outcomes, of the built trees first and of the normal forms where
+    those differ, else the relabel comparison's profile check and keys over
     the labelings the pins leave.  Fixed (seed, samples, depth, scope)
     reproduce the report exactly; per-sample completeness gaps score 0 and
     are flagged.

@@ -414,19 +414,21 @@ class TestUsage:
             ["reduce", game, "--budget", "-1"],
             ["equiv", game, game, "--budget", "-1"],
             ["sim", game, game, "--depth", "-5"],
-            ["sim", game, game, "--samples", "-1"],
         ):
             code, out, err = run(capsys, *argv)
             assert code == 2, argv
             assert out == "" and "non-negative" in err
 
-    def test_zero_samples_is_a_usage_error(self, capsys):
-        """The parser refuses a sample count of 0 as it does a negative one,
-        before any game is read."""
+    @pytest.mark.parametrize("samples", ["0", "-1"])
+    def test_non_positive_samples_is_a_usage_error(self, capsys, samples):
+        """The parser refuses a sample count below 1, before any game is
+        read, and says it must be positive."""
         game = fixture_path("mixed_a.game")
-        code, out, err = run(capsys, "sim", game, game, "--samples", "0")
+        code, out, err = run(capsys, "sim", game, game, "--samples", samples)
         assert (code, out) == (2, "")
-        assert err.endswith("ludokit sim: error: argument --samples: must be positive, got 0\n")
+        assert err.endswith(
+            f"ludokit sim: error: argument --samples: must be positive, got {samples}\n"
+        )
 
 
 class TestCyclicGame:

@@ -6,10 +6,10 @@ import random
 import re
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import generators
-from conftest import fixture_text
+from conftest import deadline, fixture_text
 from ludokit import core
 from ludokit.dsl import (
     MAX_BINDINGS,
@@ -414,20 +414,7 @@ def test_parse_token_soup(tokens):
     _parses_or_raises_ludokit_error(" ".join(tokens))
 
 
-@settings(max_examples=300, deadline=None)
-@given(
-    st.sampled_from(FUZZ_GAMES),
-    st.lists(
-        st.tuples(
-            st.sampled_from(["delete", "duplicate", "replace", "insert", "swap"]),
-            st.integers(0, 10**6),
-            st.integers(0, 10**6),
-        ),
-        min_size=1,
-        max_size=4,
-    ),
-)
-def test_parse_mutated_fixtures(game, edits):
+def _mutated(game: str, edits) -> str:
     tokens = _TOKEN.findall(fixture_text(f"{game}.game"))
     vocabulary = sorted(set(tokens)) + _SPARE
     for op, i, j in edits:
@@ -445,7 +432,40 @@ def test_parse_mutated_fixtures(game, edits):
             tokens[i], tokens[j] = tokens[j], tokens[i]
         if not tokens:
             tokens = [" "]
-    _parses_or_raises_ludokit_error("".join(tokens))
+    return "".join(tokens)
+
+
+# Duplicates the `9` of the first `forall i in 1..9`: 99 cell tracks, of
+# which init forces nine, so 3^90 candidate initial states.
+_NINETY_NINE_CELLS = ("forbidden", [("duplicate", 144, 336119)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(FUZZ_GAMES),
+    st.lists(
+        st.tuples(
+            st.sampled_from(["delete", "duplicate", "replace", "insert", "swap"]),
+            st.integers(0, 10**6),
+            st.integers(0, 10**6),
+        ),
+        min_size=1,
+        max_size=4,
+    ),
+)
+@example(*_NINETY_NINE_CELLS)
+def test_parse_mutated_fixtures(game, edits):
+    _parses_or_raises_ludokit_error(_mutated(game, edits))
+
+
+def test_parse_stops_at_the_first_initial_state():
+    """Parsing checks only that some initial state exists, so it stops at
+    the first of the 3^90 candidates init leaves free."""
+    with deadline(10):
+        sys_ = parse_game(_mutated(*_NINETY_NINE_CELLS))
+    assert len(sys_.tracks) == 100
+    state = next(core.iter_initial_states(sys_))
+    assert state[0] == "start" and set(state[1:]) == {"e"}
 
 
 # ---------------------------------------------------------------------------

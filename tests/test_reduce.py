@@ -755,6 +755,53 @@ class TestNormalizer:
             assert _arrays(tree.compact(normalizer.out.rooted(node))) == _arrays(reference)
 
 
+def isomorphic_copy(t: GameTree, rng: random.Random) -> GameTree:
+    """A copy of the unshared tree `t` that only an isomorphism relates to
+    it: each node's out-edges in shuffled order, each node's choices renamed
+    by a permutation per player, and each node a state of its own."""
+    dup = GameTree(t.players)
+
+    def copy(v: int) -> int:
+        c = dup.add_node(t.node_kind[v], state=("s%d" % len(dup.node_kind),),
+                         outcome=t.node_outcome[v])
+        edges = list(t.node_children[v])
+        rng.shuffle(edges)
+        renames = []
+        for p in range(len(t.players)):
+            names = sorted({
+                joint[p] for e in edges for seq in t.edge_label[e] or () for joint in seq
+                if joint[p] is not None
+            })
+            renames.append(dict(zip(names, rng.sample(names, len(names)))))
+        for e in edges:
+            label = t.edge_label[e]
+            if label is not None:
+                label = frozenset(
+                    tuple(tuple(d if d is None else renames[p][d] for p, d in enumerate(joint))
+                          for joint in seq)
+                    for seq in label
+                )
+            dup.add_edge(c, copy(t.edge_dst[e]), t.edge_kind[e], t.edge_prob[e], label)
+        return c
+
+    dup.root = copy(t.root)
+    return dup
+
+
+def test_normalization_respects_isomorphism():
+    """Trees related by an isomorphism under pinned players and outcomes
+    have equal literal keys, and so do their normal forms: the invariant
+    that lets similarity match built trees with equal keys unnormalized."""
+    for seed in range(300):
+        rng = random.Random(seed)
+        t = generators.random_tree(rng, n_players=2 + seed // 2 % 2,
+                                   allow_truncated=seed % 2 == 1)
+        dup = isomorphic_copy(t, rng)
+        assert canon.make_key_fn(t)(t.root) == canon.make_key_fn(dup)(dup.root), seed
+        nt, ndup = normalize(t)[0], normalize(dup)[0]
+        assert canon.make_key_fn(nt)(nt.root) == canon.make_key_fn(ndup)(ndup.root), seed
+
+
 class TestWorklist:
     """`normalize` reruns after a rewrite only the rewrites it can enable;
     a check it skips could not have fired, so its normal forms and traces

@@ -351,12 +351,20 @@ class TestKeyVerdicts:
                 rform = equiv.relabel_tree(rform, players, outcomes)
             witness = equiv.equivalent_up_to_relabeling(lform, rform, pin=pin)
             assert record.matched == (witness is not None), state
+            # both held: no work
+            roots = [bld.add_root(r) for bld, r in zip(arenas.builders, (state, mapped))]
+            forms = [arenas.normalizer(side).form(root) for side, root in enumerate(roots)]
+            if arenas.literal_keys is not None:
+                # equal literal keys of the built roots imply equal literal
+                # keys of their normal forms
+                raw = [key(root) for key, root in zip(arenas.literal_keys, roots)]
+                normal = [arenas.normalizer(side).key_fn(f) for side, f in enumerate(forms)]
+                assert raw[0] != raw[1] or normal[0] == normal[1], state
+                assert record.matched == (normal[0] == normal[1]), state
             # each side's form of its root in the shared arena is the
             # one-root form
             for side, (sys_, root) in enumerate(((left, state), (right, mapped))):
-                norm = arenas.normalizers[side]
-                node = norm.form(arenas.builders[side].add_root(root))  # both held: no work
-                shared = norm.out.rooted(node)
+                shared = arenas.normalizer(side).out.rooted(forms[side])
                 one = reduce.normalize(tree.build_tree(sys_, root, depth_limit=depth))[0]
                 if side:
                     one = equiv.relabel_tree(one, players, outcomes)
@@ -389,6 +397,23 @@ class TestKeyVerdicts:
         assert equiv.equivalent_up_to_relabeling(lform, rform) is None
         psi = StateMap.identity(left, right)
         assert exhaustive_proportion(left, right, psi, depth=2) == (9, 10)
+
+    def test_equal_built_keys_match_unnormalized(self, systems, magic_psi, monkeypatch):
+        """Under the magic-square map every reachable root's built trees are
+        isomorphic, so exhaustive depth 3 matches all 10,957 on their
+        literal keys and never normalizes."""
+        forms = []
+
+        def counting(arena):
+            norm = normalizer(arena)
+            return norm._replace(form=lambda v: forms.append(v) or norm.form(v))
+
+        normalizer = reduce.normalizer
+        monkeypatch.setattr(reduce, "normalizer", counting)
+        left, right = systems["tictactoe"], systems["3to15"]
+        result = exhaustive_proportion(left, right, magic_psi, depth=3, scope="reachable")
+        assert result == (10957, 10957)
+        assert forms == []
 
     def test_roots_share_one_arena_per_side(self, systems, magic_psi):
         """Exhaustive reachable depth 3 builds one node per distinct (state,
@@ -474,6 +499,35 @@ class TestCompletenessGapsInSharedArenas:
             else:
                 assert record.matched and not record.completeness_gap, state
         assert exhaustive_proportion(sys_, sys_, psi, depth=3) == (3, 8)
+
+
+    def test_a_right_gap_rolls_back_before_any_key(self):
+        """A root whose right build alone fails is a gap; the right arena
+        hands the rolled-back node ids out again, and the roots that get
+        them are keyed as their own trees."""
+        left = parse_game(GAP_GAME.replace(
+            "consequence (step) when n=2 and flag=off",
+            "consequence (step) when n=2",
+        ))
+        right = parse_game(GAP_GAME)
+        psi = StateMap.identity(left, right)._replace(players={"P": "P"}, outcomes={"done": "done"})
+        arenas = similarity_mod._SharedArenas(left, right, psi, 3)
+        assert arenas.compare(("2", "off")).matched
+        size = len(arenas.builders[1].tree.node_kind)
+        record = arenas.compare(("0", "off"))
+        assert record.completeness_gap and not record.matched
+        assert len(arenas.builders[1].tree.node_kind) == size
+        lkey, rkey = arenas.literal_keys
+        for state, matched in [(("3", "on"), True), (("1", "off"), False),
+                               (("3", "off"), True), (("2", "on"), False)]:
+            record = arenas.compare(state)
+            assert record.matched == matched and record.completeness_gap != matched, state
+            if matched:
+                node = arenas.builders[1].add_root(state)
+                built = tree.build_tree(right, state, depth_limit=3)
+                assert rkey(node) == canon.make_key_fn(built)(built.root), state
+        # the rolled-back ids went to the roots built since
+        assert len(arenas.builders[1].tree.node_kind) > size
 
 
 class TestRenamedArena:
