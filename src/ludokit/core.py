@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import random
 import warnings
 from fractions import Fraction
@@ -22,6 +23,7 @@ from typing import Callable, Iterator, NamedTuple, Optional, Union
 
 from .errors import (
     AmbiguityWarning,
+    BudgetExceededError,
     IllegalDecisionError,
     NoRuleMatchesError,
     NonTerminalStateError,
@@ -802,20 +804,38 @@ def enumerate_states(sys: GameSystem) -> Iterator[GameState]:
 
 
 def initial_states(sys: GameSystem) -> list[GameState]:
-    """All initial states, in lexicographic enumeration order."""
+    """All initial states, in lexicographic enumeration order.
+
+    Before it enumerates, it raises BudgetExceededError when the candidate
+    states (`iter_initial_states`' product) number more than
+    `DEFAULT_NODE_BUDGET`: a list that long could not be built in memory.
+    """
+    if math.prod(map(len, _initial_candidates(sys))) > DEFAULT_NODE_BUDGET:
+        raise BudgetExceededError(
+            f"init leaves more than {DEFAULT_NODE_BUDGET:,} candidate initial states to enumerate"
+        )
     return list(iter_initial_states(sys))
 
 
 def iter_initial_states(sys: GameSystem) -> Iterator[GameState]:
     """The initial states lazily, in lexicographic enumeration order.
 
-    The literals of init's top-level conjunction (looking through `And` and
-    `Ref`) restrict their tracks before the product is filtered, so a fully
-    specified init tests one candidate state instead of the whole space.
     The product is filtered as it is drawn, so a caller that asks only
     whether some initial state exists stops at the first, however large
     the product of the tracks init leaves free.
     """
+    engine = sys.engine()
+    fn = engine.init_fn
+    return (
+        s for s in itertools.product(*_initial_candidates(sys)) if fn(s, engine.fresh_memo())
+    )
+
+
+def _initial_candidates(sys: GameSystem) -> list[list[str]]:
+    """Per track, the values an initial state may hold.  The literals of
+    init's top-level conjunction (looking through `And` and `Ref`) restrict
+    their tracks, so a fully specified init leaves one candidate state
+    instead of the whole space."""
     engine = sys.engine()
     forced: dict[int, list[str]] = {}
     stack, seen = [sys.init], set()
@@ -828,12 +848,10 @@ def iter_initial_states(sys: GameSystem) -> Iterator[GameState]:
         elif isinstance(expr, Ref) and expr.name not in seen:
             seen.add(expr.name)
             stack.append(sys.named_sets[expr.name])
-    candidates = [
+    return [
         [v for v in values if all(v == f for f in forced.get(i, ()))]
         for i, values in enumerate(engine.value_lists)
     ]
-    fn = engine.init_fn
-    return (s for s in itertools.product(*candidates) if fn(s, engine.fresh_memo()))
 
 
 def reachable_states(sys: GameSystem) -> set[GameState]:

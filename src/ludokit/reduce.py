@@ -25,7 +25,7 @@ same round if it comes later in the order, else in the next:
 | rewrite that fired | rewrites to rerun |
 | --- | --- |
 | matrix redundancy (it reaches its own fixpoint) | none |
-| symmetry merge | matrix redundancy and single-player; `_absorb_children_once`'s collision check reads sibling labels |
+| symmetry merge | matrix redundancy (a no-op after a one-chooser merge) and single-player; `_absorb_children_once`'s collision check reads sibling labels |
 | splice or absorb | all four |
 
 Matrix redundancy only rewrites the node's labels: bookkeeping and
@@ -37,7 +37,13 @@ skipped could not have fired, so the steps and the normal form are those
 of rerunning every check until none fires.
 
 Matrix redundancy looks nothing up where every edge carries one joint
-choice, as it cannot fire there.  Children are keyed on demand, each
+choice, as it cannot fire there.  Where, besides, one player chooses,
+it would prune a merged edge's union back to the first-ranked of its
+choices (`_first_ranked`), so a merge there keeps only that choice and
+builds no union.  The matrix-redundancy step is recorded after the
+round's merges, where the next round would have recorded it, with its
+change read from the `node_meta` of the merged labels; every edge then
+still carries one joint choice.  Children are keyed on demand, each
 finished node at most once.
 
 The pass only reads its input, which may be a shared arena (a built
@@ -59,7 +65,7 @@ the unexplored region.
 from __future__ import annotations
 
 import json
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from . import canon
 from .core import typed_record
@@ -170,6 +176,13 @@ class ReductionTrace:
 # ---------------------------------------------------------------------------
 
 
+def _first_ranked(pairs: Iterable[tuple], i: int) -> tuple:
+    """The (sequence, joint choice) pair whose choice of player i ranks
+    first by `choice_rank`: of the choices of a matrix's one chooser that
+    share an edge, the one matrix redundancy keeps."""
+    return min(pairs, key=lambda pair: choice_rank(pair[1][i]))
+
+
 def _pruned_labels(meta: NodeMeta) -> Optional[tuple[frozenset, ...]]:
     """Per-edge labels once every redundant choice is deleted, or None.
 
@@ -183,7 +196,7 @@ def _pruned_labels(meta: NodeMeta) -> Optional[tuple[frozenset, ...]]:
     """
     if meta.active == 1:
         i = meta.sizes.index(max(meta.sizes))  # the player who chooses
-        kept = [min(pairs, key=lambda pair: choice_rank(pair[1][i]))[0] for pairs in meta.decoded]
+        kept = [_first_ranked(pairs, i)[0] for pairs in meta.decoded]
         if len(kept) == sum(meta.counts):
             return None
         return tuple([frozenset([seq]) for seq in kept])
@@ -317,13 +330,26 @@ def _absorb_children_once(tree: GameTree, v: int, owner: int) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-def _merge_pair(tree: GameTree, parent: int, victim_edge: int, survivor_edge: int) -> int:
+def _merge_pair(
+    tree: GameTree, parent: int, victim_edge: int, survivor_edge: int,
+    chooser: Optional[int] = None,
+) -> int:
     """Merge victim subtree onto survivor; returns the node that now stands
     for `parent`: the survivor's child when the merged probability reached 1
-    and the chance node drops out, else `parent` itself."""
+    and the chance node drops out, else `parent` itself.
+
+    A decision edge takes the union of the two labels.  Given the
+    `chooser` of a one-chooser matrix whose every edge carries one joint
+    choice, it takes the label of the two whose choice ranks first
+    instead: what matrix redundancy would prune that union back to."""
     tree.node_children[parent].remove(victim_edge)
     if tree.edge_kind[victim_edge] == DECISION_EDGE:
-        tree.edge_label[survivor_edge] = tree.edge_label[survivor_edge] | tree.edge_label[victim_edge]
+        labels, pairs = tree.edge_label, tree.label_cache  # `node_meta` cached the pairs
+        survivor, victim = labels[survivor_edge], labels[victim_edge]
+        if chooser is None:
+            labels[survivor_edge] = survivor | victim
+        elif _first_ranked(pairs[survivor] + pairs[victim], chooser)[0] in victim:
+            labels[survivor_edge] = victim
         return parent
     prob = tree.edge_prob[survivor_edge] + tree.edge_prob[victim_edge]
     tree.edge_prob[survivor_edge] = prob
@@ -495,16 +521,30 @@ def normalizer(tree: GameTree, trace: Optional[ReductionTrace] = None) -> Normal
                     dst = edge_dst[e]
                     if not facts[dst][2]:
                         groups.setdefault(key_fn(dst), []).append(e)
+                # One chooser and one joint choice per edge: a merge keeps
+                # what matrix redundancy would keep of the union, and its
+                # step is recorded after the merges (see the module docstring)
+                chooser = None
+                if is_state and meta.active == 1 and sum(meta.counts) == len(meta.counts):
+                    chooser = meta.sizes.index(max(meta.sizes))
+                merged = False
                 for edges in groups.values():
                     survivor = edges[0]
                     for victim in edges[1:]:
                         nodes, choices = facts[edge_dst[victim]][:2]
-                        stand = _merge_pair(out, v, victim, survivor)
+                        stand = _merge_pair(out, v, victim, survivor, chooser)
                         record("symmetry", v, -nodes - (stand != v), -choices)
                         if stand != v:
                             return stand, None  # v itself was removed
-                        pending |= ENABLED_BY_SYMMETRY & applicable
+                        merged = True
+                if merged:
+                    pending |= ENABLED_BY_SYMMETRY & applicable
+                    if chooser is None:
                         meta = None
+                    else:
+                        after = node_meta(out, v)
+                        record("matrix-redundancy", v, 0, after.total - meta.total)
+                        meta = after
         return v, meta
 
     def finish(c: int, meta: Optional[NodeMeta]) -> None:

@@ -52,6 +52,12 @@ def fixture_text(name: str) -> str:
     return (FIXTURES / name).read_text(encoding="utf-8")
 
 
+def ninety_nine_cells() -> str:
+    """forbidden.game with 99 cell tracks, of which init forces nine: 3^90
+    candidate initial states."""
+    return fixture_text("forbidden.game").replace("forall i in 1..9 {", "forall i in 1..99 {", 1)
+
+
 @contextlib.contextmanager
 def deadline(seconds: float):
     """Fail the block with TimeoutError once `seconds` of wall time pass,

@@ -18,7 +18,7 @@ except ImportError:  # not on every platform
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import LOOP_GAME, deadline, fixture_path, fixture_text
+from conftest import LOOP_GAME, deadline, fixture_path, fixture_text, ninety_nine_cells
 from ludokit import cli, equiv
 
 
@@ -514,6 +514,29 @@ class TestResourceErrors:
         )
         assert done.returncode == 2, done.stderr
         assert done.stderr == "out of memory\n"
+
+    @pytest.mark.skipif(not hasattr(resource, "RLIMIT_AS"), reason="needs resource.RLIMIT_AS")
+    @pytest.mark.parametrize("verb", [["validate"], ["tree", "--depth", "1"]])
+    def test_initial_state_budget_under_a_memory_limit(self, tmp_path, verb):
+        """Both verbs refuse to list the 3^90 candidate initial states of
+        the 99-cell mutant: exit 2 with one line, well inside a 100 MB
+        address-space cap set in the child."""
+        path = tmp_path / "cells99.game"
+        path.write_text(ninety_nine_cells())
+        cap = 100 * 2**20
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+        done = subprocess.run(
+            [sys.executable, "-m", "ludokit", *verb, str(path)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=_src_env(),
+            preexec_fn=limit, timeout=10,
+        )
+        assert (done.returncode, done.stdout) == (2, ""), done.stderr
+        assert done.stderr == (
+            "init leaves more than 10,000,000 candidate initial states to enumerate\n"
+        )
 
 
 class TestRobustness:

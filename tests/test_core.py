@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import LOOP_GAME, deadline, fixture_path, fixture_text
+from conftest import LOOP_GAME, deadline, fixture_path, fixture_text, ninety_nine_cells
 from ludokit import core, dsl, tree
 from ludokit.core import (
     And,
@@ -22,6 +22,7 @@ from ludokit.core import (
     first_policy,
 )
 from ludokit.errors import (
+    BudgetExceededError,
     IllegalDecisionError,
     NoRuleMatchesError,
     NonTerminalStateError,
@@ -245,6 +246,15 @@ class TestEnumerateStates:
 
     def test_filter_by_init(self, ttt):
         assert len(core.initial_states(ttt)) == 1
+
+    def test_initial_states_refuse_a_product_over_the_budget(self):
+        """`initial_states` counts the 3^90 candidates before it enumerates
+        and refuses; `iter_initial_states` stays lazy."""
+        with deadline(10):
+            sys_ = dsl.parse_game(ninety_nine_cells())
+            with pytest.raises(BudgetExceededError, match="more than 10,000,000 candidate"):
+                core.initial_states(sys_)
+            assert next(core.iter_initial_states(sys_))[0] == "start"
 
     def test_single_track_stream(self):
         sys = _tiny_system()

@@ -294,10 +294,12 @@ class TestPrunedLabels:
             assert equiv.canonical_form(t) == equiv.canonical_form(renamed)
         # normalize looks nothing up where every edge carries one joint
         # choice, so no miss takes the early exit (480 of 1,194 misses did
-        # when it looked them up); 478 prune something
-        assert len(misses) == 714
+        # when it looked them up); 365 prune something.  A one-chooser
+        # merge keeps its edge at one joint choice, so the 113 unions it
+        # left to prune (714 misses, 478 pruning) are gone.
+        assert len(misses) == 601
         assert sum(one_each for one_each, _ in misses) == 0
-        assert sum(changed for _, changed in misses) == 478
+        assert sum(changed for _, changed in misses) == 365
 
 
 class TestNormalize:
@@ -538,7 +540,9 @@ class TestSharing:
             assert tree.export_json(form) == tree.export_json(ref_form)
             assert _step_counts(trace) == _step_counts(ref_trace)
 
-    def test_pruned_labels_cache_agrees(self, corpus, monkeypatch):
+    def test_pruned_labels_cache_agrees(self, corpus, trio_matrix_b, monkeypatch):
+        """The corpus's one-chooser merges leave no union to prune; the
+        trio matrix, where two players choose, still prunes a choice."""
         cached = reduce._pruned_at
         calls = []
 
@@ -550,7 +554,7 @@ class TestSharing:
             return got
 
         monkeypatch.setattr(reduce, "_pruned_at", checked)
-        for t in corpus:
+        for t in corpus + [trio_matrix_b]:
             normalize(t)
         assert any(got is not None for got in calls) and None in calls
 
@@ -870,6 +874,80 @@ class TestWorklist:
         assert fired == {"matrix-redundancy", "bookkeeping", "single-player", "symmetry"}
 
 
+class TestOneChooserMerge:
+    """Where one player chooses and every edge carries one joint choice, a
+    symmetry merge keeps the survivor's edge at the first-ranked of the two
+    choices, which is what matrix redundancy prunes their union to; the
+    step that prune would record is recorded after the round's merges."""
+
+    def test_victim_choice_ranking_first_survives(self):
+        """P1's choices c, a and b lead to three equal subtrees, where P2
+        chooses, and d to a leaf.  c's edge survives both merges and keeps
+        a, which ranks first; b, merged second, does not replace it."""
+        t = GameTree(("P1", "P2"))
+        root = t.root = t.add_node(STATE)
+        for move in ("c", "a", "b"):
+            w = t.add_node(STATE)
+            t.add_edge(root, w, DECISION_EDGE, label=frozenset({((move, None),)}))
+            for reply, outcome in (("x", "w1"), ("y", "w2")):
+                end = t.add_node(TERMINAL, outcome=outcome)
+                t.add_edge(w, end, DECISION_EDGE, label=frozenset({((None, reply),)}))
+        leaf = t.add_node(TERMINAL, outcome="w3")
+        t.add_edge(root, leaf, DECISION_EDGE, label=frozenset({(("d", None),)}))
+        form, trace = normalize(t)
+        ref_form, ref_trace = oracles.normalize_in_place(t)
+        assert [
+            (s.kind, s.root, s.nodes_after - s.nodes_before, s.choices_after - s.choices_before)
+            for s in trace.steps
+        ] == [
+            ("symmetry", root, -3, -3), ("symmetry", root, -3, -3),
+            ("matrix-redundancy", root, 0, -2),
+        ]
+        assert [form.edge_label[e] for e in form.node_children[form.root]] == [
+            frozenset({(("a", None),)}), frozenset({(("d", None),)})
+        ]
+        assert tree.export_json(form) == tree.export_json(ref_form)
+        assert trace.to_json() == ref_trace.to_json()
+
+    def test_merge_keeps_what_matrix_redundancy_keeps(self, monkeypatch):
+        """At every one-chooser merge over the small-trees corpus (seed 7,
+        each tree and its relabeling) and the X-first forbidden tree, the
+        parent's labels after the merge are `_pruned_labels` of the matrix
+        with the union on the survivor's edge."""
+        merge = reduce._merge_pair
+        merges = []
+
+        def spy(t, parent, victim, survivor, chooser=None):
+            if chooser is None:
+                return merge(t, parent, victim, survivor)
+            union = GameTree(t.players)
+            union.root = union.add_node(STATE)
+            for e in t.node_children[parent]:
+                if e != victim:
+                    label = t.edge_label[e]
+                    if e == survivor:
+                        label = label | t.edge_label[victim]
+                    end = union.add_node(TERMINAL, outcome="o")
+                    union.add_edge(union.root, end, DECISION_EDGE, label=label)
+            expected = reduce._pruned_labels(tree.node_meta(union, union.root))
+            kept = t.edge_label[survivor]
+            stand = merge(t, parent, victim, survivor, chooser)
+            assert tuple([t.edge_label[e] for e in t.node_children[parent]]) == expected
+            merges.append(t.edge_label[survivor] is not kept)
+            return stand
+
+        monkeypatch.setattr(reduce, "_merge_pair", spy)
+        for t, player_map, outcome_map in generators.small_trees_corpus(7):
+            normalize(t)
+            normalize(equiv.relabel_tree(t, player_map, outcome_map))
+        small = len(merges)
+        normalize(midgame_tree(dsl.parse_file(fixture_path("forbidden.game")), 0))
+        # merges, and of them those where the victim's choice ranked first;
+        # a built tree's edges come in choice order, so its survivors rank first
+        assert (small, sum(merges[:small])) == (346, 132)
+        assert (len(merges) - small, sum(merges[small:])) == (2_280, 0)
+
+
 class TestWorkCounts:
     """What normalizing the X-first forbidden tree computes, counted: a
     change that recomputes a per-node fact shows here without timing the
@@ -908,8 +986,10 @@ class TestWorkCounts:
         form, _ = normalize(t)
         assert form.node_count() == 22_404
         # 8,300 calls and 1,413 computations when matrix redundancy looked up
-        # matrices whose every edge carries one joint choice
-        assert counts == {"node_meta": 7_844, "pruned": 957}
+        # matrices whose every edge carries one joint choice; 7,844 and 957
+        # when each merge at a one-chooser node left a union to decode,
+        # check and prune in the next round
+        assert counts == {"node_meta": 5_209, "pruned": 0}
         # each output node is keyed at most once, and only when asked for
         assert len(keyed) == len(set(keyed)) == 3_633 < len(arenas[0].node_kind)
 
