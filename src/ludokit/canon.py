@@ -28,7 +28,8 @@ bijections.
 
 Label classes that may be freely renamed (players, outcomes when unpinned)
 are handled by enumerating candidate numberings and taking the minimum root
-key over the orbit.  Candidates are pruned by cheap renaming-invariant
+key over the orbit; deciding equivalence needs only one labeling of one side
+(`equiv._keyed_alike`).  Candidates are pruned by cheap renaming-invariant
 signatures (per-label multisets of depth/size statistics of the unfolded
 tree, counted with each arena node's root paths), so the orbit is tiny in
 practice.  Keys are 128-bit blake2b digests; collisions are
@@ -605,35 +606,47 @@ def assignments_for(
     return [(pc, oc) for pc in player_codes for oc in outcome_codes]
 
 
+def labeled_keys(
+    forest: list[GameTree], labeling: tuple, pin: Pin, postorders: Optional[list] = None
+) -> tuple[bytes, tuple, list[dict[int, bytes]], list[dict[int, list[int]]]]:
+    """The forest key under one labeling (an `assignments_for` pair), that
+    labeling, and per tree its node keys and out-edge orders (see
+    `_fill_keys`).
+
+    `postorders`, each tree's `postorder`, spares a caller that keys several
+    labelings a walk per labeling.
+    """
+    if postorders is None:
+        postorders = [postorder(tree) for tree in forest]
+    keys: list[dict[int, bytes]] = []
+    orders: list[dict[int, list[int]]] = []
+    for tree, order in zip(forest, postorders):
+        keys.append({})
+        orders.append({})
+        _fill_keys(tree, order, keys[-1], orders[-1], *_labeling(tree, *labeling), "states" in pin)
+    root_keys = sorted([memo[tree.root] for tree, memo in zip(forest, keys)])
+    return _digest(b"F%d|" % len(root_keys) + b"|".join(root_keys)), labeling, keys, orders
+
+
 def best_assignment_with_keys(
     forest: list[GameTree], pin: Pin, cache: Optional[dict] = None, target: Optional[bytes] = None
 ) -> tuple[bytes, tuple, list[dict[int, bytes]], list[dict[int, list[int]]]]:
-    """The canonical (minimum) forest key, the labeling achieving it, and
-    per tree that labeling's node keys and out-edge orders (see `_fill_keys`).
+    """`labeled_keys` of the labeling with the canonical (minimum) forest
+    key: of the candidates that reach it, the first.
 
     `cache` is as in `forest_profile`.  With `target`, the first labeling
-    whose forest key equals it is returned, and later ones are not keyed.
-    That is the labeling the minimum keeps: a forest with a labeling keyed
-    `target` is equivalent to the one whose minimum `target` is, and
-    equivalent forests have equal sets of candidate keys.
+    whose forest key equals it is returned instead, and later ones are not
+    keyed; where `target` is the minimum, that is the labeling the minimum
+    keeps.
     """
     postorders = [postorder(tree) for tree in forest]
     best: Optional[tuple] = None
     for labeling in assignments_for(forest, pin, cache):
-        keys: list[dict[int, bytes]] = []
-        orders: list[dict[int, list[int]]] = []
-        for tree, order in zip(forest, postorders):
-            keys.append({})
-            orders.append({})
-            _fill_keys(
-                tree, order, keys[-1], orders[-1], *_labeling(tree, *labeling), "states" in pin
-            )
-        root_keys = sorted([memo[tree.root] for tree, memo in zip(forest, keys)])
-        combined = _digest(b"F%d|" % len(root_keys) + b"|".join(root_keys))
-        if combined == target:
-            return combined, labeling, keys, orders
-        if best is None or combined < best[0]:
-            best = (combined, labeling, keys, orders)
+        keyed = labeled_keys(forest, labeling, pin, postorders)
+        if keyed[0] == target:
+            return keyed
+        if best is None or keyed[0] < best[0]:
+            best = keyed
     assert best is not None
     return best
 

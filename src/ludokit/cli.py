@@ -30,6 +30,7 @@ from .core import (
     format_decision_tuple,
     format_state,
     initial_states,
+    iter_initial_states,
     play,
 )
 from .errors import LudokitError
@@ -209,9 +210,8 @@ def cmd_validate(args) -> int:
 
 def cmd_play(args) -> int:
     sys_ = _load_system(args.file)
-    roots = initial_states(sys_)
     policy = first_policy if args.policy == "first" else None
-    result = play(sys_, roots[0], policy=policy, seed=args.seed)
+    result = play(sys_, next(iter_initial_states(sys_)), policy=policy, seed=args.seed)
     if args.json:
         doc = {
             "initial_state": list(result.initial_state),

@@ -728,12 +728,17 @@ def _ranked_choices(t: GameTree, n: int, axes: list[int], keys: dict[int, bytes]
 
 
 def _keyed_alike(left_forest: list[GameTree], right_forest: list[GameTree], pin: Pin):
-    """The relabel decision: both forests' `canon.best_assignment_with_keys`
-    results under `pin` when their keys are equal, else None.
+    """The relabel decision: the left forest's `canon.labeled_keys` under
+    its first candidate labeling and the right's under the first candidate
+    whose forest key equals it, or None when no candidate's does.
 
     Sizes, player counts, pinned player sets and profiles reject first; each
     side's cache carries its label signatures from the profile to the
-    keying, and the right side's keying stops at the left key.
+    keying.  No minimum is needed on either side.  A relabeling that makes
+    the forests match preserves the renaming-invariant signatures, so it
+    carries the left's labeling to a numbering of the right sorted by
+    signature, which `canon.assignments_for` lists, and under which the
+    right keys as the left does.
     """
     if len(left_forest) != len(right_forest):
         return None
@@ -750,9 +755,10 @@ def _keyed_alike(left_forest: list[GameTree], right_forest: list[GameTree], pin:
         right_forest, pin, r_cache
     ):
         return None
-    lbest = canon.best_assignment_with_keys(left_forest, pin, l_cache)
-    rbest = canon.best_assignment_with_keys(right_forest, pin, r_cache, target=lbest[0])
-    return (lbest, rbest) if lbest[0] == rbest[0] else None
+    first = canon.assignments_for(left_forest, pin, l_cache)[0]
+    lkeyed = canon.labeled_keys(left_forest, first, pin)
+    rkeyed = canon.best_assignment_with_keys(right_forest, pin, r_cache, target=lkeyed[0])
+    return (lkeyed, rkeyed) if lkeyed[0] == rkeyed[0] else None
 
 
 def equivalent_up_to_relabeling(
@@ -770,9 +776,9 @@ def equivalent_up_to_relabeling(
     keyed = _keyed_alike(left_forest, right_forest, _as_pin(pin))
     if keyed is None:
         return None
-    lbest, rbest = keyed
-    _, (l_players, l_outcomes), lkeys, lorders = lbest
-    _, (r_players, r_outcomes), rkeys, rorders = rbest
+    lkeyed, rkeyed = keyed
+    _, (l_players, l_outcomes), lkeys, lorders = lkeyed
+    _, (r_players, r_outcomes), rkeys, rorders = rkeyed
     player_map = _code_map(l_players, r_players)
     outcome_map = _code_map(l_outcomes, r_outcomes)
     if player_map is None or outcome_map is None:

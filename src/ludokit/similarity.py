@@ -34,12 +34,14 @@ pre-generated from the seed, so reports are deterministic.
 from __future__ import annotations
 
 import json
+import math
 import random
 from statistics import NormalDist
 from typing import NamedTuple, Optional
 
 from . import canon, equiv, reduce as reduce_mod
 from .core import (
+    DEFAULT_NODE_BUDGET,
     GameState,
     GameSystem,
     SlotRecord,
@@ -47,7 +49,7 @@ from .core import (
     reachable_states,
     typed_record,
 )
-from .errors import LudokitError, NoRuleMatchesError, StateMapError
+from .errors import BudgetExceededError, LudokitError, NoRuleMatchesError, StateMapError
 # `build_tree` is looked up here by the benchmark's tracer (perfbench/spans.py).
 from .tree import ArenaBuilder, build_tree  # noqa: F401
 
@@ -427,11 +429,17 @@ def exhaustive_proportion(
 
     Every state is decided as in `similarity`: all roots are built and
     normalized in one shared arena per side, and each is decided by pinned
-    canonical keys, with no witness.
+    canonical keys, with no witness.  Under "all" it raises
+    BudgetExceededError before it enumerates when the track product has
+    more than `DEFAULT_NODE_BUDGET` states.
     """
     psi.validate(left, right)
     pool = _scope_pool(left, scope)
     if pool is None:
+        if math.prod(len(t.values) for t in left.tracks) > DEFAULT_NODE_BUDGET:
+            raise BudgetExceededError(
+                f"scope 'all' leaves more than {DEFAULT_NODE_BUDGET:,} states to enumerate"
+            )
         pool = list(enumerate_states(left))
     arenas = _SharedArenas(left, right, psi, depth)
     return sum(arenas.compare(state).matched for state in pool), len(pool)

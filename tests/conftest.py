@@ -16,9 +16,19 @@ import pytest
 TESTS_DIR = pathlib.Path(__file__).parent
 sys.path.insert(0, str(TESTS_DIR))
 
-from ludokit import dsl, reduce, tree
+from ludokit import canon, dsl, reduce, tree
 
 FIXTURES = TESTS_DIR / "fixtures"
+
+# Every pin regime: which label classes a comparison keeps fixed.
+PINS = [
+    canon.PIN_NONE,
+    frozenset({"players"}),
+    frozenset({"outcomes"}),
+    frozenset({"states"}),
+    canon.PIN_SYMMETRY,
+    canon.PIN_ALL,
+]
 
 # A two-state loop: every round toggles t, and no state is terminal.
 LOOP_GAME = """\

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 import generators
 import oracles
-from conftest import fixture_text
+from conftest import PINS, fixture_text
 from ludokit import canon, equiv, reduce, tree
 from ludokit.errors import TreeInvariantError
 from ludokit.tree import CHANCE, CHANCE_EDGE, DECISION_EDGE, GameTree, STATE, TERMINAL
@@ -280,7 +280,7 @@ class TestPrunedSolver:
             witness = equiv.agency_equivalent(t, renamed)
             assert witness is not None and not equiv.verify_witness(witness)
             assert equiv.canonical_form(t) == equiv.canonical_form(renamed)
-        assert len(runs) == 728
+        assert len(runs) == 708
         assert sum(runs) <= 1300
 
 
@@ -314,16 +314,6 @@ class TestKeyFn:
         t = generators.two_node_cycle()
         with pytest.raises(TreeInvariantError, match="cycle"):
             canon.make_key_fn(t, canon.PIN_SYMMETRY)(t.root)
-
-
-PINS = [
-    canon.PIN_NONE,
-    frozenset({"players"}),
-    frozenset({"outcomes"}),
-    frozenset({"states"}),
-    canon.PIN_SYMMETRY,
-    canon.PIN_ALL,
-]
 
 
 def assert_key_pass_matches_reference(forest: list[GameTree]) -> int:

@@ -538,6 +538,25 @@ class TestResourceErrors:
             "init leaves more than 10,000,000 candidate initial states to enumerate\n"
         )
 
+    @pytest.mark.skipif(not hasattr(resource, "RLIMIT_AS"), reason="needs resource.RLIMIT_AS")
+    def test_play_starts_from_the_first_initial_state(self, tmp_path):
+        """`play` draws only the first initial state of the 99-cell mutant,
+        so it plays to an outcome inside the same 100 MB cap."""
+        path = tmp_path / "cells99.game"
+        path.write_text(ninety_nine_cells())
+        cap = 100 * 2**20
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+        done = subprocess.run(
+            [sys.executable, "-m", "ludokit", "play", str(path)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=_src_env(),
+            preexec_fn=limit, timeout=10,
+        )
+        assert (done.returncode, done.stderr) == (0, ""), done.stderr
+        assert done.stdout.splitlines()[-1].startswith("outcome: ")
+
 
 class TestRobustness:
     def test_deep_nesting_exits_2_without_traceback(self, capsys, tmp_path):

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 import generators
 import oracles
-from conftest import deadline
+from conftest import PINS, deadline
 from ludokit import canon, core, equiv, reduce, tree
 from ludokit.equiv import (
     agency_equivalent,
@@ -812,8 +812,8 @@ def depth5_forests(systems):
 class TestWorkCounts:
     """How many candidate labelings a comparison keys on each side, counted:
     a change that keys a labeling it need not shows here without timing the
-    host.  The right side stops at the first labeling whose forest key is
-    the left side's."""
+    host.  The left side keys its first labeling only, and the right side
+    stops at the first labeling whose forest key is the left side's."""
 
     @staticmethod
     def keyed(monkeypatch, left, right, pin=()):
@@ -835,8 +835,9 @@ class TestWorkCounts:
         left, right = depth5_forests["tictactoe"], depth5_forests["3to15"]
         witness, on_left, on_right = self.keyed(monkeypatch, left, right)
         assert witness is not None
-        assert (on_left, on_right) == (4, 2)
-        # the labeling the right side stops at is the one the minimum keeps
+        assert (on_left, on_right) == (1, 1)
+        # with the left minimum as its target, the right side stops at the
+        # labeling its own minimum keeps
         target = canon.best_assignment_with_keys(left, canon.PIN_NONE)[0]
         full = canon.best_assignment_with_keys(right, canon.PIN_NONE)
         stopped = canon.best_assignment_with_keys(right, canon.PIN_NONE, target=target)
@@ -852,7 +853,92 @@ class TestWorkCounts:
         left, right = two_rounds([("w", "l"), ("w", "l")]), two_rounds([("w", "w"), ("l", "l")])
         pin = canon.PIN_NONE
         assert canon.forest_profile([left], pin) == canon.forest_profile([right], pin)
-        assert self.keyed(monkeypatch, [left], [right]) == (None, 2, 2)
+        assert self.keyed(monkeypatch, [left], [right]) == (None, 1, 2)
+
+    def test_only_the_last_right_labeling_matches(self, monkeypatch):
+        """Outcomes a and b are tied by their signatures, and only the right
+        side's last numbering of them keys as the left's first does."""
+        left = two_rounds([("a", "a", "b"), ("b",)])
+        right = equiv.relabel_tree(left, outcome_map={"a": "b", "b": "a"})
+        assert len(canon.assignments_for([right], canon.PIN_NONE)) == 2
+        witness, on_left, on_right = self.keyed(monkeypatch, [left], [right])
+        assert (on_left, on_right) == (1, 2)
+        assert witness.outcome_map == {"a": "b", "b": "a"}
+        assert verify_witness(witness) == []
+
+
+def tied_pairs() -> list[tuple[list[GameTree], list[GameTree]]]:
+    """Forest pairs whose players or outcomes tie by signature."""
+    pairs = [([a], [b]) for a, b in (latin_pair(n) for n in (2, 3, 4))]
+    left = two_rounds([("a", "a", "b"), ("b",)])
+    for right in (
+        equiv.relabel_tree(left, outcome_map={"a": "b", "b": "a"}),
+        two_rounds([("b", "a", "b"), ("a",)]),
+    ):
+        pairs.append(([left], [right]))
+    pairs.append(([two_rounds([("w", "l"), ("w", "l")])], [two_rounds([("w", "w"), ("l", "l")])]))
+    squares = [
+        latin_square(n, [f"r{i}" for i in range(n)], [f"c{i}" for i in range(n)]) for n in (3, 2)
+    ]
+    swapped = [
+        equiv.relabel_tree(t, {"R": "C", "C": "R"}, {"s1": "s2", "s2": "s1"}) for t in squares
+    ]
+    pairs.append((squares, swapped[::-1]))
+    return pairs
+
+
+class TestFirstLabelingDecides:
+    """The relabel decision keys only the left forest's first candidate
+    labeling.  Its verdict is the canonical keys' under every pin regime,
+    and each positive verdict's witness verifies."""
+
+    @staticmethod
+    def assert_decided(left, right, pin) -> bool:
+        witness = equivalent_up_to_relabeling(left, right, pin)
+        assert (witness is not None) == (canonical_form(left, pin) == canonical_form(right, pin))
+        if witness is not None:
+            assert verify_witness(witness, pin) == []
+        return witness is not None
+
+    @pytest.mark.parametrize("pin", PINS, ids=lambda p: "+".join(sorted(p)) or "none")
+    def test_tied_labels(self, pin):
+        verdicts = [self.assert_decided(left, right, pin) for left, right in tied_pairs()]
+        # the latin squares' renamed choices, then the relabeled outcomes
+        if "outcomes" in pin:
+            assert verdicts == [True, True, True, False, False, False, False]
+        else:
+            assert verdicts == [True, True, True, True, True, False, True]
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(0, 10**6),
+        st.sampled_from((1, 2, 3)),
+        st.integers(1, 2),
+        st.sampled_from(PINS),
+        st.sampled_from(("relabeled", "one tree replaced", "unrelated")),
+    )
+    def test_random_forests(self, seed, n_players, size, pin, right_kind):
+        rng = random.Random(seed)
+        outcomes = ("w1", "w2", "w3")
+
+        def forest() -> list[GameTree]:
+            return [
+                generators.random_tree(rng, max_nodes=20, n_players=n_players)
+                for _ in range(size)
+            ]
+
+        left = forest()
+        if right_kind == "unrelated":
+            right = forest()
+        else:
+            players = list(left[0].players)
+            player_map = dict(zip(players, rng.sample(players, n_players)))
+            outcome_map = dict(zip(outcomes, rng.sample(outcomes, len(outcomes))))
+            right = [equiv.relabel_tree(t, player_map, outcome_map) for t in left]
+            rng.shuffle(right)
+            if right_kind == "one tree replaced":
+                right[0] = forest()[0]
+        self.assert_decided(left, right, pin)
 
 
 def test_one_chooser_cell_counts_are_checked():

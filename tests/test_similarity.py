@@ -8,7 +8,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import fixture_text
+from conftest import deadline, fixture_text, ninety_nine_cells
 from ludokit import canon, core, equiv, errors, reduce, tree
 from ludokit import similarity as similarity_mod
 from ludokit.dsl import parse_game
@@ -240,6 +240,15 @@ class TestSimilarity:
         a, b = systems["mixed_a"], systems["mixed_b"]
         _, total = exhaustive_proportion(a, b, mixed_psi, depth=1)
         assert total == len(list(core.enumerate_states(a)))
+
+    def test_all_scope_refuses_a_product_over_the_budget(self):
+        """The 99-cell mutant's track product has 3^100 states: the
+        exhaustive count refuses it before it enumerates."""
+        cells99 = parse_game(ninety_nine_cells())
+        psi = StateMap.identity(cells99, cells99)
+        message = "scope 'all' leaves more than 10,000,000 states to enumerate"
+        with deadline(5), pytest.raises(errors.BudgetExceededError, match=message):
+            exhaustive_proportion(cells99, cells99, psi, depth=1)
 
     def test_zero_samples_rejected(self, systems, mixed_psi):
         with pytest.raises(LudokitError):
