@@ -317,8 +317,8 @@ def make_key_fn(tree: GameTree, pin: Pin = PIN_SYMMETRY) -> Callable[[int], byte
     """A memoized per-node key function under literal player and outcome codes.
 
     Each node is keyed at most once, when first asked for, straight from
-    its children's keys: a child not yet keyed is keyed first, along a
-    depth-first path of unkeyed nodes.  The nodes keyed so far must not
+    its children's keys: a miss keys the node's unkeyed descendants in one
+    `_fill_keys` pass over their postorder.  The nodes keyed so far must not
     change, so normalization can key its finished nodes on demand.  Literal
     codes are sound only where labels are pinned, so `pin` must pin players
     and outcomes.  The codes are the tree's own names, so two key functions
@@ -332,26 +332,16 @@ def make_key_fn(tree: GameTree, pin: Pin = PIN_SYMMETRY) -> Callable[[int], byte
     pin_states = "states" in pin
     memo: dict[int, bytes] = {}
     orders: dict[int, list[int]] = {}
-    node_children = tree.node_children
-    edge_dst = tree.edge_dst
 
     def key(node: int) -> bytes:
         cached = memo.get(node)
         if cached is not None:
             return cached
-        path = [node]  # unkeyed nodes, each a child of the one before
-        while path:
-            n = path[-1]
-            for e in node_children[n]:
-                child = edge_dst[e]
-                if child not in memo:
-                    if len(path) == len(node_children):
-                        raise TreeInvariantError("the arena has a cycle")
-                    path.append(child)
-                    break
-            else:
-                path.pop()
-                _fill_keys(tree, (n,), memo, orders, *labeling, pin_states)
+        try:
+            _fill_keys(tree, postorder(tree, node, memo), memo, orders, *labeling, pin_states)
+        except KeyError:
+            # Only on a cycle does the postorder list a node before a child.
+            raise TreeInvariantError("the arena has a cycle") from None
         return memo[node]
 
     return key

@@ -587,6 +587,13 @@ class _Engine:
     dict hit.  Only a tuple whose first match is guarded tests guards, in
     rule order, and caches its answer per (tuple, state).  Strict lookups
     always scan every matching rule.
+
+    Two caches serve the walks over states (`tree.ArenaBuilder`,
+    `check_completeness`, `reachable_states`): one move plan per legal-set
+    tuple (`move_plan`) and one successor function per action-name sequence
+    (`successor`).  Neither is ever evicted: they grow only with the
+    distinct legal-set tuples met and the distinct sequences the
+    consequence rules name.
     """
 
     def __init__(self, sys: GameSystem):
@@ -638,6 +645,12 @@ class _Engine:
         self._interned: dict = {}
         # (decision tuple, state) -> results, for the other tuples
         self._cons_cache: dict[tuple[DecisionTuple, GameState], tuple] = {}
+        # interned legal-set tuple -> its move plan, and decision tuple ->
+        # its entry in the plans
+        self._plans: dict[tuple[frozenset[str], ...], tuple] = {}
+        self._plan_entries: dict[DecisionTuple, tuple] = {}
+        # action-name sequence -> its successor function
+        self._successor_fns: dict[tuple[str, ...], Callable[[GameState], GameState]] = {}
         self._outcome_cache: dict[GameState, str] = {}
         # The label cache of every tree `tree.build_tree` builds from this
         # system, so a matrix met again in a later build is decoded, pruned
@@ -674,13 +687,9 @@ class _Engine:
             cached = self._legal_cache[state] = intern(sets, sets)
         return cached
 
-    def consequences(self, dtuple: DecisionTuple, state: GameState, strict: bool = False):
-        if not strict:
-            cached = self._cons_fixed.get(dtuple)
-            if cached is None:
-                cached = self._cons_cache.get((dtuple, state))
-            if cached is not None:
-                return cached
+    def _candidates(self, dtuple: DecisionTuple) -> tuple:
+        """The (guard function, results) of the rules whose patterns match
+        `dtuple`, in rule order; indexed on the tuple's first lookup."""
         candidates = self._cons_index.get(dtuple)
         if candidates is None:
             candidates = self._cons_index[dtuple] = tuple(
@@ -690,8 +699,18 @@ class _Engine:
             )
             if candidates and candidates[0][0] is None:
                 self._cons_fixed[dtuple] = candidates[0][1]
-                if not strict:
-                    return candidates[0][1]
+        return candidates
+
+    def consequences(self, dtuple: DecisionTuple, state: GameState, strict: bool = False):
+        if not strict:
+            cached = self._cons_fixed.get(dtuple)
+            if cached is None:
+                cached = self._cons_cache.get((dtuple, state))
+            if cached is not None:
+                return cached
+        candidates = self._candidates(dtuple)
+        if not strict and candidates and candidates[0][0] is None:
+            return candidates[0][1]
         memo = self.fresh_memo()
         matches = []
         for guard_fn, results in candidates:
@@ -712,20 +731,79 @@ class _Engine:
             self._cons_cache[(dtuple, state)] = matches[0]
         return matches[0]
 
-    def apply_actions(self, names: tuple[str, ...], state: GameState) -> GameState:
-        n = self._memo_len
-        for name in names:
-            fn = self._action_fns.get(name)
-            if fn is None:
-                raise KeyError(f"unknown action {name!r}")
-            state = fn(state, [None] * n)
-        return state
+    def move_plan(self, sets: tuple[frozenset[str], ...]) -> tuple:
+        """The moves of a state whose legal sets are `sets`, as `legal_sets`
+        returns them: per legal decision tuple, in `legal_decision_tuples`
+        order, (tuple, its edge label, its moves).  The moves are
+        ((probability, successor function), ...) when the tuple's first
+        matching consequence rule is unguarded, and so resolves alike in
+        every state; else None, and `consequences` decides per state.  A
+        terminal state's plan is empty.  Cached per legal-set tuple.
+        """
+        plan = self._plans.get(sets)
+        if plan is None:
+            dtuples = (
+                itertools.product(*[sorted(s) if s else [None] for s in sets])
+                if any(sets) else ()
+            )
+            entries = self._plan_entries
+            plan = self._plans[sets] = tuple([
+                entries.get(dtuple) or self._plan_entry(dtuple) for dtuple in dtuples
+            ])
+        return plan
+
+    def _plan_entry(self, dtuple: DecisionTuple) -> tuple:
+        """`dtuple`'s entry in every move plan that holds it."""
+        candidates = self._candidates(dtuple)
+        moves = None
+        if candidates and candidates[0][0] is None:
+            moves = tuple([(p, self.successor(names)) for p, names in candidates[0][1]])
+        entry = self._plan_entries[dtuple] = (dtuple, frozenset({(dtuple,)}), moves)
+        return entry
+
+    def moves(self, dtuple: DecisionTuple, state: GameState) -> list:
+        """(probability, successor function) per result of `consequences`:
+        the moves at `state` of a tuple whose plan leaves them None."""
+        successor = self.successor
+        return [(p, successor(names)) for p, names in self.consequences(dtuple, state)]
+
+    def successor(self, names: tuple[str, ...]) -> Callable[[GameState], GameState]:
+        """The function taking a state to its successor under the actions
+        `names`, applied left to right, each with a fresh named-set memo:
+        a later action's guards read the state the earlier ones made.
+        Composed once per sequence from the generated action functions.
+        An unknown name gives a function that raises KeyError.
+        """
+        fn = self._successor_fns.get(names)
+        if fn is None:
+            steps = [self._action_fns.get(name, name) for name in names]
+            fn = self._successor_fns[names] = _compose(steps, self._memo_len)
+        return fn
 
     def outcome(self, state: GameState) -> str:
         cached = self._outcome_cache.get(state)
         if cached is None:
             cached = self._outcome_cache[state] = self._outcome_fn(state, self.fresh_memo())
         return cached
+
+
+def _compose(steps: list, memo_len: int) -> Callable[[GameState], GameState]:
+    """One function applying the generated action functions `steps` in
+    order, each with a fresh memo of `memo_len` slots; a name among them
+    is an unknown action."""
+    for step in steps:
+        if isinstance(step, str):
+            def unknown(state: GameState, name: str = step) -> GameState:
+                raise KeyError(f"unknown action {name!r}")
+
+            return unknown
+
+    def composed(state: GameState) -> GameState:
+        for f in steps:
+            state = f(state, [None] * memo_len)
+        return state
+
+    return composed
 
 
 def _pattern_matches(pattern: tuple[Optional[str], ...], dtuple: DecisionTuple) -> bool:
@@ -752,7 +830,7 @@ def apply_action(sys: GameSystem, names, state: GameState) -> GameState:
     """Apply an action or product of actions, left to right as written."""
     if isinstance(names, str):
         names = (names,)
-    return sys.engine().apply_actions(tuple(names), state)
+    return sys.engine().successor(tuple(names))(state)
 
 
 def legal_set(sys: GameSystem, player: str, state: GameState) -> frozenset[str]:
@@ -773,11 +851,11 @@ def legal_decision_tuples(sys: GameSystem, state: GameState) -> list[DecisionTup
     decision for players with no legal decision.  Deterministic order:
     per-player decisions sorted, then the cartesian product.
     """
-    sets = sys.engine().legal_sets(state)
-    if not any(sets):
+    engine = sys.engine()
+    plan = engine.move_plan(engine.legal_sets(state))
+    if not plan:
         raise TerminalStateError(f"state {state!r} is terminal")
-    choices = [sorted(s) if s else [None] for s in sets]
-    return [tuple(combo) for combo in itertools.product(*choices)]
+    return [dtuple for dtuple, _, _ in plan]
 
 
 def consequences(
@@ -904,15 +982,13 @@ def _successors(sys: GameSystem, state: GameState) -> list[GameState]:
     leads nowhere, and a terminal state has no successor."""
     engine = sys.engine()
     out: list[GameState] = []
-    if not any(engine.legal_sets(state)):
-        return out
-    for dtuple in legal_decision_tuples(sys, state):
-        try:
-            results = engine.consequences(dtuple, state)
-        except NoRuleMatchesError:
-            continue
-        for _, action_names in results:
-            out.append(engine.apply_actions(action_names, state))
+    for dtuple, _, moves in engine.move_plan(engine.legal_sets(state)):
+        if moves is None:
+            try:
+                moves = engine.moves(dtuple, state)
+            except NoRuleMatchesError:
+                continue
+        out.extend([successor(state) for _, successor in moves])
     return out
 
 
@@ -950,7 +1026,9 @@ def check_completeness(sys: GameSystem, scope: str = "reachable") -> Completenes
     every playthrough ends.  Violations are reported with state witnesses,
     never raised.  Reachable states are checked in the order a depth-first
     walk from the initial states first meets them, so the report does not
-    depend on string hashing.
+    depend on string hashing.  Under "all" it raises BudgetExceededError
+    before it walks when the track product has more than
+    `DEFAULT_NODE_BUDGET` states.
     """
     if scope not in ("reachable", "all"):
         raise ValueError(f"scope must be 'reachable' or 'all', not {scope!r}")
@@ -971,6 +1049,10 @@ def check_completeness(sys: GameSystem, scope: str = "reachable") -> Completenes
         violations.append(Violation("empty-initial-set", "no state satisfies init"))
         return CompletenessReport(scope, 0, violations)
 
+    if scope == "all" and math.prod(map(len, engine.value_lists)) > DEFAULT_NODE_BUDGET:
+        raise BudgetExceededError(
+            f"scope 'all' leaves more than {DEFAULT_NODE_BUDGET:,} states to enumerate"
+        )
     reachable, on_cycle = _explore(sys)
     if scope == "reachable":
         states: Iterator[GameState] = iter(reachable)
@@ -980,25 +1062,27 @@ def check_completeness(sys: GameSystem, scope: str = "reachable") -> Completenes
     checked = 0
     for state in states:
         checked += 1
-        if not any(engine.legal_sets(state)):
+        plan = engine.move_plan(engine.legal_sets(state))
+        if not plan:
             engine.outcome(state)  # default outcome guarantees resolution
             continue
-        for dtuple in legal_decision_tuples(sys, state):
-            try:
-                results = engine.consequences(dtuple, state)
-            except NoRuleMatchesError:
-                violations.append(
-                    Violation(
-                        "no-consequence",
-                        f"no consequence rule matches {format_decision_tuple(dtuple)} "
-                        f"at {format_state(sys, state)}",
-                        state=state,
-                        decision_tuple=dtuple,
+        for dtuple, _, moves in plan:
+            if moves is None:
+                try:
+                    moves = engine.moves(dtuple, state)
+                except NoRuleMatchesError:
+                    violations.append(
+                        Violation(
+                            "no-consequence",
+                            f"no consequence rule matches {format_decision_tuple(dtuple)} "
+                            f"at {format_state(sys, state)}",
+                            state=state,
+                            decision_tuple=dtuple,
+                        )
                     )
-                )
-                continue
-            for _, action_names in results:
-                engine.apply_actions(action_names, state)
+                    continue
+            for _, successor in moves:
+                successor(state)
     if on_cycle is not None:
         violations.append(
             Violation(
@@ -1099,7 +1183,7 @@ def play(
                     index = i
                     break
         action_names = results[index][1]
-        next_state = engine.apply_actions(action_names, state)
+        next_state = engine.successor(action_names)(state)
         steps.append(PlayStep(state, dtuple, index, action_names, next_state))
         state = next_state
     else:

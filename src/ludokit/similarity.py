@@ -89,11 +89,14 @@ class StateMap(NamedTuple):
     outcomes: Optional[dict[str, str]] = None
 
     def validate(self, src: GameSystem, dst: GameSystem) -> None:
-        src_tracks = {t.name: t for t in src.tracks}
-        dst_tracks = {t.name: t for t in dst.tracks}
-        if sorted(self.tracks) != sorted(src_tracks):
+        """Raise StateMapError unless every map is a bijection between the
+        two systems' names.  The systems' own name lists hold no repeats,
+        as `validate_system` requires."""
+        src_tracks = {t.name: t.values for t in src.tracks}
+        dst_tracks = {t.name: t.values for t in dst.tracks}
+        if self.tracks.keys() != src_tracks.keys():
             raise StateMapError("track map does not cover exactly the source tracks")
-        if sorted(self.tracks.values()) != sorted(dst_tracks):
+        if not _onto(self.tracks.values(), dst_tracks):
             raise StateMapError("track map is not a bijection onto the target tracks")
         for name in self.values:
             if name not in self.tracks:
@@ -102,21 +105,19 @@ class StateMap(NamedTuple):
             vmap = self.values.get(name)
             if vmap is None:
                 raise StateMapError(f"missing value map for track {name!r}")
-            if sorted(vmap) != sorted(src_tracks[name].values):
+            if not _onto(vmap, src_tracks[name]):
                 raise StateMapError(f"value map for {name!r} does not cover its values")
-            if sorted(vmap.values()) != sorted(dst_tracks[target].values):
+            if not _onto(vmap.values(), dst_tracks[target]):
                 raise StateMapError(
                     f"value map for {name!r} is not a bijection onto {target!r}"
                 )
         if self.players is not None:
-            if sorted(self.players) != sorted(src.players) or sorted(
-                self.players.values()
-            ) != sorted(dst.players):
+            if not (_onto(self.players, src.players) and _onto(self.players.values(), dst.players)):
                 raise StateMapError("player map is not a bijection between player lists")
         if self.outcomes is not None:
-            if sorted(self.outcomes) != sorted(src.outcomes) or sorted(
-                self.outcomes.values()
-            ) != sorted(dst.outcomes):
+            if not (
+                _onto(self.outcomes, src.outcomes) and _onto(self.outcomes.values(), dst.outcomes)
+            ):
                 raise StateMapError("outcome map is not a bijection between outcome sets")
 
     def inverse(self) -> "StateMap":
@@ -169,6 +170,12 @@ class StateMap(NamedTuple):
         if self.outcomes is not None:
             doc["outcomes"] = self.outcomes
         return json.dumps(doc, indent=2) + "\n"
+
+
+def _onto(names, targets) -> bool:
+    """Do `names` list each of `targets` exactly once?  `sorted(names) ==
+    sorted(targets)` where `targets` holds no repeats, without sorting."""
+    return len(names) == len(targets) and set(names) == set(targets)
 
 
 def apply_state_map(psi: StateMap, state: GameState, src: GameSystem, dst: GameSystem) -> GameState:

@@ -39,7 +39,6 @@ unordered.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from fractions import Fraction
@@ -492,8 +491,7 @@ class ArenaBuilder:
     """
 
     __slots__ = (
-        "tree", "depth_limit", "node_budget", "_engine", "_nodes", "_labels", "_size",
-        "_outcomes",
+        "tree", "depth_limit", "node_budget", "_engine", "_nodes", "_size", "_outcomes",
     )
 
     def __init__(
@@ -513,7 +511,6 @@ class ArenaBuilder:
         self.node_budget = node_budget
         self._outcomes = outcomes
         self._nodes: dict = {}  # state, or (state, round) under a depth limit
-        self._labels: dict[DecisionTuple, EdgeLabel] = {}
         self._size: list[int] = []  # per node, its unfolded size
 
     def add_root(self, s0: GameState) -> int:
@@ -526,71 +523,76 @@ class ArenaBuilder:
         """
         tree = self.tree
         engine = self._engine
+        legal_sets, move_plan = engine.legal_sets, engine.move_plan
         depth_limit = self.depth_limit
+        limited = depth_limit is not None
         node_budget = self.node_budget
         nodes = self._nodes
-        labels = self._labels
         outcomes = self._outcomes
-        node_kind, node_outcome = tree.node_kind, tree.node_outcome
-        parent_edge = tree.node_parent_edge
-        start, edge_start, keys_start = len(node_kind), len(tree.edge_kind), len(nodes)
+        node_kind, node_state, node_outcome = tree.node_kind, tree.node_state, tree.node_outcome
+        node_children, parent_edge = tree.node_children, tree.node_parent_edge
+        edge_kind, edge_src, edge_dst = tree.edge_kind, tree.edge_src, tree.edge_dst
+        edge_prob, edge_label = tree.edge_prob, tree.edge_label
+        start, edge_start, keys_start = len(node_kind), len(edge_kind), len(nodes)
         # old node -> its parent edge before this root pointed a new edge at it
         adopted: dict[int, int] = {}
-
-        def label_for(dtuple: DecisionTuple) -> EdgeLabel:
-            lab = labels.get(dtuple)
-            if lab is None:
-                lab = labels[dtuple] = frozenset({(dtuple,)})
-            return lab
-
-        add_node = tree.add_node
-        add_edge = tree.add_edge
-        limited = depth_limit is not None
         # (node, state, round) of created, unexpanded nodes
         stack: list[tuple[int, GameState, int]] = []
-
-        def node_for(state: GameState, gen: int) -> int:
-            key = (state, gen) if limited else state
-            node = nodes.get(key)
-            if node is None:
-                node = nodes[key] = add_node(STATE, state=state)
-                stack.append((node, state, gen))
-            elif node < start and node not in adopted:
-                adopted[node] = parent_edge[node]
-            return node
+        push = stack.append
 
         try:
-            root = node_for(s0, 0)
-            if root < start:
+            root = nodes.get((s0, 0) if limited else s0)
+            if root is not None:
                 return root
+            root = nodes[(s0, 0) if limited else s0] = tree.add_node(STATE, state=s0)
+            push((root, s0, 0))
             while stack:
                 node, state, gen = stack.pop()
-                sets = engine.legal_sets(state)
-                if not any(sets):
+                plan = move_plan(legal_sets(state))
+                if not plan:
                     node_kind[node] = TERMINAL
                     outcome = engine.outcome(state)
                     node_outcome[node] = outcome if outcomes is None else outcomes[outcome]
                     continue
-                dtuples = itertools.product(*[sorted(s) if s else [None] for s in sets])
                 if limited and gen > depth_limit:
                     # Unexpanded, but a decision tuple no consequence rule
-                    # matches still raises, as it does on an expanded node.
-                    for dtuple in dtuples:
-                        engine.consequences(dtuple, state)
+                    # matches still raises, as it does on an expanded node;
+                    # a tuple whose first match is unguarded cannot.
+                    for dtuple, _, moves in plan:
+                        if moves is None:
+                            engine.consequences(dtuple, state)
                     node_kind[node] = TRUNCATED
                     continue
-                for dtuple in dtuples:
-                    results = engine.consequences(dtuple, state)
-                    if len(results) == 1:
-                        succ = engine.apply_actions(results[0][1], state)
-                        add_edge(node, node_for(succ, gen + 1), DECISION_EDGE,
-                                 label=label_for(dtuple))
-                    else:
-                        chance = add_node(CHANCE)
-                        add_edge(node, chance, DECISION_EDGE, label=label_for(dtuple))
-                        for p, names in results:
-                            succ = engine.apply_actions(names, state)
-                            add_edge(chance, node_for(succ, gen + 1), CHANCE_EDGE, prob=p)
+                gen += 1
+                for dtuple, label, moves in plan:
+                    if moves is None:
+                        moves = engine.moves(dtuple, state)
+                    chance = len(moves) != 1
+                    src = node
+                    if chance:
+                        src = tree.add_node(CHANCE)
+                        tree.add_edge(node, src, DECISION_EDGE, label=label)
+                    for p, successor in moves:
+                        succ = successor(state)
+                        key = (succ, gen) if limited else succ
+                        child = nodes.get(key)
+                        if child is None:
+                            child = nodes[key] = len(node_kind)
+                            node_kind.append(STATE)
+                            node_state.append(succ)
+                            node_outcome.append(None)
+                            node_children.append([])
+                            parent_edge.append(-1)
+                            push((child, succ, gen))
+                        elif child < start and child not in adopted:
+                            adopted[child] = parent_edge[child]
+                        eid = parent_edge[child] = len(edge_kind)
+                        node_children[src].append(eid)
+                        edge_kind.append(CHANCE_EDGE if chance else DECISION_EDGE)
+                        edge_src.append(src)
+                        edge_dst.append(child)
+                        edge_prob.append(p if chance else None)
+                        edge_label.append(None if chance else label)
                 if len(node_kind) - start > node_budget:
                     raise BudgetExceededError(
                         f"node budget {node_budget} exceeded while expanding "
@@ -608,11 +610,10 @@ class ArenaBuilder:
                     f"node budget {node_budget} exceeded: the tree has {size[root]} nodes"
                 )
         except BaseException:
-            for column in (node_kind, tree.node_state, node_outcome, tree.node_children,
-                           parent_edge, self._size):
+            for column in (node_kind, node_state, node_outcome, node_children, parent_edge,
+                           self._size):
                 del column[start:]
-            for column in (tree.edge_kind, tree.edge_src, tree.edge_dst, tree.edge_prob,
-                           tree.edge_label):
+            for column in (edge_kind, edge_src, edge_dst, edge_prob, edge_label):
                 del column[edge_start:]
             for node, edge in adopted.items():
                 parent_edge[node] = edge

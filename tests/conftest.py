@@ -68,6 +68,23 @@ def ninety_nine_cells() -> str:
     return fixture_text("forbidden.game").replace("forall i in 1..9 {", "forall i in 1..99 {", 1)
 
 
+WIDE_GAME = """\
+game wide
+players P
+forall i in 1..20 {
+  track c$i { a, b, c }
+}
+decisions go
+action set1 { when c1=a set c1=b }
+init (all i in 1..20: c$i=a)
+legal P go when c1=a
+consequence (go) -> prob 1: set1
+outcome default done
+"""
+"""Twenty three-valued tracks, all forced by init: 2 reachable states in a
+track product of 3^20."""
+
+
 @contextlib.contextmanager
 def deadline(seconds: float):
     """Fail the block with TimeoutError once `seconds` of wall time pass,

@@ -62,6 +62,7 @@ from ludokit.errors import (
     BudgetExceededError,
     LudokitError,
     NoRuleMatchesError,
+    StateMapError,
     TreeInvariantError,
 )
 from ludokit.reduce import (
@@ -200,7 +201,7 @@ def build_tree(
         for dtuple in _it.product(*choices):
             results = engine.consequences(dtuple, state)
             resolved = tuple(
-                (p, engine.apply_actions(names, state)) for p, names in results
+                (p, engine.successor(names)(state)) for p, names in results
             )
             out.append((dtuple, resolved))
         expansion_cache[state] = out
@@ -312,7 +313,9 @@ def consequences(sys, dtuple, state):
 
 def with_oracle_consequences(sys: GameSystem) -> GameSystem:
     """A copy of `sys` whose engine resolves every consequence lookup with
-    `consequences` above: no index, no cache, guards read off the rules."""
+    `consequences` above: no index, no cache, guards read off the rules.
+    Its move plans keep no tuple's moves, so a walk over states looks up
+    every tuple, at a truncated frontier too."""
     copy = sys._replace()
     engine = copy.engine()
 
@@ -322,7 +325,9 @@ def with_oracle_consequences(sys: GameSystem) -> GameSystem:
             raise NoRuleMatchesError(state, dtuple)
         return results
 
+    plan = engine.move_plan
     engine.consequences = resolve
+    engine.move_plan = lambda sets: tuple((d, label, None) for d, label, _ in plan(sets))
     return copy
 
 
@@ -1846,3 +1851,41 @@ class ReferenceExpander:
             cls = ROr if expr.kind == "any" else RAnd
             return cls(_flatten(cls, parts))
         raise TypeError(expr)
+
+
+# ---------------------------------------------------------------------------
+# The reference state-map check: `StateMap.validate` as it was before it
+# compared sets and lengths, kept verbatim (sorted lists of names).
+# ---------------------------------------------------------------------------
+
+
+def reference_validate_state_map(self, src: GameSystem, dst: GameSystem) -> None:
+    src_tracks = {t.name: t for t in src.tracks}
+    dst_tracks = {t.name: t for t in dst.tracks}
+    if sorted(self.tracks) != sorted(src_tracks):
+        raise StateMapError("track map does not cover exactly the source tracks")
+    if sorted(self.tracks.values()) != sorted(dst_tracks):
+        raise StateMapError("track map is not a bijection onto the target tracks")
+    for name in self.values:
+        if name not in self.tracks:
+            raise StateMapError(f"value map for unknown track {name!r}")
+    for name, target in self.tracks.items():
+        vmap = self.values.get(name)
+        if vmap is None:
+            raise StateMapError(f"missing value map for track {name!r}")
+        if sorted(vmap) != sorted(src_tracks[name].values):
+            raise StateMapError(f"value map for {name!r} does not cover its values")
+        if sorted(vmap.values()) != sorted(dst_tracks[target].values):
+            raise StateMapError(
+                f"value map for {name!r} is not a bijection onto {target!r}"
+            )
+    if self.players is not None:
+        if sorted(self.players) != sorted(src.players) or sorted(
+            self.players.values()
+        ) != sorted(dst.players):
+            raise StateMapError("player map is not a bijection between player lists")
+    if self.outcomes is not None:
+        if sorted(self.outcomes) != sorted(src.outcomes) or sorted(
+            self.outcomes.values()
+        ) != sorted(dst.outcomes):
+            raise StateMapError("outcome map is not a bijection between outcome sets")

@@ -18,7 +18,9 @@ except ImportError:  # not on every platform
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import LOOP_GAME, deadline, fixture_path, fixture_text, ninety_nine_cells
+from conftest import (
+    LOOP_GAME, WIDE_GAME, deadline, fixture_path, fixture_text, ninety_nine_cells,
+)
 from ludokit import cli, equiv
 
 
@@ -537,6 +539,38 @@ class TestResourceErrors:
         assert done.stderr == (
             "init leaves more than 10,000,000 candidate initial states to enumerate\n"
         )
+
+    @pytest.mark.skipif(not hasattr(resource, "RLIMIT_AS"), reason="needs resource.RLIMIT_AS")
+    @pytest.mark.parametrize("scope, code, out, err", [
+        ("all", 2, "", "scope 'all' leaves more than 10,000,000 states to enumerate\n"),
+        ("reachable", 0, "complete (2 states checked, scope reachable)\n", ""),
+    ])
+    def test_state_budget_under_a_memory_limit(self, tmp_path, scope, code, out, err):
+        """The wide game has 2 reachable states in a product of 3^20:
+        `--scope all` refuses to walk the product, exit 2 with one line,
+        and `--scope reachable` checks the 2, both inside a 100 MB
+        address-space cap set in the child."""
+        path = tmp_path / "wide.game"
+        path.write_text(WIDE_GAME)
+        cap = 100 * 2**20
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+        done = subprocess.run(
+            [sys.executable, "-m", "ludokit", "validate", "--scope", scope, str(path)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=_src_env(),
+            preexec_fn=limit, timeout=10,
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (code, out, err)
+
+    def test_state_budget_in_process(self, capsys, tmp_path):
+        path = tmp_path / "wide.game"
+        path.write_text(WIDE_GAME)
+        with deadline(10):
+            code, out, err = run(capsys, "validate", "--scope", "all", str(path))
+        assert (code, out) == (2, "")
+        assert err == "scope 'all' leaves more than 10,000,000 states to enumerate\n"
 
     @pytest.mark.skipif(not hasattr(resource, "RLIMIT_AS"), reason="needs resource.RLIMIT_AS")
     def test_play_starts_from_the_first_initial_state(self, tmp_path):

@@ -817,3 +817,150 @@ class TestInitialStates:
         text = fixture_text("mixed_a.game").replace("init u=p", "init u=p and t=a and u=q")
         with pytest.raises(dsl.GameParseError, match="no state satisfies"):
             dsl.parse_game(text)
+
+
+# Named set A is memoized per state: `first` reads it (false at a=0) and
+# then makes it true, so `second` fires only if it reads A afresh.
+MEMO_GAME = """\
+players P
+track a { 0, 1 }
+track b { 0, 1 }
+decisions go
+set A = a=1
+action first { when not A set a=1 }
+action second { when A set b=1 }
+init a=0 and b=0
+legal P go when b=0
+consequence (go) -> prob 1: first, second
+outcome default done
+"""
+
+
+def _one_by_one(sys, names, state):
+    """The actions applied one at a time, read off their definitions."""
+    import oracles
+
+    for name in names:
+        state = oracles.apply_action(sys, name, state)
+    return state
+
+
+class TestMovePlans:
+    """The engine's cached move plans and composed successor functions."""
+
+    def test_successors_apply_their_actions_one_by_one_on_fixtures(self, systems):
+        """On every reachable state of every fixture game, each move's
+        successor function gives the state its actions give one at a
+        time, with the probabilities the consequence rules give."""
+        for name, sys in systems.items():
+            engine = sys.engine()
+            for state in core.reachable_states(sys):
+                for dtuple, _, moves in engine.move_plan(engine.legal_sets(state)):
+                    moves = moves or engine.moves(dtuple, state)
+                    results = engine.consequences(dtuple, state)
+                    assert [p for p, _ in moves] == [p for p, _ in results], name
+                    for (_, successor), (_, names) in zip(moves, results):
+                        assert successor(state) == _one_by_one(sys, names, state), name
+
+    def test_successors_apply_their_actions_one_by_one_on_random_systems(self):
+        """200 generated games: every action sequence their rules name, on
+        every state of the track product, reachable or not."""
+        import random
+
+        import generators
+
+        for seed in range(200):
+            sys = generators.random_system(random.Random(seed))
+            engine = sys.engine()
+            sequences = {names for rule in sys.consequence_rules for _, names in rule.results}
+            for state in core.enumerate_states(sys):
+                for names in sequences:
+                    assert engine.successor(names)(state) == _one_by_one(sys, names, state)
+                    assert core.apply_action(sys, names, state) == _one_by_one(
+                        sys, names, state
+                    )
+
+    def test_each_action_reads_named_sets_afresh(self):
+        sys = dsl.parse_game(MEMO_GAME)
+        engine = sys.engine()
+        assert engine.successor(("first", "second"))(("0", "0")) == ("1", "1")
+        assert _one_by_one(sys, ("first", "second"), ("0", "0")) == ("1", "1")
+        t = tree.build_tree(sys, ("0", "0"))
+        assert [t.node_state[n] for n in t.iter_nodes()] == [("0", "0"), ("1", "1")]
+
+    def test_decision_tuples_keep_their_order(self, systems):
+        """Per-player decisions sorted, then the cartesian product, on the
+        reachable states of every fixture and every state of 200 generated
+        games."""
+        import itertools
+        import random
+
+        import generators
+
+        def expected(sys, state):
+            sets = sys.engine().legal_sets(state)
+            return [
+                tuple(combo)
+                for combo in itertools.product(*[sorted(s) if s else [None] for s in sets])
+            ]
+
+        games = [(sys, core.reachable_states(sys)) for sys in systems.values()]
+        for seed in range(200):
+            sys = generators.random_system(random.Random(seed))
+            games.append((sys, list(core.enumerate_states(sys))))
+        for sys, states in games:
+            for state in states:
+                if core.is_terminal(sys, state):
+                    with pytest.raises(TerminalStateError):
+                        core.legal_decision_tuples(sys, state)
+                else:
+                    assert core.legal_decision_tuples(sys, state) == expected(sys, state)
+
+    def test_plans_and_successors_are_cached(self, ttt):
+        engine = ttt._replace().engine()
+        s = board(ttt, turn="X")
+        sets = engine.legal_sets(s)
+        plan = engine.move_plan(sets)
+        assert engine.move_plan(sets) is plan
+        assert engine.move_plan(engine.legal_sets(board(ttt, turn="X", c9="O"))) is not plan
+        assert [label for _, label, _ in plan] == [frozenset({(d,)}) for d, _, _ in plan]
+        assert engine.successor(("X_1", "next")) is engine.successor(("X_1", "next"))
+
+    def test_terminal_plan_is_empty(self, ttt):
+        engine = ttt.engine()
+        s = board(ttt, turn="O", c1="X", c2="X", c3="X")
+        assert engine.move_plan(engine.legal_sets(s)) == ()
+
+    def test_unknown_action_raises_when_applied(self, ttt):
+        engine = ttt._replace().engine()
+        s = board(ttt, turn="X")
+        successor = engine.successor(("X_1", "nope"))
+        with pytest.raises(KeyError, match="unknown action 'nope'"):
+            successor(s)
+        with pytest.raises(KeyError, match="unknown action 'nope'"):
+            core.apply_action(ttt, ("nope",), s)
+
+
+class TestStateBudget:
+    """`check_completeness(scope="all")` counts the track product first."""
+
+    def test_all_scope_over_the_budget_raises_before_walking(self, monkeypatch):
+        from conftest import WIDE_GAME
+
+        sys = dsl.parse_game(WIDE_GAME)
+        walked = []
+        monkeypatch.setattr(core, "_explore", lambda s: walked.append(s))
+        with deadline(10):
+            with pytest.raises(
+                BudgetExceededError,
+                match="scope 'all' leaves more than 10,000,000 states to enumerate",
+            ):
+                core.check_completeness(sys, scope="all")
+        assert walked == []
+
+    def test_reachable_scope_of_the_wide_game(self):
+        from conftest import WIDE_GAME
+
+        with deadline(10):
+            report = core.check_completeness(dsl.parse_game(WIDE_GAME), scope="reachable")
+        assert report.complete and report.states_checked == 2

@@ -144,6 +144,114 @@ class TestStateMap:
         assert again == magic_psi
 
 
+def _magic_doc() -> dict:
+    return json.loads(fixture_text("magic_square_psi.json"))
+
+
+def _drop(path):
+    def edit(doc):
+        *outer, last = path
+        for key in outer:
+            doc = doc[key]
+        del doc[last]
+    return edit
+
+
+def _put(path, value):
+    def edit(doc):
+        *outer, last = path
+        for key in outer:
+            doc = doc[key]
+        doc[last] = value
+    return edit
+
+
+# One magic-square map edit per rejection `StateMap.validate` makes, with
+# the message it must give.
+_REJECTIONS = {
+    "missing source track": (
+        _drop(["tracks", "c1"]), "track map does not cover exactly the source tracks"),
+    "extra source track": (
+        _put(["tracks", "c10"], "n1"), "track map does not cover exactly the source tracks"),
+    "non-injective track map": (
+        _put(["tracks", "c1"], "n7"), "track map is not a bijection onto the target tracks"),
+    "unknown target track": (
+        _put(["tracks", "c1"], "n10"), "track map is not a bijection onto the target tracks"),
+    "value map for an unknown track": (
+        _put(["values", "bogus"], {"a": "b"}), "value map for unknown track 'bogus'"),
+    "missing value map": (_drop(["values", "c1"]), "missing value map for track 'c1'"),
+    "value map misses a value": (
+        _drop(["values", "c1", "X"]), "value map for 'c1' does not cover its values"),
+    "value map for a value the track lacks": (
+        _put(["values", "c1", "Z"], "X"), "value map for 'c1' does not cover its values"),
+    "repeated image": (
+        _put(["values", "c1", "X"], "O"), "value map for 'c1' is not a bijection onto 'n2'"),
+    "image outside the target's values": (
+        _put(["values", "c1", "X"], "Q"), "value map for 'c1' is not a bijection onto 'n2'"),
+    "player map misses a player": (
+        _drop(["players", "O"]), "player map is not a bijection between player lists"),
+    "player map repeats an image": (
+        _put(["players", "O"], "X"), "player map is not a bijection between player lists"),
+    "outcome map misses an outcome": (
+        _drop(["outcomes", "draw"]), "outcome map is not a bijection between outcome sets"),
+    "outcome map names an unknown outcome": (
+        _put(["outcomes", "draw"], "tie"),
+        "outcome map is not a bijection between outcome sets"),
+}
+
+
+class TestStateMapValidation:
+    @pytest.mark.parametrize("case", sorted(_REJECTIONS))
+    def test_each_rejection_names_its_reason(self, systems, case):
+        edit, message = _REJECTIONS[case]
+        doc = _magic_doc()
+        edit(doc)
+        psi = StateMap.from_json(json.dumps(doc))
+        with pytest.raises(StateMapError) as caught:
+            psi.validate(systems["tictactoe"], systems["3to15"])
+        assert str(caught.value) == message
+
+    def test_the_fixture_map_is_valid(self, systems, magic_psi):
+        magic_psi.validate(systems["tictactoe"], systems["3to15"])
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_agrees_with_the_sorted_list_check(self, systems, data):
+        """On random edits of the magic-square map, the check accepts or
+        rejects, with the same message, exactly where the check that
+        compared sorted lists (`oracles.reference_validate_state_map`) does."""
+        import oracles
+
+        ttt, t315 = systems["tictactoe"], systems["3to15"]
+        names = st.sampled_from(
+            ["turn", "c1", "c2", "n1", "n2", "n7", "e", "X", "O", "start", "Q",
+             "X_wins", "O_wins", "draw", "tie"]
+        )
+        doc = _magic_doc()
+        for _ in range(data.draw(st.integers(0, 3))):
+            section = data.draw(st.sampled_from(["tracks", "values", "players", "outcomes"]))
+            table = doc.setdefault(section, {})
+            if section == "values" and table and data.draw(st.booleans()):
+                table = table[data.draw(st.sampled_from(sorted(table)))]
+            key = data.draw(st.sampled_from(sorted(table)) | names)
+            if table and data.draw(st.booleans()):
+                table.pop(key, None)
+            elif section == "values" and table is doc["values"]:
+                table[key] = {v: data.draw(names) for v in ("e", "X", "O")}
+            else:
+                table[key] = data.draw(names)
+        psi = StateMap.from_json(json.dumps(doc))
+
+        def verdict(check):
+            try:
+                check(psi, ttt, t315)
+            except StateMapError as exc:
+                return str(exc)
+            return None
+
+        assert verdict(StateMap.validate) == verdict(oracles.reference_validate_state_map)
+
+
 class TestSimilarity:
     def test_one_label_cache_per_system(self, magic_psi, monkeypatch):
         """Every tree built from a system shares the system's label cache,

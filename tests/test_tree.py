@@ -392,6 +392,49 @@ consequence (*) -> prob 1: up
         assert [t.node_kind[n] for n in t.iter_nodes()] == [STATE, TRUNCATED]
 
 
+    def test_guard_failing_only_at_the_frontier_raises(self):
+        """(m)'s one rule holds at a=0 only.  From a=0 at depth 0, a=1 is
+        only the truncated frontier, and the build still raises, as it does
+        where a=1 is expanded."""
+        from ludokit.dsl import parse_game
+
+        sys = parse_game(WALK_GAME.format(rules="""
+consequence (m) when a=0 -> prob 1: up
+consequence (n) -> prob 1: up
+"""))
+        for depth in (None, 1, 0):
+            with pytest.raises(NoRuleMatchesError):
+                build_tree(sys, ("0",), depth_limit=depth)
+        with pytest.raises(NoRuleMatchesError):
+            build_tree(sys, ("1",), depth_limit=0)
+
+    def test_frontier_matches_only_guarded_tuples(self, ttt, monkeypatch):
+        """A truncated node looks up only the tuples whose first matching
+        rule is guarded: an unguarded first match cannot fail.  Tic-tac-toe
+        has no guarded rule, so its depth-limited forest makes no lookup
+        at all; in the walk game, the frontier looks up (n) alone."""
+        from ludokit.dsl import parse_game
+
+        calls = []
+        consequences = core._Engine.consequences
+
+        def spy(engine, dtuple, state, strict=False):
+            calls.append((dtuple, state))
+            return consequences(engine, dtuple, state, strict)
+
+        monkeypatch.setattr(core._Engine, "consequences", spy)
+        forest = build_forest(ttt._replace(), depth_limit=2)
+        assert any(TRUNCATED in t.node_kind for t in forest)
+        assert calls == []
+        sys = parse_game(WALK_GAME.format(rules="""
+consequence (m) -> prob 1: up
+consequence (n) when a=1 -> prob 1: up
+"""))
+        t = build_tree(sys, ("0",), depth_limit=0)
+        assert [t.node_kind[n] for n in t.iter_nodes()] == [STATE, TRUNCATED]
+        assert calls == [(("n",), ("1",))]
+
+
 class TestBudget:
     """The budget bounds the unfolded tree, not the shared arena."""
 
