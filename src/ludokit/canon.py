@@ -46,7 +46,7 @@ from typing import Callable, NamedTuple, Optional
 
 from .core import typed_record
 from .errors import LabelingLimitError, TreeInvariantError
-from .tree import CHANCE, GameTree, STATE, TERMINAL, node_meta, postorder
+from .tree import CHANCE, GameTree, STATE, TERMINAL, choice_rank, node_meta, postorder
 
 Pin = frozenset
 PIN_NONE: Pin = frozenset()
@@ -219,18 +219,22 @@ def _matrix_fingerprint_general(
 
 
 def matrix_structure(tree: GameTree, node: int, axis_order: list[int]):
-    """Cells and per-axis choice lists of the node's matrix, in axis order."""
+    """Cells and per-axis choice lists of the node's matrix, in axis order.
+
+    Each axis lists its choices in `choice_rank` order, so ties between
+    automorphic choices break the same way in every process.
+    """
     edges = tree.node_children[node]
     joints = [
         (joint, e)
         for e, pairs in zip(edges, node_meta(tree, node).decoded)
         for _, joint in pairs
     ]
-    per_axis: list[dict] = [{} for _ in axis_order]
+    per_axis: list[set] = [set() for _ in axis_order]
     for joint, _ in joints:
         for pos, player_idx in enumerate(axis_order):
-            per_axis[pos].setdefault(joint[player_idx])
-    choice_lists = [list(d) for d in per_axis]
+            per_axis[pos].add(joint[player_idx])
+    choice_lists = [sorted(d, key=choice_rank) for d in per_axis]
     index = [{c: i for i, c in enumerate(lst)} for lst in choice_lists]
     edge_ids = list(dict.fromkeys(e for _, e in joints))
     edge_pos = {e: i for i, e in enumerate(edge_ids)}

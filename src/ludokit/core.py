@@ -877,8 +877,17 @@ def outcome(sys: GameSystem, state: GameState) -> str:
 
 
 def enumerate_states(sys: GameSystem) -> Iterator[GameState]:
-    """Yield every state of the track product once, in lexicographic track order."""
-    yield from itertools.product(*sys.engine().value_lists)
+    """Every state of the track product once, in lexicographic track order.
+
+    Before it enumerates, it raises BudgetExceededError when the product
+    has more than `DEFAULT_NODE_BUDGET` states.
+    """
+    value_lists = sys.engine().value_lists
+    if math.prod(map(len, value_lists)) > DEFAULT_NODE_BUDGET:
+        raise BudgetExceededError(
+            f"scope 'all' leaves more than {DEFAULT_NODE_BUDGET:,} states to enumerate"
+        )
+    return itertools.product(*value_lists)
 
 
 def initial_states(sys: GameSystem) -> list[GameState]:
@@ -936,29 +945,40 @@ def reachable_states(sys: GameSystem) -> set[GameState]:
     """Forward closure of the initial states under all legal consequences.
 
     Tuples without a covering consequence rule contribute no successors (the
-    gap itself is reported by `check_completeness`, which revisits every
-    reachable state).
+    gap itself is reported by `check_completeness`).
     """
     return set(_explore(sys)[0])
 
 
-def _explore(sys: GameSystem) -> tuple[dict[GameState, None], Optional[GameState]]:
+def _explore(sys: GameSystem) -> tuple[
+    dict[GameState, None], Optional[GameState], list[tuple[GameState, DecisionTuple]]
+]:
     """The states reachable from the initial states, in the order they are
-    first met, and a state on a cycle among them, or None if they have no
-    cycle.
+    first met; a state on a cycle among them, or None if they have no
+    cycle; and the (state, decision tuple) pairs no consequence rule
+    covers, in the order their states are met.
 
     Depth first from each initial state in order, with an explicit stack;
     the first edge back into a state on the current path closes a cycle
-    through that state.
+    through that state.  More than `DEFAULT_NODE_BUDGET` states raise
+    BudgetExceededError.
     """
+    budget = DEFAULT_NODE_BUDGET
     seen: dict[GameState, None] = {}
+    gaps: list[tuple[GameState, DecisionTuple]] = []
     on_cycle: Optional[GameState] = None
+
+    def meet(state: GameState) -> Iterator[GameState]:
+        seen[state] = None
+        if len(seen) > budget:
+            raise BudgetExceededError(f"more than {budget:,} reachable states to explore")
+        return iter(_successors(sys, state, gaps))
+
     for root in initial_states(sys):
         if root in seen:
             continue
-        seen[root] = None
         on_path = {root}
-        stack = [(root, iter(_successors(sys, root)))]
+        stack = [(root, meet(root))]
         while stack:
             state, pending = stack[-1]
             for succ in pending:
@@ -966,20 +986,22 @@ def _explore(sys: GameSystem) -> tuple[dict[GameState, None], Optional[GameState
                     if on_cycle is None:
                         on_cycle = succ
                 elif succ not in seen:
-                    seen[succ] = None
                     on_path.add(succ)
-                    stack.append((succ, iter(_successors(sys, succ))))
+                    stack.append((succ, meet(succ)))
                     break
             else:
                 stack.pop()
                 on_path.discard(state)
-    return seen, on_cycle
+    return seen, on_cycle, gaps
 
 
-def _successors(sys: GameSystem, state: GameState) -> list[GameState]:
+def _successors(
+    sys: GameSystem, state: GameState, gaps: list[tuple[GameState, DecisionTuple]]
+) -> list[GameState]:
     """The states one round can lead to from `state`, in decision-tuple
     order and then result order; a tuple without a covering consequence rule
-    leads nowhere, and a terminal state has no successor."""
+    leads nowhere and is appended to `gaps` with the state, and a terminal
+    state has no successor."""
     engine = sys.engine()
     out: list[GameState] = []
     for dtuple, _, moves in engine.move_plan(engine.legal_sets(state)):
@@ -987,6 +1009,7 @@ def _successors(sys: GameSystem, state: GameState) -> list[GameState]:
             try:
                 moves = engine.moves(dtuple, state)
             except NoRuleMatchesError:
+                gaps.append((state, dtuple))
                 continue
         out.extend([successor(state) for _, successor in moves])
     return out
@@ -1021,18 +1044,18 @@ def check_completeness(sys: GameSystem, scope: str = "reachable") -> Completenes
 
     Checks that the initial set is nonempty, that every legal decision tuple
     at every in-scope non-terminal state resolves to consequences whose
-    probabilities sum to exactly 1, that outcomes resolve on in-scope
-    terminal states, and that the reachable state graph has no cycle, so
-    every playthrough ends.  Violations are reported with state witnesses,
-    never raised.  Reachable states are checked in the order a depth-first
-    walk from the initial states first meets them, so the report does not
-    depend on string hashing.  Under "all" it raises BudgetExceededError
-    before it walks when the track product has more than
-    `DEFAULT_NODE_BUDGET` states.
+    probabilities sum to exactly 1 (terminal states resolve an outcome
+    through the default), and that the reachable state graph has no cycle,
+    so every playthrough ends.  Violations are reported with state
+    witnesses, never raised.  Reachable states are checked in the order a
+    depth-first walk from the initial states first meets them, so the
+    report does not depend on string hashing; under "reachable" that walk's
+    own gaps are the report.  BudgetExceededError is raised when the walk
+    meets more than `DEFAULT_NODE_BUDGET` states, and under "all" before it
+    walks when the track product has more.
     """
     if scope not in ("reachable", "all"):
         raise ValueError(f"scope must be 'reachable' or 'all', not {scope!r}")
-    engine = sys.engine()
     violations: list[Violation] = []
 
     for i, rule in enumerate(sys.consequence_rules):
@@ -1049,40 +1072,23 @@ def check_completeness(sys: GameSystem, scope: str = "reachable") -> Completenes
         violations.append(Violation("empty-initial-set", "no state satisfies init"))
         return CompletenessReport(scope, 0, violations)
 
-    if scope == "all" and math.prod(map(len, engine.value_lists)) > DEFAULT_NODE_BUDGET:
-        raise BudgetExceededError(
-            f"scope 'all' leaves more than {DEFAULT_NODE_BUDGET:,} states to enumerate"
+    states = enumerate_states(sys) if scope == "all" else None
+    reachable, on_cycle, gaps = _explore(sys)
+    checked = len(reachable)
+    if states is not None:
+        gaps = []
+        for checked, state in enumerate(states, 1):
+            _successors(sys, state, gaps)
+    violations += [
+        Violation(
+            "no-consequence",
+            f"no consequence rule matches {format_decision_tuple(dtuple)} "
+            f"at {format_state(sys, state)}",
+            state=state,
+            decision_tuple=dtuple,
         )
-    reachable, on_cycle = _explore(sys)
-    if scope == "reachable":
-        states: Iterator[GameState] = iter(reachable)
-    else:
-        states = enumerate_states(sys)
-
-    checked = 0
-    for state in states:
-        checked += 1
-        plan = engine.move_plan(engine.legal_sets(state))
-        if not plan:
-            engine.outcome(state)  # default outcome guarantees resolution
-            continue
-        for dtuple, _, moves in plan:
-            if moves is None:
-                try:
-                    moves = engine.moves(dtuple, state)
-                except NoRuleMatchesError:
-                    violations.append(
-                        Violation(
-                            "no-consequence",
-                            f"no consequence rule matches {format_decision_tuple(dtuple)} "
-                            f"at {format_state(sys, state)}",
-                            state=state,
-                            decision_tuple=dtuple,
-                        )
-                    )
-                    continue
-            for _, successor in moves:
-                successor(state)
+        for state, dtuple in gaps
+    ]
     if on_cycle is not None:
         violations.append(
             Violation(

@@ -13,8 +13,7 @@ node once and weight it by its number of root paths, so every count they
 report (`tree_stats`, `GameTree.node_count`, the ids in an export) is an
 unfolded-tree count; `iter_nodes` yields a shared node once per path, and
 `unfold` writes the unfolding out as a fresh arena.  Shared nodes have
-several parents, so `node_parent_edge` names one of them only; it is exact
-on unshared arenas such as imported trees.
+several parents, so a node keeps its out-edges only.
 
 Nodes that a rewrite cuts off stay in the arena, unreachable; `unfold`
 and `compact` drop them.  Facts derived from edge labels are cached under
@@ -81,8 +80,8 @@ class GameTree:
 
     __slots__ = (
         "players", "node_kind", "node_state", "node_outcome", "node_children",
-        "node_parent_edge", "edge_kind", "edge_src", "edge_dst", "edge_prob",
-        "edge_label", "root", "label_cache",
+        "edge_kind", "edge_src", "edge_dst", "edge_prob", "edge_label", "root",
+        "label_cache",
     )
 
     def __init__(self, players: tuple[str, ...]):
@@ -95,7 +94,6 @@ class GameTree:
         self.node_state: list[Optional[GameState]] = []
         self.node_outcome: list[Optional[str]] = []
         self.node_children: list[list[int]] = []
-        self.node_parent_edge: list[int] = []
         self.edge_kind: list[int] = []
         self.edge_src: list[int] = []
         self.edge_dst: list[int] = []
@@ -115,7 +113,6 @@ class GameTree:
         self.node_state.append(state)
         self.node_outcome.append(outcome)
         self.node_children.append([])
-        self.node_parent_edge.append(-1)
         return len(self.node_kind) - 1
 
     def add_edge(
@@ -133,7 +130,6 @@ class GameTree:
         self.edge_label.append(label)
         eid = len(self.edge_kind) - 1
         self.node_children[src].append(eid)
-        self.node_parent_edge[dst] = eid
         return eid
 
     # -- queries ------------------------------------------------------------
@@ -144,10 +140,6 @@ class GameTree:
     def children(self, node: int) -> list[int]:
         """Child node ids (edge targets) in stored order."""
         return [self.edge_dst[e] for e in self.node_children[node]]
-
-    def parent(self, node: int) -> int:
-        e = self.node_parent_edge[node]
-        return -1 if e < 0 else self.edge_src[e]
 
     def iter_nodes(self) -> Iterator[int]:
         """Nodes of the unfolded tree, preorder from the root.
@@ -184,7 +176,6 @@ class GameTree:
         dup.node_state = list(self.node_state)
         dup.node_outcome = list(self.node_outcome)
         dup.node_children = [list(c) for c in self.node_children]
-        dup.node_parent_edge = list(self.node_parent_edge)
         dup.edge_kind = list(self.edge_kind)
         dup.edge_src = list(self.edge_src)
         dup.edge_dst = list(self.edge_dst)
@@ -339,7 +330,6 @@ def _unfold(tree: GameTree) -> tuple[GameTree, list[int]]:
     out.node_state = [tree.node_state[n] for n in origin]
     out.node_outcome = [tree.node_outcome[n] for n in origin]
     out.node_children = children
-    out.node_parent_edge = list(range(-1, size - 1))
     out.edge_kind = [tree.edge_kind[e] for e in edge_origin]
     out.edge_src = edge_src
     out.edge_dst = list(range(1, size))
@@ -367,20 +357,18 @@ def compact(tree: GameTree) -> GameTree:
     keeps its sharing.
 
     Nodes and edges are numbered in the order in which `unfold` creates the
-    first copy of each, and a node's parent edge is the one its first copy
-    is created along, so on an unshared arena the columns are exactly those
-    of `unfold`.  The walk replays `unfold`'s stack but expands a node only
-    when it is first popped: when `unfold` pops a later copy, the subtree
-    of the first is done, so the later copy creates no new node.  Every
-    child is still pushed, so that each node is first popped when it is in
-    `unfold`.  The label cache is shared.
+    first copy of each, so on an unshared arena the columns are exactly
+    those of `unfold`.  The walk replays `unfold`'s stack but expands a
+    node only when it is first popped: when `unfold` pops a later copy, the
+    subtree of the first is done, so the later copy creates no new node.
+    Every child is still pushed, so that each node is first popped when it
+    is in `unfold`.  The label cache is shared.
     """
     node_kind = tree.node_kind
     node_children = tree.node_children
     edge_dst = tree.edge_dst
     new_id = {tree.root: 0}
     origin = [tree.root]  # per new node
-    parent_edge = [-1]  # per new node
     edge_origin: list[int] = []  # per new edge
     edge_src: list[int] = []  # per new edge, a new node
     children: list[list[int]] = [[]]  # per new node
@@ -394,7 +382,6 @@ def compact(tree: GameTree) -> GameTree:
         if child not in new_id:
             new_id[child] = len(origin)
             origin.append(child)
-            parent_edge.append(len(edge_origin) - 1)
             children.append([])
         return child
 
@@ -426,7 +413,6 @@ def compact(tree: GameTree) -> GameTree:
     out.node_state = [tree.node_state[n] for n in origin]
     out.node_outcome = [tree.node_outcome[n] for n in origin]
     out.node_children = children
-    out.node_parent_edge = parent_edge
     out.edge_kind = [tree.edge_kind[e] for e in edge_origin]
     out.edge_src = edge_src
     out.edge_dst = [new_id[edge_dst[e]] for e in edge_origin]
@@ -530,12 +516,10 @@ class ArenaBuilder:
         nodes = self._nodes
         outcomes = self._outcomes
         node_kind, node_state, node_outcome = tree.node_kind, tree.node_state, tree.node_outcome
-        node_children, parent_edge = tree.node_children, tree.node_parent_edge
+        node_children = tree.node_children
         edge_kind, edge_src, edge_dst = tree.edge_kind, tree.edge_src, tree.edge_dst
         edge_prob, edge_label = tree.edge_prob, tree.edge_label
         start, edge_start, keys_start = len(node_kind), len(edge_kind), len(nodes)
-        # old node -> its parent edge before this root pointed a new edge at it
-        adopted: dict[int, int] = {}
         # (node, state, round) of created, unexpanded nodes
         stack: list[tuple[int, GameState, int]] = []
         push = stack.append
@@ -582,12 +566,8 @@ class ArenaBuilder:
                             node_state.append(succ)
                             node_outcome.append(None)
                             node_children.append([])
-                            parent_edge.append(-1)
                             push((child, succ, gen))
-                        elif child < start and child not in adopted:
-                            adopted[child] = parent_edge[child]
-                        eid = parent_edge[child] = len(edge_kind)
-                        node_children[src].append(eid)
+                        node_children[src].append(len(edge_kind))
                         edge_kind.append(CHANCE_EDGE if chance else DECISION_EDGE)
                         edge_src.append(src)
                         edge_dst.append(child)
@@ -610,13 +590,10 @@ class ArenaBuilder:
                     f"node budget {node_budget} exceeded: the tree has {size[root]} nodes"
                 )
         except BaseException:
-            for column in (node_kind, node_state, node_outcome, node_children, parent_edge,
-                           self._size):
+            for column in (node_kind, node_state, node_outcome, node_children, self._size):
                 del column[start:]
             for column in (edge_kind, edge_src, edge_dst, edge_prob, edge_label):
                 del column[edge_start:]
-            for node, edge in adopted.items():
-                parent_edge[node] = edge
             while len(nodes) > keys_start:  # this root's keys, the last inserted
                 nodes.popitem()
             raise
@@ -1151,7 +1128,7 @@ def _tree_from_doc(doc) -> GameTree:
             tree.add_edge(src, dst, CHANCE_EDGE, prob=prob)
         else:
             raise TreeInvariantError(f"unknown edge kind {kind_name!r}")
-    if tree.root < 0 or tree.node_parent_edge[tree.root] != -1:
+    if tree.root in incoming:
         raise TreeInvariantError("root must have no incoming edge")
     reachable = set(tree.iter_nodes())
     if len(reachable) != len(tree.node_kind):

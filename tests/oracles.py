@@ -425,22 +425,20 @@ def brute_equivalent(lt: GameTree, rt: GameTree, pin=frozenset()) -> bool:
                 return [lo]
             if lk == TRUNCATED:
                 return []
-            lchildren = [lt.edge_dst[e] for e in lt.node_children[u]]
-            rchildren = [rt.edge_dst[e] for e in rt.node_children[v]]
+            lchildren = lt.node_children[u]
+            rchildren = rt.node_children[v]
             if len(lchildren) != len(rchildren):
                 return None
 
             def pair_up(ls: list, rs: list):
+                """Pairs the out-edges `ls` with `rs`: (trail, edge map) or None."""
                 if not ls:
                     return [], {}
                 a = ls[0]
                 for idx, b in enumerate(rs):
-                    if lk == CHANCE:
-                        ea = lt.node_parent_edge[a]
-                        eb = rt.node_parent_edge[b]
-                        if lt.edge_prob[ea] != rt.edge_prob[eb]:
-                            continue
-                    trail = try_match(a, b)
+                    if lk == CHANCE and lt.edge_prob[a] != rt.edge_prob[b]:
+                        continue
+                    trail = try_match(lt.edge_dst[a], rt.edge_dst[b])
                     if trail is None:
                         continue
                     rest = pair_up(ls[1:], rs[:idx] + rs[idx + 1 :])
@@ -455,12 +453,8 @@ def brute_equivalent(lt: GameTree, rt: GameTree, pin=frozenset()) -> bool:
             result = pair_up(lchildren, rchildren)
             if result is None:
                 return None
-            trail, child_map = result
+            trail, edge_map = result
             if lk == STATE:
-                edge_map = {}
-                for e in lt.node_children[u]:
-                    child = child_map[lt.edge_dst[e]]
-                    edge_map[e] = rt.node_parent_edge[child]
                 if not _brute_matrices_match(lt, u, rt, v, pi, edge_map):
                     undo(trail)
                     return None
@@ -1123,20 +1117,26 @@ def tree_measure(tree: GameTree) -> tuple[int, int]:
     return nodes, choices
 
 
-def _is_live(tree: GameTree, node: int) -> bool:
-    """Is `node` still reachable from the root along current edges?"""
-    while node != tree.root:
-        e = tree.node_parent_edge[node]
-        if e < 0 or tree.edge_dst[e] != node:
-            return False
-        node = tree.edge_src[e]
-        if e not in tree.node_children[node]:
-            return False
-    return True
+def _parent_edges(tree: GameTree) -> dict[int, int]:
+    """Per node reachable from the root, the edge into it (-1 at the root).
+
+    The per-site rewrites run on unshared trees, where that edge is unique.
+    """
+    parent = {tree.root: -1}
+    edge_dst = tree.edge_dst
+    for n in tree.iter_nodes():
+        for e in tree.node_children[n]:
+            parent[edge_dst[e]] = e
+    return parent
+
+
+def _parent(tree: GameTree, parent_edges: dict[int, int], node: int) -> int:
+    e = parent_edges[node]
+    return -1 if e < 0 else tree.edge_src[e]
 
 
 def _check_live(tree: GameTree, node: int) -> None:
-    if not _is_live(tree, node):
+    if node not in _parent_edges(tree):
         raise StaleSiteError(f"node {node} is no longer in the tree")
 
 
@@ -1151,7 +1151,6 @@ def _splice_into(tree: GameTree, e: int, new: int) -> None:
         tree.root = new
     else:
         tree.edge_dst[e] = new
-    tree.node_parent_edge[new] = e
 
 
 def find_matrix_redundancy_sites(tree: GameTree) -> list[ReductionSite]:
@@ -1208,11 +1207,12 @@ def _bookkeeping_walk(tree: GameTree, root: int):
 def find_bookkeeping_sites(tree: GameTree) -> list[ReductionSite]:
     """Maximal bookkeeping subtrees that actually shrink the tree."""
     require_unshared(tree, "find_bookkeeping_sites")
+    parent_edges = _parent_edges(tree)
     sites = []
     for node in tree.iter_nodes():
         if not _is_forced(tree, node):
             continue
-        parent = tree.parent(node)
+        parent = _parent(tree, parent_edges, node)
         if parent >= 0 and _is_forced(tree, parent):
             continue  # not maximal: parent's site contains this one
         interiors, leaves, has_chance, touches = _bookkeeping_walk(tree, node)
@@ -1240,18 +1240,17 @@ def reduce_bookkeeping(tree: GameTree, site: ReductionSite) -> GameTree:
     if not has_chance:
         assert len(leaves) == 1
         leaf = leaves[0][0]
-        _splice_into(tree, tree.node_parent_edge[root], leaf)
+        _splice_into(tree, _parent_edges(tree)[root], leaf)
         return tree
     total = sum((p for _, p in leaves), Fraction(0))
     if total != 1:
         raise AssertionError(f"path probabilities sum to {total}, not 1")
-    parent_edge = tree.node_parent_edge[root]
+    parent_edge = _parent_edges(tree)[root]
     if parent_edge < 0:
         # Case 2c: keep the root and its single decision edge.
         e_r = tree.node_children[root][0]
         c = tree.add_node(CHANCE)
         tree.edge_dst[e_r] = c
-        tree.node_parent_edge[c] = e_r
         for leaf, p in leaves:
             tree.add_edge(c, leaf, CHANCE_EDGE, prob=p)
     elif tree.node_kind[tree.edge_src[parent_edge]] == CHANCE:
@@ -1273,11 +1272,12 @@ def reduce_bookkeeping(tree: GameTree, site: ReductionSite) -> GameTree:
 def find_single_player_sites(tree: GameTree) -> list[ReductionSite]:
     """Maximal single-player deterministic subtrees of depth at least two."""
     require_unshared(tree, "find_single_player_sites")
+    parent_edges = _parent_edges(tree)
     sites = []
     for node in tree.iter_nodes():
         if not _single_player_site_at(tree, node):
             continue
-        parent = tree.parent(node)
+        parent = _parent(tree, parent_edges, node)
         if (
             parent >= 0
             and _owner_of(tree, parent) == _owner_of(tree, node)
@@ -1341,7 +1341,7 @@ def reduce_symmetry(tree: GameTree, site: ReductionSite) -> GameTree:
         raise StaleSiteError("subtree equivalence no longer holds")
     node = _merge_pair(tree, parent, victim_edge, survivor_edge)
     if node != parent:
-        _splice_into(tree, tree.node_parent_edge[parent], node)
+        _splice_into(tree, _parent_edges(tree)[parent], node)
     return tree
 
 
@@ -1690,6 +1690,62 @@ def reference_validate_system(sys: GameSystem) -> list[str]:
     if sys.default_outcome not in sys.outcomes:
         problems.append(f"default outcome {sys.default_outcome!r} not declared")
     return problems
+
+
+def reference_check_completeness(sys: GameSystem, scope: str = "reachable"):
+    """`core.check_completeness` as two walks: the reachable walk finds the
+    states and a cycle, and a second pass expands every in-scope state again
+    to find the decision tuples no consequence rule covers."""
+    engine = sys.engine()
+    violations: list = []
+    for i, rule in enumerate(sys.consequence_rules):
+        total = sum((p for p, _ in rule.results), Fraction(0))
+        if total != 1:
+            violations.append(
+                core.Violation(
+                    "probability-sum",
+                    f"consequence rule #{i + 1} probabilities sum to {total}, not 1",
+                )
+            )
+    if next(core.iter_initial_states(sys), None) is None:
+        violations.append(core.Violation("empty-initial-set", "no state satisfies init"))
+        return core.CompletenessReport(scope, 0, violations)
+    reachable, on_cycle = core._explore(sys)[:2]
+    states = iter(reachable) if scope == "reachable" else core.enumerate_states(sys)
+    checked = 0
+    for state in states:
+        checked += 1
+        plan = engine.move_plan(engine.legal_sets(state))
+        if not plan:
+            engine.outcome(state)
+            continue
+        for dtuple, _, moves in plan:
+            if moves is None:
+                try:
+                    moves = engine.moves(dtuple, state)
+                except NoRuleMatchesError:
+                    violations.append(
+                        core.Violation(
+                            "no-consequence",
+                            f"no consequence rule matches {format_decision_tuple(dtuple)} "
+                            f"at {core.format_state(sys, state)}",
+                            state=state,
+                            decision_tuple=dtuple,
+                        )
+                    )
+                    continue
+            for _, successor in moves:
+                successor(state)
+    if on_cycle is not None:
+        violations.append(
+            core.Violation(
+                "cycle",
+                f"the reachable state graph has a cycle through "
+                f"{core.format_state(sys, on_cycle)}, so a playthrough need not end",
+                state=on_cycle,
+            )
+        )
+    return core.CompletenessReport(scope, checked, violations)
 
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import functools
 import gc
+import math
 from fractions import Fraction
 
 import pytest
@@ -836,6 +837,47 @@ outcome default done
 """
 
 
+class TestCompletenessWalk:
+    """Under "reachable" the report is the reachable walk's own gaps; it
+    must equal the two-walk check's (`oracles.reference_check_completeness`)."""
+
+    def assert_same_reports(self, sys, scopes=("reachable", "all")):
+        import oracles
+
+        for scope in scopes:
+            assert core.check_completeness(sys, scope) == oracles.reference_check_completeness(
+                sys, scope
+            )
+
+    def test_fixtures(self, systems):
+        """Scope "all" only where the track product is small: on the six
+        fixtures of 59,049 or 118,098 states the two checks take about 6 s,
+        and the generated games below cover that loop's gaps."""
+        for sys in [*systems.values(), dsl.parse_game(LOOP_GAME)]:
+            small = math.prod(len(t.values) for t in sys.tracks) <= 10_000
+            self.assert_same_reports(sys, ("reachable", "all") if small else ("reachable",))
+
+    def test_thousands_of_gaps(self):
+        guarded = fixture_text("tictactoe.game").replace(
+            "consequence ($i, 0) -> prob 1", "consequence ($i, 0) when c1=e -> prob 1"
+        )
+        sys = dsl.parse_game(guarded)
+        self.assert_same_reports(sys, ("reachable",))
+        assert len(core.check_completeness(sys).violations) > 1000
+
+    def test_random_systems(self):
+        import random
+
+        import generators
+
+        incomplete = 0
+        for seed in range(200):
+            sys = generators.random_system(random.Random(seed))
+            self.assert_same_reports(sys)
+            incomplete += not core.check_completeness(sys).complete
+        assert incomplete
+
+
 def _one_by_one(sys, names, state):
     """The actions applied one at a time, read off their definitions."""
     import oracles
@@ -942,7 +984,25 @@ class TestMovePlans:
 
 
 class TestStateBudget:
-    """`check_completeness(scope="all")` counts the track product first."""
+    """`check_completeness(scope="all")` counts the track product first, and
+    the reachable walk counts the states it meets."""
+
+    def test_the_walk_stops_past_the_budget(self, monkeypatch, capsys):
+        """Tic-tac-toe has 10,957 reachable states.  A child process under
+        a memory cap cannot reach the real 10,000,000-state budget before
+        the cap, so the budget is lowered in-process instead."""
+        from ludokit import cli
+
+        path = fixture_path("tictactoe.game")
+        monkeypatch.setattr(core, "DEFAULT_NODE_BUDGET", 10_957)
+        assert cli.main(["validate", path]) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(core, "DEFAULT_NODE_BUDGET", 10_956)
+        assert cli.main(["validate", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert "more than 10,956 reachable states to explore" in captured.err
 
     def test_all_scope_over_the_budget_raises_before_walking(self, monkeypatch):
         from conftest import WIDE_GAME

@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -13,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 import generators
 import oracles
-from conftest import PINS, deadline
+from conftest import PINS, deadline, fixture_path, fixture_text
 from ludokit import canon, core, equiv, reduce, tree
 from ludokit.equiv import (
     agency_equivalent,
@@ -34,6 +37,8 @@ from ludokit.tree import (
     GameTree,
     STATE,
     TERMINAL,
+    node_meta,
+    postorder,
 )
 
 
@@ -181,7 +186,7 @@ class TestStructuralCorrespondences:
             for n in a.iter_nodes():
                 for e in a.node_children[n]:
                     child = a.edge_dst[e]
-                    assert b.parent(f[child]) == f[n]
+                    assert f[child] in b.children(f[n])
 
 
 class TestMatchMatrices:
@@ -452,8 +457,9 @@ class TestWitnessMachinery:
         assert verify_witness(w) != []
 
 
-# sha256 of `to_json()` on depth-3 forests; the witness bytes are an export
-# format, so a change of the key pass or of the walk must keep them.
+# sha256 of `to_json()` on depth-3 forests, or on a tree document's one
+# tree; the witness bytes are an export format, so a change of the key pass
+# or of the walk must keep them.
 WITNESS_DIGESTS = [
     ("tictactoe", "3to15", "relabel",
      "ab95973523e56449368268965f574defd8be22bdb9a3ec11d73be1bd93e5841e"),
@@ -466,18 +472,65 @@ WITNESS_DIGESTS = [
     # pairs chance edges of equal probability
     ("endofturn", "endofturn", "agency",
      "c530105496896c16c42f5b2568bdbd5395eacb33c7cfbf8d20fda0e6a1add72f"),
+    # ties between automorphic choices break by `choice_rank`
+    ("trio_matrix_a.json", "trio_matrix_b.json", "relabel",
+     "636f115fc63593e1505e23353711de5f9785ff7baec00da2c758d4ed85f21c76"),
 ]
+
+
+def _digest_forest(systems, name: str) -> list:
+    """A `.game` fixture's depth-3 forest, or a tree document's one tree."""
+    if name.endswith(".json"):
+        return [tree.import_json(fixture_text(name))]
+    return tree.build_forest(systems[name], depth_limit=3)
 
 
 @pytest.mark.parametrize("left,right,mode,digest", WITNESS_DIGESTS)
 def test_witness_bytes_are_stable(systems, left, right, mode, digest):
     compare = equivalent_up_to_relabeling if mode == "relabel" else agency_equivalent
-    witness = compare(
-        tree.build_forest(systems[left], depth_limit=3),
-        tree.build_forest(systems[right], depth_limit=3),
-    )
+    witness = compare(_digest_forest(systems, left), _digest_forest(systems, right))
     assert verify_witness(witness) == []
     assert hashlib.sha256(witness.to_json().encode()).hexdigest() == digest
+
+
+class TestWitnessIgnoresHashing:
+    """The trio matrices have automorphic choices, so the witness names one
+    of several images for each.  Ties break by `choice_rank`, not by the
+    order in which a label's frozenset iterates: that order moves with the
+    hash seed and, as `hash(None)` is an address, from process to process."""
+
+    def test_fresh_interpreters_print_the_same_bytes(self):
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        env.pop("PYTHONHASHSEED", None)
+        argv = [sys.executable, "-m", "ludokit", "equiv", "--mode", "relabel", "--witness",
+                fixture_path("trio_matrix_a.json"), fixture_path("trio_matrix_b.json")]
+        outs = set()
+        for _ in range(6):
+            done = subprocess.run(argv, capture_output=True, text=True, timeout=120, env=env)
+            assert done.returncode == 0, done.stderr
+            outs.add(done.stdout)
+        assert len(outs) == 1
+
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_reversed_label_pairs_give_the_same_witness(
+        self, trio_matrix_a, trio_matrix_b, side
+    ):
+        """One side's labels decode to their (sequence, joint) pairs in the
+        reverse of the order the label iterates, in a fresh cache."""
+        expected = equivalent_up_to_relabeling(trio_matrix_a, trio_matrix_b).to_json()
+        trees = [trio_matrix_a.copy(), trio_matrix_b.copy()]
+        t = trees[side]
+        t.label_cache = {}
+        for n in postorder(t):
+            if t.node_kind[n] == STATE:
+                node_meta(t, n)
+        t.label_cache = {
+            label: pairs[::-1]
+            for label, pairs in t.label_cache.items()
+            if isinstance(label, frozenset) and len(pairs) > 1
+        }
+        assert t.label_cache
+        assert equivalent_up_to_relabeling(*trees).to_json() == expected
 
 
 class TestSharedWitness:

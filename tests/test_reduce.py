@@ -482,7 +482,7 @@ def _arrays(t: GameTree) -> tuple:
     """Copies of every array of the arena, for array-for-array comparison."""
     return (
         t.players, t.root, list(t.node_kind), list(t.node_state), list(t.node_outcome),
-        [list(c) for c in t.node_children], list(t.node_parent_edge), list(t.edge_kind),
+        [list(c) for c in t.node_children], list(t.edge_kind),
         list(t.edge_src), list(t.edge_dst), list(t.edge_prob), list(t.edge_label),
     )
 

@@ -233,7 +233,8 @@ class TestStateMapValidation:
             table = doc.setdefault(section, {})
             if section == "values" and table and data.draw(st.booleans()):
                 table = table[data.draw(st.sampled_from(sorted(table)))]
-            key = data.draw(st.sampled_from(sorted(table)) | names)
+            # sampled_from refuses an empty list, and edits can empty a table.
+            key = data.draw(st.sampled_from(sorted(table)) | names if table else names)
             if table and data.draw(st.booleans()):
                 table.pop(key, None)
             elif section == "values" and table is doc["values"]:
@@ -686,5 +687,5 @@ class TestRenamedArena:
 
 
 def _columns(t):
-    return (t.node_kind, t.node_state, t.node_outcome, t.node_children, t.node_parent_edge,
+    return (t.node_kind, t.node_state, t.node_outcome, t.node_children,
             t.edge_kind, t.edge_src, t.edge_dst, t.edge_prob, t.edge_label)

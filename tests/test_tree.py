@@ -148,7 +148,7 @@ GAMES = [
 def arrays(t: tree.GameTree) -> tuple:
     return (
         t.players, t.root, list(t.node_kind), t.node_state, t.node_outcome, t.node_children,
-        list(t.node_parent_edge), list(t.edge_kind), list(t.edge_src), list(t.edge_dst),
+        list(t.edge_kind), list(t.edge_src), list(t.edge_dst),
         t.edge_prob, t.edge_label,
     )
 
